@@ -9,7 +9,8 @@ A failing cell is recorded and skipped; it never aborts the sweep.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,19 +70,50 @@ def default_workers() -> int:
     return min(4, os.cpu_count() or 1)
 
 
+class _BuildOnce:
+    """Per-key futures: the first caller builds a key, concurrent callers wait.
+
+    A failed build is not kept, so a later call tries again.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._futures: dict = {}
+
+    def get(self, key, build):
+        with self._lock:
+            fut = self._futures.get(key)
+            owner = fut is None
+            if owner:
+                fut = self._futures[key] = Future()
+        if not owner:
+            return fut.result()
+        try:
+            value = build()
+        except BaseException as exc:
+            with self._lock:
+                del self._futures[key]
+            fut.set_exception(exc)
+            raise
+        fut.set_result(value)
+        return value
+
+
 class RunContext:
     """Lazily built weights, operator families, calibrations, and trees.
 
     Shared between the experiment registry and the acceptance checks so the
-    expensive ellipsoid fits happen once per (weight, exponent).
+    expensive ellipsoid fits happen once per (weight, exponent), also when
+    worker threads ask for the same key at once. Builds wait on each other
+    only in the order tree -> calibration -> family -> weight, so no cycle.
     """
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        self._weights: dict = {}
-        self._families: dict = {}
-        self._cals: dict = {}
-        self._trees: dict = {}
+        self._weights = _BuildOnce()
+        self._families = _BuildOnce()
+        self._cals = _BuildOnce()
+        self._trees = _BuildOnce()
 
     def spec(self, name: str) -> WeightSpec:
         for w in self.config.weights:
@@ -90,21 +122,18 @@ class RunContext:
         raise ConfigError(f"no weight named {name!r} in config")
 
     def weight(self, name: str):
-        if name not in self._weights:
-            self._weights[name] = self.spec(name).realize()
-        return self._weights[name]
+        return self._weights.get(name, lambda: self.spec(name).realize())
 
     def family(self, name: str, p: float):
-        key = (name, p)
-        if key not in self._families:
-            self._families[key] = build_reducing_family(self.weight(name), p)
-        return self._families[key]
+        return self._families.get(
+            (name, p), lambda: build_reducing_family(self.weight(name), p)
+        )
 
     def calibration(self, d: int, n: int, p: float):
         """Shared thresholds, calibrated over all suite weights with this
         signature (constant-direction tests scale with n and d)."""
-        key = (d, n, p)
-        if key not in self._cals:
+
+        def build():
             entries = [
                 (w.name, self.weight(w.name), self.family(w.name, p))
                 for w in self.config.weights
@@ -112,10 +141,9 @@ class RunContext:
             ]
             if not entries:
                 raise ConfigError(f"no suite weights with d={d}, n={n}")
-            self._cals[key] = calibrate_lambdas(
-                entries, target=self.config.calibration_target
-            )
-        return self._cals[key]
+            return calibrate_lambdas(entries, target=self.config.calibration_target)
+
+        return self._cals.get((d, n, p), build)
 
     def stopping_config(self, name: str, p: float) -> StoppingConfig:
         cfg = self.config
@@ -130,12 +158,12 @@ class RunContext:
         )
 
     def tree(self, name: str, p: float):
-        key = (name, p)
-        if key not in self._trees:
-            self._trees[key] = build_generations(
+        return self._trees.get(
+            (name, p),
+            lambda: build_generations(
                 self.family(name, p), self.stopping_config(name, p)
-            )
-        return self._trees[key]
+            ),
+        )
 
 
 @dataclass(frozen=True)

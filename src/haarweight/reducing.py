@@ -8,9 +8,11 @@ is a norm on R^n. A reducing operator V_I is a single SPD matrix with
 rho_I(e) <= |V_I e| <= kappa * rho_I(e): the ellipsoid {|V_I e| <= 1} squeezed
 between the norm ball and its John dilate. The dual operator V'_I plays the
 same role for rho'_I built from W^{-1/p} at the conjugate exponent. At p = 2
-both are exact matrix square roots of cube averages (kappa = 1); otherwise
-they come from a Khachiyan-type minimum-volume-ellipsoid fit on a
-deterministic direction set, batched over all cubes of a level.
+both are exact matrix square roots of cube averages (kappa = 1). On a cube
+where W(x) = s(x) A, rho_I(e) = <s>_I^{1/p} |A^{1/p} e|, so V_I and V'_I are
+exact closed forms too (kappa = 1). Every other cube gets a log-barrier Newton
+minimum-volume-ellipsoid fit on a deterministic direction set, batched over
+all cubes of a level.
 
 The characteristic sup_I ||V_I V'_I||^p is the operator-weight analogue of the
 scalar A_p product <w>_I <w^{1-p'}>_I^{p-1}; it is >= 1 up to fit slack.
@@ -36,7 +38,6 @@ __all__ = [
     "ReducingFamily",
     "METHOD_NAMES",
     "quasi_uniform_directions",
-    "random_directions",
     "direction_norm",
     "reducing_operator",
     "dual_reducing_operator",
@@ -49,8 +50,8 @@ __all__ = [
     "conjugate_exponent",
 ]
 
-METHOD_NAMES = ("exact-p2", "exact-constant", "exact-scalar", "ellipsoid")
-_M_P2, _M_CONST, _M_SCALAR, _M_ELL = range(4)
+METHOD_NAMES = ("exact-p2", "exact-scalar", "ellipsoid")
+_M_P2, _M_SCALAR, _M_ELL = range(3)
 
 _GOLDEN = 0.6180339887498949
 
@@ -63,7 +64,12 @@ def conjugate_exponent(p: float) -> float:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Ellipsoid fit controls. tol is the relative KKT residual at exit."""
+    """Ellipsoid fit controls.
+
+    tol sets the final barrier parameter t_final = 2m / (n tol) for m fit
+    directions, so the last centred point is within n tol / 2 of the optimal
+    -log det A. max_iter caps the total Newton steps over all barrier stages.
+    """
 
     tol: float = 1e-6
     max_iter: int = 200_000
@@ -92,11 +98,6 @@ def quasi_uniform_directions(n: int, m: int, offset: float = 0.0) -> np.ndarray:
         r = np.sqrt(1.0 - z**2)
         return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
     rng = np.random.default_rng([n, m, int(offset * 1e6) & 0xFFFFFFFF])
-    v = rng.standard_normal((m, n))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def random_directions(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal((m, n))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
@@ -154,7 +155,7 @@ def _rho_pyramid(
 
 
 # ---------------------------------------------------------------------------
-# ellipsoid fit (Khachiyan multiplicative updates, batched over cubes)
+# ellipsoid fit (log-barrier Newton, batched over cubes)
 
 
 def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
@@ -357,42 +358,34 @@ def _build_side(weight: MatrixWeight, p: float, dual: bool, max_depth: int, fit:
             methods.append(np.full(((1 << lvl),) * d, _M_P2, dtype=np.int8))
         return vs, kappas, methods
 
-    const = weight.constancy_pyramid()
-    m_fit = fit.fit_count(n)
-    dirs_fit = quasi_uniform_directions(n, m_fit)
-    if n == 1:
-        dirs_all = dirs_fit
-    else:
+    # W = s A on a flagged cube: V = <s>^{1/p} A^{1/p}, V' = <s^{1-p'}>^{1/p'} A^{-1/p}
+    q = conjugate_exponent(p) if dual else p
+    prop = weight.proportionality_pyramid()[: max_depth + 1]
+    s = weight.cells[..., 0, 0]
+    s_pyr = mean_pyramid(s ** (1.0 - q) if dual else s, d)
+    if not all(flags.all() for flags, _ in prop):
+        m_fit = fit.fit_count(n)
+        dirs_fit = quasi_uniform_directions(n, m_fit)
         extra = quasi_uniform_directions(n, m_fit * fit.cal_factor, offset=0.37)
         dirs_all = np.concatenate([dirs_fit, extra], axis=0)
-    rho_pyr = _rho_pyramid(weight, p, dirs_all, dual)
-    for lvl in range(max_depth + 1):
+        rho_pyr = _rho_pyramid(weight, p, dirs_all, dual)
+    for lvl, (flags, reps) in enumerate(prop):
         shape = ((1 << lvl),) * d
-        rho_all = rho_pyr[lvl].reshape(-1, dirs_all.shape[0])
-        v_l = np.empty((rho_all.shape[0], n, n))
-        kappa_l = np.ones(rho_all.shape[0])
-        method_l = np.full(rho_all.shape[0], _M_ELL, dtype=np.int8)
-        if n == 1:
-            v_l[:, 0, 0] = rho_all[:, 0]
-            method_l[:] = _M_SCALAR
-        else:
-            flags, reps = const[lvl]
-            flat_flags = flags.reshape(-1)
-            flat_reps = reps.reshape(-1, n, n)
-            if flat_flags.any():
-                v_l[flat_flags] = spd_power_stack(flat_reps[flat_flags], s_exp)
-                method_l[flat_flags] = _M_CONST
-            todo = ~flat_flags
-            if todo.any():
-                v_fit, kap = _fit_operators(
-                    rho_all[todo][:, : m_fit],
-                    rho_all[todo],
-                    dirs_fit,
-                    dirs_all,
-                    fit,
-                )
-                v_l[todo] = v_fit
-                kappa_l[todo] = kap
+        flat = flags.reshape(-1)
+        v_l = np.empty((flat.size, n, n))
+        kappa_l = np.ones(flat.size)
+        method_l = np.full(flat.size, _M_SCALAR, dtype=np.int8)
+        if flat.any():
+            scale = s_pyr[lvl].reshape(-1)[flat] ** (1.0 / q)
+            a_pow = spd_power_stack(reps.reshape(-1, n, n)[flat], s_exp)
+            v_l[flat] = scale[:, None, None] * a_pow
+        todo = ~flat
+        if todo.any():
+            rho_all = rho_pyr[lvl].reshape(-1, dirs_all.shape[0])[todo]
+            v_l[todo], kappa_l[todo] = _fit_operators(
+                rho_all[:, :m_fit], rho_all, dirs_fit, dirs_all, fit
+            )
+            method_l[todo] = _M_ELL
         vs.append(v_l.reshape(shape + (n, n)))
         kappas.append(kappa_l.reshape(shape))
         methods.append(method_l.reshape(shape))
@@ -440,28 +433,10 @@ def _single_cube_operator(
         raise ParameterError(f"exponent must satisfy 1 < p < inf, got {p}")
     if cube.d != weight.d or cube.level > weight.level:
         raise ShapeError("cube does not fit the weight grid")
-    n = weight.n
-    sl = cube.cell_slices(weight.level)
-    s_exp = -1.0 / p if dual else 1.0 / p
-    if p == 2.0:
-        avg = weight.power_cells(-1.0 if dual else 1.0)[sl].mean(
-            axis=tuple(range(weight.d))
-        )
-        return spd_power_stack(avg, 0.5)
-    cells = weight.cells[sl]
-    if np.all(cells == cells.reshape(-1, n, n)[0]):
-        return spd_power_stack(cells.reshape(-1, n, n)[0], s_exp)
-    q = conjugate_exponent(p) if dual else p
-    wp = weight.power_cells(s_exp)[sl]
-    if n == 1:
-        return _rho_block(wp, q, np.ones((1, 1)), weight.d).reshape(1, 1)
-    m_fit = fit.fit_count(n)
-    dirs_fit = quasi_uniform_directions(n, m_fit)
-    extra = quasi_uniform_directions(n, m_fit * fit.cal_factor, offset=0.37)
-    dirs_all = np.concatenate([dirs_fit, extra], axis=0)
-    rho_all = _rho_block(wp, q, dirs_all, weight.d)[None, :]
-    v, _ = _fit_operators(rho_all[:, :m_fit], rho_all, dirs_fit, dirs_all, fit)
-    return v[0]
+    cells = weight.cells[cube.cell_slices(weight.level)]
+    sub = MatrixWeight(weight.d, weight.n, weight.level - cube.level, cells)
+    vs, _, _ = _build_side(sub, p, dual, 0, fit)
+    return vs[0].reshape(weight.n, weight.n)
 
 
 def reducing_operator(

@@ -329,37 +329,20 @@ class CalibrationResult:
         return 4.0 * self.c2_hat * char ** (q / self.p)
 
 
-def _mode_sup_decay(tables: _PairTables, floor: int, mode: int, lam: float) -> float:
-    """sup over cubes I of |union of maximal mode-fired subcubes| / |I|."""
+def _sup_decay(tables: _PairTables, floor: int, hit) -> float:
+    """sup over cubes I of |union of maximal fired subcubes| / |I|, where
+    hit(li, lj) is the boolean fire grid of level-lj cubes below level li."""
     d = tables.family.d
     worst = 0.0
     for li in range(floor):
         acc = np.zeros(((1 << li),) * d)
         alive = np.ones(((1 << (li + 1)),) * d, dtype=bool)
         for lj in range(li + 1, floor + 1):
-            hit = tables.t(mode, li, lj) > lam
-            fire = alive & hit
+            h = hit(li, lj)
+            fire = alive & h
             acc += coarsen_sum(fire.astype(float), d, lj - li) * 2.0 ** (-lj * d)
             if lj < floor:
-                alive = refine_to_cells(alive & ~hit, d, 1)
-        worst = max(worst, float(acc.max()) * 2.0 ** (li * d))
-    return worst
-
-
-def _combined_sup_decay(
-    tables: _PairTables, floor: int, lam1: float, lam2: float
-) -> float:
-    d = tables.family.d
-    worst = 0.0
-    for li in range(floor):
-        acc = np.zeros(((1 << li),) * d)
-        alive = np.ones(((1 << (li + 1)),) * d, dtype=bool)
-        for lj in range(li + 1, floor + 1):
-            hit = (tables.t(1, li, lj) > lam1) | (tables.t(2, li, lj) > lam2)
-            fire = alive & hit
-            acc += coarsen_sum(fire.astype(float), d, lj - li) * 2.0 ** (-lj * d)
-            if lj < floor:
-                alive = refine_to_cells(alive & ~hit, d, 1)
+                alive = refine_to_cells(alive & ~h, d, 1)
         worst = max(worst, float(acc.max()) * 2.0 ** (li * d))
     return worst
 
@@ -417,13 +400,17 @@ def calibrate_lambdas(
 
     def pred1(lam):
         return all(
-            _mode_sup_decay(tab, floor, 1, lam) <= target / 2
+            _sup_decay(tab, floor, lambda li, lj: tab.t(1, li, lj) > lam)
+            <= target / 2
             for _, _, tab, floor, _ in entries
         )
 
     def pred2(c):
         return all(
-            _mode_sup_decay(tab, floor, 2, c * char ** (q / p)) <= target / 2
+            _sup_decay(
+                tab, floor, lambda li, lj: tab.t(2, li, lj) > c * char ** (q / p)
+            )
+            <= target / 2
             for _, _, tab, floor, char in entries
         )
 
@@ -435,7 +422,12 @@ def calibrate_lambdas(
         name: 4.0 * c2 * char ** (q / p) for name, _, _, _, char in entries
     }
     achieved = {
-        name: _combined_sup_decay(tab, floor, lambda1, lambda2s[name])
+        name: _sup_decay(
+            tab,
+            floor,
+            lambda li, lj: (tab.t(1, li, lj) > lambda1)
+            | (tab.t(2, li, lj) > lambda2s[name]),
+        )
         for name, _, tab, floor, _ in entries
     }
     floor_out = entries[0][3] if floor_level is None else floor_level

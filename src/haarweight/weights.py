@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import GridFunction, DyadicCube, lp_norm, mean_pyramid
+from .dyadic import GridFunction, DyadicCube, _split_blocks, lp_norm, mean_pyramid
 from .errors import MatrixDomainError, ParameterError, ShapeError
 
 __all__ = [
@@ -129,25 +129,22 @@ class MatrixWeight:
         vals = np.linalg.eigvalsh(self.cells)
         return float(vals.min()), float(vals.max())
 
-    def constancy_pyramid(self) -> list:
-        """Per-level mask of cubes on which the weight is exactly constant."""
-        key = "const"
-        if key not in self._pyramids:
-            from .dyadic import _split_blocks
-
-            L = self.level
-            flags = [None] * (L + 1)
-            flags[L] = np.ones(((1 << L),) * self.d, dtype=bool)
-            rep = self.cells
-            for lvl in range(L - 1, -1, -1):
+    def proportionality_pyramid(self) -> list:
+        """Per level, (mask, A) for the cubes on which W(x) = s(x) A exactly,
+        with s = W_00. Cells divided by W_00 compare by exact equality, so a
+        cube is never flagged wrongly; at worst it is missed and fitted."""
+        if "prop" not in self._pyramids:
+            flag = np.ones(((1 << self.level),) * self.d, dtype=bool)
+            rep = self.cells / self.cells[..., :1, :1]
+            out = [(flag, rep)]
+            for _ in range(self.level):
                 blocks = _split_blocks(rep, self.d)
                 same = np.all(blocks == blocks[..., :1, :, :], axis=(self.d, -1, -2))
-                fl = _split_blocks(flags[lvl + 1][..., None], self.d)
-                flags[lvl] = np.all(fl[..., 0], axis=self.d) & same
+                flag = np.all(_split_blocks(flag, self.d), axis=self.d) & same
                 rep = blocks[..., 0, :, :]
-            reps = mean_pyramid(self.cells, self.d)
-            self._pyramids[key] = [(flags[l], reps[l]) for l in range(L + 1)]
-        return self._pyramids[key]
+                out.append((flag, rep))
+            self._pyramids["prop"] = out[::-1]
+        return self._pyramids["prop"]
 
 
 def weight_average(weight: MatrixWeight, cube: DyadicCube) -> np.ndarray:

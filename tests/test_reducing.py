@@ -28,6 +28,7 @@ from haarweight import (
     reducing_operator,
     scalar_ap_characteristic,
 )
+from haarweight.reducing import METHOD_NAMES, _fit_operators, _rho_pyramid
 
 
 def two_cell_weight(a=1.0, b=4.0):
@@ -113,7 +114,37 @@ def test_identity_weight_fixed_point():
                 redfam.v_dual[lvl], np.broadcast_to(np.eye(2), redfam.v[lvl].shape)
             )
         assert ap_characteristic(w, p, family=redfam, max_depth=4) == 1.0
-    assert redfam.method_at(DyadicCube(1, (0,))) == "exact-constant"
+    assert redfam.method_at(DyadicCube(1, (0,))) == "exact-scalar"
+
+
+def test_scalar_times_matrix_weight_is_exact_everywhere():
+    # power weight |x - x0|^alpha I_3: W = s(x) A on every cube
+    fam = WeightFamily("power", d=1, n=3, level=4, params={"alpha": 0.6}, seed=0)
+    w = make_weight(fam)
+    redfam = build_reducing_family(w, 3.0)
+    for codes in redfam.method + redfam.method_dual:
+        assert (codes == METHOD_NAMES.index("exact-scalar")).all()
+    assert redfam.max_kappa() == 1.0
+
+
+def test_closed_form_matches_fit_on_power_weight():
+    fam = WeightFamily("power", d=1, n=2, level=4, params={"alpha": 0.6}, seed=0)
+    w = make_weight(fam)
+    p = 3.0
+    redfam = build_reducing_family(w, p)
+    fit = FitConfig()
+    m_fit = fit.fit_count(2)
+    dirs_fit = quasi_uniform_directions(2, m_fit)
+    extra = quasi_uniform_directions(2, m_fit * fit.cal_factor, offset=0.37)
+    dirs_all = np.concatenate([dirs_fit, extra], axis=0)
+    for dual, closed in ((False, redfam.v), (True, redfam.v_dual)):
+        rho_pyr = _rho_pyramid(w, p, dirs_all, dual)
+        for lvl in (0, 2, 4):
+            rho = rho_pyr[lvl].reshape(-1, dirs_all.shape[0])
+            v_fit, _ = _fit_operators(rho[:, :m_fit], rho, dirs_fit, dirs_all, fit)
+            np.testing.assert_allclose(
+                v_fit, closed[lvl].reshape(-1, 2, 2), rtol=0, atol=1e-10
+            )
 
 
 def test_ellipsoid_sandwich_fresh_directions():
