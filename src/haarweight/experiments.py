@@ -185,11 +185,15 @@ class RunResult:
 
 
 def _gather(pool, fn, cells):
-    """Run cells on the pool, yield (cell, result, error) in submission order."""
-    futures = [(cell, pool.submit(fn, cell)) for cell in cells]
-    for cell, fut in futures:
+    """Run cells on the pool (in this thread if pool is None), yield
+    (cell, result, error) in submission order."""
+    if pool is None:
+        calls = [(cell, lambda cell=cell: fn(cell)) for cell in cells]
+    else:
+        calls = [(cell, pool.submit(fn, cell).result) for cell in cells]
+    for cell, call in calls:
         try:
-            yield cell, fut.result(), None
+            yield cell, call(), None
         except Exception as exc:  # isolation: a bad cell must not kill the run
             yield cell, None, exc
 
@@ -416,7 +420,8 @@ def alpha_sweep_report(
     sharp exponents 1/2 and 1). Eigenvalue-level and low-characteristic local
     slopes are reported as diagnostics: the extremal-ratio direction is
     capped at sqrt(levels) on a depth-L grid, which confines its power growth
-    in the characteristic to chars below about L.
+    in the characteristic to chars below about L. Points run on pool
+    (serially if None); a point that raises is listed under "failed".
     """
 
     def cell(alpha):
@@ -437,18 +442,11 @@ def alpha_sweep_report(
         }
 
     rows, failed = [], []
-    if pool is None:
-        for a in alphas:
-            try:
-                rows.append(cell(a))
-            except HaarweightError as exc:
-                failed.append({"alpha": float(a), "error": repr(exc)})
-    else:
-        for a, r, err in _gather(pool, cell, list(alphas)):
-            if err is not None:
-                failed.append({"alpha": float(a), "error": repr(err)})
-                continue
-            rows.append(r)
+    for a, r, err in _gather(pool, cell, list(alphas)):
+        if err is not None:
+            failed.append({"alpha": float(a), "error": repr(err)})
+            continue
+        rows.append(r)
     if len(rows) < 3:
         raise ParameterError(
             f"alpha sweep needs at least three surviving points, got {len(rows)}"

@@ -20,7 +20,7 @@ scalar A_p product <w>_I <w^{1-p'}>_I^{p-1}; it is >= 1 up to fit slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +54,10 @@ METHOD_NAMES = ("exact-p2", "exact-scalar", "ellipsoid")
 _M_P2, _M_SCALAR, _M_ELL = range(3)
 
 _GOLDEN = 0.6180339887498949
+# kappa is certified on the fit directions plus _CAL_FACTOR times as many
+# calibration directions, a second quasi-uniform grid offset by _CAL_OFFSET
+_CAL_FACTOR = 4
+_CAL_OFFSET = 0.37
 
 
 def conjugate_exponent(p: float) -> float:
@@ -74,7 +78,6 @@ class FitConfig:
     tol: float = 1e-6
     max_iter: int = 200_000
     directions: int = 0  # 0 = auto: max(500, 50 n^2)
-    cal_factor: int = 4  # extra calibration directions, multiple of fit count
 
     def fit_count(self, n: int) -> int:
         if self.directions > 0:
@@ -344,6 +347,29 @@ class ReducingFamily:
         depth = self.max_depth if depth is None else min(depth, self.max_depth)
         return float(min(self.pair_norms(l).min() for l in range(depth + 1)))
 
+    def characteristic(self, depth: int) -> float:
+        """sup over cubes of level <= depth of ||V_I V'_I||^p."""
+        best = max(float(self.pair_norms(l).max()) for l in range(depth + 1))
+        return best**self.p
+
+    def swapped(self) -> ReducingFamily:
+        """The family of W^{1-p'} at p'.
+
+        (W^{1-p'})^{1/p'} = W^{-1/p}, so the direction norm of W^{1-p'} at p'
+        is the dual norm rho'_I of W at p, and its dual norm is rho_I: the two
+        sides trade places, with their kappas and methods.
+        """
+        return replace(
+            self,
+            p=conjugate_exponent(self.p),
+            v=self.v_dual,
+            v_dual=self.v,
+            kappa=self.kappa_dual,
+            kappa_dual=self.kappa,
+            method=self.method_dual,
+            method_dual=self.method,
+        )
+
 
 def _build_side(weight: MatrixWeight, p: float, dual: bool, max_depth: int, fit: FitConfig):
     """One side (primal or dual) of the family: per-level V, kappa, method."""
@@ -366,7 +392,7 @@ def _build_side(weight: MatrixWeight, p: float, dual: bool, max_depth: int, fit:
     if not all(flags.all() for flags, _ in prop):
         m_fit = fit.fit_count(n)
         dirs_fit = quasi_uniform_directions(n, m_fit)
-        extra = quasi_uniform_directions(n, m_fit * fit.cal_factor, offset=0.37)
+        extra = quasi_uniform_directions(n, m_fit * _CAL_FACTOR, offset=_CAL_OFFSET)
         dirs_all = np.concatenate([dirs_fit, extra], axis=0)
         rho_pyr = _rho_pyramid(weight, p, dirs_all, dual)
     for lvl, (flags, reps) in enumerate(prop):
@@ -487,8 +513,7 @@ def ap_characteristic(
 ) -> float:
     """sup over cubes (level <= max_depth, default L-2) of ||V_I V'_I||^p."""
     fam, depth = _family_for(weight, p, max_depth, family, fit)
-    best = max(float(fam.pair_norms(l).max()) for l in range(depth + 1))
-    return best**p
+    return fam.characteristic(depth)
 
 
 def scalar_ap_characteristic(
@@ -537,31 +562,21 @@ def duality_check(
     max_depth: int | None = None,
     fit: FitConfig | None = None,
     family: ReducingFamily | None = None,
-    dual_weight: MatrixWeight | None = None,
-    dual_family: ReducingFamily | None = None,
 ) -> DualityReport:
-    """Verify ||W^{1-p'}||_{A_p'} = ||W||_{A_p}^{p'/p} within the fit slack.
+    """Check ||W^{1-p'}||_{A_p'} = ||W||_{A_p}^{p'/p} on the family of W at p.
 
-    The dual weight's family is built independently (fresh fits on W^{1-p'}),
-    not reused from the primal side; agreement of the two routes within
-    log(kappa_max^4) is the meaningful check.
+    The family of W^{1-p'} at p' is not fitted: it is the family of W at p
+    with its sides swapped (ReducingFamily.swapped), so the two
+    characteristics agree up to rounding and no second family is built.
+    log_bound = log(kappa_max^4) is the slack an independent refit of
+    W^{1-p'} may show; acceptance criterion 5 makes that refit.
     """
     q = conjugate_exponent(p)
     fam, depth = _family_for(weight, p, max_depth, family, fit)
-    if dual_weight is None:
-        cells = spd_power_stack(weight.cells, 1.0 - q)
-        dual_weight = MatrixWeight(
-            weight.d,
-            weight.n,
-            weight.level,
-            cells,
-            {"family": "derived", "base": dict(weight.meta), "exponent": 1.0 - q},
-        )
-    dfam, _ = _family_for(dual_weight, q, depth, dual_family, fit)
-    char = ap_characteristic(weight, p, depth, family=fam)
-    char_dual = ap_characteristic(dual_weight, q, depth, family=dfam)
+    char = fam.characteristic(depth)
+    char_dual = fam.swapped().characteristic(depth)
     predicted = char ** (q / p)
-    kappa = max(fam.max_kappa(depth), dfam.max_kappa(depth))
+    kappa = fam.max_kappa(depth)
     log_gap = abs(math.log(char_dual) - math.log(predicted))
     log_bound = 4.0 * math.log(kappa)
     return DualityReport(

@@ -9,6 +9,8 @@ expected to fail until a weight family with a steeper inverse mechanism
 is added. The measured slopes stay recorded in the failure message.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,26 @@ def test_run_all_emits_one_line_per_criterion():
     for i, line in enumerate(lines, start=1):
         assert line.startswith(f"criterion {i:02d} ")
         assert ": PASS (" in line or ": FAIL (" in line
+
+
+def test_duality_criterion_fails_on_a_perturbed_family():
+    cfg = dataclasses.replace(
+        tiny_context().config,
+        ps=(3.0,),
+        weights=(
+            WeightSpec("rot", family="rotating", d=1, n=2, level=4,
+                       params={"alpha": 0.6}, seed=3),
+        ),
+    )
+    ctx = acc.AcceptanceContext(cfg)
+    assert acc.c05_duality(ctx).passed
+    fam = ctx.family("rot", 3.0)
+    bad = dataclasses.replace(fam, v_dual=[1.05 * v for v in fam.v_dual])
+    ctx = acc.AcceptanceContext(cfg)
+    ctx._families.get(("rot", 3.0), lambda: bad)
+    res = acc.c05_duality(ctx)
+    print(res.line())
+    assert not res.passed
 
 
 def test_block_reshape_helper():

@@ -28,7 +28,14 @@ from haarweight import (
     reducing_operator,
     scalar_ap_characteristic,
 )
-from haarweight.reducing import METHOD_NAMES, _fit_operators, _rho_pyramid
+import haarweight.reducing as reducing
+from haarweight.reducing import (
+    _CAL_FACTOR,
+    _CAL_OFFSET,
+    METHOD_NAMES,
+    _fit_operators,
+    _rho_pyramid,
+)
 
 
 def two_cell_weight(a=1.0, b=4.0):
@@ -135,7 +142,7 @@ def test_closed_form_matches_fit_on_power_weight():
     fit = FitConfig()
     m_fit = fit.fit_count(2)
     dirs_fit = quasi_uniform_directions(2, m_fit)
-    extra = quasi_uniform_directions(2, m_fit * fit.cal_factor, offset=0.37)
+    extra = quasi_uniform_directions(2, m_fit * _CAL_FACTOR, offset=_CAL_OFFSET)
     dirs_all = np.concatenate([dirs_fit, extra], axis=0)
     for dual, closed in ((False, redfam.v), (True, redfam.v_dual)):
         rho_pyr = _rho_pyramid(w, p, dirs_all, dual)
@@ -190,14 +197,43 @@ def test_single_cube_matches_family():
     )
 
 
-def test_duality_identity():
+def test_dual_weight_family_is_the_primal_swapped():
+    w = rotating_weight(level=4)
+    p, q = 3.0, conjugate_exponent(3.0)
+    fam = build_reducing_family(w, p)
+    dual = MatrixWeight(w.d, w.n, w.level, w.power_cells(1.0 - q))
+    fresh = build_reducing_family(dual, q)
+    swapped = fam.swapped()
+    assert swapped.p == fresh.p
+    for side in ("v", "v_dual", "kappa", "kappa_dual"):
+        for got, want in zip(getattr(swapped, side), getattr(fresh, side)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+    for side in ("method", "method_dual"):
+        for got, want in zip(getattr(swapped, side), getattr(fresh, side)):
+            np.testing.assert_array_equal(got, want)
+    assert (fresh.method[0] == METHOD_NAMES.index("ellipsoid")).all()
+
+
+def test_duality_identity(monkeypatch):
     w = rotating_weight(level=4)
     rep2 = duality_check(w, 2.0)
     assert rep2.passed and abs(rep2.log_gap) <= 1e-12
     rep3 = duality_check(w, 3.0)
     assert rep3.passed
-    assert abs(rep3.log_gap) <= rep3.log_bound + 1e-9
+    assert abs(rep3.log_gap) <= 1e-12
     assert rep3.p_dual == pytest.approx(1.5)
+    # the dual side comes from the given family: no family is built
+    fam = build_reducing_family(w, 3.0)
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return build_reducing_family(*args, **kwargs)
+
+    monkeypatch.setattr(reducing, "build_reducing_family", counting)
+    rep = duality_check(w, 3.0, family=fam)
+    assert builds == []
+    assert rep.log_gap == rep3.log_gap and rep.log_bound == rep3.log_bound
 
 
 def test_pair_norms_at_least_one():
