@@ -2,6 +2,12 @@
 
 __version__ = "0.1.0"
 
+import logging
+
+# diagnostics (ellipsoid fit telemetry) go to this logger at DEBUG; silent
+# unless the application configures logging
+logging.getLogger(__name__).addHandler(logging.NullHandler())
+
 from .errors import (
     CalibrationError,
     CoverageError,

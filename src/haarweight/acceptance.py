@@ -1,15 +1,16 @@
 """The thirteen acceptance checks, one function per criterion.
 
 Each check returns a CriterionResult with the measured quantities in its
-details string; run_all prints one pass/fail line per criterion. Empirical
-caps are frozen here with the measurements that motivated them; they are
-reported, never tuned per weight.
+details string; run_all prints one pass/fail line per criterion, followed by
+the seconds the check took. Empirical caps are frozen here with the
+measurements that motivated them; they are reported, never tuned per weight.
 """
 
 from __future__ import annotations
 
 import math
 import tempfile
+import time
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -60,6 +61,7 @@ class CriterionResult:
     name: str
     passed: bool
     details: str
+    seconds: float = 0.0  # wall time of the check; run_all measures it
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -486,6 +488,7 @@ def run_all(ctx: AcceptanceContext | None = None, printer=print) -> list:
     ctx = ctx or AcceptanceContext()
     results = []
     for crit in CRITERIA:
+        start = time.perf_counter()
         try:
             res = crit(ctx)
         except HaarweightError as exc:  # a criterion crash is a failure, not an abort
@@ -495,6 +498,7 @@ def run_all(ctx: AcceptanceContext | None = None, printer=print) -> list:
                 False,
                 f"raised {exc!r}",
             )
+        res = replace(res, seconds=time.perf_counter() - start)
         results.append(res)
-        printer(res.line())
+        printer(f"{res.line()} [{res.seconds:.2f} s]")
     return results

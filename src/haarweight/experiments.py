@@ -9,14 +9,14 @@ A failing cell is recorded and skipped; it never aborts the sweep.
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from ._once import BuildOnce
 from .analysis import (
     block_bound_quotients,
     block_partition_constant,
@@ -70,35 +70,6 @@ def default_workers() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-class _BuildOnce:
-    """Per-key futures: the first caller builds a key, concurrent callers wait.
-
-    A failed build is not kept, so a later call tries again.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._futures: dict = {}
-
-    def get(self, key, build):
-        with self._lock:
-            fut = self._futures.get(key)
-            owner = fut is None
-            if owner:
-                fut = self._futures[key] = Future()
-        if not owner:
-            return fut.result()
-        try:
-            value = build()
-        except BaseException as exc:
-            with self._lock:
-                del self._futures[key]
-            fut.set_exception(exc)
-            raise
-        fut.set_result(value)
-        return value
-
-
 class RunContext:
     """Lazily built weights, operator families, calibrations, and trees.
 
@@ -110,10 +81,10 @@ class RunContext:
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        self._weights = _BuildOnce()
-        self._families = _BuildOnce()
-        self._cals = _BuildOnce()
-        self._trees = _BuildOnce()
+        self._weights = BuildOnce()
+        self._families = BuildOnce()
+        self._cals = BuildOnce()
+        self._trees = BuildOnce()
 
     def spec(self, name: str) -> WeightSpec:
         for w in self.config.weights:

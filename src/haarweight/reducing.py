@@ -19,11 +19,13 @@ scalar A_p product <w>_I <w^{1-p'}>_I^{p-1}; it is >= 1 up to fit slack.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._once import BuildOnce
 from .dyadic import DyadicCube, mean_pyramid
 from .errors import (
     CoverageError,
@@ -52,6 +54,8 @@ __all__ = [
 
 METHOD_NAMES = ("exact-p2", "exact-scalar", "ellipsoid")
 _M_P2, _M_SCALAR, _M_ELL = range(3)
+
+_log = logging.getLogger(__name__)
 
 _GOLDEN = 0.6180339887498949
 # kappa is certified on the fit directions plus _CAL_FACTOR times as many
@@ -175,6 +179,14 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     points inside {x : x^T A x <= 1}) and carry the John-type certificate
     A^{-1} = sum_m c_m x_m x_m^T with c_m >= 0 and sum c_m <= n (1 + tol).
     max_iter caps the total Newton iteration count.
+
+    Each step builds the barrier Hessian with one (b, m) @ (m, n^4) matrix
+    product against the products of the direction outer products, computed
+    once per call, and takes one Cholesky factor A = L L^T: L^{-1} gives both
+    A^{-1} = L^{-T} L^{-1} and the SPD step cap, whose pencil L^{-1} Delta
+    L^{-T} has the generalized eigenvalues of (Delta, A). One DEBUG record on
+    the haarweight logger per call gives the Newton steps, barrier stages,
+    stages ended at the inner step cap and the final decrement.
     """
     b, m = rho.shape
     n = dirs.shape[1]
@@ -182,6 +194,7 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     gm = np.exp(np.mean(np.log(rho), axis=1))  # conditioning rescale, undone at exit
     invr2 = (gm[:, None] / rho) ** 2
     pe = (dirs[:, :, None] * dirs[:, None, :]).reshape(m, q)
+    pe2 = (pe[:, :, None] * pe[:, None, :]).reshape(m, q * q)
     eye_flat = np.eye(n).reshape(q)
 
     def g_of(a_flat):
@@ -191,9 +204,10 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     a = np.outer(0.5 / invr2.max(axis=1), eye_flat)
     t = 1.0
     t_final = 2.0 * m / (n * tol)
-    iters = 0
+    iters = stages = capped = 0
     decrement = np.full(b, np.inf)
     while True:
+        stages += 1
         # Newton steps at this barrier parameter until all rows are centered.
         # Work with the t-normalized objective -logdet A - (1/t) sum ln(1-g):
         # same center and same Newton step, but O(1) gradients at large t.
@@ -205,14 +219,15 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
                     residual=float(np.max(decrement)),
                 )
             iters += 1
-            amat = a.reshape(-1, n, n)
-            ainv = np.linalg.inv(amat)
+            linv = np.linalg.inv(np.linalg.cholesky(a.reshape(-1, n, n)))
+            linv_t = linv.swapaxes(1, 2)
+            ainv = linv_t @ linv
             g = g_of(a)
             slack = 1.0 - g
             grad = -ainv.reshape(-1, q) + ((invr2 / slack) @ pe) / t
             h2w = (invr2 / slack) ** 2
             hess = np.einsum("bik,bjl->bijkl", ainv, ainv).reshape(-1, q, q)
-            hess += np.einsum("bm,mi,mj->bij", h2w, pe, pe) / t
+            hess += (h2w @ pe2).reshape(-1, q, q) / t
             delta = np.linalg.solve(hess, -grad[..., None])[..., 0]
             delta = 0.5 * (
                 delta.reshape(-1, n, n) + delta.reshape(-1, n, n).swapaxes(1, 2)
@@ -230,14 +245,15 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
             with np.errstate(divide="ignore"):
                 ratios = np.where(dg > 0.0, slack / dg, np.inf)
             alpha = np.minimum(alpha, 0.98 * ratios.min(axis=1))
-            ai_half = spd_power_stack(amat, -0.5)
-            pencil = ai_half @ delta.reshape(-1, n, n) @ ai_half
+            pencil = linv @ delta.reshape(-1, n, n) @ linv_t
             lam_min = np.linalg.eigvalsh(pencil)[:, 0]
             with np.errstate(divide="ignore"):
                 alpha = np.minimum(
                     alpha, np.where(lam_min < 0.0, -0.98 / lam_min, np.inf)
                 )
             a = a + alpha[:, None] * delta
+        else:
+            capped += 1
         if decrement.max() > 1e-4:
             raise EllipsoidFitError(
                 "ellipsoid fit: Newton centering stalled",
@@ -248,6 +264,11 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
         # modest multiplier keeps the post-update decrement in Newton's
         # fast region; larger jumps stall the damped phase for many steps
         t = min(t * 4.0, t_final)
+    _log.debug(
+        "ellipsoid fit: rows=%d n=%d m=%d newton_steps=%d stages=%d "
+        "capped_stages=%d final_decrement=%.3g",
+        b, n, m, iters, stages, capped, float(decrement.max()),
+    )
     g_final = g_of(a)
     a = a.reshape(b, n, n) * (gm**2)[:, None, None]
     return a, g_final
@@ -293,8 +314,7 @@ class ReducingFamily:
     weight_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._v_inv = None
-        self._v_dual_inv = None
+        self._cache = BuildOnce()
 
     def _check(self, cube: DyadicCube):
         if cube.d != self.d:
@@ -323,15 +343,15 @@ class ReducingFamily:
 
     @property
     def v_inv(self) -> list:
-        if self._v_inv is None:
-            self._v_inv = [spd_power_stack(a, -1.0) for a in self.v]
-        return self._v_inv
+        return self._cache.get(
+            "v_inv", lambda: [spd_power_stack(a, -1.0) for a in self.v]
+        )
 
     @property
     def v_dual_inv(self) -> list:
-        if self._v_dual_inv is None:
-            self._v_dual_inv = [spd_power_stack(a, -1.0) for a in self.v_dual]
-        return self._v_dual_inv
+        return self._cache.get(
+            "v_dual_inv", lambda: [spd_power_stack(a, -1.0) for a in self.v_dual]
+        )
 
     def max_kappa(self, depth: int | None = None) -> float:
         depth = self.max_depth if depth is None else min(depth, self.max_depth)

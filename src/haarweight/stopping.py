@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._once import BuildOnce
 from .dyadic import (
     DyadicCube,
     GridFunction,
@@ -120,7 +121,7 @@ class _PairTables:
         self.family = family
         self.p = family.p
         self.q = conjugate_exponent(family.p)
-        self._cache: dict = {}
+        self._cache = BuildOnce()
 
     def _ancestor_gather(self, arr: np.ndarray, li: int, lj: int) -> np.ndarray:
         shift = lj - li
@@ -128,26 +129,22 @@ class _PairTables:
         return arr[tuple(ix >> shift for ix in idx)]
 
     def t(self, mode: int, li: int, lj: int) -> np.ndarray:
-        key = (mode, li, lj)
-        if key not in self._cache:
-            fam = self.family
-            if mode == 1:
-                anc = self._ancestor_gather(fam.v_inv[li], li, lj)
-                val = op_norm_stack(fam.v[lj] @ anc) ** self.p
-            else:
-                anc = self._ancestor_gather(fam.v[li], li, lj)
-                val = op_norm_stack(fam.v_inv[lj] @ anc) ** self.q
-            val.flags.writeable = False
-            self._cache[key] = val
-        return self._cache[key]
+        return self._cache.get((mode, li, lj), lambda: self._build(mode, li, lj))
+
+    def _build(self, mode: int, li: int, lj: int) -> np.ndarray:
+        fam = self.family
+        if mode == 1:
+            anc = self._ancestor_gather(fam.v_inv[li], li, lj)
+            val = op_norm_stack(fam.v[lj] @ anc) ** self.p
+        else:
+            anc = self._ancestor_gather(fam.v[li], li, lj)
+            val = op_norm_stack(fam.v_inv[lj] @ anc) ** self.q
+        val.flags.writeable = False
+        return val
 
 
 def _tables_for(family: ReducingFamily) -> _PairTables:
-    tab = getattr(family, "_pair_tables", None)
-    if tab is None:
-        tab = _PairTables(family)
-        family._pair_tables = tab
-    return tab
+    return family._cache.get("pair_tables", lambda: _PairTables(family))
 
 
 def _resolve_floor(family: ReducingFamily, cfg: StoppingConfig) -> int:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._once import BuildOnce
 from .dyadic import GridFunction, DyadicCube, _split_blocks, lp_norm, mean_pyramid
 from .errors import MatrixDomainError, ParameterError, ShapeError
 
@@ -103,27 +104,27 @@ class MatrixWeight:
         c = 0.5 * (c + np.swapaxes(c, -1, -2))
         c.flags.writeable = False
         self.cells = c
-        self._powers: dict = {}
-        self._pyramids: dict = {}
+        self._cache = BuildOnce()
 
     def power_cells(self, s: float) -> np.ndarray:
         """Cached cellwise power W^s."""
         key = round(float(s), 12)
-        if key not in self._powers:
-            if key == 1.0:
-                out = self.cells
-            else:
-                out = spd_power_stack(self.cells, float(s))
-                out.flags.writeable = False
-            self._powers[key] = out
-        return self._powers[key]
+        if key == 1.0:
+            return self.cells
+
+        def build():
+            out = spd_power_stack(self.cells, float(s))
+            out.flags.writeable = False
+            return out
+
+        return self._cache.get(("power", key), build)
 
     def mean_pyramid_of(self, s: float) -> list:
         """Cached per-level averages of W^s (exact integrals)."""
         key = round(float(s), 12)
-        if key not in self._pyramids:
-            self._pyramids[key] = mean_pyramid(self.power_cells(s), self.d)
-        return self._pyramids[key]
+        return self._cache.get(
+            ("mean", key), lambda: mean_pyramid(self.power_cells(s), self.d)
+        )
 
     def eigenvalue_range(self) -> tuple:
         vals = np.linalg.eigvalsh(self.cells)
@@ -133,18 +134,19 @@ class MatrixWeight:
         """Per level, (mask, A) for the cubes on which W(x) = s(x) A exactly,
         with s = W_00. Cells divided by W_00 compare by exact equality, so a
         cube is never flagged wrongly; at worst it is missed and fitted."""
-        if "prop" not in self._pyramids:
-            flag = np.ones(((1 << self.level),) * self.d, dtype=bool)
-            rep = self.cells / self.cells[..., :1, :1]
-            out = [(flag, rep)]
-            for _ in range(self.level):
-                blocks = _split_blocks(rep, self.d)
-                same = np.all(blocks == blocks[..., :1, :, :], axis=(self.d, -1, -2))
-                flag = np.all(_split_blocks(flag, self.d), axis=self.d) & same
-                rep = blocks[..., 0, :, :]
-                out.append((flag, rep))
-            self._pyramids["prop"] = out[::-1]
-        return self._pyramids["prop"]
+        return self._cache.get("prop", self._build_proportionality)
+
+    def _build_proportionality(self) -> list:
+        flag = np.ones(((1 << self.level),) * self.d, dtype=bool)
+        rep = self.cells / self.cells[..., :1, :1]
+        out = [(flag, rep)]
+        for _ in range(self.level):
+            blocks = _split_blocks(rep, self.d)
+            same = np.all(blocks == blocks[..., :1, :, :], axis=(self.d, -1, -2))
+            flag = np.all(_split_blocks(flag, self.d), axis=self.d) & same
+            rep = blocks[..., 0, :, :]
+            out.append((flag, rep))
+        return out[::-1]
 
 
 def weight_average(weight: MatrixWeight, cube: DyadicCube) -> np.ndarray:

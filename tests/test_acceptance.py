@@ -10,6 +10,7 @@ is added. The measured slopes stay recorded in the failure message.
 """
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -117,6 +118,24 @@ def test_run_all_emits_one_line_per_criterion():
     for i, line in enumerate(lines, start=1):
         assert line.startswith(f"criterion {i:02d} ")
         assert ": PASS (" in line or ": FAIL (" in line
+
+
+def test_run_all_times_each_criterion(monkeypatch):
+    def c01_quick(ctx):
+        return acc.CriterionResult(1, "quick", True, "x=1")
+
+    def c02_slow(ctx):
+        time.sleep(0.05)
+        return acc.CriterionResult(2, "slow", False, "x=2")
+
+    monkeypatch.setattr(acc, "CRITERIA", (c01_quick, c02_slow))
+    lines = []
+    results = acc.run_all(ctx=object(), printer=lines.append)
+    assert [r.details for r in results] == ["x=1", "x=2"]
+    assert [r.passed for r in results] == [True, False]
+    assert 0.0 <= results[0].seconds < 0.05 <= results[1].seconds
+    for res, line in zip(results, lines):
+        assert line == f"{res.line()} [{res.seconds:.2f} s]"
 
 
 def test_duality_criterion_fails_on_a_perturbed_family():

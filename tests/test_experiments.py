@@ -2,9 +2,6 @@
 per-cell failure isolation, and worker-pool configuration."""
 
 import json
-import sys
-import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -176,36 +173,14 @@ def test_run_context_caches():
             ctx.weight("nope")
 
 
-def test_run_context_calibrates_each_key_once(monkeypatch):
+def test_run_context_calibrates_each_key_once(race):
     from haarweight import experiments
 
-    calls = []
-    real = experiments.calibrate_lambdas
-
-    def slow_calibrate(*args, **kwargs):
-        calls.append(1)
-        time.sleep(0.2)  # keep the first build open while the others ask
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "calibrate_lambdas", slow_calibrate)
     ctx = RunContext(tiny_config("unused"))
-    got = []
-    threads = [
-        threading.Thread(target=lambda: got.append(ctx.calibration(1, 1, 2.0)))
-        for _ in range(4)
-    ]
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(calls) == 1
-    assert len(got) == 4 and all(c is got[0] for c in got)
+    calls, got = race(experiments, "calibrate_lambdas",
+                      lambda: ctx.calibration(1, 1, 2.0))
+    assert calls == 1
+    assert all(c is got[0] for c in got)
 
 
 def test_alpha_sweep_report_shape():

@@ -1,11 +1,13 @@
 """Reducing-operator tests: exact routes against scipy oracles, ellipsoid
 fits against the norm they must sandwich, and the duality identity."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from haarweight import (
     CoverageError,
@@ -241,6 +243,54 @@ def test_pair_norms_at_least_one():
     for p in (2.0, 3.0):
         fam = build_reducing_family(w, p)
         assert fam.min_pair_norm() >= 1.0 - 1e-8
+
+
+def fit_inputs(n, level, m=60):
+    """rho of a p=3 weight on the cubes of one level, and the m directions."""
+    if n == 2:
+        w = rotating_weight(level=3)
+    else:
+        w = make_weight(WeightFamily("logbrownian", d=1, n=3, level=3,
+                                     params={"sigma": 0.4}, seed=5))
+    dirs = quasi_uniform_directions(n, m)
+    rho = _rho_pyramid(w, 3.0, dirs, dual=False)[level]
+    return rho.reshape(-1, m), dirs
+
+
+@pytest.mark.parametrize("n, level", [(2, 0), (2, 2), (3, 0), (3, 2)])
+def test_mvee_batch_feasible_with_john_certificate(n, level):
+    tol = FitConfig().tol
+    rho, dirs = fit_inputs(n, level)
+    a, g_final = reducing._mvee_batch(rho, dirs, tol, 200_000)
+    assert a.shape == (rho.shape[0], n, n)
+    assert g_final.max() < 1.0
+    for a_b, rho_b in zip(a, rho):
+        # x_m^T A x_m <= 1 for x_m = dirs_m / rho_m, recomputed from A
+        x = dirs / rho_b[:, None]
+        assert np.einsum("mi,ij,mj->m", x, a_b, x).max() < 1.0
+        # smallest sum c >= 0 with A^{-1} = sum_m c_m x_m x_m^T
+        outer = np.einsum("mi,mj->ijm", x, x).reshape(n * n, -1)
+        lp = scipy.optimize.linprog(
+            np.ones(x.shape[0]), A_eq=outer, b_eq=np.linalg.inv(a_b).ravel(),
+            bounds=(0, None), method="highs",
+        )
+        assert lp.status == 0
+        np.testing.assert_allclose(outer @ lp.x, np.linalg.inv(a_b).ravel(),
+                                   rtol=0, atol=1e-8)
+        assert lp.fun <= n * (1.0 + tol)
+
+
+def test_mvee_batch_logs_one_debug_record(caplog):
+    rho, dirs = fit_inputs(2, 2)
+    with caplog.at_level(logging.DEBUG, logger="haarweight"):
+        reducing._mvee_batch(rho, dirs, 1e-4, 200_000)
+    records = [r for r in caplog.records if r.name == "haarweight.reducing"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    rows, n, m, steps, stages, capped, decrement = records[0].args
+    assert (rows, n, m) == (4, 2, 60)
+    assert steps >= stages >= 1 and 0 <= capped <= stages
+    assert decrement <= 1e-4
+    assert "newton_steps=" in records[0].getMessage()
 
 
 def test_fit_failure_raises():

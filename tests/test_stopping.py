@@ -21,7 +21,7 @@ from haarweight import (
     stopping_children,
 )
 from haarweight.dyadic import GridFunction, haar_reconstruct, haar_transform
-from haarweight.stopping import generation_mask, restrict_coefficients
+from haarweight.stopping import _tables_for, generation_mask, restrict_coefficients
 
 
 def two_cell_weight():
@@ -100,7 +100,7 @@ def test_partition_and_admissibility_invariants():
     w, fam = rotating_setup(level=5)
     cfg = StoppingConfig(p=3.0, lambda1=1.4, lambda2=1.4)
     tree = build_generations(fam, cfg)
-    tables = fam._pair_tables
+    tables = _tables_for(fam)  # the tables build_generations used
 
     # every cube in the truncated tree carries exactly one block label
     for lvl in range(tree.floor_level + 1):
@@ -133,6 +133,15 @@ def test_partition_and_admissibility_invariants():
         for c, info in rec.stopping:
             assert info["fired1"] or info["fired2"]
             assert tree.gen_label[c.level - 1][c.parent().index] == j
+
+
+def test_pair_tables_build_once_under_threads(race):
+    import haarweight.stopping as stopping
+
+    _, fam = rotating_setup(level=3)
+    calls, got = race(stopping, "_PairTables", lambda: _tables_for(fam))
+    assert calls == 1
+    assert all(g is got[0] for g in got)
 
 
 def test_telescoping_sum_recovers_function():

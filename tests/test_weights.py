@@ -111,6 +111,16 @@ def test_power_cells_cache_consistency():
     assert w.power_cells(0.5) is half  # cached
 
 
+def test_power_cells_builds_once_under_threads(race):
+    import haarweight.weights as weights
+
+    rng = np.random.default_rng(8)
+    w = MatrixWeight(1, 2, 2, np.stack([random_spd(2, rng) for _ in range(4)]))
+    calls, got = race(weights, "spd_power_stack", lambda: w.power_cells(1 / 3))
+    assert calls == 1
+    assert all(g is got[0] for g in got)
+
+
 def test_proportionality_pyramid_scaled_cell():
     cells = np.broadcast_to(np.eye(2), (8, 2, 2)).copy()
     cells[5] = 2.0 * np.eye(2)  # W = s(x) I still holds
