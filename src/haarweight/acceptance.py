@@ -454,7 +454,7 @@ def c13_determinism(ctx: AcceptanceContext) -> CriterionResult:
     bodies = []
     with tempfile.TemporaryDirectory() as tmp:
         for tag in ("a", "b"):
-            run_experiments(cfg, out_dir=Path(tmp) / tag, workers=2)
+            run_experiments(cfg, out_dir=Path(tmp) / tag)
             csvs = sorted(Path(tmp, tag).glob("*.csv"))
             bodies.append({f.name: f.read_bytes() for f in csvs})
     same = set(bodies[0]) == set(bodies[1]) and all(

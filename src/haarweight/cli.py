@@ -26,7 +26,7 @@ from .config import (
     load_config,
 )
 from .errors import HaarweightError
-from .experiments import RunContext, default_workers, run_experiments
+from .experiments import RunContext, run_experiments
 from .serialization import save_generation_tree, save_weight
 
 
@@ -51,7 +51,6 @@ def _cmd_run(args) -> int:
     result = run_experiments(
         cfg,
         experiment=args.experiment or None,
-        workers=args.workers,
         dump_stopping=args.dump_stopping,
     )
     for f in result.files:
@@ -122,15 +121,12 @@ def main(argv=None) -> int:
         "--experiment", action="append", choices=EXPERIMENT_IDS,
         help="restrict to one experiment (repeatable)",
     )
-    sp.add_argument("--workers", type=int, default=None,
-                    help=f"worker threads (default {default_workers()})")
     sp.add_argument("--dump-stopping", action="store_true",
                     help="also write one generation-tree JSON per weight")
     sp.set_defaults(fn=_cmd_run)
 
     sp = sub.add_parser("verify", help="run the acceptance criteria")
     _add_common(sp, "unused; verification writes no files")
-    sp.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("calibrate", help="print calibrated stopping thresholds")

@@ -279,11 +279,6 @@ class GridFunction:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_values(cls, values, d: int, level: int) -> "GridFunction":
-        v = np.asarray(values, dtype=float)
-        return cls(d, v.shape[-1], level, v)
-
-    @classmethod
     def constant(cls, vec, d: int, level: int) -> "GridFunction":
         vec = np.asarray(vec, dtype=float).reshape(-1)
         v = np.broadcast_to(vec, ((1 << level),) * d + (vec.size,)).copy()
@@ -297,12 +292,6 @@ class GridFunction:
             raise DomainError(f"point {x} outside [0,1)^d")
         idx = tuple((x * (1 << self.level)).astype(int))
         return self.values[idx]
-
-    def restrict_mask(self, cube: DyadicCube) -> np.ndarray:
-        """Boolean cell mask of the cube (shape (2^L,)*d)."""
-        mask = np.zeros(((1 << self.level),) * self.d, dtype=bool)
-        mask[cube.cell_slices(self.level)] = True
-        return mask
 
 
 @dataclass(eq=False)

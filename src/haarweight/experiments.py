@@ -1,22 +1,19 @@
-"""Experiment runner: registry, shared caches, worker pool, artifacts.
+"""Experiment runner: registry, shared caches, artifacts.
 
 Each experiment decomposes into independent cells (one weight and exponent,
-one grid, one sweep point). Cells run on a thread pool but results are
-gathered in submission order, so outputs are identical for any worker count.
-A failing cell is recorded and skipped; it never aborts the sweep.
+one grid, one sweep point). Cells run one after another in a fixed order, so
+reruns of a config write identical outputs. A failing cell is recorded and
+skipped; it never aborts the sweep.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from ._once import BuildOnce
 from .analysis import (
     block_bound_quotients,
     block_partition_constant,
@@ -53,38 +50,23 @@ __all__ = [
     "RunResult",
     "alpha_sweep_report",
     "run_experiments",
-    "default_workers",
 ]
-
-
-def default_workers() -> int:
-    env = os.environ.get("HAARWEIGHT_WORKERS")
-    if env is not None:
-        try:
-            val = int(env)
-        except ValueError:
-            raise ConfigError(f"HAARWEIGHT_WORKERS must be an integer, got {env!r}")
-        if val < 1:
-            raise ConfigError(f"HAARWEIGHT_WORKERS must be >= 1, got {val}")
-        return val
-    return min(4, os.cpu_count() or 1)
 
 
 class RunContext:
     """Lazily built weights, operator families, calibrations, and trees.
 
     Shared between the experiment registry and the acceptance checks so the
-    expensive ellipsoid fits happen once per (weight, exponent), also when
-    worker threads ask for the same key at once. Builds wait on each other
-    only in the order tree -> calibration -> family -> weight, so no cycle.
+    expensive ellipsoid fits happen once per (weight, exponent). A failed
+    build is not cached, so asking again retries it.
     """
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        self._weights = BuildOnce()
-        self._families = BuildOnce()
-        self._cals = BuildOnce()
-        self._trees = BuildOnce()
+        self._weights = {}
+        self._families = {}
+        self._cals = {}
+        self._trees = {}
 
     def spec(self, name: str) -> WeightSpec:
         for w in self.config.weights:
@@ -93,18 +75,19 @@ class RunContext:
         raise ConfigError(f"no weight named {name!r} in config")
 
     def weight(self, name: str):
-        return self._weights.get(name, lambda: self.spec(name).realize())
+        if name not in self._weights:
+            self._weights[name] = self.spec(name).realize()
+        return self._weights[name]
 
     def family(self, name: str, p: float):
-        return self._families.get(
-            (name, p), lambda: build_reducing_family(self.weight(name), p)
-        )
+        if (name, p) not in self._families:
+            self._families[name, p] = build_reducing_family(self.weight(name), p)
+        return self._families[name, p]
 
     def calibration(self, d: int, n: int, p: float):
         """Shared thresholds, calibrated over all suite weights with this
         signature (constant-direction tests scale with n and d)."""
-
-        def build():
+        if (d, n, p) not in self._cals:
             entries = [
                 (w.name, self.weight(w.name), self.family(w.name, p))
                 for w in self.config.weights
@@ -112,9 +95,10 @@ class RunContext:
             ]
             if not entries:
                 raise ConfigError(f"no suite weights with d={d}, n={n}")
-            return calibrate_lambdas(entries, target=self.config.calibration_target)
-
-        return self._cals.get((d, n, p), build)
+            self._cals[d, n, p] = calibrate_lambdas(
+                entries, target=self.config.calibration_target
+            )
+        return self._cals[d, n, p]
 
     def stopping_config(self, name: str, p: float) -> StoppingConfig:
         cfg = self.config
@@ -129,12 +113,11 @@ class RunContext:
         )
 
     def tree(self, name: str, p: float):
-        return self._trees.get(
-            (name, p),
-            lambda: build_generations(
+        if (name, p) not in self._trees:
+            self._trees[name, p] = build_generations(
                 self.family(name, p), self.stopping_config(name, p)
-            ),
-        )
+            )
+        return self._trees[name, p]
 
 
 @dataclass(frozen=True)
@@ -155,16 +138,11 @@ class RunResult:
         return not self.failures
 
 
-def _gather(pool, fn, cells):
-    """Run cells on the pool (in this thread if pool is None), yield
-    (cell, result, error) in submission order."""
-    if pool is None:
-        calls = [(cell, lambda cell=cell: fn(cell)) for cell in cells]
-    else:
-        calls = [(cell, pool.submit(fn, cell).result) for cell in cells]
-    for cell, call in calls:
+def _gather(fn, cells):
+    """Run fn on each cell in order, yield (cell, result, error)."""
+    for cell in cells:
         try:
-            yield cell, call(), None
+            yield cell, fn(cell), None
         except Exception as exc:  # isolation: a bad cell must not kill the run
             yield cell, None, exc
 
@@ -173,7 +151,7 @@ def _gather(pool, fn, cells):
 # experiment bodies
 
 
-def _run_haar(ctx: RunContext, pool, out: Path, result: RunResult):
+def _run_haar(ctx: RunContext, out: Path, result: RunResult):
     cfg = ctx.config
 
     def cell(grid):
@@ -196,7 +174,7 @@ def _run_haar(ctx: RunContext, pool, out: Path, result: RunResult):
         return rows
 
     all_rows = []
-    for grid, rows, err in _gather(pool, cell, list(cfg.grids)):
+    for grid, rows, err in _gather(cell, cfg.grids):
         if err is not None:
             result.failures.append(CellFailure("haar", str(grid), repr(err)))
             continue
@@ -210,7 +188,7 @@ def _run_haar(ctx: RunContext, pool, out: Path, result: RunResult):
     )
 
 
-def _run_reducing(ctx: RunContext, pool, out: Path, result: RunResult):
+def _run_reducing(ctx: RunContext, out: Path, result: RunResult):
     cfg = ctx.config
 
     def cell(key):
@@ -231,7 +209,7 @@ def _run_reducing(ctx: RunContext, pool, out: Path, result: RunResult):
 
     cells = [(w.name, p) for w in cfg.weights for p in cfg.ps]
     rows = []
-    for key, row, err in _gather(pool, cell, cells):
+    for key, row, err in _gather(cell, cells):
         if err is not None:
             result.failures.append(CellFailure("reducing", str(key), repr(err)))
             continue
@@ -246,7 +224,7 @@ def _run_reducing(ctx: RunContext, pool, out: Path, result: RunResult):
     )
 
 
-def _run_stopping(ctx: RunContext, pool, out: Path, result: RunResult,
+def _run_stopping(ctx: RunContext, out: Path, result: RunResult,
                   dump: bool = False):
     cfg = ctx.config
 
@@ -262,7 +240,7 @@ def _run_stopping(ctx: RunContext, pool, out: Path, result: RunResult,
 
     cells = [(w.name, p) for w in cfg.weights for p in cfg.ps]
     rows = []
-    for key, payload, err in _gather(pool, cell, cells):
+    for key, payload, err in _gather(cell, cells):
         if err is not None:
             result.failures.append(CellFailure("stopping", str(key), repr(err)))
             continue
@@ -282,7 +260,7 @@ def _run_stopping(ctx: RunContext, pool, out: Path, result: RunResult,
     )
 
 
-def _run_multiplier(ctx: RunContext, pool, out: Path, result: RunResult):
+def _run_multiplier(ctx: RunContext, out: Path, result: RunResult):
     cfg = ctx.config
 
     def cell(key):
@@ -319,7 +297,7 @@ def _run_multiplier(ctx: RunContext, pool, out: Path, result: RunResult):
 
     cells = [(w.name, p) for w in cfg.weights for p in cfg.ps]
     rows = []
-    for key, row, err in _gather(pool, cell, cells):
+    for key, row, err in _gather(cell, cells):
         if err is not None:
             result.failures.append(CellFailure("multiplier", str(key), repr(err)))
             continue
@@ -334,7 +312,7 @@ def _run_multiplier(ctx: RunContext, pool, out: Path, result: RunResult):
     )
 
 
-def _run_equivalence(ctx: RunContext, pool, out: Path, result: RunResult):
+def _run_equivalence(ctx: RunContext, out: Path, result: RunResult):
     cfg = ctx.config
 
     def cell(key):
@@ -346,7 +324,7 @@ def _run_equivalence(ctx: RunContext, pool, out: Path, result: RunResult):
 
     cells = [(w.name, p) for w in cfg.weights for p in cfg.ps]
     summary, flat = [], []
-    for key, rep, err in _gather(pool, cell, cells):
+    for key, rep, err in _gather(cell, cells):
         name, p = key
         if err is not None:
             result.failures.append(CellFailure("equivalence", str(key), repr(err)))
@@ -381,7 +359,7 @@ def _run_equivalence(ctx: RunContext, pool, out: Path, result: RunResult):
 
 
 def alpha_sweep_report(
-    alphas, level: int = 10, count: int = 50, seed: int = 7, pool=None
+    alphas, level: int = 10, count: int = 50, seed: int = 7
 ) -> dict:
     """p=2 scalar power sweep: equivalence slopes and exact probe slopes.
 
@@ -391,8 +369,8 @@ def alpha_sweep_report(
     sharp exponents 1/2 and 1). Eigenvalue-level and low-characteristic local
     slopes are reported as diagnostics: the extremal-ratio direction is
     capped at sqrt(levels) on a depth-L grid, which confines its power growth
-    in the characteristic to chars below about L. Points run on pool
-    (serially if None); a point that raises is listed under "failed".
+    in the characteristic to chars below about L. A point that raises is
+    listed under "failed".
     """
 
     def cell(alpha):
@@ -413,7 +391,7 @@ def alpha_sweep_report(
         }
 
     rows, failed = [], []
-    for a, r, err in _gather(pool, cell, list(alphas)):
+    for a, r, err in _gather(cell, alphas):
         if err is not None:
             failed.append({"alpha": float(a), "error": repr(err)})
             continue
@@ -457,13 +435,13 @@ def alpha_sweep_report(
     return report
 
 
-def _run_sharpness(ctx: RunContext, pool, out: Path, result: RunResult):
+def _run_sharpness(ctx: RunContext, out: Path, result: RunResult):
     cfg = ctx.config
     if not cfg.sweep_alphas:
         raise ConfigError("sharpness experiment needs sweep_alphas in the config")
     report = alpha_sweep_report(
         cfg.sweep_alphas, level=cfg.sweep_level, count=cfg.count,
-        seed=cfg.seed, pool=pool,
+        seed=cfg.seed,
     )
     rows = [
         [r["alpha"], r["char"], r["eq_max_ratio"], r["eq_max_inverse_ratio"],
@@ -510,7 +488,6 @@ assert tuple(_REGISTRY) == EXPERIMENT_IDS
 def run_experiments(
     config: ExperimentConfig,
     experiment=None,
-    workers: int | None = None,
     out_dir=None,
     dump_stopping: bool = False,
 ) -> RunResult:
@@ -533,18 +510,14 @@ def run_experiments(
     out.mkdir(parents=True, exist_ok=True)
     ctx = RunContext(config)
     result = RunResult(out_dir=out)
-    workers = default_workers() if workers is None else workers
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for name in names:
-            try:
-                if name == "stopping":
-                    _REGISTRY[name](ctx, pool, out, result, dump=dump_stopping)
-                else:
-                    _REGISTRY[name](ctx, pool, out, result)
-            except HaarweightError as exc:
-                result.failures.append(CellFailure(name, "<experiment>", repr(exc)))
+    for name in names:
+        try:
+            if name == "stopping":
+                _REGISTRY[name](ctx, out, result, dump=dump_stopping)
+            else:
+                _REGISTRY[name](ctx, out, result)
+        except HaarweightError as exc:
+            result.failures.append(CellFailure(name, "<experiment>", repr(exc)))
     if result.failures:
         result.files.append(
             write_csv(

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._once import BuildOnce
 from .dyadic import DyadicCube, mean_pyramid
 from .errors import (
     CoverageError,
@@ -314,7 +313,7 @@ class ReducingFamily:
     weight_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._cache = BuildOnce()
+        self._cache = {}
 
     def _check(self, cube: DyadicCube):
         if cube.d != self.d:
@@ -343,15 +342,17 @@ class ReducingFamily:
 
     @property
     def v_inv(self) -> list:
-        return self._cache.get(
-            "v_inv", lambda: [spd_power_stack(a, -1.0) for a in self.v]
-        )
+        if "v_inv" not in self._cache:
+            self._cache["v_inv"] = [spd_power_stack(a, -1.0) for a in self.v]
+        return self._cache["v_inv"]
 
     @property
     def v_dual_inv(self) -> list:
-        return self._cache.get(
-            "v_dual_inv", lambda: [spd_power_stack(a, -1.0) for a in self.v_dual]
-        )
+        if "v_dual_inv" not in self._cache:
+            self._cache["v_dual_inv"] = [
+                spd_power_stack(a, -1.0) for a in self.v_dual
+            ]
+        return self._cache["v_dual_inv"]
 
     def max_kappa(self, depth: int | None = None) -> float:
         depth = self.max_depth if depth is None else min(depth, self.max_depth)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._once import BuildOnce
 from .dyadic import (
     DyadicCube,
     GridFunction,
@@ -104,11 +103,6 @@ class GenerationTree:
     def generation_count(self) -> int:
         return len(self.generations)
 
-    def labels_at(self, lvl: int) -> np.ndarray:
-        if not 0 <= lvl <= self.floor_level:
-            raise CoverageError(f"no labels at level {lvl} (floor {self.floor_level})")
-        return self.gen_label[lvl]
-
 
 class _PairTables:
     """Cached ancestor/descendant test values over full level grids.
@@ -121,7 +115,7 @@ class _PairTables:
         self.family = family
         self.p = family.p
         self.q = conjugate_exponent(family.p)
-        self._cache = BuildOnce()
+        self._cache = {}
 
     def _ancestor_gather(self, arr: np.ndarray, li: int, lj: int) -> np.ndarray:
         shift = lj - li
@@ -129,7 +123,10 @@ class _PairTables:
         return arr[tuple(ix >> shift for ix in idx)]
 
     def t(self, mode: int, li: int, lj: int) -> np.ndarray:
-        return self._cache.get((mode, li, lj), lambda: self._build(mode, li, lj))
+        key = (mode, li, lj)
+        if key not in self._cache:
+            self._cache[key] = self._build(mode, li, lj)
+        return self._cache[key]
 
     def _build(self, mode: int, li: int, lj: int) -> np.ndarray:
         fam = self.family
@@ -144,7 +141,9 @@ class _PairTables:
 
 
 def _tables_for(family: ReducingFamily) -> _PairTables:
-    return family._cache.get("pair_tables", lambda: _PairTables(family))
+    if "pair_tables" not in family._cache:
+        family._cache["pair_tables"] = _PairTables(family)
+    return family._cache["pair_tables"]
 
 
 def _resolve_floor(family: ReducingFamily, cfg: StoppingConfig) -> int:

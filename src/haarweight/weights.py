@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._once import BuildOnce
 from .dyadic import GridFunction, DyadicCube, _split_blocks, lp_norm, mean_pyramid
 from .errors import MatrixDomainError, ParameterError, ShapeError
 
@@ -104,27 +103,25 @@ class MatrixWeight:
         c = 0.5 * (c + np.swapaxes(c, -1, -2))
         c.flags.writeable = False
         self.cells = c
-        self._cache = BuildOnce()
+        self._cache = {}
 
     def power_cells(self, s: float) -> np.ndarray:
         """Cached cellwise power W^s."""
         key = round(float(s), 12)
         if key == 1.0:
             return self.cells
-
-        def build():
+        if ("power", key) not in self._cache:
             out = spd_power_stack(self.cells, float(s))
             out.flags.writeable = False
-            return out
-
-        return self._cache.get(("power", key), build)
+            self._cache["power", key] = out
+        return self._cache["power", key]
 
     def mean_pyramid_of(self, s: float) -> list:
         """Cached per-level averages of W^s (exact integrals)."""
         key = round(float(s), 12)
-        return self._cache.get(
-            ("mean", key), lambda: mean_pyramid(self.power_cells(s), self.d)
-        )
+        if ("mean", key) not in self._cache:
+            self._cache["mean", key] = mean_pyramid(self.power_cells(s), self.d)
+        return self._cache["mean", key]
 
     def eigenvalue_range(self) -> tuple:
         vals = np.linalg.eigvalsh(self.cells)
@@ -134,7 +131,9 @@ class MatrixWeight:
         """Per level, (mask, A) for the cubes on which W(x) = s(x) A exactly,
         with s = W_00. Cells divided by W_00 compare by exact equality, so a
         cube is never flagged wrongly; at worst it is missed and fitted."""
-        return self._cache.get("prop", self._build_proportionality)
+        if "prop" not in self._cache:
+            self._cache["prop"] = self._build_proportionality()
+        return self._cache["prop"]
 
     def _build_proportionality(self) -> list:
         flag = np.ones(((1 << self.level),) * self.d, dtype=bool)

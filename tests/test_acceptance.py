@@ -152,7 +152,7 @@ def test_duality_criterion_fails_on_a_perturbed_family():
     fam = ctx.family("rot", 3.0)
     bad = dataclasses.replace(fam, v_dual=[1.05 * v for v in fam.v_dual])
     ctx = acc.AcceptanceContext(cfg)
-    ctx._families.get(("rot", 3.0), lambda: bad)
+    ctx._families["rot", 3.0] = bad
     res = acc.c05_duality(ctx)
     print(res.line())
     assert not res.passed

@@ -36,7 +36,7 @@ def write_config(tmp_path, **over):
 
 def test_run_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    assert main(["run", "--config", str(cfg), "--workers", "2"]) == 0
+    assert main(["run", "--config", str(cfg)]) == 0
     printed = capsys.readouterr().out.splitlines()
     assert any(line.endswith("manifest.json") for line in printed)
     assert (tmp_path / "out" / "haar_checks.csv").exists()

@@ -1,7 +1,8 @@
 """Experiment runner tests: artifact layout, manifests, determinism,
-per-cell failure isolation, and worker-pool configuration."""
+per-cell failure isolation, and the serial runner."""
 
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,6 @@ from haarweight import (
     run_experiments,
     save_weight,
 )
-from haarweight.experiments import default_workers
 from haarweight.serialization import sha256_file
 
 
@@ -46,7 +46,7 @@ def tiny_config(out_dir, **over):
 
 def test_run_writes_expected_artifacts(tmp_path):
     cfg = tiny_config(tmp_path / "out")
-    result = run_experiments(cfg, workers=2)
+    result = run_experiments(cfg)
     assert result.ok
     names = {p.name for p in result.files}
     assert {
@@ -60,7 +60,7 @@ def test_run_writes_expected_artifacts(tmp_path):
 
 def test_manifest_covers_every_file(tmp_path):
     cfg = tiny_config(tmp_path / "out")
-    result = run_experiments(cfg, workers=1)
+    result = run_experiments(cfg)
     manifest = json.loads((result.out_dir / "manifest.json").read_text())
     listed = set(manifest["files"])
     on_disk = {p.name for p in result.out_dir.iterdir()} - {"manifest.json"}
@@ -71,8 +71,8 @@ def test_manifest_covers_every_file(tmp_path):
 
 def test_byte_identical_reruns(tmp_path):
     cfg = tiny_config(tmp_path / "a")
-    r1 = run_experiments(cfg, workers=3)
-    r2 = run_experiments(cfg, out_dir=tmp_path / "b", workers=1)
+    r1 = run_experiments(cfg)
+    r2 = run_experiments(cfg, out_dir=tmp_path / "b")
     for f1 in r1.files:
         if f1.suffix == ".csv" or f1.name == "sharpness_report.json":
             f2 = Path(tmp_path / "b" / f1.name)
@@ -86,10 +86,9 @@ def test_byte_identical_reruns(tmp_path):
 
 def test_seed_changes_outputs(tmp_path):
     r1 = run_experiments(
-        tiny_config(tmp_path / "a", experiments=("equivalence",)), workers=2)
+        tiny_config(tmp_path / "a", experiments=("equivalence",)))
     r2 = run_experiments(
-        tiny_config(tmp_path / "b", experiments=("equivalence",), seed=4),
-        workers=2)
+        tiny_config(tmp_path / "b", experiments=("equivalence",), seed=4))
     a = (tmp_path / "a" / "equivalence_ratios.csv").read_bytes()
     b = (tmp_path / "b" / "equivalence_ratios.csv").read_bytes()
     assert a != b
@@ -111,7 +110,7 @@ def test_cell_failure_isolation(tmp_path):
             WeightSpec("broken", file=str(bad)),
         ),
     )
-    result = run_experiments(cfg, workers=2)
+    result = run_experiments(cfg)
     assert not result.ok
     assert any(f.cell == "('broken', 2.0)" for f in result.failures)
     scan = (result.out_dir / "reducing_scan.csv").read_text()
@@ -122,10 +121,10 @@ def test_cell_failure_isolation(tmp_path):
 
 def test_experiment_selection(tmp_path):
     cfg = tiny_config(tmp_path / "out")
-    result = run_experiments(cfg, experiment="haar", workers=1)
+    result = run_experiments(cfg, experiment="haar")
     assert {p.name for p in result.files} == {"haar_checks.csv", "manifest.json"}
     result = run_experiments(cfg, experiment=["haar", "reducing"],
-                             out_dir=tmp_path / "out2", workers=1)
+                             out_dir=tmp_path / "out2")
     assert {p.name for p in result.files} == {
         "haar_checks.csv", "reducing_scan.csv", "manifest.json"}
     with pytest.raises(ConfigError, match="unknown experiment"):
@@ -134,7 +133,7 @@ def test_experiment_selection(tmp_path):
 
 def test_stopping_dump_per_weight(tmp_path):
     cfg = tiny_config(tmp_path / "out", experiments=("stopping",))
-    result = run_experiments(cfg, dump_stopping=True, workers=1)
+    result = run_experiments(cfg, dump_stopping=True)
     names = {p.name for p in result.files}
     assert "stopping_wa_p2.json" in names and "stopping_wb_p2.json" in names
     tree = json.loads((result.out_dir / "stopping_wa_p2.json").read_text())
@@ -151,19 +150,6 @@ def test_lambda_overrides_reach_trees(tmp_path):
     assert ctx.tree("wa", 2.0).generation_count() >= 3
 
 
-def test_default_workers_env(monkeypatch):
-    monkeypatch.setenv("HAARWEIGHT_WORKERS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("HAARWEIGHT_WORKERS", "0")
-    with pytest.raises(ConfigError):
-        default_workers()
-    monkeypatch.setenv("HAARWEIGHT_WORKERS", "many")
-    with pytest.raises(ConfigError):
-        default_workers()
-    monkeypatch.delenv("HAARWEIGHT_WORKERS")
-    assert default_workers() >= 1
-
-
 def test_run_context_caches():
     ctx = RunContext(tiny_config("unused"))
     assert ctx.weight("wa") is ctx.weight("wa")
@@ -173,14 +159,14 @@ def test_run_context_caches():
             ctx.weight("nope")
 
 
-def test_run_context_calibrates_each_key_once(race):
-    from haarweight import experiments
+def test_run_starts_no_thread(tmp_path, monkeypatch):
+    # the caches are plain dicts, which is safe only while no Python thread
+    # runs a cell
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started during a run")
 
-    ctx = RunContext(tiny_config("unused"))
-    calls, got = race(experiments, "calibrate_lambdas",
-                      lambda: ctx.calibration(1, 1, 2.0))
-    assert calls == 1
-    assert all(c is got[0] for c in got)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert run_experiments(tiny_config(tmp_path / "out")).ok
 
 
 def test_alpha_sweep_report_shape():

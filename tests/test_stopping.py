@@ -135,15 +135,6 @@ def test_partition_and_admissibility_invariants():
             assert tree.gen_label[c.level - 1][c.parent().index] == j
 
 
-def test_pair_tables_build_once_under_threads(race):
-    import haarweight.stopping as stopping
-
-    _, fam = rotating_setup(level=3)
-    calls, got = race(stopping, "_PairTables", lambda: _tables_for(fam))
-    assert calls == 1
-    assert all(g is got[0] for g in got)
-
-
 def test_telescoping_sum_recovers_function():
     w, fam = rotating_setup(level=4)
     tree = build_generations(fam, StoppingConfig(p=3.0, lambda1=1.3, lambda2=1.3))

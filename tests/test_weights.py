@@ -100,25 +100,25 @@ def test_weight_average_two_cells():
     npt.assert_allclose(weight_average(w, DyadicCube(1, (1,))), [[4.0]])
 
 
-def test_power_cells_cache_consistency():
+def test_power_cells_cache_consistency(monkeypatch):
+    import haarweight.weights as weights
+
     rng = np.random.default_rng(8)
     cells = np.stack([random_spd(2, rng) for _ in range(4)])
     w = MatrixWeight(1, 2, 2, cells)
+
+    def broken(*args):
+        raise MatrixDomainError("injected")
+
+    with monkeypatch.context() as m:  # a failed build is not cached
+        m.setattr(weights, "spd_power_stack", broken)
+        with pytest.raises(MatrixDomainError):
+            w.power_cells(0.5)
     half = w.power_cells(0.5)
     npt.assert_allclose(
         np.einsum("kij,kjl->kil", half, half), w.cells, atol=1e-11
     )
     assert w.power_cells(0.5) is half  # cached
-
-
-def test_power_cells_builds_once_under_threads(race):
-    import haarweight.weights as weights
-
-    rng = np.random.default_rng(8)
-    w = MatrixWeight(1, 2, 2, np.stack([random_spd(2, rng) for _ in range(4)]))
-    calls, got = race(weights, "spd_power_stack", lambda: w.power_cells(1 / 3))
-    assert calls == 1
-    assert all(g is got[0] for g in got)
 
 
 def test_proportionality_pyramid_scaled_cell():
