@@ -9,7 +9,6 @@ import logging
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .errors import (
-    CalibrationError,
     CoverageError,
     DomainError,
     EllipsoidFitError,
@@ -61,7 +60,6 @@ from .stopping import (
     delta_projection,
     generation_mask,
     restrict_coefficients,
-    stopping_children,
 )
 from .multipliers import (
     cross_term,

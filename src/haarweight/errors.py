@@ -38,10 +38,6 @@ class CoverageError(HaarweightError, LookupError):
     """A requested cube or coefficient is not covered by the structure."""
 
 
-class CalibrationError(HaarweightError, RuntimeError):
-    """Threshold calibration failed inside the allowed search bracket."""
-
-
 class SerializationError(HaarweightError, ValueError):
     """A file being read does not match the declared format."""
 

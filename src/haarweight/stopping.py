@@ -12,13 +12,16 @@ partition the tree down to floor_level; cubes at the floor may fire but are
 never split further, and every generation whose frontier reaches the floor is
 flagged, since its subtree was truncated rather than exhausted.
 
-Thresholds are calibrated by bisection against the measured per-cube decay of
-the fired region, separately per test (each to half the target, so the union
-meets the target), then returned with a 4x margin; lambda2 additionally
-scales with the characteristic to the power p'/p.
+Thresholds are calibrated against the measured per-cube decay of the fired
+region, separately per test (each to half the target, so the union meets the
+target), then returned with a 4x margin; lambda2 additionally scales with the
+characteristic to the power p'/p. The decay depends on a threshold only
+through which table values exceed it, so the smallest passing threshold is
+found exactly by a binary search over those values.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -32,14 +35,13 @@ from .dyadic import (
     haar_reconstruct,
     refine_to_cells,
 )
-from .errors import CalibrationError, CoverageError, ParameterError, ShapeError
+from .errors import CoverageError, ParameterError, ShapeError
 from .reducing import ReducingFamily, ap_characteristic, conjugate_exponent, op_norm_stack
 
 __all__ = [
     "StoppingConfig",
     "GenerationRecord",
     "GenerationTree",
-    "stopping_children",
     "build_generations",
     "decay_ratio",
     "generation_mask",
@@ -160,8 +162,9 @@ def _resolve_floor(family: ReducingFamily, cfg: StoppingConfig) -> int:
 def _scan_block(family, cfg, root: DyadicCube, floor: int, tables: _PairTables):
     """First-hit scan below one block root.
 
-    Returns (fired, kept): fired is a list of (cube, info); kept is a list of
-    (level, boolean grid mask) of the cubes that stayed in the block.
+    Returns (fired, kept, floor_hit): fired is a list of (cube, info); kept is
+    a list of (level, boolean grid mask) of the cubes that stayed in the
+    block; floor_hit says whether any kept cube lies at the floor.
     """
     d = family.d
     fired = []
@@ -198,20 +201,6 @@ def _scan_block(family, cfg, root: DyadicCube, floor: int, tables: _PairTables):
         else:
             alive = refine_to_cells(keep_mask, d, 1)
     return fired, kept, floor_hit
-
-
-def stopping_children(
-    family: ReducingFamily, cfg: StoppingConfig, cube: DyadicCube
-) -> list:
-    """Maximal stopping descendants of one cube, with firing diagnostics."""
-    if cfg.p != family.p:
-        raise ParameterError(f"config exponent {cfg.p} != family exponent {family.p}")
-    floor = _resolve_floor(family, cfg)
-    if cube.level > floor:
-        raise CoverageError(f"cube level {cube.level} below floor {floor}")
-    tables = _tables_for(family)
-    fired, _, _ = _scan_block(family, cfg, cube, floor, tables)
-    return fired
 
 
 def build_generations(family: ReducingFamily, cfg: StoppingConfig) -> GenerationTree:
@@ -320,60 +309,84 @@ class CalibrationResult:
     lambda2_by_weight: dict
     achieved: dict  # weight name -> measured combined sup decay at the margins
 
-    def lambda2_for(self, char: float) -> float:
-        q = conjugate_exponent(self.p)
-        return 4.0 * self.c2_hat * char ** (q / self.p)
-
 
 def _sup_decay(tables: _PairTables, floor: int, hit) -> float:
     """sup over cubes I of |union of maximal fired subcubes| / |I|, where
-    hit(li, lj) is the boolean fire grid of level-lj cubes below level li."""
+    hit(li, lj) is the boolean fire grid of level-lj cubes below level li.
+
+    Per root level, a top-down pass finds the maximal fired cubes and a
+    bottom-up pass carries their measure from the floor one level at a time.
+    Every partial sum is a dyadic fraction, so the result is exact.
+    """
     d = tables.family.d
     worst = 0.0
     for li in range(floor):
-        acc = np.zeros(((1 << li),) * d)
+        fires = []
         alive = np.ones(((1 << (li + 1)),) * d, dtype=bool)
         for lj in range(li + 1, floor + 1):
             h = hit(li, lj)
-            fire = alive & h
-            acc += coarsen_sum(fire.astype(float), d, lj - li) * 2.0 ** (-lj * d)
+            fires.append(alive & h)
             if lj < floor:
                 alive = refine_to_cells(alive & ~h, d, 1)
+        acc = 0.0
+        for lj in range(floor, li, -1):
+            acc = coarsen_sum(acc + fires[lj - li - 1] * 2.0 ** (-lj * d), d, 1)
         worst = max(worst, float(acc.max()) * 2.0 ** (li * d))
     return worst
 
 
-def _bisect_threshold(predicate, lo: float, hi: float, steps: int = 60) -> float:
-    """Smallest lam in [lo, hi] with predicate(lam) True (monotone), log scale."""
-    if predicate(lo):
-        return lo
-    if not predicate(hi):
-        raise CalibrationError(
-            f"calibration bracket [{lo:g}, {hi:g}] cannot reach the decay target"
-        )
-    llo, lhi = math.log(lo), math.log(hi)
-    for _ in range(steps):
-        mid = 0.5 * (llo + lhi)
-        if predicate(math.exp(mid)):
-            lhi = mid
-        else:
-            llo = mid
-    return math.exp(lhi)
+def _least_multipliers(t: np.ndarray, s: float) -> np.ndarray:
+    """Elementwise least double c with c * s >= t (in floating point)."""
+    c = t / s
+    while (low := c * s < t).any():
+        c = np.where(low, np.nextafter(c, np.inf), c)
+    while (high := np.nextafter(c, -np.inf) * s >= t).any():
+        c = np.where(high, np.nextafter(c, -np.inf), c)
+    return c
+
+
+def _least_threshold(entries: list, mode: int, target: float, power: float) -> float:
+    """Smallest c >= 1 such that, for every entry, the cubes whose mode test
+    value t exceeds c * char**power have per-cube sup decay <= target/2.
+
+    The decay depends on c only through the set {t > c * char**power}, which
+    changes exactly where c becomes the least double with c * char**power
+    >= t. So the answer is 1 or one of those values, and a binary search over
+    them finds it; the largest always passes, since nothing fires above it.
+    """
+    cands = [np.array([1.0])]
+    for _, _, tab, floor, char in entries:
+        for li in range(floor):
+            for lj in range(li + 1, floor + 1):
+                t = tab.t(mode, li, lj).ravel()
+                cands.append(_least_multipliers(t, char**power))
+    cands = np.unique(np.concatenate(cands))
+    cands = cands[cands >= 1.0]
+
+    def passes(i):
+        for _, _, tab, floor, char in entries:
+            lam = float(cands[i]) * char**power
+            decay = _sup_decay(tab, floor, lambda li, lj: tab.t(mode, li, lj) > lam)
+            if decay > target / 2:
+                return False
+        return True
+
+    return float(cands[bisect.bisect_left(range(len(cands)), True, key=passes)])
 
 
 def calibrate_lambdas(
     weights_and_families: list,
     target: float = 0.5,
     floor_level: int | None = None,
-    bracket_hi: float = 1e6,
 ) -> CalibrationResult:
     """Calibrate (lambda1, lambda2) so every weight's stopping tree decays.
 
     weights_and_families: list of (name, weight, family) with a common
-    exponent. Each test is bisected to per-cube sup decay <= target/2 (the
-    union of the two fired regions then stays <= target), and the returned
-    thresholds carry a 4x margin; by monotonicity the measured decay at the
-    margins can only shrink. lambda2 is per weight: 4 c2 char^{p'/p}.
+    exponent. Each test gets the smallest threshold with per-cube sup decay
+    <= target/2, found exactly among the pair-table values (the union of the
+    two fired regions then stays <= target), and the returned thresholds
+    carry a 4x margin; by monotonicity the measured decay at the margins can
+    only shrink. lambda2 is per weight: 4 c2 char^{p'/p}.
     """
     if not weights_and_families:
         raise ParameterError("need at least one weight to calibrate")
@@ -394,24 +407,8 @@ def calibrate_lambdas(
         char = ap_characteristic(weight, p, family=fam)
         entries.append((name, fam, _tables_for(fam), floor, char))
 
-    def pred1(lam):
-        return all(
-            _sup_decay(tab, floor, lambda li, lj: tab.t(1, li, lj) > lam)
-            <= target / 2
-            for _, _, tab, floor, _ in entries
-        )
-
-    def pred2(c):
-        return all(
-            _sup_decay(
-                tab, floor, lambda li, lj: tab.t(2, li, lj) > c * char ** (q / p)
-            )
-            <= target / 2
-            for _, _, tab, floor, char in entries
-        )
-
-    c1 = _bisect_threshold(pred1, 1.0, bracket_hi)
-    c2 = _bisect_threshold(pred2, 1.0, bracket_hi)
+    c1 = _least_threshold(entries, 1, target, 0.0)
+    c2 = _least_threshold(entries, 2, target, q / p)
     lambda1 = 4.0 * c1
     chars = {name: char for name, _, _, _, char in entries}
     lambda2s = {

@@ -1,11 +1,14 @@
 """Stopping-time tests: a fully hand-checked two-cell tree, partition and
-admissibility invariants on a rotating weight, and threshold calibration."""
+admissibility invariants on a rotating weight, and threshold calibration
+against an independent log-scale bisection."""
+
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from haarweight import (
-    CalibrationError,
     CoverageError,
     DyadicCube,
     MatrixWeight,
@@ -18,10 +21,23 @@ from haarweight import (
     decay_ratio,
     delta_projection,
     make_weight,
-    stopping_children,
+    suite_weight_specs,
 )
-from haarweight.dyadic import GridFunction, haar_reconstruct, haar_transform
-from haarweight.stopping import _tables_for, generation_mask, restrict_coefficients
+from haarweight.dyadic import (
+    GridFunction,
+    coarsen_sum,
+    haar_reconstruct,
+    haar_transform,
+    refine_to_cells,
+)
+from haarweight.reducing import ap_characteristic, conjugate_exponent
+from haarweight.stopping import (
+    _least_multipliers,
+    _sup_decay,
+    _tables_for,
+    generation_mask,
+    restrict_coefficients,
+)
 
 
 def two_cell_weight():
@@ -66,14 +82,6 @@ def test_two_cell_tree_hand_checked():
     assert decay_ratio(tree, 5) == 0.0
     np.testing.assert_array_equal(tree.gen_label[0], [1])
     np.testing.assert_array_equal(tree.gen_label[1], [2, 2])
-
-
-def test_stopping_children_matches_first_generation():
-    w, fam = rotating_setup()
-    cfg = StoppingConfig(p=3.0, lambda1=1.5, lambda2=1.5)
-    tree = build_generations(fam, cfg)
-    kids = stopping_children(fam, cfg, DyadicCube.root(1))
-    assert [c for c, _ in kids] == [c for c, _ in tree.generations[0].stopping]
 
 
 def test_constant_weight_single_generation():
@@ -173,7 +181,6 @@ def test_calibration_two_cell_frozen():
     assert res.c2_hat == pytest.approx(2.5 / 1.5625, rel=1e-8)
     assert res.lambda2_by_weight["w14"] == pytest.approx(10.0, rel=1e-8)
     assert res.achieved["w14"] == 0.0
-    assert res.lambda2_for(res.chars["w14"]) == pytest.approx(10.0, rel=1e-8)
 
     tree = build_generations(
         fam, StoppingConfig(p=2.0, lambda1=res.lambda1,
@@ -194,11 +201,109 @@ def test_calibration_decay_bound_holds():
     assert res.achieved["rot"] <= res.target
 
 
-def test_calibration_bracket_failure():
-    w = two_cell_weight()
-    fam = build_reducing_family(w, 2.0)
-    with pytest.raises(CalibrationError):
-        calibrate_lambdas([("w14", w, fam)], target=0.5, bracket_hi=1.0001)
+# Oracle: the per-pair sup decay and the 60-step log-scale bisection that the
+# exact threshold search replaced. They share only the pair tables with the
+# code under test.
+
+
+def _sup_decay_per_pair(d, floor, hit):
+    worst = 0.0
+    for li in range(floor):
+        acc = np.zeros(((1 << li),) * d)
+        alive = np.ones(((1 << (li + 1)),) * d, dtype=bool)
+        for lj in range(li + 1, floor + 1):
+            h = hit(li, lj)
+            fire = alive & h
+            acc += coarsen_sum(fire.astype(float), d, lj - li) * 2.0 ** (-lj * d)
+            if lj < floor:
+                alive = refine_to_cells(alive & ~h, d, 1)
+        worst = max(worst, float(acc.max()) * 2.0 ** (li * d))
+    return worst
+
+
+def _bisect_log(predicate, lo=1.0, hi=1e6, steps=60):
+    if predicate(lo):
+        return lo
+    assert predicate(hi)
+    llo, lhi = math.log(lo), math.log(hi)
+    for _ in range(steps):
+        mid = 0.5 * (llo + lhi)
+        if predicate(math.exp(mid)):
+            lhi = mid
+        else:
+            llo = mid
+    return math.exp(lhi)
+
+
+def _bisected_c_hats(entries, p, target):
+    q = conjugate_exponent(p)
+    tabs = [
+        (_tables_for(fam), fam.level, fam.d, ap_characteristic(w, p, family=fam))
+        for _, w, fam in entries
+    ]
+
+    def passes(mode, c):
+        for tab, floor, d, char in tabs:
+            lam = c * char ** (q / p) if mode == 2 else c
+            hit = lambda li, lj: tab.t(mode, li, lj) > lam
+            if _sup_decay_per_pair(d, floor, hit) > target / 2:
+                return False
+        return True
+
+    return _bisect_log(lambda c: passes(1, c)), _bisect_log(lambda c: passes(2, c))
+
+
+def _suite_entries(names, p):
+    specs = {s.name: s for s in suite_weight_specs()}
+    out = []
+    for name in names:
+        w = specs[name].realize()
+        out.append((name, w, build_reducing_family(w, p)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        None,  # the two-cell weight
+        ("id2-const", "pow2-a06", "rot-a06", "const-diag19"),  # d=1, n=2
+        ("rot2d-a05",),  # plain t/s there misses an ulp-level jump of test 2
+    ],
+)
+def test_calibration_matches_log_bisection_bit_for_bit(names):
+    if names is None:
+        w = two_cell_weight()
+        entries = [("w14", w, build_reducing_family(w, 2.0))]
+    else:
+        entries = _suite_entries(names, 2.0)
+    res = calibrate_lambdas(entries, target=0.5)
+    c1, c2 = _bisected_c_hats(entries, 2.0, 0.5)
+    assert (res.c1_hat, res.c2_hat) == (c1, c2)
+    assert res.lambda1 == 4.0 * c1
+
+
+def test_least_multipliers_are_least():
+    # t / s alone is an ulp off, in either direction, for many of these t
+    t = np.exp(np.random.default_rng(5).uniform(-3.0, 3.0, 20000))
+    for s in (1.0, 3.0, 1.2025, 0.9):
+        c = _least_multipliers(t, s)
+        assert (c * s >= t).all()
+        assert (np.nextafter(c, -np.inf) * s < t).all()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sup_decay_matches_per_pair_sums(d):
+    rng = np.random.default_rng(11 + d)
+    floor = 6 if d == 1 else 4
+    tables = SimpleNamespace(family=SimpleNamespace(d=d))
+    for density in (0.02, 0.1, 0.3, 0.7):
+        masks = {
+            (li, lj): rng.random(((1 << lj),) * d) < density
+            for li in range(floor)
+            for lj in range(li + 1, floor + 1)
+        }
+        hit = lambda li, lj: masks[li, lj]
+        assert _sup_decay(tables, floor, hit) == _sup_decay_per_pair(d, floor, hit)
 
 
 def test_config_validation():
