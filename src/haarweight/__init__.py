@@ -79,7 +79,6 @@ from .analysis import (
     dual_square_norm,
     equivalence_ratios,
     loglog_slope,
-    p2_sequence_norm,
     random_mean_zero_coefficients,
     sharpness_probe,
     square_function,

@@ -8,9 +8,10 @@ and its L^p norm is compared against the weighted norm ||f||_{L^p(W)} over
 batches of random mean-zero test functions. Ratios are normalized by powers
 of the measured characteristic with exponents (1+ceil(p))/p and
 (2+ceil(p'))/p; at p = 2 the extremal ratios over all f are generalized
-eigenvalues and are solved densely.
+eigenvalues, found by Lanczos on exact matrix-free pyramid operators.
 
-Root scaling terms never enter: every sum below runs over detail cubes only.
+Test functions are mean zero, so root scaling terms never enter them: every
+sum below runs over detail cubes only.
 """
 from __future__ import annotations
 
@@ -18,13 +19,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse.linalg
 import scipy.stats
 
 from .dyadic import (
     GridFunction,
     HaarCoefficients,
     haar_reconstruct,
+    haar_transform,
     lp_norm,
     refine_to_cells,
 )
@@ -32,7 +34,7 @@ from .errors import CoverageError, ParameterError, ShapeError
 from .reducing import ReducingFamily, ap_characteristic, conjugate_exponent
 from .stopping import GenerationTree, delta_projection
 from .multipliers import t_blocks
-from .weights import MatrixWeight, spd_power_stack, weighted_lp_norm
+from .weights import MatrixWeight, apply_cells, spd_power_stack, weighted_lp_norm
 
 __all__ = [
     "SPECTRA",
@@ -40,7 +42,6 @@ __all__ = [
     "square_function",
     "square_norm",
     "dual_square_norm",
-    "p2_sequence_norm",
     "EquivalenceReport",
     "equivalence_ratios",
     "block_partition_constant",
@@ -121,19 +122,6 @@ def dual_square_norm(f: HaarCoefficients, family: ReducingFamily, p: float) -> f
     q = conjugate_exponent(p)
     vals = np.sqrt(_aggregate_squares(family.v_inv, f))
     return lp_norm(GridFunction(f.d, 1, f.level, vals[..., None]), q)
-
-
-def p2_sequence_norm(f: HaarCoefficients, weight: MatrixWeight) -> float:
-    """(sum_{I,eps} |(m_I W)^{1/2} f_I^eps|^2)^{1/2}, the discrete p=2 form."""
-    if (f.d, f.n) != (weight.d, weight.n) or f.level > weight.level:
-        raise ShapeError("coefficients do not fit the weight grid")
-    pyr = weight.mean_pyramid_of(1.0)
-    total = 0.0
-    for l in range(f.level):
-        v = spd_power_stack(pyr[l], 0.5)
-        y = np.einsum("...ij,...ej->...ei", v, f.detail[l])
-        total += float(np.sum(y * y))
-    return math.sqrt(total)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +335,7 @@ def cross_term_rate(
 
 
 # ---------------------------------------------------------------------------
-# p=2 extremal ratios (dense generalized eigensolve)
+# p=2 extremal ratios (Lanczos on exact pyramid operators)
 
 
 @dataclass(frozen=True)
@@ -360,70 +348,83 @@ class SharpnessProbe:
     size: int
 
 
-def _synthesis_matrix(d: int, level: int) -> np.ndarray:
-    """Cells x detail-coefficients scalar Haar synthesis, columns ordered
-    (level, cube, signature)."""
-    cells = (1 << level) ** d
-    cols = []
-    for l in range(level):
-        f = HaarCoefficients.zeros(d, 1, level)
-        block = f.detail[l]
-        flat = block.reshape(-1)
-        for idx in range(flat.size):
-            flat[idx] = 1.0
-            cols.append(haar_reconstruct(f).values.reshape(cells))
-            flat[idx] = 0.0
-    return np.stack(cols, axis=1)
+def _probe_operators(weight: MatrixWeight, level: int):
+    """(forward, inverse, size): C = S G S and C^{-1} as O(size) pyramid matvecs.
+
+    G = H^T W_c H is the Gram matrix of ||f||_{L^2(W)}^2 on the level-L grid
+    (cells W_c = m_c W, H detail-only synthesis), S = blockdiag(m_I W)^{-1/2}.
+    The Schur complement over the constant function gives G^{-1} =
+    H^T W_c^{-1} H - Z M0^{-1} Z^T, M0 = <W_c^{-1}>, Z the details of
+    W_c^{-1} e_k: together the detail part of W_c^{-1}(h - M0^{-1}<W_c^{-1} h>).
+    """
+    d, n = weight.d, weight.n
+    pyr = weight.mean_pyramid_of(1.0)
+    wc = pyr[level]
+    # the inverse of the cell averages, not the averages of W^{-1}
+    winv = spd_power_stack(wc, -1.0)
+    m0 = winv.mean(axis=tuple(range(d)))
+    s_neg = [spd_power_stack(pyr[l], -0.5) for l in range(level)]
+    s_pos = [spd_power_stack(pyr[l], 0.5) for l in range(level)]
+    shapes = [((1 << l),) * d + ((1 << d) - 1, n) for l in range(level)]
+    bounds = np.cumsum([0] + [math.prod(sh) for sh in shapes])
+
+    def scale(blocks, s):
+        return [np.einsum("...ij,...ej->...ei", s[l], b) for l, b in enumerate(blocks)]
+
+    def synth(x, s):  # h = H S x
+        blocks = [x[bounds[l]:bounds[l + 1]].reshape(shapes[l]) for l in range(level)]
+        c = HaarCoefficients(d, n, level, np.zeros(n), scale(blocks, s))
+        return haar_reconstruct(c).values
+
+    def analyze(mats, g, s):  # S H^T (mats g)
+        f = haar_transform(GridFunction(d, n, level, apply_cells(mats, g)))
+        return np.concatenate([b.reshape(-1) for b in scale(f.detail, s)])
+
+    def forward(x):
+        return analyze(wc, synth(x, s_neg), s_neg)
+
+    def inverse(x):
+        h = synth(x, s_pos)
+        r = apply_cells(winv, h).mean(axis=tuple(range(d)))
+        return analyze(winv, h - np.linalg.solve(m0, r), s_pos)
+
+    return forward, inverse, int(bounds[-1])
+
+
+def _largest_eigenvalue(op, size: int) -> float:
+    """Lanczos (ARPACK) to machine precision from a fixed start, so repeated
+    calls agree bit for bit."""
+    if size == 1:  # ARPACK needs k < size
+        return float(op(np.ones(1))[0])
+    lin = scipy.sparse.linalg.LinearOperator((size, size), matvec=op, dtype=float)
+    vals = scipy.sparse.linalg.eigsh(
+        lin, k=1, which="LA", v0=np.ones(size), tol=0, return_eigenvectors=False
+    )
+    return float(vals[0])
 
 
 def sharpness_probe(
     weight: MatrixWeight, p: float = 2.0, level: int | None = None
 ) -> SharpnessProbe:
-    """Solve the p=2 generalized Rayleigh problem exactly.
+    """Solve the p=2 generalized Rayleigh problem exactly, matrix-free.
 
     With G the Gram matrix of ||f||_{L^2(W)}^2 in coefficient coordinates and
     B the block diagonal of m_I W (the exact V_I^2), the extreme eigenvalues
-    of (G, B) are the squared extremal ratios in both directions.
+    of (G, B) are the squared extremal ratios in both directions: the largest
+    eigenvalues of B^{-1/2} G B^{-1/2} and of its inverse, found by Lanczos
+    on `_probe_operators`. Below the weight's grid, cells are m_c W.
     """
     if p != 2.0:
         raise ParameterError(f"extremal eigensolve is a p=2 construction, got p={p}")
     L = weight.level if level is None else level
-    if L > weight.level:
-        raise ShapeError(f"level {L} exceeds weight grid level {weight.level}")
-    d, n = weight.d, weight.n
-    if L * d > 12:
-        raise ParameterError("dense eigensolve beyond 4096 cells is not supported")
-    h = _synthesis_matrix(d, L)
-    cells, m = h.shape
-    wc = weight.mean_pyramid_of(1.0)[L].reshape(cells, n, n)
-    # G[(a i),(b j)] = 2^{-Ld} sum_c H[c,a] H[c,b] Wc[i,j], one dgemm per (i,j)
-    g = np.empty((m, n, m, n))
-    for i in range(n):
-        for j in range(i, n):
-            gij = (h * wc[:, i, j][:, None]).T @ h / cells
-            g[:, i, :, j] = gij
-            g[:, j, :, i] = gij
-    g = g.reshape(m * n, m * n)
-
-    b = np.zeros((m, n, m, n))
-    col = 0
-    pyr = weight.mean_pyramid_of(1.0)
-    nsig = (1 << d) - 1
-    for l in range(L):
-        flat = pyr[l].reshape(-1, n, n)
-        for cube in range(flat.shape[0]):
-            for _ in range(nsig):
-                b[col, :, col, :] = flat[cube]
-                col += 1
-    b = b.reshape(m * n, m * n)
-
-    vals = scipy.linalg.eigh(g, b, eigvals_only=True)
-    char = ap_characteristic(weight, 2.0)
+    if not 1 <= L <= weight.level:
+        raise ShapeError(f"level {L} outside 1..{weight.level}, the weight grid")
+    forward, inverse, size = _probe_operators(weight, L)
     return SharpnessProbe(
-        char=char,
-        max_ratio=math.sqrt(float(vals[-1])),
-        max_inverse_ratio=1.0 / math.sqrt(float(vals[0])),
-        size=m * n,
+        char=ap_characteristic(weight, 2.0),
+        max_ratio=math.sqrt(_largest_eigenvalue(forward, size)),
+        max_inverse_ratio=math.sqrt(_largest_eigenvalue(inverse, size)),
+        size=size,
     )
 
 

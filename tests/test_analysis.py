@@ -1,5 +1,6 @@
 """Square-function and equivalence tests: single-coefficient oracles, the
-exact p=2 identities, and a brute-force check of the extremal eigensolve."""
+exact p=2 identities, and dense and brute-force checks of the matrix-free
+extremal eigensolve."""
 
 import math
 
@@ -13,12 +14,14 @@ from haarweight import (
     HaarSignature,
     MatrixWeight,
     ParameterError,
+    ShapeError,
     StoppingConfig,
     WeightFamily,
     build_generations,
     build_reducing_family,
     lp_norm,
     make_weight,
+    weighted_lp_norm,
 )
 from haarweight.analysis import (
     SPECTRA,
@@ -28,13 +31,14 @@ from haarweight.analysis import (
     dual_square_norm,
     equivalence_ratios,
     loglog_slope,
-    p2_sequence_norm,
+    _probe_operators,
     random_mean_zero_coefficients,
     sharpness_probe,
     square_function,
     square_norm,
 )
-from haarweight.dyadic import haar_eval
+from haarweight.dyadic import haar_eval, haar_reconstruct
+from haarweight.weights import spd_power_stack
 
 
 def two_cell_weight():
@@ -91,6 +95,16 @@ def test_dual_square_norm_oracles():
     g = random_mean_zero_coefficients(1, 2, 4, rng, "flat")
     un = lp_norm(square_function(g, famid), 1.5)
     assert dual_square_norm(g, famid, 3.0) == pytest.approx(un, rel=1e-13)
+
+
+def p2_sequence_norm(f, weight):
+    """(sum_{I,eps} |(m_I W)^{1/2} f_I^eps|^2)^{1/2}, the discrete p=2 form."""
+    pyr = weight.mean_pyramid_of(1.0)
+    total = 0.0
+    for l in range(f.level):
+        y = np.einsum("...ij,...ej->...ei", spd_power_stack(pyr[l], 0.5), f.detail[l])
+        total += float(np.sum(y * y))
+    return math.sqrt(total)
 
 
 def test_p2_sequence_norm():
@@ -212,6 +226,101 @@ def test_sharpness_brute_force_oracle():
     assert probe.max_inverse_ratio == pytest.approx(1 / math.sqrt(vals[0]), rel=1e-12)
     with pytest.raises(ParameterError):
         sharpness_probe(w, p=3.0)
+
+
+def dense_probe(weight, level):
+    """Reference (max ratio, max inverse ratio): the dense synthesis matrix,
+    the Gram matrix G, the block-diagonal B and scipy.linalg.eigh(G, B)."""
+    d, n = weight.d, weight.n
+    cells = (1 << level) ** d
+    cols = []
+    for l in range(level):
+        f = HaarCoefficients.zeros(d, 1, level)
+        flat = f.detail[l].reshape(-1)
+        for idx in range(flat.size):
+            flat[idx] = 1.0
+            cols.append(haar_reconstruct(f).values.reshape(cells))
+            flat[idx] = 0.0
+    h = np.stack(cols, axis=1)
+    m = h.shape[1]
+    pyr = weight.mean_pyramid_of(1.0)
+    wc = pyr[level].reshape(cells, n, n)
+    g = np.einsum("ca,cij,cb->aibj", h, wc, h).reshape(m * n, m * n) / cells
+    b = np.zeros((m, n, m, n))
+    blocks = np.concatenate([
+        np.repeat(pyr[l].reshape(-1, n, n), (1 << d) - 1, axis=0) for l in range(level)
+    ])
+    for col, blk in enumerate(blocks):
+        b[col, :, col, :] = blk
+    vals = scipy.linalg.eigh(g, b.reshape(m * n, m * n), eigvals_only=True)
+    return math.sqrt(vals[-1]), 1.0 / math.sqrt(vals[0])
+
+
+def power_weight(alpha, level, d=1, n=1):
+    return make_weight(WeightFamily("power", d, n, level, params={"alpha": alpha}, seed=7))
+
+
+ORACLE_CASES = {
+    "power-a05": (lambda: power_weight(0.5, 8), None),
+    "power-am09": (lambda: power_weight(-0.9, 8), None),
+    "power-am099": (lambda: power_weight(-0.99, 8), None),
+    "rotating-n2": (lambda: rotating_weight(level=6), None),
+    "logbrownian-d2n2": (
+        lambda: make_weight(WeightFamily("logbrownian", 2, 2, 4,
+                                         params={"sigma": 0.4}, seed=5)),
+        None,
+    ),
+    "rotating-coarse": (lambda: rotating_weight(level=7), 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_sharpness_probe_matches_dense_oracle(case):
+    make, level = ORACLE_CASES[case]
+    w = make()
+    ratio, inverse = dense_probe(w, w.level if level is None else level)
+    probe = sharpness_probe(w, level=level)
+    assert probe.max_ratio == pytest.approx(ratio, rel=1e-12)
+    assert probe.max_inverse_ratio == pytest.approx(inverse, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "d, n, grid, level", [(1, 1, 6, 6), (1, 1, 6, 3), (2, 2, 4, 4), (2, 2, 4, 2)]
+)
+def test_probe_inverse_is_exact(d, n, grid, level):
+    w = make_weight(WeightFamily("logbrownian", d, n, grid, params={"sigma": 0.8}, seed=2))
+    forward, inverse, size = _probe_operators(w, level)
+    assert size == ((1 << level) ** d - 1) * n
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        x = rng.standard_normal(size)
+        np.testing.assert_allclose(inverse(forward(x)), x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(forward(inverse(x)), x, rtol=0, atol=1e-12)
+
+
+def test_sharpness_single_coefficient():
+    w = two_cell_weight()  # G = 2.5 = B, so both ratios are 1
+    probe = sharpness_probe(w)
+    assert probe.size == 1
+    assert probe.max_ratio == pytest.approx(1.0, rel=1e-15)
+    assert probe.max_inverse_ratio == pytest.approx(1.0, rel=1e-15)
+    with pytest.raises(ShapeError):
+        sharpness_probe(w, level=0)
+
+
+def test_sharpness_deep_grid_bounds_rayleigh_quotients():
+    w = power_weight(-0.9, 13)  # 8192 cells
+    probe = sharpness_probe(w)
+    assert probe.size == 8191
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        f = random_mean_zero_coefficients(1, 1, 13, rng, "flat")
+        r = weighted_lp_norm(haar_reconstruct(f), w, 2.0) / p2_sequence_norm(f, w)
+        assert 1.0 / probe.max_inverse_ratio <= r * (1 + 1e-12)
+        assert r <= probe.max_ratio * (1 + 1e-12)
+    again = sharpness_probe(w)
+    assert (again.max_ratio, again.max_inverse_ratio) == (
+        probe.max_ratio, probe.max_inverse_ratio)
 
 
 def test_loglog_slope_recovers_power_law():
