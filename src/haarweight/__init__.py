@@ -42,12 +42,9 @@ from .reducing import (
     ap_characteristic,
     build_reducing_family,
     conjugate_exponent,
-    direction_norm,
-    dual_reducing_operator,
     duality_check,
     op_norm_stack,
     quasi_uniform_directions,
-    reducing_operator,
     scalar_ap_characteristic,
 )
 from .stopping import (

@@ -39,9 +39,6 @@ __all__ = [
     "ReducingFamily",
     "METHOD_NAMES",
     "quasi_uniform_directions",
-    "direction_norm",
-    "reducing_operator",
-    "dual_reducing_operator",
     "build_reducing_family",
     "ap_characteristic",
     "scalar_ap_characteristic",
@@ -61,6 +58,9 @@ _GOLDEN = 0.6180339887498949
 # calibration directions, a second quasi-uniform grid offset by _CAL_OFFSET
 _CAL_FACTOR = 4
 _CAL_OFFSET = 0.37
+# barrier parameter multiplier per stage of the ellipsoid fit; x100 stalls
+# the centring on the default suite, x50 does not
+_T_FACTOR = 20.0
 
 
 def conjugate_exponent(p: float) -> float:
@@ -119,31 +119,6 @@ def op_norm_stack(mats: np.ndarray) -> np.ndarray:
 # direction norms
 
 
-def _rho_block(wp_cells: np.ndarray, p: float, dirs: np.ndarray, d: int) -> np.ndarray:
-    """rho over one cube: wp_cells are the W^{1/p} cells inside it."""
-    x = np.einsum("...ij,mj->...mi", wp_cells, dirs)
-    g = np.linalg.norm(x, axis=-1) ** p
-    return g.mean(axis=tuple(range(d))) ** (1.0 / p)
-
-
-def direction_norm(
-    weight: MatrixWeight, cube: DyadicCube, p: float, e, dual: bool = False
-) -> float:
-    """rho_I(e), or the dual norm rho'_I(e) (W^{-1/p}, conjugate exponent)."""
-    if not 1.0 < p < math.inf:
-        raise ParameterError(f"exponent must satisfy 1 < p < inf, got {p}")
-    e = np.asarray(e, dtype=float).reshape(1, -1)
-    if e.shape[1] != weight.n:
-        raise ShapeError(f"direction has {e.shape[1]} components, weight n={weight.n}")
-    if dual:
-        cells = weight.power_cells(-1.0 / p)[cube.cell_slices(weight.level)]
-        q = conjugate_exponent(p)
-    else:
-        cells = weight.power_cells(1.0 / p)[cube.cell_slices(weight.level)]
-        q = p
-    return float(_rho_block(cells, q, e, weight.d)[0])
-
-
 def _rho_pyramid(
     weight: MatrixWeight, p: float, dirs: np.ndarray, dual: bool, chunk: int = 256
 ) -> list:
@@ -182,10 +157,16 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     Each step builds the barrier Hessian with one (b, m) @ (m, n^4) matrix
     product against the products of the direction outer products, computed
     once per call, and takes one Cholesky factor A = L L^T: L^{-1} gives both
-    A^{-1} = L^{-T} L^{-1} and the SPD step cap, whose pencil L^{-1} Delta
-    L^{-T} has the generalized eigenvalues of (Delta, A). One DEBUG record on
-    the haarweight logger per call gives the Newton steps, barrier stages,
-    stages ended at the inner step cap and the final decrement.
+    A^{-1} = L^{-T} L^{-1} and the pencil L^{-1} Delta L^{-T}, whose
+    eigenvalues lam_i are the generalized eigenvalues of (Delta, A). The step
+    starts at the largest alpha <= 1 that keeps 2% of the constraint slack and
+    of the SPD margin, then halves per row until the t-normalized barrier
+    meets the Armijo condition. The trial values need no factorization:
+    log det(A + alpha Delta) - log det A = sum_i log(1 + alpha lam_i), and
+    the constraint values move linearly along Delta. t grows by _T_FACTOR per
+    stage up to t_final = 2m / (n tol). One DEBUG record on the haarweight
+    logger per call gives the Newton steps, barrier stages, stages ended at
+    the inner step cap and the final decrement.
     """
     b, m = rho.shape
     n = dirs.shape[1]
@@ -210,7 +191,7 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
         # Newton steps at this barrier parameter until all rows are centered.
         # Work with the t-normalized objective -logdet A - (1/t) sum ln(1-g):
         # same center and same Newton step, but O(1) gradients at large t.
-        # Damped steps 1/(1+lambda) need no line search (self-concordance).
+        previous = np.inf
         for _ in range(80):
             if iters >= max_iter:
                 raise EllipsoidFitError(
@@ -235,21 +216,34 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
             decrement = np.sqrt(
                 t * np.maximum(-np.sum(grad * delta, axis=1), 0.0)
             )
-            if decrement.max() <= 1e-7:
+            # centered, or at the rounding floor: the decrement stopped halving
+            worst = decrement.max()
+            if worst <= 1e-7 or (worst <= 1e-5 and worst > 0.5 * previous):
                 break
-            alpha = 1.0 / (1.0 + decrement)
+            previous = worst
             # explicit feasibility caps guard against rounding: linear
             # constraint slack, then SPD of A + alpha * delta
             dg = (delta @ pe.T) * invr2
             with np.errstate(divide="ignore"):
                 ratios = np.where(dg > 0.0, slack / dg, np.inf)
-            alpha = np.minimum(alpha, 0.98 * ratios.min(axis=1))
-            pencil = linv @ delta.reshape(-1, n, n) @ linv_t
-            lam_min = np.linalg.eigvalsh(pencil)[:, 0]
+            lam = np.linalg.eigvalsh(linv @ delta.reshape(-1, n, n) @ linv_t)
             with np.errstate(divide="ignore"):
-                alpha = np.minimum(
-                    alpha, np.where(lam_min < 0.0, -0.98 / lam_min, np.inf)
-                )
+                spd = np.where(lam[:, 0] < 0.0, -0.98 / lam[:, 0], np.inf)
+            alpha = np.minimum(np.minimum(1.0, 0.98 * ratios.min(axis=1)), spd)
+            # Armijo backtracking (c = 1/4) on the t-normalized barrier; rows in
+            # Newton's quadratic region (decrement <= 1/4) keep the capped step.
+            # The damped step 1/(1 + decrement) always passes in exact
+            # arithmetic, so a row needs about log2(1 + decrement) halvings.
+            slope = decrement**2 / t
+            search = decrement > 0.25
+            for _ in range(60):
+                change = -np.log1p(alpha[:, None] * lam).sum(axis=1) - np.log1p(
+                    -alpha[:, None] * dg / slack
+                ).sum(axis=1) / t
+                short = search & (change > -0.25 * alpha * slope)
+                if not short.any():
+                    break
+                alpha = np.where(short, 0.5 * alpha, alpha)
             a = a + alpha[:, None] * delta
         else:
             capped += 1
@@ -260,9 +254,7 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
             )
         if t >= t_final:
             break
-        # modest multiplier keeps the post-update decrement in Newton's
-        # fast region; larger jumps stall the damped phase for many steps
-        t = min(t * 4.0, t_final)
+        t = min(t * _T_FACTOR, t_final)
     _log.debug(
         "ellipsoid fit: rows=%d n=%d m=%d newton_steps=%d stages=%d "
         "capped_stages=%d final_decrement=%.3g",
@@ -471,33 +463,6 @@ def build_reducing_family(
         fit=fit,
         weight_meta=dict(weight.meta),
     )
-
-
-def _single_cube_operator(
-    weight: MatrixWeight, cube: DyadicCube, p: float, dual: bool, fit: FitConfig
-) -> np.ndarray:
-    if not 1.0 < p < math.inf:
-        raise ParameterError(f"exponent must satisfy 1 < p < inf, got {p}")
-    if cube.d != weight.d or cube.level > weight.level:
-        raise ShapeError("cube does not fit the weight grid")
-    cells = weight.cells[cube.cell_slices(weight.level)]
-    sub = MatrixWeight(weight.d, weight.n, weight.level - cube.level, cells)
-    vs, _, _ = _build_side(sub, p, dual, 0, fit)
-    return vs[0].reshape(weight.n, weight.n)
-
-
-def reducing_operator(
-    weight: MatrixWeight, cube: DyadicCube, p: float, fit: FitConfig | None = None
-) -> np.ndarray:
-    """The SPD matrix V_I reducing rho_I for one cube."""
-    return _single_cube_operator(weight, cube, p, False, fit or FitConfig())
-
-
-def dual_reducing_operator(
-    weight: MatrixWeight, cube: DyadicCube, p: float, fit: FitConfig | None = None
-) -> np.ndarray:
-    """The SPD matrix V'_I reducing the dual norm rho'_I for one cube."""
-    return _single_cube_operator(weight, cube, p, True, fit or FitConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,10 @@ from haarweight import (
     ap_characteristic,
     build_reducing_family,
     conjugate_exponent,
-    direction_norm,
-    dual_reducing_operator,
     duality_check,
     make_weight,
     op_norm_stack,
     quasi_uniform_directions,
-    reducing_operator,
     scalar_ap_characteristic,
 )
 import haarweight.reducing as reducing
@@ -38,6 +35,30 @@ from haarweight.reducing import (
     _fit_operators,
     _rho_pyramid,
 )
+
+
+def _rho_block(wp_cells, p, dirs, d):
+    """rho over one cube: wp_cells are the W^{1/p} cells inside it."""
+    x = np.einsum("...ij,mj->...mi", wp_cells, dirs)
+    g = np.linalg.norm(x, axis=-1) ** p
+    return g.mean(axis=tuple(range(d))) ** (1.0 / p)
+
+
+def direction_norm(weight, cube, p, e, dual=False):
+    """rho_I(e), or the dual norm rho'_I(e) (W^{-1/p}, conjugate exponent),
+    straight from the cells of one cube: the oracle for _rho_pyramid."""
+    if not 1.0 < p < math.inf:
+        raise ParameterError(f"exponent must satisfy 1 < p < inf, got {p}")
+    e = np.asarray(e, dtype=float).reshape(1, -1)
+    if e.shape[1] != weight.n:
+        raise ShapeError(f"direction has {e.shape[1]} components, weight n={weight.n}")
+    if dual:
+        cells = weight.power_cells(-1.0 / p)[cube.cell_slices(weight.level)]
+        q = conjugate_exponent(p)
+    else:
+        cells = weight.power_cells(1.0 / p)[cube.cell_slices(weight.level)]
+        q = p
+    return float(_rho_block(cells, q, e, weight.d)[0])
 
 
 def two_cell_weight(a=1.0, b=4.0):
@@ -181,24 +202,6 @@ def test_kappa_within_john_bound():
     assert fam.max_kappa() <= math.sqrt(2.0) * (1.0 + 1e-3)
 
 
-def test_single_cube_matches_family():
-    w = rotating_weight(level=4)
-    fam = build_reducing_family(w, 3.0)
-    cube = DyadicCube(2, (1,))
-    np.testing.assert_allclose(
-        reducing_operator(w, cube, 3.0), fam.v_at(cube), rtol=1e-6, atol=1e-10
-    )
-    np.testing.assert_allclose(
-        dual_reducing_operator(w, cube, 3.0), fam.v_dual_at(cube), rtol=1e-6, atol=1e-10
-    )
-    # p = 2 single-cube goes through the exact route
-    np.testing.assert_allclose(
-        reducing_operator(w, cube, 2.0),
-        scipy.linalg.sqrtm(w.mean_pyramid_of(1.0)[2][1]),
-        atol=1e-12,
-    )
-
-
 def test_dual_weight_family_is_the_primal_swapped():
     w = rotating_weight(level=4)
     p, q = 3.0, conjugate_exponent(3.0)
@@ -291,6 +294,47 @@ def test_mvee_batch_logs_one_debug_record(caplog):
     assert steps >= stages >= 1 and 0 <= capped <= stages
     assert decrement <= 1e-4
     assert "newton_steps=" in records[0].getMessage()
+
+
+def _fit_record(caplog, rho, dirs):
+    """The DEBUG record args of one _mvee_batch call at the default tol."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="haarweight"):
+        reducing._mvee_batch(rho, dirs, FitConfig().tol, 200_000)
+    (record,) = [r for r in caplog.records if r.name == "haarweight.reducing"]
+    return record.args
+
+
+@pytest.mark.parametrize("n, level", [(2, 0), (2, 2), (3, 0), (3, 2)])
+def test_mvee_batch_centres_every_stage(caplog, n, level):
+    rho, dirs = fit_inputs(n, level)
+    _, _, _, steps, _, capped, decrement = _fit_record(caplog, rho, dirs)
+    assert capped == 0 and decrement <= 1e-5
+    # negative control: one step fewer than the fit needs must not pass
+    with pytest.raises(EllipsoidFitError):
+        reducing._mvee_batch(rho, dirs, FitConfig().tol, steps - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mvee_batch_step_budget(caplog, n):
+    # measured 73 Newton steps for both n; 90 leaves room for rounding to
+    # shift a stop by a few steps, and a x4 t-schedule needs over 120
+    rho, dirs = fit_inputs(n, 2)
+    steps = _fit_record(caplog, rho, dirs)[3]
+    assert steps <= 90
+
+
+def test_rho_pyramid_matches_direction_norm():
+    w = rotating_weight(level=4)
+    p = 3.0
+    dirs = quasi_uniform_directions(2, 12)
+    for dual in (False, True):
+        pyr = _rho_pyramid(w, p, dirs, dual)
+        for lvl in (0, 2, 4):
+            for idx in [(0,), ((1 << lvl) - 1,)]:
+                cube = DyadicCube(lvl, idx)
+                want = [direction_norm(w, cube, p, e, dual=dual) for e in dirs]
+                np.testing.assert_allclose(pyr[lvl][idx], want, rtol=1e-12)
 
 
 def test_fit_failure_raises():
