@@ -21,8 +21,6 @@ from .dyadic import (
     DyadicCube,
     GridFunction,
     HaarCoefficients,
-    HaarSignature,
-    haar_eval,
     haar_reconstruct,
     haar_transform,
     lp_norm,
@@ -31,21 +29,18 @@ from .weights import (
     MatrixWeight,
     WeightFamily,
     make_weight,
-    spd_power,
-    weight_average,
     weighted_lp_norm,
 )
 from .reducing import (
     DualityReport,
     FitConfig,
     ReducingFamily,
-    ap_characteristic,
     build_reducing_family,
     conjugate_exponent,
     duality_check,
     op_norm_stack,
     quasi_uniform_directions,
-    scalar_ap_characteristic,
+    scan_depth,
 )
 from .stopping import (
     CalibrationResult,
@@ -59,9 +54,7 @@ from .stopping import (
     restrict_coefficients,
 )
 from .multipliers import (
-    cross_term,
-    haar_multiplier,
-    multiplier_apply,
+    apply_symbols,
     t_block,
     t_blocks,
     t_operator,
@@ -83,11 +76,8 @@ from .analysis import (
 )
 from .errors import ConfigError, SerializationError
 from .serialization import (
-    export_reducing_family,
-    load_grid_function,
     load_weight,
     save_generation_tree,
-    save_grid_function,
     save_weight,
     write_manifest,
 )

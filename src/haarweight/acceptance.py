@@ -29,7 +29,7 @@ from .dyadic import GridFunction, haar_reconstruct, haar_transform, lp_norm
 from .errors import HaarweightError
 from .experiments import RunContext, alpha_sweep_report, run_experiments
 from .multipliers import t_blocks, t_operator
-from .reducing import FitConfig, build_reducing_family, conjugate_exponent
+from .reducing import FitConfig, build_reducing_family, conjugate_exponent, scan_depth
 from .stopping import (
     StoppingConfig,
     build_generations,
@@ -218,7 +218,7 @@ def c05_duality(ctx: AcceptanceContext) -> CriterionResult:
         weight = ctx.weight(name)
         fam = ctx.family(name, p)
         q = conjugate_exponent(p)
-        depth = max(weight.level - 2, 0)
+        depth = scan_depth(weight.level)
         fit = FitConfig(directions=FitConfig().fit_count(weight.n) + 1)
         refit = build_reducing_family(_dual_weight(weight, p), q, depth, fit)
         predicted = fam.characteristic(depth) ** (q / p)

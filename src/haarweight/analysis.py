@@ -31,9 +31,9 @@ from .dyadic import (
     refine_to_cells,
 )
 from .errors import CoverageError, ParameterError, ShapeError
-from .reducing import ReducingFamily, ap_characteristic, conjugate_exponent
+from .reducing import ReducingFamily, conjugate_exponent
 from .stopping import GenerationTree, delta_projection
-from .multipliers import t_blocks
+from .multipliers import apply_symbols, t_blocks
 from .weights import MatrixWeight, apply_cells, spd_power_stack, weighted_lp_norm
 
 __all__ = [
@@ -97,8 +97,7 @@ def _aggregate_squares(symbols: list, f: HaarCoefficients) -> np.ndarray:
     """Cellwise sum of |S_I f_I^eps|^2 / |I| over all detail cubes."""
     d, L = f.d, f.level
     acc = np.zeros(((1 << L),) * d)
-    for l in range(L):
-        y = np.einsum("...ij,...ej->...ei", symbols[l], f.detail[l])
+    for l, y in enumerate(apply_symbols(symbols, f.detail)):
         s = np.sum(y * y, axis=(-1, -2)) * 2.0 ** (l * d)
         acc += refine_to_cells(s, d, L - l)
     return acc
@@ -192,7 +191,7 @@ def equivalence_ratios(
         raise ParameterError(f"count must be >= 1, got {count}")
     if p != family.p:
         raise ParameterError(f"exponent {p} does not match family exponent {family.p}")
-    char = ap_characteristic(weight, p, family=family)
+    char = family.characteristic()
     ratios, spectrum_of, skipped = [], [], 0
     for i in range(count):
         spectrum = spectra[i % len(spectra)]
@@ -342,7 +341,6 @@ def cross_term_rate(
 class SharpnessProbe:
     """Extremal p=2 ratios for one weight: exact over all mean-zero f."""
 
-    char: float
     max_ratio: float
     max_inverse_ratio: float
     size: int
@@ -368,17 +366,14 @@ def _probe_operators(weight: MatrixWeight, level: int):
     shapes = [((1 << l),) * d + ((1 << d) - 1, n) for l in range(level)]
     bounds = np.cumsum([0] + [math.prod(sh) for sh in shapes])
 
-    def scale(blocks, s):
-        return [np.einsum("...ij,...ej->...ei", s[l], b) for l, b in enumerate(blocks)]
-
     def synth(x, s):  # h = H S x
         blocks = [x[bounds[l]:bounds[l + 1]].reshape(shapes[l]) for l in range(level)]
-        c = HaarCoefficients(d, n, level, np.zeros(n), scale(blocks, s))
+        c = HaarCoefficients(d, n, level, np.zeros(n), apply_symbols(s, blocks))
         return haar_reconstruct(c).values
 
     def analyze(mats, g, s):  # S H^T (mats g)
         f = haar_transform(GridFunction(d, n, level, apply_cells(mats, g)))
-        return np.concatenate([b.reshape(-1) for b in scale(f.detail, s)])
+        return np.concatenate([b.reshape(-1) for b in apply_symbols(s, f.detail)])
 
     def forward(x):
         return analyze(wc, synth(x, s_neg), s_neg)
@@ -403,9 +398,7 @@ def _largest_eigenvalue(op, size: int) -> float:
     return float(vals[0])
 
 
-def sharpness_probe(
-    weight: MatrixWeight, p: float = 2.0, level: int | None = None
-) -> SharpnessProbe:
+def sharpness_probe(weight: MatrixWeight, level: int | None = None) -> SharpnessProbe:
     """Solve the p=2 generalized Rayleigh problem exactly, matrix-free.
 
     With G the Gram matrix of ||f||_{L^2(W)}^2 in coefficient coordinates and
@@ -414,14 +407,11 @@ def sharpness_probe(
     eigenvalues of B^{-1/2} G B^{-1/2} and of its inverse, found by Lanczos
     on `_probe_operators`. Below the weight's grid, cells are m_c W.
     """
-    if p != 2.0:
-        raise ParameterError(f"extremal eigensolve is a p=2 construction, got p={p}")
     L = weight.level if level is None else level
     if not 1 <= L <= weight.level:
         raise ShapeError(f"level {L} outside 1..{weight.level}, the weight grid")
     forward, inverse, size = _probe_operators(weight, L)
     return SharpnessProbe(
-        char=ap_characteristic(weight, 2.0),
         max_ratio=math.sqrt(_largest_eigenvalue(forward, size)),
         max_inverse_ratio=math.sqrt(_largest_eigenvalue(inverse, size)),
         size=size,

@@ -8,6 +8,7 @@ with the offending path so typos cannot silently change an experiment.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -98,8 +99,10 @@ class ExperimentConfig:
                 f"unknown experiment ids {sorted(unknown)}; known: {EXPERIMENT_IDS}"
             )
         for p in self.ps:
-            if not 1.0 < p:
-                raise ConfigError(f"exponents must exceed 1, got {p}")
+            if not 1.0 < p < math.inf:
+                raise ConfigError(f"exponents must exceed 1 and be finite, got {p}")
+        if not self.spectra:
+            raise ConfigError("spectra must name at least one spectrum")
         bad = set(self.spectra) - set(_SPECTRUM_NAMES)
         if bad:
             raise ConfigError(

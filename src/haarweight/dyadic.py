@@ -21,14 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, ParameterError, ShapeError
+from .errors import DomainError, ParameterError, ShapeError
 
 __all__ = [
     "DyadicCube",
-    "HaarSignature",
     "GridFunction",
     "HaarCoefficients",
-    "haar_eval",
     "haar_transform",
     "haar_reconstruct",
     "lp_norm",
@@ -67,47 +65,12 @@ class DyadicCube:
         return len(self.index)
 
     @property
-    def side(self) -> float:
-        return 2.0 ** -self.level
-
-    @property
     def measure(self) -> float:
         return 2.0 ** (-self.level * self.d)
 
     @classmethod
     def root(cls, d: int) -> "DyadicCube":
         return cls(0, (0,) * d)
-
-    def lower_corner(self) -> np.ndarray:
-        return np.asarray(self.index, dtype=float) * self.side
-
-    def child(self, gamma) -> "DyadicCube":
-        idx = tuple(2 * i + g for i, g in zip(self.index, gamma))
-        return DyadicCube(self.level + 1, idx)
-
-    def children(self) -> list:
-        return [self.child(g) for g in itertools.product((0, 1), repeat=self.d)]
-
-    def parent(self) -> "DyadicCube":
-        if self.level == 0:
-            raise DomainError("root cube has no parent")
-        return DyadicCube(self.level - 1, tuple(i >> 1 for i in self.index))
-
-    def ancestor(self, level: int) -> "DyadicCube":
-        if not 0 <= level <= self.level:
-            raise DomainError(f"no ancestor at level {level}")
-        shift = self.level - level
-        return DyadicCube(level, tuple(i >> shift for i in self.index))
-
-    def contains_point(self, point) -> bool:
-        x = np.asarray(point, dtype=float)
-        lo = self.lower_corner()
-        return bool(np.all(x >= lo) and np.all(x < lo + self.side))
-
-    def contains_cube(self, other: "DyadicCube") -> bool:
-        if other.d != self.d or other.level < self.level:
-            return False
-        return other.ancestor(self.level) == self
 
     def cell_slices(self, grid_level: int) -> tuple:
         """Index slices of this cube's cells in a level `grid_level` grid."""
@@ -123,34 +86,6 @@ def detail_signatures(d: int) -> tuple:
         raise ParameterError(f"dimension must be >= 1, got {d}")
     full = (1,) * d
     return tuple(e for e in itertools.product((0, 1), repeat=d) if e != full)
-
-
-@dataclass(frozen=True)
-class HaarSignature:
-    """Signature eps of a tensor Haar function; eps_i = 0 oscillates in axis i."""
-
-    eps: tuple
-
-    def __post_init__(self):
-        eps = tuple(int(e) for e in self.eps)
-        object.__setattr__(self, "eps", eps)
-        if not eps or any(e not in (0, 1) for e in eps):
-            raise ParameterError(f"signature entries must be 0/1, got {eps}")
-        if all(e == 1 for e in eps):
-            raise ParameterError("the all-ones signature is not a detail signature")
-
-    @property
-    def d(self) -> int:
-        return len(self.eps)
-
-    @property
-    def position(self) -> int:
-        """Index of this signature in detail_signatures(d)."""
-        return detail_signatures(self.d).index(self.eps)
-
-    @classmethod
-    def all(cls, d: int) -> tuple:
-        return tuple(cls(e) for e in detail_signatures(d))
 
 
 def _sign_matrix(d: int) -> np.ndarray:
@@ -278,21 +213,6 @@ class GridFunction:
             raise ShapeError("values contain non-finite entries")
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def constant(cls, vec, d: int, level: int) -> "GridFunction":
-        vec = np.asarray(vec, dtype=float).reshape(-1)
-        v = np.broadcast_to(vec, ((1 << level),) * d + (vec.size,)).copy()
-        return cls(d, vec.size, level, v)
-
-    def cell_value(self, point) -> np.ndarray:
-        x = np.asarray(point, dtype=float)
-        if x.shape != (self.d,):
-            raise ShapeError(f"point shape {x.shape}, expected ({self.d},)")
-        if np.any(x < 0) or np.any(x >= 1):
-            raise DomainError(f"point {x} outside [0,1)^d")
-        idx = tuple((x * (1 << self.level)).astype(int))
-        return self.values[idx]
-
 
 @dataclass(eq=False)
 class HaarCoefficients:
@@ -333,32 +253,6 @@ class HaarCoefficients:
         detail = [np.zeros(((1 << l),) * d + (nsig, n)) for l in range(level)]
         return cls(d, n, level, np.zeros(n), detail)
 
-    def copy(self) -> "HaarCoefficients":
-        return HaarCoefficients(
-            self.d,
-            self.n,
-            self.level,
-            self.root_scaling.copy(),
-            [a.copy() for a in self.detail],
-        )
-
-    def _locate(self, cube: DyadicCube, sig: HaarSignature):
-        if cube.d != self.d or sig.d != self.d:
-            raise ShapeError("cube/signature dimension mismatch")
-        if cube.level >= self.level:
-            raise CoverageError(
-                f"cube level {cube.level} not represented (finest level {self.level})"
-            )
-        return self.detail[cube.level], cube.index + (sig.position,)
-
-    def get(self, cube: DyadicCube, sig: HaarSignature) -> np.ndarray:
-        arr, idx = self._locate(cube, sig)
-        return arr[idx].copy()
-
-    def set(self, cube: DyadicCube, sig: HaarSignature, value):
-        arr, idx = self._locate(cube, sig)
-        arr[idx] = np.asarray(value, dtype=float).reshape(self.n)
-
     def detail_l2(self) -> float:
         """l2 norm of all detail coefficients (excludes root scaling)."""
         return float(
@@ -368,26 +262,6 @@ class HaarCoefficients:
 
 # ---------------------------------------------------------------------------
 # transforms
-
-
-def haar_eval(cube: DyadicCube, sig: HaarSignature, point) -> float:
-    """Pointwise value of h_cube^sig at a point of [0,1)^d (0 off the cube)."""
-    x = np.asarray(point, dtype=float)
-    d = cube.d
-    if sig.d != d:
-        raise ShapeError("cube/signature dimension mismatch")
-    if x.shape != (d,):
-        raise ShapeError(f"point shape {x.shape}, expected ({d},)")
-    if np.any(x < 0) or np.any(x >= 1):
-        raise DomainError(f"point {x} outside [0,1)^d")
-    if not cube.contains_point(x):
-        return 0.0
-    mid = cube.lower_corner() + cube.side / 2
-    sign = 1.0
-    for i, e in enumerate(sig.eps):
-        if e == 0 and x[i] >= mid[i]:
-            sign = -sign
-    return sign * 2.0 ** (cube.level * d / 2.0)
 
 
 def haar_transform(f: GridFunction) -> HaarCoefficients:

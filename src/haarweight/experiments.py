@@ -26,7 +26,7 @@ from .config import EXPERIMENT_IDS, ExperimentConfig, WeightSpec, config_to_dict
 from .dyadic import GridFunction, haar_reconstruct, haar_transform, lp_norm
 from .errors import ConfigError, HaarweightError, ParameterError
 from .multipliers import t_blocks, t_operator
-from .reducing import ap_characteristic, build_reducing_family, duality_check
+from .reducing import build_reducing_family, duality_check, scan_depth
 from .serialization import (
     equivalence_rows,
     equivalence_to_dict,
@@ -199,7 +199,7 @@ def _run_reducing(ctx: RunContext, out: Path, result: RunResult):
         return [
             name,
             p,
-            ap_characteristic(w, p, family=fam),
+            rep.char,
             fam.min_pair_norm(),
             fam.max_kappa(),
             rep.log_gap,
@@ -383,7 +383,7 @@ def alpha_sweep_report(
         probe = sharpness_probe(w)
         return {
             "alpha": float(alpha),
-            "char": probe.char,
+            "char": fam.characteristic(),
             "eq_max_ratio": rep.max_ratio,
             "eq_max_inverse_ratio": rep.max_inverse_ratio,
             "probe_max_ratio": probe.max_ratio,
@@ -448,20 +448,24 @@ def _run_sharpness(ctx: RunContext, out: Path, result: RunResult):
          r["probe_max_ratio"], r["probe_max_inverse_ratio"]]
         for r in report["rows"]
     ]
-    # exploratory n=2 rotating points: reported, never asserted
-    for alpha in (0.3, 0.6, 0.9):
-        try:
-            w = make_weight(
-                WeightFamily("rotating", 1, 2, min(cfg.sweep_level, 7),
-                             params={"alpha": alpha}, seed=cfg.seed)
-            )
-            probe = sharpness_probe(w)
-            rows.append([alpha, probe.char, float("nan"), float("nan"),
-                         probe.max_ratio, probe.max_inverse_ratio])
-        except HaarweightError as exc:
+
+    def rotating(alpha):  # exploratory n=2 points: reported, never asserted
+        w = make_weight(
+            WeightFamily("rotating", 1, 2, min(cfg.sweep_level, 7),
+                         params={"alpha": alpha}, seed=cfg.seed)
+        )
+        fam = build_reducing_family(w, 2.0, max_depth=scan_depth(w.level))
+        probe = sharpness_probe(w)
+        return [alpha, fam.characteristic(), float("nan"), float("nan"),
+                probe.max_ratio, probe.max_inverse_ratio]
+
+    for alpha, row, err in _gather(rotating, (0.3, 0.6, 0.9)):
+        if err is not None:
             result.failures.append(
-                CellFailure("sharpness", f"rotating alpha={alpha}", repr(exc))
+                CellFailure("sharpness", f"rotating alpha={alpha}", repr(err))
             )
+            continue
+        rows.append(row)
     result.files.append(
         write_csv(
             out / "sharpness_sweep.csv",

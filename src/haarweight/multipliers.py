@@ -1,9 +1,9 @@
-"""Constant Haar multipliers and the weighted synthesis operator T.
+"""Haar multipliers and the weighted synthesis operator T.
 
-M acts coefficient-wise: the detail coefficient at (I, eps) is multiplied by
-the cube's reducing operator V_I (forward mode) or V_I^{-1} (inverse mode);
-the root scaling term passes through untouched. T composes the inverse
-multiplier with Haar synthesis and a pointwise W^{1/p} factor,
+A multiplier acts coefficient-wise (apply_symbols): the detail coefficient at
+(I, eps) is multiplied by one matrix per cube, V_I in the square function and
+V_I^{-1} in T; the root scaling term passes through untouched. T composes the
+inverse multiplier with Haar synthesis and a pointwise W^{1/p} factor,
 
     T f = W^{1/p} sum_{I, eps} V_I^{-1} f_I^eps h_I^eps,
 
@@ -12,8 +12,6 @@ same composition restricted to the j-th stopping generation, so the blocks
 sum back to T exactly.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,53 +22,18 @@ from .stopping import GenerationTree, restrict_coefficients
 from .weights import MatrixWeight, apply_cells
 
 __all__ = [
-    "HaarMultiplier",
-    "haar_multiplier",
-    "multiplier_apply",
+    "apply_symbols",
     "t_operator",
     "t_block",
     "t_blocks",
-    "cross_term",
 ]
 
-_MODES = ("forward", "inverse")
 
-
-@dataclass(eq=False)
-class HaarMultiplier:
-    """Per-cube SPD symbols V_I or V_I^{-1}, tied to their reducing family."""
-
-    family: ReducingFamily
-    mode: str
-    symbols: list  # per level, (2^l,)*d + (n, n)
-
-    @property
-    def depth(self) -> int:
-        return len(self.symbols) - 1
-
-
-def haar_multiplier(family: ReducingFamily, mode: str = "forward") -> HaarMultiplier:
-    if mode not in _MODES:
-        raise ParameterError(f"multiplier mode must be one of {_MODES}, got {mode!r}")
-    symbols = family.v if mode == "forward" else family.v_inv
-    return HaarMultiplier(family=family, mode=mode, symbols=symbols)
-
-
-def multiplier_apply(m: HaarMultiplier, f: HaarCoefficients) -> HaarCoefficients:
-    if f.d != m.family.d or f.n != m.family.n:
-        raise ShapeError(
-            f"coefficients (d={f.d}, n={f.n}) do not match family "
-            f"(d={m.family.d}, n={m.family.n})"
-        )
-    if f.level - 1 > m.depth:
-        raise CoverageError(
-            f"coefficients need symbols to level {f.level - 1}, family has {m.depth}"
-        )
-    detail = [
-        np.einsum("...ij,...ej->...ei", m.symbols[l], f.detail[l])
-        for l in range(f.level)
-    ]
-    return HaarCoefficients(f.d, f.n, f.level, f.root_scaling.copy(), detail)
+def apply_symbols(symbols: list, detail: list) -> list:
+    """Per level, each cube's symbol applied to every detail coefficient of
+    that cube: symbols[l] has shape (2^l,)*d + (n, n), detail[l] the shape of
+    HaarCoefficients.detail[l]; levels beyond the shorter list are dropped."""
+    return [np.einsum("...ij,...ej->...ei", s, b) for s, b in zip(symbols, detail)]
 
 
 def _require_mean_zero(f: HaarCoefficients):
@@ -86,13 +49,19 @@ def _weighted_synthesis(
 ) -> GridFunction:
     if p != family.p:
         raise ParameterError(f"exponent {p} does not match family exponent {family.p}")
-    if (weight.d, weight.n) != (family.d, family.n):
-        raise ShapeError("weight and family dimensions differ")
+    if not (weight.d, weight.n) == (f.d, f.n) == (family.d, family.n):
+        raise ShapeError("weight, coefficient and family dimensions differ")
     if f.level != weight.level:
         raise ShapeError(
             f"coefficients live at level {f.level}, weight at {weight.level}"
         )
-    g = haar_reconstruct(multiplier_apply(haar_multiplier(family, "inverse"), f))
+    if f.level - 1 > family.max_depth:
+        raise CoverageError(
+            f"coefficients need symbols to level {f.level - 1}, "
+            f"family has {family.max_depth}"
+        )
+    detail = apply_symbols(family.v_inv, f.detail)
+    g = haar_reconstruct(HaarCoefficients(f.d, f.n, f.level, f.root_scaling, detail))
     vals = apply_cells(weight.power_cells(1.0 / p), g.values)
     return GridFunction(g.d, g.n, g.level, vals)
 
@@ -130,21 +99,3 @@ def t_blocks(
         t_block(weight, family, f, tree, j, p)
         for j in range(1, tree.generation_count() + 1)
     ]
-
-
-def cross_term(
-    weight: MatrixWeight,
-    family: ReducingFamily,
-    f: HaarCoefficients,
-    tree: GenerationTree,
-    j: int,
-    k: int,
-    p: float,
-) -> float:
-    """Exact cell sum of |T_j f|^{p/2} |T_k f|^{p/2}; at j = k this is
-    lp_norm(T_j f, p)^p."""
-    tj = t_block(weight, family, f, tree, j, p)
-    tk = t_block(weight, family, f, tree, k, p) if k != j else tj
-    nj = np.linalg.norm(tj.values, axis=-1)
-    nk = np.linalg.norm(tk.values, axis=-1)
-    return float(np.mean((nj * nk) ** (p / 2.0)))

@@ -25,12 +25,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dyadic import DyadicCube, mean_pyramid
+from .dyadic import mean_pyramid
 from .errors import (
     CoverageError,
     EllipsoidFitError,
     ParameterError,
-    ShapeError,
 )
 from .weights import MatrixWeight, spd_power_stack
 
@@ -40,8 +39,7 @@ __all__ = [
     "METHOD_NAMES",
     "quasi_uniform_directions",
     "build_reducing_family",
-    "ap_characteristic",
-    "scalar_ap_characteristic",
+    "scan_depth",
     "duality_check",
     "DualityReport",
     "op_norm_stack",
@@ -307,44 +305,11 @@ class ReducingFamily:
     def __post_init__(self):
         self._cache = {}
 
-    def _check(self, cube: DyadicCube):
-        if cube.d != self.d:
-            raise ShapeError(f"cube dimension {cube.d}, family dimension {self.d}")
-        if cube.level > self.max_depth:
-            raise CoverageError(
-                f"cube level {cube.level} beyond family depth {self.max_depth}"
-            )
-
-    def v_at(self, cube: DyadicCube) -> np.ndarray:
-        self._check(cube)
-        return self.v[cube.level][cube.index]
-
-    def v_dual_at(self, cube: DyadicCube) -> np.ndarray:
-        self._check(cube)
-        return self.v_dual[cube.level][cube.index]
-
-    def kappa_at(self, cube: DyadicCube) -> float:
-        self._check(cube)
-        return float(self.kappa[cube.level][cube.index])
-
-    def method_at(self, cube: DyadicCube, dual: bool = False) -> str:
-        self._check(cube)
-        codes = self.method_dual if dual else self.method
-        return METHOD_NAMES[int(codes[cube.level][cube.index])]
-
     @property
     def v_inv(self) -> list:
         if "v_inv" not in self._cache:
             self._cache["v_inv"] = [spd_power_stack(a, -1.0) for a in self.v]
         return self._cache["v_inv"]
-
-    @property
-    def v_dual_inv(self) -> list:
-        if "v_dual_inv" not in self._cache:
-            self._cache["v_dual_inv"] = [
-                spd_power_stack(a, -1.0) for a in self.v_dual
-            ]
-        return self._cache["v_dual_inv"]
 
     def max_kappa(self, depth: int | None = None) -> float:
         depth = self.max_depth if depth is None else min(depth, self.max_depth)
@@ -360,8 +325,14 @@ class ReducingFamily:
         depth = self.max_depth if depth is None else min(depth, self.max_depth)
         return float(min(self.pair_norms(l).min() for l in range(depth + 1)))
 
-    def characteristic(self, depth: int) -> float:
-        """sup over cubes of level <= depth of ||V_I V'_I||^p."""
+    def characteristic(self, depth: int | None = None) -> float:
+        """sup over cubes of level <= depth (default scan_depth) of
+        ||V_I V'_I||^p."""
+        depth = scan_depth(self.level) if depth is None else depth
+        if depth > self.max_depth:
+            raise CoverageError(
+                f"scan depth {depth} beyond family depth {self.max_depth}"
+            )
         best = max(float(self.pair_norms(l).max()) for l in range(depth + 1))
         return best**self.p
 
@@ -469,62 +440,10 @@ def build_reducing_family(
 # characteristics
 
 
-def _family_for(
-    weight: MatrixWeight,
-    p: float,
-    max_depth: int | None,
-    family: ReducingFamily | None,
-    fit: FitConfig | None = None,
-):
-    depth = max(weight.level - 2, 0) if max_depth is None else int(max_depth)
-    if depth > weight.level:
-        raise ParameterError(f"max_depth {depth} exceeds grid level {weight.level}")
-    if family is not None:
-        if family.p != p:
-            raise ParameterError(f"family exponent {family.p} != requested {p}")
-        if family.max_depth < depth:
-            raise CoverageError(
-                f"family depth {family.max_depth} < requested scan depth {depth}"
-            )
-        return family, depth
-    return build_reducing_family(weight, p, max_depth=depth, fit=fit), depth
-
-
-def ap_characteristic(
-    weight: MatrixWeight,
-    p: float,
-    max_depth: int | None = None,
-    family: ReducingFamily | None = None,
-    fit: FitConfig | None = None,
-) -> float:
-    """sup over cubes (level <= max_depth, default L-2) of ||V_I V'_I||^p."""
-    fam, depth = _family_for(weight, p, max_depth, family, fit)
-    return fam.characteristic(depth)
-
-
-def scalar_ap_characteristic(
-    weight: MatrixWeight,
-    e,
-    p: float,
-    max_depth: int | None = None,
-) -> float:
-    """Scalar characteristic of w_e(x) = |W(x)^{1/p} e|^p over the same cubes."""
-    if not 1.0 < p < math.inf:
-        raise ParameterError(f"exponent must satisfy 1 < p < inf, got {p}")
-    e = np.asarray(e, dtype=float).reshape(-1)
-    if e.shape != (weight.n,):
-        raise ShapeError(f"direction shape {e.shape}, expected ({weight.n},)")
-    depth = max(weight.level - 2, 0) if max_depth is None else int(max_depth)
-    x = np.einsum("...ij,j->...i", weight.power_cells(1.0 / p), e)
-    w = np.linalg.norm(x, axis=-1) ** p
-    if w.min() <= 0.0:
-        raise ParameterError("direction lies in the kernel of some cell")
-    pyr_w = mean_pyramid(w, weight.d)
-    pyr_s = mean_pyramid(w ** (1.0 - conjugate_exponent(p)), weight.d)
-    best = max(
-        float((pyr_w[l] * pyr_s[l] ** (p - 1.0)).max()) for l in range(depth + 1)
-    )
-    return best
+def scan_depth(level: int) -> int:
+    """Default scan depth of the characteristic on a level-L grid,
+    max(L - 2, 0): every scanned cube spans at least 4 cells per axis."""
+    return max(level - 2, 0)
 
 
 @dataclass(frozen=True)
@@ -558,11 +477,15 @@ def duality_check(
     W^{1-p'} may show; acceptance criterion 5 makes that refit.
     """
     q = conjugate_exponent(p)
-    fam, depth = _family_for(weight, p, max_depth, family, fit)
-    char = fam.characteristic(depth)
-    char_dual = fam.swapped().characteristic(depth)
+    depth = scan_depth(weight.level) if max_depth is None else int(max_depth)
+    if family is None:
+        family = build_reducing_family(weight, p, max_depth=depth, fit=fit)
+    elif family.p != p:
+        raise ParameterError(f"family exponent {family.p} != requested {p}")
+    char = family.characteristic(depth)
+    char_dual = family.swapped().characteristic(depth)
     predicted = char ** (q / p)
-    kappa = fam.max_kappa(depth)
+    kappa = family.max_kappa(depth)
     log_gap = abs(math.log(char_dual) - math.log(predicted))
     log_bound = 4.0 * math.log(kappa)
     return DualityReport(

@@ -1,4 +1,4 @@
-"""File formats: grid functions, weights, operator families, trees, reports.
+"""File formats: weights, trees, reports, manifests.
 
 CSV carries a '#'-prefixed header (so bodies stay plot-ready), binary carries
 a short magic + struct header. All floats are written with repr(), which is
@@ -17,18 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .dyadic import GridFunction
 from .errors import SerializationError, ShapeError
-from .reducing import METHOD_NAMES, ReducingFamily
 from .stopping import GenerationTree
 from .weights import MatrixWeight
 
 __all__ = [
-    "save_grid_function",
-    "load_grid_function",
     "save_weight",
     "load_weight",
-    "export_reducing_family",
     "tree_to_dict",
     "save_generation_tree",
     "equivalence_to_dict",
@@ -39,7 +34,6 @@ __all__ = [
     "write_manifest",
 ]
 
-_GF_MAGIC = b"HWGF\x01"
 _MW_MAGIC = b"HWMW\x01"
 
 
@@ -94,27 +88,6 @@ def _infer_fmt(path, fmt):
     return "csv" if Path(path).suffix.lower() == ".csv" else "binary"
 
 
-# ---------------------------------------------------------------------------
-# grid functions: flat cell values, row-major, header (d, n, L)
-
-
-def save_grid_function(f: GridFunction, path, fmt: str | None = None) -> Path:
-    path = Path(path)
-    flat = f.values.reshape(-1, f.n)
-    if _infer_fmt(path, fmt) == "csv":
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# haarweight grid-function v1 d={f.d} n={f.n} L={f.level}\n")
-            w = csv.writer(fh, lineterminator="\n")
-            for row in flat:
-                w.writerow([_fmt(x) for x in row])
-    else:
-        with open(path, "wb") as fh:
-            fh.write(_GF_MAGIC)
-            fh.write(struct.pack("<3q", f.d, f.n, f.level))
-            fh.write(np.ascontiguousarray(flat, dtype=np.float64).tobytes())
-    return path
-
-
 def _parse_header(line: str, kind: str) -> tuple:
     parts = line.strip().split()
     if parts[:3] != ["#", "haarweight", kind]:
@@ -124,30 +97,6 @@ def _parse_header(line: str, kind: str) -> tuple:
         return int(kv["d"]), int(kv["n"]), int(kv["L"])
     except KeyError as exc:
         raise SerializationError(f"header missing field {exc}") from exc
-
-
-def load_grid_function(path, fmt: str | None = None) -> GridFunction:
-    path = Path(path)
-    if _infer_fmt(path, fmt) == "csv":
-        with open(path) as fh:
-            d, n, level = _parse_header(fh.readline(), "grid-function")
-            flat = np.array(
-                [[float(x) for x in row] for row in csv.reader(fh) if row]
-            )
-    else:
-        raw = path.read_bytes()
-        if raw[: len(_GF_MAGIC)] != _GF_MAGIC:
-            raise SerializationError(f"bad magic in {path}")
-        d, n, level = struct.unpack_from("<3q", raw, len(_GF_MAGIC))
-        flat = np.frombuffer(raw, dtype=np.float64, offset=len(_GF_MAGIC) + 24)
-        flat = flat.reshape(-1, n).copy()
-    cells = (1 << level) ** d
-    if flat.shape != (cells, n):
-        raise SerializationError(
-            f"{path}: {flat.shape[0]} rows of width {flat.shape[1] if flat.ndim == 2 else '?'}, "
-            f"expected {cells} x {n}"
-        )
-    return GridFunction(d, n, level, flat.reshape(((1 << level),) * d + (n,)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,33 +166,6 @@ def load_weight(path, fmt: str | None = None) -> MatrixWeight:
         return MatrixWeight(d, n, level, mats.reshape(((1 << level),) * d + (n, n)), meta)
     except ShapeError as exc:  # pragma: no cover - header/body mismatch above
         raise SerializationError(str(exc)) from exc
-
-
-# ---------------------------------------------------------------------------
-# reducing families: one row per cube
-
-
-def export_reducing_family(family: ReducingFamily, path) -> Path:
-    """CSV rows (level, index, method, kappa, V entries, V' entries)."""
-    n = family.n
-    header = ["level", "index", "method", "kappa"]
-    header += [f"v_{i}_{j}" for i in range(n) for j in range(n)]
-    header += [f"vd_{i}_{j}" for i in range(n) for j in range(n)]
-
-    def rows():
-        for lvl in range(family.max_depth + 1):
-            v = family.v[lvl].reshape(-1, n, n)
-            vd = family.v_dual[lvl].reshape(-1, n, n)
-            kap = family.kappa[lvl].reshape(-1)
-            meth = family.method[lvl].reshape(-1)
-            for idx in range(v.shape[0]):
-                yield (
-                    [lvl, idx, METHOD_NAMES[int(meth[idx])], kap[idx]]
-                    + list(v[idx].reshape(-1))
-                    + list(vd[idx].reshape(-1))
-                )
-
-    return write_csv(path, header, rows())
 
 
 # ---------------------------------------------------------------------------

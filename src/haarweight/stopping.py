@@ -8,9 +8,11 @@ reducing operators drift too far apart:
 
 The maximal such J (first hit on the way down) form the next generation of
 block roots; the cubes visited before any hit form the block F(I). Blocks
-partition the tree down to floor_level; cubes at the floor may fire but are
-never split further, and every generation whose frontier reaches the floor is
-flagged, since its subtree was truncated rather than exhausted.
+partition the tree down to the floor, the grid level L; cubes at the floor may
+fire but are never split further, and every generation whose frontier reaches
+the floor is flagged, since its subtree was truncated rather than exhausted.
+Each generation's roots lie strictly below the last, so there are at most
+L + 1 generations.
 
 Thresholds are calibrated against the measured per-cube decay of the fired
 region, separately per test (each to half the target, so the union meets the
@@ -36,7 +38,7 @@ from .dyadic import (
     refine_to_cells,
 )
 from .errors import CoverageError, ParameterError, ShapeError
-from .reducing import ReducingFamily, ap_characteristic, conjugate_exponent, op_norm_stack
+from .reducing import ReducingFamily, conjugate_exponent, op_norm_stack
 
 __all__ = [
     "StoppingConfig",
@@ -54,13 +56,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StoppingConfig:
-    """Thresholds and tree bounds for one decomposition."""
+    """Exponent and thresholds for one decomposition."""
 
     p: float
     lambda1: float
     lambda2: float
-    floor_level: int | None = None  # default: the family's grid level
-    max_generations: int = 64
 
     def __post_init__(self):
         if not 1.0 < self.p < math.inf:
@@ -69,8 +69,6 @@ class StoppingConfig:
             raise ParameterError(
                 f"thresholds must exceed 1, got {self.lambda1}, {self.lambda2}"
             )
-        if self.max_generations < 1:
-            raise ParameterError("max_generations must be positive")
 
 
 @dataclass(eq=False)
@@ -148,15 +146,13 @@ def _tables_for(family: ReducingFamily) -> _PairTables:
     return family._cache["pair_tables"]
 
 
-def _resolve_floor(family: ReducingFamily, cfg: StoppingConfig) -> int:
-    floor = family.level if cfg.floor_level is None else cfg.floor_level
-    if not 0 <= floor <= family.level:
-        raise ParameterError(f"floor_level {floor} outside [0, {family.level}]")
-    if floor > family.max_depth:
+def _floor(family: ReducingFamily) -> int:
+    """The floor is the grid level; the family must reach it."""
+    if family.level > family.max_depth:
         raise CoverageError(
-            f"floor_level {floor} beyond family depth {family.max_depth}"
+            f"floor {family.level} beyond family depth {family.max_depth}"
         )
-    return floor
+    return family.level
 
 
 def _scan_block(family, cfg, root: DyadicCube, floor: int, tables: _PairTables):
@@ -207,7 +203,7 @@ def build_generations(family: ReducingFamily, cfg: StoppingConfig) -> Generation
     """Iterate blocks until no cube fires; every tree cube gets a block label."""
     if cfg.p != family.p:
         raise ParameterError(f"config exponent {cfg.p} != family exponent {family.p}")
-    floor = _resolve_floor(family, cfg)
+    floor = _floor(family)
     d = family.d
     root = DyadicCube.root(d)
     tables = _tables_for(family)
@@ -217,10 +213,6 @@ def build_generations(family: ReducingFamily, cfg: StoppingConfig) -> Generation
     j = 0
     while roots:
         j += 1
-        if j > cfg.max_generations:
-            raise CoverageError(
-                f"stopping tree not exhausted after {cfg.max_generations} generations"
-            )
         stopping = []
         floor_hit = False
         for r in roots:
@@ -285,8 +277,8 @@ def delta_projection(
 ) -> GridFunction:
     """The block-j piece of f: details on F^j cubes, no scaling term.
 
-    Summing over all generations recovers f minus its mean whenever the floor
-    is at least L-1 (every detail cube then carries exactly one label).
+    Summing over all generations recovers f minus its mean: every detail cube
+    carries exactly one label.
     """
     return haar_reconstruct(restrict_coefficients(coeffs, tree, j))
 
@@ -304,7 +296,6 @@ class CalibrationResult:
     c1_hat: float
     c2_hat: float
     lambda1: float
-    floor_level: int
     chars: dict
     lambda2_by_weight: dict
     achieved: dict  # weight name -> measured combined sup decay at the margins
@@ -377,7 +368,6 @@ def _least_threshold(entries: list, mode: int, target: float, power: float) -> f
 def calibrate_lambdas(
     weights_and_families: list,
     target: float = 0.5,
-    floor_level: int | None = None,
 ) -> CalibrationResult:
     """Calibrate (lambda1, lambda2) so every weight's stopping tree decays.
 
@@ -398,14 +388,9 @@ def calibrate_lambdas(
     if not 0.0 < target < 1.0:
         raise ParameterError(f"target decay must lie in (0,1), got {target}")
     entries = []
-    for name, weight, fam in weights_and_families:
-        floor = fam.level if floor_level is None else floor_level
-        if floor > fam.max_depth:
-            raise CoverageError(
-                f"floor {floor} beyond family depth {fam.max_depth} for {name}"
-            )
-        char = ap_characteristic(weight, p, family=fam)
-        entries.append((name, fam, _tables_for(fam), floor, char))
+    for name, _, fam in weights_and_families:
+        floor = _floor(fam)
+        entries.append((name, fam, _tables_for(fam), floor, fam.characteristic()))
 
     c1 = _least_threshold(entries, 1, target, 0.0)
     c2 = _least_threshold(entries, 2, target, q / p)
@@ -423,14 +408,12 @@ def calibrate_lambdas(
         )
         for name, _, tab, floor, _ in entries
     }
-    floor_out = entries[0][3] if floor_level is None else floor_level
     return CalibrationResult(
         p=p,
         target=target,
         c1_hat=c1,
         c2_hat=c2,
         lambda1=lambda1,
-        floor_level=floor_out,
         chars=chars,
         lambda2_by_weight=lambda2s,
         achieved=achieved,

@@ -14,17 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import GridFunction, DyadicCube, _split_blocks, lp_norm, mean_pyramid
+from .dyadic import GridFunction, _split_blocks, lp_norm, mean_pyramid
 from .errors import MatrixDomainError, ParameterError, ShapeError
 
 __all__ = [
     "EIGEN_FLOOR",
     "MatrixWeight",
     "WeightFamily",
-    "spd_power",
     "spd_power_stack",
     "apply_cells",
-    "weight_average",
     "weighted_lp_norm",
     "make_weight",
 ]
@@ -52,15 +50,6 @@ def spd_power_stack(mats: np.ndarray, s: float) -> np.ndarray:
     powered = vals**s
     out = np.einsum("...ik,...k,...jk->...ij", vecs, powered, vecs)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-
-def spd_power(a: np.ndarray, s: float) -> np.ndarray:
-    """A^s for a single SPD matrix; rejects non-SPD input."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    _check_spd_stack(a[None], "spd_power")
-    return spd_power_stack(a, s)
 
 
 def apply_cells(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -123,10 +112,6 @@ class MatrixWeight:
             self._cache["mean", key] = mean_pyramid(self.power_cells(s), self.d)
         return self._cache["mean", key]
 
-    def eigenvalue_range(self) -> tuple:
-        vals = np.linalg.eigvalsh(self.cells)
-        return float(vals.min()), float(vals.max())
-
     def proportionality_pyramid(self) -> list:
         """Per level, (mask, A) for the cubes on which W(x) = s(x) A exactly,
         with s = W_00. Cells divided by W_00 compare by exact equality, so a
@@ -146,16 +131,6 @@ class MatrixWeight:
             rep = blocks[..., 0, :, :]
             out.append((flag, rep))
         return out[::-1]
-
-
-def weight_average(weight: MatrixWeight, cube: DyadicCube) -> np.ndarray:
-    """Exact average of W over a cube (mean of equal-measure cells)."""
-    if cube.d != weight.d or cube.level > weight.level:
-        raise ShapeError(
-            f"cube (d={cube.d}, level={cube.level}) does not fit weight grid"
-        )
-    sub = weight.cells[cube.cell_slices(weight.level)]
-    return sub.mean(axis=tuple(range(weight.d)))
 
 
 def weighted_lp_norm(f: GridFunction, weight: MatrixWeight, p: float) -> float:

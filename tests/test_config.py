@@ -89,6 +89,23 @@ def test_field_validation():
     ExperimentConfig(stopping_lambda1=1.0001, stopping_lambda2=1.0001)
 
 
+def test_infinite_exponent_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="finite"):
+        ExperimentConfig(ps=(2.0, float("inf")))
+    payload = config_to_dict(default_config())
+    payload["ps"] = [float("inf")]
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(payload))  # written as the JSON token Infinity
+    assert "Infinity" in p.read_text()
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(p)
+
+
+def test_empty_spectra_rejected():
+    with pytest.raises(ConfigError, match="spectra"):
+        ExperimentConfig(spectra=())
+
+
 def test_weight_spec_realize_from_file(tmp_path):
     from haarweight import WeightFamily, make_weight
 

@@ -1,8 +1,8 @@
 """Dyadic grid and Haar transform checks.
 
-Covers: cube geometry, signature enumeration, pointwise Haar values against
-hand-computed cases, exactness of the pyramid transform (round trip and
-Parseval), orthonormality of the synthesized basis, and the L^p cell sums.
+Covers: cube geometry, signature enumeration, the pointwise Haar oracle
+against hand-computed cases, exactness of the pyramid transform (round trip
+and Parseval), orthonormality of the synthesized basis, and the L^p cell sums.
 """
 
 import numpy as np
@@ -10,15 +10,12 @@ import numpy.testing as npt
 import pytest
 
 from haarweight import (
-    CoverageError,
     DomainError,
     DyadicCube,
     GridFunction,
     HaarCoefficients,
-    HaarSignature,
     ParameterError,
     ShapeError,
-    haar_eval,
     haar_reconstruct,
     haar_transform,
     lp_norm,
@@ -36,26 +33,29 @@ def random_grid(d, n, L, rng):
     return GridFunction(d, n, L, rng.standard_normal(((1 << L),) * d + (n,)))
 
 
+def haar_eval(cube, eps, point):
+    """Pointwise value of h_cube^eps at a point of [0,1)^d (0 off the cube),
+    from the definition: the oracle for the pyramid transform."""
+    x = np.asarray(point, dtype=float) * (1 << cube.level)  # in units of the side
+    cell = np.floor(x)
+    if tuple(int(i) for i in cell) != cube.index:
+        return 0.0
+    upper = x - cell >= 0.5
+    flips = sum(1 for e, u in zip(eps, upper) if e == 0 and u)
+    return (-1.0) ** flips * 2.0 ** (cube.level * cube.d / 2.0)
+
+
 # ---------------------------------------------------------------------------
 # cubes and signatures
 
 
 def test_cube_geometry():
-    c = DyadicCube(2, (1, 3))
+    c = DyadicCube(2, [np.int64(1), 3])
+    assert c.index == (1, 3) and all(type(i) is int for i in c.index)
     assert c.d == 2
-    assert c.side == 0.25
     assert c.measure == 0.0625
-    npt.assert_allclose(c.lower_corner(), [0.25, 0.75])
-    assert c.parent() == DyadicCube(1, (0, 1))
-    assert c.ancestor(0) == DyadicCube.root(2)
-    kids = c.children()
-    assert len(kids) == 4
-    assert kids[0] == DyadicCube(3, (2, 6))
-    assert kids[-1] == DyadicCube(3, (3, 7))
-    assert c.contains_point([0.3, 0.8])
-    assert not c.contains_point([0.3, 0.2])
-    assert c.contains_cube(kids[2])
-    assert not kids[2].contains_cube(c)
+    assert DyadicCube.root(2) == DyadicCube(0, (0, 0))
+    assert DyadicCube.root(3).measure == 1.0
 
 
 def test_cube_validation():
@@ -64,7 +64,9 @@ def test_cube_validation():
     with pytest.raises(DomainError):
         DyadicCube(-1, (0,))
     with pytest.raises(DomainError):
-        DyadicCube.root(1).parent()
+        DyadicCube(0, ())
+    with pytest.raises(DomainError):
+        DyadicCube(2, (1,)).cell_slices(1)
 
 
 def test_cell_slices():
@@ -79,10 +81,7 @@ def test_signature_enumeration():
     assert detail_signatures(2) == ((0, 0), (0, 1), (1, 0))
     assert len(detail_signatures(3)) == 7
     with pytest.raises(ParameterError):
-        HaarSignature((1, 1))
-    with pytest.raises(ParameterError):
-        HaarSignature((0, 2))
-    assert HaarSignature((0, 1)).position == 1
+        detail_signatures(0)
 
 
 def test_sign_matrix_hadamard():
@@ -99,26 +98,23 @@ def test_sign_matrix_hadamard():
 
 def test_haar_eval_1d():
     root = DyadicCube.root(1)
-    sig = HaarSignature((0,))
-    assert haar_eval(root, sig, [0.2]) == 1.0
-    assert haar_eval(root, sig, [0.5]) == -1.0
-    assert haar_eval(root, sig, [0.99]) == -1.0
+    assert haar_eval(root, (0,), [0.2]) == 1.0
+    assert haar_eval(root, (0,), [0.5]) == -1.0
+    assert haar_eval(root, (0,), [0.99]) == -1.0
     half = DyadicCube(1, (1,))
-    assert haar_eval(half, sig, [0.6]) == pytest.approx(np.sqrt(2.0))
-    assert haar_eval(half, sig, [0.8]) == pytest.approx(-np.sqrt(2.0))
-    assert haar_eval(half, sig, [0.2]) == 0.0
-    with pytest.raises(DomainError):
-        haar_eval(root, sig, [1.0])
+    assert haar_eval(half, (0,), [0.6]) == pytest.approx(np.sqrt(2.0))
+    assert haar_eval(half, (0,), [0.8]) == pytest.approx(-np.sqrt(2.0))
+    assert haar_eval(half, (0,), [0.2]) == 0.0
 
 
 def test_haar_eval_2d_mixed_signature():
     # oscillates in x1 only; (0.7, 0.2) sits in the right half in x1
     root = DyadicCube.root(2)
-    assert haar_eval(root, HaarSignature((0, 1)), [0.7, 0.2]) == -1.0
-    assert haar_eval(root, HaarSignature((1, 0)), [0.7, 0.2]) == 1.0
-    assert haar_eval(root, HaarSignature((0, 0)), [0.7, 0.2]) == -1.0
+    assert haar_eval(root, (0, 1), [0.7, 0.2]) == -1.0
+    assert haar_eval(root, (1, 0), [0.7, 0.2]) == 1.0
+    assert haar_eval(root, (0, 0), [0.7, 0.2]) == -1.0
     sub = DyadicCube(1, (1, 0))
-    assert haar_eval(sub, HaarSignature((0, 0)), [0.7, 0.2]) == 2.0
+    assert haar_eval(sub, (0, 0), [0.7, 0.2]) == 2.0
 
 
 def test_haar_eval_l2_normalized():
@@ -128,7 +124,7 @@ def test_haar_eval_l2_normalized():
         for lvl in range(0, 3):
             for idx in [(0,) * d, ((1 << lvl) - 1,) * d]:
                 cube = DyadicCube(lvl, idx)
-                for sig in HaarSignature.all(d):
+                for sig in detail_signatures(d):
                     h = 1 << L
                     pts = (np.arange(h) + 0.5) / h
                     grids = np.meshgrid(*([pts] * d), indexing="ij")
@@ -187,9 +183,10 @@ def test_single_coefficient_synthesis_matches_eval():
             lvl = int(rng.integers(0, L))
             idx = tuple(int(rng.integers(0, 1 << lvl)) for _ in range(d))
             cube = DyadicCube(lvl, idx)
-            sig = HaarSignature.all(d)[int(rng.integers(0, (1 << d) - 1))]
+            pos = int(rng.integers(0, (1 << d) - 1))
+            sig = detail_signatures(d)[pos]
             c = HaarCoefficients.zeros(d, 1, L)
-            c.set(cube, sig, [1.0])
+            c.detail[lvl][idx + (pos,)] = 1.0
             g = haar_reconstruct(c)
             h = 1 << L
             pts = (np.arange(h) + 0.5) / h
@@ -210,25 +207,13 @@ def test_basis_orthonormality_gram():
         cols.append(haar_reconstruct(c).values.reshape(-1))
         for lvl in range(L):
             for idx in np.ndindex(*((1 << lvl),) * d):
-                for sig in HaarSignature.all(d):
+                for pos in range((1 << d) - 1):
                     c = HaarCoefficients.zeros(d, 1, L)
-                    c.set(DyadicCube(lvl, idx), sig, [1.0])
+                    c.detail[lvl][idx + (pos,)] = 1.0
                     cols.append(haar_reconstruct(c).values.reshape(-1))
         h = np.stack(cols, axis=1)
         gram = h.T @ h / h.shape[0]
         npt.assert_allclose(gram, np.eye(h.shape[1]), atol=1e-12)
-
-
-def test_coefficient_get_set_round_trip():
-    c = HaarCoefficients.zeros(2, 3, 4)
-    cube = DyadicCube(2, (1, 2))
-    sig = HaarSignature((1, 0))
-    c.set(cube, sig, [1.0, -2.0, 0.5])
-    npt.assert_array_equal(c.get(cube, sig), [1.0, -2.0, 0.5])
-    with pytest.raises(CoverageError):
-        c.get(DyadicCube(4, (0, 0)), sig)
-    with pytest.raises(ShapeError):
-        c.get(DyadicCube(1, (0,)), sig)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +254,5 @@ def test_grid_function_validation():
         GridFunction(1, 1, 2, np.zeros((3, 1)))
     with pytest.raises(ShapeError):
         GridFunction(1, 1, 1, np.array([[np.nan], [0.0]]))
-    g = GridFunction.constant([1.0, 2.0], 2, 3)
-    assert g.n == 2 and g.values.shape == (8, 8, 2)
-    npt.assert_array_equal(g.cell_value([0.99, 0.5]), [1.0, 2.0])
-    with pytest.raises(DomainError):
-        g.cell_value([1.0, 0.5])
+    with pytest.raises(ParameterError):
+        GridFunction(0, 1, 1, np.zeros((2, 1)))

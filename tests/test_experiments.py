@@ -119,6 +119,29 @@ def test_cell_failure_isolation(tmp_path):
     assert "MatrixDomainError" in failures
 
 
+def test_failing_rotating_sharpness_point_is_a_cell_failure(tmp_path, monkeypatch):
+    import haarweight.experiments as experiments
+
+    probe = experiments.sharpness_probe
+
+    def flaky(weight, *args, **kwargs):
+        if weight.n == 2:
+            raise RuntimeError("no convergence")
+        return probe(weight, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sharpness_probe", flaky)
+    cfg = tiny_config(tmp_path / "out", experiments=("haar", "sharpness"))
+    result = run_experiments(cfg)
+    cells = [f.cell for f in result.failures]
+    assert cells == [f"rotating alpha={a}" for a in (0.3, 0.6, 0.9)]
+    names = {p.name for p in result.files}
+    assert {"sharpness_sweep.csv", "failures.csv", "manifest.json"} <= names
+    failures = (result.out_dir / "failures.csv").read_text()
+    assert "sharpness,rotating alpha=0.3,RuntimeError" in failures
+    rows = (result.out_dir / "sharpness_sweep.csv").read_text().splitlines()
+    assert len(rows) == 1 + len(cfg.sweep_alphas)  # the scalar sweep still ran
+
+
 def test_experiment_selection(tmp_path):
     cfg = tiny_config(tmp_path / "out")
     result = run_experiments(cfg, experiment="haar")

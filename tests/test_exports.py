@@ -1,0 +1,40 @@
+"""Export integrity: every name a module lists in __all__, and every name the
+package imports into haarweight, resolves.
+
+perfbench/layers.py wraps each layer's public functions by looking up the
+names of __all__ with a default, so a stale name there would silently drop
+its span rather than fail.
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import haarweight
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(haarweight.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    mod = importlib.import_module(f"haarweight.{name}")
+    exported = list(getattr(mod, "__all__", ()))
+    assert len(exported) == len(set(exported))
+    assert [n for n in exported if not hasattr(mod, n)] == []
+
+
+def test_package_names_resolve():
+    tree = ast.parse(Path(haarweight.__file__).read_text())
+    imported = [
+        (node.module, alias.asname or alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert imported
+    for module, name in imported:
+        assert hasattr(importlib.import_module(f"haarweight.{module}"), name)
+        assert hasattr(haarweight, name), name

@@ -10,7 +10,6 @@ from haarweight import (
     CoverageError,
     DyadicCube,
     HaarCoefficients,
-    HaarSignature,
     MatrixWeight,
     ParameterError,
     StoppingConfig,
@@ -21,15 +20,14 @@ from haarweight import (
     lp_norm,
     make_weight,
 )
-from haarweight.dyadic import haar_eval, haar_reconstruct, haar_transform
+from haarweight.dyadic import haar_reconstruct, haar_transform
 from haarweight.multipliers import (
-    cross_term,
-    haar_multiplier,
-    multiplier_apply,
+    apply_symbols,
     t_block,
     t_blocks,
     t_operator,
 )
+from test_dyadic import haar_eval
 
 
 def random_mean_zero(d, n, level, seed):
@@ -62,30 +60,28 @@ def test_identity_weight_is_reconstruction():
 
 def test_forward_inverse_roundtrip():
     w, fam = rotating_setup()
+    for v, v_inv in zip(fam.v, fam.v_inv):
+        np.testing.assert_allclose(v_inv @ v, np.broadcast_to(np.eye(2), v.shape),
+                                   atol=1e-9)
     f = random_mean_zero(1, 2, 4, seed=1)
-    f.root_scaling[:] = [0.7, -0.2]
-    fw = multiplier_apply(haar_multiplier(fam, "forward"), f)
-    back = multiplier_apply(haar_multiplier(fam, "inverse"), fw)
-    np.testing.assert_allclose(back.root_scaling, f.root_scaling, atol=1e-12)
-    for a, b in zip(back.detail, f.detail):
+    back = apply_symbols(fam.v_inv, apply_symbols(fam.v, f.detail))
+    for a, b in zip(back, f.detail):
         np.testing.assert_allclose(a, b, atol=1e-9)
-    # root scaling passes through both modes untouched
-    np.testing.assert_array_equal(fw.root_scaling, f.root_scaling)
 
 
 def test_scalar_symbol_oracle():
     w = MatrixWeight(d=1, n=1, level=1, cells=np.array([[[1.0]], [[4.0]]]))
     fam = build_reducing_family(w, 2.0)
     f = HaarCoefficients.zeros(1, 1, 1)
-    root, sig = DyadicCube.root(1), HaarSignature((0,))
-    f.set(root, sig, [1.0])
-    out = multiplier_apply(haar_multiplier(fam, "forward"), f)
-    assert out.get(root, sig)[0] == pytest.approx(math.sqrt(2.5), rel=1e-14)
+    f.detail[0][0, 0] = 1.0
+    out = apply_symbols(fam.v, f.detail)
+    assert out[0][0, 0, 0] == pytest.approx(math.sqrt(2.5), rel=1e-14)
 
     tf = t_operator(w, fam, f, 2.0)
     mids = (np.arange(2) + 0.5) / 2
     expect = [
-        math.sqrt(w.cells[i, 0, 0]) / math.sqrt(2.5) * haar_eval(root, sig, (x,))
+        math.sqrt(w.cells[i, 0, 0]) / math.sqrt(2.5)
+        * haar_eval(DyadicCube.root(1), (0,), (x,))
         for i, x in enumerate(mids)
     ]
     np.testing.assert_allclose(tf.values[:, 0], expect, rtol=1e-13)
@@ -113,21 +109,6 @@ def test_block_of_own_projection():
         np.testing.assert_allclose(a.values, b.values, atol=1e-10)
 
 
-def test_cross_term_diagonal_and_symmetry():
-    w, fam = rotating_setup()
-    tree = build_generations(fam, StoppingConfig(p=3.0, lambda1=1.3, lambda2=1.3))
-    f = random_mean_zero(1, 2, 4, seed=4)
-    gens = tree.generation_count()
-    assert gens >= 2
-    for j in range(1, gens + 1):
-        diag = cross_term(w, fam, f, tree, j, j, 3.0)
-        block = t_block(w, fam, f, tree, j, 3.0)
-        assert diag == pytest.approx(lp_norm(block, 3.0) ** 3.0, rel=1e-12, abs=1e-300)
-    assert cross_term(w, fam, f, tree, 1, 2, 3.0) == pytest.approx(
-        cross_term(w, fam, f, tree, 2, 1, 3.0), rel=1e-14
-    )
-
-
 def test_mean_zero_required():
     w, fam = rotating_setup()
     f = random_mean_zero(1, 2, 4, seed=5)
@@ -140,9 +121,7 @@ def test_validation_errors():
     w, fam = rotating_setup()
     f = random_mean_zero(1, 2, 4, seed=6)
     with pytest.raises(ParameterError):
-        haar_multiplier(fam, "sideways")
-    with pytest.raises(ParameterError):
         t_operator(w, fam, f, 2.0)  # family was built at p=3
     shallow = build_reducing_family(w, 3.0, max_depth=1)
     with pytest.raises(CoverageError):
-        multiplier_apply(haar_multiplier(shallow, "inverse"), f)
+        t_operator(w, shallow, f, 3.0)

@@ -16,24 +16,23 @@ from haarweight import (
     FitConfig,
     MatrixWeight,
     ParameterError,
-    ShapeError,
     WeightFamily,
-    ap_characteristic,
     build_reducing_family,
     conjugate_exponent,
     duality_check,
     make_weight,
     op_norm_stack,
     quasi_uniform_directions,
-    scalar_ap_characteristic,
 )
 import haarweight.reducing as reducing
+from haarweight.dyadic import mean_pyramid
 from haarweight.reducing import (
     _CAL_FACTOR,
     _CAL_OFFSET,
     METHOD_NAMES,
     _fit_operators,
     _rho_pyramid,
+    scan_depth,
 )
 
 
@@ -47,11 +46,7 @@ def _rho_block(wp_cells, p, dirs, d):
 def direction_norm(weight, cube, p, e, dual=False):
     """rho_I(e), or the dual norm rho'_I(e) (W^{-1/p}, conjugate exponent),
     straight from the cells of one cube: the oracle for _rho_pyramid."""
-    if not 1.0 < p < math.inf:
-        raise ParameterError(f"exponent must satisfy 1 < p < inf, got {p}")
     e = np.asarray(e, dtype=float).reshape(1, -1)
-    if e.shape[1] != weight.n:
-        raise ShapeError(f"direction has {e.shape[1]} components, weight n={weight.n}")
     if dual:
         cells = weight.power_cells(-1.0 / p)[cube.cell_slices(weight.level)]
         q = conjugate_exponent(p)
@@ -59,6 +54,24 @@ def direction_norm(weight, cube, p, e, dual=False):
         cells = weight.power_cells(1.0 / p)[cube.cell_slices(weight.level)]
         q = p
     return float(_rho_block(cells, q, e, weight.d)[0])
+
+
+def scalar_ap_characteristic(weight, e, p):
+    """Scalar characteristic sup_I <w>_I <w^{1-p'}>_I^{p-1} of
+    w(x) = |W(x)^{1/p} e|^p over the cubes the matrix characteristic scans:
+    the n = 1 oracle for ReducingFamily.characteristic."""
+    x = np.einsum("...ij,j->...i", weight.power_cells(1.0 / p), np.asarray(e, float))
+    w = np.linalg.norm(x, axis=-1) ** p
+    pyr_w = mean_pyramid(w, weight.d)
+    pyr_s = mean_pyramid(w ** (1.0 - conjugate_exponent(p)), weight.d)
+    return max(
+        float((pyr_w[l] * pyr_s[l] ** (p - 1.0)).max())
+        for l in range(scan_depth(weight.level) + 1)
+    )
+
+
+def method_at(codes, cube):
+    return METHOD_NAMES[int(codes[cube.level][cube.index])]
 
 
 def two_cell_weight(a=1.0, b=4.0):
@@ -86,15 +99,6 @@ def test_direction_norm_two_cell():
     )
 
 
-def test_direction_norm_validation():
-    w = two_cell_weight()
-    root = DyadicCube.root(1)
-    with pytest.raises(ParameterError):
-        direction_norm(w, root, 1.0, [1.0])
-    with pytest.raises(ShapeError):
-        direction_norm(w, root, 2.0, [1.0, 2.0])
-
-
 def test_p2_family_matches_sqrtm():
     w = rotating_weight(level=3)
     fam = build_reducing_family(w, 2.0)
@@ -109,14 +113,14 @@ def test_p2_family_matches_sqrtm():
         for k in range(flat.shape[0]):
             np.testing.assert_allclose(v[k], scipy.linalg.sqrtm(flat[k]), atol=1e-12)
             np.testing.assert_allclose(vd[k], scipy.linalg.sqrtm(flat_inv[k]), atol=1e-12)
-        assert fam.method_at(DyadicCube(lvl, (0,))) == "exact-p2"
+        assert method_at(fam.method, DyadicCube(lvl, (0,))) == "exact-p2"
     assert fam.max_kappa() == 1.0
 
 
 def test_ap_characteristic_two_cell_frozen():
     w = two_cell_weight()
     # level 0: ||V V'||^2 = 2.5 * 0.625 = 1.5625; level 1 cubes are constant
-    char = ap_characteristic(w, 2.0, max_depth=1)
+    char = build_reducing_family(w, 2.0).characteristic(1)
     assert char == pytest.approx(1.5625, rel=1e-13)
 
 
@@ -124,8 +128,8 @@ def test_scalar_route_matches_matrix_route():
     fam = WeightFamily("power", d=1, n=1, level=6, params={"alpha": 0.6}, seed=0)
     w = make_weight(fam)
     redfam = build_reducing_family(w, 3.0)
-    assert redfam.method_at(DyadicCube(2, (1,))) == "exact-scalar"
-    char = ap_characteristic(w, 3.0, family=redfam)
+    assert method_at(redfam.method, DyadicCube(2, (1,))) == "exact-scalar"
+    char = redfam.characteristic()
     schar = scalar_ap_characteristic(w, [1.0], 3.0)
     np.testing.assert_allclose(char, schar, rtol=1e-12)
     assert redfam.max_kappa() == 1.0
@@ -143,8 +147,8 @@ def test_identity_weight_fixed_point():
             np.testing.assert_array_equal(
                 redfam.v_dual[lvl], np.broadcast_to(np.eye(2), redfam.v[lvl].shape)
             )
-        assert ap_characteristic(w, p, family=redfam, max_depth=4) == 1.0
-    assert redfam.method_at(DyadicCube(1, (0,))) == "exact-scalar"
+        assert redfam.characteristic(4) == 1.0
+    assert method_at(redfam.method, DyadicCube(1, (0,))) == "exact-scalar"
 
 
 def test_scalar_times_matrix_weight_is_exact_everywhere():
@@ -181,14 +185,14 @@ def test_ellipsoid_sandwich_fresh_directions():
     w = rotating_weight(level=4)
     p = 3.0
     fam = build_reducing_family(w, p)
-    assert fam.method_at(DyadicCube.root(1)) == "ellipsoid"
+    assert method_at(fam.method, DyadicCube.root(1)) == "ellipsoid"
     rng = np.random.default_rng(11)
     dirs = rng.standard_normal((64, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     for lvl in (0, 2, 4):
         for idx in [(0,), ((1 << lvl) - 1,)]:
             cube = DyadicCube(lvl, idx)
-            v = fam.v_at(cube)
+            v = fam.v[lvl][idx]
             for e in dirs:
                 rho = direction_norm(w, cube, p, e)
                 ve = float(np.linalg.norm(v @ e))
@@ -346,8 +350,12 @@ def test_fit_failure_raises():
 def test_coverage_error_beyond_depth():
     w = rotating_weight(level=3)
     fam = build_reducing_family(w, 3.0, max_depth=1)
+    assert fam.characteristic() == fam.characteristic(1)  # scan depth L - 2 = 1
     with pytest.raises(CoverageError):
-        fam.v_at(DyadicCube(2, (0,)))
+        fam.characteristic(2)
+    deep = build_reducing_family(rotating_weight(level=5), 2.0, max_depth=2)
+    with pytest.raises(CoverageError):
+        deep.characteristic()  # scan depth 3
 
 
 def test_op_norm_stack_oracle():

@@ -1,5 +1,5 @@
-"""File format tests: grid-function and weight round-trips in both formats,
-header validation, reducing-family export, tree JSON, and manifests."""
+"""File format tests: weight round-trips in both formats, header and body
+validation, tree JSON, equivalence reports, and manifests."""
 
 import json
 
@@ -14,16 +14,12 @@ from haarweight import (
     WeightFamily,
     build_generations,
     build_reducing_family,
-    export_reducing_family,
-    load_grid_function,
     load_weight,
     make_weight,
     save_generation_tree,
-    save_grid_function,
     save_weight,
     write_manifest,
 )
-from haarweight.dyadic import GridFunction
 from haarweight.serialization import (
     equivalence_rows,
     equivalence_to_dict,
@@ -31,20 +27,6 @@ from haarweight.serialization import (
     tree_to_dict,
     write_csv,
 )
-
-
-def grid_fn(d=1, n=2, level=3, seed=0):
-    rng = np.random.default_rng(seed)
-    return GridFunction(d, n, level, rng.standard_normal(((1 << level),) * d + (n,)))
-
-
-@pytest.mark.parametrize("suffix", [".csv", ".bin"])
-def test_grid_function_roundtrip(tmp_path, suffix):
-    f = grid_fn(d=2, n=3, level=2, seed=1)
-    path = save_grid_function(f, tmp_path / f"f{suffix}")
-    g = load_grid_function(path)
-    assert (g.d, g.n, g.level) == (f.d, f.n, f.level)
-    np.testing.assert_array_equal(g.values, f.values)  # repr floats are exact
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".bin"])
@@ -79,7 +61,7 @@ def test_bad_headers(tmp_path):
     p = tmp_path / "junk.csv"
     p.write_text("# not a haarweight file\n1.0\n")
     with pytest.raises(SerializationError):
-        load_grid_function(p)
+        load_weight(p)
     b = tmp_path / "junk.bin"
     b.write_bytes(b"XXXX\x00" + b"\x00" * 64)
     with pytest.raises(SerializationError):
@@ -87,26 +69,12 @@ def test_bad_headers(tmp_path):
 
 
 def test_body_shape_checked(tmp_path):
-    f = grid_fn(level=2, n=1)
-    path = save_grid_function(f, tmp_path / "f.csv")
+    w = make_weight(WeightFamily("power", 1, 1, 2, params={"alpha": 0.3}))
+    path = save_weight(w, tmp_path / "w.csv")
     lines = path.read_text().splitlines()
     (tmp_path / "short.csv").write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(SerializationError):
-        load_grid_function(tmp_path / "short.csv")
-
-
-def test_reducing_family_export(tmp_path):
-    w = make_weight(WeightFamily("rotating", 1, 2, 3, params={"alpha": 0.5}, seed=1))
-    fam = build_reducing_family(w, 2.0)
-    path = export_reducing_family(fam, tmp_path / "fam.csv")
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    assert header[:4] == ["level", "index", "method", "kappa"]
-    assert "v_0_0" in header and "vd_1_1" in header
-    # one row per cube over levels 0..max_depth
-    assert len(lines) - 1 == sum(2**l for l in range(fam.max_depth + 1))
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[2] == "exact-p2"
+        load_weight(tmp_path / "short.csv")
 
 
 def test_tree_json(tmp_path):

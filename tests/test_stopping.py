@@ -30,7 +30,7 @@ from haarweight.dyadic import (
     haar_transform,
     refine_to_cells,
 )
-from haarweight.reducing import ap_characteristic, conjugate_exponent
+from haarweight.reducing import conjugate_exponent
 from haarweight.stopping import (
     _least_multipliers,
     _sup_decay,
@@ -104,6 +104,19 @@ def test_negative_control_tiny_thresholds():
     assert decay_ratio(tree, 1) == pytest.approx(1.0)
 
 
+def test_generations_bounded_by_floor_depth():
+    # each generation's roots lie strictly below the last, so even thresholds
+    # barely above 1 give at most floor + 1 generations
+    lam = 1.0 + 1e-6
+    for spec in suite_weight_specs():
+        fam = build_reducing_family(spec.realize(), 2.0)
+        tree = build_generations(fam, StoppingConfig(p=2.0, lambda1=lam, lambda2=lam))
+        assert tree.floor_level == spec.level
+        assert 1 <= tree.generation_count() <= tree.floor_level + 1
+        for prev, rec in zip(tree.generations, tree.generations[1:]):
+            assert min(r.level for r in rec.roots) > min(r.level for r in prev.roots)
+
+
 def test_partition_and_admissibility_invariants():
     w, fam = rotating_setup(level=5)
     cfg = StoppingConfig(p=3.0, lambda1=1.4, lambda2=1.4)
@@ -140,7 +153,8 @@ def test_partition_and_admissibility_invariants():
         # fired cubes are maximal: the parent stayed in the block
         for c, info in rec.stopping:
             assert info["fired1"] or info["fired2"]
-            assert tree.gen_label[c.level - 1][c.parent().index] == j
+            parent = tuple(i >> 1 for i in c.index)
+            assert tree.gen_label[c.level - 1][parent] == j
 
 
 def test_telescoping_sum_recovers_function():
@@ -238,8 +252,8 @@ def _bisect_log(predicate, lo=1.0, hi=1e6, steps=60):
 def _bisected_c_hats(entries, p, target):
     q = conjugate_exponent(p)
     tabs = [
-        (_tables_for(fam), fam.level, fam.d, ap_characteristic(w, p, family=fam))
-        for _, w, fam in entries
+        (_tables_for(fam), fam.level, fam.d, fam.characteristic())
+        for _, _, fam in entries
     ]
 
     def passes(mode, c):
