@@ -49,13 +49,10 @@ from .stopping import (
     build_generations,
     calibrate_lambdas,
     decay_ratio,
-    delta_projection,
-    generation_mask,
-    restrict_coefficients,
+    split_generations,
 )
 from .multipliers import (
     apply_symbols,
-    t_block,
     t_blocks,
     t_operator,
 )
@@ -63,7 +60,6 @@ from .analysis import (
     CrossTermReport,
     EquivalenceReport,
     SharpnessProbe,
-    block_bound_quotients,
     block_partition_constant,
     cross_term_rate,
     dual_square_norm,

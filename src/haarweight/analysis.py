@@ -32,7 +32,7 @@ from .dyadic import (
 )
 from .errors import CoverageError, ParameterError, ShapeError
 from .reducing import ReducingFamily, conjugate_exponent
-from .stopping import GenerationTree, delta_projection
+from .stopping import GenerationTree, split_generations
 from .multipliers import apply_symbols, t_blocks
 from .weights import MatrixWeight, apply_cells, spd_power_stack, weighted_lp_norm
 
@@ -45,7 +45,6 @@ __all__ = [
     "EquivalenceReport",
     "equivalence_ratios",
     "block_partition_constant",
-    "block_bound_quotients",
     "CrossTermReport",
     "cross_term_rate",
     "SharpnessProbe",
@@ -221,35 +220,14 @@ def equivalence_ratios(
 
 def block_partition_constant(
     f: HaarCoefficients, tree: GenerationTree, p: float
-) -> float:
-    """sum_j ||Delta_j f||_p^p / ||f||_p^p for mean-zero f."""
-    g = haar_reconstruct(f)
-    denom = lp_norm(g, p) ** p
+) -> tuple:
+    """(sum_j ||Delta_j f||_p^p / ||f||_p^p, [||Delta_j f||_p^p per
+    generation]) for mean-zero f."""
+    denom = lp_norm(haar_reconstruct(f), p) ** p
     if denom == 0.0:
         raise ParameterError("zero function has no partition constant")
-    num = sum(
-        lp_norm(delta_projection(f, tree, j), p) ** p
-        for j in range(1, tree.generation_count() + 1)
-    )
-    return num / denom
-
-
-def block_bound_quotients(
-    weight: MatrixWeight,
-    family: ReducingFamily,
-    f: HaarCoefficients,
-    tree: GenerationTree,
-    p: float,
-) -> np.ndarray:
-    """Per-generation ||T_j f||_p^p / ||Delta_j f||_p^p (nan when the block
-    carries none of f)."""
-    out = []
-    blocks = t_blocks(weight, family, f, tree, p)
-    for j, tj in enumerate(blocks, start=1):
-        dn = lp_norm(delta_projection(f, tree, j), p) ** p
-        tn = lp_norm(tj, p) ** p
-        out.append(tn / dn if dn > 0.0 else math.nan)
-    return np.asarray(out)
+    parts = [lp_norm(haar_reconstruct(c), p) ** p for c in split_generations(f, tree)]
+    return sum(parts) / denom, parts
 
 
 # ---------------------------------------------------------------------------

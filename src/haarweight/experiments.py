@@ -15,7 +15,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    block_bound_quotients,
     block_partition_constant,
     equivalence_ratios,
     loglog_slope,
@@ -40,7 +39,6 @@ from .stopping import (
     build_generations,
     calibrate_lambdas,
     decay_ratio,
-    restrict_coefficients,
 )
 from .weights import WeightFamily, make_weight
 
@@ -269,31 +267,27 @@ def _run_multiplier(ctx: RunContext, out: Path, result: RunResult):
         fam = ctx.family(name, p)
         tree = ctx.tree(name, p)
         parts, quots = [], []
-        sum_err = restrict_err = 0.0
+        sum_err = 0.0
         for i in range(cfg.count):
             rng = np.random.default_rng([cfg.seed, 5, i])
             f = random_mean_zero_coefficients(w.d, w.n, w.level, rng,
                                               cfg.spectra[i % len(cfg.spectra)])
-            parts.append(block_partition_constant(f, tree, p))
-            q = block_bound_quotients(w, fam, f, tree, p)
-            if np.isfinite(q).any():
-                quots.append(float(np.nanmax(q)))
+            part, delta_norms = block_partition_constant(f, tree, p)
+            parts.append(part)
+            blocks = t_blocks(w, fam, f, tree, p)
+            # ||T_j f||_p^p / ||Delta_j f||_p^p over the blocks that carry f
+            q = [lp_norm(b, p) ** p / dn
+                 for b, dn in zip(blocks, delta_norms) if dn > 0.0]
+            if q:
+                quots.append(max(q))
             if i < 5:
-                blocks = t_blocks(w, fam, f, tree, p)
                 total = np.sum([b.values for b in blocks], axis=0)
                 tf = t_operator(w, fam, f, p)
                 scale = max(1.0, float(np.abs(tf.values).max()))
                 sum_err = max(sum_err, float(np.abs(total - tf.values).max()) / scale)
-                for j in range(1, tree.generation_count() + 1):
-                    bj = t_blocks(w, fam, restrict_coefficients(f, tree, j),
-                                  tree, p)[j - 1]
-                    restrict_err = max(
-                        restrict_err,
-                        float(np.abs(bj.values - blocks[j - 1].values).max()),
-                    )
         parts = np.asarray(parts)
         return [name, p, parts.max(), parts.mean(),
-                max(quots) if quots else float("nan"), sum_err, restrict_err]
+                max(quots) if quots else float("nan"), sum_err]
 
     cells = [(w.name, p) for w in cfg.weights for p in cfg.ps]
     rows = []
@@ -306,7 +300,7 @@ def _run_multiplier(ctx: RunContext, out: Path, result: RunResult):
         write_csv(
             out / "multiplier_bounds.csv",
             ["weight", "p", "partition_max", "partition_mean",
-             "block_quotient_max", "sum_identity_error", "restriction_error"],
+             "block_quotient_max", "sum_identity_error"],
             rows,
         )
     )

@@ -7,9 +7,10 @@ inverse multiplier with Haar synthesis and a pointwise W^{1/p} factor,
 
     T f = W^{1/p} sum_{I, eps} V_I^{-1} f_I^eps h_I^eps,
 
-realized coefficient-side then cellwise, never as a dense matrix. T_j is the
-same composition restricted to the j-th stopping generation, so the blocks
-sum back to T exactly.
+realized coefficient-side then cellwise, never as a dense matrix. The blocks
+T_j f apply V_I^{-1} once, split the result along the stopping generations,
+and synthesize each piece; the pieces partition the detail coefficients, so
+the blocks sum back to T f.
 """
 from __future__ import annotations
 
@@ -18,13 +19,12 @@ import numpy as np
 from .dyadic import GridFunction, HaarCoefficients, haar_reconstruct
 from .errors import CoverageError, ParameterError, ShapeError
 from .reducing import ReducingFamily
-from .stopping import GenerationTree, restrict_coefficients
+from .stopping import GenerationTree, split_generations
 from .weights import MatrixWeight, apply_cells
 
 __all__ = [
     "apply_symbols",
     "t_operator",
-    "t_block",
     "t_blocks",
 ]
 
@@ -44,9 +44,10 @@ def _require_mean_zero(f: HaarCoefficients):
         )
 
 
-def _weighted_synthesis(
+def _reduced(
     weight: MatrixWeight, family: ReducingFamily, f: HaarCoefficients, p: float
-) -> GridFunction:
+) -> HaarCoefficients:
+    """f with V_I^{-1} applied to every detail coefficient."""
     if p != family.p:
         raise ParameterError(f"exponent {p} does not match family exponent {family.p}")
     if not (weight.d, weight.n) == (f.d, f.n) == (family.d, family.n):
@@ -61,7 +62,12 @@ def _weighted_synthesis(
             f"family has {family.max_depth}"
         )
     detail = apply_symbols(family.v_inv, f.detail)
-    g = haar_reconstruct(HaarCoefficients(f.d, f.n, f.level, f.root_scaling, detail))
+    return HaarCoefficients(f.d, f.n, f.level, f.root_scaling, detail)
+
+
+def _synthesize(weight: MatrixWeight, c: HaarCoefficients, p: float) -> GridFunction:
+    """W^{1/p} times the Haar synthesis of c."""
+    g = haar_reconstruct(c)
     vals = apply_cells(weight.power_cells(1.0 / p), g.values)
     return GridFunction(g.d, g.n, g.level, vals)
 
@@ -71,21 +77,7 @@ def t_operator(
 ) -> GridFunction:
     """T f = W^{1/p} M^{-1} f as a grid function; requires mean-zero f."""
     _require_mean_zero(f)
-    return _weighted_synthesis(weight, family, f, p)
-
-
-def t_block(
-    weight: MatrixWeight,
-    family: ReducingFamily,
-    f: HaarCoefficients,
-    tree: GenerationTree,
-    j: int,
-    p: float,
-) -> GridFunction:
-    """The generation-j piece T_j f; the blocks sum to T f exactly."""
-    if tree.d != family.d:
-        raise ShapeError("tree and family dimensions differ")
-    return _weighted_synthesis(weight, family, restrict_coefficients(f, tree, j), p)
+    return _synthesize(weight, _reduced(weight, family, f, p), p)
 
 
 def t_blocks(
@@ -95,7 +87,6 @@ def t_blocks(
     tree: GenerationTree,
     p: float,
 ) -> list:
-    return [
-        t_block(weight, family, f, tree, j, p)
-        for j in range(1, tree.generation_count() + 1)
-    ]
+    """The generation pieces T_1 f, ..., T_G f; they sum to T f."""
+    pieces = split_generations(_reduced(weight, family, f, p), tree)
+    return [_synthesize(weight, c, p) for c in pieces]

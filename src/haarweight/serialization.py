@@ -205,7 +205,7 @@ def tree_to_dict(tree: GenerationTree) -> dict:
         "p": cfg.p,
         "lambda1": cfg.lambda1,
         "lambda2": cfg.lambda2,
-        "floor_level": tree.floor_level,
+        "floor_level": tree.level,
         "generation_count": tree.generation_count(),
         "generations": gens,
     }

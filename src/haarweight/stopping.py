@@ -14,6 +14,10 @@ the floor is flagged, since its subtree was truncated rather than exhausted.
 Each generation's roots lie strictly below the last, so there are at most
 L + 1 generations.
 
+The same labels split a function and the operators built on it:
+split_generations cuts f's detail coefficients into one piece per block, and
+the pieces Delta_j f add up to f minus its mean.
+
 Thresholds are calibrated against the measured per-cube decay of the fired
 region, separately per test (each to half the target, so the union meets the
 target), then returned with a 4x margin; lambda2 additionally scales with the
@@ -25,18 +29,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import (
-    DyadicCube,
-    GridFunction,
-    HaarCoefficients,
-    coarsen_sum,
-    haar_reconstruct,
-    refine_to_cells,
-)
+from .dyadic import DyadicCube, HaarCoefficients, coarsen_sum, refine_to_cells
 from .errors import CoverageError, ParameterError, ShapeError
 from .reducing import ReducingFamily, conjugate_exponent, op_norm_stack
 
@@ -46,9 +43,7 @@ __all__ = [
     "GenerationTree",
     "build_generations",
     "decay_ratio",
-    "generation_mask",
-    "restrict_coefficients",
-    "delta_projection",
+    "split_generations",
     "calibrate_lambdas",
     "CalibrationResult",
 ]
@@ -95,7 +90,6 @@ class GenerationTree:
     config: StoppingConfig
     d: int
     level: int
-    floor_level: int
     root: DyadicCube
     generations: list
     gen_label: list  # per level 0..floor: int arrays, 0 = outside the tree
@@ -230,7 +224,6 @@ def build_generations(family: ReducingFamily, cfg: StoppingConfig) -> Generation
         config=cfg,
         d=d,
         level=family.level,
-        floor_level=floor,
         root=root,
         generations=generations,
         gen_label=gen_label,
@@ -246,41 +239,29 @@ def decay_ratio(tree: GenerationTree, j: int) -> float:
     return tree.generations[j - 1].stopping_measure() / tree.root.measure
 
 
-def generation_mask(tree: GenerationTree, j: int, detail_levels: int) -> list:
-    """Boolean cube masks of block j for detail levels 0..detail_levels-1."""
-    if j < 1:
-        raise ParameterError(f"generation index must be >= 1, got {j}")
-    masks = []
-    for lvl in range(detail_levels):
-        if lvl <= tree.floor_level:
-            masks.append(tree.gen_label[lvl] == j)
-        else:
-            masks.append(np.zeros(((1 << lvl),) * tree.d, dtype=bool))
-    return masks
+def split_generations(coeffs: HaarCoefficients, tree: GenerationTree) -> list:
+    """Split f into its generation pieces, one HaarCoefficients per block.
 
-
-def restrict_coefficients(
-    coeffs: HaarCoefficients, tree: GenerationTree, j: int
-) -> HaarCoefficients:
-    """Keep only detail coefficients on cubes of block j; zero root scaling."""
-    if coeffs.d != tree.d:
-        raise ShapeError("coefficients and tree dimension mismatch")
-    masks = generation_mask(tree, j, coeffs.level)
-    detail = [
-        arr * m[..., None, None] for arr, m in zip(coeffs.detail, masks)
-    ]
-    return HaarCoefficients(coeffs.d, coeffs.n, coeffs.level, np.zeros(coeffs.n), detail)
-
-
-def delta_projection(
-    coeffs: HaarCoefficients, tree: GenerationTree, j: int
-) -> GridFunction:
-    """The block-j piece of f: details on F^j cubes, no scaling term.
-
-    Summing over all generations recovers f minus its mean: every detail cube
-    carries exactly one label.
+    Piece j-1 keeps the detail coefficients on the cubes labelled j and has
+    zero root scaling, so haar_reconstruct of it is Delta_j f. Every detail
+    cube carries exactly one label, so the pieces add up to f minus its mean.
     """
-    return haar_reconstruct(restrict_coefficients(coeffs, tree, j))
+    if (coeffs.d, coeffs.level) != (tree.d, tree.level):
+        raise ShapeError(
+            f"coefficients (d={coeffs.d}, level {coeffs.level}) do not match "
+            f"the tree (d={tree.d}, level {tree.level})"
+        )
+    pairs = list(zip(coeffs.detail, tree.gen_label))
+    return [
+        HaarCoefficients(
+            coeffs.d,
+            coeffs.n,
+            coeffs.level,
+            np.zeros(coeffs.n),
+            [arr * (lab == j)[..., None, None] for arr, lab in pairs],
+        )
+        for j in range(1, tree.generation_count() + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ expected to fail until a weight family with a steeper inverse mechanism
 is added. The measured slopes stay recorded in the failure message.
 """
 
+import csv
 import dataclasses
 import time
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import haarweight.acceptance as acc
+import haarweight.experiments as experiments
 from haarweight import ExperimentConfig, WeightSpec
 
 
@@ -156,6 +158,37 @@ def test_duality_criterion_fails_on_a_perturbed_family():
     res = acc.c05_duality(ctx)
     print(res.line())
     assert not res.passed
+
+
+def test_block_sum_identity_fails_on_a_mislabelled_tree(tmp_path):
+    cfg = dataclasses.replace(
+        tiny_context().config,
+        experiments=("multiplier",),
+        ps=(3.0,),
+        weights=(
+            WeightSpec("rot", family="rotating", d=1, n=2, level=4,
+                       params={"alpha": 0.6}, seed=3),
+        ),
+    )
+    ctx = acc.AcceptanceContext(cfg)
+    assert acc.c08_block_identities(ctx).passed
+    tree = ctx.tree("rot", 3.0)
+    labels = [lab.copy() for lab in tree.gen_label]
+    labels[1][1] = 0  # one detail cube now belongs to no generation
+    bad = dataclasses.replace(tree, gen_label=labels)
+
+    ctx = acc.AcceptanceContext(cfg)
+    ctx._trees["rot", 3.0] = bad
+    res = acc.c08_block_identities(ctx)
+    print(res.line())
+    assert not res.passed
+
+    result = experiments.RunResult(out_dir=tmp_path)
+    experiments._run_multiplier(ctx, tmp_path, result)
+    assert result.ok
+    with open(tmp_path / "multiplier_bounds.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["sum_identity_error"]) > 1e-9
 
 
 def test_block_reshape_helper():

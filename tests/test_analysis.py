@@ -25,7 +25,6 @@ from haarweight import (
 from haarweight.analysis import (
     SPECTRA,
     block_partition_constant,
-    block_bound_quotients,
     cross_term_rate,
     dual_square_norm,
     equivalence_ratios,
@@ -37,6 +36,7 @@ from haarweight.analysis import (
     square_norm,
 )
 from haarweight.dyadic import haar_reconstruct
+from haarweight.multipliers import t_blocks
 from haarweight.weights import spd_power_stack
 from test_dyadic import haar_eval
 
@@ -172,10 +172,14 @@ def test_block_partition_single_generation():
     rng = np.random.default_rng(4)
     f = random_mean_zero_coefficients(1, 2, 4, rng, "flat")
     assert tree.generation_count() == 1
-    assert block_partition_constant(f, tree, 3.0) == pytest.approx(1.0, rel=1e-12)
-    quot = block_bound_quotients(w, fam, f, tree, 3.0)
-    assert quot.shape == (1,)
-    assert quot[0] == pytest.approx(1.0, rel=1e-12)  # T = identity here
+    const, delta_norms = block_partition_constant(f, tree, 3.0)
+    assert const == pytest.approx(1.0, rel=1e-12)
+    assert len(delta_norms) == 1
+    assert delta_norms[0] == pytest.approx(lp_norm(haar_reconstruct(f), 3.0) ** 3,
+                                           rel=1e-12)
+    (t1,) = t_blocks(w, fam, f, tree, 3.0)
+    # T = identity here
+    assert lp_norm(t1, 3.0) ** 3 / delta_norms[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cross_term_rate_smoke():

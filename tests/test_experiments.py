@@ -1,6 +1,7 @@
 """Experiment runner tests: artifact layout, manifests, determinism,
 per-cell failure isolation, and the serial runner."""
 
+import csv
 import json
 import threading
 from pathlib import Path
@@ -56,6 +57,41 @@ def test_run_writes_expected_artifacts(tmp_path):
         "sharpness_report.json", "manifest.json",
     } <= names
     assert "equivalence_wa_p2.json" in names and "equivalence_wb_p2.json" in names
+
+
+# the exact header of every CSV that `run` writes; the benchmark's output
+# checks (perfbench/checks.py) read several of these columns by name
+CSV_HEADERS = {
+    "haar_checks.csv":
+        ["d", "n", "L", "index", "roundtrip_error", "parseval_error"],
+    "reducing_scan.csv":
+        ["weight", "p", "char", "min_pair_norm", "max_kappa",
+         "duality_log_gap", "duality_log_bound", "duality_ok"],
+    "stopping_decay.csv":
+        ["weight", "p", "lambda1", "lambda2", "generations",
+         "decay_1", "decay_2", "decay_3", "decay_4", "decay_5", "floor_hit"],
+    "multiplier_bounds.csv":
+        ["weight", "p", "partition_max", "partition_mean",
+         "block_quotient_max", "sum_identity_error"],
+    "equivalence_summary.csv":
+        ["weight", "p", "char", "max_ratio", "max_inverse_ratio",
+         "c1_emp", "c2_emp", "skipped"],
+    "equivalence_ratios.csv":
+        ["weight", "p", "index", "spectrum", "ratio", "inverse_ratio"],
+    "sharpness_sweep.csv":
+        ["alpha", "char", "eq_max_ratio", "eq_max_inverse_ratio",
+         "probe_max_ratio", "probe_max_inverse_ratio"],
+}
+
+
+def test_csv_headers_are_pinned(tmp_path):
+    result = run_experiments(tiny_config(tmp_path / "out"))
+    assert result.ok
+    written = {p.name: p for p in result.files if p.suffix == ".csv"}
+    assert set(written) == set(CSV_HEADERS)
+    for name, header in CSV_HEADERS.items():
+        with open(written[name], newline="") as fh:
+            assert next(csv.reader(fh)) == header, name
 
 
 def test_manifest_covers_every_file(tmp_path):

@@ -16,17 +16,11 @@ from haarweight import (
     WeightFamily,
     build_generations,
     build_reducing_family,
-    delta_projection,
     lp_norm,
     make_weight,
 )
-from haarweight.dyadic import haar_reconstruct, haar_transform
-from haarweight.multipliers import (
-    apply_symbols,
-    t_block,
-    t_blocks,
-    t_operator,
-)
+from haarweight.dyadic import haar_reconstruct
+from haarweight.multipliers import apply_symbols, t_blocks, t_operator
 from test_dyadic import haar_eval
 
 
@@ -96,17 +90,6 @@ def test_block_sum_equals_t():
     total = sum(b.values for b in t_blocks(w, fam, f, tree, 3.0))
     tf = t_operator(w, fam, f, 3.0)
     np.testing.assert_allclose(total, tf.values, atol=1e-9)
-
-
-def test_block_of_own_projection():
-    w, fam = rotating_setup()
-    tree = build_generations(fam, StoppingConfig(p=3.0, lambda1=1.3, lambda2=1.3))
-    f = random_mean_zero(1, 2, 4, seed=3)
-    for j in range(1, tree.generation_count() + 1):
-        dj = haar_transform(delta_projection(f, tree, j))
-        a = t_block(w, fam, f, tree, j, 3.0)
-        b = t_block(w, fam, dj, tree, j, 3.0)
-        np.testing.assert_allclose(a.values, b.values, atol=1e-10)
 
 
 def test_mean_zero_required():

@@ -13,14 +13,15 @@ from haarweight import (
     DyadicCube,
     MatrixWeight,
     ParameterError,
+    ShapeError,
     StoppingConfig,
     WeightFamily,
     build_generations,
     build_reducing_family,
     calibrate_lambdas,
     decay_ratio,
-    delta_projection,
     make_weight,
+    split_generations,
     suite_weight_specs,
 )
 from haarweight.dyadic import (
@@ -35,8 +36,6 @@ from haarweight.stopping import (
     _least_multipliers,
     _sup_decay,
     _tables_for,
-    generation_mask,
-    restrict_coefficients,
 )
 
 
@@ -111,8 +110,8 @@ def test_generations_bounded_by_floor_depth():
     for spec in suite_weight_specs():
         fam = build_reducing_family(spec.realize(), 2.0)
         tree = build_generations(fam, StoppingConfig(p=2.0, lambda1=lam, lambda2=lam))
-        assert tree.floor_level == spec.level
-        assert 1 <= tree.generation_count() <= tree.floor_level + 1
+        assert tree.level == spec.level
+        assert 1 <= tree.generation_count() <= tree.level + 1
         for prev, rec in zip(tree.generations, tree.generations[1:]):
             assert min(r.level for r in rec.roots) > min(r.level for r in prev.roots)
 
@@ -124,7 +123,7 @@ def test_partition_and_admissibility_invariants():
     tables = _tables_for(fam)  # the tables build_generations used
 
     # every cube in the truncated tree carries exactly one block label
-    for lvl in range(tree.floor_level + 1):
+    for lvl in range(tree.level + 1):
         lab = tree.gen_label[lvl]
         assert lab.min() >= 1 and lab.max() <= tree.generation_count()
 
@@ -132,13 +131,13 @@ def test_partition_and_admissibility_invariants():
         j = rec.index
         root_at = {}
         for r in rec.roots:
-            for lvl in range(r.level, tree.floor_level + 1):
+            for lvl in range(r.level, tree.level + 1):
                 mask = np.zeros_like(tree.gen_label[lvl], dtype=bool)
                 sl = r.cell_slices(lvl)
                 mask[sl] = True
                 root_at.setdefault(lvl, {})[r] = mask
         # kept cubes satisfy both tests against their own block root
-        for lvl in range(tree.floor_level + 1):
+        for lvl in range(tree.level + 1):
             in_block = tree.gen_label[lvl] == j
             for r, mask in root_at.get(lvl, {}).items():
                 if r.level == lvl:
@@ -160,28 +159,37 @@ def test_partition_and_admissibility_invariants():
 def test_telescoping_sum_recovers_function():
     w, fam = rotating_setup(level=4)
     tree = build_generations(fam, StoppingConfig(p=3.0, lambda1=1.3, lambda2=1.3))
+    assert tree.generation_count() >= 2
     rng = np.random.default_rng(7)
     f = GridFunction(1, 2, 4, rng.standard_normal((16, 2)))
     coeffs = haar_transform(f)
+    pieces = split_generations(coeffs, tree)
+    assert len(pieces) == tree.generation_count()
     total = np.zeros_like(f.values)
-    for j in range(1, tree.generation_count() + 1):
-        total = total + delta_projection(coeffs, tree, j).values
+    for c in pieces:
+        np.testing.assert_array_equal(c.root_scaling, 0.0)
+        total = total + haar_reconstruct(c).values
     mean = f.values.mean(axis=0)
     np.testing.assert_allclose(total + mean, f.values, atol=1e-12)
 
-    # the per-generation masks partition all detail levels
-    union = [np.zeros((1 << l,), dtype=int) for l in range(4)]
-    for j in range(1, tree.generation_count() + 1):
-        for l, m in enumerate(generation_mask(tree, j, 4)):
-            union[l] += m.astype(int)
-    for u in union:
-        np.testing.assert_array_equal(u, 1)
+    # every detail coefficient lies in exactly one piece, and the pieces add
+    # up to f's details bit for bit
+    for l in range(4):
+        held = np.stack([c.detail[l] for c in pieces])
+        assert (coeffs.detail[l] != 0.0).all()
+        np.testing.assert_array_equal((held != 0.0).sum(axis=0), 1)
+        np.testing.assert_array_equal(held.sum(axis=0), coeffs.detail[l])
 
-    # restriction zeroes the scaling term and keeps only block coefficients
-    r1 = restrict_coefficients(coeffs, tree, 1)
-    np.testing.assert_array_equal(r1.root_scaling, 0.0)
-    back = haar_reconstruct(r1)
-    np.testing.assert_allclose(back.values, delta_projection(coeffs, tree, 1).values)
+
+def test_split_rejects_coefficients_off_the_tree_level():
+    w, fam = rotating_setup(level=4)
+    tree = build_generations(fam, StoppingConfig(p=3.0, lambda1=1.3, lambda2=1.3))
+    rng = np.random.default_rng(8)
+    # a finer grid has detail cubes below the floor that carry no label
+    for level in (3, 5, 6):
+        f = GridFunction(1, 2, level, rng.standard_normal((1 << level, 2)))
+        with pytest.raises(ShapeError):
+            split_generations(haar_transform(f), tree)
 
 
 def test_calibration_two_cell_frozen():
