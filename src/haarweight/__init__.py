@@ -33,7 +33,6 @@ from .weights import (
 )
 from .reducing import (
     DualityReport,
-    FitConfig,
     ReducingFamily,
     build_reducing_family,
     conjugate_exponent,

@@ -261,19 +261,19 @@ def cross_term_rate(
     p: float,
     count: int,
     seed: int = 0,
-    spectra: tuple = SPECTRA,
 ) -> CrossTermReport:
     """Fit log of diagonal-normalized cross terms vs generation separation.
 
     For each random f the blocks T_j f are formed once; off-diagonal terms
     int |T_j|^{p/2}|T_k|^{p/2} are divided by the diagonal geometric mean, so
     the j = k value is exactly 1 and the pooled regression needs no per-f
-    scale. Requires at least two populated generations.
+    scale. Test functions cycle through SPECTRA. Requires at least two
+    populated generations.
     """
     xs, ys = [], []
     max_sep = 0
     for i in range(count):
-        spectrum = spectra[i % len(spectra)]
+        spectrum = SPECTRA[i % len(SPECTRA)]
         rng = np.random.default_rng([seed & 0xFFFFFFFF, i])
         f = random_mean_zero_coefficients(weight.d, weight.n, weight.level, rng, spectrum)
         blocks = t_blocks(weight, family, f, tree, p)
@@ -324,19 +324,18 @@ class SharpnessProbe:
     size: int
 
 
-def _probe_operators(weight: MatrixWeight, level: int):
+def _probe_operators(weight: MatrixWeight):
     """(forward, inverse, size): C = S G S and C^{-1} as O(size) pyramid matvecs.
 
-    G = H^T W_c H is the Gram matrix of ||f||_{L^2(W)}^2 on the level-L grid
-    (cells W_c = m_c W, H detail-only synthesis), S = blockdiag(m_I W)^{-1/2}.
+    G = H^T W_c H is the Gram matrix of ||f||_{L^2(W)}^2 on the weight's grid
+    (cells W_c, H detail-only synthesis), S = blockdiag(m_I W)^{-1/2}.
     The Schur complement over the constant function gives G^{-1} =
     H^T W_c^{-1} H - Z M0^{-1} Z^T, M0 = <W_c^{-1}>, Z the details of
     W_c^{-1} e_k: together the detail part of W_c^{-1}(h - M0^{-1}<W_c^{-1} h>).
     """
-    d, n = weight.d, weight.n
+    d, n, level = weight.d, weight.n, weight.level
     pyr = weight.mean_pyramid_of(1.0)
-    wc = pyr[level]
-    # the inverse of the cell averages, not the averages of W^{-1}
+    wc = weight.cells
     winv = spd_power_stack(wc, -1.0)
     m0 = winv.mean(axis=tuple(range(d)))
     s_neg = [spd_power_stack(pyr[l], -0.5) for l in range(level)]
@@ -376,19 +375,18 @@ def _largest_eigenvalue(op, size: int) -> float:
     return float(vals[0])
 
 
-def sharpness_probe(weight: MatrixWeight, level: int | None = None) -> SharpnessProbe:
+def sharpness_probe(weight: MatrixWeight) -> SharpnessProbe:
     """Solve the p=2 generalized Rayleigh problem exactly, matrix-free.
 
     With G the Gram matrix of ||f||_{L^2(W)}^2 in coefficient coordinates and
     B the block diagonal of m_I W (the exact V_I^2), the extreme eigenvalues
     of (G, B) are the squared extremal ratios in both directions: the largest
     eigenvalues of B^{-1/2} G B^{-1/2} and of its inverse, found by Lanczos
-    on `_probe_operators`. Below the weight's grid, cells are m_c W.
+    on `_probe_operators`.
     """
-    L = weight.level if level is None else level
-    if not 1 <= L <= weight.level:
-        raise ShapeError(f"level {L} outside 1..{weight.level}, the weight grid")
-    forward, inverse, size = _probe_operators(weight, L)
+    if weight.level < 1:
+        raise ShapeError("a level-0 weight has no detail coefficients to probe")
+    forward, inverse, size = _probe_operators(weight)
     return SharpnessProbe(
         max_ratio=math.sqrt(_largest_eigenvalue(forward, size)),
         max_inverse_ratio=math.sqrt(_largest_eigenvalue(inverse, size)),

@@ -4,7 +4,7 @@ Subcommands:
   run            execute the configured experiments, write CSV/JSON artifacts
   verify         run the thirteen acceptance checks, exit 0 iff all pass
   calibrate      print the stopping thresholds for the configured suite
-  dump-weight    realize a configured weight and write it to a file
+  dump-weight    realize a configured weight and write it as CSV
   dump-stopping  build a calibrated generation tree and write it as JSON
 
 Exit codes: 0 success, 1 recorded failures (cells or criteria), 2 bad
@@ -37,6 +37,8 @@ def _load(args) -> ExperimentConfig:
         over["seed"] = args.seed
     if getattr(args, "out", None) is not None:
         over["out_dir"] = str(args.out)
+    if getattr(args, "experiment", None):
+        over["experiments"] = tuple(args.experiment)
     return dataclasses.replace(cfg, **over) if over else cfg
 
 
@@ -48,11 +50,7 @@ def _add_common(sp, out_help: str):
 
 def _cmd_run(args) -> int:
     cfg = _load(args)
-    result = run_experiments(
-        cfg,
-        experiment=args.experiment or None,
-        dump_stopping=args.dump_stopping,
-    )
+    result = run_experiments(cfg, dump_stopping=args.dump_stopping)
     for f in result.files:
         print(f)
     if result.failures:
@@ -133,9 +131,9 @@ def main(argv=None) -> int:
     _add_common(sp, "unused; calibration prints to stdout")
     sp.set_defaults(fn=_cmd_calibrate)
 
-    sp = sub.add_parser("dump-weight", help="write one weight to a file")
+    sp = sub.add_parser("dump-weight", help="write one weight as CSV")
     sp.add_argument("name", help="weight name from the config suite")
-    _add_common(sp, "target path, .csv for text, anything else binary")
+    _add_common(sp, "target CSV path")
     sp.set_defaults(fn=_cmd_dump_weight)
 
     sp = sub.add_parser("dump-stopping", help="write one generation tree as JSON")

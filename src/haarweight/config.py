@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError
-from .weights import MatrixWeight, WeightFamily, make_weight
+from .errors import ConfigError, ParameterError
+from .weights import MatrixWeight, WeightFamily, _check_family, make_weight
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -120,6 +120,12 @@ class ExperimentConfig:
         names = [w.name for w in self.weights]
         if len(names) != len(set(names)):
             raise ConfigError(f"duplicate weight names in config: {names}")
+        for w in self.weights:
+            if w.file is None:
+                try:
+                    _check_family(w.family, w.params)
+                except ParameterError as exc:
+                    raise ConfigError(f"weight {w.name!r}: {exc}") from exc
         lams = (self.stopping_lambda1, self.stopping_lambda2)
         if (lams[0] is None) != (lams[1] is None):
             raise ConfigError("stopping_lambda1 and stopping_lambda2 come as a pair")
@@ -214,9 +220,5 @@ def sweep_alpha_grid() -> tuple:
             -0.984375, -0.9921875, -0.99609375, -0.998046875)
 
 
-def default_config(out_dir: str = "out") -> ExperimentConfig:
-    return ExperimentConfig(
-        weights=suite_weight_specs(),
-        sweep_alphas=sweep_alpha_grid(),
-        out_dir=out_dir,
-    )
+def default_config() -> ExperimentConfig:
+    return ExperimentConfig(weights=suite_weight_specs(), sweep_alphas=sweep_alpha_grid())

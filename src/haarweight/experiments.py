@@ -352,10 +352,9 @@ def _run_equivalence(ctx: RunContext, out: Path, result: RunResult):
 # the alpha sweep (shared with acceptance criterion 11)
 
 
-def alpha_sweep_report(
-    alphas, level: int = 10, count: int = 50, seed: int = 7
-) -> dict:
-    """p=2 scalar power sweep: equivalence slopes and exact probe slopes.
+def alpha_sweep_report(config: ExperimentConfig) -> dict:
+    """p=2 scalar power sweep over the config's sweep_alphas at sweep_level:
+    equivalence slopes and exact probe slopes.
 
     Returns per-alpha rows plus fitted log-log slopes of four quantities:
     the sampled max ratio and max inverse ratio (upper-bounded by the 3/2 and
@@ -366,6 +365,7 @@ def alpha_sweep_report(
     in the characteristic to chars below about L. A point that raises is
     listed under "failed".
     """
+    level, count, seed = config.sweep_level, config.count, config.seed
 
     def cell(alpha):
         w = make_weight(
@@ -385,7 +385,7 @@ def alpha_sweep_report(
         }
 
     rows, failed = [], []
-    for a, r, err in _gather(cell, alphas):
+    for a, r, err in _gather(cell, config.sweep_alphas):
         if err is not None:
             failed.append({"alpha": float(a), "error": repr(err)})
             continue
@@ -433,10 +433,7 @@ def _run_sharpness(ctx: RunContext, out: Path, result: RunResult):
     cfg = ctx.config
     if not cfg.sweep_alphas:
         raise ConfigError("sharpness experiment needs sweep_alphas in the config")
-    report = alpha_sweep_report(
-        cfg.sweep_alphas, level=cfg.sweep_level, count=cfg.count,
-        seed=cfg.seed,
-    )
+    report = alpha_sweep_report(cfg)
     rows = [
         [r["alpha"], r["char"], r["eq_max_ratio"], r["eq_max_inverse_ratio"],
          r["probe_max_ratio"], r["probe_max_inverse_ratio"]]
@@ -483,32 +480,18 @@ _REGISTRY = {
 assert tuple(_REGISTRY) == EXPERIMENT_IDS
 
 
-def run_experiments(
-    config: ExperimentConfig,
-    experiment=None,
-    out_dir=None,
-    dump_stopping: bool = False,
-) -> RunResult:
-    """Execute the selected experiments and write artifacts + manifest.
+def run_experiments(config: ExperimentConfig, dump_stopping: bool = False) -> RunResult:
+    """Execute the config's experiments into its out_dir and write artifacts
+    + manifest.
 
-    experiment: None for the config's list, a single id, or a list of ids.
+    The manifest hashes the config without out_dir: where a run is written
+    does not change what it computes.
     """
-    if experiment is None:
-        names = list(config.experiments)
-    elif isinstance(experiment, str):
-        names = [experiment]
-    else:
-        names = list(experiment)
-    for name in names:
-        if name not in _REGISTRY:
-            raise ConfigError(
-                f"unknown experiment {name!r}; known: {tuple(_REGISTRY)}"
-            )
-    out = Path(out_dir if out_dir is not None else config.out_dir)
+    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ctx = RunContext(config)
     result = RunResult(out_dir=out)
-    for name in names:
+    for name in config.experiments:
         try:
             if name == "stopping":
                 _REGISTRY[name](ctx, out, result, dump=dump_stopping)
@@ -524,7 +507,7 @@ def run_experiments(
                 [[f.experiment, f.cell, f.error] for f in result.failures],
             )
         )
-    result.files.append(
-        write_manifest(out, config_to_dict(config), result.files, __version__)
-    )
+    payload = config_to_dict(config)
+    del payload["out_dir"]
+    result.files.append(write_manifest(out, payload, result.files, __version__))
     return result

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .errors import (
 from .weights import MatrixWeight, spd_power_stack
 
 __all__ = [
-    "FitConfig",
     "ReducingFamily",
     "METHOD_NAMES",
     "quasi_uniform_directions",
@@ -59,6 +58,11 @@ _CAL_OFFSET = 0.37
 # barrier parameter multiplier per stage of the ellipsoid fit; x100 stalls
 # the centring on the default suite, x50 does not
 _T_FACTOR = 20.0
+# the final barrier parameter is t_final = 2m / (n _TOL) for m fit directions,
+# so the last centred point is within n _TOL / 2 of the optimal -log det A;
+# _MAX_ITER caps the total Newton steps over all barrier stages
+_TOL = 1e-6
+_MAX_ITER = 200_000
 
 
 def conjugate_exponent(p: float) -> float:
@@ -67,23 +71,9 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    """Ellipsoid fit controls.
-
-    tol sets the final barrier parameter t_final = 2m / (n tol) for m fit
-    directions, so the last centred point is within n tol / 2 of the optimal
-    -log det A. max_iter caps the total Newton steps over all barrier stages.
-    """
-
-    tol: float = 1e-6
-    max_iter: int = 200_000
-    directions: int = 0  # 0 = auto: max(500, 50 n^2)
-
-    def fit_count(self, n: int) -> int:
-        if self.directions > 0:
-            return self.directions
-        return max(500, 50 * n * n)
+def fit_count(n: int) -> int:
+    """Default number of ellipsoid fit directions in R^n."""
+    return max(500, 50 * n * n)
 
 
 def quasi_uniform_directions(n: int, m: int, offset: float = 0.0) -> np.ndarray:
@@ -263,10 +253,10 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     return a, g_final
 
 
-def _fit_operators(rho_fit, rho_all, dirs_fit, dirs_all, fit: FitConfig):
+def _fit_operators(rho_fit, rho_all, dirs_fit, dirs_all):
     """V = c A^{1/2} from the MVEE shape A, rescaled so |V e| >= rho on the
     calibration set; kappa = guaranteed upper slack on that set."""
-    a, _ = _mvee_batch(rho_fit, dirs_fit, fit.tol, fit.max_iter)
+    a, _ = _mvee_batch(rho_fit, dirs_fit, _TOL, _MAX_ITER)
     a_half = spd_power_stack(a, 0.5)
     y = np.linalg.norm(a_half @ dirs_all.T, axis=1)  # |A^{1/2} e_m|, (B, M_all)
     g = rho_all / y
@@ -299,8 +289,6 @@ class ReducingFamily:
     kappa_dual: list
     method: list
     method_dual: list
-    fit: FitConfig
-    weight_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._cache = {}
@@ -321,9 +309,8 @@ class ReducingFamily:
         """||V_I V'_I|| for all cubes of one level."""
         return op_norm_stack(self.v[level] @ self.v_dual[level])
 
-    def min_pair_norm(self, depth: int | None = None) -> float:
-        depth = self.max_depth if depth is None else min(depth, self.max_depth)
-        return float(min(self.pair_norms(l).min() for l in range(depth + 1)))
+    def min_pair_norm(self) -> float:
+        return float(min(self.pair_norms(l).min() for l in range(self.max_depth + 1)))
 
     def characteristic(self, depth: int | None = None) -> float:
         """sup over cubes of level <= depth (default scan_depth) of
@@ -355,7 +342,7 @@ class ReducingFamily:
         )
 
 
-def _build_side(weight: MatrixWeight, p: float, dual: bool, max_depth: int, fit: FitConfig):
+def _build_side(weight: MatrixWeight, p: float, dual: bool, max_depth: int, m_fit: int):
     """One side (primal or dual) of the family: per-level V, kappa, method."""
     d, n = weight.d, weight.n
     s_exp = -1.0 / p if dual else 1.0 / p
@@ -374,7 +361,6 @@ def _build_side(weight: MatrixWeight, p: float, dual: bool, max_depth: int, fit:
     s = weight.cells[..., 0, 0]
     s_pyr = mean_pyramid(s ** (1.0 - q) if dual else s, d)
     if not all(flags.all() for flags, _ in prop):
-        m_fit = fit.fit_count(n)
         dirs_fit = quasi_uniform_directions(n, m_fit)
         extra = quasi_uniform_directions(n, m_fit * _CAL_FACTOR, offset=_CAL_OFFSET)
         dirs_all = np.concatenate([dirs_fit, extra], axis=0)
@@ -393,7 +379,7 @@ def _build_side(weight: MatrixWeight, p: float, dual: bool, max_depth: int, fit:
         if todo.any():
             rho_all = rho_pyr[lvl].reshape(-1, dirs_all.shape[0])[todo]
             v_l[todo], kappa_l[todo] = _fit_operators(
-                rho_all[:, :m_fit], rho_all, dirs_fit, dirs_all, fit
+                rho_all[:, :m_fit], rho_all, dirs_fit, dirs_all
             )
             method_l[todo] = _M_ELL
         vs.append(v_l.reshape(shape + (n, n)))
@@ -406,19 +392,20 @@ def build_reducing_family(
     weight: MatrixWeight,
     p: float,
     max_depth: int | None = None,
-    fit: FitConfig | None = None,
+    directions: int | None = None,
 ) -> ReducingFamily:
-    """Reducing operators for every cube of level <= max_depth (default: all)."""
+    """Reducing operators for every cube of level <= max_depth (default: all);
+    ellipsoid fits use `directions` directions (default fit_count(n))."""
     if not 1.0 < p < math.inf:
         raise ParameterError(f"exponent must satisfy 1 < p < inf, got {p}")
-    fit = fit or FitConfig()
+    m_fit = fit_count(weight.n) if directions is None else int(directions)
     max_depth = weight.level if max_depth is None else int(max_depth)
     if not 0 <= max_depth <= weight.level:
         raise ParameterError(
             f"max_depth {max_depth} outside [0, {weight.level}]"
         )
-    v, kap, met = _build_side(weight, p, False, max_depth, fit)
-    vd, kapd, metd = _build_side(weight, p, True, max_depth, fit)
+    v, kap, met = _build_side(weight, p, False, max_depth, m_fit)
+    vd, kapd, metd = _build_side(weight, p, True, max_depth, m_fit)
     return ReducingFamily(
         p=float(p),
         d=weight.d,
@@ -431,8 +418,6 @@ def build_reducing_family(
         kappa_dual=kapd,
         method=met,
         method_dual=metd,
-        fit=fit,
-        weight_meta=dict(weight.meta),
     )
 
 
@@ -464,8 +449,6 @@ class DualityReport:
 def duality_check(
     weight: MatrixWeight,
     p: float,
-    max_depth: int | None = None,
-    fit: FitConfig | None = None,
     family: ReducingFamily | None = None,
 ) -> DualityReport:
     """Check ||W^{1-p'}||_{A_p'} = ||W||_{A_p}^{p'/p} on the family of W at p.
@@ -474,12 +457,13 @@ def duality_check(
     with its sides swapped (ReducingFamily.swapped), so the two
     characteristics agree up to rounding and no second family is built.
     log_bound = log(kappa_max^4) is the slack an independent refit of
-    W^{1-p'} may show; acceptance criterion 5 makes that refit.
+    W^{1-p'} may show; acceptance criterion 5 makes that refit. Both
+    characteristics scan to scan_depth(L).
     """
     q = conjugate_exponent(p)
-    depth = scan_depth(weight.level) if max_depth is None else int(max_depth)
+    depth = scan_depth(weight.level)
     if family is None:
-        family = build_reducing_family(weight, p, max_depth=depth, fit=fit)
+        family = build_reducing_family(weight, p, max_depth=depth)
     elif family.p != p:
         raise ParameterError(f"family exponent {family.p} != requested {p}")
     char = family.characteristic(depth)

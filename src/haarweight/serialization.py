@@ -1,9 +1,9 @@
 """File formats: weights, trees, reports, manifests.
 
-CSV carries a '#'-prefixed header (so bodies stay plot-ready), binary carries
-a short magic + struct header. All floats are written with repr(), which is
-the shortest round-trip form, so identical inputs always produce identical
-bytes; manifests are the only files carrying a timestamp.
+Weights are CSV with a '#'-prefixed header, so bodies stay plot-ready. All
+floats are written with repr(), which is the shortest round-trip form, so
+identical inputs always produce identical bytes and a weight reads back bit
+for bit; manifests are the only files carrying a timestamp.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import csv
 import datetime
 import hashlib
 import json
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +32,6 @@ __all__ = [
     "sha256_file",
     "write_manifest",
 ]
-
-_MW_MAGIC = b"HWMW\x01"
 
 
 def _fmt(x) -> str:
@@ -80,85 +77,73 @@ def write_json(path, payload: dict) -> Path:
     return path
 
 
-def _infer_fmt(path, fmt):
-    if fmt is not None:
-        if fmt not in ("csv", "binary"):
-            raise SerializationError(f"format must be 'csv' or 'binary', got {fmt!r}")
-        return fmt
-    return "csv" if Path(path).suffix.lower() == ".csv" else "binary"
-
-
-def _parse_header(line: str, kind: str) -> tuple:
+def _parse_header(line: str) -> tuple:
     parts = line.strip().split()
-    if parts[:3] != ["#", "haarweight", kind]:
-        raise SerializationError(f"not a haarweight {kind} file: {line.strip()!r}")
+    if parts[:3] != ["#", "haarweight", "matrix-weight"]:
+        raise SerializationError(
+            f"not a haarweight matrix-weight file: {line.strip()!r}"
+        )
     kv = dict(part.split("=", 1) for part in parts[4:] if "=" in part)
     try:
-        return int(kv["d"]), int(kv["n"]), int(kv["L"])
+        d, n, level = int(kv["d"]), int(kv["n"]), int(kv["L"])
     except KeyError as exc:
         raise SerializationError(f"header missing field {exc}") from exc
+    if d < 1 or n < 1 or level < 0:
+        raise SerializationError(f"header dims d={d} n={n} L={level} out of range")
+    return d, n, level
 
 
 # ---------------------------------------------------------------------------
 # weights: lower-triangle entries per cell, family metadata as JSON
 
 
-def _tril_indices(n: int):
-    return np.tril_indices(n)
-
-
-def save_weight(weight: MatrixWeight, path, fmt: str | None = None) -> Path:
+def save_weight(weight: MatrixWeight, path) -> Path:
     path = Path(path)
-    i, j = _tril_indices(weight.n)
+    i, j = np.tril_indices(weight.n)
     flat = weight.cells.reshape(-1, weight.n, weight.n)[:, i, j]
     meta = json.dumps(_jsonable(weight.meta or {}), sort_keys=True)
-    if _infer_fmt(path, fmt) == "csv":
-        with open(path, "w", newline="") as fh:
-            fh.write(
-                f"# haarweight matrix-weight v1 d={weight.d} n={weight.n} L={weight.level}\n"
-            )
-            fh.write(f"# meta {meta}\n")
-            w = csv.writer(fh, lineterminator="\n")
-            for row in flat:
-                w.writerow([_fmt(x) for x in row])
-    else:
-        blob = meta.encode()
-        with open(path, "wb") as fh:
-            fh.write(_MW_MAGIC)
-            fh.write(struct.pack("<4q", weight.d, weight.n, weight.level, len(blob)))
-            fh.write(blob)
-            fh.write(np.ascontiguousarray(flat, dtype=np.float64).tobytes())
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(
+            f"# haarweight matrix-weight v1 d={weight.d} n={weight.n} L={weight.level}\n"
+        )
+        fh.write(f"# meta {meta}\n")
+        w = csv.writer(fh, lineterminator="\n")
+        for row in flat:
+            w.writerow([_fmt(x) for x in row])
     return path
 
 
-def load_weight(path, fmt: str | None = None) -> MatrixWeight:
+def load_weight(path) -> MatrixWeight:
+    """Read a weight written by save_weight.
+
+    A missing, undecodable, non-numeric or ragged file, or a malformed
+    header, raises SerializationError naming the path; cells that are not
+    SPD raise MatrixDomainError from the MatrixWeight check.
+    """
     path = Path(path)
-    if _infer_fmt(path, fmt) == "csv":
-        with open(path) as fh:
-            d, n, level = _parse_header(fh.readline(), "matrix-weight")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            d, n, level = _parse_header(fh.readline())
             meta_line = fh.readline().strip()
             if not meta_line.startswith("# meta "):
-                raise SerializationError(f"{path}: missing meta header line")
+                raise SerializationError("missing meta header line")
             meta = json.loads(meta_line[len("# meta ") :])
+            if not isinstance(meta, dict):
+                raise SerializationError("meta header is not a JSON object")
             flat = np.array(
                 [[float(x) for x in row] for row in csv.reader(fh) if row]
             )
-    else:
-        raw = path.read_bytes()
-        if raw[: len(_MW_MAGIC)] != _MW_MAGIC:
-            raise SerializationError(f"bad magic in {path}")
-        d, n, level, mlen = struct.unpack_from("<4q", raw, len(_MW_MAGIC))
-        off = len(_MW_MAGIC) + 32
-        meta = json.loads(raw[off : off + mlen].decode())
-        flat = np.frombuffer(raw, dtype=np.float64, offset=off + mlen)
-        flat = flat.reshape(-1, n * (n + 1) // 2).copy()
+    except (OSError, ValueError) as exc:
+        # ValueError covers the header checks (SerializationError), undecodable
+        # bytes (UnicodeDecodeError), and a non-numeric or ragged body
+        raise SerializationError(f"{path}: {exc}") from exc
     cells = (1 << level) ** d
     width = n * (n + 1) // 2
     if flat.shape != (cells, width):
         raise SerializationError(
             f"{path}: body shape {flat.shape}, expected {cells} x {width}"
         )
-    i, j = _tril_indices(n)
+    i, j = np.tril_indices(n)
     mats = np.zeros((cells, n, n))
     mats[:, i, j] = flat
     mats[:, j, i] = flat  # diagonal written twice, harmlessly

@@ -234,12 +234,25 @@ def _constant_cells(fam: WeightFamily) -> np.ndarray:
     return np.broadcast_to(m, (h,) * fam.d + (fam.n, fam.n)).copy()
 
 
+# family name -> (cell builder, the params keys it reads)
 _FAMILIES = {
-    "power": _power_cells,
-    "rotating": _rotating_cells,
-    "logbrownian": _logbrownian_cells,
-    "constant": _constant_cells,
+    "power": (_power_cells, {"alpha", "x0", "p_range"}),
+    "rotating": (_rotating_cells, {"alpha", "omega", "phase", "x0", "p_range"}),
+    "logbrownian": (_logbrownian_cells, {"sigma"}),
+    "constant": (_constant_cells, {"matrix", "cond"}),
 }
+
+
+def _check_family(family: str, params: dict) -> None:
+    """ParameterError for an unknown family or a params key it does not read."""
+    if family not in _FAMILIES:
+        raise ParameterError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
+    known = _FAMILIES[family][1]
+    unknown = set(params) - known
+    if unknown:
+        raise ParameterError(
+            f"unknown {family} parameter(s) {sorted(unknown)}; known: {sorted(known)}"
+        )
 
 
 def make_weight(fam: WeightFamily) -> MatrixWeight:
@@ -249,13 +262,10 @@ def make_weight(fam: WeightFamily) -> MatrixWeight:
     realization is still SPD) but flagged in meta["warning"]: continuum
     guarantees tied to the documented exponent range no longer apply.
     """
-    if fam.family not in _FAMILIES:
-        raise ParameterError(
-            f"unknown family {fam.family!r}; known: {sorted(_FAMILIES)}"
-        )
+    _check_family(fam.family, fam.params)
     if fam.d < 1 or fam.n < 1 or fam.level < 0:
         raise ParameterError(f"bad dims d={fam.d} n={fam.n} L={fam.level}")
-    cells = _FAMILIES[fam.family](fam)
+    cells = _FAMILIES[fam.family][0](fam)
     warning = None
     if fam.family in ("power", "rotating"):
         alpha = float(fam.params.get("alpha", 0.5 if fam.family == "rotating" else 0.0))

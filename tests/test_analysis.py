@@ -227,10 +227,10 @@ def test_sharpness_brute_force_oracle():
     assert probe.max_inverse_ratio == pytest.approx(1 / math.sqrt(vals[0]), rel=1e-12)
 
 
-def dense_probe(weight, level):
+def dense_probe(weight):
     """Reference (max ratio, max inverse ratio): the dense synthesis matrix,
     the Gram matrix G, the block-diagonal B and scipy.linalg.eigh(G, B)."""
-    d, n = weight.d, weight.n
+    d, n, level = weight.d, weight.n, weight.level
     cells = (1 << level) ** d
     cols = []
     for l in range(level):
@@ -273,12 +273,20 @@ ORACLE_CASES = {
 }
 
 
+def coarsened(w, level):
+    """w averaged down to a level-`level` grid. mean_pyramid averages level by
+    level, so the coarse weight's pyramid is bit-identical to w's below it."""
+    return MatrixWeight(w.d, w.n, level, w.mean_pyramid_of(1.0)[level])
+
+
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_sharpness_probe_matches_dense_oracle(case):
     make, level = ORACLE_CASES[case]
     w = make()
-    ratio, inverse = dense_probe(w, w.level if level is None else level)
-    probe = sharpness_probe(w, level=level)
+    if level is not None:
+        w = coarsened(w, level)
+    ratio, inverse = dense_probe(w)
+    probe = sharpness_probe(w)
     assert probe.max_ratio == pytest.approx(ratio, rel=1e-12)
     assert probe.max_inverse_ratio == pytest.approx(inverse, rel=1e-12)
 
@@ -288,7 +296,7 @@ def test_sharpness_probe_matches_dense_oracle(case):
 )
 def test_probe_inverse_is_exact(d, n, grid, level):
     w = make_weight(WeightFamily("logbrownian", d, n, grid, params={"sigma": 0.8}, seed=2))
-    forward, inverse, size = _probe_operators(w, level)
+    forward, inverse, size = _probe_operators(coarsened(w, level))
     assert size == ((1 << level) ** d - 1) * n
     rng = np.random.default_rng(0)
     for _ in range(3):
@@ -304,7 +312,7 @@ def test_sharpness_single_coefficient():
     assert probe.max_ratio == pytest.approx(1.0, rel=1e-15)
     assert probe.max_inverse_ratio == pytest.approx(1.0, rel=1e-15)
     with pytest.raises(ShapeError):
-        sharpness_probe(w, level=0)
+        sharpness_probe(MatrixWeight(d=1, n=1, level=0, cells=np.ones((1, 1, 1))))
 
 
 def test_sharpness_deep_grid_bounds_rayleigh_quotients():

@@ -70,6 +70,34 @@ def test_run_reports_cell_failures(tmp_path, capsys):
     assert (tmp_path / "out" / "failures.csv").exists()
 
 
+def test_unreadable_weight_file_is_exit_2(tmp_path, capsys):
+    w = make_weight(WeightFamily("power", 1, 1, 2, params={"alpha": 0.3}))
+    lines = save_weight(w, tmp_path / "w.csv").read_text().splitlines()
+    lines[2] = "abc"
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+    cfg = write_config(
+        tmp_path, weights=(WeightSpec("broken", file=str(tmp_path / "bad.csv")),)
+    )
+    assert main(["calibrate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "bad.csv" in err
+
+
+def test_manifest_config_hash(tmp_path):
+    cfg = write_config(tmp_path)
+
+    def config_hash(out, experiment):
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / out),
+                     "--experiment", experiment]) == 0
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        return manifest["config_sha256"]
+
+    # where a run is written does not change what it computed; which
+    # experiments ran does
+    assert config_hash("a", "haar") == config_hash("b", "haar")
+    assert config_hash("c", "haar") != config_hash("d", "reducing")
+
+
 def test_bad_config_is_exit_2(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text("{broken")

@@ -1,6 +1,7 @@
 """Configuration schema tests: defaults, JSON loading, validation
 diagnostics, and the canonical weight suite."""
 
+import dataclasses
 import json
 
 import pytest
@@ -29,7 +30,7 @@ def test_default_config_is_valid():
 
 
 def test_dict_roundtrip(tmp_path):
-    cfg = default_config(out_dir="elsewhere")
+    cfg = dataclasses.replace(default_config(), out_dir="elsewhere")
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config_to_dict(cfg)))
     assert load_config(path) == cfg
@@ -50,6 +51,15 @@ def test_unknown_weight_key_locates_entry(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(payload))
     with pytest.raises(ConfigError, match=r"weights\[0\]"):
+        load_config(p)
+
+
+def test_unknown_weight_param_names_the_weight(tmp_path):
+    payload = config_to_dict(default_config())
+    payload["weights"][1]["params"] = {"alpah": 0.3}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=r"'pow-a03'.*alpah"):
         load_config(p)
 
 

@@ -2,6 +2,7 @@
 per-cell failure isolation, and the serial runner."""
 
 import csv
+import dataclasses
 import json
 import threading
 from pathlib import Path
@@ -108,7 +109,7 @@ def test_manifest_covers_every_file(tmp_path):
 def test_byte_identical_reruns(tmp_path):
     cfg = tiny_config(tmp_path / "a")
     r1 = run_experiments(cfg)
-    r2 = run_experiments(cfg, out_dir=tmp_path / "b")
+    r2 = run_experiments(dataclasses.replace(cfg, out_dir=str(tmp_path / "b")))
     for f1 in r1.files:
         if f1.suffix == ".csv" or f1.name == "sharpness_report.json":
             f2 = Path(tmp_path / "b" / f1.name)
@@ -180,14 +181,14 @@ def test_failing_rotating_sharpness_point_is_a_cell_failure(tmp_path, monkeypatc
 
 def test_experiment_selection(tmp_path):
     cfg = tiny_config(tmp_path / "out")
-    result = run_experiments(cfg, experiment="haar")
+    result = run_experiments(dataclasses.replace(cfg, experiments=("haar",)))
     assert {p.name for p in result.files} == {"haar_checks.csv", "manifest.json"}
-    result = run_experiments(cfg, experiment=["haar", "reducing"],
-                             out_dir=tmp_path / "out2")
+    result = run_experiments(dataclasses.replace(
+        cfg, experiments=("haar", "reducing"), out_dir=str(tmp_path / "out2")))
     assert {p.name for p in result.files} == {
         "haar_checks.csv", "reducing_scan.csv", "manifest.json"}
     with pytest.raises(ConfigError, match="unknown experiment"):
-        run_experiments(cfg, experiment="mystery")
+        dataclasses.replace(cfg, experiments=("mystery",))
 
 
 def test_stopping_dump_per_weight(tmp_path):
@@ -229,7 +230,8 @@ def test_run_starts_no_thread(tmp_path, monkeypatch):
 
 
 def test_alpha_sweep_report_shape():
-    rep = alpha_sweep_report((0.5, -0.5, -0.8), level=5, count=5, seed=1)
+    rep = alpha_sweep_report(ExperimentConfig(
+        sweep_alphas=(0.5, -0.5, -0.8), sweep_level=5, count=5, seed=1))
     assert not rep["failed"]
     assert {r["alpha"] for r in rep["rows"]} == {0.5, -0.5, -0.8}
     chars = [r["char"] for r in rep["rows"]]

@@ -13,7 +13,6 @@ from haarweight import (
     CoverageError,
     DyadicCube,
     EllipsoidFitError,
-    FitConfig,
     MatrixWeight,
     ParameterError,
     WeightFamily,
@@ -30,8 +29,10 @@ from haarweight.reducing import (
     _CAL_FACTOR,
     _CAL_OFFSET,
     METHOD_NAMES,
+    _TOL,
     _fit_operators,
     _rho_pyramid,
+    fit_count,
     scan_depth,
 )
 
@@ -166,8 +167,7 @@ def test_closed_form_matches_fit_on_power_weight():
     w = make_weight(fam)
     p = 3.0
     redfam = build_reducing_family(w, p)
-    fit = FitConfig()
-    m_fit = fit.fit_count(2)
+    m_fit = fit_count(2)
     dirs_fit = quasi_uniform_directions(2, m_fit)
     extra = quasi_uniform_directions(2, m_fit * _CAL_FACTOR, offset=_CAL_OFFSET)
     dirs_all = np.concatenate([dirs_fit, extra], axis=0)
@@ -175,7 +175,7 @@ def test_closed_form_matches_fit_on_power_weight():
         rho_pyr = _rho_pyramid(w, p, dirs_all, dual)
         for lvl in (0, 2, 4):
             rho = rho_pyr[lvl].reshape(-1, dirs_all.shape[0])
-            v_fit, _ = _fit_operators(rho[:, :m_fit], rho, dirs_fit, dirs_all, fit)
+            v_fit, _ = _fit_operators(rho[:, :m_fit], rho, dirs_fit, dirs_all)
             np.testing.assert_allclose(
                 v_fit, closed[lvl].reshape(-1, 2, 2), rtol=0, atol=1e-10
             )
@@ -266,9 +266,8 @@ def fit_inputs(n, level, m=60):
 
 @pytest.mark.parametrize("n, level", [(2, 0), (2, 2), (3, 0), (3, 2)])
 def test_mvee_batch_feasible_with_john_certificate(n, level):
-    tol = FitConfig().tol
     rho, dirs = fit_inputs(n, level)
-    a, g_final = reducing._mvee_batch(rho, dirs, tol, 200_000)
+    a, g_final = reducing._mvee_batch(rho, dirs, _TOL, 200_000)
     assert a.shape == (rho.shape[0], n, n)
     assert g_final.max() < 1.0
     for a_b, rho_b in zip(a, rho):
@@ -284,7 +283,7 @@ def test_mvee_batch_feasible_with_john_certificate(n, level):
         assert lp.status == 0
         np.testing.assert_allclose(outer @ lp.x, np.linalg.inv(a_b).ravel(),
                                    rtol=0, atol=1e-8)
-        assert lp.fun <= n * (1.0 + tol)
+        assert lp.fun <= n * (1.0 + _TOL)
 
 
 def test_mvee_batch_logs_one_debug_record(caplog):
@@ -301,10 +300,10 @@ def test_mvee_batch_logs_one_debug_record(caplog):
 
 
 def _fit_record(caplog, rho, dirs):
-    """The DEBUG record args of one _mvee_batch call at the default tol."""
+    """The DEBUG record args of one _mvee_batch call at the default _TOL."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="haarweight"):
-        reducing._mvee_batch(rho, dirs, FitConfig().tol, 200_000)
+        reducing._mvee_batch(rho, dirs, _TOL, 200_000)
     (record,) = [r for r in caplog.records if r.name == "haarweight.reducing"]
     return record.args
 
@@ -316,7 +315,7 @@ def test_mvee_batch_centres_every_stage(caplog, n, level):
     assert capped == 0 and decrement <= 1e-5
     # negative control: one step fewer than the fit needs must not pass
     with pytest.raises(EllipsoidFitError):
-        reducing._mvee_batch(rho, dirs, FitConfig().tol, steps - 1)
+        reducing._mvee_batch(rho, dirs, _TOL, steps - 1)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -341,10 +340,11 @@ def test_rho_pyramid_matches_direction_norm():
                 np.testing.assert_allclose(pyr[lvl][idx], want, rtol=1e-12)
 
 
-def test_fit_failure_raises():
+def test_fit_failure_raises(monkeypatch):
     w = rotating_weight(level=2)
+    monkeypatch.setattr(reducing, "_MAX_ITER", 3)
     with pytest.raises(EllipsoidFitError):
-        build_reducing_family(w, 3.0, fit=FitConfig(max_iter=3))
+        build_reducing_family(w, 3.0)
 
 
 def test_coverage_error_beyond_depth():

@@ -1,7 +1,8 @@
-"""File format tests: weight round-trips in both formats, header and body
-validation, tree JSON, equivalence reports, and manifests."""
+"""File format tests: weight round-trips, header and body validation, tree
+JSON, equivalence reports, and manifests."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from haarweight.serialization import (
 )
 
 
-@pytest.mark.parametrize("suffix", [".csv", ".bin"])
+@pytest.mark.parametrize("suffix", [".csv"])
 def test_weight_roundtrip(tmp_path, suffix):
     w = make_weight(WeightFamily("rotating", 1, 2, 4, params={"alpha": 0.6}, seed=3))
     path = save_weight(w, tmp_path / f"w{suffix}")
@@ -62,10 +63,34 @@ def test_bad_headers(tmp_path):
     p.write_text("# not a haarweight file\n1.0\n")
     with pytest.raises(SerializationError):
         load_weight(p)
-    b = tmp_path / "junk.bin"
-    b.write_bytes(b"XXXX\x00" + b"\x00" * 64)
-    with pytest.raises(SerializationError):
+    # the retired binary format: magic, four int64 fields, meta JSON, float64
+    # body; it is no longer readable, and says so
+    w = make_weight(WeightFamily("power", 1, 1, 2, params={"alpha": 0.3}))
+    meta = json.dumps(w.meta, sort_keys=True).encode()
+    b = tmp_path / "old.bin"
+    b.write_bytes(b"HWMW\x01" + struct.pack("<4q", 1, 1, 2, len(meta)) + meta
+                  + w.cells.reshape(-1).tobytes())
+    with pytest.raises(SerializationError, match="old.bin"):
         load_weight(b)
+
+
+_HEAD = b"# haarweight matrix-weight v1 d=1 n=1 "
+UNREADABLE = {
+    "undecodable": _HEAD + b"L=1\n\xff\xfe\n",
+    "non-numeric": _HEAD + b"L=0\n# meta {}\nabc\n",
+    "ragged": _HEAD + b"L=1\n# meta {}\n1.0\n1.0,2.0\n",
+    "negative-level": _HEAD + b"L=-1\n# meta {}\n1.0\n",
+    "meta-list": _HEAD + b"L=0\n# meta [1]\n1.0\n",
+}
+
+
+@pytest.mark.parametrize("case", ["missing", *UNREADABLE])
+def test_unreadable_weight_file_names_its_path(tmp_path, case):
+    path = tmp_path / "bad.csv"
+    if case != "missing":
+        path.write_bytes(UNREADABLE[case])
+    with pytest.raises(SerializationError, match="bad.csv"):
+        load_weight(path)
 
 
 def test_body_shape_checked(tmp_path):

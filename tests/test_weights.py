@@ -234,3 +234,12 @@ def test_constant_family():
     npt.assert_array_equal(reps[0], np.asarray(m) / m[0][0])
     with pytest.raises(ParameterError):
         make_weight(WeightFamily("nosuch", 1, 1, 2))
+
+
+@pytest.mark.parametrize("family, n", [
+    ("power", 1), ("rotating", 2), ("logbrownian", 2), ("constant", 2),
+])
+def test_unknown_family_param_rejected(family, n):
+    # a misspelt key used to be ignored: the cells came out as for the default
+    with pytest.raises(ParameterError, match="alpah"):
+        make_weight(WeightFamily(family, 1, n, 3, params={"alpah": 0.3}))
