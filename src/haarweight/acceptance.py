@@ -79,9 +79,6 @@ class AcceptanceContext(RunContext):
             self._sweep = alpha_sweep_report(self.config)
         return self._sweep
 
-    def cells(self):
-        return [(w.name, p) for w in self.config.weights for p in self.config.ps]
-
 
 def _blocks(cells: np.ndarray, d: int, l: int, big: int) -> np.ndarray:
     """(2^big,)*d + tail -> (cubes at level l, cells per cube) + tail."""

@@ -35,17 +35,11 @@ def _load(args) -> ExperimentConfig:
     over = {}
     if getattr(args, "seed", None) is not None:
         over["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        over["out_dir"] = str(args.out)
+    if getattr(args, "out_dir", None) is not None:
+        over["out_dir"] = str(args.out_dir)
     if getattr(args, "experiment", None):
         over["experiments"] = tuple(args.experiment)
     return dataclasses.replace(cfg, **over) if over else cfg
-
-
-def _add_common(sp, out_help: str):
-    sp.add_argument("--config", type=Path, help="JSON experiment config")
-    sp.add_argument("--seed", type=int, help="override the config seed")
-    sp.add_argument("--out", type=Path, help=out_help)
 
 
 def _cmd_run(args) -> int:
@@ -114,7 +108,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("run", help="run experiments and write artifacts")
-    _add_common(sp, "output directory (overrides config out_dir)")
+    sp.add_argument("--seed", type=int, help="override the config seed")
+    sp.add_argument("--out", dest="out_dir", type=Path,
+                    help="output directory (overrides config out_dir)")
     sp.add_argument(
         "--experiment", action="append", choices=EXPERIMENT_IDS,
         help="restrict to one experiment (repeatable)",
@@ -124,23 +120,25 @@ def main(argv=None) -> int:
     sp.set_defaults(fn=_cmd_run)
 
     sp = sub.add_parser("verify", help="run the acceptance criteria")
-    _add_common(sp, "unused; verification writes no files")
+    sp.add_argument("--seed", type=int, help="override the config seed")
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("calibrate", help="print calibrated stopping thresholds")
-    _add_common(sp, "unused; calibration prints to stdout")
     sp.set_defaults(fn=_cmd_calibrate)
 
     sp = sub.add_parser("dump-weight", help="write one weight as CSV")
     sp.add_argument("name", help="weight name from the config suite")
-    _add_common(sp, "target CSV path")
+    sp.add_argument("--out", type=Path, help="target CSV path")
     sp.set_defaults(fn=_cmd_dump_weight)
 
     sp = sub.add_parser("dump-stopping", help="write one generation tree as JSON")
     sp.add_argument("name", help="weight name from the config suite")
     sp.add_argument("--p", type=float, default=2.0, help="integrability exponent")
-    _add_common(sp, "target JSON path")
+    sp.add_argument("--out", type=Path, help="target JSON path")
     sp.set_defaults(fn=_cmd_dump_stopping)
+
+    for sp in sub.choices.values():
+        sp.add_argument("--config", type=Path, help="JSON experiment config")
 
     args = parser.parse_args(argv)
     try:

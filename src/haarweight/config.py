@@ -98,6 +98,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment ids {sorted(unknown)}; known: {EXPERIMENT_IDS}"
             )
+        if len(set(self.experiments)) != len(self.experiments):
+            raise ConfigError(
+                f"duplicate experiment ids in config: {list(self.experiments)}"
+            )
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         for p in self.ps:
             if not 1.0 < p < math.inf:
                 raise ConfigError(f"exponents must exceed 1 and be finite, got {p}")

@@ -66,6 +66,10 @@ class RunContext:
         self._cals = {}
         self._trees = {}
 
+    def cells(self) -> list:
+        """Every (weight name, exponent) pair, weights outermost."""
+        return [(w.name, p) for w in self.config.weights for p in self.config.ps]
+
     def spec(self, name: str) -> WeightSpec:
         for w in self.config.weights:
             if w.name == name:
@@ -187,8 +191,6 @@ def _run_haar(ctx: RunContext, out: Path, result: RunResult):
 
 
 def _run_reducing(ctx: RunContext, out: Path, result: RunResult):
-    cfg = ctx.config
-
     def cell(key):
         name, p = key
         w = ctx.weight(name)
@@ -205,9 +207,8 @@ def _run_reducing(ctx: RunContext, out: Path, result: RunResult):
             rep.passed,
         ]
 
-    cells = [(w.name, p) for w in cfg.weights for p in cfg.ps]
     rows = []
-    for key, row, err in _gather(cell, cells):
+    for key, row, err in _gather(cell, ctx.cells()):
         if err is not None:
             result.failures.append(CellFailure("reducing", str(key), repr(err)))
             continue
@@ -224,8 +225,6 @@ def _run_reducing(ctx: RunContext, out: Path, result: RunResult):
 
 def _run_stopping(ctx: RunContext, out: Path, result: RunResult,
                   dump: bool = False):
-    cfg = ctx.config
-
     def cell(key):
         name, p = key
         tree = ctx.tree(name, p)
@@ -236,9 +235,8 @@ def _run_stopping(ctx: RunContext, out: Path, result: RunResult,
         row.append(any(g.floor_hit for g in tree.generations))
         return row, tree
 
-    cells = [(w.name, p) for w in cfg.weights for p in cfg.ps]
     rows = []
-    for key, payload, err in _gather(cell, cells):
+    for key, payload, err in _gather(cell, ctx.cells()):
         if err is not None:
             result.failures.append(CellFailure("stopping", str(key), repr(err)))
             continue
@@ -289,9 +287,8 @@ def _run_multiplier(ctx: RunContext, out: Path, result: RunResult):
         return [name, p, parts.max(), parts.mean(),
                 max(quots) if quots else float("nan"), sum_err]
 
-    cells = [(w.name, p) for w in cfg.weights for p in cfg.ps]
     rows = []
-    for key, row, err in _gather(cell, cells):
+    for key, row, err in _gather(cell, ctx.cells()):
         if err is not None:
             result.failures.append(CellFailure("multiplier", str(key), repr(err)))
             continue
@@ -316,9 +313,8 @@ def _run_equivalence(ctx: RunContext, out: Path, result: RunResult):
             seed=cfg.seed, spectra=cfg.spectra,
         )
 
-    cells = [(w.name, p) for w in cfg.weights for p in cfg.ps]
     summary, flat = [], []
-    for key, rep, err in _gather(cell, cells):
+    for key, rep, err in _gather(cell, ctx.cells()):
         name, p = key
         if err is not None:
             result.failures.append(CellFailure("equivalence", str(key), repr(err)))

@@ -164,6 +164,9 @@ def _reason(info: dict) -> str:
 
 
 def tree_to_dict(tree: GenerationTree) -> dict:
+    """JSON form of a tree: per generation its roots and the stopping cubes
+    that fired inside it, listed in (level, index) order, with test values
+    and the reason each fired."""
     gens = []
     for g in tree.generations:
         gens.append(

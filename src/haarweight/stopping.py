@@ -7,7 +7,10 @@ reducing operators drift too far apart:
     ||V_J^{-1} V_I||^p' > lambda2    (test 2: the weight shrank)
 
 The maximal such J (first hit on the way down) form the next generation of
-block roots; the cubes visited before any hit form the block F(I). Blocks
+block roots; the cubes visited before any hit form the block F(I). One pass
+down the levels labels every cube with its generation: each cube is tested
+against its parent's block root; a cube that fires takes its parent's label
++ 1 and roots its own block, and any other cube inherits both. Blocks
 partition the tree down to the floor, the grid level L; cubes at the floor may
 fire but are never split further, and every generation whose frontier reaches
 the floor is flagged, since its subtree was truncated rather than exhausted.
@@ -92,52 +95,28 @@ class GenerationTree:
     level: int
     root: DyadicCube
     generations: list
-    gen_label: list  # per level 0..floor: int arrays, 0 = outside the tree
+    gen_label: list  # per level 0..floor: int arrays of generation labels
 
     def generation_count(self) -> int:
         return len(self.generations)
 
 
-class _PairTables:
-    """Cached ancestor/descendant test values over full level grids.
-
-    t(mode, li, lj)[J-grid] = ||V_J V_I^{-1}||^p (mode 1) or
-    ||V_J^{-1} V_I||^{p'} (mode 2) with I = the level-li ancestor of J.
-    """
-
-    def __init__(self, family: ReducingFamily):
-        self.family = family
-        self.p = family.p
-        self.q = conjugate_exponent(family.p)
-        self._cache = {}
-
-    def _ancestor_gather(self, arr: np.ndarray, li: int, lj: int) -> np.ndarray:
-        shift = lj - li
-        idx = np.indices(((1 << lj),) * self.family.d)
-        return arr[tuple(ix >> shift for ix in idx)]
-
-    def t(self, mode: int, li: int, lj: int) -> np.ndarray:
-        key = (mode, li, lj)
-        if key not in self._cache:
-            self._cache[key] = self._build(mode, li, lj)
-        return self._cache[key]
-
-    def _build(self, mode: int, li: int, lj: int) -> np.ndarray:
-        fam = self.family
+def _pair_table(family: ReducingFamily, mode: int, li: int, lj: int) -> np.ndarray:
+    """Test values over the level-lj grid of cubes J, with I the level-li
+    ancestor of J: ||V_J V_I^{-1}||^p (mode 1) or ||V_J^{-1} V_I||^{p'}
+    (mode 2). Cached on the family."""
+    key = ("pair", mode, li, lj)
+    if key not in family._cache:
+        d = family.d
         if mode == 1:
-            anc = self._ancestor_gather(fam.v_inv[li], li, lj)
-            val = op_norm_stack(fam.v[lj] @ anc) ** self.p
+            anc = refine_to_cells(family.v_inv[li], d, lj - li)
+            val = op_norm_stack(family.v[lj] @ anc) ** family.p
         else:
-            anc = self._ancestor_gather(fam.v[li], li, lj)
-            val = op_norm_stack(fam.v_inv[lj] @ anc) ** self.q
+            anc = refine_to_cells(family.v[li], d, lj - li)
+            val = op_norm_stack(family.v_inv[lj] @ anc) ** conjugate_exponent(family.p)
         val.flags.writeable = False
-        return val
-
-
-def _tables_for(family: ReducingFamily) -> _PairTables:
-    if "pair_tables" not in family._cache:
-        family._cache["pair_tables"] = _PairTables(family)
-    return family._cache["pair_tables"]
+        family._cache[key] = val
+    return family._cache[key]
 
 
 def _floor(family: ReducingFamily) -> int:
@@ -149,85 +128,48 @@ def _floor(family: ReducingFamily) -> int:
     return family.level
 
 
-def _scan_block(family, cfg, root: DyadicCube, floor: int, tables: _PairTables):
-    """First-hit scan below one block root.
-
-    Returns (fired, kept, floor_hit): fired is a list of (cube, info); kept is
-    a list of (level, boolean grid mask) of the cubes that stayed in the
-    block; floor_hit says whether any kept cube lies at the floor.
-    """
-    d = family.d
-    fired = []
-    kept = []
-    if root.level >= floor:
-        return fired, kept, False
-    alive = np.zeros(((1 << (root.level + 1)),) * d, dtype=bool)
-    alive[root.cell_slices(root.level + 1)] = True
-    floor_hit = False
-    for lj in range(root.level + 1, floor + 1):
-        t1 = tables.t(1, root.level, lj)
-        t2 = tables.t(2, root.level, lj)
-        hit = (t1 > cfg.lambda1) | (t2 > cfg.lambda2)
-        fire_mask = alive & hit
-        keep_mask = alive & ~hit
-        if fire_mask.any():
-            for idx in np.argwhere(fire_mask):
-                idx = tuple(int(i) for i in idx)
-                v1, v2 = float(t1[idx]), float(t2[idx])
-                fired.append(
-                    (
-                        DyadicCube(lj, idx),
-                        {
-                            "test1": v1,
-                            "test2": v2,
-                            "fired1": v1 > cfg.lambda1,
-                            "fired2": v2 > cfg.lambda2,
-                        },
-                    )
-                )
-        kept.append((lj, keep_mask))
-        if lj == floor:
-            floor_hit = bool(keep_mask.any())
-        else:
-            alive = refine_to_cells(keep_mask, d, 1)
-    return fired, kept, floor_hit
-
-
 def build_generations(family: ReducingFamily, cfg: StoppingConfig) -> GenerationTree:
-    """Iterate blocks until no cube fires; every tree cube gets a block label."""
+    """Label every cube in one pass down the levels (see the module
+    docstring). Generation j's stopping cubes are the fired cubes labelled
+    j + 1, in (level, index) order; it hit the floor if a floor cube is
+    labelled j."""
     if cfg.p != family.p:
         raise ParameterError(f"config exponent {cfg.p} != family exponent {family.p}")
     floor = _floor(family)
     d = family.d
+    label = np.ones((1,) * d, dtype=np.int32)
+    root_at = np.zeros((1,) * d, dtype=np.int32)  # level of each cube's block root
+    gen_label = [label]
+    opened = {}  # label -> [(cube, info)] of the fired cubes that carry it
+    for lj in range(1, floor + 1):
+        label = refine_to_cells(label, d, 1)
+        root_at = refine_to_cells(root_at, d, 1)
+        t1 = np.empty(label.shape)
+        t2 = np.empty(label.shape)
+        for li in np.unique(root_at).tolist():
+            sel = root_at == li
+            t1[sel] = _pair_table(family, 1, li, lj)[sel]
+            t2[sel] = _pair_table(family, 2, li, lj)[sel]
+        hit = (t1 > cfg.lambda1) | (t2 > cfg.lambda2)
+        label = label + hit
+        root_at = np.where(hit, lj, root_at)
+        gen_label.append(label)
+        for idx in np.argwhere(hit):
+            idx = tuple(int(i) for i in idx)
+            v1, v2 = float(t1[idx]), float(t2[idx])
+            info = {"test1": v1, "test2": v2,
+                    "fired1": v1 > cfg.lambda1, "fired2": v2 > cfg.lambda2}
+            opened.setdefault(int(label[idx]), []).append((DyadicCube(lj, idx), info))
     root = DyadicCube.root(d)
-    tables = _tables_for(family)
-    gen_label = [np.zeros(((1 << l),) * d, dtype=np.int32) for l in range(floor + 1)]
     generations = []
     roots = [root]
-    j = 0
-    while roots:
-        j += 1
-        stopping = []
-        floor_hit = False
-        for r in roots:
-            gen_label[r.level][r.index] = j
-            fired, kept, fh = _scan_block(family, cfg, r, floor, tables)
-            stopping.extend(fired)
-            floor_hit = floor_hit or fh or r.level == floor
-            for lvl, mask in kept:
-                gen_label[lvl][mask] = j
-        generations.append(
-            GenerationRecord(index=j, roots=roots, stopping=stopping, floor_hit=floor_hit)
-        )
+    for j in range(1, int(label.max()) + 1):
+        stopping = opened.get(j + 1, [])
+        generations.append(GenerationRecord(index=j, roots=roots, stopping=stopping,
+                                            floor_hit=bool((label == j).any())))
         roots = [c for c, _ in stopping]
-    return GenerationTree(
-        config=cfg,
-        d=d,
-        level=family.level,
-        root=root,
-        generations=generations,
-        gen_label=gen_label,
-    )
+    return GenerationTree(config=cfg, d=d, level=family.level, root=root,
+                          generations=generations, gen_label=gen_label)
 
 
 def decay_ratio(tree: GenerationTree, j: int) -> float:
@@ -282,7 +224,7 @@ class CalibrationResult:
     achieved: dict  # weight name -> measured combined sup decay at the margins
 
 
-def _sup_decay(tables: _PairTables, floor: int, hit) -> float:
+def _sup_decay(d: int, floor: int, hit) -> float:
     """sup over cubes I of |union of maximal fired subcubes| / |I|, where
     hit(li, lj) is the boolean fire grid of level-lj cubes below level li.
 
@@ -290,7 +232,6 @@ def _sup_decay(tables: _PairTables, floor: int, hit) -> float:
     bottom-up pass carries their measure from the floor one level at a time.
     Every partial sum is a dyadic fraction, so the result is exact.
     """
-    d = tables.family.d
     worst = 0.0
     for li in range(floor):
         fires = []
@@ -327,18 +268,20 @@ def _least_threshold(entries: list, mode: int, target: float, power: float) -> f
     them finds it; the largest always passes, since nothing fires above it.
     """
     cands = [np.array([1.0])]
-    for _, _, tab, floor, char in entries:
+    for _, fam, floor, char in entries:
         for li in range(floor):
             for lj in range(li + 1, floor + 1):
-                t = tab.t(mode, li, lj).ravel()
+                t = _pair_table(fam, mode, li, lj).ravel()
                 cands.append(_least_multipliers(t, char**power))
     cands = np.unique(np.concatenate(cands))
     cands = cands[cands >= 1.0]
 
     def passes(i):
-        for _, _, tab, floor, char in entries:
+        for _, fam, floor, char in entries:
             lam = float(cands[i]) * char**power
-            decay = _sup_decay(tab, floor, lambda li, lj: tab.t(mode, li, lj) > lam)
+            decay = _sup_decay(
+                fam.d, floor, lambda li, lj: _pair_table(fam, mode, li, lj) > lam
+            )
             if decay > target / 2:
                 return False
         return True
@@ -368,26 +311,22 @@ def calibrate_lambdas(
     q = conjugate_exponent(p)
     if not 0.0 < target < 1.0:
         raise ParameterError(f"target decay must lie in (0,1), got {target}")
-    entries = []
-    for name, _, fam in weights_and_families:
-        floor = _floor(fam)
-        entries.append((name, fam, _tables_for(fam), floor, fam.characteristic()))
+    entries = [(name, fam, _floor(fam), fam.characteristic())
+               for name, _, fam in weights_and_families]
 
     c1 = _least_threshold(entries, 1, target, 0.0)
     c2 = _least_threshold(entries, 2, target, q / p)
     lambda1 = 4.0 * c1
-    chars = {name: char for name, _, _, _, char in entries}
-    lambda2s = {
-        name: 4.0 * c2 * char ** (q / p) for name, _, _, _, char in entries
-    }
+    chars = {name: char for name, _, _, char in entries}
+    lambda2s = {name: 4.0 * c2 * char ** (q / p) for name, _, _, char in entries}
     achieved = {
         name: _sup_decay(
-            tab,
+            fam.d,
             floor,
-            lambda li, lj: (tab.t(1, li, lj) > lambda1)
-            | (tab.t(2, li, lj) > lambda2s[name]),
+            lambda li, lj: (_pair_table(fam, 1, li, lj) > lambda1)
+            | (_pair_table(fam, 2, li, lj) > lambda2s[name]),
         )
-        for name, _, tab, floor, _ in entries
+        for name, fam, floor, _ in entries
     }
     return CalibrationResult(
         p=p,

@@ -115,6 +115,38 @@ def test_usage_errors_exit_2(tmp_path):
         main(["frobnicate"])
 
 
+def test_negative_seed_is_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    for command in ("run", "verify"):
+        assert main([command, "--config", str(cfg), "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_experiment_is_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    argv = ["run", "--config", str(cfg), "--experiment", "haar", "--experiment", "haar"]
+    assert main(argv) == 2
+    assert "duplicate experiment" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--out", "x"],
+        ["calibrate", "--out", "x"],
+        ["calibrate", "--seed", "1"],
+        ["dump-weight", "wa", "--seed", "1"],
+        ["dump-stopping", "wa", "--seed", "1"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:-1]),
+)
+def test_unread_flags_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_calibrate_prints_table(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["calibrate", "--config", str(cfg)]) == 0

@@ -99,6 +99,26 @@ def test_field_validation():
     ExperimentConfig(stopping_lambda1=1.0001, stopping_lambda2=1.0001)
 
 
+def test_negative_seed_rejected(tmp_path):
+    # default_rng refuses negative seeds, so every seeded cell would fail
+    with pytest.raises(ConfigError, match="seed"):
+        ExperimentConfig(seed=-1)
+    with pytest.raises(ConfigError, match="seed"):
+        ExperimentConfig(seed=1.5)
+    payload = config_to_dict(default_config())
+    payload["seed"] = -1
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(p)
+    ExperimentConfig(seed=0)
+
+
+def test_duplicate_experiment_ids_rejected():
+    with pytest.raises(ConfigError, match="duplicate experiment"):
+        ExperimentConfig(experiments=("haar", "reducing", "haar"))
+
+
 def test_infinite_exponent_rejected(tmp_path):
     with pytest.raises(ConfigError, match="finite"):
         ExperimentConfig(ps=(2.0, float("inf")))

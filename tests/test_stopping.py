@@ -1,9 +1,9 @@
 """Stopping-time tests: a fully hand-checked two-cell tree, partition and
-admissibility invariants on a rotating weight, and threshold calibration
-against an independent log-scale bisection."""
+admissibility invariants on a rotating weight, the labelling pass against the
+per-root block scan it replaced, per-cube pair tables, and threshold
+calibration against an independent log-scale bisection."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from haarweight import (
     DyadicCube,
     MatrixWeight,
     ParameterError,
+    RunContext,
     ShapeError,
     StoppingConfig,
     WeightFamily,
@@ -20,6 +21,7 @@ from haarweight import (
     build_reducing_family,
     calibrate_lambdas,
     decay_ratio,
+    default_config,
     make_weight,
     split_generations,
     suite_weight_specs,
@@ -34,8 +36,8 @@ from haarweight.dyadic import (
 from haarweight.reducing import conjugate_exponent
 from haarweight.stopping import (
     _least_multipliers,
+    _pair_table,
     _sup_decay,
-    _tables_for,
 )
 
 
@@ -120,7 +122,6 @@ def test_partition_and_admissibility_invariants():
     w, fam = rotating_setup(level=5)
     cfg = StoppingConfig(p=3.0, lambda1=1.4, lambda2=1.4)
     tree = build_generations(fam, cfg)
-    tables = _tables_for(fam)  # the tables build_generations used
 
     # every cube in the truncated tree carries exactly one block label
     for lvl in range(tree.level + 1):
@@ -145,8 +146,8 @@ def test_partition_and_admissibility_invariants():
                 sel = in_block & mask
                 if not sel.any():
                     continue
-                t1 = tables.t(1, r.level, lvl)[sel]
-                t2 = tables.t(2, r.level, lvl)[sel]
+                t1 = _pair_table(fam, 1, r.level, lvl)[sel]
+                t2 = _pair_table(fam, 2, r.level, lvl)[sel]
                 assert (t1 <= cfg.lambda1).all()
                 assert (t2 <= cfg.lambda2).all()
         # fired cubes are maximal: the parent stayed in the block
@@ -259,15 +260,12 @@ def _bisect_log(predicate, lo=1.0, hi=1e6, steps=60):
 
 def _bisected_c_hats(entries, p, target):
     q = conjugate_exponent(p)
-    tabs = [
-        (_tables_for(fam), fam.level, fam.d, fam.characteristic())
-        for _, _, fam in entries
-    ]
+    fams = [(fam, fam.level, fam.d, fam.characteristic()) for _, _, fam in entries]
 
     def passes(mode, c):
-        for tab, floor, d, char in tabs:
+        for fam, floor, d, char in fams:
             lam = c * char ** (q / p) if mode == 2 else c
-            hit = lambda li, lj: tab.t(mode, li, lj) > lam
+            hit = lambda li, lj: _pair_table(fam, mode, li, lj) > lam
             if _sup_decay_per_pair(d, floor, hit) > target / 2:
                 return False
         return True
@@ -317,7 +315,6 @@ def test_least_multipliers_are_least():
 def test_sup_decay_matches_per_pair_sums(d):
     rng = np.random.default_rng(11 + d)
     floor = 6 if d == 1 else 4
-    tables = SimpleNamespace(family=SimpleNamespace(d=d))
     for density in (0.02, 0.1, 0.3, 0.7):
         masks = {
             (li, lj): rng.random(((1 << lj),) * d) < density
@@ -325,7 +322,7 @@ def test_sup_decay_matches_per_pair_sums(d):
             for lj in range(li + 1, floor + 1)
         }
         hit = lambda li, lj: masks[li, lj]
-        assert _sup_decay(tables, floor, hit) == _sup_decay_per_pair(d, floor, hit)
+        assert _sup_decay(d, floor, hit) == _sup_decay_per_pair(d, floor, hit)
 
 
 def test_config_validation():
@@ -339,3 +336,104 @@ def test_config_validation():
     shallow = build_reducing_family(w, 3.0, max_depth=1)
     with pytest.raises(CoverageError):
         build_generations(shallow, StoppingConfig(p=3.0, lambda1=2.0, lambda2=2.0))
+
+
+# Oracle: the per-root block scan that the single labelling pass replaced.
+# Each generation scans below each of its roots in turn; it shares only the
+# pair tables with the code under test.
+
+
+def _scan_block(fam, cfg, root, floor):
+    d = fam.d
+    fired, kept = [], []
+    if root.level >= floor:
+        return fired, kept, False
+    alive = np.zeros(((1 << (root.level + 1)),) * d, dtype=bool)
+    alive[root.cell_slices(root.level + 1)] = True
+    floor_hit = False
+    for lj in range(root.level + 1, floor + 1):
+        t1 = _pair_table(fam, 1, root.level, lj)
+        t2 = _pair_table(fam, 2, root.level, lj)
+        hit = (t1 > cfg.lambda1) | (t2 > cfg.lambda2)
+        keep = alive & ~hit
+        for idx in np.argwhere(alive & hit):
+            idx = tuple(int(i) for i in idx)
+            fired.append((DyadicCube(lj, idx), (float(t1[idx]), float(t2[idx]))))
+        kept.append((lj, keep))
+        if lj == floor:
+            floor_hit = bool(keep.any())
+        else:
+            alive = refine_to_cells(keep, d, 1)
+    return fired, kept, floor_hit
+
+
+def _per_root_generations(fam, cfg):
+    floor, d = fam.level, fam.d
+    gen_label = [np.zeros(((1 << l),) * d, dtype=np.int32) for l in range(floor + 1)]
+    generations = []  # (roots, {cube: (test1, test2)}, floor_hit)
+    roots = [DyadicCube.root(d)]
+    j = 0
+    while roots:
+        j += 1
+        stopping, floor_hit = [], False
+        for r in roots:
+            gen_label[r.level][r.index] = j
+            fired, kept, fh = _scan_block(fam, cfg, r, floor)
+            stopping.extend(fired)
+            floor_hit = floor_hit or fh or r.level == floor
+            for lvl, mask in kept:
+                gen_label[lvl][mask] = j
+        generations.append((set(roots), dict(stopping), floor_hit))
+        roots = [c for c, _ in stopping]
+    return gen_label, generations
+
+
+@pytest.fixture(scope="module")
+def suite_ctx():
+    return RunContext(default_config())
+
+
+@pytest.mark.parametrize("lam", [1.0 + 1e-6, 1.3, 2.0, None],
+                         ids=["1+1e-6", "1.3", "2.0", "calibrated"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_labelling_pass_matches_per_root_scan(suite_ctx, p, lam):
+    for spec in suite_ctx.config.weights:
+        fam = suite_ctx.family(spec.name, p)
+        if lam is None:
+            cfg = suite_ctx.stopping_config(spec.name, p)
+        else:
+            cfg = StoppingConfig(p=p, lambda1=lam, lambda2=lam)
+        tree = build_generations(fam, cfg)
+        gen_label, generations = _per_root_generations(fam, cfg)
+
+        assert len(tree.gen_label) == len(gen_label)
+        for got, want in zip(tree.gen_label, gen_label):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert tree.generation_count() == len(generations)
+        for rec, (roots, stopping, floor_hit) in zip(tree.generations, generations):
+            assert set(rec.roots) == roots
+            assert {c: (i["test1"], i["test2"]) for c, i in rec.stopping} == stopping
+            assert rec.floor_hit == floor_hit
+            order = [(c.level, c.index) for c in rec.stopping_cubes]
+            assert order == sorted(order)
+
+
+@pytest.mark.parametrize("name", ["rot2d-a05", "rot-a06"])
+def test_pair_table_per_cube(name):
+    spec = {s.name: s for s in suite_weight_specs()}[name]
+    p = 3.0
+    q = conjugate_exponent(p)
+    fam = build_reducing_family(spec.realize(), p)
+    for li in range(fam.level):
+        for lj in range(li + 1, fam.level + 1):
+            t1 = _pair_table(fam, 1, li, lj)
+            t2 = _pair_table(fam, 2, li, lj)
+            assert t1.shape == t2.shape == ((1 << lj),) * fam.d
+            for J in np.ndindex(t1.shape):
+                I = tuple(i >> (lj - li) for i in J)
+                vi, vj = fam.v[li][I], fam.v[lj][J]
+                want1 = np.linalg.norm(vj @ np.linalg.inv(vi), 2) ** p
+                want2 = np.linalg.norm(np.linalg.inv(vj) @ vi, 2) ** q
+                assert t1[J] == pytest.approx(want1, rel=1e-12)
+                assert t2[J] == pytest.approx(want2, rel=1e-12)
