@@ -64,6 +64,7 @@ from .analysis import (
     dual_square_norm,
     equivalence_ratios,
     loglog_slope,
+    random_mean_zero_batch,
     random_mean_zero_coefficients,
     sharpness_probe,
     square_function,

@@ -22,7 +22,7 @@ from .analysis import (
     cross_term_rate,
     dual_square_norm,
     equivalence_ratios,
-    random_mean_zero_coefficients,
+    random_mean_zero_batch,
 )
 from .config import ExperimentConfig, default_config
 from .dyadic import GridFunction, haar_reconstruct, haar_transform, lp_norm
@@ -156,7 +156,7 @@ def c03_john_sandwich(ctx: AcceptanceContext) -> CriterionResult:
             rng = np.random.default_rng([ctx.config.seed, 3, tag, l])
             dirs = rng.standard_normal((cubes, m, weight.n))
             dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-            x = np.einsum("kcij,kmj->kcmi", blocks, dirs)
+            x = np.matmul(dirs[:, None], np.swapaxes(blocks, -1, -2))
             rho = (np.linalg.norm(x, axis=-1) ** p).mean(axis=1) ** (1.0 / p)
             v = fam.v[l].reshape(cubes, weight.n, weight.n)
             ve = np.linalg.norm(np.einsum("kij,kmj->kmi", v, dirs), axis=-1)
@@ -260,12 +260,8 @@ def c07_block_partition(ctx: AcceptanceContext) -> CriterionResult:
     for seed_tag in (0, 1):
         for name, p in ctx.cells():
             w = ctx.weight(name)
-            tree = ctx.tree(name, p)
-            worst = 0.0
-            for i in range(100):
-                rng = np.random.default_rng([ctx.config.seed + seed_tag, 7, i])
-                f = random_mean_zero_coefficients(w.d, w.n, w.level, rng)
-                worst = max(worst, block_partition_constant(f, tree, p)[0])
+            f = random_mean_zero_batch(w, 100, [ctx.config.seed + seed_tag, 7])
+            worst = float(block_partition_constant(f, ctx.tree(name, p), p)[0].max())
             caps.setdefault((p, seed_tag), 0.0)
             caps[(p, seed_tag)] = max(caps[(p, seed_tag)], worst)
     ok = True
@@ -286,14 +282,10 @@ def c08_block_identities(ctx: AcceptanceContext) -> CriterionResult:
     for name, p in ctx.cells():
         w = ctx.weight(name)
         fam = ctx.family(name, p)
-        tree = ctx.tree(name, p)
-        for i in range(10):
-            rng = np.random.default_rng([ctx.config.seed, 8, i])
-            f = random_mean_zero_coefficients(w.d, w.n, w.level, rng)
-            blocks = t_blocks(w, fam, f, tree, p)
-            total = np.sum([b.values for b in blocks], axis=0)
-            tf = t_operator(w, fam, f, p)
-            worst = max(worst, float(np.abs(total - tf.values).max()))
+        f = random_mean_zero_batch(w, 10, [ctx.config.seed, 8])
+        total = t_blocks(w, fam, f, ctx.tree(name, p), p).values.sum(axis=-1)
+        tf = t_operator(w, fam, f, p)
+        worst = max(worst, float(np.abs(total - tf.values).max()))
     return CriterionResult(
         8, "block-identities", worst <= 1e-9,
         f"max |sum T_j f - Tf| = {worst:.2e}",
@@ -414,12 +406,9 @@ def c12_dual_square_bound(ctx: AcceptanceContext) -> CriterionResult:
         for w in ctx.config.weights:
             weight = ctx.weight(w.name)
             fam = ctx.family(w.name, p)
-            dual = _dual_weight(weight, p)
-            for i in range(50):
-                rng = np.random.default_rng([ctx.config.seed, 12, i])
-                f = random_mean_zero_coefficients(weight.d, weight.n, weight.level, rng)
-                rhs = weighted_lp_norm(haar_reconstruct(f), dual, q)
-                cap = max(cap, dual_square_norm(f, fam, p) / rhs)
+            f = random_mean_zero_batch(weight, 50, [ctx.config.seed, 12])
+            rhs = weighted_lp_norm(haar_reconstruct(f), _dual_weight(weight, p), q)
+            cap = max(cap, float((dual_square_norm(f, fam, p) / rhs).max()))
         ok = ok and cap <= _C12_CAP
         parts.append(f"p={p:g}: C_emp={cap:.4f}")
     return CriterionResult(

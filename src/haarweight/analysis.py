@@ -10,6 +10,12 @@ of the measured characteristic with exponents (1+ceil(p))/p and
 (2+ceil(p'))/p; at p = 2 the extremal ratios over all f are generalized
 eigenvalues, found by Lanczos on exact matrix-free pyramid operators.
 
+A batch of test functions is one HaarCoefficients whose function axis rides
+after the n value components, and the generation pieces of a stopping tree
+add one more axis after it. Each batch takes one Haar synthesis, and each
+norm one reduction with one value per column, so no loop runs over the
+functions or the generations of a cell.
+
 Test functions are mean zero, so root scaling terms never enter them: every
 sum below runs over detail cubes only.
 """
@@ -20,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg
-import scipy.stats
 
 from .dyadic import (
     GridFunction,
@@ -39,6 +44,7 @@ from .weights import MatrixWeight, apply_cells, spd_power_stack, weighted_lp_nor
 __all__ = [
     "SPECTRA",
     "random_mean_zero_coefficients",
+    "random_mean_zero_batch",
     "square_function",
     "square_norm",
     "dual_square_norm",
@@ -79,6 +85,20 @@ def random_mean_zero_coefficients(
     return c
 
 
+def random_mean_zero_batch(
+    weight: MatrixWeight, count: int, tag: list, spectra: tuple = ("flat",)
+) -> HaarCoefficients:
+    """count random mean-zero functions on the weight's grid as one batch:
+    function i draws from default_rng(tag + [i]), spectra cycled."""
+    return HaarCoefficients.stack([
+        random_mean_zero_coefficients(
+            weight.d, weight.n, weight.level, np.random.default_rng(tag + [i]),
+            spectra[i % len(spectra)],
+        )
+        for i in range(count)
+    ])
+
+
 def _check_pair(f: HaarCoefficients, family: ReducingFamily):
     if (f.d, f.n) != (family.d, family.n):
         raise ShapeError(
@@ -93,33 +113,38 @@ def _check_pair(f: HaarCoefficients, family: ReducingFamily):
 
 
 def _aggregate_squares(symbols: list, f: HaarCoefficients) -> np.ndarray:
-    """Cellwise sum of |S_I f_I^eps|^2 / |I| over all detail cubes."""
+    """Cellwise sum of |S_I f_I^eps|^2 / |I| over all detail cubes: shape
+    (2^L,)*d + batch, one value per cell and column."""
     d, L = f.d, f.level
-    acc = np.zeros(((1 << L),) * d)
+    acc = np.zeros(((1 << L),) * d + f.batch)
     for l, y in enumerate(apply_symbols(symbols, f.detail)):
-        s = np.sum(y * y, axis=(-1, -2)) * 2.0 ** (l * d)
+        s = np.sum(y * y, axis=(d, d + 1)) * 2.0 ** (l * d)
         acc += refine_to_cells(s, d, L - l)
     return acc
+
+
+def _scalar_function(f: HaarCoefficients, squares: np.ndarray) -> GridFunction:
+    """The pointwise root of aggregated squares, as a scalar grid function."""
+    return GridFunction(f.d, 1, f.level, np.expand_dims(np.sqrt(squares), f.d))
 
 
 def square_function(f: HaarCoefficients, family: ReducingFamily) -> GridFunction:
     """Pointwise square function with the family's V_I symbols, exact on cells."""
     _check_pair(f, family)
-    vals = np.sqrt(_aggregate_squares(family.v, f))
-    return GridFunction(f.d, 1, f.level, vals[..., None])
+    return _scalar_function(f, _aggregate_squares(family.v, f))
 
 
-def square_norm(f: HaarCoefficients, family: ReducingFamily, p: float) -> float:
+def square_norm(f: HaarCoefficients, family: ReducingFamily, p: float):
+    """||S f||_p; one per column of a batch."""
     return lp_norm(square_function(f, family), p)
 
 
-def dual_square_norm(f: HaarCoefficients, family: ReducingFamily, p: float) -> float:
+def dual_square_norm(f: HaarCoefficients, family: ReducingFamily, p: float):
     """Square norm with inverse symbols V_I^{-1}, measured at the conjugate
-    exponent p'."""
+    exponent p'; one per column of a batch."""
     _check_pair(f, family)
-    q = conjugate_exponent(p)
-    vals = np.sqrt(_aggregate_squares(family.v_inv, f))
-    return lp_norm(GridFunction(f.d, 1, f.level, vals[..., None]), q)
+    squares = _aggregate_squares(family.v_inv, f)
+    return lp_norm(_scalar_function(f, squares), conjugate_exponent(p))
 
 
 # ---------------------------------------------------------------------------
@@ -183,27 +208,20 @@ def equivalence_ratios(
     """Measure r(f) over count random mean-zero f, spectra cycled.
 
     Each function draws from its own generator seeded by (seed, index), so
-    reports are reproducible regardless of evaluation order. Degenerate draws
-    (zero norm on either side) are skipped and counted.
+    reports are reproducible regardless of evaluation order; the draws are
+    then measured as one batch. Degenerate draws (zero norm on either side)
+    are skipped and counted.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     if p != family.p:
         raise ParameterError(f"exponent {p} does not match family exponent {family.p}")
     char = family.characteristic()
-    ratios, spectrum_of, skipped = [], [], 0
-    for i in range(count):
-        spectrum = spectra[i % len(spectra)]
-        rng = np.random.default_rng([seed & 0xFFFFFFFF, i])
-        f = random_mean_zero_coefficients(weight.d, weight.n, weight.level, rng, spectrum)
-        wn = weighted_lp_norm(haar_reconstruct(f), weight, p)
-        sn = square_norm(f, family, p)
-        if wn == 0.0 or sn == 0.0:
-            skipped += 1
-            continue
-        ratios.append(wn / sn)
-        spectrum_of.append(spectrum)
-    if not ratios:
+    f = random_mean_zero_batch(weight, count, [seed], spectra)
+    wn = weighted_lp_norm(haar_reconstruct(f), weight, p)
+    sn = square_norm(f, family, p)
+    kept = np.flatnonzero((wn != 0.0) & (sn != 0.0))
+    if not kept.size:
         raise ParameterError("all test functions degenerated to zero")
     return EquivalenceReport(
         p=p,
@@ -211,9 +229,9 @@ def equivalence_ratios(
         count=count,
         seed=seed,
         spectra=tuple(spectra),
-        ratios=np.asarray(ratios),
-        spectrum_of=spectrum_of,
-        skipped=skipped,
+        ratios=wn[kept] / sn[kept],
+        spectrum_of=[spectra[i % len(spectra)] for i in kept],
+        skipped=count - kept.size,
         weight_meta=dict(weight.meta),
     )
 
@@ -221,17 +239,44 @@ def equivalence_ratios(
 def block_partition_constant(
     f: HaarCoefficients, tree: GenerationTree, p: float
 ) -> tuple:
-    """(sum_j ||Delta_j f||_p^p / ||f||_p^p, [||Delta_j f||_p^p per
-    generation]) for mean-zero f."""
+    """(sum_j ||Delta_j f||_p^p / ||f||_p^p, ||Delta_j f||_p^p per generation
+    on a last axis) for mean-zero f; one constant per column of a batch."""
     denom = lp_norm(haar_reconstruct(f), p) ** p
-    if denom == 0.0:
+    if np.any(denom == 0.0):
         raise ParameterError("zero function has no partition constant")
-    parts = [lp_norm(haar_reconstruct(c), p) ** p for c in split_generations(f, tree)]
-    return sum(parts) / denom, parts
+    parts = lp_norm(haar_reconstruct(split_generations(f, tree)), p) ** p
+    return parts.sum(axis=-1) / denom, parts
 
 
 # ---------------------------------------------------------------------------
-# cross-term geometric rate
+# least squares and the cross-term geometric rate
+
+
+@dataclass(frozen=True)
+class _Line:
+    slope: float
+    intercept: float
+    rvalue: float
+    stderr: float
+
+
+def _linregress(x, y) -> _Line:
+    """Least-squares line through (x, y), by scipy.stats.linregress's own
+    formulas: the same slope, intercept, r and slope stderr, and the same
+    special case for two points (stderr 0)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size < 2 or x.max() == x.min():
+        raise ParameterError("a line fit needs at least two distinct x values")
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0.0 else 0.0
+    else:
+        r = min(max(ssxym / math.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
+    df = x.size - 2
+    stderr = math.sqrt((1.0 - r**2) * ssym / ssxm / df) if df else 0.0
+    return _Line(float(slope), float(np.mean(y) - slope * np.mean(x)), float(r), stderr)
 
 
 @dataclass(frozen=True)
@@ -264,39 +309,33 @@ def cross_term_rate(
 ) -> CrossTermReport:
     """Fit log of diagonal-normalized cross terms vs generation separation.
 
-    For each random f the blocks T_j f are formed once; off-diagonal terms
-    int |T_j|^{p/2}|T_k|^{p/2} are divided by the diagonal geometric mean, so
-    the j = k value is exactly 1 and the pooled regression needs no per-f
-    scale. Test functions cycle through SPECTRA. Requires at least two
-    populated generations.
+    The blocks T_j f of all count random f are formed as one batch;
+    off-diagonal terms int |T_j|^{p/2}|T_k|^{p/2} are divided by the diagonal
+    geometric mean, so the j = k value is exactly 1 and the pooled regression
+    needs no per-f scale. Test functions cycle through SPECTRA. Points are
+    pooled in (f, j, k) order. Requires at least two populated generations.
     """
-    xs, ys = [], []
-    max_sep = 0
-    for i in range(count):
-        spectrum = SPECTRA[i % len(SPECTRA)]
-        rng = np.random.default_rng([seed & 0xFFFFFFFF, i])
-        f = random_mean_zero_coefficients(weight.d, weight.n, weight.level, rng, spectrum)
-        blocks = t_blocks(weight, family, f, tree, p)
-        norms = [np.linalg.norm(b.values, axis=-1) for b in blocks]
-        diag = [float(np.mean(nb**p)) for nb in norms]
-        for j in range(len(blocks)):
-            if diag[j] == 0.0:
-                continue
-            for k in range(j + 1, len(blocks)):
-                if diag[k] == 0.0:
-                    continue
-                raw = float(np.mean((norms[j] * norms[k]) ** (p / 2.0)))
-                if raw == 0.0:
-                    continue
-                sep = k - j
-                xs.append(sep)
-                ys.append(math.log(raw / math.sqrt(diag[j] * diag[k])))
-                max_sep = max(max_sep, sep)
-    if len(set(xs)) < 2:
+    f = random_mean_zero_batch(weight, count, [seed], SPECTRA)
+    blocks = t_blocks(weight, family, f, tree, p)
+    # |T_j f| as one contiguous row of cells per (function, generation)
+    norms = np.linalg.norm(blocks.values, axis=weight.d)
+    norms = norms.reshape(-1, count, norms.shape[-1]).transpose(1, 2, 0).copy()
+    gens = norms.shape[1]
+    diag = np.mean(norms**p, axis=-1)
+    raw = np.zeros((count, gens, gens))  # raw[:, j, k], filled for j < k
+    for sep in range(1, gens):
+        rows = np.arange(gens - sep)
+        cross = (norms[:, :-sep] * norms[:, sep:]) ** (p / 2.0)
+        raw[:, rows, rows + sep] = np.mean(cross, axis=-1)
+    kept = (diag[:, :, None] != 0.0) & (diag[:, None, :] != 0.0) & (raw != 0.0)
+    i, j, k = np.nonzero(kept)
+    xs = k - j
+    if np.unique(xs).size < 2:
         raise ParameterError(
             "cross-term fit needs at least two distinct generation separations"
         )
-    fit = scipy.stats.linregress(xs, ys)
+    ys = np.log(raw[i, j, k] / np.sqrt(diag[i, j] * diag[i, k]))
+    fit = _linregress(xs, ys)
     return CrossTermReport(
         p=p,
         count=count,
@@ -306,8 +345,8 @@ def cross_term_rate(
         rate=math.exp(fit.slope),
         rate_ci95=math.exp(fit.slope + 1.96 * fit.stderr),
         intercept=float(fit.intercept),
-        n_points=len(xs),
-        max_separation=max_sep,
+        n_points=int(xs.size),
+        max_separation=int(xs.max()),
     )
 
 
@@ -400,7 +439,7 @@ def loglog_slope(chars, values) -> dict:
     values = np.asarray(values, dtype=float)
     if chars.shape != values.shape or chars.size < 3:
         raise ParameterError("slope fit needs at least three (char, value) pairs")
-    fit = scipy.stats.linregress(np.log(chars), np.log(values))
+    fit = _linregress(np.log(chars), np.log(values))
     return {
         "slope": float(fit.slope),
         "stderr": float(fit.stderr),

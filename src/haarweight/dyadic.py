@@ -7,6 +7,12 @@ level < L) plus the unit scaling function is an orthonormal basis, and the
 pyramid transform below realizes analysis/synthesis exactly (machine
 precision, scalings are powers of 2).
 
+Batches. k functions on one grid travel together as one object with a
+trailing batch axis: values (2^L,)*d + (n, k), detail blocks (2^l,)*d +
+(2^d - 1, n, k). The pyramids act on each value component on its own, so a
+batch is synthesized as one function with values in R^{n k}, and lp_norm
+returns one norm per column. Any number of batch axes may follow n.
+
 Conventions. A cube at level l has sidelength 2^-l and index in {0..2^l-1}^d;
 child gamma in {0,1}^d selects the left (0) or right (1) half per axis. A Haar
 signature eps in {0,1}^d \\ {(1,..,1)} marks coordinate i as oscillating
@@ -17,6 +23,7 @@ this is |I|^{-1/2} (chi_left - chi_right).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,7 +199,8 @@ def refine_to_cells(arr: np.ndarray, d: int, k: int) -> np.ndarray:
 class GridFunction:
     """A function on [0,1)^d constant on level-L cells, with values in R^n.
 
-    values has shape (2^L,)*d + (n,); axis j indexes coordinate x_j.
+    values has shape (2^L,)*d + (n,); axis j indexes coordinate x_j. A batch
+    of functions appends its batch axes: (2^L,)*d + (n,) + batch.
     """
 
     d: int
@@ -207,11 +215,16 @@ class GridFunction:
             )
         v = np.asarray(self.values, dtype=float)
         want = ((1 << self.level),) * self.d + (self.n,)
-        if v.shape != want:
-            raise ShapeError(f"values shape {v.shape}, expected {want}")
+        if v.shape[: len(want)] != want:
+            raise ShapeError(f"values shape {v.shape}, expected {want} + batch")
         if not np.all(np.isfinite(v)):
             raise ShapeError("values contain non-finite entries")
         object.__setattr__(self, "values", v)
+
+    @property
+    def batch(self) -> tuple:
+        """Shape of the batch axes after n; () for a single function."""
+        return self.values.shape[self.d + 1 :]
 
 
 @dataclass(eq=False)
@@ -219,7 +232,8 @@ class HaarCoefficients:
     """Haar analysis data: root scaling coefficient plus per-level details.
 
     detail[l] has shape (2^l,)*d + (2^d - 1, n): one block of coefficients per
-    level-l cube, signature axis ordered as detail_signatures(d).
+    level-l cube, signature axis ordered as detail_signatures(d). A batch
+    appends its batch axes to root_scaling (n,) and to every detail block.
     """
 
     d: int
@@ -229,10 +243,13 @@ class HaarCoefficients:
     detail: list = field(default_factory=list)
 
     def __post_init__(self):
-        rs = np.asarray(self.root_scaling, dtype=float).reshape(-1)
-        if rs.shape != (self.n,):
-            raise ShapeError(f"root scaling shape {rs.shape}, expected ({self.n},)")
+        rs = np.asarray(self.root_scaling, dtype=float)
+        if rs.shape[:1] != (self.n,):
+            raise ShapeError(
+                f"root scaling shape {rs.shape}, expected ({self.n},) + batch"
+            )
         self.root_scaling = rs
+        batch = rs.shape[1:]
         if len(self.detail) != self.level:
             raise ShapeError(
                 f"{len(self.detail)} detail levels for finest level {self.level}"
@@ -241,7 +258,7 @@ class HaarCoefficients:
         clean = []
         for lvl, arr in enumerate(self.detail):
             arr = np.asarray(arr, dtype=float)
-            want = ((1 << lvl),) * self.d + (nsig, self.n)
+            want = ((1 << lvl),) * self.d + (nsig, self.n) + batch
             if arr.shape != want:
                 raise ShapeError(f"detail[{lvl}] shape {arr.shape}, expected {want}")
             clean.append(arr)
@@ -252,6 +269,21 @@ class HaarCoefficients:
         nsig = (1 << d) - 1
         detail = [np.zeros(((1 << l),) * d + (nsig, n)) for l in range(level)]
         return cls(d, n, level, np.zeros(n), detail)
+
+    @classmethod
+    def stack(cls, coeffs: list) -> "HaarCoefficients":
+        """One batch of equal-shape coefficients, a new last batch axis."""
+        first = coeffs[0]
+        return cls(
+            first.d, first.n, first.level,
+            np.stack([c.root_scaling for c in coeffs], axis=-1),
+            [np.stack(arrs, axis=-1) for arrs in zip(*(c.detail for c in coeffs))],
+        )
+
+    @property
+    def batch(self) -> tuple:
+        """Shape of the batch axes after n; () for a single function."""
+        return self.root_scaling.shape[1:]
 
     def detail_l2(self) -> float:
         """l2 norm of all detail coefficients (excludes root scaling)."""
@@ -265,38 +297,56 @@ class HaarCoefficients:
 
 
 def haar_transform(f: GridFunction) -> HaarCoefficients:
-    """Exact Haar analysis of a grid function via the dyadic pyramid."""
+    """Exact Haar analysis of a grid function via the dyadic pyramid; a batch
+    is analyzed as one function with its batch axes folded into the values."""
     d, L = f.d, f.level
     s = sign_matrix(d)
-    a = f.values
+    tail = (f.n,) + f.batch
+    a = f.values.reshape(f.values.shape[:d] + (math.prod(tail),))
     detail = [None] * L
     inv = 1.0 / (1 << d)
     for lvl in range(L - 1, -1, -1):
         blocks = _split_blocks(a, d)
         b = np.einsum("ec,...cn->...en", s, blocks) * inv
-        detail[lvl] = np.ascontiguousarray(b[..., :-1, :]) * 2.0 ** (-lvl * d / 2.0)
+        coarse = np.ascontiguousarray(b[..., :-1, :]) * 2.0 ** (-lvl * d / 2.0)
+        detail[lvl] = coarse.reshape(coarse.shape[:-1] + tail)
         a = np.ascontiguousarray(b[..., -1, :])
-    return HaarCoefficients(d, f.n, L, a.reshape(f.n), detail)
+    return HaarCoefficients(d, f.n, L, a.reshape(tail), detail)
 
 
 def haar_reconstruct(coeffs: HaarCoefficients) -> GridFunction:
-    """Exact Haar synthesis; inverse of haar_transform."""
-    d, n, L = coeffs.d, coeffs.n, coeffs.level
+    """Exact Haar synthesis; inverse of haar_transform. A batch of k functions
+    with values in R^n is synthesized as one function with values in R^{n k}."""
+    d, L = coeffs.d, coeffs.level
     s = sign_matrix(d)
-    a = coeffs.root_scaling.reshape((1,) * d + (n,))
+    tail = coeffs.root_scaling.shape
+    m = math.prod(tail)
+    a = coeffs.root_scaling.reshape((1,) * d + (m,))
     nsig = (1 << d) - 1
     for lvl in range(L):
-        b = np.empty(((1 << lvl),) * d + (nsig + 1, n))
-        b[..., :-1, :] = coeffs.detail[lvl] * 2.0 ** (lvl * d / 2.0)
+        b = np.empty(((1 << lvl),) * d + (nsig + 1, m))
+        b[..., :-1, :] = coeffs.detail[lvl].reshape(b.shape[:-2] + (nsig, m)) * (
+            2.0 ** (lvl * d / 2.0)
+        )
         b[..., -1, :] = a
         blocks = np.einsum("ec,...en->...cn", s, b)
         a = _merge_blocks(blocks, d)
-    return GridFunction(d, n, L, a)
+    return GridFunction(d, coeffs.n, L, a.reshape(a.shape[:d] + tail))
 
 
-def lp_norm(f: GridFunction, p: float) -> float:
-    """L^p norm of the piecewise-constant function, exact cell sum."""
+def lp_norm(f: GridFunction, p: float):
+    """L^p norm of the piecewise-constant function, exact cell sum.
+
+    A float for one function; for a batch, an array of the batch shape with
+    one norm per column. Each column's cells are summed as one contiguous
+    row, so a column's norm is summed in the same order as alone.
+    """
     if not 1.0 < p < np.inf:
         raise ParameterError(f"exponent must satisfy 1 < p < inf, got {p}")
-    mag = np.linalg.norm(f.values, axis=-1)
-    return float(np.sum(mag**p) * f.values[..., 0].size ** -1.0) ** (1.0 / p)
+    mag = np.linalg.norm(f.values, axis=f.d) ** p
+    cells = mag.reshape(-1, math.prod(f.batch))
+    rows = np.ascontiguousarray(cells.T)
+    means = np.sum(rows, axis=-1) * cells.shape[0] ** -1.0
+    if not f.batch:
+        return float(means[0]) ** (1.0 / p)
+    return (means ** (1.0 / p)).reshape(f.batch)

@@ -18,7 +18,7 @@ from .analysis import (
     block_partition_constant,
     equivalence_ratios,
     loglog_slope,
-    random_mean_zero_coefficients,
+    random_mean_zero_batch,
     sharpness_probe,
 )
 from .config import EXPERIMENT_IDS, ExperimentConfig, WeightSpec, config_to_dict
@@ -264,28 +264,22 @@ def _run_multiplier(ctx: RunContext, out: Path, result: RunResult):
         w = ctx.weight(name)
         fam = ctx.family(name, p)
         tree = ctx.tree(name, p)
-        parts, quots = [], []
-        sum_err = 0.0
-        for i in range(cfg.count):
-            rng = np.random.default_rng([cfg.seed, 5, i])
-            f = random_mean_zero_coefficients(w.d, w.n, w.level, rng,
-                                              cfg.spectra[i % len(cfg.spectra)])
-            part, delta_norms = block_partition_constant(f, tree, p)
-            parts.append(part)
-            blocks = t_blocks(w, fam, f, tree, p)
-            # ||T_j f||_p^p / ||Delta_j f||_p^p over the blocks that carry f
-            q = [lp_norm(b, p) ** p / dn
-                 for b, dn in zip(blocks, delta_norms) if dn > 0.0]
-            if q:
-                quots.append(max(q))
-            if i < 5:
-                total = np.sum([b.values for b in blocks], axis=0)
-                tf = t_operator(w, fam, f, p)
-                scale = max(1.0, float(np.abs(tf.values).max()))
-                sum_err = max(sum_err, float(np.abs(total - tf.values).max()) / scale)
-        parts = np.asarray(parts)
+        tag = [cfg.seed, 5]
+        f = random_mean_zero_batch(w, cfg.count, tag, cfg.spectra)
+        parts, delta_norms = block_partition_constant(f, tree, p)
+        blocks = t_blocks(w, fam, f, tree, p)
+        # ||T_j f||_p^p / ||Delta_j f||_p^p over the blocks that carry f
+        carried = delta_norms > 0.0
+        quots = lp_norm(blocks, p)[carried] ** p / delta_norms[carried]
+        # the sum identity on the first five functions, drawn again
+        first = random_mean_zero_batch(w, min(cfg.count, 5), tag, cfg.spectra)
+        tf = t_operator(w, fam, first, p).values
+        total = blocks.values[..., :5, :].sum(axis=-1)
+        grid = tuple(range(w.d + 1))  # cells and value components
+        scale = np.maximum(1.0, np.abs(tf).max(axis=grid))
+        sum_err = float((np.abs(total - tf).max(axis=grid) / scale).max())
         return [name, p, parts.max(), parts.mean(),
-                max(quots) if quots else float("nan"), sum_err]
+                quots.max() if quots.size else float("nan"), sum_err]
 
     rows = []
     for key, row, err in _gather(cell, ctx.cells()):

@@ -9,8 +9,13 @@ inverse multiplier with Haar synthesis and a pointwise W^{1/p} factor,
 
 realized coefficient-side then cellwise, never as a dense matrix. The blocks
 T_j f apply V_I^{-1} once, split the result along the stopping generations,
-and synthesize each piece; the pieces partition the detail coefficients, so
-the blocks sum back to T f.
+and synthesize every piece at once; the pieces partition the detail
+coefficients, so the blocks sum back to T f.
+
+Batches ride in the value axis. A batch of k functions carries a trailing
+axis of length k after the n value components (see dyadic), and the
+generation pieces add one more: the symbols act on each column alike, and
+one Haar synthesis covers every function and every generation.
 """
 from __future__ import annotations
 
@@ -32,8 +37,13 @@ __all__ = [
 def apply_symbols(symbols: list, detail: list) -> list:
     """Per level, each cube's symbol applied to every detail coefficient of
     that cube: symbols[l] has shape (2^l,)*d + (n, n), detail[l] the shape of
-    HaarCoefficients.detail[l]; levels beyond the shorter list are dropped."""
-    return [np.einsum("...ij,...ej->...ei", s, b) for s, b in zip(symbols, detail)]
+    HaarCoefficients.detail[l], batch axes included; levels beyond the
+    shorter list are dropped."""
+    out = []
+    for s, b in zip(symbols, detail):
+        cols = b.reshape(b.shape[: s.ndim - 1] + (s.shape[-1], -1))
+        out.append(np.einsum("...ij,...ejk->...eik", s, cols).reshape(b.shape))
+    return out
 
 
 def _require_mean_zero(f: HaarCoefficients):
@@ -86,7 +96,8 @@ def t_blocks(
     f: HaarCoefficients,
     tree: GenerationTree,
     p: float,
-) -> list:
-    """The generation pieces T_1 f, ..., T_G f; they sum to T f."""
+) -> GridFunction:
+    """The generation pieces T_1 f, ..., T_G f as one batch: the last axis
+    of the values holds T_j f at index j - 1, and they sum to T f."""
     pieces = split_generations(_reduced(weight, family, f, p), tree)
-    return [_synthesize(weight, c, p) for c in pieces]
+    return _synthesize(weight, pieces, p)

@@ -18,8 +18,9 @@ Each generation's roots lie strictly below the last, so there are at most
 L + 1 generations.
 
 The same labels split a function and the operators built on it:
-split_generations cuts f's detail coefficients into one piece per block, and
-the pieces Delta_j f add up to f minus its mean.
+split_generations cuts f's detail coefficients into one piece per block,
+stacked on a trailing generation axis, and the pieces Delta_j f add up to f
+minus its mean.
 
 Thresholds are calibrated against the measured per-cube decay of the fired
 region, separately per test (each to half the target, so the union meets the
@@ -181,29 +182,30 @@ def decay_ratio(tree: GenerationTree, j: int) -> float:
     return tree.generations[j - 1].stopping_measure() / tree.root.measure
 
 
-def split_generations(coeffs: HaarCoefficients, tree: GenerationTree) -> list:
-    """Split f into its generation pieces, one HaarCoefficients per block.
+def split_generations(
+    coeffs: HaarCoefficients, tree: GenerationTree
+) -> HaarCoefficients:
+    """Split f into its generation pieces, one batch with a new last axis.
 
-    Piece j-1 keeps the detail coefficients on the cubes labelled j and has
-    zero root scaling, so haar_reconstruct of it is Delta_j f. Every detail
-    cube carries exactly one label, so the pieces add up to f minus its mean.
+    Index j-1 of that axis keeps the detail coefficients on the cubes
+    labelled j; the root scaling is zero, so haar_reconstruct of it is
+    Delta_j f. Every detail cube carries exactly one label, so the pieces
+    add up to f minus its mean. A batch f gets the generation axis after its
+    own batch axes.
     """
     if (coeffs.d, coeffs.level) != (tree.d, tree.level):
         raise ShapeError(
             f"coefficients (d={coeffs.d}, level {coeffs.level}) do not match "
             f"the tree (d={tree.d}, level {tree.level})"
         )
-    pairs = list(zip(coeffs.detail, tree.gen_label))
-    return [
-        HaarCoefficients(
-            coeffs.d,
-            coeffs.n,
-            coeffs.level,
-            np.zeros(coeffs.n),
-            [arr * (lab == j)[..., None, None] for arr, lab in pairs],
-        )
-        for j in range(1, tree.generation_count() + 1)
-    ]
+    gens = np.arange(1, tree.generation_count() + 1)
+    detail = []
+    for arr, lab in zip(coeffs.detail, tree.gen_label):
+        mask = lab[..., None] == gens
+        tail = (1,) * (arr.ndim - lab.ndim) + gens.shape
+        detail.append(arr[..., None] * mask.reshape(lab.shape + tail))
+    root = np.zeros(coeffs.root_scaling.shape + gens.shape)
+    return HaarCoefficients(coeffs.d, coeffs.n, coeffs.level, root, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,10 @@ def spd_power_stack(mats: np.ndarray, s: float) -> np.ndarray:
 
 
 def apply_cells(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Cellwise matrix-vector product: (..., n, n) applied to (..., n)."""
-    return np.einsum("...ij,...j->...i", mats, vecs)
+    """Cellwise matrix-vector product: cells + (n, n) applied to cells + (n,)
+    + batch, every batch column by the same cell matrix."""
+    cols = vecs.reshape(mats.shape[:-1] + (-1,))
+    return np.einsum("...ij,...jk->...ik", mats, cols).reshape(vecs.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +135,9 @@ class MatrixWeight:
         return out[::-1]
 
 
-def weighted_lp_norm(f: GridFunction, weight: MatrixWeight, p: float) -> float:
-    """L^p norm of W^{1/p} f (the natural weighted norm)."""
+def weighted_lp_norm(f: GridFunction, weight: MatrixWeight, p: float):
+    """L^p norm of W^{1/p} f (the natural weighted norm); one per column of a
+    batch."""
     if (f.d, f.n, f.level) != (weight.d, weight.n, weight.level):
         raise ShapeError("function and weight live on different grids")
     g = apply_cells(weight.power_cells(1.0 / p), f.values)

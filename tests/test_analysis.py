@@ -177,9 +177,10 @@ def test_block_partition_single_generation():
     assert len(delta_norms) == 1
     assert delta_norms[0] == pytest.approx(lp_norm(haar_reconstruct(f), 3.0) ** 3,
                                            rel=1e-12)
-    (t1,) = t_blocks(w, fam, f, tree, 3.0)
+    t1 = t_blocks(w, fam, f, tree, 3.0)
+    assert t1.batch == (1,)
     # T = identity here
-    assert lp_norm(t1, 3.0) ** 3 / delta_norms[0] == pytest.approx(1.0, rel=1e-12)
+    assert lp_norm(t1, 3.0)[0] ** 3 / delta_norms[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cross_term_rate_smoke():
@@ -337,3 +338,109 @@ def test_loglog_slope_recovers_power_law():
     assert fit["stderr"] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ParameterError):
         loglog_slope([1.0, 2.0], [1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation against a per-function loop
+
+
+def suite_weight(name):
+    from haarweight import suite_weight_specs
+
+    (spec,) = [s for s in suite_weight_specs() if s.name == name]
+    return spec.realize()
+
+
+def oracle_pieces(f, tree):
+    """Delta_j f, j = 1..G, each masked on its own from the tree's labels."""
+    return [
+        HaarCoefficients(
+            f.d, f.n, f.level, np.zeros(f.n),
+            [a * (lab == j)[..., None, None] for a, lab in zip(f.detail, tree.gen_label)],
+        )
+        for j in range(1, tree.generation_count() + 1)
+    ]
+
+
+@pytest.fixture(scope="module", params=[
+    ("rot-a06", 2.0), ("rot-a06", 3.0), ("rot2d-a05", 2.0), ("rot2d-a05", 3.0),
+])
+def suite_case(request):
+    name, p = request.param
+    w = suite_weight(name)
+    fam = build_reducing_family(w, p)
+    tree = build_generations(fam, StoppingConfig(p=p, lambda1=1.3, lambda2=1.3))
+    assert tree.generation_count() >= 2
+    return w, fam, tree, p
+
+
+def test_batched_ratios_match_a_per_function_loop(suite_case):
+    w, fam, _, p = suite_case
+    rep = equivalence_ratios(w, fam, p, count=9, seed=4)
+    want = []
+    for i in range(9):
+        rng = np.random.default_rng([4, i])
+        f = random_mean_zero_coefficients(w.d, w.n, w.level, rng, SPECTRA[i % 3])
+        want.append(weighted_lp_norm(haar_reconstruct(f), w, p) / square_norm(f, fam, p))
+    assert rep.skipped == 0
+    np.testing.assert_allclose(rep.ratios, want, rtol=1e-13, atol=0)
+
+
+def test_batched_partition_constants_match_a_per_function_loop(suite_case):
+    w, _, tree, p = suite_case
+    rng = np.random.default_rng(5)
+    fs = [random_mean_zero_coefficients(w.d, w.n, w.level, rng, s) for s in SPECTRA]
+    consts, parts = block_partition_constant(HaarCoefficients.stack(fs), tree, p)
+    assert parts.shape == (3, tree.generation_count())
+    for f, const, row in zip(fs, consts, parts):
+        want = [lp_norm(haar_reconstruct(c), p) ** p for c in oracle_pieces(f, tree)]
+        np.testing.assert_allclose(row, want, rtol=1e-13, atol=0)
+        denom = lp_norm(haar_reconstruct(f), p) ** p
+        assert const == pytest.approx(sum(want) / denom, rel=1e-13)
+        single, single_parts = block_partition_constant(f, tree, p)
+        assert single == pytest.approx(const, rel=1e-13)
+        np.testing.assert_allclose(single_parts, row, rtol=1e-13, atol=0)
+
+
+def test_batched_dual_square_norm_matches_single_calls(suite_case):
+    w, fam, _, p = suite_case
+    rng = np.random.default_rng(6)
+    fs = [random_mean_zero_coefficients(w.d, w.n, w.level, rng) for _ in range(4)]
+    got = dual_square_norm(HaarCoefficients.stack(fs), fam, p)
+    want = [dual_square_norm(f, fam, p) for f in fs]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_equivalence_seed_is_not_truncated_to_32_bits():
+    w = suite_weight("pow-a03")
+    fam = build_reducing_family(w, 2.0)
+    low = equivalence_ratios(w, fam, 2.0, count=5, seed=7)
+    high = equivalence_ratios(w, fam, 2.0, count=5, seed=2**32 + 7)
+    assert not np.array_equal(low.ratios, high.ratios)
+
+
+# ---------------------------------------------------------------------------
+# the least-squares helper, against scipy.stats.linregress
+
+
+def test_line_fit_equals_linregress():
+    import scipy.stats
+
+    from haarweight.analysis import _linregress
+
+    rng = np.random.default_rng(12)
+    cases = [([0.0, 1.0], [2.0, 5.0]), ([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])]
+    for n in (3, 4, 7, 30, 200):
+        x = rng.standard_normal(n)
+        cases.append((x, 0.3 * x + rng.standard_normal(n)))
+        cases.append((rng.integers(1, 6, n).astype(float), rng.standard_normal(n)))
+    for x, y in cases:
+        if np.ptp(x) == 0.0:
+            continue
+        with np.errstate(invalid="ignore"):
+            want = scipy.stats.linregress(x, y)
+        got = _linregress(x, y)
+        for field in ("slope", "intercept", "rvalue", "stderr"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    with pytest.raises(ParameterError):
+        _linregress([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])

@@ -256,3 +256,28 @@ def test_grid_function_validation():
         GridFunction(1, 1, 1, np.array([[np.nan], [0.0]]))
     with pytest.raises(ParameterError):
         GridFunction(0, 1, 1, np.zeros((2, 1)))
+
+
+def test_batch_transforms_and_norms_act_per_column():
+    rng = np.random.default_rng(21)
+    for d, n, L in ((1, 3, 4), (2, 2, 3)):
+        fs = [random_grid(d, n, L, rng) for _ in range(4)]
+        batch = GridFunction(d, n, L, np.stack([f.values for f in fs], axis=-1))
+        assert batch.batch == (4,)
+        coeffs = haar_transform(batch)
+        assert coeffs.batch == (4,)
+        for i, f in enumerate(fs):
+            single = haar_transform(f)
+            np.testing.assert_allclose(coeffs.root_scaling[..., i], single.root_scaling,
+                                       rtol=1e-14, atol=1e-15)
+            for a, b in zip(coeffs.detail, single.detail):
+                np.testing.assert_allclose(a[..., i], b, rtol=1e-14, atol=1e-15)
+        back = haar_reconstruct(coeffs)
+        np.testing.assert_allclose(back.values, batch.values, atol=1e-12)
+        for p in (1.5, 2.0, 3.0):
+            np.testing.assert_allclose(lp_norm(batch, p), [lp_norm(f, p) for f in fs],
+                                       rtol=1e-15, atol=0)
+        stacked = HaarCoefficients.stack([haar_transform(f) for f in fs])
+        assert stacked.batch == (4,)
+        np.testing.assert_allclose(haar_reconstruct(stacked).values, batch.values,
+                                   atol=1e-12)

@@ -3,12 +3,15 @@ package imports into haarweight, resolves.
 
 perfbench/layers.py wraps each layer's public functions by looking up the
 names of __all__ with a default, so a stale name there would silently drop
-its span rather than fail.
+its span rather than fail. A fresh import also stays free of scipy.stats.
 """
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,13 @@ def test_package_names_resolve():
     for module, name in imported:
         assert hasattr(importlib.import_module(f"haarweight.{module}"), name)
         assert hasattr(haarweight, name), name
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats costs about 0.6 s and 40 MiB at import; the package fits
+    its lines without it."""
+    src = str(Path(haarweight.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import haarweight, sys; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

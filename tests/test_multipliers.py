@@ -18,9 +18,11 @@ from haarweight import (
     build_reducing_family,
     lp_norm,
     make_weight,
+    weighted_lp_norm,
 )
 from haarweight.dyadic import haar_reconstruct
 from haarweight.multipliers import apply_symbols, t_blocks, t_operator
+from test_analysis import suite_weight
 from test_dyadic import haar_eval
 
 
@@ -87,7 +89,9 @@ def test_block_sum_equals_t():
     w, fam = rotating_setup()
     tree = build_generations(fam, StoppingConfig(p=3.0, lambda1=1.3, lambda2=1.3))
     f = random_mean_zero(1, 2, 4, seed=2)
-    total = sum(b.values for b in t_blocks(w, fam, f, tree, 3.0))
+    blocks = t_blocks(w, fam, f, tree, 3.0)
+    assert blocks.batch == (tree.generation_count(),)
+    total = blocks.values.sum(axis=-1)
     tf = t_operator(w, fam, f, 3.0)
     np.testing.assert_allclose(total, tf.values, atol=1e-9)
 
@@ -108,3 +112,50 @@ def test_validation_errors():
     shallow = build_reducing_family(w, 3.0, max_depth=1)
     with pytest.raises(CoverageError):
         t_operator(w, shallow, f, 3.0)
+
+
+# ---------------------------------------------------------------------------
+# batched blocks against a per-function, per-generation loop
+
+
+@pytest.mark.parametrize("name", ["rot-a06", "rot2d-a05"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_batched_t_blocks_match_a_per_function_loop(name, p):
+    w = suite_weight(name)
+    fam = build_reducing_family(w, p)
+    tree = build_generations(fam, StoppingConfig(p=p, lambda1=1.3, lambda2=1.3))
+    gens = tree.generation_count()
+    assert gens >= 2
+    fs = [random_mean_zero(w.d, w.n, w.level, seed=s) for s in range(3)]
+    blocks = t_blocks(w, fam, HaarCoefficients.stack(fs), tree, p)
+    assert blocks.batch == (3, gens)
+    got = lp_norm(blocks, p) ** p
+    for f, row in zip(fs, got):
+        want = []
+        for j in range(1, gens + 1):
+            # V_I^{-1} f_I on the cubes labelled j, cube by cube
+            detail = [
+                np.einsum("...ij,...ej->...ei", v, a) * (lab == j)[..., None, None]
+                for v, a, lab in zip(fam.v_inv, f.detail, tree.gen_label)
+            ]
+            piece = HaarCoefficients(w.d, w.n, w.level, np.zeros(w.n), detail)
+            want.append(weighted_lp_norm(haar_reconstruct(piece), w, p) ** p)
+        np.testing.assert_allclose(row, want, rtol=1e-13, atol=0)
+    tf = t_operator(w, fam, HaarCoefficients.stack(fs), p)
+    np.testing.assert_allclose(blocks.values.sum(axis=-1), tf.values, atol=1e-12)
+
+
+def test_single_function_symbols_are_the_per_cube_product():
+    w = suite_weight("rot2d-a05")
+    fam = build_reducing_family(w, 2.0)
+    f = random_mean_zero(w.d, w.n, w.level, seed=9)
+    out = apply_symbols(fam.v, f.detail)
+    one = apply_symbols(fam.v, HaarCoefficients.stack([f]).detail)  # a batch of 1
+    for y, y1 in zip(out, one):
+        np.testing.assert_array_equal(y1[..., 0], y)
+    for v, a, y in zip(fam.v, f.detail, out):
+        assert y.shape == a.shape
+        for cube in np.ndindex(v.shape[:-2]):
+            for e in range(a.shape[-2]):
+                np.testing.assert_allclose(y[cube][e], v[cube] @ a[cube][e],
+                                           rtol=1e-14, atol=1e-15)

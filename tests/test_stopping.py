@@ -165,21 +165,19 @@ def test_telescoping_sum_recovers_function():
     f = GridFunction(1, 2, 4, rng.standard_normal((16, 2)))
     coeffs = haar_transform(f)
     pieces = split_generations(coeffs, tree)
-    assert len(pieces) == tree.generation_count()
-    total = np.zeros_like(f.values)
-    for c in pieces:
-        np.testing.assert_array_equal(c.root_scaling, 0.0)
-        total = total + haar_reconstruct(c).values
+    assert pieces.batch == (tree.generation_count(),)
+    np.testing.assert_array_equal(pieces.root_scaling, 0.0)
+    total = haar_reconstruct(pieces).values.sum(axis=-1)
     mean = f.values.mean(axis=0)
     np.testing.assert_allclose(total + mean, f.values, atol=1e-12)
 
     # every detail coefficient lies in exactly one piece, and the pieces add
     # up to f's details bit for bit
     for l in range(4):
-        held = np.stack([c.detail[l] for c in pieces])
+        held = pieces.detail[l]
         assert (coeffs.detail[l] != 0.0).all()
-        np.testing.assert_array_equal((held != 0.0).sum(axis=0), 1)
-        np.testing.assert_array_equal(held.sum(axis=0), coeffs.detail[l])
+        np.testing.assert_array_equal((held != 0.0).sum(axis=-1), 1)
+        np.testing.assert_array_equal(held.sum(axis=-1), coeffs.detail[l])
 
 
 def test_split_rejects_coefficients_off_the_tree_level():
