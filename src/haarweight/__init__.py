@@ -11,6 +11,7 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 from .errors import (
     CoverageError,
     DomainError,
+    EigenConvergenceError,
     EllipsoidFitError,
     HaarweightError,
     MatrixDomainError,

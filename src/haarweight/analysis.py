@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .dyadic import (
     GridFunction,
@@ -35,7 +34,7 @@ from .dyadic import (
     lp_norm,
     refine_to_cells,
 )
-from .errors import CoverageError, ParameterError, ShapeError
+from .errors import CoverageError, EigenConvergenceError, ParameterError, ShapeError
 from .reducing import ReducingFamily, conjugate_exponent
 from .stopping import GenerationTree, split_generations
 from .multipliers import apply_symbols, t_blocks
@@ -402,16 +401,62 @@ def _probe_operators(weight: MatrixWeight):
     return forward, inverse, int(bounds[-1])
 
 
+_BASIS = 20  # Lanczos vectors per cycle: ARPACK's default ncv for one eigenvalue
+_KEEP = 8  # top Ritz vectors carried across a restart
+_MAX_MATVECS = 5000  # cap per eigenvalue; a clustered top spectrum takes ~1,400
+_EPS = float(np.finfo(float).eps)
+
+
 def _largest_eigenvalue(op, size: int) -> float:
-    """Lanczos (ARPACK) to machine precision from a fixed start, so repeated
-    calls agree bit for bit."""
-    if size == 1:  # ARPACK needs k < size
-        return float(op(np.ones(1))[0])
-    lin = scipy.sparse.linalg.LinearOperator((size, size), matvec=op, dtype=float)
-    vals = scipy.sparse.linalg.eigsh(
-        lin, k=1, which="LA", v0=np.ones(size), tol=0, return_eigenvectors=False
-    )
-    return float(vals[0])
+    """Largest eigenvalue of the symmetric positive operator op on R^size, by
+    thick-restart Lanczos (Wu & Simon 2000).
+
+    The basis holds up to _BASIS vectors in one preallocated array and is
+    reorthogonalized fully (classical Gram-Schmidt, twice) at every step.
+    When it fills, the iteration restarts from the top _KEEP Ritz vectors
+    plus the residual direction, so the projected matrix is an arrowhead.
+    It stops as soon as the top Ritz pair's residual |beta_k s_k| is at most
+    eps * theta, eps the float64 machine epsilon, or when the basis spans the
+    whole space. The start vector is always np.ones(size), normalized, so
+    repeated calls agree bit for bit. After _MAX_MATVECS applications of op without
+    convergence it raises EigenConvergenceError.
+    """
+    m = min(_BASIS, size)
+    basis = np.empty((m + 1, size))
+    t = np.zeros((m, m))
+    basis[0] = 1.0 / math.sqrt(size)
+    j = matvecs = 0
+    while True:
+        w = op(basis[j])
+        matvecs += 1
+        h = basis[: j + 1] @ w
+        w -= h @ basis[: j + 1]
+        h2 = basis[: j + 1] @ w
+        w -= h2 @ basis[: j + 1]
+        t[j, j] = h[j] + h2[j]
+        beta = float(np.linalg.norm(w))
+        theta, y = np.linalg.eigh(t[: j + 1, : j + 1])
+        top, residual = float(theta[-1]), beta * abs(float(y[j, -1]))
+        if residual <= _EPS * abs(top) or j + 1 == size:
+            return top
+        if matvecs >= _MAX_MATVECS:
+            raise EigenConvergenceError(
+                f"Lanczos stopped at the cap of {_MAX_MATVECS} matvecs: top Ritz "
+                f"value {top!r}, residual {residual:.3e}"
+            )
+        basis[j + 1] = w / beta
+        if j + 1 < m:
+            t[j, j + 1] = t[j + 1, j] = beta
+            j += 1
+            continue
+        # thick restart: the top Ritz vectors, then the residual direction
+        keep = y[:, -_KEEP:]
+        basis[:_KEEP] = keep.T @ basis[:m]
+        basis[_KEEP] = basis[m]
+        t[:] = 0.0
+        t[:_KEEP, :_KEEP] = np.diag(theta[-_KEEP:])
+        t[:_KEEP, _KEEP] = t[_KEEP, :_KEEP] = beta * keep[m - 1]
+        j = _KEEP
 
 
 def sharpness_probe(weight: MatrixWeight) -> SharpnessProbe:
@@ -420,8 +465,13 @@ def sharpness_probe(weight: MatrixWeight) -> SharpnessProbe:
     With G the Gram matrix of ||f||_{L^2(W)}^2 in coefficient coordinates and
     B the block diagonal of m_I W (the exact V_I^2), the extreme eigenvalues
     of (G, B) are the squared extremal ratios in both directions: the largest
-    eigenvalues of B^{-1/2} G B^{-1/2} and of its inverse, found by Lanczos
-    on `_probe_operators`.
+    eigenvalues of B^{-1/2} G B^{-1/2} and of its inverse, each found by
+    `_largest_eigenvalue` on `_probe_operators`: thick-restart Lanczos with a
+    20-vector basis, full reorthogonalization and restarts from the top 8
+    Ritz vectors plus the residual, from the fixed start np.ones(size), until
+    the Ritz residual is at most eps * theta. A probe that has not converged
+    after _MAX_MATVECS (5000) operator applications raises
+    EigenConvergenceError, which the sweeps record as a failed point.
     """
     if weight.level < 1:
         raise ShapeError("a level-0 weight has no detail coefficients to probe")

@@ -36,6 +36,7 @@ __all__ = [
     "HaarCoefficients",
     "haar_transform",
     "haar_reconstruct",
+    "haar_exactness_errors",
     "lp_norm",
     "detail_signatures",
     "mean_pyramid",
@@ -285,11 +286,17 @@ class HaarCoefficients:
         """Shape of the batch axes after n; () for a single function."""
         return self.root_scaling.shape[1:]
 
-    def detail_l2(self) -> float:
-        """l2 norm of all detail coefficients (excludes root scaling)."""
-        return float(
-            np.sqrt(sum(float(np.sum(a * a)) for a in self.detail))
-        )
+    def detail_l2(self):
+        """l2 norm of all detail coefficients (excludes root scaling): a float
+        for one function, one norm per column of a batch, each column summed
+        as one contiguous row."""
+        k = math.prod(self.batch)
+        norms = np.sqrt(sum(
+            (np.sum(np.ascontiguousarray((a * a).reshape(-1, k).T), axis=-1)
+             for a in self.detail),
+            np.zeros(k),
+        ))
+        return float(norms[0]) if not self.batch else norms.reshape(self.batch)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +339,20 @@ def haar_reconstruct(coeffs: HaarCoefficients) -> GridFunction:
         blocks = np.einsum("ec,...en->...cn", s, b)
         a = _merge_blocks(blocks, d)
     return GridFunction(d, coeffs.n, L, a.reshape(a.shape[:d] + tail))
+
+
+def haar_exactness_errors(f: GridFunction) -> tuple:
+    """(round-trip error max |f - H^{-1} H f|, Parseval error
+    | ||f||_2 - ||H f||_2 |) of the pyramid transform H on f: arrays of the
+    batch shape, one error of each kind per column."""
+    coeffs = haar_transform(f)
+    back = haar_reconstruct(coeffs).values
+    k = math.prod(f.batch)
+    roundtrip = np.abs(back - f.values).reshape(-1, k).max(axis=0)
+    root = coeffs.root_scaling.reshape(f.n, k)
+    energy = np.sqrt(np.sum(root * root, axis=0) + coeffs.detail_l2() ** 2)
+    parseval = np.abs(lp_norm(f, 2.0) - energy)
+    return roundtrip.reshape(f.batch), parseval.reshape(f.batch)
 
 
 def lp_norm(f: GridFunction, p: float):

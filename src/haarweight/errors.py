@@ -34,6 +34,10 @@ class EllipsoidFitError(HaarweightError, RuntimeError):
         self.residual = residual
 
 
+class EigenConvergenceError(HaarweightError, RuntimeError):
+    """The p=2 probe's Lanczos iteration reached its matvec cap unconverged."""
+
+
 class CoverageError(HaarweightError, LookupError):
     """A requested cube or coefficient is not covered by the structure."""
 

@@ -22,7 +22,7 @@ from .analysis import (
     sharpness_probe,
 )
 from .config import EXPERIMENT_IDS, ExperimentConfig, WeightSpec, config_to_dict
-from .dyadic import GridFunction, haar_reconstruct, haar_transform, lp_norm
+from .dyadic import GridFunction, haar_exactness_errors, lp_norm
 from .errors import ConfigError, HaarweightError, ParameterError
 from .multipliers import t_blocks, t_operator
 from .reducing import build_reducing_family, duality_check, scan_depth
@@ -158,22 +158,13 @@ def _run_haar(ctx: RunContext, out: Path, result: RunResult):
 
     def cell(grid):
         d, n, level = grid
-        rows = []
-        for i in range(cfg.count):
-            rng = np.random.default_rng([cfg.seed, d, n, level, i])
-            f = GridFunction(
-                d, n, level, rng.standard_normal(((1 << level),) * d + (n,))
-            )
-            coeffs = haar_transform(f)
-            back = haar_reconstruct(coeffs)
-            rt = float(np.abs(back.values - f.values).max())
-            energy = np.sqrt(
-                float(np.dot(coeffs.root_scaling, coeffs.root_scaling))
-                + coeffs.detail_l2() ** 2
-            )
-            pv = abs(lp_norm(f, 2.0) - energy)
-            rows.append([d, n, level, i, rt, pv])
-        return rows
+        f = GridFunction(d, n, level, np.stack([
+            np.random.default_rng([cfg.seed, d, n, level, i]).standard_normal(
+                ((1 << level),) * d + (n,))
+            for i in range(cfg.count)
+        ], axis=-1))
+        rt, pv = haar_exactness_errors(f)
+        return [[d, n, level, i, float(rt[i]), float(pv[i])] for i in range(cfg.count)]
 
     all_rows = []
     for grid, rows, err in _gather(cell, cfg.grids):

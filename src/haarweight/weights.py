@@ -71,8 +71,9 @@ class WeightFamily:
     seed: int = 0
 
     def rng(self) -> np.random.Generator:
-        tag = zlib.crc32(self.family.encode()) & 0xFFFFFFFF
-        return np.random.default_rng([tag, self.seed & 0xFFFFFFFF])
+        if self.seed < 0:
+            raise ParameterError(f"weight seed must be non-negative, got {self.seed}")
+        return np.random.default_rng([zlib.crc32(self.family.encode()), self.seed])
 
 
 @dataclass(eq=False)

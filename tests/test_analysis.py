@@ -10,6 +10,7 @@ import scipy.linalg
 
 from haarweight import (
     DyadicCube,
+    EigenConvergenceError,
     HaarCoefficients,
     MatrixWeight,
     ParameterError,
@@ -22,6 +23,7 @@ from haarweight import (
     make_weight,
     weighted_lp_norm,
 )
+from haarweight import analysis
 from haarweight.analysis import (
     SPECTRA,
     block_partition_constant,
@@ -245,7 +247,9 @@ def dense_probe(weight):
     m = h.shape[1]
     pyr = weight.mean_pyramid_of(1.0)
     wc = pyr[level].reshape(cells, n, n)
-    g = np.einsum("ca,cij,cb->aibj", h, wc, h).reshape(m * n, m * n) / cells
+    # G[a i, b j] = sum_c h[c, a] W_c[i, j] h[c, b], one matmul per (i, j)
+    g = np.array([[(h.T * wc[:, i, j]) @ h for j in range(n)] for i in range(n)])
+    g = g.transpose(2, 0, 3, 1).reshape(m * n, m * n) / cells
     b = np.zeros((m, n, m, n))
     blocks = np.concatenate([
         np.repeat(pyr[l].reshape(-1, n, n), (1 << d) - 1, axis=0) for l in range(level)
@@ -304,6 +308,35 @@ def test_probe_inverse_is_exact(d, n, grid, level):
         x = rng.standard_normal(size)
         np.testing.assert_allclose(inverse(forward(x)), x, rtol=0, atol=1e-12)
         np.testing.assert_allclose(forward(inverse(x)), x, rtol=0, atol=1e-12)
+
+
+def clustered_weight(level):
+    """d=1, n=2: W = R(theta) diag(8, 1/8) R(theta)^T with theta = 0.785 times
+    the sum of the first eight Rademacher functions. Both probe operators
+    have a top eigenvalue of multiplicity >= 3."""
+    x = (np.arange(1 << level) + 0.5) / (1 << level)
+    theta = 0.785 * sum(
+        np.where(np.floor(x * 2 ** (k + 1)) % 2 == 0, 1.0, -1.0) for k in range(8)
+    )
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    cells = rot @ np.diag([8.0, 1.0 / 8.0]) @ np.swapaxes(rot, -1, -2)
+    return MatrixWeight(d=1, n=2, level=level, cells=cells)
+
+
+def test_sharpness_probe_converges_on_a_repeated_top_eigenvalue():
+    w = clustered_weight(9)
+    ratio, inverse = dense_probe(w)
+    probe = sharpness_probe(w)
+    assert probe.size == 1022
+    assert probe.max_ratio == pytest.approx(ratio, rel=1e-12)
+    assert probe.max_inverse_ratio == pytest.approx(inverse, rel=1e-12)
+
+
+def test_lanczos_cap_raises(monkeypatch):
+    monkeypatch.setattr(analysis, "_MAX_MATVECS", 2)
+    with pytest.raises(EigenConvergenceError, match="cap of 2 matvecs"):
+        sharpness_probe(clustered_weight(9))
 
 
 def test_sharpness_single_coefficient():

@@ -23,6 +23,7 @@ from haarweight import (
 from haarweight.dyadic import (
     coarsen_sum,
     detail_signatures,
+    haar_exactness_errors,
     mean_pyramid,
     refine_to_cells,
     sign_matrix,
@@ -279,5 +280,11 @@ def test_batch_transforms_and_norms_act_per_column():
                                        rtol=1e-15, atol=0)
         stacked = HaarCoefficients.stack([haar_transform(f) for f in fs])
         assert stacked.batch == (4,)
+        np.testing.assert_array_equal(
+            stacked.detail_l2(), [haar_transform(f).detail_l2() for f in fs])
+        rt, pv = haar_exactness_errors(batch)
+        assert rt.shape == pv.shape == (4,)
+        singles = np.array([haar_exactness_errors(f) for f in fs])
+        assert max(rt.max(), pv.max(), singles.max()) <= 1e-12
         np.testing.assert_allclose(haar_reconstruct(stacked).values, batch.values,
                                    atol=1e-12)

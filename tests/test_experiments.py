@@ -229,6 +229,27 @@ def test_run_starts_no_thread(tmp_path, monkeypatch):
     assert run_experiments(tiny_config(tmp_path / "out")).ok
 
 
+def test_alpha_sweep_lists_an_unconverged_probe_under_failed(monkeypatch):
+    import haarweight.analysis as analysis
+    import haarweight.experiments as experiments
+
+    probe = experiments.sharpness_probe
+
+    def capped(weight):
+        if weight.meta["params"]["alpha"] != -0.8:
+            return probe(weight)
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_MAX_MATVECS", 2)
+            return probe(weight)
+
+    monkeypatch.setattr(experiments, "sharpness_probe", capped)
+    rep = alpha_sweep_report(ExperimentConfig(
+        sweep_alphas=(0.5, -0.5, -0.8, 0.3), sweep_level=5, count=5, seed=1))
+    assert [f["alpha"] for f in rep["failed"]] == [-0.8]
+    assert "EigenConvergenceError" in rep["failed"][0]["error"]
+    assert {r["alpha"] for r in rep["rows"]} == {0.5, -0.5, 0.3}
+
+
 def test_alpha_sweep_report_shape():
     rep = alpha_sweep_report(ExperimentConfig(
         sweep_alphas=(0.5, -0.5, -0.8), sweep_level=5, count=5, seed=1))

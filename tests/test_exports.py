@@ -3,7 +3,7 @@ package imports into haarweight, resolves.
 
 perfbench/layers.py wraps each layer's public functions by looking up the
 names of __all__ with a default, so a stale name there would silently drop
-its span rather than fail. A fresh import also stays free of scipy.stats.
+its span rather than fail. A fresh import also loads no scipy module.
 """
 
 import ast
@@ -43,11 +43,12 @@ def test_package_names_resolve():
         assert hasattr(haarweight, name), name
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    """scipy.stats costs about 0.6 s and 40 MiB at import; the package fits
-    its lines without it."""
+def test_import_leaves_scipy_unloaded():
+    """scipy costs about 0.3 s and 30 MiB at import; the package fits its
+    lines and finds its eigenvalues without it."""
     src = str(Path(haarweight.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = "import haarweight, sys; assert 'scipy.stats' not in sys.modules"
+    code = ("import haarweight, sys; "
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -225,6 +225,16 @@ def test_logbrownian_family_spd_and_deterministic():
     assert vals.min() > EIGEN_FLOOR and np.isfinite(vals).all()
 
 
+def test_weight_seeds_do_not_wrap_at_32_bits():
+    def cells(seed):
+        fam = WeightFamily("logbrownian", 1, 3, 6, {"sigma": 0.4}, seed=seed)
+        return make_weight(fam).cells
+
+    assert np.max(np.abs(cells(7) - cells(2**32 + 7))) > 1e-3
+    with pytest.raises(ParameterError):
+        cells(-1)
+
+
 def test_constant_family():
     m = [[2.0, 0.5], [0.5, 1.0]]
     w = make_weight(WeightFamily("constant", 1, 2, 3, {"matrix": m}))
