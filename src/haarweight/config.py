@@ -156,26 +156,88 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _check_keys(given: dict, allowed, where: str):
-    unknown = set(given) - set(allowed)
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)  # true is not 1
+
+
+def _num(v) -> bool:
+    return _int(v) or isinstance(v, float)
+
+
+def _str(v) -> bool:
+    return isinstance(v, str)
+
+
+def _obj(v) -> bool:
+    return isinstance(v, dict)
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, list) and all(check(x) for x in v)
+
+
+def _or_null(check):
+    return lambda v: v is None or check(v)
+
+
+# the JSON type of every field, checked before any value is converted or
+# compared: (test, what the error says the value must be)
+_CONFIG_TYPES = {
+    "schema_version": (_int, "an integer"),
+    "experiments": (_list_of(_str), "a list of strings"),
+    "seed": (_int, "an integer"),
+    "ps": (_list_of(_num), "a list of numbers"),
+    "spectra": (_list_of(_str), "a list of strings"),
+    "count": (_int, "an integer"),
+    "calibration_target": (_num, "a number"),
+    "grids": (_list_of(_list_of(_int)), "a list of integer lists"),
+    "weights": (_list_of(_obj), "a list of objects"),
+    "sweep_alphas": (_list_of(_num), "a list of numbers"),
+    "sweep_level": (_int, "an integer"),
+    "stopping_lambda1": (_or_null(_num), "a number or null"),
+    "stopping_lambda2": (_or_null(_num), "a number or null"),
+    "out_dir": (_str, "a string"),
+}
+_WEIGHT_TYPES = {
+    "name": (_str, "a string"),
+    "family": (_str, "a string"),
+    "d": (_int, "an integer"),
+    "n": (_int, "an integer"),
+    "level": (_int, "an integer"),
+    "seed": (_int, "an integer"),
+    "params": (_obj, "an object"),
+    "file": (_or_null(_str), "a string or null"),
+}
+
+assert list(_CONFIG_TYPES) == [f.name for f in fields(ExperimentConfig)]
+assert list(_WEIGHT_TYPES) == [f.name for f in fields(WeightSpec)]
+
+
+def _check_keys(given: dict, types: dict, where: str):
+    """Reject unknown keys and values of the wrong JSON type."""
+    unknown = set(given) - set(types)
     if unknown:
         raise ConfigError(
             f"unknown config key(s) {sorted(unknown)} at {where}; "
-            f"allowed: {sorted(allowed)}"
+            f"allowed: {sorted(types)}"
         )
+    for key, value in given.items():
+        check, want = types[key]
+        if not check(value):
+            raise ConfigError(
+                f"config key {key!r} at {where} must be {want}, got {value!r}"
+            )
 
 
 def _config_from_dict(raw: dict) -> ExperimentConfig:
-    field_names = [f.name for f in fields(ExperimentConfig)]
-    _check_keys(raw, field_names, "top level")
+    _check_keys(raw, _CONFIG_TYPES, "top level")
     kw = dict(raw)
     if "weights" in kw:
-        spec_names = [f.name for f in fields(WeightSpec)]
         specs = []
         for i, w in enumerate(kw["weights"]):
-            if not isinstance(w, dict) or "name" not in w:
+            if "name" not in w:
                 raise ConfigError(f"weights[{i}] must be an object with a 'name'")
-            _check_keys(w, spec_names, f"weights[{i}] ({w.get('name', '?')})")
+            _check_keys(w, _WEIGHT_TYPES, f"weights[{i}] ({w['name']})")
             specs.append(WeightSpec(**w))
         kw["weights"] = tuple(specs)
     for key in ("experiments", "ps", "spectra", "sweep_alphas"):

@@ -58,6 +58,8 @@ _CAL_OFFSET = 0.37
 # barrier parameter multiplier per stage of the ellipsoid fit; x100 stalls
 # the centring on the default suite, x50 does not
 _T_FACTOR = 20.0
+# directions per slice in _rho_pyramid: bounds the (cells, chunk, n) temporary
+_RHO_CHUNK = 256
 # the final barrier parameter is t_final = 2m / (n _TOL) for m fit directions,
 # so the last centred point is within n _TOL / 2 of the optimal -log det A;
 # _MAX_ITER caps the total Newton steps over all barrier stages
@@ -107,16 +109,14 @@ def op_norm_stack(mats: np.ndarray) -> np.ndarray:
 # direction norms
 
 
-def _rho_pyramid(
-    weight: MatrixWeight, p: float, dirs: np.ndarray, dual: bool, chunk: int = 256
-) -> list:
+def _rho_pyramid(weight: MatrixWeight, p: float, dirs: np.ndarray, dual: bool) -> list:
     """Per-level rho arrays (2^l,)*d + (M,) for all directions at once."""
     s = -1.0 / p if dual else 1.0 / p
     q = conjugate_exponent(p) if dual else p
     wp = weight.power_cells(s)
     parts = []
-    for k in range(0, dirs.shape[0], chunk):
-        sub = dirs[k : k + chunk]
+    for k in range(0, dirs.shape[0], _RHO_CHUNK):
+        sub = dirs[k : k + _RHO_CHUNK]
         x = np.einsum("...ij,mj->...mi", wp, sub)
         parts.append(np.linalg.norm(x, axis=-1) ** q)
     g = np.concatenate(parts, axis=-1)

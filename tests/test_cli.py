@@ -107,6 +107,13 @@ def test_bad_config_is_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(p)]) == 2
 
 
+def test_wrongly_typed_config_is_exit_2(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"count": "5"}))
+    assert main(["calibrate", "--config", str(p)]) == 2
+    assert "'count'" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--experiment", "mystery"])

@@ -73,6 +73,27 @@ def test_invalid_json_and_top_level(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("body, key", [
+    ({"ps": ["2"]}, "ps"),
+    ({"ps": 2}, "ps"),
+    ({"count": "5"}, "count"),
+    ({"count": True}, "count"),  # JSON true is not the integer 1
+    ({"calibration_target": "0.5"}, "calibration_target"),
+    ({"grids": [1]}, "grids"),
+    ({"experiments": "haar"}, "experiments"),  # not split into characters
+    ({"sweep_level": "x"}, "sweep_level"),
+    ({"stopping_lambda1": "1.5", "stopping_lambda2": 1.5}, "stopping_lambda1"),
+    ({"weights": 3}, "weights"),
+    ({"weights": [{"name": "w", "level": "4"}]}, "level"),
+    ({"weights": [{"name": "w", "params": []}]}, "params"),
+])
+def test_wrongly_typed_value_names_its_key(tmp_path, body, key):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(body))
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        load_config(p)
+
+
 def test_schema_version_checked():
     with pytest.raises(ConfigError, match="schema_version"):
         ExperimentConfig(schema_version=2)

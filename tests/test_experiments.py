@@ -70,7 +70,7 @@ CSV_HEADERS = {
          "duality_log_gap", "duality_log_bound", "duality_ok"],
     "stopping_decay.csv":
         ["weight", "p", "lambda1", "lambda2", "generations",
-         "decay_1", "decay_2", "decay_3", "decay_4", "decay_5", "floor_hit"],
+         "decay_1", "decay_2", "decay_3", "decay_4", "decay_5"],
     "multiplier_bounds.csv":
         ["weight", "p", "partition_max", "partition_mean",
          "block_quotient_max", "sum_identity_error"],
@@ -131,7 +131,17 @@ def test_seed_changes_outputs(tmp_path):
     assert a != b
 
 
-def test_cell_failure_isolation(tmp_path):
+# the per-(weight, p) table of each experiment that runs the suite's cells
+CELL_TABLES = {
+    "reducing": "reducing_scan.csv",
+    "stopping": "stopping_decay.csv",
+    "multiplier": "multiplier_bounds.csv",
+    "equivalence": "equivalence_summary.csv",
+}
+
+
+@pytest.mark.parametrize("experiment", CELL_TABLES)
+def test_cell_failure_isolation(tmp_path, experiment):
     w = make_weight(WeightFamily("constant", 1, 2, 2, params={"matrix": np.eye(2)}))
     path = save_weight(w, tmp_path / "w.csv")
     lines = path.read_text().splitlines()
@@ -140,20 +150,25 @@ def test_cell_failure_isolation(tmp_path):
     bad.write_text("\n".join(lines) + "\n")
     cfg = tiny_config(
         tmp_path / "out",
-        experiments=("reducing",),
+        experiments=(experiment,),
         weights=(
             WeightSpec("good", family="power", d=1, n=1, level=3,
                        params={"alpha": 0.3}),
             WeightSpec("broken", file=str(bad)),
         ),
+        # fixed thresholds: the shared calibration pools every spec with the
+        # good weight's (d, n), and a file spec keeps the default (1, 1)
+        stopping_lambda1=1.5,
+        stopping_lambda2=1.5,
     )
     result = run_experiments(cfg)
-    assert not result.ok
-    assert any(f.cell == "('broken', 2.0)" for f in result.failures)
-    scan = (result.out_dir / "reducing_scan.csv").read_text()
-    assert "good" in scan  # the healthy cell still ran
+    assert [(f.experiment, f.cell) for f in result.failures] == [
+        (experiment, "('broken', 2.0)")
+    ]
+    with open(result.out_dir / CELL_TABLES[experiment], newline="") as fh:
+        assert [row[0] for row in csv.reader(fh)][1:] == ["good"]
     failures = (result.out_dir / "failures.csv").read_text()
-    assert "MatrixDomainError" in failures
+    assert "('broken', 2.0)" in failures and "MatrixDomainError" in failures
 
 
 def test_failing_rotating_sharpness_point_is_a_cell_failure(tmp_path, monkeypatch):
