@@ -10,7 +10,6 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .errors import (
     CoverageError,
-    DomainError,
     EigenConvergenceError,
     EllipsoidFitError,
     HaarweightError,
@@ -19,7 +18,6 @@ from .errors import (
     ShapeError,
 )
 from .dyadic import (
-    DyadicCube,
     GridFunction,
     HaarCoefficients,
     haar_reconstruct,

@@ -71,14 +71,18 @@ def _cmd_verify(args) -> int:
 def _cmd_calibrate(args) -> int:
     cfg = _load(args)
     ctx = RunContext(cfg)
-    signatures = sorted({(w.d, w.n) for w in cfg.weights})
+    groups = ctx.signatures()
     print("d  n  p    lambda1      weight            lambda2       char")
-    for d, n in signatures:
+    for d, n in sorted(groups):
         for p in cfg.ps:
             cal = ctx.calibration(d, n, p)
             for name, lam2 in sorted(cal.lambda2_by_weight.items()):
                 print(f"{d}  {n}  {p:<4g} {cal.lambda1:<12.6f} {name:<17} "
                       f"{lam2:<13.6f} {cal.chars[name]:.4f}")
+    grouped = {name for names in groups.values() for name in names}
+    for w in cfg.weights:
+        if w.name not in grouped:
+            ctx.weight(w.name)  # raises the error that kept it out
     return 0
 
 

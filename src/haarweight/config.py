@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .analysis import SPECTRA
 from .errors import ConfigError, ParameterError
-from .weights import MatrixWeight, WeightFamily, _check_family, make_weight
+from .weights import _FAMILIES, MatrixWeight, WeightFamily, _check_family, make_weight
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -36,8 +37,6 @@ EXPERIMENT_IDS = (
     "equivalence",
     "sharpness",
 )
-
-_SPECTRUM_NAMES = ("flat", "geometric", "spike")
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ class ExperimentConfig:
     experiments: tuple = EXPERIMENT_IDS
     seed: int = 7
     ps: tuple = (2.0, 3.0)
-    spectra: tuple = _SPECTRUM_NAMES
+    spectra: tuple = SPECTRA
     count: int = 50
     calibration_target: float = 0.5
     grids: tuple = ((1, 1, 6), (1, 2, 5), (2, 1, 4))  # (d, n, L) transform checks
@@ -109,11 +108,9 @@ class ExperimentConfig:
                 raise ConfigError(f"exponents must exceed 1 and be finite, got {p}")
         if not self.spectra:
             raise ConfigError("spectra must name at least one spectrum")
-        bad = set(self.spectra) - set(_SPECTRUM_NAMES)
+        bad = set(self.spectra) - set(SPECTRA)
         if bad:
-            raise ConfigError(
-                f"unknown spectra {sorted(bad)}; known: {_SPECTRUM_NAMES}"
-            )
+            raise ConfigError(f"unknown spectra {sorted(bad)}; known: {SPECTRA}")
         if self.count < 1:
             raise ConfigError(f"count must be >= 1, got {self.count}")
         if not 0.0 < self.calibration_target < 1.0:
@@ -180,6 +177,10 @@ def _or_null(check):
     return lambda v: v is None or check(v)
 
 
+def _matrix(v) -> bool:
+    return _list_of(_list_of(_num))(v) and len({len(row) for row in v}) <= 1
+
+
 # the JSON type of every field, checked before any value is converted or
 # compared: (test, what the error says the value must be)
 _CONFIG_TYPES = {
@@ -208,9 +209,22 @@ _WEIGHT_TYPES = {
     "params": (_obj, "an object"),
     "file": (_or_null(_str), "a string or null"),
 }
+# the JSON type of every family parameter; which keys a family reads is
+# checked by weights._check_family
+_PARAM_TYPES = {
+    "alpha": (_num, "a number"),
+    "omega": (_num, "a number"),
+    "phase": (_num, "a number"),
+    "p_range": (_num, "a number"),
+    "sigma": (_num, "a number"),
+    "cond": (_num, "a number"),
+    "x0": (_list_of(_num), "a list of numbers"),
+    "matrix": (_matrix, "a list of equal-length number lists"),
+}
 
 assert list(_CONFIG_TYPES) == [f.name for f in fields(ExperimentConfig)]
 assert list(_WEIGHT_TYPES) == [f.name for f in fields(WeightSpec)]
+assert set(_PARAM_TYPES) == set().union(*(keys for _, keys in _FAMILIES.values()))
 
 
 def _check_keys(given: dict, types: dict, where: str):
@@ -237,7 +251,11 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         for i, w in enumerate(kw["weights"]):
             if "name" not in w:
                 raise ConfigError(f"weights[{i}] must be an object with a 'name'")
-            _check_keys(w, _WEIGHT_TYPES, f"weights[{i}] ({w['name']})")
+            where = f"weights[{i}] ({w['name']})"
+            _check_keys(w, _WEIGHT_TYPES, where)
+            # a key no family reads is left to _check_family, which names it
+            typed = {k: v for k, v in w.get("params", {}).items() if k in _PARAM_TYPES}
+            _check_keys(typed, _PARAM_TYPES, f"{where} params")
             specs.append(WeightSpec(**w))
         kw["weights"] = tuple(specs)
     for key in ("experiments", "ps", "spectra", "sweep_alphas"):

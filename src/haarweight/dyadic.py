@@ -1,4 +1,4 @@
-"""Dyadic cubes on [0,1)^d and the tensor-product Haar system.
+"""The tensor-product Haar system on the dyadic cubes of [0,1)^d.
 
 Functions live on the finest dyadic grid (level L): a grid function stores one
 vector value per cell, understood as the cell average of an L^2 function that
@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 
 __all__ = [
-    "DyadicCube",
     "GridFunction",
     "HaarCoefficients",
     "haar_transform",
@@ -46,46 +45,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# cubes and signatures
-
-
-@dataclass(frozen=True, order=True)
-class DyadicCube:
-    """A dyadic cube [idx * 2^-l, (idx+1) * 2^-l) per axis."""
-
-    level: int
-    index: tuple
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise DomainError(f"negative level {self.level}")
-        idx = tuple(int(i) for i in self.index)
-        object.__setattr__(self, "index", idx)
-        if not idx:
-            raise DomainError("empty index tuple")
-        hi = 1 << self.level
-        for i in idx:
-            if not 0 <= i < hi:
-                raise DomainError(f"index {idx} out of range at level {self.level}")
-
-    @property
-    def d(self) -> int:
-        return len(self.index)
-
-    @property
-    def measure(self) -> float:
-        return 2.0 ** (-self.level * self.d)
-
-    @classmethod
-    def root(cls, d: int) -> "DyadicCube":
-        return cls(0, (0,) * d)
-
-    def cell_slices(self, grid_level: int) -> tuple:
-        """Index slices of this cube's cells in a level `grid_level` grid."""
-        if grid_level < self.level:
-            raise DomainError(f"cube level {self.level} below grid level {grid_level}")
-        w = 1 << (grid_level - self.level)
-        return tuple(slice(i * w, (i + 1) * w) for i in self.index)
+# signatures
 
 
 def detail_signatures(d: int) -> tuple:

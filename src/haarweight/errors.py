@@ -10,10 +10,6 @@ class HaarweightError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DomainError(HaarweightError, ValueError):
-    """A point, cube, or index lies outside the dyadic domain."""
-
-
 class ParameterError(HaarweightError, ValueError):
     """A scalar or structural parameter is out of contract."""
 

@@ -86,19 +86,30 @@ class RunContext:
             self._families[name, p] = build_reducing_family(self.weight(name), p)
         return self._families[name, p]
 
+    def signatures(self) -> dict:
+        """Weight names grouped by the realized weight's (d, n), in config
+        order. A weight file carries its own (d, n), whatever its spec says.
+        A weight that cannot be realized is in no group; its own cells fail
+        with its error when they ask for it."""
+        groups = {}
+        for w in self.config.weights:
+            try:
+                weight = self.weight(w.name)
+            except HaarweightError:  # reported by the weight's own cells
+                continue
+            groups.setdefault((weight.d, weight.n), []).append(w.name)
+        return groups
+
     def calibration(self, d: int, n: int, p: float):
         """Shared thresholds, calibrated over all suite weights with this
         signature (constant-direction tests scale with n and d)."""
         if (d, n, p) not in self._cals:
-            entries = [
-                (w.name, self.weight(w.name), self.family(w.name, p))
-                for w in self.config.weights
-                if (w.d, w.n) == (d, n)
-            ]
-            if not entries:
+            names = self.signatures().get((d, n))
+            if not names:
                 raise ConfigError(f"no suite weights with d={d}, n={n}")
             self._cals[d, n, p] = calibrate_lambdas(
-                entries, target=self.config.calibration_target
+                [(name, self.weight(name), self.family(name, p)) for name in names],
+                target=self.config.calibration_target,
             )
         return self._cals[d, n, p]
 
@@ -108,8 +119,8 @@ class RunContext:
             return StoppingConfig(
                 p=p, lambda1=cfg.stopping_lambda1, lambda2=cfg.stopping_lambda2
             )
-        spec = self.spec(name)
-        cal = self.calibration(spec.d, spec.n, p)
+        w = self.weight(name)
+        cal = self.calibration(w.d, w.n, p)
         return StoppingConfig(
             p=p, lambda1=cal.lambda1, lambda2=cal.lambda2_by_weight[name]
         )

@@ -157,36 +157,37 @@ def load_weight(path) -> MatrixWeight:
 # stopping trees
 
 
-def _reason(info: dict) -> str:
-    if info["fired1"] and info["fired2"]:
+def _reason(fired1: bool, fired2: bool) -> str:
+    if fired1 and fired2:
         return "both"
-    return "growth" if info["fired1"] else "shrink"
+    return "growth" if fired1 else "shrink"
 
 
 def tree_to_dict(tree: GenerationTree) -> dict:
-    """JSON form of a tree: per generation its roots and the stopping cubes
-    that fired inside it, listed in (level, index) order, with test values
-    and the reason each fired."""
-    gens = []
-    for g in tree.generations:
-        gens.append(
-            {
-                "index": g.index,
-                "floor_hit": g.floor_hit,
-                "roots": [{"level": r.level, "index": list(r.index)} for r in g.roots],
-                "stopping": [
-                    {
-                        "level": c.level,
-                        "index": list(c.index),
-                        "reason": _reason(info),
-                        "test1": float(info["test1"]),
-                        "test2": float(info["test2"]),
-                    }
-                    for c, info in g.stopping
-                ],
-            }
-        )
+    """JSON form of a tree: per generation its roots (the previous
+    generation's stopping cubes) and the stopping cubes that fired inside it,
+    listed in (level, index) order, with test values and the reason each
+    fired."""
     cfg = tree.config
+    gens = []
+    roots = [{"level": 0, "index": [0] * tree.d}]
+    for j in range(1, tree.generation_count() + 1):
+        stopping = []
+        levels = zip(tree.stopping_masks(j), tree.test1, tree.test2)
+        for lvl, (mask, t1, t2) in enumerate(levels, 1):
+            # boolean indexing and argwhere both walk the mask in index order
+            for idx, v1, v2 in zip(np.argwhere(mask).tolist(), t1[mask].tolist(),
+                                   t2[mask].tolist()):
+                stopping.append({
+                    "level": lvl,
+                    "index": idx,
+                    "reason": _reason(v1 > cfg.lambda1, v2 > cfg.lambda2),
+                    "test1": v1,
+                    "test2": v2,
+                })
+        gens.append({"index": j, "floor_hit": tree.floor_hit(j),
+                     "roots": roots, "stopping": stopping})
+        roots = [{"level": c["level"], "index": list(c["index"])} for c in stopping]
     return {
         "schema_version": 1,
         "d": tree.d,

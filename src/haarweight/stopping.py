@@ -12,10 +12,15 @@ down the levels labels every cube with its generation: each cube is tested
 against its parent's block root; a cube that fires takes its parent's label
 + 1 and roots its own block, and any other cube inherits both. Blocks
 partition the tree down to the floor, the grid level L; cubes at the floor may
-fire but are never split further, and every generation whose frontier reaches
-the floor is flagged, since its subtree was truncated rather than exhausted.
-Each generation's roots lie strictly below the last, so there are at most
-L + 1 generations.
+fire but are never split further, and a generation with a floor cube is
+flagged, since its subtree was truncated rather than exhausted. Each
+generation's roots lie strictly below the last, so there are at most L + 1
+generations.
+
+The tree is those label arrays plus the two test values of every cube, one
+array per level; no per-cube records are built. Generation j's stopping
+cubes are the cubes labelled j + 1 whose label is above their parent's, and
+generation j + 1's roots are the same cubes.
 
 The same labels split a function and the operators built on it:
 split_generations cuts f's detail coefficients into one piece per block,
@@ -37,13 +42,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicCube, HaarCoefficients, coarsen_sum, refine_to_cells
+from .dyadic import HaarCoefficients, coarsen_sum, refine_to_cells
 from .errors import CoverageError, ParameterError, ShapeError
 from .reducing import ReducingFamily, conjugate_exponent, op_norm_stack
 
 __all__ = [
     "StoppingConfig",
-    "GenerationRecord",
     "GenerationTree",
     "build_generations",
     "decay_ratio",
@@ -71,35 +75,36 @@ class StoppingConfig:
 
 
 @dataclass(eq=False)
-class GenerationRecord:
-    """One block generation: its roots, and the cubes that fired inside it."""
-
-    index: int  # 1-based
-    roots: list
-    stopping: list  # (cube, info) pairs; info holds test values and reasons
-    floor_hit: bool
-
-    @property
-    def stopping_cubes(self) -> list:
-        return [c for c, _ in self.stopping]
-
-    def stopping_measure(self) -> float:
-        return float(sum(c.measure for c in self.stopping_cubes))
-
-
-@dataclass(eq=False)
 class GenerationTree:
-    """Full decomposition below one root cube."""
+    """A stopping tree is its label arrays and test values.
+
+    gen_label[l] holds the generation label of every level-l cube, for l =
+    0..floor. test1[l - 1] and test2[l - 1] hold, for l = 1..floor, the two
+    test values of every level-l cube against its parent's block root. Only
+    this module reads the label encoding; stopping_masks and floor_hit give
+    the generations it stands for.
+    """
 
     config: StoppingConfig
     d: int
     level: int
-    root: DyadicCube
-    generations: list
     gen_label: list  # per level 0..floor: int arrays of generation labels
+    test1: list  # per level 1..floor: ||V_J V_I^{-1}||^p, I the parent's root
+    test2: list  # per level 1..floor: ||V_J^{-1} V_I||^{p'}
 
     def generation_count(self) -> int:
-        return len(self.generations)
+        return int(self.gen_label[-1].max())
+
+    def stopping_masks(self, j: int) -> list:
+        """Per level 1..floor, as test1 and test2, generation j's stopping
+        cubes: the cubes labelled j + 1 whose label is above their parent's
+        (they fired)."""
+        return [(lab == j + 1) & (lab > refine_to_cells(parent, self.d, 1))
+                for parent, lab in zip(self.gen_label, self.gen_label[1:])]
+
+    def floor_hit(self, j: int) -> bool:
+        """Whether generation j reaches the floor: a floor cube is labelled j."""
+        return bool((self.gen_label[-1] == j).any())
 
 
 def _pair_table(family: ReducingFamily, mode: int, li: int, lj: int) -> np.ndarray:
@@ -131,17 +136,14 @@ def _floor(family: ReducingFamily) -> int:
 
 def build_generations(family: ReducingFamily, cfg: StoppingConfig) -> GenerationTree:
     """Label every cube in one pass down the levels (see the module
-    docstring). Generation j's stopping cubes are the fired cubes labelled
-    j + 1, in (level, index) order; it hit the floor if a floor cube is
-    labelled j."""
+    docstring), keeping each cube's two test values."""
     if cfg.p != family.p:
         raise ParameterError(f"config exponent {cfg.p} != family exponent {family.p}")
     floor = _floor(family)
     d = family.d
     label = np.ones((1,) * d, dtype=np.int32)
     root_at = np.zeros((1,) * d, dtype=np.int32)  # level of each cube's block root
-    gen_label = [label]
-    opened = {}  # label -> [(cube, info)] of the fired cubes that carry it
+    gen_label, test1, test2 = [label], [], []
     for lj in range(1, floor + 1):
         label = refine_to_cells(label, d, 1)
         root_at = refine_to_cells(root_at, d, 1)
@@ -155,31 +157,20 @@ def build_generations(family: ReducingFamily, cfg: StoppingConfig) -> Generation
         label = label + hit
         root_at = np.where(hit, lj, root_at)
         gen_label.append(label)
-        for idx in np.argwhere(hit):
-            idx = tuple(int(i) for i in idx)
-            v1, v2 = float(t1[idx]), float(t2[idx])
-            info = {"test1": v1, "test2": v2,
-                    "fired1": v1 > cfg.lambda1, "fired2": v2 > cfg.lambda2}
-            opened.setdefault(int(label[idx]), []).append((DyadicCube(lj, idx), info))
-    root = DyadicCube.root(d)
-    generations = []
-    roots = [root]
-    for j in range(1, int(label.max()) + 1):
-        stopping = opened.get(j + 1, [])
-        generations.append(GenerationRecord(index=j, roots=roots, stopping=stopping,
-                                            floor_hit=bool((label == j).any())))
-        roots = [c for c, _ in stopping]
-    return GenerationTree(config=cfg, d=d, level=family.level, root=root,
-                          generations=generations, gen_label=gen_label)
+        test1.append(t1)
+        test2.append(t2)
+    return GenerationTree(config=cfg, d=d, level=family.level,
+                          gen_label=gen_label, test1=test1, test2=test2)
 
 
 def decay_ratio(tree: GenerationTree, j: int) -> float:
-    """Relative measure of the union of generation-j stopping cubes."""
+    """Relative measure of the union of generation-j stopping cubes; every
+    term is a dyadic fraction, so the sum is exact."""
     if j < 1:
         raise ParameterError(f"generation index must be >= 1, got {j}")
-    if j > len(tree.generations):
-        return 0.0
-    return tree.generations[j - 1].stopping_measure() / tree.root.measure
+    masks = tree.stopping_masks(j)
+    return float(sum(m.sum() * 2.0 ** (-lvl * tree.d)
+                     for lvl, m in enumerate(masks, 1)))
 
 
 def split_generations(

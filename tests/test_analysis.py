@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cubes import Cube
 from haarweight import (
-    DyadicCube,
     EigenConvergenceError,
     HaarCoefficients,
     MatrixWeight,
@@ -218,7 +218,7 @@ def test_sharpness_brute_force_oracle():
     # independent construction of the two quadratic forms via haar_eval
     mids = (np.arange(4) + 0.5) / 4
     cols = []
-    for cube in (DyadicCube.root(1), DyadicCube(1, (0,)), DyadicCube(1, (1,))):
+    for cube in (Cube.root(1), Cube(1, (0,)), Cube(1, (1,))):
         cols.append([haar_eval(cube, (0,), (x,)) for x in mids])
     h = np.array(cols).T
     g = h.T @ np.diag(cells[:, 0, 0]) @ h / 4

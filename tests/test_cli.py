@@ -81,6 +81,15 @@ def test_unreadable_weight_file_is_exit_2(tmp_path, capsys):
     assert main(["calibrate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "bad.csv" in err
+    # next to a healthy weight of the same (d, n), the healthy weight is still
+    # calibrated and printed before the error
+    cfg = write_config(tmp_path, weights=(
+        WeightSpec("wa", family="power", d=1, n=1, level=4, params={"alpha": -0.5}),
+        WeightSpec("broken", file=str(tmp_path / "bad.csv")),
+    ))
+    assert main(["calibrate", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert "wa" in out and "bad.csv" in err
 
 
 def test_manifest_config_hash(tmp_path):

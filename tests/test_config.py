@@ -16,6 +16,7 @@ from haarweight import (
     save_weight,
     suite_weight_specs,
 )
+from haarweight.cli import main
 from haarweight.config import EXPERIMENT_IDS, config_to_dict, sweep_alpha_grid
 
 
@@ -92,6 +93,27 @@ def test_wrongly_typed_value_names_its_key(tmp_path, body, key):
     p.write_text(json.dumps(body))
     with pytest.raises(ConfigError, match=f"'{key}'"):
         load_config(p)
+
+
+@pytest.mark.parametrize("family, params, key", [
+    ("constant", {"matrix": "x"}, "matrix"),
+    ("constant", {"matrix": [[1.0, 0.0], [0.0]]}, "matrix"),  # ragged
+    ("constant", {"matrix": [[1.0, "0"], [0.0, 1.0]]}, "matrix"),
+    ("power", {"x0": "a"}, "x0"),
+    ("power", {"x0": ["a"]}, "x0"),
+    ("power", {"alpha": "0.3"}, "alpha"),  # not read through float()
+    ("power", {"alpha": True}, "alpha"),
+    ("logbrownian", {"sigma": None}, "sigma"),
+])
+def test_wrongly_typed_param_names_weight_and_key(tmp_path, capsys, family,
+                                                  params, key):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(
+        {"weights": [{"name": "w", "family": family, "params": params}]}))
+    with pytest.raises(ConfigError, match=rf"'{key}' at weights\[0\] \(w\)"):
+        load_config(p)
+    assert main(["calibrate", "--config", str(p)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
 
 
 def test_schema_version_checked():

@@ -1,6 +1,6 @@
 """Dyadic grid and Haar transform checks.
 
-Covers: cube geometry, signature enumeration, the pointwise Haar oracle
+Covers: signature enumeration, the pointwise Haar oracle
 against hand-computed cases, exactness of the pyramid transform (round trip
 and Parseval), orthonormality of the synthesized basis, and the L^p cell sums.
 """
@@ -9,9 +9,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from cubes import Cube
 from haarweight import (
-    DomainError,
-    DyadicCube,
     GridFunction,
     HaarCoefficients,
     ParameterError,
@@ -47,34 +46,7 @@ def haar_eval(cube, eps, point):
 
 
 # ---------------------------------------------------------------------------
-# cubes and signatures
-
-
-def test_cube_geometry():
-    c = DyadicCube(2, [np.int64(1), 3])
-    assert c.index == (1, 3) and all(type(i) is int for i in c.index)
-    assert c.d == 2
-    assert c.measure == 0.0625
-    assert DyadicCube.root(2) == DyadicCube(0, (0, 0))
-    assert DyadicCube.root(3).measure == 1.0
-
-
-def test_cube_validation():
-    with pytest.raises(DomainError):
-        DyadicCube(1, (2,))
-    with pytest.raises(DomainError):
-        DyadicCube(-1, (0,))
-    with pytest.raises(DomainError):
-        DyadicCube(0, ())
-    with pytest.raises(DomainError):
-        DyadicCube(2, (1,)).cell_slices(1)
-
-
-def test_cell_slices():
-    c = DyadicCube(1, (1,))
-    assert c.cell_slices(3) == (slice(4, 8),)
-    grid = np.arange(8)
-    npt.assert_array_equal(grid[c.cell_slices(3)], [4, 5, 6, 7])
+# signatures
 
 
 def test_signature_enumeration():
@@ -98,11 +70,11 @@ def test_sign_matrix_hadamard():
 
 
 def test_haar_eval_1d():
-    root = DyadicCube.root(1)
+    root = Cube.root(1)
     assert haar_eval(root, (0,), [0.2]) == 1.0
     assert haar_eval(root, (0,), [0.5]) == -1.0
     assert haar_eval(root, (0,), [0.99]) == -1.0
-    half = DyadicCube(1, (1,))
+    half = Cube(1, (1,))
     assert haar_eval(half, (0,), [0.6]) == pytest.approx(np.sqrt(2.0))
     assert haar_eval(half, (0,), [0.8]) == pytest.approx(-np.sqrt(2.0))
     assert haar_eval(half, (0,), [0.2]) == 0.0
@@ -110,11 +82,11 @@ def test_haar_eval_1d():
 
 def test_haar_eval_2d_mixed_signature():
     # oscillates in x1 only; (0.7, 0.2) sits in the right half in x1
-    root = DyadicCube.root(2)
+    root = Cube.root(2)
     assert haar_eval(root, (0, 1), [0.7, 0.2]) == -1.0
     assert haar_eval(root, (1, 0), [0.7, 0.2]) == 1.0
     assert haar_eval(root, (0, 0), [0.7, 0.2]) == -1.0
-    sub = DyadicCube(1, (1, 0))
+    sub = Cube(1, (1, 0))
     assert haar_eval(sub, (0, 0), [0.7, 0.2]) == 2.0
 
 
@@ -124,7 +96,7 @@ def test_haar_eval_l2_normalized():
     for d in (1, 2):
         for lvl in range(0, 3):
             for idx in [(0,) * d, ((1 << lvl) - 1,) * d]:
-                cube = DyadicCube(lvl, idx)
+                cube = Cube(lvl, idx)
                 for sig in detail_signatures(d):
                     h = 1 << L
                     pts = (np.arange(h) + 0.5) / h
@@ -183,7 +155,7 @@ def test_single_coefficient_synthesis_matches_eval():
         for _ in range(6):
             lvl = int(rng.integers(0, L))
             idx = tuple(int(rng.integers(0, 1 << lvl)) for _ in range(d))
-            cube = DyadicCube(lvl, idx)
+            cube = Cube(lvl, idx)
             pos = int(rng.integers(0, (1 << d) - 1))
             sig = detail_signatures(d)[pos]
             c = HaarCoefficients.zeros(d, 1, L)

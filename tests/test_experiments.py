@@ -156,10 +156,6 @@ def test_cell_failure_isolation(tmp_path, experiment):
                        params={"alpha": 0.3}),
             WeightSpec("broken", file=str(bad)),
         ),
-        # fixed thresholds: the shared calibration pools every spec with the
-        # good weight's (d, n), and a file spec keeps the default (1, 1)
-        stopping_lambda1=1.5,
-        stopping_lambda2=1.5,
     )
     result = run_experiments(cfg)
     assert [(f.experiment, f.cell) for f in result.failures] == [
@@ -169,6 +165,21 @@ def test_cell_failure_isolation(tmp_path, experiment):
         assert [row[0] for row in csv.reader(fh)][1:] == ["good"]
     failures = (result.out_dir / "failures.csv").read_text()
     assert "('broken', 2.0)" in failures and "MatrixDomainError" in failures
+
+
+def test_calibration_groups_by_the_realized_weight(tmp_path):
+    # a file spec keeps the default d=1, n=1 whatever the file holds; the
+    # power weight's thresholds must not depend on a d=1, n=2 file next to it
+    rot = make_weight(WeightFamily("rotating", 1, 2, 5, params={"alpha": 0.6}))
+    path = save_weight(rot, tmp_path / "rot.csv")
+    power = WeightSpec("pow", family="power", d=1, n=1, level=5,
+                       params={"alpha": -0.5})
+    alone = RunContext(tiny_config("unused", weights=(power,)))
+    both = RunContext(tiny_config(
+        "unused", weights=(power, WeightSpec("rot", file=str(path)))))
+    assert both.stopping_config("pow", 2.0) == alone.stopping_config("pow", 2.0)
+    assert both.signatures() == {(1, 1): ["pow"], (1, 2): ["rot"]}
+    assert both.calibration(1, 2, 2.0).lambda2_by_weight.keys() == {"rot"}
 
 
 def test_failing_rotating_sharpness_point_is_a_cell_failure(tmp_path, monkeypatch):

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from cubes import Cube
 from haarweight import (
     CoverageError,
-    DyadicCube,
     HaarCoefficients,
     MatrixWeight,
     ParameterError,
@@ -77,7 +77,7 @@ def test_scalar_symbol_oracle():
     mids = (np.arange(2) + 0.5) / 2
     expect = [
         math.sqrt(w.cells[i, 0, 0]) / math.sqrt(2.5)
-        * haar_eval(DyadicCube.root(1), (0,), (x,))
+        * haar_eval(Cube.root(1), (0,), (x,))
         for i, x in enumerate(mids)
     ]
     np.testing.assert_allclose(tf.values[:, 0], expect, rtol=1e-13)

@@ -9,9 +9,9 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
+from cubes import Cube
 from haarweight import (
     CoverageError,
-    DyadicCube,
     EllipsoidFitError,
     MatrixWeight,
     ParameterError,
@@ -88,7 +88,7 @@ def rotating_weight(level=4, seed=3):
 
 def test_direction_norm_two_cell():
     w = two_cell_weight()
-    root = DyadicCube.root(1)
+    root = Cube.root(1)
     # rho(e)^2 = mean(1, 4) = 2.5; dual uses W^{-1}: mean(1, 1/4) = 0.625
     assert direction_norm(w, root, 2.0, [1.0]) == pytest.approx(math.sqrt(2.5), rel=1e-14)
     assert direction_norm(w, root, 2.0, [1.0], dual=True) == pytest.approx(
@@ -114,7 +114,7 @@ def test_p2_family_matches_sqrtm():
         for k in range(flat.shape[0]):
             np.testing.assert_allclose(v[k], scipy.linalg.sqrtm(flat[k]), atol=1e-12)
             np.testing.assert_allclose(vd[k], scipy.linalg.sqrtm(flat_inv[k]), atol=1e-12)
-        assert method_at(fam.method, DyadicCube(lvl, (0,))) == "exact-p2"
+        assert method_at(fam.method, Cube(lvl, (0,))) == "exact-p2"
     assert fam.max_kappa() == 1.0
 
 
@@ -129,7 +129,7 @@ def test_scalar_route_matches_matrix_route():
     fam = WeightFamily("power", d=1, n=1, level=6, params={"alpha": 0.6}, seed=0)
     w = make_weight(fam)
     redfam = build_reducing_family(w, 3.0)
-    assert method_at(redfam.method, DyadicCube(2, (1,))) == "exact-scalar"
+    assert method_at(redfam.method, Cube(2, (1,))) == "exact-scalar"
     char = redfam.characteristic()
     schar = scalar_ap_characteristic(w, [1.0], 3.0)
     np.testing.assert_allclose(char, schar, rtol=1e-12)
@@ -149,7 +149,7 @@ def test_identity_weight_fixed_point():
                 redfam.v_dual[lvl], np.broadcast_to(np.eye(2), redfam.v[lvl].shape)
             )
         assert redfam.characteristic(4) == 1.0
-    assert method_at(redfam.method, DyadicCube(1, (0,))) == "exact-scalar"
+    assert method_at(redfam.method, Cube(1, (0,))) == "exact-scalar"
 
 
 def test_scalar_times_matrix_weight_is_exact_everywhere():
@@ -185,13 +185,13 @@ def test_ellipsoid_sandwich_fresh_directions():
     w = rotating_weight(level=4)
     p = 3.0
     fam = build_reducing_family(w, p)
-    assert method_at(fam.method, DyadicCube.root(1)) == "ellipsoid"
+    assert method_at(fam.method, Cube.root(1)) == "ellipsoid"
     rng = np.random.default_rng(11)
     dirs = rng.standard_normal((64, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     for lvl in (0, 2, 4):
         for idx in [(0,), ((1 << lvl) - 1,)]:
-            cube = DyadicCube(lvl, idx)
+            cube = Cube(lvl, idx)
             v = fam.v[lvl][idx]
             for e in dirs:
                 rho = direction_norm(w, cube, p, e)
@@ -335,7 +335,7 @@ def test_rho_pyramid_matches_direction_norm():
         pyr = _rho_pyramid(w, p, dirs, dual)
         for lvl in (0, 2, 4):
             for idx in [(0,), ((1 << lvl) - 1,)]:
-                cube = DyadicCube(lvl, idx)
+                cube = Cube(lvl, idx)
                 want = [direction_norm(w, cube, p, e, dual=dual) for e in dirs]
                 np.testing.assert_allclose(pyr[lvl][idx], want, rtol=1e-12)
 

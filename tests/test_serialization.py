@@ -118,6 +118,38 @@ def test_tree_json(tmp_path):
     assert json.loads(path.read_text()) == json.loads(json.dumps(d))
 
 
+def test_two_cell_tree_json_pinned():
+    # W = (1, 4) on two cells, p = 2: both children fire below the root, the
+    # left one because the weight shrank, the right one because it grew
+    w = MatrixWeight(d=1, n=1, level=1, cells=np.array([[[1.0]], [[4.0]]]))
+    fam = build_reducing_family(w, 2.0)
+    tree = build_generations(fam, StoppingConfig(p=2.0, lambda1=1.2, lambda2=1.2))
+    approx = lambda x: pytest.approx(x, rel=1e-12)
+    left = {"level": 1, "index": [0], "reason": "shrink",
+            "test1": approx(0.4), "test2": approx(2.5)}
+    right = {"level": 1, "index": [1], "reason": "growth",
+             "test1": approx(1.6), "test2": approx(0.625)}
+    d = tree_to_dict(tree)
+    assert d == {
+        "schema_version": 1,
+        "d": 1,
+        "p": 2.0,
+        "lambda1": 1.2,
+        "lambda2": 1.2,
+        "floor_level": 1,
+        "generation_count": 2,
+        "generations": [
+            {"index": 1, "floor_hit": False,
+             "roots": [{"level": 0, "index": [0]}],
+             "stopping": [left, right]},
+            {"index": 2, "floor_hit": True,
+             "roots": [{"level": 1, "index": [0]}, {"level": 1, "index": [1]}],
+             "stopping": []},
+        ],
+    }
+    assert [type(g["floor_hit"]) for g in d["generations"]] == [bool, bool]
+
+
 def test_equivalence_report_serialization():
     from haarweight import equivalence_ratios
 

@@ -8,9 +8,9 @@ import math
 import numpy as np
 import pytest
 
+from cubes import Cube
 from haarweight import (
     CoverageError,
-    DyadicCube,
     MatrixWeight,
     ParameterError,
     RunContext,
@@ -34,6 +34,7 @@ from haarweight.dyadic import (
     refine_to_cells,
 )
 from haarweight.reducing import conjugate_exponent
+from haarweight.serialization import tree_to_dict
 from haarweight.stopping import (
     _least_multipliers,
     _pair_table,
@@ -60,23 +61,27 @@ def test_two_cell_tree_hand_checked():
 
     # generation 1: the root block; both children fire, for different reasons
     assert tree.generation_count() == 2
-    g1 = tree.generations[0]
-    assert g1.roots == [DyadicCube.root(1)]
-    fired = dict((c.index, info) for c, info in g1.stopping)
+    g1, g2 = tree_to_dict(tree)["generations"]
+    assert g1["roots"] == [{"level": 0, "index": [0]}]
+    fired = {tuple(c["index"]): c for c in g1["stopping"]}
     assert set(fired) == {(0,), (1,)}
+    np.testing.assert_array_equal(tree.stopping_masks(1)[0], [True, True])
     # left child: weight shrank; ||V_J^{-1} V_I||^2 = 2.5
     assert fired[(0,)]["test2"] == pytest.approx(2.5, rel=1e-12)
-    assert fired[(0,)]["fired2"] and not fired[(0,)]["fired1"]
+    assert fired[(0,)]["test2"] > cfg.lambda2 and fired[(0,)]["test1"] <= cfg.lambda1
+    assert fired[(0,)]["reason"] == "shrink"
     assert fired[(0,)]["test1"] == pytest.approx(0.4, rel=1e-12)
     # right child: weight grew; ||V_J V_I^{-1}||^2 = 4/2.5
     assert fired[(1,)]["test1"] == pytest.approx(1.6, rel=1e-12)
-    assert fired[(1,)]["fired1"] and not fired[(1,)]["fired2"]
+    assert fired[(1,)]["test1"] > cfg.lambda1 and fired[(1,)]["test2"] <= cfg.lambda2
+    assert fired[(1,)]["reason"] == "growth"
 
     # generation 2: the fired floor cubes become roots with nothing below
-    g2 = tree.generations[1]
-    assert [c.index for c in g2.roots] == [(0,), (1,)]
-    assert g2.stopping == []
-    assert not g1.floor_hit and g2.floor_hit
+    assert [tuple(c["index"]) for c in g2["roots"]] == [(0,), (1,)]
+    assert g2["stopping"] == []
+    assert not any(m.any() for m in tree.stopping_masks(2))
+    assert not g1["floor_hit"] and g2["floor_hit"]
+    assert (tree.floor_hit(1), tree.floor_hit(2)) == (False, True)
 
     assert decay_ratio(tree, 1) == pytest.approx(1.0)
     assert decay_ratio(tree, 2) == 0.0
@@ -91,7 +96,7 @@ def test_constant_weight_single_generation():
     red = build_reducing_family(w, 3.0)
     tree = build_generations(red, StoppingConfig(p=3.0, lambda1=1.5, lambda2=1.5))
     assert tree.generation_count() == 1
-    assert tree.generations[0].floor_hit  # block reaches the floor untruncated
+    assert tree.floor_hit(1)  # block reaches the floor untruncated
     for lvl in range(5):
         np.testing.assert_array_equal(tree.gen_label[lvl], 1)
     assert decay_ratio(tree, 1) == 0.0
@@ -114,8 +119,10 @@ def test_generations_bounded_by_floor_depth():
         tree = build_generations(fam, StoppingConfig(p=2.0, lambda1=lam, lambda2=lam))
         assert tree.level == spec.level
         assert 1 <= tree.generation_count() <= tree.level + 1
-        for prev, rec in zip(tree.generations, tree.generations[1:]):
-            assert min(r.level for r in rec.roots) > min(r.level for r in prev.roots)
+        gens = tree_to_dict(tree)["generations"]
+        for prev, rec in zip(gens, gens[1:]):
+            assert (min(r["level"] for r in rec["roots"])
+                    > min(r["level"] for r in prev["roots"]))
 
 
 def test_partition_and_admissibility_invariants():
@@ -128,10 +135,10 @@ def test_partition_and_admissibility_invariants():
         lab = tree.gen_label[lvl]
         assert lab.min() >= 1 and lab.max() <= tree.generation_count()
 
-    for rec in tree.generations:
-        j = rec.index
+    for rec in tree_to_dict(tree)["generations"]:
+        j = rec["index"]
         root_at = {}
-        for r in rec.roots:
+        for r in (Cube(r["level"], tuple(r["index"])) for r in rec["roots"]):
             for lvl in range(r.level, tree.level + 1):
                 mask = np.zeros_like(tree.gen_label[lvl], dtype=bool)
                 sl = r.cell_slices(lvl)
@@ -151,10 +158,10 @@ def test_partition_and_admissibility_invariants():
                 assert (t1 <= cfg.lambda1).all()
                 assert (t2 <= cfg.lambda2).all()
         # fired cubes are maximal: the parent stayed in the block
-        for c, info in rec.stopping:
-            assert info["fired1"] or info["fired2"]
-            parent = tuple(i >> 1 for i in c.index)
-            assert tree.gen_label[c.level - 1][parent] == j
+        for c in rec["stopping"]:
+            assert c["test1"] > cfg.lambda1 or c["test2"] > cfg.lambda2
+            parent = tuple(i >> 1 for i in c["index"])
+            assert tree.gen_label[c["level"] - 1][parent] == j
 
 
 def test_telescoping_sum_recovers_function():
@@ -356,7 +363,7 @@ def _scan_block(fam, cfg, root, floor):
         keep = alive & ~hit
         for idx in np.argwhere(alive & hit):
             idx = tuple(int(i) for i in idx)
-            fired.append((DyadicCube(lj, idx), (float(t1[idx]), float(t2[idx]))))
+            fired.append((Cube(lj, idx), (float(t1[idx]), float(t2[idx]))))
         kept.append((lj, keep))
         if lj == floor:
             floor_hit = bool(keep.any())
@@ -369,7 +376,7 @@ def _per_root_generations(fam, cfg):
     floor, d = fam.level, fam.d
     gen_label = [np.zeros(((1 << l),) * d, dtype=np.int32) for l in range(floor + 1)]
     generations = []  # (roots, {cube: (test1, test2)}, floor_hit)
-    roots = [DyadicCube.root(d)]
+    roots = [Cube.root(d)]
     j = 0
     while roots:
         j += 1
@@ -408,13 +415,17 @@ def test_labelling_pass_matches_per_root_scan(suite_ctx, p, lam):
         for got, want in zip(tree.gen_label, gen_label):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
-        assert tree.generation_count() == len(generations)
-        for rec, (roots, stopping, floor_hit) in zip(tree.generations, generations):
-            assert set(rec.roots) == roots
-            assert {c: (i["test1"], i["test2"]) for c, i in rec.stopping} == stopping
-            assert rec.floor_hit == floor_hit
-            order = [(c.level, c.index) for c in rec.stopping_cubes]
+        gens = tree_to_dict(tree)["generations"]
+        assert tree.generation_count() == len(generations) == len(gens)
+        for rec, (roots, stopping, floor_hit) in zip(gens, generations):
+            assert {Cube(r["level"], tuple(r["index"])) for r in rec["roots"]} == roots
+            assert {Cube(c["level"], tuple(c["index"])): (c["test1"], c["test2"])
+                    for c in rec["stopping"]} == stopping
+            assert rec["floor_hit"] == floor_hit
+            order = [(c["level"], c["index"]) for c in rec["stopping"]]
             assert order == sorted(order)
+            # the mask sum is the per-cube sum of measures, exactly
+            assert decay_ratio(tree, rec["index"]) == sum(c.measure for c in stopping)
 
 
 @pytest.mark.parametrize("name", ["rot2d-a05", "rot-a06"])
