@@ -124,16 +124,32 @@ class ExperimentConfig:
         if len(names) != len(set(names)):
             raise ConfigError(f"duplicate weight names in config: {names}")
         for w in self.weights:
-            if w.file is None:
-                try:
-                    _check_family(w.family, w.params)
-                except ParameterError as exc:
-                    raise ConfigError(f"weight {w.name!r}: {exc}") from exc
+            if w.file is not None:
+                blank = WeightSpec(w.name, file=w.file)
+                _check_file_spec(w.name, [k for k in _FILE_FIXED
+                                          if getattr(w, k) != getattr(blank, k)])
+                continue
+            try:
+                _check_family(w.family, w.params)
+            except ParameterError as exc:
+                raise ConfigError(f"weight {w.name!r}: {exc}") from exc
         lams = (self.stopping_lambda1, self.stopping_lambda2)
         if (lams[0] is None) != (lams[1] is None):
             raise ConfigError("stopping_lambda1 and stopping_lambda2 come as a pair")
         if lams[0] is not None and (lams[0] <= 1.0 or lams[1] <= 1.0):
             raise ConfigError(f"stopping threshold overrides must exceed 1, got {lams}")
+
+
+# the WeightSpec fields that a weight read from a file takes from the file
+_FILE_FIXED = ("family", "d", "n", "level", "seed", "params")
+
+
+def _check_file_spec(name: str, given: list) -> None:
+    if given:
+        raise ConfigError(
+            f"weight {name!r} is read from 'file', which fixes {list(_FILE_FIXED)}; "
+            f"remove {given}"
+        )
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -142,6 +158,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         val = getattr(cfg, f.name)
         if f.name == "weights":
             val = [
+                {"name": w.name, "file": w.file} if w.file is not None else
                 {k: getattr(w, k) for k in (
                     "name", "family", "d", "n", "level", "seed", "params", "file"
                 )}
@@ -253,6 +270,8 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
                 raise ConfigError(f"weights[{i}] must be an object with a 'name'")
             where = f"weights[{i}] ({w['name']})"
             _check_keys(w, _WEIGHT_TYPES, where)
+            if w.get("file") is not None:  # even a key at its default is refused
+                _check_file_spec(w["name"], [k for k in _FILE_FIXED if k in w])
             # a key no family reads is left to _check_family, which names it
             typed = {k: v for k, v in w.get("params", {}).items() if k in _PARAM_TYPES}
             _check_keys(typed, _PARAM_TYPES, f"{where} params")

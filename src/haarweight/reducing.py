@@ -11,8 +11,8 @@ same role for rho'_I built from W^{-1/p} at the conjugate exponent. At p = 2
 both are exact matrix square roots of cube averages (kappa = 1). On a cube
 where W(x) = s(x) A, rho_I(e) = <s>_I^{1/p} |A^{1/p} e|, so V_I and V'_I are
 exact closed forms too (kappa = 1). Every other cube gets a log-barrier Newton
-minimum-volume-ellipsoid fit on a deterministic direction set, batched over
-all cubes of a level.
+minimum-volume-ellipsoid fit on a deterministic direction set: one batched
+fit per family takes the remaining cubes of every level and of both sides.
 
 The characteristic sup_I ||V_I V'_I||^p is the operator-weight analogue of the
 scalar A_p product <w>_I <w^{1-p'}>_I^{p-1}; it is >= 1 up to fit slack.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,8 +59,6 @@ _CAL_OFFSET = 0.37
 # barrier parameter multiplier per stage of the ellipsoid fit; x100 stalls
 # the centring on the default suite, x50 does not
 _T_FACTOR = 20.0
-# directions per slice in _rho_pyramid: bounds the (cells, chunk, n) temporary
-_RHO_CHUNK = 256
 # the final barrier parameter is t_final = 2m / (n _TOL) for m fit directions,
 # so the last centred point is within n _TOL / 2 of the optimal -log det A;
 # _MAX_ITER caps the total Newton steps over all barrier stages
@@ -109,18 +108,28 @@ def op_norm_stack(mats: np.ndarray) -> np.ndarray:
 # direction norms
 
 
+def _outer_products(x: np.ndarray) -> np.ndarray:
+    """Row-wise outer products x_m x_m^T of an (m, k) array, flattened to (m, k^2)."""
+    return (x[:, :, None] * x[:, None, :]).reshape(x.shape[0], -1)
+
+
 def _rho_pyramid(weight: MatrixWeight, p: float, dirs: np.ndarray, dual: bool) -> list:
-    """Per-level rho arrays (2^l,)*d + (M,) for all directions at once."""
+    """Per-level rho arrays (2^l,)*d + (M,) for all directions at once.
+
+    |W^s e|^q = (e^T W^{2s} e)^{q/2}, so one (cells, n^2) @ (n^2, M) product
+    of the flattened W^{2s} = W^s W^s against the direction outer products
+    gives the integrand on every cell, then mean_pyramid averages it.
+    """
     s = -1.0 / p if dual else 1.0 / p
     q = conjugate_exponent(p) if dual else p
     wp = weight.power_cells(s)
-    parts = []
-    for k in range(0, dirs.shape[0], _RHO_CHUNK):
-        sub = dirs[k : k + _RHO_CHUNK]
-        x = np.einsum("...ij,mj->...mi", wp, sub)
-        parts.append(np.linalg.norm(x, axis=-1) ** q)
-    g = np.concatenate(parts, axis=-1)
-    return [a ** (1.0 / q) for a in mean_pyramid(g, weight.d)]
+    grid = wp.shape[:-2]
+    g = (wp @ wp).reshape(-1, weight.n**2) @ _outer_products(dirs).T
+    np.power(g, 0.5 * q, out=g)
+    pyr = mean_pyramid(g.reshape(grid + (-1,)), weight.d)
+    for a in pyr:  # every level is a fresh array: take the 1/q-th power in place
+        np.power(a, 1.0 / q, out=a)
+    return pyr
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +139,7 @@ def _rho_pyramid(weight: MatrixWeight, p: float, dirs: np.ndarray, dual: bool) -
 def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     """Minimum-volume ellipsoids around the symmetric point sets {dirs_m / rho_bm}.
 
-    Solves, batched over cubes b,
+    Solves, batched over rows b (cubes of any level and side),
 
         minimize -log det A   s.t.   x_m^T A x_m <= 1,  x_m = dirs_m / rho_bm,
 
@@ -140,7 +149,7 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     too slow at this tolerance). The returned A are strictly feasible (all
     points inside {x : x^T A x <= 1}) and carry the John-type certificate
     A^{-1} = sum_m c_m x_m x_m^T with c_m >= 0 and sum c_m <= n (1 + tol).
-    max_iter caps the total Newton iteration count.
+    max_iter caps the total batch Newton steps.
 
     Each step builds the barrier Hessian with one (b, m) @ (m, n^4) matrix
     product against the products of the direction outer products, computed
@@ -152,34 +161,39 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     meets the Armijo condition. The trial values need no factorization:
     log det(A + alpha Delta) - log det A = sum_i log(1 + alpha lam_i), and
     the constraint values move linearly along Delta. t grows by _T_FACTOR per
-    stage up to t_final = 2m / (n tol). One DEBUG record on the haarweight
-    logger per call gives the Newton steps, barrier stages, stages ended at
-    the inner step cap and the final decrement.
+    stage up to t_final = 2m / (n tol). Within a stage a row leaves the batch
+    once it is centred, so a row takes the steps it needs whatever the other
+    rows need, and its result does not depend on the batch beyond rounding.
+    One DEBUG record on the haarweight logger per call gives the batch Newton
+    steps, barrier stages, stages ended at the inner step cap, the final
+    decrement, the row-steps (steps summed over rows) and the call's seconds.
     """
+    start = time.perf_counter()
     b, m = rho.shape
     n = dirs.shape[1]
     q = n * n
     gm = np.exp(np.mean(np.log(rho), axis=1))  # conditioning rescale, undone at exit
     invr2 = (gm[:, None] / rho) ** 2
-    pe = (dirs[:, :, None] * dirs[:, None, :]).reshape(m, q)
-    pe2 = (pe[:, :, None] * pe[:, None, :]).reshape(m, q * q)
+    pe = _outer_products(dirs)
+    pe2 = _outer_products(pe)
     eye_flat = np.eye(n).reshape(q)
-
-    def g_of(a_flat):
-        return (a_flat @ pe.T) * invr2
 
     # strictly feasible isotropic start
     a = np.outer(0.5 / invr2.max(axis=1), eye_flat)
     t = 1.0
     t_final = 2.0 * m / (n * tol)
-    iters = stages = capped = 0
+    iters = row_steps = stages = capped = 0
     decrement = np.full(b, np.inf)
     while True:
         stages += 1
-        # Newton steps at this barrier parameter until all rows are centered.
-        # Work with the t-normalized objective -logdet A - (1/t) sum ln(1-g):
-        # same center and same Newton step, but O(1) gradients at large t.
-        previous = np.inf
+        # Newton steps at this barrier parameter on the rows not yet centred.
+        # A row is centred once its decrement is <= 1e-7, or at the rounding
+        # floor: its decrement stopped halving below 1e-5. Work with the
+        # t-normalized objective -logdet A - (1/t) sum ln(1-g): same center and
+        # same Newton step, but O(1) gradients at large t.
+        live = np.arange(b)
+        w2 = invr2
+        previous = np.full(b, np.inf)
         for _ in range(80):
             if iters >= max_iter:
                 raise EllipsoidFitError(
@@ -187,13 +201,14 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
                     residual=float(np.max(decrement)),
                 )
             iters += 1
-            linv = np.linalg.inv(np.linalg.cholesky(a.reshape(-1, n, n)))
+            row_steps += live.size
+            al = a[live]
+            linv = np.linalg.inv(np.linalg.cholesky(al.reshape(-1, n, n)))
             linv_t = linv.swapaxes(1, 2)
             ainv = linv_t @ linv
-            g = g_of(a)
-            slack = 1.0 - g
-            grad = -ainv.reshape(-1, q) + ((invr2 / slack) @ pe) / t
-            h2w = (invr2 / slack) ** 2
+            slack = 1.0 - (al @ pe.T) * w2
+            grad = -ainv.reshape(-1, q) + ((w2 / slack) @ pe) / t
+            h2w = (w2 / slack) ** 2
             hess = np.einsum("bik,bjl->bijkl", ainv, ainv).reshape(-1, q, q)
             hess += (h2w @ pe2).reshape(-1, q, q) / t
             delta = np.linalg.solve(hess, -grad[..., None])[..., 0]
@@ -201,17 +216,20 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
                 delta.reshape(-1, n, n) + delta.reshape(-1, n, n).swapaxes(1, 2)
             ).reshape(-1, q)
             # Newton decrement of the un-normalized barrier: sqrt(t) * phi-decrement
-            decrement = np.sqrt(
-                t * np.maximum(-np.sum(grad * delta, axis=1), 0.0)
-            )
-            # centered, or at the rounding floor: the decrement stopped halving
-            worst = decrement.max()
-            if worst <= 1e-7 or (worst <= 1e-5 and worst > 0.5 * previous):
+            dec = np.sqrt(t * np.maximum(-np.sum(grad * delta, axis=1), 0.0))
+            decrement[live] = dec
+            centred = (dec <= 1e-7) | ((dec <= 1e-5) & (dec > 0.5 * previous))
+            if centred.all():
                 break
-            previous = worst
+            if centred.any():
+                keep = ~centred
+                live, w2, al, linv, linv_t, slack, delta, dec = (
+                    x[keep] for x in (live, w2, al, linv, linv_t, slack, delta, dec)
+                )
+            previous = dec
             # explicit feasibility caps guard against rounding: linear
             # constraint slack, then SPD of A + alpha * delta
-            dg = (delta @ pe.T) * invr2
+            dg = (delta @ pe.T) * w2
             with np.errstate(divide="ignore"):
                 ratios = np.where(dg > 0.0, slack / dg, np.inf)
             lam = np.linalg.eigvalsh(linv @ delta.reshape(-1, n, n) @ linv_t)
@@ -219,12 +237,13 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
                 spd = np.where(lam[:, 0] < 0.0, -0.98 / lam[:, 0], np.inf)
             alpha = np.minimum(np.minimum(1.0, 0.98 * ratios.min(axis=1)), spd)
             # Armijo backtracking (c = 1/4) on the t-normalized barrier; rows in
-            # Newton's quadratic region (decrement <= 1/4) keep the capped step.
-            # The damped step 1/(1 + decrement) always passes in exact
-            # arithmetic, so a row needs about log2(1 + decrement) halvings.
-            slope = decrement**2 / t
-            search = decrement > 0.25
-            for _ in range(60):
+            # Newton's quadratic region (decrement <= 1/4) keep the capped step,
+            # and a step with no row outside it skips the search. The damped
+            # step 1/(1 + decrement) always passes in exact arithmetic, so a
+            # row needs about log2(1 + decrement) halvings.
+            slope = dec**2 / t
+            search = dec > 0.25
+            for _ in range(60 if search.any() else 0):
                 change = -np.log1p(alpha[:, None] * lam).sum(axis=1) - np.log1p(
                     -alpha[:, None] * dg / slack
                 ).sum(axis=1) / t
@@ -232,7 +251,7 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
                 if not short.any():
                     break
                 alpha = np.where(short, 0.5 * alpha, alpha)
-            a = a + alpha[:, None] * delta
+            a[live] = al + alpha[:, None] * delta
         else:
             capped += 1
         if decrement.max() > 1e-4:
@@ -243,26 +262,29 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
         if t >= t_final:
             break
         t = min(t * _T_FACTOR, t_final)
+    g_final = (a @ pe.T) * invr2
+    a = a.reshape(b, n, n) * (gm**2)[:, None, None]
     _log.debug(
         "ellipsoid fit: rows=%d n=%d m=%d newton_steps=%d stages=%d "
-        "capped_stages=%d final_decrement=%.3g",
-        b, n, m, iters, stages, capped, float(decrement.max()),
+        "capped_stages=%d final_decrement=%.3g row_steps=%d seconds=%.3f",
+        b, n, m, iters, stages, capped, float(decrement.max()), row_steps,
+        time.perf_counter() - start,
     )
-    g_final = g_of(a)
-    a = a.reshape(b, n, n) * (gm**2)[:, None, None]
     return a, g_final
 
 
 def _fit_operators(rho_fit, rho_all, dirs_fit, dirs_all):
-    """V = c A^{1/2} from the MVEE shape A, rescaled so |V e| >= rho on the
-    calibration set; kappa = guaranteed upper slack on that set."""
+    """V = c A^{1/2} from the MVEE shapes A of one _mvee_batch call over all
+    rows, rescaled so |V e| >= rho on the calibration set; kappa = guaranteed
+    upper slack on that set. |A^{1/2} e|^2 = e^T A e comes from one
+    (B, n^2) @ (n^2, M_all) product against the direction outer products."""
     a, _ = _mvee_batch(rho_fit, dirs_fit, _TOL, _MAX_ITER)
-    a_half = spd_power_stack(a, 0.5)
-    y = np.linalg.norm(a_half @ dirs_all.T, axis=1)  # |A^{1/2} e_m|, (B, M_all)
-    g = rho_all / y
+    g = a.reshape(a.shape[0], -1) @ _outer_products(dirs_all).T  # |A^{1/2} e_m|^2
+    np.sqrt(g, out=g)
+    np.divide(rho_all, g, out=g)
     c = g.max(axis=1)
     kappa = c / g.min(axis=1)
-    v = a_half * c[:, None, None]
+    v = spd_power_stack(a, 0.5) * c[:, None, None]
     return v, kappa
 
 
@@ -342,50 +364,64 @@ class ReducingFamily:
         )
 
 
-def _build_side(weight: MatrixWeight, p: float, dual: bool, max_depth: int, m_fit: int):
-    """One side (primal or dual) of the family: per-level V, kappa, method."""
-    d, n = weight.d, weight.n
-    s_exp = -1.0 / p if dual else 1.0 / p
-    vs, kappas, methods = [], [], []
-    if p == 2.0:
-        pyr = weight.mean_pyramid_of(-1.0 if dual else 1.0)
-        for lvl in range(max_depth + 1):
-            vs.append(spd_power_stack(pyr[lvl], 0.5))
-            kappas.append(np.ones(((1 << lvl),) * d))
-            methods.append(np.full(((1 << lvl),) * d, _M_P2, dtype=np.int8))
-        return vs, kappas, methods
+def _exact_p2_sides(weight: MatrixWeight, max_depth: int):
+    """Both sides at p = 2: per-level V_I = <W>_I^{1/2}, kappa, method for the
+    primal, then the same for the dual V'_I = <W^{-1}>_I^{1/2}."""
+    shapes = [((1 << lvl),) * weight.d for lvl in range(max_depth + 1)]
+    return [
+        (
+            [spd_power_stack(a, 0.5) for a in weight.mean_pyramid_of(s)[: max_depth + 1]],
+            [np.ones(shape) for shape in shapes],
+            [np.full(shape, _M_P2, dtype=np.int8) for shape in shapes],
+        )
+        for s in (1.0, -1.0)
+    ]
 
-    # W = s A on a flagged cube: V = <s>^{1/p} A^{1/p}, V' = <s^{1-p'}>^{1/p'} A^{-1/p}
-    q = conjugate_exponent(p) if dual else p
+
+def _fitted_sides(weight: MatrixWeight, p: float, max_depth: int, m_fit: int):
+    """Both sides at p != 2: per-level V, kappa, method for the primal, then
+    the dual. Cubes where W = s A get the exact-scalar closed form; the
+    rest of every level and both sides go through one _fit_operators call."""
+    d, n = weight.d, weight.n
     prop = weight.proportionality_pyramid()[: max_depth + 1]
-    s = weight.cells[..., 0, 0]
-    s_pyr = mean_pyramid(s ** (1.0 - q) if dual else s, d)
-    if not all(flags.all() for flags, _ in prop):
+    todo = [~flags.reshape(-1) for flags, _ in prop]
+    if any(t.any() for t in todo):
         dirs_fit = quasi_uniform_directions(n, m_fit)
         extra = quasi_uniform_directions(n, m_fit * _CAL_FACTOR, offset=_CAL_OFFSET)
         dirs_all = np.concatenate([dirs_fit, extra], axis=0)
-        rho_pyr = _rho_pyramid(weight, p, dirs_all, dual)
-    for lvl, (flags, reps) in enumerate(prop):
-        shape = ((1 << lvl),) * d
-        flat = flags.reshape(-1)
-        v_l = np.empty((flat.size, n, n))
-        kappa_l = np.ones(flat.size)
-        method_l = np.full(flat.size, _M_SCALAR, dtype=np.int8)
-        if flat.any():
-            scale = s_pyr[lvl].reshape(-1)[flat] ** (1.0 / q)
-            a_pow = spd_power_stack(reps.reshape(-1, n, n)[flat], s_exp)
-            v_l[flat] = scale[:, None, None] * a_pow
-        todo = ~flat
-        if todo.any():
-            rho_all = rho_pyr[lvl].reshape(-1, dirs_all.shape[0])[todo]
-            v_l[todo], kappa_l[todo] = _fit_operators(
-                rho_all[:, :m_fit], rho_all, dirs_fit, dirs_all
-            )
-            method_l[todo] = _M_ELL
-        vs.append(v_l.reshape(shape + (n, n)))
-        kappas.append(kappa_l.reshape(shape))
-        methods.append(method_l.reshape(shape))
-    return vs, kappas, methods
+        rho = np.concatenate([
+            rho_l.reshape(-1, dirs_all.shape[0])[t]
+            for dual in (False, True)
+            for rho_l, t in zip(_rho_pyramid(weight, p, dirs_all, dual), todo)
+        ])
+        v_fit, kappa_fit = _fit_operators(rho[:, :m_fit], rho, dirs_fit, dirs_all)
+
+    # W = s A on a flagged cube: V = <s>^{1/p} A^{1/p}, V' = <s^{1-p'}>^{1/p'} A^{-1/p}
+    s = weight.cells[..., 0, 0]
+    sides, pos = [], 0
+    for dual in (False, True):
+        q = conjugate_exponent(p) if dual else p
+        s_exp = -1.0 / p if dual else 1.0 / p
+        s_pyr = mean_pyramid(s ** (1.0 - q) if dual else s, d)
+        vs, kappas, methods = [], [], []
+        for lvl, ((flags, reps), t) in enumerate(zip(prop, todo)):
+            shape = ((1 << lvl),) * d
+            flat = flags.reshape(-1)
+            v_l = np.empty((flat.size, n, n))
+            kappa_l = np.ones(flat.size)
+            if flat.any():
+                scale = s_pyr[lvl].reshape(-1)[flat] ** (1.0 / q)
+                a_pow = spd_power_stack(reps.reshape(-1, n, n)[flat], s_exp)
+                v_l[flat] = scale[:, None, None] * a_pow
+            k = int(t.sum())
+            if k:
+                v_l[t], kappa_l[t] = v_fit[pos : pos + k], kappa_fit[pos : pos + k]
+                pos += k
+            vs.append(v_l.reshape(shape + (n, n)))
+            kappas.append(kappa_l.reshape(shape))
+            methods.append(np.where(t, _M_ELL, _M_SCALAR).astype(np.int8).reshape(shape))
+        sides.append((vs, kappas, methods))
+    return sides
 
 
 def build_reducing_family(
@@ -404,8 +440,11 @@ def build_reducing_family(
         raise ParameterError(
             f"max_depth {max_depth} outside [0, {weight.level}]"
         )
-    v, kap, met = _build_side(weight, p, False, max_depth, m_fit)
-    vd, kapd, metd = _build_side(weight, p, True, max_depth, m_fit)
+    if p == 2.0:
+        sides = _exact_p2_sides(weight, max_depth)
+    else:
+        sides = _fitted_sides(weight, p, max_depth, m_fit)
+    (v, kap, met), (vd, kapd, metd) = sides
     return ReducingFamily(
         p=float(p),
         d=weight.d,

@@ -190,6 +190,37 @@ def test_weight_spec_realize_from_file(tmp_path):
     assert back.meta["params"] == {"alpha": 0.3}
 
 
+@pytest.mark.parametrize("key, value", [
+    ("family", "power"), ("d", 2), ("n", 3), ("level", 9), ("seed", 7),
+    ("params", {"alpha": 0.3}),
+])
+def test_file_weight_refuses_generator_keys(tmp_path, capsys, key, value):
+    from haarweight import WeightFamily, make_weight
+
+    path = save_weight(make_weight(WeightFamily("power", 1, 1, 3, params={"alpha": 0.3})),
+                       tmp_path / "w.csv")
+    payload = config_to_dict(ExperimentConfig(weights=(WeightSpec("w", file=str(path)),)))
+    payload["weights"][0][key] = value  # even a value equal to the default
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=rf"'w' is read from 'file'.*remove \['{key}'\]"):
+        load_config(cfg)
+    assert main(["calibrate", "--config", str(cfg)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_file_weight_spec_roundtrip(tmp_path):
+    spec = WeightSpec("w", file=str(tmp_path / "w.csv"))
+    cfg = ExperimentConfig(weights=(spec,))
+    payload = config_to_dict(cfg)
+    assert payload["weights"] == [{"name": "w", "file": spec.file}]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(payload))
+    assert load_config(path) == cfg
+    with pytest.raises(ConfigError, match=r"'w'.*remove \['d', 'params'\]"):
+        ExperimentConfig(weights=(dataclasses.replace(spec, d=2, params={"alpha": 0.3}),))
+
+
 def test_suite_specs_realize():
     specs = suite_weight_specs()
     names = [s.name for s in specs]

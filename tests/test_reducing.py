@@ -231,8 +231,10 @@ def test_duality_identity(monkeypatch):
     assert rep3.passed
     assert abs(rep3.log_gap) <= 1e-12
     assert rep3.p_dual == pytest.approx(1.5)
-    # the dual side comes from the given family: no family is built
-    fam = build_reducing_family(w, 3.0)
+    # the dual side comes from the given family: no family is built. The
+    # family has duality_check's depth: a fitted row matches to rounding only
+    # within a batch of the same rows
+    fam = build_reducing_family(w, 3.0, max_depth=scan_depth(w.level))
     builds = []
 
     def counting(*args, **kwargs):
@@ -253,18 +255,22 @@ def test_pair_norms_at_least_one():
 
 
 def fit_inputs(n, level, m=60):
-    """rho of a p=3 weight on the cubes of one level, and the m directions."""
+    """rho of a p=3 weight on the cubes of one level, and the m directions;
+    level None stacks levels 0-2 of both sides, as a family's one fit does."""
     if n == 2:
         w = rotating_weight(level=3)
     else:
         w = make_weight(WeightFamily("logbrownian", d=1, n=3, level=3,
                                      params={"sigma": 0.4}, seed=5))
     dirs = quasi_uniform_directions(n, m)
+    if level is None:
+        pyramids = [_rho_pyramid(w, 3.0, dirs, dual) for dual in (False, True)]
+        return np.concatenate([r.reshape(-1, m) for pyr in pyramids for r in pyr[:3]]), dirs
     rho = _rho_pyramid(w, 3.0, dirs, dual=False)[level]
     return rho.reshape(-1, m), dirs
 
 
-@pytest.mark.parametrize("n, level", [(2, 0), (2, 2), (3, 0), (3, 2)])
+@pytest.mark.parametrize("n, level", [(2, 0), (2, 2), (3, 0), (3, 2), (2, None), (3, None)])
 def test_mvee_batch_feasible_with_john_certificate(n, level):
     rho, dirs = fit_inputs(n, level)
     a, g_final = reducing._mvee_batch(rho, dirs, _TOL, 200_000)
@@ -292,20 +298,41 @@ def test_mvee_batch_logs_one_debug_record(caplog):
         reducing._mvee_batch(rho, dirs, 1e-4, 200_000)
     records = [r for r in caplog.records if r.name == "haarweight.reducing"]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
-    rows, n, m, steps, stages, capped, decrement = records[0].args
+    rows, n, m, steps, stages, capped, decrement, row_steps, seconds = records[0].args
     assert (rows, n, m) == (4, 2, 60)
     assert steps >= stages >= 1 and 0 <= capped <= stages
     assert decrement <= 1e-4
+    assert steps <= row_steps <= rows * steps
+    assert seconds > 0.0
     assert "newton_steps=" in records[0].getMessage()
+    assert "seconds=" in records[0].getMessage()
 
 
-def _fit_record(caplog, rho, dirs):
-    """The DEBUG record args of one _mvee_batch call at the default _TOL."""
+def _fit_record(caplog, rho, dirs, full=False):
+    """The DEBUG record args of one _mvee_batch call at the default _TOL:
+    rows, n, m, newton_steps, stages, capped_stages, final_decrement, and with
+    full=True also row_steps and seconds."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="haarweight"):
         reducing._mvee_batch(rho, dirs, _TOL, 200_000)
     (record,) = [r for r in caplog.records if r.name == "haarweight.reducing"]
-    return record.args
+    return record.args if full else record.args[:7]
+
+
+def test_centred_rows_leave_the_stage(caplog):
+    # a circle (rho = 1) centres in fewer steps than a rotating-weight cube;
+    # in one batch it stops stepping when its own fit is centred
+    rho, dirs = fit_inputs(2, 0)
+    easy = np.ones_like(rho)
+    both = np.concatenate([easy, rho])
+    rows, _, _, steps, _, _, _, row_steps, _ = _fit_record(caplog, both, dirs, full=True)
+    assert row_steps < rows * steps
+    # each row takes the steps of its solo fit
+    assert row_steps == _fit_record(caplog, easy, dirs)[3] + _fit_record(caplog, rho, dirs)[3]
+    a_both, _ = reducing._mvee_batch(both, dirs, _TOL, 200_000)
+    a_easy, _ = reducing._mvee_batch(easy, dirs, _TOL, 200_000)
+    scale = np.abs(a_easy[0]).max()  # relative to the matrix: off-diagonals are ~1e-17
+    np.testing.assert_allclose(a_both[0], a_easy[0], rtol=0, atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize("n, level", [(2, 0), (2, 2), (3, 0), (3, 2)])
@@ -325,6 +352,35 @@ def test_mvee_batch_step_budget(caplog, n):
     rho, dirs = fit_inputs(n, 2)
     steps = _fit_record(caplog, rho, dirs)[3]
     assert steps <= 90
+
+
+def test_one_fit_per_family_matches_per_level_fits(monkeypatch):
+    w = rotating_weight(level=4)
+    p = 3.0
+    calls = []
+    mvee = reducing._mvee_batch
+
+    def counting(rho, *args):
+        calls.append(rho.shape[0])
+        return mvee(rho, *args)
+
+    monkeypatch.setattr(reducing, "_mvee_batch", counting)
+    fam = build_reducing_family(w, p)
+    # every cube of levels 0-3 on both sides; a level-4 cube is one cell, W = s A
+    assert calls == [2 * (2**4 - 1)]
+    assert (fam.method[4] == METHOD_NAMES.index("exact-scalar")).all()
+    m_fit = fit_count(2)
+    dirs_fit = quasi_uniform_directions(2, m_fit)
+    extra = quasi_uniform_directions(2, m_fit * _CAL_FACTOR, offset=_CAL_OFFSET)
+    dirs_all = np.concatenate([dirs_fit, extra], axis=0)
+    for dual, vs, kappas in ((False, fam.v, fam.kappa), (True, fam.v_dual, fam.kappa_dual)):
+        rho_pyr = _rho_pyramid(w, p, dirs_all, dual)
+        for lvl in range(4):
+            rho = rho_pyr[lvl].reshape(-1, dirs_all.shape[0])
+            v, kappa = _fit_operators(rho[:, :m_fit], rho, dirs_fit, dirs_all)
+            np.testing.assert_allclose(vs[lvl].reshape(-1, 2, 2), v, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(kappas[lvl].reshape(-1), kappa, rtol=1e-12, atol=0)
+    assert len(calls) == 1 + 2 * 4
 
 
 def test_rho_pyramid_matches_direction_norm():

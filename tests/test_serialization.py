@@ -27,6 +27,7 @@ from haarweight.serialization import (
     sha256_file,
     tree_to_dict,
     write_csv,
+    write_json,
 )
 
 
@@ -168,6 +169,26 @@ def test_write_csv_deterministic(tmp_path):
     p2 = write_csv(tmp_path / "b.csv", ["i", "s", "x"], rows)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text().splitlines()[1] == "1,a,0.1"
+
+
+def test_write_json_keeps_bools(tmp_path):
+    payload = {"flag": True, "np_flag": np.bool_(False), "count": 3,
+               "np_count": np.int64(2), "x": np.float64(0.5),
+               "mask": np.array([True, False])}
+    path = write_json(tmp_path / "p.json", payload)
+    assert json.loads(path.read_text()) == {
+        "flag": True, "np_flag": False, "count": 3, "np_count": 2, "x": 0.5,
+        "mask": [True, False],
+    }
+    assert '"flag": true' in path.read_text()
+    back = json.loads(path.read_text())
+    assert [type(back[k]) for k in ("flag", "np_flag", "count")] == [bool, bool, int]
+    # a tree's floor_hit flags are written as JSON booleans
+    w = MatrixWeight(d=1, n=1, level=1, cells=np.array([[[1.0]], [[4.0]]]))
+    tree = build_generations(build_reducing_family(w, 2.0),
+                             StoppingConfig(p=2.0, lambda1=1.2, lambda2=1.2))
+    text = save_generation_tree(tree, tmp_path / "tree.json").read_text()
+    assert '"floor_hit": false' in text and '"floor_hit": true' in text
 
 
 def test_manifest_lists_hashes(tmp_path):
