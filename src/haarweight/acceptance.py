@@ -177,11 +177,12 @@ def c04_pair_lower_bound(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def _dual_weight(weight: MatrixWeight, p: float) -> MatrixWeight:
-    """W^{1-p'}, the weight of the dual side at the conjugate exponent."""
+    """W^{1-p'}, the weight of the dual side at the conjugate exponent, on
+    the weight's cached cell power, which c05 and c12 share."""
     q = conjugate_exponent(p)
     return MatrixWeight(
         weight.d, weight.n, weight.level,
-        spd_power_stack(weight.cells, 1.0 - q),
+        weight.power_cells(1.0 - q),
         {"family": "derived", "base": dict(weight.meta), "exponent": 1.0 - q},
     )
 

@@ -11,8 +11,9 @@ same role for rho'_I built from W^{-1/p} at the conjugate exponent. At p = 2
 both are exact matrix square roots of cube averages (kappa = 1). On a cube
 where W(x) = s(x) A, rho_I(e) = <s>_I^{1/p} |A^{1/p} e|, so V_I and V'_I are
 exact closed forms too (kappa = 1). Every other cube gets a log-barrier Newton
-minimum-volume-ellipsoid fit on a deterministic direction set: one batched
-fit per family takes the remaining cubes of every level and of both sides.
+minimum-volume-ellipsoid fit on a deterministic direction set. A family is
+built on one row axis that holds every level of both sides, so each route
+(square root, closed form, batched fit) runs once per family.
 
 The characteristic sup_I ||V_I V'_I||^p is the operator-weight analogue of the
 scalar A_p product <w>_I <w^{1-p'}>_I^{p-1}; it is >= 1 up to fit slack.
@@ -92,7 +93,7 @@ def quasi_uniform_directions(n: int, m: int, offset: float = 0.0) -> np.ndarray:
         phi = 2.0 * np.pi * (k * _GOLDEN + offset)
         r = np.sqrt(1.0 - z**2)
         return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    rng = np.random.default_rng([n, m, int(offset * 1e6) & 0xFFFFFFFF])
+    rng = np.random.default_rng([n, m, int(offset * 1e6)])
     v = rng.standard_normal((m, n))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
@@ -113,23 +114,42 @@ def _outer_products(x: np.ndarray) -> np.ndarray:
     return (x[:, :, None] * x[:, None, :]).reshape(x.shape[0], -1)
 
 
-def _rho_pyramid(weight: MatrixWeight, p: float, dirs: np.ndarray, dual: bool) -> list:
-    """Per-level rho arrays (2^l,)*d + (M,) for all directions at once.
+def _rows(levels: list, d: int) -> np.ndarray:
+    """Per-level arrays (2^l,)*d + tail stacked on one row axis: level by
+    level, each level in index order."""
+    return np.concatenate([a.reshape((-1,) + a.shape[d:]) for a in levels])
+
+
+def _levels(rows: np.ndarray, d: int) -> list:
+    """Cut a (cubes,) + tail row array back into per-level (2^l,)*d + tail
+    views: the inverse of _rows."""
+    out, start = [], 0
+    while start < rows.shape[0]:
+        size = 1 << (len(out) * d)
+        shape = ((1 << len(out)),) * d + rows.shape[1:]
+        out.append(rows[start : start + size].reshape(shape))
+        start += size
+    return out
+
+
+def _rho_rows(weight: MatrixWeight, p: float, dirs: np.ndarray, dual: bool,
+              todo: np.ndarray) -> np.ndarray:
+    """rho_I (dual: rho'_I) on every direction, (rows, M), for the cubes that
+    the row mask todo selects.
 
     |W^s e|^q = (e^T W^{2s} e)^{q/2}, so one (cells, n^2) @ (n^2, M) product
     of the flattened W^{2s} = W^s W^s against the direction outer products
-    gives the integrand on every cell, then mean_pyramid averages it.
+    gives the integrand on every cell, then mean_pyramid averages it. Only
+    the selected rows take the 1/q-th power.
     """
     s = -1.0 / p if dual else 1.0 / p
     q = conjugate_exponent(p) if dual else p
     wp = weight.power_cells(s)
-    grid = wp.shape[:-2]
     g = (wp @ wp).reshape(-1, weight.n**2) @ _outer_products(dirs).T
     np.power(g, 0.5 * q, out=g)
-    pyr = mean_pyramid(g.reshape(grid + (-1,)), weight.d)
-    for a in pyr:  # every level is a fresh array: take the 1/q-th power in place
-        np.power(a, 1.0 / q, out=a)
-    return pyr
+    pyr = mean_pyramid(g.reshape(wp.shape[:-2] + (-1,)), weight.d)
+    rho = np.concatenate([a[t] for a, t in zip(pyr, _levels(todo, weight.d))])
+    return np.power(rho, 1.0 / q, out=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +282,6 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
         if t >= t_final:
             break
         t = min(t * _T_FACTOR, t_final)
-    g_final = (a @ pe.T) * invr2
     a = a.reshape(b, n, n) * (gm**2)[:, None, None]
     _log.debug(
         "ellipsoid fit: rows=%d n=%d m=%d newton_steps=%d stages=%d "
@@ -270,7 +289,7 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
         b, n, m, iters, stages, capped, float(decrement.max()), row_steps,
         time.perf_counter() - start,
     )
-    return a, g_final
+    return a
 
 
 def _fit_operators(rho_fit, rho_all, dirs_fit, dirs_all):
@@ -278,7 +297,7 @@ def _fit_operators(rho_fit, rho_all, dirs_fit, dirs_all):
     rows, rescaled so |V e| >= rho on the calibration set; kappa = guaranteed
     upper slack on that set. |A^{1/2} e|^2 = e^T A e comes from one
     (B, n^2) @ (n^2, M_all) product against the direction outer products."""
-    a, _ = _mvee_batch(rho_fit, dirs_fit, _TOL, _MAX_ITER)
+    a = _mvee_batch(rho_fit, dirs_fit, _TOL, _MAX_ITER)
     g = a.reshape(a.shape[0], -1) @ _outer_products(dirs_all).T  # |A^{1/2} e_m|^2
     np.sqrt(g, out=g)
     np.divide(rho_all, g, out=g)
@@ -364,66 +383,6 @@ class ReducingFamily:
         )
 
 
-def _exact_p2_sides(weight: MatrixWeight, max_depth: int):
-    """Both sides at p = 2: per-level V_I = <W>_I^{1/2}, kappa, method for the
-    primal, then the same for the dual V'_I = <W^{-1}>_I^{1/2}."""
-    shapes = [((1 << lvl),) * weight.d for lvl in range(max_depth + 1)]
-    return [
-        (
-            [spd_power_stack(a, 0.5) for a in weight.mean_pyramid_of(s)[: max_depth + 1]],
-            [np.ones(shape) for shape in shapes],
-            [np.full(shape, _M_P2, dtype=np.int8) for shape in shapes],
-        )
-        for s in (1.0, -1.0)
-    ]
-
-
-def _fitted_sides(weight: MatrixWeight, p: float, max_depth: int, m_fit: int):
-    """Both sides at p != 2: per-level V, kappa, method for the primal, then
-    the dual. Cubes where W = s A get the exact-scalar closed form; the
-    rest of every level and both sides go through one _fit_operators call."""
-    d, n = weight.d, weight.n
-    prop = weight.proportionality_pyramid()[: max_depth + 1]
-    todo = [~flags.reshape(-1) for flags, _ in prop]
-    if any(t.any() for t in todo):
-        dirs_fit = quasi_uniform_directions(n, m_fit)
-        extra = quasi_uniform_directions(n, m_fit * _CAL_FACTOR, offset=_CAL_OFFSET)
-        dirs_all = np.concatenate([dirs_fit, extra], axis=0)
-        rho = np.concatenate([
-            rho_l.reshape(-1, dirs_all.shape[0])[t]
-            for dual in (False, True)
-            for rho_l, t in zip(_rho_pyramid(weight, p, dirs_all, dual), todo)
-        ])
-        v_fit, kappa_fit = _fit_operators(rho[:, :m_fit], rho, dirs_fit, dirs_all)
-
-    # W = s A on a flagged cube: V = <s>^{1/p} A^{1/p}, V' = <s^{1-p'}>^{1/p'} A^{-1/p}
-    s = weight.cells[..., 0, 0]
-    sides, pos = [], 0
-    for dual in (False, True):
-        q = conjugate_exponent(p) if dual else p
-        s_exp = -1.0 / p if dual else 1.0 / p
-        s_pyr = mean_pyramid(s ** (1.0 - q) if dual else s, d)
-        vs, kappas, methods = [], [], []
-        for lvl, ((flags, reps), t) in enumerate(zip(prop, todo)):
-            shape = ((1 << lvl),) * d
-            flat = flags.reshape(-1)
-            v_l = np.empty((flat.size, n, n))
-            kappa_l = np.ones(flat.size)
-            if flat.any():
-                scale = s_pyr[lvl].reshape(-1)[flat] ** (1.0 / q)
-                a_pow = spd_power_stack(reps.reshape(-1, n, n)[flat], s_exp)
-                v_l[flat] = scale[:, None, None] * a_pow
-            k = int(t.sum())
-            if k:
-                v_l[t], kappa_l[t] = v_fit[pos : pos + k], kappa_fit[pos : pos + k]
-                pos += k
-            vs.append(v_l.reshape(shape + (n, n)))
-            kappas.append(kappa_l.reshape(shape))
-            methods.append(np.where(t, _M_ELL, _M_SCALAR).astype(np.int8).reshape(shape))
-        sides.append((vs, kappas, methods))
-    return sides
-
-
 def build_reducing_family(
     weight: MatrixWeight,
     p: float,
@@ -431,32 +390,57 @@ def build_reducing_family(
     directions: int | None = None,
 ) -> ReducingFamily:
     """Reducing operators for every cube of level <= max_depth (default: all);
-    ellipsoid fits use `directions` directions (default fit_count(n))."""
-    if not 1.0 < p < math.inf:
-        raise ParameterError(f"exponent must satisfy 1 < p < inf, got {p}")
+    ellipsoid fits use `directions` directions (default fit_count(n)).
+
+    Rows are the primal cubes level by level, each level in index order, then
+    the dual cubes. At p = 2 one spd_power_stack takes the square roots of
+    the stacked averages of W and W^{-1}; otherwise the closed form fills the
+    rows of both sides where W = s A, and one _fit_operators call the rest.
+    The (2, cubes, n, n) result is cut into per-level arrays at the end.
+    """
+    q = conjugate_exponent(p)  # checks 1 < p < inf
     m_fit = fit_count(weight.n) if directions is None else int(directions)
     max_depth = weight.level if max_depth is None else int(max_depth)
     if not 0 <= max_depth <= weight.level:
-        raise ParameterError(
-            f"max_depth {max_depth} outside [0, {weight.level}]"
-        )
+        raise ParameterError(f"max_depth {max_depth} outside [0, {weight.level}]")
+    d, n = weight.d, weight.n
     if p == 2.0:
-        sides = _exact_p2_sides(weight, max_depth)
+        v = spd_power_stack(np.stack([
+            _rows(weight.mean_pyramid_of(s)[: max_depth + 1], d) for s in (1.0, -1.0)
+        ]), 0.5)
+        kappa = np.ones(v.shape[:2])
+        method = np.full(v.shape[:2], _M_P2, dtype=np.int8)
     else:
-        sides = _fitted_sides(weight, p, max_depth, m_fit)
-    (v, kap, met), (vd, kapd, metd) = sides
+        prop = weight.proportionality_pyramid()[: max_depth + 1]
+        flags = _rows([flag for flag, _ in prop], d)
+        reps = _rows([rep for _, rep in prop], d)[flags]
+        # W = s A: V = <s>^{1/p} A^{1/p}, V' = <s^{1-p'}>^{1/p'} A^{-1/p}
+        s = weight.cells[..., 0, 0]
+        v = np.empty((2, flags.size, n, n))
+        v[:, flags] = [
+            _rows(mean_pyramid(w, d)[: max_depth + 1], d)[flags, None, None] ** (1.0 / r)
+            * spd_power_stack(reps, e)
+            for w, r, e in ((s, p, 1.0 / p), (s ** (1.0 - q), q, -1.0 / p))
+        ]
+        kappa = np.ones((2, flags.size))
+        todo = ~flags
+        if todo.any():
+            dirs_fit = quasi_uniform_directions(n, m_fit)
+            extra = quasi_uniform_directions(n, m_fit * _CAL_FACTOR, offset=_CAL_OFFSET)
+            dirs_all = np.concatenate([dirs_fit, extra], axis=0)
+            rho = np.concatenate([_rho_rows(weight, p, dirs_all, dual, todo)
+                                  for dual in (False, True)])
+            v_fit, kappa_fit = _fit_operators(rho[:, :m_fit], rho, dirs_fit, dirs_all)
+            v[:, todo] = v_fit.reshape(2, -1, n, n)
+            kappa[:, todo] = kappa_fit.reshape(2, -1)
+        method = np.stack([np.where(todo, _M_ELL, _M_SCALAR).astype(np.int8)] * 2)
+    v, v_dual, kappa, kappa_dual, method, method_dual = (
+        _levels(side, d) for rows in (v, kappa, method) for side in rows
+    )
     return ReducingFamily(
-        p=float(p),
-        d=weight.d,
-        n=weight.n,
-        level=weight.level,
-        max_depth=max_depth,
-        v=v,
-        v_dual=vd,
-        kappa=kap,
-        kappa_dual=kapd,
-        method=met,
-        method_dual=metd,
+        p=float(p), d=d, n=n, level=weight.level, max_depth=max_depth,
+        v=v, v_dual=v_dual, kappa=kappa, kappa_dual=kappa_dual,
+        method=method, method_dual=method_dual,
     )
 
 

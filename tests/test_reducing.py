@@ -31,7 +31,9 @@ from haarweight.reducing import (
     METHOD_NAMES,
     _TOL,
     _fit_operators,
-    _rho_pyramid,
+    _levels,
+    _rho_rows,
+    _rows,
     fit_count,
     scan_depth,
 )
@@ -46,7 +48,7 @@ def _rho_block(wp_cells, p, dirs, d):
 
 def direction_norm(weight, cube, p, e, dual=False):
     """rho_I(e), or the dual norm rho'_I(e) (W^{-1/p}, conjugate exponent),
-    straight from the cells of one cube: the oracle for _rho_pyramid."""
+    straight from the cells of one cube: the oracle for _rho_rows."""
     e = np.asarray(e, dtype=float).reshape(1, -1)
     if dual:
         cells = weight.power_cells(-1.0 / p)[cube.cell_slices(weight.level)]
@@ -73,6 +75,19 @@ def scalar_ap_characteristic(weight, e, p):
 
 def method_at(codes, cube):
     return METHOD_NAMES[int(codes[cube.level][cube.index])]
+
+
+def level_rows(d, depth, levels):
+    """Row mask of a depth-`depth` family that selects the cubes of `levels`."""
+    return _rows([np.full(((1 << l),) * d, l in levels) for l in range(depth + 1)], d)
+
+
+def fit_directions(n):
+    """The fit count and the fit and fit-plus-calibration directions of a family build."""
+    m_fit = fit_count(n)
+    dirs_fit = quasi_uniform_directions(n, m_fit)
+    extra = quasi_uniform_directions(n, m_fit * _CAL_FACTOR, offset=_CAL_OFFSET)
+    return m_fit, dirs_fit, np.concatenate([dirs_fit, extra], axis=0)
 
 
 def two_cell_weight(a=1.0, b=4.0):
@@ -167,14 +182,10 @@ def test_closed_form_matches_fit_on_power_weight():
     w = make_weight(fam)
     p = 3.0
     redfam = build_reducing_family(w, p)
-    m_fit = fit_count(2)
-    dirs_fit = quasi_uniform_directions(2, m_fit)
-    extra = quasi_uniform_directions(2, m_fit * _CAL_FACTOR, offset=_CAL_OFFSET)
-    dirs_all = np.concatenate([dirs_fit, extra], axis=0)
+    m_fit, dirs_fit, dirs_all = fit_directions(2)
     for dual, closed in ((False, redfam.v), (True, redfam.v_dual)):
-        rho_pyr = _rho_pyramid(w, p, dirs_all, dual)
         for lvl in (0, 2, 4):
-            rho = rho_pyr[lvl].reshape(-1, dirs_all.shape[0])
+            rho = _rho_rows(w, p, dirs_all, dual, level_rows(1, lvl, [lvl]))
             v_fit, _ = _fit_operators(rho[:, :m_fit], rho, dirs_fit, dirs_all)
             np.testing.assert_allclose(
                 v_fit, closed[lvl].reshape(-1, 2, 2), rtol=0, atol=1e-10
@@ -264,18 +275,16 @@ def fit_inputs(n, level, m=60):
                                      params={"sigma": 0.4}, seed=5))
     dirs = quasi_uniform_directions(n, m)
     if level is None:
-        pyramids = [_rho_pyramid(w, 3.0, dirs, dual) for dual in (False, True)]
-        return np.concatenate([r.reshape(-1, m) for pyr in pyramids for r in pyr[:3]]), dirs
-    rho = _rho_pyramid(w, 3.0, dirs, dual=False)[level]
-    return rho.reshape(-1, m), dirs
+        todo = level_rows(1, 2, range(3))
+        return np.concatenate([_rho_rows(w, 3.0, dirs, dual, todo) for dual in (False, True)]), dirs
+    return _rho_rows(w, 3.0, dirs, False, level_rows(1, level, [level])), dirs
 
 
 @pytest.mark.parametrize("n, level", [(2, 0), (2, 2), (3, 0), (3, 2), (2, None), (3, None)])
 def test_mvee_batch_feasible_with_john_certificate(n, level):
     rho, dirs = fit_inputs(n, level)
-    a, g_final = reducing._mvee_batch(rho, dirs, _TOL, 200_000)
+    a = reducing._mvee_batch(rho, dirs, _TOL, 200_000)
     assert a.shape == (rho.shape[0], n, n)
-    assert g_final.max() < 1.0
     for a_b, rho_b in zip(a, rho):
         # x_m^T A x_m <= 1 for x_m = dirs_m / rho_m, recomputed from A
         x = dirs / rho_b[:, None]
@@ -329,8 +338,8 @@ def test_centred_rows_leave_the_stage(caplog):
     assert row_steps < rows * steps
     # each row takes the steps of its solo fit
     assert row_steps == _fit_record(caplog, easy, dirs)[3] + _fit_record(caplog, rho, dirs)[3]
-    a_both, _ = reducing._mvee_batch(both, dirs, _TOL, 200_000)
-    a_easy, _ = reducing._mvee_batch(easy, dirs, _TOL, 200_000)
+    a_both = reducing._mvee_batch(both, dirs, _TOL, 200_000)
+    a_easy = reducing._mvee_batch(easy, dirs, _TOL, 200_000)
     scale = np.abs(a_easy[0]).max()  # relative to the matrix: off-diagonals are ~1e-17
     np.testing.assert_allclose(a_both[0], a_easy[0], rtol=0, atol=1e-12 * scale)
 
@@ -369,26 +378,28 @@ def test_one_fit_per_family_matches_per_level_fits(monkeypatch):
     # every cube of levels 0-3 on both sides; a level-4 cube is one cell, W = s A
     assert calls == [2 * (2**4 - 1)]
     assert (fam.method[4] == METHOD_NAMES.index("exact-scalar")).all()
-    m_fit = fit_count(2)
-    dirs_fit = quasi_uniform_directions(2, m_fit)
-    extra = quasi_uniform_directions(2, m_fit * _CAL_FACTOR, offset=_CAL_OFFSET)
-    dirs_all = np.concatenate([dirs_fit, extra], axis=0)
+    m_fit, dirs_fit, dirs_all = fit_directions(2)
     for dual, vs, kappas in ((False, fam.v, fam.kappa), (True, fam.v_dual, fam.kappa_dual)):
-        rho_pyr = _rho_pyramid(w, p, dirs_all, dual)
         for lvl in range(4):
-            rho = rho_pyr[lvl].reshape(-1, dirs_all.shape[0])
+            rho = _rho_rows(w, p, dirs_all, dual, level_rows(1, lvl, [lvl]))
             v, kappa = _fit_operators(rho[:, :m_fit], rho, dirs_fit, dirs_all)
             np.testing.assert_allclose(vs[lvl].reshape(-1, 2, 2), v, rtol=1e-12, atol=0)
             np.testing.assert_allclose(kappas[lvl].reshape(-1), kappa, rtol=1e-12, atol=0)
     assert len(calls) == 1 + 2 * 4
 
 
-def test_rho_pyramid_matches_direction_norm():
+def test_rho_rows_matches_direction_norm():
     w = rotating_weight(level=4)
     p = 3.0
     dirs = quasi_uniform_directions(2, 12)
+    todo = level_rows(1, 4, range(5))
+    todo[[2, 9]] = False  # level 1 index 1, level 3 index 2
     for dual in (False, True):
-        pyr = _rho_pyramid(w, p, dirs, dual)
+        rho = _rho_rows(w, p, dirs, dual, todo)
+        assert rho.shape == (29, 12)
+        full = np.zeros((31, 12))
+        full[todo] = rho
+        pyr = _levels(full, 1)
         for lvl in (0, 2, 4):
             for idx in [(0,), ((1 << lvl) - 1,)]:
                 cube = Cube(lvl, idx)
@@ -412,6 +423,51 @@ def test_coverage_error_beyond_depth():
     deep = build_reducing_family(rotating_weight(level=5), 2.0, max_depth=2)
     with pytest.raises(CoverageError):
         deep.characteristic()  # scan depth 3
+
+
+@pytest.mark.parametrize("d, level", [(1, 4), (2, 3)])
+def test_shallow_family_keeps_the_exact_rows(d, level):
+    # W = s(x) A on the first half (d=1) or quadrant (d=2) of a rotating
+    # weight: exact-scalar and ellipsoid cubes side by side on one level
+    w = make_weight(WeightFamily("rotating", d=d, n=2, level=level,
+                                 params={"alpha": 0.6}, seed=3))
+    cells = np.array(w.cells)
+    half = (slice(0, 1 << (level - 1)),) * d
+    s = 1.0 + np.arange(2 ** (d * (level - 1))).reshape(cells[half].shape[:-2])
+    cells[half] = s[..., None, None] * np.array([[2.0, 0.5], [0.5, 1.0]])
+    w = MatrixWeight(d, 2, level, cells)
+    depth = level - 2
+    ell = METHOD_NAMES.index("ellipsoid")
+    for p in (2.0, 3.0):
+        full = build_reducing_family(w, p)
+        shallow = build_reducing_family(w, p, max_depth=depth)
+        assert len(shallow.v) == depth + 1
+        codes = np.concatenate([c.reshape(-1) for c in shallow.method[: depth + 1]])
+        assert (codes == ell).any() == (p != 2.0) and not (codes == ell).all()
+        for l in range(depth + 1):
+            exact = full.method[l] != ell
+            for side in ("method", "method_dual"):
+                np.testing.assert_array_equal(getattr(shallow, side)[l], getattr(full, side)[l])
+            for side in ("v", "v_dual", "kappa", "kappa_dual"):
+                np.testing.assert_array_equal(getattr(shallow, side)[l][exact],
+                                              getattr(full, side)[l][exact])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_rows_split_round_trip(d):
+    rng = np.random.default_rng(d)
+    pyr = [rng.standard_normal(((1 << l),) * d + (2, 3)) for l in range(4)]
+    rows = _rows(pyr, d)
+    assert rows.shape == (sum(1 << (l * d) for l in range(4)), 2, 3)
+    # level by level, each level in index order
+    np.testing.assert_array_equal(rows[1 : 1 + (1 << d)], pyr[1].reshape(-1, 2, 3))
+    back = _levels(rows, d)
+    assert [a.shape for a in back] == [a.shape for a in pyr]
+    for got, want in zip(back, pyr):
+        np.testing.assert_array_equal(got, want)
+    flags = [a[..., 0, 0] > 0.0 for a in pyr]
+    for got, want in zip(_levels(_rows(flags, d), d), flags):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_op_norm_stack_oracle():
