@@ -25,7 +25,7 @@ from .analysis import (
     random_mean_zero_batch,
 )
 from .config import ExperimentConfig, default_config
-from .dyadic import GridFunction, haar_exactness_errors, haar_reconstruct
+from .dyadic import GridFunction, _cube_blocks, haar_exactness_errors, haar_reconstruct
 from .errors import HaarweightError
 from .experiments import RunContext, alpha_sweep_report, run_experiments
 from .multipliers import t_blocks, t_operator
@@ -80,16 +80,6 @@ class AcceptanceContext(RunContext):
         return self._sweep
 
 
-def _blocks(cells: np.ndarray, d: int, l: int, big: int) -> np.ndarray:
-    """(2^big,)*d + tail -> (cubes at level l, cells per cube) + tail."""
-    h, b = 1 << l, 1 << (big - l)
-    tail = cells.shape[d:]
-    arr = cells.reshape(sum(([h, b] for _ in range(d)), []) + list(tail))
-    order = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-    order += [2 * d + i for i in range(len(tail))]
-    return arr.transpose(order).reshape((h**d, b**d) + tail)
-
-
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -126,7 +116,7 @@ def c02_p2_oracle(ctx: AcceptanceContext) -> CriterionResult:
         for sign, stack in ((1.0, fam.v), (-1.0, fam.v_dual)):
             cells = weight.power_cells(sign)
             for l in range(fam.max_depth + 1):
-                avg = _blocks(cells, weight.d, l, weight.level).mean(axis=1)
+                avg = _cube_blocks(cells, weight.d, l).mean(axis=1)
                 want = spd_power_stack(avg, 0.5)
                 got = stack[l].reshape(want.shape)
                 worst = max(worst, float(np.abs(got - want).max()))
@@ -137,25 +127,32 @@ def c02_p2_oracle(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c03_john_sandwich(ctx: AcceptanceContext) -> CriterionResult:
-    """p=3 sandwich on 1000 fresh directions per cube, slack 1 + 1e-3."""
+    """p=3 sandwich on 1000 fresh directions per cube, slack 1 + 1e-3; rho
+    and |Ve| come from the quadratic forms e^T W^{2/p} e and e^T V^T V e."""
     p, m, slack = 3.0, 1000, 1.0 + 1e-3
     worst_lo = worst_hi = 0.0  # max violations of the two inequalities
     for w in ctx.config.weights:
         weight = ctx.weight(w.name)
         fam = ctx.family(w.name, p)
+        n = weight.n
         wp = weight.power_cells(1.0 / p)
-        sqrt_n = math.sqrt(weight.n)
+        w2p = (wp @ wp).reshape(wp.shape[:-2] + (n * n,))
+        sqrt_n = math.sqrt(n)
         for l in range(fam.max_depth + 1):
-            blocks = _blocks(wp, weight.d, l, weight.level)
-            cubes = blocks.shape[0]
+            quad = _cube_blocks(w2p, weight.d, l)
+            cubes = quad.shape[0]
             tag = zlib.crc32(w.name.encode())
             rng = np.random.default_rng([ctx.config.seed, 3, tag, l])
-            dirs = rng.standard_normal((cubes, m, weight.n))
+            dirs = rng.standard_normal((cubes, m, n))
             dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-            x = np.matmul(dirs[:, None], np.swapaxes(blocks, -1, -2))
-            rho = (np.linalg.norm(x, axis=-1) ** p).mean(axis=1) ** (1.0 / p)
-            v = fam.v[l].reshape(cubes, weight.n, weight.n)
-            ve = np.linalg.norm(np.einsum("kij,kmj->kmi", v, dirs), axis=-1)
+            # e e^T of every direction, flattened: (cubes, n^2, m)
+            cols = np.swapaxes(dirs, -1, -2)
+            ee = (cols[:, :, None] * cols[:, None]).reshape(cubes, n * n, m)
+            # |W^{1/p} e|^p = (e^T W^{2/p} e)^{p/2}, cell by cell
+            rho = ((quad @ ee) ** (p / 2)).mean(axis=1) ** (1.0 / p)
+            v = fam.v[l].reshape(cubes, n, n)
+            vtv = (np.swapaxes(v, -1, -2) @ v).reshape(cubes, 1, n * n)
+            ve = np.sqrt(vtv @ ee)[:, 0]
             worst_lo = max(worst_lo, float((rho / (ve * slack)).max()))
             worst_hi = max(worst_hi, float((ve / (sqrt_n * rho * slack)).max()))
     passed = worst_lo <= 1.0 and worst_hi <= 1.0

@@ -60,27 +60,31 @@ __all__ = [
 SPECTRA = ("flat", "geometric", "spike")
 
 
-def random_mean_zero_coefficients(
-    d: int, n: int, level: int, rng: np.random.Generator, spectrum: str = "flat"
-) -> HaarCoefficients:
-    """Random detail coefficients, zero root scaling.
+def _draw_detail(detail: list, rng: np.random.Generator, spectrum: str):
+    """Fill one function's zeroed detail blocks in place from rng.
 
     flat: iid normal at every slot. geometric: level l scaled by 2^{-l}.
     spike: a single random slot (one cube, one signature).
     """
-    c = HaarCoefficients.zeros(d, n, level)
-    if spectrum == "flat":
-        for l in range(level):
-            c.detail[l][...] = rng.standard_normal(c.detail[l].shape)
-    elif spectrum == "geometric":
-        for l in range(level):
-            c.detail[l][...] = rng.standard_normal(c.detail[l].shape) * 2.0 ** (-l)
+    if spectrum in ("flat", "geometric"):
+        for l, a in enumerate(detail):
+            rng.standard_normal(out=a)
+            if spectrum == "geometric":
+                a *= 2.0 ** (-l)
     elif spectrum == "spike":
-        l = int(rng.integers(level))
-        flat = c.detail[l].reshape(-1, n)
-        flat[int(rng.integers(flat.shape[0]))] = rng.standard_normal(n)
+        l = int(rng.integers(len(detail)))
+        flat = detail[l].reshape(-1, detail[l].shape[-1])
+        flat[int(rng.integers(flat.shape[0]))] = rng.standard_normal(flat.shape[1])
     else:
         raise ParameterError(f"unknown spectrum {spectrum!r}, options {SPECTRA}")
+
+
+def random_mean_zero_coefficients(
+    d: int, n: int, level: int, rng: np.random.Generator, spectrum: str = "flat"
+) -> HaarCoefficients:
+    """Random detail coefficients, zero root scaling, drawn by _draw_detail."""
+    c = HaarCoefficients.zeros(d, n, level)
+    _draw_detail(c.detail, rng, spectrum)
     return c
 
 
@@ -88,14 +92,18 @@ def random_mean_zero_batch(
     weight: MatrixWeight, count: int, tag: list, spectra: tuple = ("flat",)
 ) -> HaarCoefficients:
     """count random mean-zero functions on the weight's grid as one batch:
-    function i draws from default_rng(tag + [i]), spectra cycled."""
-    return HaarCoefficients.stack([
-        random_mean_zero_coefficients(
-            weight.d, weight.n, weight.level, np.random.default_rng(tag + [i]),
-            spectra[i % len(spectra)],
-        )
-        for i in range(count)
-    ])
+    function i draws from default_rng(tag + [i]), spectra cycled, into slot i
+    of one function-leading array per level, laid out batch-last at the end."""
+    d, n, nsig = weight.d, weight.n, (1 << weight.d) - 1
+    detail = [np.zeros((count,) + ((1 << l),) * d + (nsig, n))
+              for l in range(weight.level)]
+    for i in range(count):
+        _draw_detail([a[i] for a in detail], np.random.default_rng(tag + [i]),
+                     spectra[i % len(spectra)])
+    return HaarCoefficients(
+        d, n, weight.level, np.zeros((n, count)),
+        [np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in detail],
+    )
 
 
 def _check_pair(f: HaarCoefficients, family: ReducingFamily):

@@ -39,7 +39,6 @@ __all__ = [
     "lp_norm",
     "detail_signatures",
     "mean_pyramid",
-    "coarsen_sum",
     "refine_to_cells",
 ]
 
@@ -83,7 +82,7 @@ def sign_matrix(d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# block reshaping helpers (shared by transforms, weights, stopping masks)
+# block reshaping helpers (shared by transforms, weights, stopping, acceptance)
 
 
 def _split_blocks(a: np.ndarray, d: int) -> np.ndarray:
@@ -120,6 +119,15 @@ def _merge_blocks(b: np.ndarray, d: int) -> np.ndarray:
     return b.reshape((2 * m,) * d + tail)
 
 
+def _cube_blocks(cells: np.ndarray, d: int, l: int) -> np.ndarray:
+    """(2^L,)*d + tail -> (cubes at level l, cells per cube) + tail."""
+    h, b = 1 << l, cells.shape[0] >> l
+    tail = cells.shape[d:]
+    arr = cells.reshape(sum(([h, b] for _ in range(d)), []) + list(tail))
+    order = [*range(0, 2 * d, 2), *range(1, 2 * d, 2), *range(2 * d, arr.ndim)]
+    return arr.transpose(order).reshape((h**d, b**d) + tail)
+
+
 def mean_pyramid(cells: np.ndarray, d: int) -> list:
     """Per-level averages over cubes: out[l] has shape (2^l,)*d + tail.
 
@@ -136,13 +144,6 @@ def mean_pyramid(cells: np.ndarray, d: int) -> list:
         a = _split_blocks(a, d).mean(axis=d)
         out[lvl] = a
     return out
-
-
-def coarsen_sum(arr: np.ndarray, d: int, k: int) -> np.ndarray:
-    """Sum over 2^k x ... x 2^k blocks, reducing each axis by 2^k."""
-    for _ in range(k):
-        arr = _split_blocks(arr, d).sum(axis=d)
-    return arr
 
 
 def refine_to_cells(arr: np.ndarray, d: int, k: int) -> np.ndarray:

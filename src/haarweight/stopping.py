@@ -30,19 +30,21 @@ minus its mean.
 Thresholds are calibrated against the measured per-cube decay of the fired
 region, separately per test (each to half the target, so the union meets the
 target), then returned with a 4x margin; lambda2 additionally scales with the
-characteristic to the power p'/p. The decay depends on a threshold only
-through which table values exceed it, so the smallest passing threshold is
-found exactly by a binary search over those values.
+characteristic to the power p'/p. Below a root cube I, the maximal fired
+cubes cover exactly the floor cells whose coverage maximum, the largest test
+value over the cubes between the cell and I, exceeds the threshold. So the
+smallest passing threshold is read exactly as an order statistic: the
+(k+1)-th largest maximum in I, k = floor(target/2 * |I| in floor cells),
+largest over all I.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import HaarCoefficients, coarsen_sum, refine_to_cells
+from .dyadic import HaarCoefficients, _cube_blocks, refine_to_cells
 from .errors import CoverageError, ParameterError, ShapeError
 from .reducing import ReducingFamily, conjugate_exponent, op_norm_stack
 
@@ -217,31 +219,41 @@ class CalibrationResult:
     achieved: dict  # weight name -> measured combined sup decay at the margins
 
 
-def _sup_decay(d: int, floor: int, hit) -> float:
-    """sup over cubes I of |union of maximal fired subcubes| / |I|, where
-    hit(li, lj) is the boolean fire grid of level-lj cubes below level li.
+def _coverage_maxima(family: ReducingFamily, mode: int) -> list:
+    """Per root level li < floor, the coverage maxima of one test, as a
+    (level-li cubes I, floor cells per I) array: for each floor cell x in I,
+    the largest test value over the cubes J with x in J strictly inside I.
 
-    Per root level, a top-down pass finds the maximal fired cubes and a
-    bottom-up pass carries their measure from the floor one level at a time.
-    Every partial sum is a dyadic fraction, so the result is exact.
+    The maximal cubes J inside I with test value above lam cover exactly the
+    floor cells whose maximum is above lam.
     """
-    worst = 0.0
+    floor, d = _floor(family), family.d
+    out = []
     for li in range(floor):
-        fires = []
-        alive = np.ones(((1 << (li + 1)),) * d, dtype=bool)
-        for lj in range(li + 1, floor + 1):
-            h = hit(li, lj)
-            fires.append(alive & h)
-            if lj < floor:
-                alive = refine_to_cells(alive & ~h, d, 1)
-        acc = 0.0
-        for lj in range(floor, li, -1):
-            acc = coarsen_sum(acc + fires[lj - li - 1] * 2.0 ** (-lj * d), d, 1)
-        worst = max(worst, float(acc.max()) * 2.0 ** (li * d))
-    return worst
+        top = _pair_table(family, mode, li, li + 1)
+        for lj in range(li + 2, floor + 1):
+            top = np.maximum(refine_to_cells(top, d, 1), _pair_table(family, mode, li, lj))
+        out.append(_cube_blocks(top, d, li))
+    return out
 
 
-def _least_multipliers(t: np.ndarray, s: float) -> np.ndarray:
+def _least_threshold(maxima: list, target: float) -> float:
+    """Least lam whose fired cubes cover at most target/2 of every cube I.
+
+    A cube of N floor cells passes when at most k = floor(target/2 * N) of
+    its maxima exceed lam (N is a power of two, so the product is exact),
+    that is when lam is at least its (k+1)-th largest maximum. 0 when the
+    floor is the root: nothing can fire there.
+    """
+    least = 0.0
+    for top in maxima:
+        cells = top.shape[1]
+        rank = cells - 1 - int(target / 2 * cells)
+        least = max(least, float(np.partition(top, rank, axis=1)[:, rank].max()))
+    return least
+
+
+def _least_multipliers(t: np.ndarray, s: float | np.ndarray) -> np.ndarray:
     """Elementwise least double c with c * s >= t (in floating point)."""
     c = t / s
     while (low := c * s < t).any():
@@ -251,35 +263,11 @@ def _least_multipliers(t: np.ndarray, s: float) -> np.ndarray:
     return c
 
 
-def _least_threshold(entries: list, mode: int, target: float, power: float) -> float:
-    """Smallest c >= 1 such that, for every entry, the cubes whose mode test
-    value t exceeds c * char**power have per-cube sup decay <= target/2.
-
-    The decay depends on c only through the set {t > c * char**power}, which
-    changes exactly where c becomes the least double with c * char**power
-    >= t. So the answer is 1 or one of those values, and a binary search over
-    them finds it; the largest always passes, since nothing fires above it.
-    """
-    cands = [np.array([1.0])]
-    for _, fam, floor, char in entries:
-        for li in range(floor):
-            for lj in range(li + 1, floor + 1):
-                t = _pair_table(fam, mode, li, lj).ravel()
-                cands.append(_least_multipliers(t, char**power))
-    cands = np.unique(np.concatenate(cands))
-    cands = cands[cands >= 1.0]
-
-    def passes(i):
-        for _, fam, floor, char in entries:
-            lam = float(cands[i]) * char**power
-            decay = _sup_decay(
-                fam.d, floor, lambda li, lj: _pair_table(fam, mode, li, lj) > lam
-            )
-            if decay > target / 2:
-                return False
-        return True
-
-    return float(cands[bisect.bisect_left(range(len(cands)), True, key=passes)])
+def _covered(max1: list, max2: list, lambda1: float, lambda2: float) -> float:
+    """sup over cubes I of the share of I covered by the maximal cubes that
+    fire either test. Each share is a count over a power of two, so exact."""
+    return max((float(((t1 > lambda1) | (t2 > lambda2)).sum(axis=1).max()) / t1.shape[1]
+                for t1, t2 in zip(max1, max2)), default=0.0)
 
 
 def calibrate_lambdas(
@@ -290,10 +278,11 @@ def calibrate_lambdas(
 
     weights_and_families: list of (name, weight, family) with a common
     exponent. Each test gets the smallest threshold with per-cube sup decay
-    <= target/2, found exactly among the pair-table values (the union of the
-    two fired regions then stays <= target), and the returned thresholds
-    carry a 4x margin; by monotonicity the measured decay at the margins can
-    only shrink. lambda2 is per weight: 4 c2 char^{p'/p}.
+    <= target/2 (the union of the two fired regions then stays <= target):
+    an order statistic of each weight's coverage maxima, then the least
+    double multiplier c >= 1 that reaches it for every weight. The returned
+    thresholds carry a 4x margin; by monotonicity the measured decay at the
+    margins can only shrink. lambda2 is per weight: 4 c2 char^{p'/p}.
     """
     if not weights_and_families:
         raise ParameterError("need at least one weight to calibrate")
@@ -304,23 +293,21 @@ def calibrate_lambdas(
     q = conjugate_exponent(p)
     if not 0.0 < target < 1.0:
         raise ParameterError(f"target decay must lie in (0,1), got {target}")
-    entries = [(name, fam, _floor(fam), fam.characteristic())
-               for name, _, fam in weights_and_families]
+    maxima, chars = {}, {}
+    for name, _, fam in weights_and_families:
+        maxima[name] = (_coverage_maxima(fam, 1), _coverage_maxima(fam, 2))
+        chars[name] = fam.characteristic()
 
-    c1 = _least_threshold(entries, 1, target, 0.0)
-    c2 = _least_threshold(entries, 2, target, q / p)
+    def least_c(test: int, power: float) -> float:
+        least = np.array([_least_threshold(m[test], target) for m in maxima.values()])
+        scale = np.array([char**power for char in chars.values()])
+        return max(1.0, float(_least_multipliers(least, scale).max()))
+
+    c1 = least_c(0, 0.0)
+    c2 = least_c(1, q / p)
     lambda1 = 4.0 * c1
-    chars = {name: char for name, _, _, char in entries}
-    lambda2s = {name: 4.0 * c2 * char ** (q / p) for name, _, _, char in entries}
-    achieved = {
-        name: _sup_decay(
-            fam.d,
-            floor,
-            lambda li, lj: (_pair_table(fam, 1, li, lj) > lambda1)
-            | (_pair_table(fam, 2, li, lj) > lambda2s[name]),
-        )
-        for name, fam, floor, _ in entries
-    }
+    lambda2s = {name: 4.0 * c2 * char ** (q / p) for name, char in chars.items()}
+    achieved = {name: _covered(*maxima[name], lambda1, lambda2s[name]) for name in chars}
     return CalibrationResult(
         p=p,
         target=target,

@@ -19,6 +19,7 @@ import pytest
 import haarweight.acceptance as acc
 import haarweight.experiments as experiments
 from haarweight import ExperimentConfig, WeightSpec
+from haarweight.dyadic import _cube_blocks
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +161,27 @@ def test_duality_criterion_fails_on_a_perturbed_family():
     assert not res.passed
 
 
+def test_john_sandwich_fails_on_a_shrunk_operator():
+    cfg = dataclasses.replace(
+        tiny_context().config,
+        ps=(3.0,),
+        weights=(
+            WeightSpec("rot", family="rotating", d=1, n=2, level=4,
+                       params={"alpha": 0.6}, seed=3),
+        ),
+    )
+    ctx = acc.AcceptanceContext(cfg)
+    assert acc.c03_john_sandwich(ctx).passed
+    fam = ctx.family("rot", 3.0)
+    v = [a.copy() for a in fam.v]
+    v[2][1] *= 0.99  # |V_I e| now falls below rho_I(e) on one cube
+    ctx = acc.AcceptanceContext(cfg)
+    ctx._families["rot", 3.0] = dataclasses.replace(fam, v=v)
+    res = acc.c03_john_sandwich(ctx)
+    print(res.line())
+    assert not res.passed
+
+
 def test_block_sum_identity_fails_on_a_mislabelled_tree(tmp_path):
     cfg = dataclasses.replace(
         tiny_context().config,
@@ -194,7 +216,7 @@ def test_block_sum_identity_fails_on_a_mislabelled_tree(tmp_path):
 def test_block_reshape_helper():
     rng = np.random.default_rng(0)
     cells = rng.standard_normal((4, 4, 2, 2))  # d=2, L=2, matrix tail
-    out = acc._blocks(cells, d=2, l=1, big=2)
+    out = _cube_blocks(cells, d=2, l=1)
     assert out.shape == (4, 4, 2, 2)
     # cube (0, 1) at level 1 covers cells [0:2, 2:4]
     np.testing.assert_array_equal(

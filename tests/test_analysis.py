@@ -32,6 +32,7 @@ from haarweight.analysis import (
     equivalence_ratios,
     loglog_slope,
     _probe_operators,
+    random_mean_zero_batch,
     random_mean_zero_coefficients,
     sharpness_probe,
     square_function,
@@ -138,6 +139,38 @@ def test_generator_spectra():
     assert scales[5] < scales[0]
     with pytest.raises(ParameterError):
         random_mean_zero_coefficients(1, 1, 3, rng, "violet")
+
+
+def _draw_per_level(d, n, level, rng, spectrum):
+    """Reference draws: one fresh array per level, in level order."""
+    nsig = (1 << d) - 1
+    shapes = [((1 << l),) * d + (nsig, n) for l in range(level)]
+    if spectrum == "spike":
+        detail = [np.zeros(s) for s in shapes]
+        l = int(rng.integers(level))
+        flat = detail[l].reshape(-1, n)
+        flat[int(rng.integers(flat.shape[0]))] = rng.standard_normal(n)
+        return detail
+    scale = (lambda l: 2.0 ** (-l)) if spectrum == "geometric" else (lambda l: 1.0)
+    return [rng.standard_normal(s) * scale(l) for l, s in enumerate(shapes)]
+
+
+@pytest.mark.parametrize("spectra", [("flat",), SPECTRA], ids=["flat", "cycled"])
+def test_batch_draws_match_per_level_draws(spectra):
+    w = make_weight(WeightFamily("rotating", d=2, n=2, level=3,
+                                 params={"alpha": 0.5}, seed=1))
+    batch = random_mean_zero_batch(w, 7, [4, 2], spectra)
+    assert batch.batch == (7,)
+    assert all(a.flags.c_contiguous for a in batch.detail)
+    np.testing.assert_array_equal(batch.root_scaling, 0.0)
+    for i in range(7):
+        spectrum = spectra[i % len(spectra)]
+        one = random_mean_zero_coefficients(2, 2, 3, np.random.default_rng([4, 2, i]),
+                                            spectrum)
+        want = _draw_per_level(2, 2, 3, np.random.default_rng([4, 2, i]), spectrum)
+        for got, single, ref in zip(batch.detail, one.detail, want):
+            np.testing.assert_array_equal(got[..., i], ref)
+            np.testing.assert_array_equal(single, ref)
 
 
 def test_equivalence_ratios_identity_weight():

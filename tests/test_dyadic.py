@@ -20,7 +20,7 @@ from haarweight import (
     lp_norm,
 )
 from haarweight.dyadic import (
-    coarsen_sum,
+    _cube_blocks,
     detail_signatures,
     haar_exactness_errors,
     mean_pyramid,
@@ -214,9 +214,10 @@ def test_mean_pyramid_exact():
 
 def test_coarsen_refine():
     arr = np.arange(16, dtype=float).reshape(4, 4)
-    s = coarsen_sum(arr, 2, 1)
-    assert s.shape == (2, 2)
+    # block sums: one row of cells per level-1 cube, cubes in C order
+    s = _cube_blocks(arr, 2, 1).sum(axis=1).reshape(2, 2)
     assert s[0, 0] == arr[:2, :2].sum()
+    assert s[0, 1] == arr[:2, 2:].sum()
     r = refine_to_cells(np.array([[1.0, 2.0], [3.0, 4.0]]), 2, 2)
     assert r.shape == (8, 8)
     assert np.all(r[0:4, 4:8] == 2.0)

@@ -1,7 +1,7 @@
 """Stopping-time tests: a fully hand-checked two-cell tree, partition and
 admissibility invariants on a rotating weight, the labelling pass against the
 per-root block scan it replaced, per-cube pair tables, and threshold
-calibration against an independent log-scale bisection."""
+calibration against an independent per-pair decay and log-scale bisection."""
 
 import math
 
@@ -28,7 +28,6 @@ from haarweight import (
 )
 from haarweight.dyadic import (
     GridFunction,
-    coarsen_sum,
     haar_reconstruct,
     haar_transform,
     refine_to_cells,
@@ -36,9 +35,11 @@ from haarweight.dyadic import (
 from haarweight.reducing import conjugate_exponent
 from haarweight.serialization import tree_to_dict
 from haarweight.stopping import (
+    _coverage_maxima,
+    _covered,
     _least_multipliers,
+    _least_threshold,
     _pair_table,
-    _sup_decay,
 )
 
 
@@ -229,9 +230,14 @@ def test_calibration_decay_bound_holds():
     assert res.achieved["rot"] <= res.target
 
 
-# Oracle: the per-pair sup decay and the 60-step log-scale bisection that the
-# exact threshold search replaced. They share only the pair tables with the
-# code under test.
+# Oracle: the per-pair sup decay, and a 60-step log-scale bisection over it.
+# They share only the pair tables with the code under test.
+
+
+def _block_sums(a, d, k):
+    """Sums over 2^k x ... x 2^k blocks of a (2^l,)*d array."""
+    shape = sum(((s >> k, 1 << k) for s in a.shape), ())
+    return a.reshape(shape).sum(axis=tuple(range(1, 2 * d, 2)))
 
 
 def _sup_decay_per_pair(d, floor, hit):
@@ -242,7 +248,7 @@ def _sup_decay_per_pair(d, floor, hit):
         for lj in range(li + 1, floor + 1):
             h = hit(li, lj)
             fire = alive & h
-            acc += coarsen_sum(fire.astype(float), d, lj - li) * 2.0 ** (-lj * d)
+            acc += _block_sums(fire.astype(float), d, lj - li) * 2.0 ** (-lj * d)
             if lj < floor:
                 alive = refine_to_cells(alive & ~h, d, 1)
         worst = max(worst, float(acc.max()) * 2.0 ** (li * d))
@@ -263,19 +269,21 @@ def _bisect_log(predicate, lo=1.0, hi=1e6, steps=60):
     return math.exp(lhi)
 
 
-def _bisected_c_hats(entries, p, target):
+def _oracle_passes(entries, p, target, mode, c):
+    """Whether threshold c (times char^{p'/p} for test 2) keeps every
+    entry's per-pair sup decay <= target/2."""
     q = conjugate_exponent(p)
-    fams = [(fam, fam.level, fam.d, fam.characteristic()) for _, _, fam in entries]
+    for _, _, fam in entries:
+        lam = c * fam.characteristic() ** (q / p) if mode == 2 else c
+        hit = lambda li, lj: _pair_table(fam, mode, li, lj) > lam
+        if _sup_decay_per_pair(fam.d, fam.level, hit) > target / 2:
+            return False
+    return True
 
-    def passes(mode, c):
-        for fam, floor, d, char in fams:
-            lam = c * char ** (q / p) if mode == 2 else c
-            hit = lambda li, lj: _pair_table(fam, mode, li, lj) > lam
-            if _sup_decay_per_pair(d, floor, hit) > target / 2:
-                return False
-        return True
 
-    return _bisect_log(lambda c: passes(1, c)), _bisect_log(lambda c: passes(2, c))
+def _bisected_c_hats(entries, p, target):
+    return tuple(_bisect_log(lambda c: _oracle_passes(entries, p, target, mode, c))
+                 for mode in (1, 2))
 
 
 def _suite_entries(names, p):
@@ -287,24 +295,44 @@ def _suite_entries(names, p):
     return out
 
 
+_D1N2 = ("id2-const", "pow2-a06", "rot-a06", "const-diag19")
+
+
 @pytest.mark.parametrize(
     "names",
     [
         None,  # the two-cell weight
-        ("id2-const", "pow2-a06", "rot-a06", "const-diag19"),  # d=1, n=2
+        _D1N2,
         ("rot2d-a05",),  # plain t/s there misses an ulp-level jump of test 2
+        ("pow2d-a05",),
     ],
 )
 def test_calibration_matches_log_bisection_bit_for_bit(names):
-    if names is None:
-        w = two_cell_weight()
-        entries = [("w14", w, build_reducing_family(w, 2.0))]
-    else:
-        entries = _suite_entries(names, 2.0)
-    res = calibrate_lambdas(entries, target=0.5)
-    c1, c2 = _bisected_c_hats(entries, 2.0, 0.5)
-    assert (res.c1_hat, res.c2_hat) == (c1, c2)
-    assert res.lambda1 == 4.0 * c1
+    for p, target in ((2.0, 0.5), (3.0, 0.1), (3.0, 0.9)):
+        if names is None:
+            w = two_cell_weight()
+            entries = [("w14", w, build_reducing_family(w, p))]
+        else:
+            entries = _suite_entries(names, p)
+        res = calibrate_lambdas(entries, target=target)
+        c1, c2 = _bisected_c_hats(entries, p, target)
+        assert (res.c1_hat, res.c2_hat) == (c1, c2), (p, target)
+        assert res.lambda1 == 4.0 * c1
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("names", [_D1N2, ("pow-a03", "pow-am08"), ("pow2d-a05",)],
+                         ids=["d1n2", "d1n1", "d2n1"])
+def test_calibrated_multipliers_are_least(names, p):
+    # each c passes the oracle, and the next double below it fails
+    entries = _suite_entries(names, p)
+    for target in (0.1, 0.5, 0.9):
+        res = calibrate_lambdas(entries, target=target)
+        for mode, c in ((1, res.c1_hat), (2, res.c2_hat)):
+            assert _oracle_passes(entries, p, target, mode, c)
+            if c > 1.0:
+                assert not _oracle_passes(entries, p, target, mode,
+                                          np.nextafter(c, -np.inf))
 
 
 def test_least_multipliers_are_least():
@@ -316,18 +344,43 @@ def test_least_multipliers_are_least():
         assert (np.nextafter(c, -np.inf) * s < t).all()
 
 
+def _random_table_family(d, floor, rng):
+    """A family whose cached pair tables hold uniform random test values."""
+    cells = np.ones(((1 << floor),) * d + (1, 1))
+    fam = build_reducing_family(MatrixWeight(d=d, n=1, level=floor, cells=cells), 2.0)
+    for mode in (1, 2):
+        for li in range(floor):
+            for lj in range(li + 1, floor + 1):
+                fam._cache["pair", mode, li, lj] = rng.random(((1 << lj),) * d)
+    return fam
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_sup_decay_matches_per_pair_sums(d):
-    rng = np.random.default_rng(11 + d)
+    # the coverage-maxima decay, and the least threshold read from it, against
+    # the per-pair sums on random tables; density is the share that fires
     floor = 6 if d == 1 else 4
+    fam = _random_table_family(d, floor, np.random.default_rng(11 + d))
+    max1, max2 = _coverage_maxima(fam, 1), _coverage_maxima(fam, 2)
+
+    def decay(lam1, lam2):
+        return _sup_decay_per_pair(d, floor, lambda li, lj: (
+            (_pair_table(fam, 1, li, lj) > lam1) | (_pair_table(fam, 2, li, lj) > lam2)))
+
+    # thresholds equal to coverage maxima, so ties with them are tested too
+    values1, values2 = (np.sort(np.concatenate([t.ravel() for t in m])) for m in (max1, max2))
     for density in (0.02, 0.1, 0.3, 0.7):
-        masks = {
-            (li, lj): rng.random(((1 << lj),) * d) < density
-            for li in range(floor)
-            for lj in range(li + 1, floor + 1)
-        }
-        hit = lambda li, lj: masks[li, lj]
-        assert _sup_decay(d, floor, hit) == _sup_decay_per_pair(d, floor, hit)
+        lam1 = values1[int((1.0 - density) * values1.size)]
+        lam2 = values2[int((1.0 - density / 2) * values2.size)]
+        for lams in ((lam1, lam2), (lam1, np.inf), (np.inf, lam2)):
+            assert _covered(max1, max2, *lams) == decay(*lams)
+    # the least threshold passes each test alone, and the next double below fails
+    for target in (0.1, 0.3, 0.5, 0.9):
+        for maxima, lams in ((max1, lambda lam: (lam, np.inf)),
+                             (max2, lambda lam: (np.inf, lam))):
+            least = _least_threshold(maxima, target)
+            assert decay(*lams(least)) <= target / 2
+            assert decay(*lams(np.nextafter(least, -np.inf))) > target / 2
 
 
 def test_config_validation():
