@@ -232,7 +232,8 @@ def _coverage_maxima(family: ReducingFamily, mode: int) -> list:
     for li in range(floor):
         top = _pair_table(family, mode, li, li + 1)
         for lj in range(li + 2, floor + 1):
-            top = np.maximum(refine_to_cells(top, d, 1), _pair_table(family, mode, li, lj))
+            top = np.maximum(refine_to_cells(top, d, 1),
+                             _pair_table(family, mode, li, lj))
         out.append(_cube_blocks(top, d, li))
     return out
 

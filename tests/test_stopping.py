@@ -368,7 +368,8 @@ def test_sup_decay_matches_per_pair_sums(d):
             (_pair_table(fam, 1, li, lj) > lam1) | (_pair_table(fam, 2, li, lj) > lam2)))
 
     # thresholds equal to coverage maxima, so ties with them are tested too
-    values1, values2 = (np.sort(np.concatenate([t.ravel() for t in m])) for m in (max1, max2))
+    values1, values2 = (np.sort(np.concatenate([t.ravel() for t in maxima]))
+                        for maxima in (max1, max2))
     for density in (0.02, 0.1, 0.3, 0.7):
         lam1 = values1[int((1.0 - density) * values1.size)]
         lam2 = values2[int((1.0 - density / 2) * values2.size)]
