@@ -126,9 +126,26 @@ def c02_p2_oracle(ctx: AcceptanceContext) -> CriterionResult:
     )
 
 
+def _sandwich_norms(quad: np.ndarray, v: np.ndarray, ee: np.ndarray, p: float):
+    """rho_I(e) and |V_I e|, each (cubes, k), on k directions per cube.
+
+    quad is W^{2/p} on the cells of each cube, flattened to (cubes, cells,
+    n^2); v is V_I, (cubes, n, n); ee holds e e^T of every direction,
+    flattened to (cubes, n^2, k). |W^{1/p} e|^p = (e^T W^{2/p} e)^{p/2} cell
+    by cell, and |Ve| = sqrt(e^T V^T V e).
+    """
+    cubes, _, nn = quad.shape
+    rho = ((quad @ ee) ** (p / 2)).mean(axis=1) ** (1.0 / p)
+    vtv = (np.swapaxes(v, -1, -2) @ v).reshape(cubes, 1, nn)
+    return rho, np.sqrt(vtv @ ee)[:, 0]
+
+
 def c03_john_sandwich(ctx: AcceptanceContext) -> CriterionResult:
     """p=3 sandwich on 1000 fresh directions per cube, slack 1 + 1e-3; rho
-    and |Ve| come from the quadratic forms e^T W^{2/p} e and e^T V^T V e."""
+    and |Ve| come from the quadratic forms e^T W^{2/p} e and e^T V^T V e
+    (_sandwich_norms). An R^1 weight is checked on its one unit direction
+    e = 1, with no draw: every unit direction of R^1 is +-1, so e e^T = 1 and
+    all of them give the same rho and |Ve|."""
     p, m, slack = 3.0, 1000, 1.0 + 1e-3
     worst_lo = worst_hi = 0.0  # max violations of the two inequalities
     for w in ctx.config.weights:
@@ -141,18 +158,17 @@ def c03_john_sandwich(ctx: AcceptanceContext) -> CriterionResult:
         for l in range(fam.max_depth + 1):
             quad = _cube_blocks(w2p, weight.d, l)
             cubes = quad.shape[0]
-            tag = zlib.crc32(w.name.encode())
-            rng = np.random.default_rng([ctx.config.seed, 3, tag, l])
-            dirs = rng.standard_normal((cubes, m, n))
-            dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-            # e e^T of every direction, flattened: (cubes, n^2, m)
-            cols = np.swapaxes(dirs, -1, -2)
-            ee = (cols[:, :, None] * cols[:, None]).reshape(cubes, n * n, m)
-            # |W^{1/p} e|^p = (e^T W^{2/p} e)^{p/2}, cell by cell
-            rho = ((quad @ ee) ** (p / 2)).mean(axis=1) ** (1.0 / p)
-            v = fam.v[l].reshape(cubes, n, n)
-            vtv = (np.swapaxes(v, -1, -2) @ v).reshape(cubes, 1, n * n)
-            ve = np.sqrt(vtv @ ee)[:, 0]
+            if n == 1:
+                ee = np.ones((cubes, 1, 1))
+            else:
+                tag = zlib.crc32(w.name.encode())
+                rng = np.random.default_rng([ctx.config.seed, 3, tag, l])
+                dirs = rng.standard_normal((cubes, m, n))
+                dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+                # e e^T of every direction, flattened: (cubes, n^2, m)
+                cols = np.swapaxes(dirs, -1, -2)
+                ee = (cols[:, :, None] * cols[:, None]).reshape(cubes, n * n, m)
+            rho, ve = _sandwich_norms(quad, fam.v[l].reshape(cubes, n, n), ee, p)
             worst_lo = max(worst_lo, float((rho / (ve * slack)).max()))
             worst_hi = max(worst_hi, float((ve / (sqrt_n * rho * slack)).max()))
     passed = worst_lo <= 1.0 and worst_hi <= 1.0

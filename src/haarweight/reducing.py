@@ -175,18 +175,25 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     product against the products of the direction outer products, computed
     once per call, and takes one Cholesky factor A = L L^T: L^{-1} gives both
     A^{-1} = L^{-T} L^{-1} and the pencil L^{-1} Delta L^{-T}, whose
-    eigenvalues lam_i are the generalized eigenvalues of (Delta, A). The step
-    starts at the largest alpha <= 1 that keeps 2% of the constraint slack and
-    of the SPD margin, then halves per row until the t-normalized barrier
-    meets the Armijo condition. The trial values need no factorization:
-    log det(A + alpha Delta) - log det A = sum_i log(1 + alpha lam_i), and
-    the constraint values move linearly along Delta. t grows by _T_FACTOR per
-    stage up to t_final = 2m / (n tol). Within a stage a row leaves the batch
-    once it is centred, so a row takes the steps it needs whatever the other
-    rows need, and its result does not depend on the batch beyond rounding.
-    One DEBUG record on the haarweight logger per call gives the batch Newton
-    steps, barrier stages, stages ended at the inner step cap, the final
-    decrement, the row-steps (steps summed over rows) and the call's seconds.
+    eigenvalues lam_i are the generalized eigenvalues of (Delta, A). The
+    weights r = w2 / slack are formed once per step: r against the direction
+    outer products gives the barrier gradient, and r squared in place gives
+    the Hessian weights. The step starts at the largest alpha <= 1 that keeps
+    2% of the constraint slack and of the SPD margin: the slack cap is
+    0.98 / max_m u_m, where u, one (rows, m) pass, is each constraint's
+    change per unit step over its slack. Rows with decrement > 1/4 then halve
+    alpha until the t-normalized barrier meets the Armijo condition; each row
+    leaves the search once its step passes, and rows with decrement <= 1/4
+    keep the capped step. The trial values need no factorization:
+    log det(A + alpha Delta) - log det A = sum_i log(1 + alpha lam_i), and the
+    barrier term is sum_m log(1 - alpha u_m) on the same u. t grows by
+    _T_FACTOR per stage up to t_final = 2m / (n tol). Within a stage a row
+    leaves the batch once it is centred, so a row takes the steps it needs
+    whatever the other rows need, and its result does not depend on the
+    batch beyond rounding. One DEBUG record on the haarweight logger per call
+    gives the batch Newton steps, barrier stages, stages ended at the inner
+    step cap, the final decrement, the row-steps (steps summed over rows), the
+    call's seconds and the search steps (Armijo halvings summed over rows).
     """
     start = time.perf_counter()
     b, m = rho.shape
@@ -202,7 +209,7 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     a = np.outer(0.5 / invr2.max(axis=1), eye_flat)
     t = 1.0
     t_final = 2.0 * m / (n * tol)
-    iters = row_steps = stages = capped = 0
+    iters = row_steps = search_steps = stages = capped = 0
     decrement = np.full(b, np.inf)
     while True:
         stages += 1
@@ -227,10 +234,11 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
             linv_t = linv.swapaxes(1, 2)
             ainv = linv_t @ linv
             slack = 1.0 - (al @ pe.T) * w2
-            grad = -ainv.reshape(-1, q) + ((w2 / slack) @ pe) / t
-            h2w = (w2 / slack) ** 2
+            r = w2 / slack
+            grad = -ainv.reshape(-1, q) + (r @ pe) / t
             hess = np.einsum("bik,bjl->bijkl", ainv, ainv).reshape(-1, q, q)
-            hess += (h2w @ pe2).reshape(-1, q, q) / t
+            hess += (np.square(r, out=r) @ pe2).reshape(-1, q, q) / t
+            del r
             delta = np.linalg.solve(hess, -grad[..., None])[..., 0]
             delta = 0.5 * (
                 delta.reshape(-1, n, n) + delta.reshape(-1, n, n).swapaxes(1, 2)
@@ -248,29 +256,38 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
                 )
             previous = dec
             # explicit feasibility caps guard against rounding: linear
-            # constraint slack, then SPD of A + alpha * delta
-            dg = (delta @ pe.T) * w2
-            with np.errstate(divide="ignore"):
-                ratios = np.where(dg > 0.0, slack / dg, np.inf)
+            # constraint slack, then SPD of A + alpha * delta. u, each
+            # constraint's change per unit step over its slack, sets the first
+            # cap and feeds every Armijo trial below.
+            u = delta @ pe.T
+            u *= w2
+            u /= slack
+            top = u.max(axis=1)
             lam = np.linalg.eigvalsh(linv @ delta.reshape(-1, n, n) @ linv_t)
             with np.errstate(divide="ignore"):
+                cap = np.where(top > 0.0, 0.98 / top, np.inf)
                 spd = np.where(lam[:, 0] < 0.0, -0.98 / lam[:, 0], np.inf)
-            alpha = np.minimum(np.minimum(1.0, 0.98 * ratios.min(axis=1)), spd)
-            # Armijo backtracking (c = 1/4) on the t-normalized barrier; rows in
-            # Newton's quadratic region (decrement <= 1/4) keep the capped step,
-            # and a step with no row outside it skips the search. The damped
-            # step 1/(1 + decrement) always passes in exact arithmetic, so a
-            # row needs about log2(1 + decrement) halvings.
+            alpha = np.minimum(np.minimum(1.0, cap), spd)
+            # Armijo backtracking (c = 1/4) on the t-normalized barrier, only on
+            # the rows outside Newton's quadratic region (decrement > 1/4);
+            # the others keep the capped step. A row leaves the search once
+            # its step passes. The damped step 1/(1 + decrement) always passes
+            # in exact arithmetic, so a row needs about log2(1 + decrement)
+            # halvings.
             slope = dec**2 / t
-            search = dec > 0.25
-            for _ in range(60 if search.any() else 0):
-                change = -np.log1p(alpha[:, None] * lam).sum(axis=1) - np.log1p(
-                    -alpha[:, None] * dg / slack
-                ).sum(axis=1) / t
-                short = search & (change > -0.25 * alpha * slope)
-                if not short.any():
+            seek = np.flatnonzero(dec > 0.25)
+            lam_s, u_s = lam[seek], u[seek]
+            for _ in range(60):
+                if not seek.size:
                     break
-                alpha = np.where(short, 0.5 * alpha, alpha)
+                step = alpha[seek, None]
+                change = -np.log1p(step * lam_s).sum(axis=1) - np.log1p(
+                    -step * u_s
+                ).sum(axis=1) / t
+                short = change > -0.25 * alpha[seek] * slope[seek]
+                seek, lam_s, u_s = seek[short], lam_s[short], u_s[short]
+                alpha[seek] *= 0.5
+                search_steps += seek.size
             a[live] = al + alpha[:, None] * delta
         else:
             capped += 1
@@ -285,9 +302,10 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     a = a.reshape(b, n, n) * (gm**2)[:, None, None]
     _log.debug(
         "ellipsoid fit: rows=%d n=%d m=%d newton_steps=%d stages=%d "
-        "capped_stages=%d final_decrement=%.3g row_steps=%d seconds=%.3f",
+        "capped_stages=%d final_decrement=%.3g row_steps=%d seconds=%.3f "
+        "search_steps=%d",
         b, n, m, iters, stages, capped, float(decrement.max()), row_steps,
-        time.perf_counter() - start,
+        time.perf_counter() - start, search_steps,
     )
     return a
 

@@ -182,6 +182,51 @@ def test_john_sandwich_fails_on_a_shrunk_operator():
     assert not res.passed
 
 
+def _power_p3_config():
+    return dataclasses.replace(
+        tiny_context().config,
+        ps=(3.0,),
+        weights=(
+            WeightSpec("pow", family="power", d=1, n=1, level=6,
+                       params={"alpha": 0.3}),
+        ),
+    )
+
+
+def test_john_sandwich_fails_on_a_shrunk_scalar_operator():
+    # an R^1 weight is checked on its one unit direction; that check can fail
+    cfg = _power_p3_config()
+    ctx = acc.AcceptanceContext(cfg)
+    assert acc.c03_john_sandwich(ctx).passed
+    fam = ctx.family("pow", 3.0)
+    v = [a.copy() for a in fam.v]
+    v[3][5] *= 0.99  # |V_I e| now falls below rho_I(e) on one cube
+    ctx = acc.AcceptanceContext(cfg)
+    ctx._families["pow", 3.0] = dataclasses.replace(fam, v=v)
+    res = acc.c03_john_sandwich(ctx)
+    print(res.line())
+    assert not res.passed
+
+
+def test_one_direction_sandwich_matches_random_directions():
+    # in R^1 each of 1000 random unit directions gives the rho and |Ve| of e = 1
+    ctx = acc.AcceptanceContext(_power_p3_config())
+    weight, fam = ctx.weight("pow"), ctx.family("pow", 3.0)
+    wp = weight.power_cells(1.0 / 3.0)
+    quad = _cube_blocks((wp @ wp).reshape(-1, 1), 1, 2)[1:2]  # 16 cells
+    v = fam.v[2][1:2]
+    rho1, ve1 = acc._sandwich_norms(quad, v, np.ones((1, 1, 1)), 3.0)
+    dirs = np.random.default_rng(0).standard_normal((1, 1000, 1))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    assert set(np.unique(dirs)) == {-1.0, 1.0}
+    ee = (dirs * dirs).reshape(1, 1, 1000)
+    rho, ve = acc._sandwich_norms(quad, v, ee, 3.0)
+    assert rho.shape == ve.shape == (1, 1000)
+    for got, want in ((rho, rho1), (ve, ve1)):
+        np.testing.assert_allclose(got, np.broadcast_to(want, got.shape),
+                                   rtol=1e-15, atol=0)
+
+
 def test_block_sum_identity_fails_on_a_mislabelled_tree(tmp_path):
     cfg = dataclasses.replace(
         tiny_context().config,

@@ -307,14 +307,17 @@ def test_mvee_batch_logs_one_debug_record(caplog):
         reducing._mvee_batch(rho, dirs, 1e-4, 200_000)
     records = [r for r in caplog.records if r.name == "haarweight.reducing"]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
-    rows, n, m, steps, stages, capped, decrement, row_steps, seconds = records[0].args
+    (rows, n, m, steps, stages, capped, decrement, row_steps, seconds,
+     search_steps) = records[0].args
     assert (rows, n, m) == (4, 2, 60)
     assert steps >= stages >= 1 and 0 <= capped <= stages
     assert decrement <= 1e-4
     assert steps <= row_steps <= rows * steps
     assert seconds > 0.0
+    assert 0 <= search_steps <= 60 * row_steps
     assert "newton_steps=" in records[0].getMessage()
     assert "seconds=" in records[0].getMessage()
+    assert "search_steps=" in records[0].getMessage()
 
 
 def _fit_record(caplog, rho, dirs, full=False):
@@ -325,7 +328,7 @@ def _fit_record(caplog, rho, dirs, full=False):
     with caplog.at_level(logging.DEBUG, logger="haarweight"):
         reducing._mvee_batch(rho, dirs, _TOL, 200_000)
     (record,) = [r for r in caplog.records if r.name == "haarweight.reducing"]
-    return record.args if full else record.args[:7]
+    return record.args[:9] if full else record.args[:7]
 
 
 def test_centred_rows_leave_the_stage(caplog):
