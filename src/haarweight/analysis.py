@@ -21,7 +21,9 @@ sum below runs over detail cubes only.
 """
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,11 +36,11 @@ from .dyadic import (
     lp_norm,
     refine_to_cells,
 )
-from .errors import CoverageError, EigenConvergenceError, ParameterError, ShapeError
+from .errors import EigenConvergenceError, ParameterError, ShapeError
 from .reducing import ReducingFamily, conjugate_exponent
 from .stopping import GenerationTree, split_generations
 from .multipliers import apply_symbols, t_blocks
-from .weights import MatrixWeight, apply_cells, spd_power_stack, weighted_lp_norm
+from .weights import MatrixWeight, apply_cells, weighted_lp_norm
 
 __all__ = [
     "SPECTRA",
@@ -58,6 +60,8 @@ __all__ = [
 ]
 
 SPECTRA = ("flat", "geometric", "spike")
+
+_log = logging.getLogger(__name__)
 
 
 def _draw_detail(detail: list, rng: np.random.Generator, spectrum: str):
@@ -107,15 +111,12 @@ def random_mean_zero_batch(
 
 
 def _check_pair(f: HaarCoefficients, family: ReducingFamily):
+    """ShapeError unless f and the family share (d, n); apply_symbols checks
+    that the family reaches every detail level of f."""
     if (f.d, f.n) != (family.d, family.n):
         raise ShapeError(
             f"coefficients (d={f.d}, n={f.n}) do not match family "
             f"(d={family.d}, n={family.n})"
-        )
-    if f.level - 1 > family.max_depth:
-        raise CoverageError(
-            f"coefficients need operators to level {f.level - 1}, "
-            f"family has {family.max_depth}"
         )
 
 
@@ -370,22 +371,27 @@ class SharpnessProbe:
     size: int
 
 
-def _probe_operators(weight: MatrixWeight):
+def _probe_operators(weight: MatrixWeight, family: ReducingFamily):
     """(forward, inverse, size): C = S G S and C^{-1} as O(size) pyramid matvecs.
 
     G = H^T W_c H is the Gram matrix of ||f||_{L^2(W)}^2 on the weight's grid
-    (cells W_c, H detail-only synthesis), S = blockdiag(m_I W)^{-1/2}.
-    The Schur complement over the constant function gives G^{-1} =
-    H^T W_c^{-1} H - Z M0^{-1} Z^T, M0 = <W_c^{-1}>, Z the details of
-    W_c^{-1} e_k: together the detail part of W_c^{-1}(h - M0^{-1}<W_c^{-1} h>).
+    (cells W_c, H detail-only synthesis) and S = blockdiag(V_I^{-1}), with V_I
+    and V_I^{-1} read from the weight's p=2 family (ParameterError for any
+    other family). The Schur complement over the constant function gives
+    G^{-1} = H^T W_c^{-1} H - Z M0^{-1} Z^T, M0 = <W_c^{-1}>, Z the details of
+    W_c^{-1} e_k: together the detail part of W_c^{-1}(h - M0^{-1}<W_c^{-1} h>),
+    W_c^{-1} being the weight's cached power_cells(-1.0).
     """
     d, n, level = weight.d, weight.n, weight.level
-    pyr = weight.mean_pyramid_of(1.0)
+    if (family.p, family.d, family.n, family.level) != (2.0, d, n, level):
+        raise ParameterError(
+            f"the probe needs the p=2 family of its weight, (d, n, L) = {d, n, level}; "
+            f"got p={family.p} on {family.d, family.n, family.level}"
+        )
     wc = weight.cells
-    winv = spd_power_stack(wc, -1.0)
+    winv = weight.power_cells(-1.0)
     m0 = winv.mean(axis=tuple(range(d)))
-    s_neg = [spd_power_stack(pyr[l], -0.5) for l in range(level)]
-    s_pos = [spd_power_stack(pyr[l], 0.5) for l in range(level)]
+    v, v_inv = family.v, family.v_inv
     shapes = [((1 << l),) * d + ((1 << d) - 1, n) for l in range(level)]
     bounds = np.cumsum([0] + [math.prod(sh) for sh in shapes])
 
@@ -399,12 +405,12 @@ def _probe_operators(weight: MatrixWeight):
         return np.concatenate([b.reshape(-1) for b in apply_symbols(s, f.detail)])
 
     def forward(x):
-        return analyze(wc, synth(x, s_neg), s_neg)
+        return analyze(wc, synth(x, v_inv), v_inv)
 
     def inverse(x):
-        h = synth(x, s_pos)
+        h = synth(x, v)
         r = apply_cells(winv, h).mean(axis=tuple(range(d)))
-        return analyze(winv, h - np.linalg.solve(m0, r), s_pos)
+        return analyze(winv, h - np.linalg.solve(m0, r), v)
 
     return forward, inverse, int(bounds[-1])
 
@@ -427,13 +433,16 @@ def _largest_eigenvalue(op, size: int) -> float:
     eps * theta, eps the float64 machine epsilon, or when the basis spans the
     whole space. The start vector is always np.ones(size), normalized, so
     repeated calls agree bit for bit. After _MAX_MATVECS applications of op without
-    convergence it raises EigenConvergenceError.
+    convergence it raises EigenConvergenceError. One DEBUG record on the
+    haarweight logger per converged call gives the size, matvecs, restarts,
+    the final residual and top Ritz value theta, and the seconds taken.
     """
+    start = time.perf_counter()
     m = min(_BASIS, size)
     basis = np.empty((m + 1, size))
     t = np.zeros((m, m))
     basis[0] = 1.0 / math.sqrt(size)
-    j = matvecs = 0
+    j = matvecs = restarts = 0
     while True:
         w = op(basis[j])
         matvecs += 1
@@ -446,6 +455,11 @@ def _largest_eigenvalue(op, size: int) -> float:
         theta, y = np.linalg.eigh(t[: j + 1, : j + 1])
         top, residual = float(theta[-1]), beta * abs(float(y[j, -1]))
         if residual <= _EPS * abs(top) or j + 1 == size:
+            _log.debug(
+                "lanczos: size=%d matvecs=%d restarts=%d residual=%.3g "
+                "theta=%.17g seconds=%.3f",
+                size, matvecs, restarts, residual, top, time.perf_counter() - start,
+            )
             return top
         if matvecs >= _MAX_MATVECS:
             raise EigenConvergenceError(
@@ -465,25 +479,29 @@ def _largest_eigenvalue(op, size: int) -> float:
         t[:_KEEP, :_KEEP] = np.diag(theta[-_KEEP:])
         t[:_KEEP, _KEEP] = t[_KEEP, :_KEEP] = beta * keep[m - 1]
         j = _KEEP
+        restarts += 1
 
 
-def sharpness_probe(weight: MatrixWeight) -> SharpnessProbe:
+def sharpness_probe(weight: MatrixWeight, family: ReducingFamily) -> SharpnessProbe:
     """Solve the p=2 generalized Rayleigh problem exactly, matrix-free.
 
     With G the Gram matrix of ||f||_{L^2(W)}^2 in coefficient coordinates and
-    B the block diagonal of m_I W (the exact V_I^2), the extreme eigenvalues
-    of (G, B) are the squared extremal ratios in both directions: the largest
-    eigenvalues of B^{-1/2} G B^{-1/2} and of its inverse, each found by
-    `_largest_eigenvalue` on `_probe_operators`: thick-restart Lanczos with a
-    20-vector basis, full reorthogonalization and restarts from the top 8
-    Ritz vectors plus the residual, from the fixed start np.ones(size), until
-    the Ritz residual is at most eps * theta. A probe that has not converged
-    after _MAX_MATVECS (5000) operator applications raises
-    EigenConvergenceError, which the sweeps record as a failed point.
+    B the block diagonal of m_I W, the extreme eigenvalues of (G, B) are the
+    squared extremal ratios in both directions. B^{1/2} = blockdiag(V_I) and
+    its inverse come from `family`, the weight's p=2 family: any other family
+    raises ParameterError, and one that stops short of level L - 1 raises
+    CoverageError. The largest eigenvalues of B^{-1/2} G B^{-1/2} and of its
+    inverse are each found by `_largest_eigenvalue` on `_probe_operators`:
+    thick-restart Lanczos with a 20-vector basis, full reorthogonalization and
+    restarts from the top 8 Ritz vectors plus the residual, from the fixed
+    start np.ones(size), until the Ritz residual is at most eps * theta. A
+    probe that has not converged after _MAX_MATVECS (5000) operator
+    applications raises EigenConvergenceError, which the sweeps record as a
+    failed point.
     """
     if weight.level < 1:
         raise ShapeError("a level-0 weight has no detail coefficients to probe")
-    forward, inverse, size = _probe_operators(weight)
+    forward, inverse, size = _probe_operators(weight, family)
     return SharpnessProbe(
         max_ratio=math.sqrt(_largest_eigenvalue(forward, size)),
         max_inverse_ratio=math.sqrt(_largest_eigenvalue(inverse, size)),

@@ -22,6 +22,7 @@ this is |I|^{-1/2} (chi_left - chi_right).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -55,77 +56,47 @@ def detail_signatures(d: int) -> tuple:
     return tuple(e for e in itertools.product((0, 1), repeat=d) if e != full)
 
 
-def _sign_matrix(d: int) -> np.ndarray:
-    """(2^d, 2^d) sign table; rows = detail signatures then all-ones, cols = children."""
-    corners = list(itertools.product((0, 1), repeat=d))
-    rows = list(detail_signatures(d)) + [(1,) * d]
-    s = np.empty((len(rows), len(corners)))
-    for r, eps in enumerate(rows):
-        for c, gamma in enumerate(corners):
-            sign = 1
-            for e, g in zip(eps, gamma):
-                if e == 0 and g == 1:
-                    sign = -sign
-            s[r, c] = sign
-    return s
-
-
-_SIGN_CACHE: dict = {}
-
-
+@functools.cache
 def sign_matrix(d: int) -> np.ndarray:
-    if d not in _SIGN_CACHE:
-        m = _sign_matrix(d)
-        m.flags.writeable = False
-        _SIGN_CACHE[d] = m
-    return _SIGN_CACHE[d]
+    """(2^d, 2^d) sign table, the d-th Kronecker power of [[1, -1], [1, 1]]:
+    rows are the detail signatures then all-ones, columns the children gamma
+    in lexicographic order. Entry (eps, gamma) is -1 to the number of axes
+    with eps_i = 0 and gamma_i = 1. Read-only, one array per d."""
+    s = functools.reduce(np.kron, [np.array([[1.0, -1.0], [1.0, 1.0]])] * d)
+    s.flags.writeable = False
+    return s
 
 
 # ---------------------------------------------------------------------------
 # block reshaping helpers (shared by transforms, weights, stopping, acceptance)
 
 
-def _split_blocks(a: np.ndarray, d: int) -> np.ndarray:
-    """Reshape a (2m,)*d + tail array to (m,)*d + (2^d,) + tail child blocks.
+def _blocks(a: np.ndarray, d: int, b: int) -> np.ndarray:
+    """Reshape a (h b,)*d + tail array to (h,)*d + (b^d,) + tail blocks.
 
-    The block axis enumerates children gamma in lexicographic order, matching
-    sign_matrix columns.
+    The block axis enumerates the cells of each block in lexicographic
+    order; for b = 2 these are the children gamma, matching sign_matrix
+    columns.
     """
-    m = a.shape[0] // 2
+    h = a.shape[0] // b
     tail = a.shape[d:]
-    shape = []
-    for _ in range(d):
-        shape.extend((m, 2))
-    a = a.reshape(*shape, *tail)
-    order = (
-        list(range(0, 2 * d, 2))
-        + list(range(1, 2 * d, 2))
-        + list(range(2 * d, a.ndim))
-    )
-    a = a.transpose(order)
-    return a.reshape((m,) * d + (1 << d,) + tail)
+    a = a.reshape((h, b) * d + tail)
+    order = (*range(0, 2 * d, 2), *range(1, 2 * d, 2), *range(2 * d, a.ndim))
+    return a.transpose(order).reshape((h,) * d + (b**d,) + tail)
 
 
 def _merge_blocks(b: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of _split_blocks."""
-    m = b.shape[0]
-    tail = b.shape[d + 1 :]
+    """Inverse of _blocks(a, d, 2)."""
+    m, tail = b.shape[0], b.shape[d + 1 :]
     b = b.reshape((m,) * d + (2,) * d + tail)
-    order = []
-    for i in range(d):
-        order.extend((i, d + i))
-    order += list(range(2 * d, b.ndim))
-    b = b.transpose(order)
-    return b.reshape((2 * m,) * d + tail)
+    order = (*(i for k in range(d) for i in (k, d + k)), *range(2 * d, b.ndim))
+    return b.transpose(order).reshape((2 * m,) * d + tail)
 
 
 def _cube_blocks(cells: np.ndarray, d: int, l: int) -> np.ndarray:
     """(2^L,)*d + tail -> (cubes at level l, cells per cube) + tail."""
-    h, b = 1 << l, cells.shape[0] >> l
-    tail = cells.shape[d:]
-    arr = cells.reshape(sum(([h, b] for _ in range(d)), []) + list(tail))
-    order = [*range(0, 2 * d, 2), *range(1, 2 * d, 2), *range(2 * d, arr.ndim)]
-    return arr.transpose(order).reshape((h**d, b**d) + tail)
+    b = _blocks(cells, d, cells.shape[0] >> l)
+    return b.reshape((1 << l * d,) + b.shape[d:])
 
 
 def mean_pyramid(cells: np.ndarray, d: int) -> list:
@@ -141,7 +112,7 @@ def mean_pyramid(cells: np.ndarray, d: int) -> list:
     out[levels] = cells
     a = cells
     for lvl in range(levels - 1, -1, -1):
-        a = _split_blocks(a, d).mean(axis=d)
+        a = _blocks(a, d, 2).mean(axis=d)
         out[lvl] = a
     return out
 
@@ -274,7 +245,7 @@ def haar_transform(f: GridFunction) -> HaarCoefficients:
     detail = [None] * L
     inv = 1.0 / (1 << d)
     for lvl in range(L - 1, -1, -1):
-        blocks = _split_blocks(a, d)
+        blocks = _blocks(a, d, 2)
         b = np.einsum("ec,...cn->...en", s, blocks) * inv
         coarse = np.ascontiguousarray(b[..., :-1, :]) * 2.0 ** (-lvl * d / 2.0)
         detail[lvl] = coarse.reshape(coarse.shape[:-1] + tail)

@@ -25,7 +25,7 @@ from .config import EXPERIMENT_IDS, ExperimentConfig, WeightSpec, config_to_dict
 from .dyadic import GridFunction, HaarCoefficients, haar_exactness_errors, lp_norm
 from .errors import ConfigError, HaarweightError, ParameterError
 from .multipliers import t_blocks, t_operator
-from .reducing import build_reducing_family, duality_check, scan_depth
+from .reducing import build_reducing_family, duality_check
 from .serialization import (
     equivalence_rows,
     equivalence_to_dict,
@@ -346,7 +346,7 @@ def alpha_sweep_report(config: ExperimentConfig) -> dict:
         )
         fam = build_reducing_family(w, 2.0)
         rep = equivalence_ratios(w, fam, 2.0, count, seed=seed)
-        probe = sharpness_probe(w)
+        probe = sharpness_probe(w, fam)
         return {
             "alpha": float(alpha),
             "char": fam.characteristic(),
@@ -413,8 +413,8 @@ def _run_sharpness(ctx: RunContext, out: Path, result: RunResult):
             WeightFamily("rotating", 1, 2, min(cfg.sweep_level, 7),
                          params={"alpha": alpha}, seed=cfg.seed)
         )
-        fam = build_reducing_family(w, 2.0, max_depth=scan_depth(w.level))
-        probe = sharpness_probe(w)
+        fam = build_reducing_family(w, 2.0)
+        probe = sharpness_probe(w, fam)
         return [alpha, fam.characteristic(), float("nan"), float("nan"),
                 probe.max_ratio, probe.max_inverse_ratio]
 

@@ -37,8 +37,14 @@ __all__ = [
 def apply_symbols(symbols: list, detail: list) -> list:
     """Per level, each cube's symbol applied to every detail coefficient of
     that cube: symbols[l] has shape (2^l,)*d + (n, n), detail[l] the shape of
-    HaarCoefficients.detail[l], batch axes included; levels beyond the
-    shorter list are dropped."""
+    HaarCoefficients.detail[l], batch axes included. Symbol levels beyond the
+    detail levels go unused; fewer symbol levels than detail levels raise
+    CoverageError."""
+    if len(symbols) < len(detail):
+        raise CoverageError(
+            f"coefficients need symbols to level {len(detail) - 1}, "
+            f"family has {len(symbols) - 1}"
+        )
     out = []
     for s, b in zip(symbols, detail):
         cols = b.reshape(b.shape[: s.ndim - 1] + (s.shape[-1], -1))
@@ -65,11 +71,6 @@ def _reduced(
     if f.level != weight.level:
         raise ShapeError(
             f"coefficients live at level {f.level}, weight at {weight.level}"
-        )
-    if f.level - 1 > family.max_depth:
-        raise CoverageError(
-            f"coefficients need symbols to level {f.level - 1}, "
-            f"family has {family.max_depth}"
         )
     detail = apply_symbols(family.v_inv, f.detail)
     return HaarCoefficients(f.d, f.n, f.level, f.root_scaling, detail)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import GridFunction, _split_blocks, lp_norm, mean_pyramid
+from .dyadic import GridFunction, _blocks, lp_norm, mean_pyramid
 from .errors import MatrixDomainError, ParameterError, ShapeError
 
 __all__ = [
@@ -128,9 +128,9 @@ class MatrixWeight:
         rep = self.cells / self.cells[..., :1, :1]
         out = [(flag, rep)]
         for _ in range(self.level):
-            blocks = _split_blocks(rep, self.d)
+            blocks = _blocks(rep, self.d, 2)
             same = np.all(blocks == blocks[..., :1, :, :], axis=(self.d, -1, -2))
-            flag = np.all(_split_blocks(flag, self.d), axis=self.d) & same
+            flag = np.all(_blocks(flag, self.d, 2), axis=self.d) & same
             rep = blocks[..., 0, :, :]
             out.append((flag, rep))
         return out[::-1]

@@ -2,6 +2,7 @@
 exact p=2 identities, and dense and brute-force checks of the matrix-free
 extremal eigensolve."""
 
+import logging
 import math
 
 import numpy as np
@@ -239,7 +240,7 @@ def test_cross_term_rate_smoke():
 
 def test_sharpness_identity():
     w = identity_weight(level=3, n=1)
-    probe = sharpness_probe(w)
+    probe = sharpness_probe(w, build_reducing_family(w, 2.0))
     assert probe.max_ratio == pytest.approx(1.0, abs=1e-10)
     assert probe.max_inverse_ratio == pytest.approx(1.0, abs=1e-10)
     assert probe.size == 7
@@ -258,7 +259,7 @@ def test_sharpness_brute_force_oracle():
     b = np.diag([cells.mean(), cells[:2].mean(), cells[2:].mean()])
     vals = scipy.linalg.eigh(g, b, eigvals_only=True)
 
-    probe = sharpness_probe(w)
+    probe = sharpness_probe(w, build_reducing_family(w, 2.0))
     assert probe.max_ratio == pytest.approx(math.sqrt(vals[-1]), rel=1e-12)
     assert probe.max_inverse_ratio == pytest.approx(1 / math.sqrt(vals[0]), rel=1e-12)
 
@@ -324,7 +325,7 @@ def test_sharpness_probe_matches_dense_oracle(case):
     if level is not None:
         w = coarsened(w, level)
     ratio, inverse = dense_probe(w)
-    probe = sharpness_probe(w)
+    probe = sharpness_probe(w, build_reducing_family(w, 2.0))
     assert probe.max_ratio == pytest.approx(ratio, rel=1e-12)
     assert probe.max_inverse_ratio == pytest.approx(inverse, rel=1e-12)
 
@@ -334,7 +335,8 @@ def test_sharpness_probe_matches_dense_oracle(case):
 )
 def test_probe_inverse_is_exact(d, n, grid, level):
     w = make_weight(WeightFamily("logbrownian", d, n, grid, params={"sigma": 0.8}, seed=2))
-    forward, inverse, size = _probe_operators(coarsened(w, level))
+    w = coarsened(w, level)
+    forward, inverse, size = _probe_operators(w, build_reducing_family(w, 2.0))
     assert size == ((1 << level) ** d - 1) * n
     rng = np.random.default_rng(0)
     for _ in range(3):
@@ -360,7 +362,7 @@ def clustered_weight(level):
 def test_sharpness_probe_converges_on_a_repeated_top_eigenvalue():
     w = clustered_weight(9)
     ratio, inverse = dense_probe(w)
-    probe = sharpness_probe(w)
+    probe = sharpness_probe(w, build_reducing_family(w, 2.0))
     assert probe.size == 1022
     assert probe.max_ratio == pytest.approx(ratio, rel=1e-12)
     assert probe.max_inverse_ratio == pytest.approx(inverse, rel=1e-12)
@@ -369,22 +371,24 @@ def test_sharpness_probe_converges_on_a_repeated_top_eigenvalue():
 def test_lanczos_cap_raises(monkeypatch):
     monkeypatch.setattr(analysis, "_MAX_MATVECS", 2)
     with pytest.raises(EigenConvergenceError, match="cap of 2 matvecs"):
-        sharpness_probe(clustered_weight(9))
+        w = clustered_weight(9)
+        sharpness_probe(w, build_reducing_family(w, 2.0))
 
 
 def test_sharpness_single_coefficient():
     w = two_cell_weight()  # G = 2.5 = B, so both ratios are 1
-    probe = sharpness_probe(w)
+    probe = sharpness_probe(w, build_reducing_family(w, 2.0))
     assert probe.size == 1
     assert probe.max_ratio == pytest.approx(1.0, rel=1e-15)
     assert probe.max_inverse_ratio == pytest.approx(1.0, rel=1e-15)
     with pytest.raises(ShapeError):
-        sharpness_probe(MatrixWeight(d=1, n=1, level=0, cells=np.ones((1, 1, 1))))
+        w0 = MatrixWeight(d=1, n=1, level=0, cells=np.ones((1, 1, 1)))
+        sharpness_probe(w0, build_reducing_family(w0, 2.0))
 
 
 def test_sharpness_deep_grid_bounds_rayleigh_quotients():
     w = power_weight(-0.9, 13)  # 8192 cells
-    probe = sharpness_probe(w)
+    probe = sharpness_probe(w, build_reducing_family(w, 2.0))
     assert probe.size == 8191
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -392,9 +396,38 @@ def test_sharpness_deep_grid_bounds_rayleigh_quotients():
         r = weighted_lp_norm(haar_reconstruct(f), w, 2.0) / p2_sequence_norm(f, w)
         assert 1.0 / probe.max_inverse_ratio <= r * (1 + 1e-12)
         assert r <= probe.max_ratio * (1 + 1e-12)
-    again = sharpness_probe(w)
+    again = sharpness_probe(w, build_reducing_family(w, 2.0))
     assert (again.max_ratio, again.max_inverse_ratio) == (
         probe.max_ratio, probe.max_inverse_ratio)
+
+
+def test_probe_needs_the_p2_family_of_its_own_weight():
+    w = rotating_weight(level=5)
+    with pytest.raises(ParameterError, match="p=2 family"):
+        sharpness_probe(w, build_reducing_family(w, 3.0))
+    coarse = coarsened(w, 4)
+    with pytest.raises(ParameterError, match="p=2 family"):
+        sharpness_probe(w, build_reducing_family(coarse, 2.0))
+
+
+def test_lanczos_logs_one_debug_record(caplog):
+    w = rotating_weight(level=6)
+    forward, _, size = _probe_operators(w, build_reducing_family(w, 2.0))
+    with caplog.at_level(logging.DEBUG, logger="haarweight"):
+        top = analysis._largest_eigenvalue(forward, size)
+    records = [r for r in caplog.records if r.name == "haarweight.analysis"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    rec_size, matvecs, restarts, residual, theta, seconds = records[0].args
+    assert rec_size == size == 126
+    assert theta == top and residual <= analysis._EPS * theta
+    # the first cycle fills the basis, every later one adds _BASIS - _KEEP
+    assert restarts >= 1
+    grown = analysis._BASIS - analysis._KEEP
+    assert analysis._BASIS + (restarts - 1) * grown < matvecs
+    assert matvecs <= analysis._BASIS + restarts * grown
+    assert seconds > 0.0
+    for key in ("matvecs=", "restarts=", "residual=", "theta=", "seconds="):
+        assert key in records[0].getMessage()
 
 
 def test_loglog_slope_recovers_power_law():

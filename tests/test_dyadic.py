@@ -5,6 +5,8 @@ against hand-computed cases, exactness of the pyramid transform (round trip
 and Parseval), orthonormality of the synthesized basis, and the L^p cell sums.
 """
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -58,11 +60,26 @@ def test_signature_enumeration():
 
 
 def test_sign_matrix_hadamard():
-    # rows are mutually orthogonal with squared norm 2^d: exact inversion
-    for d in (1, 2, 3):
+    # rows are mutually orthogonal with squared norm 2^d: exact inversion.
+    # Entry by entry, against the reference: (eps, gamma) flips sign on each
+    # axis with eps_i = 0 and gamma_i = 1; rows are the detail signatures
+    # then all-ones, columns gamma in lexicographic order
+    for d in (1, 2, 3, 4):
         s = sign_matrix(d)
         npt.assert_array_equal(s.T @ s, (1 << d) * np.eye(1 << d))
         npt.assert_array_equal(s @ s.T, (1 << d) * np.eye(1 << d))
+        rows = list(detail_signatures(d)) + [(1,) * d]
+        corners = list(itertools.product((0, 1), repeat=d))
+        ref = np.empty((len(rows), len(corners)))
+        for r, eps in enumerate(rows):
+            for c, gamma in enumerate(corners):
+                sign = 1
+                for e, g in zip(eps, gamma):
+                    if e == 0 and g == 1:
+                        sign = -sign
+                ref[r, c] = sign
+        npt.assert_array_equal(s, ref)
+        assert s is sign_matrix(d) and not s.flags.writeable
 
 
 # ---------------------------------------------------------------------------

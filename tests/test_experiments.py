@@ -261,12 +261,12 @@ def test_alpha_sweep_lists_an_unconverged_probe_under_failed(monkeypatch):
 
     probe = experiments.sharpness_probe
 
-    def capped(weight):
+    def capped(weight, family):
         if weight.meta["params"]["alpha"] != -0.8:
-            return probe(weight)
+            return probe(weight, family)
         with monkeypatch.context() as m:
             m.setattr(analysis, "_MAX_MATVECS", 2)
-            return probe(weight)
+            return probe(weight, family)
 
     monkeypatch.setattr(experiments, "sharpness_probe", capped)
     rep = alpha_sweep_report(ExperimentConfig(

@@ -20,6 +20,7 @@ from haarweight import (
     make_weight,
     weighted_lp_norm,
 )
+from haarweight.analysis import square_norm
 from haarweight.dyadic import haar_reconstruct
 from haarweight.multipliers import apply_symbols, t_blocks, t_operator
 from test_analysis import suite_weight
@@ -112,6 +113,12 @@ def test_validation_errors():
     shallow = build_reducing_family(w, 3.0, max_depth=1)
     with pytest.raises(CoverageError):
         t_operator(w, shallow, f, 3.0)
+    with pytest.raises(CoverageError):
+        square_norm(f, shallow, 3.0)
+    # symbol levels beyond the detail levels go unused; one fewer raises
+    assert len(fam.v) == 5 and len(apply_symbols(fam.v, f.detail)) == 4
+    with pytest.raises(CoverageError, match="to level 3, family has 2"):
+        apply_symbols(fam.v[:3], f.detail)
 
 
 # ---------------------------------------------------------------------------
