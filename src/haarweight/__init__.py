@@ -66,6 +66,7 @@ from .analysis import (
     random_mean_zero_batch,
     random_mean_zero_coefficients,
     sharpness_probe,
+    sharpness_probes,
     square_function,
     square_norm,
 )

@@ -36,11 +36,17 @@ from .dyadic import (
     lp_norm,
     refine_to_cells,
 )
-from .errors import EigenConvergenceError, ParameterError, ShapeError
+from .errors import (
+    CoverageError,
+    EigenConvergenceError,
+    HaarweightError,
+    ParameterError,
+    ShapeError,
+)
 from .reducing import ReducingFamily, conjugate_exponent
 from .stopping import GenerationTree, split_generations
 from .multipliers import apply_symbols, t_blocks
-from .weights import MatrixWeight, apply_cells, weighted_lp_norm
+from .weights import MatrixWeight, weighted_lp_norm
 
 __all__ = [
     "SPECTRA",
@@ -56,6 +62,7 @@ __all__ = [
     "cross_term_rate",
     "SharpnessProbe",
     "sharpness_probe",
+    "sharpness_probes",
     "loglog_slope",
 ]
 
@@ -371,46 +378,88 @@ class SharpnessProbe:
     size: int
 
 
-def _probe_operators(weight: MatrixWeight, family: ReducingFamily):
-    """(forward, inverse, size): C = S G S and C^{-1} as O(size) pyramid matvecs.
+def _columnwise(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Column c of vecs times matrix c of mats: mats has shape
+    cubes + (n, n, k), vecs cubes + (..., n, k), and each middle axis of vecs
+    (the Haar signatures of a detail block) meets the same matrices."""
+    mats = mats.reshape(mats.shape[:-3] + (1,) * (vecs.ndim - mats.ndim + 1)
+                        + mats.shape[-3:])
+    return np.einsum("...ijk,...jk->...ik", mats, vecs)
 
-    G = H^T W_c H is the Gram matrix of ||f||_{L^2(W)}^2 on the weight's grid
-    (cells W_c, H detail-only synthesis) and S = blockdiag(V_I^{-1}), with V_I
-    and V_I^{-1} read from the weight's p=2 family (ParameterError for any
-    other family). The Schur complement over the constant function gives
-    G^{-1} = H^T W_c^{-1} H - Z M0^{-1} Z^T, M0 = <W_c^{-1}>, Z the details of
-    W_c^{-1} e_k: together the detail part of W_c^{-1}(h - M0^{-1}<W_c^{-1} h>),
-    W_c^{-1} being the weight's cached power_cells(-1.0).
-    """
+
+def _check_probe_pair(weight: MatrixWeight, family: ReducingFamily):
+    """ShapeError for a level-0 weight, ParameterError unless family is the
+    weight's p=2 family, CoverageError if it stops short of level L - 1."""
     d, n, level = weight.d, weight.n, weight.level
+    if level < 1:
+        raise ShapeError("a level-0 weight has no detail coefficients to probe")
     if (family.p, family.d, family.n, family.level) != (2.0, d, n, level):
         raise ParameterError(
             f"the probe needs the p=2 family of its weight, (d, n, L) = {d, n, level}; "
             f"got p={family.p} on {family.d, family.n, family.level}"
         )
-    wc = weight.cells
-    winv = weight.power_cells(-1.0)
-    m0 = winv.mean(axis=tuple(range(d)))
-    v, v_inv = family.v, family.v_inv
+    if family.max_depth < level - 1:
+        raise CoverageError(
+            f"coefficients need symbols to level {level - 1}, "
+            f"family has {family.max_depth}"
+        )
+
+
+def _probe_operators(pairs):
+    """(forward, inverse, size): C = S G S and C^{-1} for a group of weights
+    on one grid, as O(size) pyramid matvecs on (size, k) column blocks.
+
+    pairs lists (weight, family) that share (d, n, L) and pass
+    _check_probe_pair. For one weight, G = H^T W_c H is the Gram matrix of
+    ||f||_{L^2(W)}^2 on its grid (cells W_c, H detail-only synthesis) and
+    S = blockdiag(V_I^{-1}), with V_I and V_I^{-1} read from the weight's
+    p=2 family. The Schur complement over the constant function gives
+    G^{-1} = H^T W_c^{-1} H - Z M0^{-1} Z^T, M0 = <W_c^{-1}>, Z the details of
+    W_c^{-1} e_k: together the detail part of W_c^{-1}(h - M0^{-1}<W_c^{-1} h>),
+    W_c^{-1} being the weight's cached power_cells(-1.0).
+
+    Pair i owns column i: its cells, W_c^{-1}, M0, V_I and V_I^{-1} are
+    stacked on a trailing column axis, and one Haar pyramid serves every
+    column. forward(x, cols) and inverse(x, cols) take a (size, len(cols))
+    block whose columns belong to the pairs numbered cols.
+    """
+    weight = pairs[0][0]
+    d, n, level = weight.d, weight.n, weight.level
+    cells = tuple(range(d))
+    winvs = [w.power_cells(-1.0) for w, _ in pairs]
+    wc = np.stack([w.cells for w, _ in pairs], axis=-1)
+    winv = np.stack(winvs, axis=-1)
+    m0 = np.stack([a.mean(axis=cells) for a in winvs])
+    v = [np.stack([f.v[l] for _, f in pairs], axis=-1) for l in range(level)]
+    v_inv = [np.stack([f.v_inv[l] for _, f in pairs], axis=-1) for l in range(level)]
     shapes = [((1 << l),) * d + ((1 << d) - 1, n) for l in range(level)]
     bounds = np.cumsum([0] + [math.prod(sh) for sh in shapes])
 
     def synth(x, s):  # h = H S x
-        blocks = [x[bounds[l]:bounds[l + 1]].reshape(shapes[l]) for l in range(level)]
-        c = HaarCoefficients(d, n, level, np.zeros(n), apply_symbols(s, blocks))
+        k = x.shape[-1]
+        blocks = [x[bounds[l]:bounds[l + 1]].reshape(shapes[l] + (k,))
+                  for l in range(level)]
+        c = HaarCoefficients(d, n, level, np.zeros((n, k)),
+                             [_columnwise(a, b) for a, b in zip(s, blocks)])
         return haar_reconstruct(c).values
 
     def analyze(mats, g, s):  # S H^T (mats g)
-        f = haar_transform(GridFunction(d, n, level, apply_cells(mats, g)))
-        return np.concatenate([b.reshape(-1) for b in apply_symbols(s, f.detail)])
+        f = haar_transform(GridFunction(d, n, level, _columnwise(mats, g)))
+        return np.concatenate([_columnwise(a, b).reshape(-1, g.shape[-1])
+                               for a, b in zip(s, f.detail)])
 
-    def forward(x):
-        return analyze(wc, synth(x, v_inv), v_inv)
+    def forward(x, cols):
+        vi = [a[..., cols] for a in v_inv]
+        return analyze(wc[..., cols], synth(x, vi), vi)
 
-    def inverse(x):
-        h = synth(x, v)
-        r = apply_cells(winv, h).mean(axis=tuple(range(d)))
-        return analyze(winv, h - np.linalg.solve(m0, r), v)
+    def inverse(x, cols):
+        vc, wi = [a[..., cols] for a in v], winv[..., cols]
+        h = synth(x, vc)
+        g = _columnwise(wi, h)
+        # one reduction per column: a column's sum runs in the order it has alone
+        r = np.stack([g[..., c].mean(axis=cells) for c in range(len(cols))])
+        h = h - np.linalg.solve(m0[cols], r[..., None])[..., 0].T
+        return analyze(wi, h, vc)
 
     return forward, inverse, int(bounds[-1])
 
@@ -421,92 +470,163 @@ _MAX_MATVECS = 5000  # cap per eigenvalue; a clustered top spectrum takes ~1,400
 _EPS = float(np.finfo(float).eps)
 
 
-def _largest_eigenvalue(op, size: int) -> float:
-    """Largest eigenvalue of the symmetric positive operator op on R^size, by
-    thick-restart Lanczos (Wu & Simon 2000).
+def _largest_eigenvalues(op, size: int, k: int) -> list:
+    """Largest eigenvalue of each of k symmetric positive operators on
+    R^size, by k thick-restart Lanczos recurrences (Wu & Simon 2000) run in
+    lock step: op(x, cols) applies operators cols to the columns of the
+    (size, len(cols)) block x, so one call serves every active recurrence.
 
-    The basis holds up to _BASIS vectors in one preallocated array and is
+    Each recurrence is the single-vector method on its own column. Its basis
+    holds up to _BASIS vectors in one preallocated array and is
     reorthogonalized fully (classical Gram-Schmidt, twice) at every step.
     When it fills, the iteration restarts from the top _KEEP Ritz vectors
     plus the residual direction, so the projected matrix is an arrowhead.
-    It stops as soon as the top Ritz pair's residual |beta_k s_k| is at most
-    eps * theta, eps the float64 machine epsilon, or when the basis spans the
-    whole space. The start vector is always np.ones(size), normalized, so
-    repeated calls agree bit for bit. After _MAX_MATVECS applications of op without
-    convergence it raises EigenConvergenceError. One DEBUG record on the
-    haarweight logger per converged call gives the size, matvecs, restarts,
-    the final residual and top Ritz value theta, and the seconds taken.
+    A column stops as soon as its top Ritz pair's residual |beta_k s_k| is
+    at most eps * theta, eps the float64 machine epsilon, or when the basis
+    spans the whole space; it then leaves the active set. The start vector
+    is always np.ones(size), normalized, so repeated calls agree bit for bit.
+    The reorthogonalization, the projected eigenproblems and the restarts
+    run as one batch over the active columns, and a column's arithmetic does
+    not depend on the other columns of the batch.
+
+    Returns k entries in column order: the eigenvalue, or an
+    EigenConvergenceError for a column still active after _MAX_MATVECS
+    applications of op. One DEBUG record on the haarweight logger per
+    converged column gives the size, its matvecs and restarts, the final
+    residual and top Ritz value theta, and the seconds until it converged.
     """
     start = time.perf_counter()
     m = min(_BASIS, size)
-    basis = np.empty((m + 1, size))
-    t = np.zeros((m, m))
-    basis[0] = 1.0 / math.sqrt(size)
+    active = np.arange(k)
+    out = [None] * k
+    basis = np.empty((k, m + 1, size))
+    t = np.zeros((k, m, m))
+    basis[:, 0] = 1.0 / math.sqrt(size)
     j = matvecs = restarts = 0
-    while True:
-        w = op(basis[j])
+    while active.size:
+        w = np.ascontiguousarray(op(basis[:, j].T, active).T)
         matvecs += 1
-        h = basis[: j + 1] @ w
-        w -= h @ basis[: j + 1]
-        h2 = basis[: j + 1] @ w
-        w -= h2 @ basis[: j + 1]
-        t[j, j] = h[j] + h2[j]
-        beta = float(np.linalg.norm(w))
-        theta, y = np.linalg.eigh(t[: j + 1, : j + 1])
-        top, residual = float(theta[-1]), beta * abs(float(y[j, -1]))
-        if residual <= _EPS * abs(top) or j + 1 == size:
+        q = basis[:, : j + 1]
+        h = (q @ w[..., None])[..., 0]
+        w -= (h[:, None] @ q)[:, 0]
+        h2 = (q @ w[..., None])[..., 0]
+        w -= (h2[:, None] @ q)[:, 0]
+        t[:, j, j] = h[:, j] + h2[:, j]
+        # one dot per column: the rounding of a lone vector's np.linalg.norm
+        beta = np.sqrt((w[:, None] @ w[..., None])[:, 0, 0])
+        theta, y = np.linalg.eigh(t[:, : j + 1, : j + 1])
+        top, residual = theta[:, -1], beta * np.abs(y[:, j, -1])
+        done = (residual <= _EPS * np.abs(top)) | (j + 1 == size)
+        for c in np.flatnonzero(done):
             _log.debug(
                 "lanczos: size=%d matvecs=%d restarts=%d residual=%.3g "
                 "theta=%.17g seconds=%.3f",
-                size, matvecs, restarts, residual, top, time.perf_counter() - start,
+                size, matvecs, restarts, residual[c], top[c],
+                time.perf_counter() - start,
             )
-            return top
+            out[active[c]] = float(top[c])
         if matvecs >= _MAX_MATVECS:
-            raise EigenConvergenceError(
-                f"Lanczos stopped at the cap of {_MAX_MATVECS} matvecs: top Ritz "
-                f"value {top!r}, residual {residual:.3e}"
-            )
-        basis[j + 1] = w / beta
+            for c in np.flatnonzero(~done):
+                out[active[c]] = EigenConvergenceError(
+                    f"Lanczos stopped at the cap of {_MAX_MATVECS} matvecs: top "
+                    f"Ritz value {float(top[c])!r}, residual {residual[c]:.3e}"
+                )
+            break
+        if done.any():
+            keep = np.flatnonzero(~done)
+            if not keep.size:
+                break
+            # compact the survivors to the front, one column at a time, so
+            # the basis is never copied whole
+            for new, old in enumerate(keep):
+                basis[new] = basis[old]
+            basis, t = basis[: keep.size], t[keep]
+            active, w, beta, theta, y = (a[keep] for a in (active, w, beta, theta, y))
+        basis[:, j + 1] = w / beta[:, None]
         if j + 1 < m:
-            t[j, j + 1] = t[j + 1, j] = beta
+            t[:, j, j + 1] = t[:, j + 1, j] = beta
             j += 1
             continue
         # thick restart: the top Ritz vectors, then the residual direction
-        keep = y[:, -_KEEP:]
-        basis[:_KEEP] = keep.T @ basis[:m]
-        basis[_KEEP] = basis[m]
+        top_y = y[:, :, -_KEEP:]
+        basis[:, :_KEEP] = np.swapaxes(top_y, 1, 2) @ basis[:, :m]
+        basis[:, _KEEP] = basis[:, m]
         t[:] = 0.0
-        t[:_KEEP, :_KEEP] = np.diag(theta[-_KEEP:])
-        t[:_KEEP, _KEEP] = t[_KEEP, :_KEEP] = beta * keep[m - 1]
+        rows = np.arange(_KEEP)
+        t[:, rows, rows] = theta[:, -_KEEP:]
+        t[:, :_KEEP, _KEEP] = t[:, _KEEP, :_KEEP] = beta[:, None] * top_y[:, m - 1]
         j = _KEEP
         restarts += 1
+    return out
 
 
-def sharpness_probe(weight: MatrixWeight, family: ReducingFamily) -> SharpnessProbe:
-    """Solve the p=2 generalized Rayleigh problem exactly, matrix-free.
+def sharpness_probes(pairs) -> list:
+    """Solve the p=2 generalized Rayleigh problem exactly, matrix-free, for
+    every (weight, family) pair.
 
     With G the Gram matrix of ||f||_{L^2(W)}^2 in coefficient coordinates and
     B the block diagonal of m_I W, the extreme eigenvalues of (G, B) are the
     squared extremal ratios in both directions. B^{1/2} = blockdiag(V_I) and
-    its inverse come from `family`, the weight's p=2 family: any other family
-    raises ParameterError, and one that stops short of level L - 1 raises
-    CoverageError. The largest eigenvalues of B^{-1/2} G B^{-1/2} and of its
-    inverse are each found by `_largest_eigenvalue` on `_probe_operators`:
-    thick-restart Lanczos with a 20-vector basis, full reorthogonalization and
-    restarts from the top 8 Ritz vectors plus the residual, from the fixed
-    start np.ones(size), until the Ritz residual is at most eps * theta. A
-    probe that has not converged after _MAX_MATVECS (5000) operator
-    applications raises EigenConvergenceError, which the sweeps record as a
-    failed point.
+    its inverse come from the pair's family, the weight's p=2 family: any
+    other family gives ParameterError, and one that stops short of level
+    L - 1 gives CoverageError; a level-0 weight gives ShapeError.
+
+    The pairs are grouped by the grid (d, n, L) of their weights. Each group
+    takes two `_largest_eigenvalues` runs on `_probe_operators`, one column
+    per pair: first the largest eigenvalues of B^{-1/2} G B^{-1/2}, then
+    those of its inverse for the pairs whose forward run converged. Each is
+    thick-restart Lanczos with a 20-vector basis, full reorthogonalization
+    and restarts from the top 8 Ritz vectors plus the residual, from the
+    fixed start np.ones(size), until the Ritz residual is at most
+    eps * theta; the columns of a group run in lock step, so one operator
+    call serves all of them. A column that has not converged after
+    _MAX_MATVECS (5000) operator applications gives EigenConvergenceError.
+
+    Returns one entry per pair, in input order: its SharpnessProbe, or the
+    exception that stopped it. The sweeps record such an entry as a failed
+    point.
     """
-    if weight.level < 1:
-        raise ShapeError("a level-0 weight has no detail coefficients to probe")
-    forward, inverse, size = _probe_operators(weight, family)
-    return SharpnessProbe(
-        max_ratio=math.sqrt(_largest_eigenvalue(forward, size)),
-        max_inverse_ratio=math.sqrt(_largest_eigenvalue(inverse, size)),
-        size=size,
-    )
+    out = [None] * len(pairs)
+    groups = {}
+    for i, (weight, family) in enumerate(pairs):
+        try:
+            _check_probe_pair(weight, family)
+        except HaarweightError as exc:
+            out[i] = exc
+            continue
+        groups.setdefault((weight.d, weight.n, weight.level), []).append(i)
+    for members in groups.values():
+        forward, inverse, size = _probe_operators([pairs[i] for i in members])
+        tops = _largest_eigenvalues(forward, size, len(members))
+        alive = np.array([c for c, top in enumerate(tops)
+                          if not isinstance(top, Exception)], dtype=int)
+        inverse_tops = _largest_eigenvalues(
+            lambda x, cols: inverse(x, alive[cols]), size, alive.size)
+        for c, top in zip(alive, inverse_tops):
+            tops[c] = top if isinstance(top, Exception) else SharpnessProbe(
+                max_ratio=math.sqrt(tops[c]),
+                max_inverse_ratio=math.sqrt(top),
+                size=size,
+            )
+        for i, probe in zip(members, tops):
+            out[i] = probe
+    return out
+
+
+def sharpness_probe(weight: MatrixWeight, family: ReducingFamily) -> SharpnessProbe:
+    """The exact extremal p=2 ratios of one weight over all mean-zero f.
+
+    This is `sharpness_probes` on the one pair (weight, family), a group of
+    one column: the same operators, Lanczos rules and cap. Where the grouped
+    entry returns an error in place, this raises it: ShapeError for a
+    level-0 weight, ParameterError unless family is the weight's p=2 family,
+    CoverageError for a family short of level L - 1, and
+    EigenConvergenceError for a direction that hits _MAX_MATVECS.
+    """
+    (probe,) = sharpness_probes([(weight, family)])
+    if isinstance(probe, Exception):
+        raise probe
+    return probe
 
 
 def loglog_slope(chars, values) -> dict:

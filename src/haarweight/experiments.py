@@ -19,7 +19,7 @@ from .analysis import (
     equivalence_ratios,
     loglog_slope,
     random_mean_zero_batch,
-    sharpness_probe,
+    sharpness_probes,
 )
 from .config import EXPERIMENT_IDS, ExperimentConfig, WeightSpec, config_to_dict
 from .dyadic import GridFunction, HaarCoefficients, haar_exactness_errors, lp_norm
@@ -100,6 +100,15 @@ class RunContext:
             groups.setdefault((weight.d, weight.n), []).append(w.name)
         return groups
 
+    def same_cells(self, weight):
+        """The name of the first suite weight that realizes weight's cells on
+        its grid (d, n, level), or None."""
+        for name in self.signatures().get((weight.d, weight.n), ()):
+            w = self.weight(name)
+            if w.level == weight.level and np.array_equal(w.cells, weight.cells):
+                return name
+        return None
+
     def calibration(self, d: int, n: int, p: float):
         """Shared thresholds, calibrated over all suite weights with this
         signature (constant-direction tests scale with n and d)."""
@@ -161,6 +170,21 @@ def _isolate(fn, keys):
         except Exception as exc:  # isolation: a bad cell must not kill the run
             failed.append((key, repr(exc)))
     return done, failed
+
+
+def _probed(build, keys):
+    """The p=2 sharpness probe of one weight per key: build(key) returns
+    (weight, its p=2 family, ...) under _isolate, and one sharpness_probes
+    call probes every cell that built. Returns (key, built, probe) for each
+    cell that survived both steps and (key, repr(error)) for each that did
+    not, each in key order."""
+    built, failed = _isolate(lambda i: (i, build(keys[i])), range(len(keys)))
+    probes = sharpness_probes([b[:2] for _, b in built])
+    failed += [(i, repr(p)) for (i, _), p in zip(built, probes)
+               if isinstance(p, Exception)]
+    done = [(keys[i], b, p) for (i, b), p in zip(built, probes)
+            if not isinstance(p, Exception)]
+    return done, [(keys[i], err) for i, err in sorted(failed)]
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +358,13 @@ def alpha_sweep_report(config: ExperimentConfig) -> dict:
     sharp exponents 1/2 and 1). Eigenvalue-level and low-characteristic local
     slopes are reported as diagnostics: the extremal-ratio direction is
     capped at sqrt(levels) on a depth-L grid, which confines its power growth
-    in the characteristic to chars below about L. A point that raises is
-    listed under "failed".
+    in the characteristic to chars below about L.
+
+    Each point's weight, p=2 family and equivalence report are built in
+    turn; then one sharpness_probes call probes every point that built, all
+    on one grid, so one lock-step Lanczos per direction serves the whole
+    sweep. A point whose build or probe raises is listed under "failed", in
+    sweep order.
     """
     level, count, seed = config.sweep_level, config.count, config.seed
 
@@ -346,17 +375,20 @@ def alpha_sweep_report(config: ExperimentConfig) -> dict:
         )
         fam = build_reducing_family(w, 2.0)
         rep = equivalence_ratios(w, fam, 2.0, count, seed=seed)
-        probe = sharpness_probe(w, fam)
-        return {
+        return w, fam, fam.characteristic(), rep
+
+    done, failed = _probed(cell, config.sweep_alphas)
+    rows = [
+        {
             "alpha": float(alpha),
-            "char": fam.characteristic(),
+            "char": char,
             "eq_max_ratio": rep.max_ratio,
             "eq_max_inverse_ratio": rep.max_inverse_ratio,
             "probe_max_ratio": probe.max_ratio,
             "probe_max_inverse_ratio": probe.max_inverse_ratio,
         }
-
-    rows, failed = _isolate(cell, config.sweep_alphas)
+        for alpha, (_, _, char, rep), probe in done
+    ]
     failed = [{"alpha": float(a), "error": err} for a, err in failed]
     if len(rows) < 3:
         raise ParameterError(
@@ -413,13 +445,17 @@ def _run_sharpness(ctx: RunContext, out: Path, result: RunResult):
             WeightFamily("rotating", 1, 2, min(cfg.sweep_level, 7),
                          params={"alpha": alpha}, seed=cfg.seed)
         )
-        fam = build_reducing_family(w, 2.0)
-        probe = sharpness_probe(w, fam)
-        return [alpha, fam.characteristic(), float("nan"), float("nan"),
-                probe.max_ratio, probe.max_inverse_ratio]
+        name = ctx.same_cells(w)
+        if name is not None:
+            w, fam = ctx.weight(name), ctx.family(name, 2.0)
+        else:
+            fam = build_reducing_family(w, 2.0)
+        return w, fam, fam.characteristic()
 
-    done, failed = _isolate(rotating, (0.3, 0.6, 0.9))
-    rows += done
+    done, failed = _probed(rotating, (0.3, 0.6, 0.9))
+    rows += [[alpha, char, float("nan"), float("nan"),
+              probe.max_ratio, probe.max_inverse_ratio]
+             for alpha, (_, _, char), probe in done]
     result.failures += [CellFailure("sharpness", f"rotating alpha={a}", e)
                         for a, e in failed]
     result.files.append(

@@ -36,6 +36,7 @@ from haarweight.analysis import (
     random_mean_zero_batch,
     random_mean_zero_coefficients,
     sharpness_probe,
+    sharpness_probes,
     square_function,
     square_norm,
 )
@@ -336,13 +337,14 @@ def test_sharpness_probe_matches_dense_oracle(case):
 def test_probe_inverse_is_exact(d, n, grid, level):
     w = make_weight(WeightFamily("logbrownian", d, n, grid, params={"sigma": 0.8}, seed=2))
     w = coarsened(w, level)
-    forward, inverse, size = _probe_operators(w, build_reducing_family(w, 2.0))
+    forward, inverse, size = _probe_operators([(w, build_reducing_family(w, 2.0))])
     assert size == ((1 << level) ** d - 1) * n
     rng = np.random.default_rng(0)
+    col = np.array([0])
     for _ in range(3):
-        x = rng.standard_normal(size)
-        np.testing.assert_allclose(inverse(forward(x)), x, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(forward(inverse(x)), x, rtol=0, atol=1e-12)
+        x = rng.standard_normal((size, 1))
+        np.testing.assert_allclose(inverse(forward(x, col), col), x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(forward(inverse(x, col), col), x, rtol=0, atol=1e-12)
 
 
 def clustered_weight(level):
@@ -411,23 +413,77 @@ def test_probe_needs_the_p2_family_of_its_own_weight():
 
 
 def test_lanczos_logs_one_debug_record(caplog):
-    w = rotating_weight(level=6)
-    forward, _, size = _probe_operators(w, build_reducing_family(w, 2.0))
+    weights = [rotating_weight(level=6),
+               make_weight(WeightFamily("logbrownian", 1, 2, 6,
+                                        params={"sigma": 0.4}, seed=5))]
+    forward, _, size = _probe_operators(
+        [(w, build_reducing_family(w, 2.0)) for w in weights])
     with caplog.at_level(logging.DEBUG, logger="haarweight"):
-        top = analysis._largest_eigenvalue(forward, size)
+        tops = analysis._largest_eigenvalues(forward, size, len(weights))
     records = [r for r in caplog.records if r.name == "haarweight.analysis"]
-    assert len(records) == 1 and records[0].levelno == logging.DEBUG
-    rec_size, matvecs, restarts, residual, theta, seconds = records[0].args
-    assert rec_size == size == 126
-    assert theta == top and residual <= analysis._EPS * theta
-    # the first cycle fills the basis, every later one adds _BASIS - _KEEP
-    assert restarts >= 1
-    grown = analysis._BASIS - analysis._KEEP
-    assert analysis._BASIS + (restarts - 1) * grown < matvecs
-    assert matvecs <= analysis._BASIS + restarts * grown
-    assert seconds > 0.0
-    for key in ("matvecs=", "restarts=", "residual=", "theta=", "seconds="):
-        assert key in records[0].getMessage()
+    # one record per converged column, written when that column converges
+    assert len(records) == len(weights)
+    assert sorted(r.args[4] for r in records) == sorted(tops)
+    assert len({r.args[1] for r in records}) == len(weights)
+    for record in records:
+        assert record.levelno == logging.DEBUG
+        rec_size, matvecs, restarts, residual, theta, seconds = record.args
+        assert rec_size == size == 126
+        assert residual <= analysis._EPS * theta
+        # the first cycle fills the basis, every later one adds _BASIS - _KEEP
+        assert restarts >= 1
+        grown = analysis._BASIS - analysis._KEEP
+        assert analysis._BASIS + (restarts - 1) * grown < matvecs
+        assert matvecs <= analysis._BASIS + restarts * grown
+        assert seconds > 0.0
+        for key in ("matvecs=", "restarts=", "residual=", "theta=", "seconds="):
+            assert key in record.getMessage()
+
+
+def test_grouped_probes_match_single_pair_probes_in_input_order():
+    powers = [power_weight(a, 8) for a in (0.5, -0.9, -0.99)]
+    rotations = [rotating_weight(level=6),
+                 make_weight(WeightFamily("rotating", 1, 2, 6, params={"alpha": 0.9}))]
+    weights = [powers[0], rotations[0], powers[1], rotations[1], powers[2]]
+    pairs = [(w, build_reducing_family(w, 2.0)) for w in weights]
+    probes = sharpness_probes(pairs)
+    assert len(probes) == len(pairs)
+    for (w, fam), probe in zip(pairs, probes):
+        alone = sharpness_probe(w, fam)
+        assert probe.size == alone.size == (1 << w.level) * w.n - w.n
+        assert probe.max_ratio == pytest.approx(alone.max_ratio, rel=1e-14)
+        assert probe.max_inverse_ratio == pytest.approx(alone.max_inverse_ratio,
+                                                        rel=1e-14)
+        ratio, inverse = dense_probe(w)
+        assert probe.max_ratio == pytest.approx(ratio, rel=1e-12)
+        assert probe.max_inverse_ratio == pytest.approx(inverse, rel=1e-12)
+
+
+def test_level_one_weights_probe_inside_a_group():
+    flat = MatrixWeight(d=1, n=1, level=1, cells=np.array([[[3.0]], [[5.0]]]))
+    w0 = MatrixWeight(d=1, n=1, level=0, cells=np.ones((1, 1, 1)))
+    weights = [two_cell_weight(), w0, flat]
+    probes = sharpness_probes([(w, build_reducing_family(w, 2.0)) for w in weights])
+    assert isinstance(probes[1], ShapeError)
+    for probe in (probes[0], probes[2]):  # one coefficient: G = B, both ratios 1
+        assert probe.size == 1
+        assert probe.max_ratio == pytest.approx(1.0, rel=1e-15)
+        assert probe.max_inverse_ratio == pytest.approx(1.0, rel=1e-15)
+
+
+def test_a_capped_column_fails_only_its_own_pair(monkeypatch):
+    fast, slow = rotating_weight(level=8), clustered_weight(8)
+    pairs = [(w, build_reducing_family(w, 2.0)) for w in (slow, fast)]
+    alone = sharpness_probe(*pairs[1])
+    # rotating_weight(8) converges in 29 / 16 matvecs, clustered_weight(8)
+    # needs 901 / 1356
+    monkeypatch.setattr(analysis, "_MAX_MATVECS", 100)
+    capped, probe = sharpness_probes(pairs)
+    assert isinstance(capped, EigenConvergenceError)
+    assert "cap of 100 matvecs" in str(capped)
+    assert probe.size == alone.size
+    assert probe.max_ratio == pytest.approx(alone.max_ratio, rel=1e-14)
+    assert probe.max_inverse_ratio == pytest.approx(alone.max_inverse_ratio, rel=1e-14)
 
 
 def test_loglog_slope_recovers_power_law():

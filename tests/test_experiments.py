@@ -185,14 +185,13 @@ def test_calibration_groups_by_the_realized_weight(tmp_path):
 def test_failing_rotating_sharpness_point_is_a_cell_failure(tmp_path, monkeypatch):
     import haarweight.experiments as experiments
 
-    probe = experiments.sharpness_probe
+    probes = experiments.sharpness_probes
 
-    def flaky(weight, *args, **kwargs):
-        if weight.n == 2:
-            raise RuntimeError("no convergence")
-        return probe(weight, *args, **kwargs)
+    def flaky(pairs):
+        return [RuntimeError("no convergence") if w.n == 2 else probe
+                for (w, _), probe in zip(pairs, probes(pairs))]
 
-    monkeypatch.setattr(experiments, "sharpness_probe", flaky)
+    monkeypatch.setattr(experiments, "sharpness_probes", flaky)
     cfg = tiny_config(tmp_path / "out", experiments=("haar", "sharpness"))
     result = run_experiments(cfg)
     cells = [f.cell for f in result.failures]
@@ -259,16 +258,18 @@ def test_alpha_sweep_lists_an_unconverged_probe_under_failed(monkeypatch):
     import haarweight.analysis as analysis
     import haarweight.experiments as experiments
 
-    probe = experiments.sharpness_probe
+    probes = experiments.sharpness_probes
 
-    def capped(weight, family):
-        if weight.meta["params"]["alpha"] != -0.8:
-            return probe(weight, family)
-        with monkeypatch.context() as m:
-            m.setattr(analysis, "_MAX_MATVECS", 2)
-            return probe(weight, family)
+    def capped(pairs):
+        out = probes(pairs)
+        for i, (weight, family) in enumerate(pairs):
+            if weight.meta["params"]["alpha"] == -0.8:
+                with monkeypatch.context() as m:
+                    m.setattr(analysis, "_MAX_MATVECS", 2)
+                    (out[i],) = probes([(weight, family)])
+        return out
 
-    monkeypatch.setattr(experiments, "sharpness_probe", capped)
+    monkeypatch.setattr(experiments, "sharpness_probes", capped)
     rep = alpha_sweep_report(ExperimentConfig(
         sweep_alphas=(0.5, -0.5, -0.8, 0.3), sweep_level=5, count=5, seed=1))
     assert [f["alpha"] for f in rep["failed"]] == [-0.8]
@@ -288,3 +289,66 @@ def test_alpha_sweep_report_shape():
         assert np.isfinite(rep[key]["slope"])
     assert rep["char_decades"] == pytest.approx(
         np.log10(max(chars) / min(chars)))
+
+
+def test_probe_groups_make_one_operator_call_per_lock_step(monkeypatch, caplog):
+    import logging
+
+    import haarweight.analysis as analysis
+
+    calls = {"forward": 0, "inverse": 0}
+    make_ops = analysis._probe_operators
+
+    def counted(pairs):
+        forward, inverse, size = make_ops(pairs)
+
+        def count(name, op):
+            def wrapped(x, cols):
+                calls[name] += 1
+                return op(x, cols)
+            return wrapped
+
+        return count("forward", forward), count("inverse", inverse), size
+
+    monkeypatch.setattr(analysis, "_probe_operators", counted)
+    with caplog.at_level(logging.DEBUG, logger="haarweight"):
+        rep = alpha_sweep_report(ExperimentConfig(
+            sweep_alphas=(0.5, -0.5, -0.8, -0.9), sweep_level=6, count=5, seed=1))
+    matvecs = [r.args[1] for r in caplog.records if r.name == "haarweight.analysis"]
+    assert not rep["failed"]
+    # one group: its four forward columns converge before the inverse run
+    assert len(matvecs) == 8
+    assert calls == {"forward": max(matvecs[:4]), "inverse": max(matvecs[4:])}
+
+
+def test_rotating_point_reuses_a_suite_weight_with_its_cells(tmp_path, monkeypatch):
+    import haarweight.experiments as experiments
+
+    rot = WeightSpec("rot", family="rotating", d=1, n=2, level=5,
+                     params={"alpha": 0.6})
+    probed = []
+    probes = experiments.sharpness_probes
+
+    def recording(pairs):
+        probed.extend(pairs)
+        return probes(pairs)
+
+    monkeypatch.setattr(experiments, "sharpness_probes", recording)
+
+    def sweep(weights):
+        out = tmp_path / str(len(weights))
+        out.mkdir()
+        ctx = RunContext(tiny_config(out, experiments=("sharpness",), weights=weights))
+        result = experiments.RunResult(out_dir=out)
+        experiments._run_sharpness(ctx, out, result)
+        assert result.ok
+        return ctx, (out / "sharpness_sweep.csv").read_text()
+
+    ctx, with_rot = sweep((rot,))
+    assert any(w is ctx.weight("rot") and fam is ctx.family("rot", 2.0)
+               for w, fam in probed)
+    assert ctx.same_cells(make_weight(WeightFamily(
+        "rotating", 1, 2, 5, params={"alpha": 0.3}))) is None
+    # the rows read the same whether the point reuses the suite weight or not
+    _, without = sweep(tiny_config("unused").weights)
+    assert with_rot == without
