@@ -21,6 +21,7 @@ sum below runs over detail cubes only.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -37,7 +38,6 @@ from .dyadic import (
     refine_to_cells,
 )
 from .errors import (
-    CoverageError,
     EigenConvergenceError,
     HaarweightError,
     ParameterError,
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .reducing import ReducingFamily, conjugate_exponent
 from .stopping import GenerationTree, split_generations
-from .multipliers import apply_symbols, t_blocks
+from .multipliers import apply_symbols, check_coverage, t_blocks
 from .weights import MatrixWeight, weighted_lp_norm
 
 __all__ = [
@@ -389,7 +389,8 @@ def _columnwise(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 def _check_probe_pair(weight: MatrixWeight, family: ReducingFamily):
     """ShapeError for a level-0 weight, ParameterError unless family is the
-    weight's p=2 family, CoverageError if it stops short of level L - 1."""
+    weight's p=2 family, CoverageError (check_coverage) if it stops short of
+    level L - 1."""
     d, n, level = weight.d, weight.n, weight.level
     if level < 1:
         raise ShapeError("a level-0 weight has no detail coefficients to probe")
@@ -398,11 +399,7 @@ def _check_probe_pair(weight: MatrixWeight, family: ReducingFamily):
             f"the probe needs the p=2 family of its weight, (d, n, L) = {d, n, level}; "
             f"got p={family.p} on {family.d, family.n, family.level}"
         )
-    if family.max_depth < level - 1:
-        raise CoverageError(
-            f"coefficients need symbols to level {level - 1}, "
-            f"family has {family.max_depth}"
-        )
+    check_coverage(family.v, level)
 
 
 def _probe_operators(pairs):
@@ -421,7 +418,9 @@ def _probe_operators(pairs):
     Pair i owns column i: its cells, W_c^{-1}, M0, V_I and V_I^{-1} are
     stacked on a trailing column axis, and one Haar pyramid serves every
     column. forward(x, cols) and inverse(x, cols) take a (size, len(cols))
-    block whose columns belong to the pairs numbered cols.
+    block whose columns belong to the pairs numbered cols. Each direction
+    cuts its stacks to cols once per active set, which changes only when a
+    column converges; the whole group is a view, not a copy.
     """
     weight = pairs[0][0]
     d, n, level = weight.d, weight.n, weight.level
@@ -429,9 +428,20 @@ def _probe_operators(pairs):
     winvs = [w.power_cells(-1.0) for w, _ in pairs]
     wc = np.stack([w.cells for w, _ in pairs], axis=-1)
     winv = np.stack(winvs, axis=-1)
-    m0 = np.stack([a.mean(axis=cells) for a in winvs])
+    m0 = np.stack([a.mean(axis=cells) for a in winvs], axis=-1)
     v = [np.stack([f.v[l] for _, f in pairs], axis=-1) for l in range(level)]
     v_inv = [np.stack([f.v_inv[l] for _, f in pairs], axis=-1) for l in range(level)]
+    everyone = tuple(range(len(pairs)))
+
+    def columns(stacks):
+        @functools.lru_cache(maxsize=1)
+        def take(cols):
+            idx = slice(None) if cols == everyone else list(cols)
+            return [a[..., idx] for a in stacks]
+
+        return lambda cols: take(tuple(cols))
+
+    forward_stacks, inverse_stacks = columns([wc, *v_inv]), columns([winv, m0, *v])
     shapes = [((1 << l),) * d + ((1 << d) - 1, n) for l in range(level)]
     bounds = np.cumsum([0] + [math.prod(sh) for sh in shapes])
 
@@ -449,16 +459,16 @@ def _probe_operators(pairs):
                                for a, b in zip(s, f.detail)])
 
     def forward(x, cols):
-        vi = [a[..., cols] for a in v_inv]
-        return analyze(wc[..., cols], synth(x, vi), vi)
+        w, *vi = forward_stacks(cols)
+        return analyze(w, synth(x, vi), vi)
 
     def inverse(x, cols):
-        vc, wi = [a[..., cols] for a in v], winv[..., cols]
+        wi, m, *vc = inverse_stacks(cols)
         h = synth(x, vc)
         g = _columnwise(wi, h)
         # one reduction per column: a column's sum runs in the order it has alone
         r = np.stack([g[..., c].mean(axis=cells) for c in range(len(cols))])
-        h = h - np.linalg.solve(m0[cols], r[..., None])[..., 0].T
+        h = h - np.linalg.solve(np.moveaxis(m, -1, 0), r[..., None])[..., 0].T
         return analyze(wi, h, vc)
 
     return forward, inverse, int(bounds[-1])
@@ -583,8 +593,10 @@ def sharpness_probes(pairs) -> list:
     _MAX_MATVECS (5000) operator applications gives EigenConvergenceError.
 
     Returns one entry per pair, in input order: its SharpnessProbe, or the
-    exception that stopped it. The sweeps record such an entry as a failed
-    point.
+    exception that stopped it. Any other exception raised while a group is
+    probed (a LinAlgError, a MemoryError) takes the place of every pair of
+    that group, and the other groups still run. The sweeps record such an
+    entry as a failed point.
     """
     out = [None] * len(pairs)
     groups = {}
@@ -596,21 +608,31 @@ def sharpness_probes(pairs) -> list:
             continue
         groups.setdefault((weight.d, weight.n, weight.level), []).append(i)
     for members in groups.values():
-        forward, inverse, size = _probe_operators([pairs[i] for i in members])
-        tops = _largest_eigenvalues(forward, size, len(members))
-        alive = np.array([c for c, top in enumerate(tops)
-                          if not isinstance(top, Exception)], dtype=int)
-        inverse_tops = _largest_eigenvalues(
-            lambda x, cols: inverse(x, alive[cols]), size, alive.size)
-        for c, top in zip(alive, inverse_tops):
-            tops[c] = top if isinstance(top, Exception) else SharpnessProbe(
-                max_ratio=math.sqrt(tops[c]),
-                max_inverse_ratio=math.sqrt(top),
-                size=size,
-            )
-        for i, probe in zip(members, tops):
+        try:
+            probes = _probe_group([pairs[i] for i in members])
+        except Exception as exc:  # e.g. LinAlgError, MemoryError: this group only
+            probes = [exc] * len(members)
+        for i, probe in zip(members, probes):
             out[i] = probe
     return out
+
+
+def _probe_group(group) -> list:
+    """sharpness_probes on checked pairs that share one grid: the forward
+    columns, then the inverse columns of the pairs whose forward converged."""
+    forward, inverse, size = _probe_operators(group)
+    tops = _largest_eigenvalues(forward, size, len(group))
+    alive = np.array([c for c, top in enumerate(tops)
+                      if not isinstance(top, Exception)], dtype=int)
+    inverse_tops = _largest_eigenvalues(
+        lambda x, cols: inverse(x, alive[cols]), size, alive.size)
+    for c, top in zip(alive, inverse_tops):
+        tops[c] = top if isinstance(top, Exception) else SharpnessProbe(
+            max_ratio=math.sqrt(tops[c]),
+            max_inverse_ratio=math.sqrt(top),
+            size=size,
+        )
+    return tops
 
 
 def sharpness_probe(weight: MatrixWeight, family: ReducingFamily) -> SharpnessProbe:

@@ -100,15 +100,6 @@ class RunContext:
             groups.setdefault((weight.d, weight.n), []).append(w.name)
         return groups
 
-    def same_cells(self, weight):
-        """The name of the first suite weight that realizes weight's cells on
-        its grid (d, n, level), or None."""
-        for name in self.signatures().get((weight.d, weight.n), ()):
-            w = self.weight(name)
-            if w.level == weight.level and np.array_equal(w.cells, weight.cells):
-                return name
-        return None
-
     def calibration(self, d: int, n: int, p: float):
         """Shared thresholds, calibrated over all suite weights with this
         signature (constant-direction tests scale with n and d)."""
@@ -175,11 +166,15 @@ def _isolate(fn, keys):
 def _probed(build, keys):
     """The p=2 sharpness probe of one weight per key: build(key) returns
     (weight, its p=2 family, ...) under _isolate, and one sharpness_probes
-    call probes every cell that built. Returns (key, built, probe) for each
+    call probes every cell that built; if that call raises, each of those
+    cells fails with its error. Returns (key, built, probe) for each
     cell that survived both steps and (key, repr(error)) for each that did
     not, each in key order."""
     built, failed = _isolate(lambda i: (i, build(keys[i])), range(len(keys)))
-    probes = sharpness_probes([b[:2] for _, b in built])
+    try:
+        probes = sharpness_probes([b[:2] for _, b in built])
+    except Exception as exc:  # isolation, as in _isolate: every probed cell fails
+        probes = [exc] * len(built)
     failed += [(i, repr(p)) for (i, _), p in zip(built, probes)
                if isinstance(p, Exception)]
     done = [(keys[i], b, p) for (i, b), p in zip(built, probes)
@@ -445,11 +440,7 @@ def _run_sharpness(ctx: RunContext, out: Path, result: RunResult):
             WeightFamily("rotating", 1, 2, min(cfg.sweep_level, 7),
                          params={"alpha": alpha}, seed=cfg.seed)
         )
-        name = ctx.same_cells(w)
-        if name is not None:
-            w, fam = ctx.weight(name), ctx.family(name, 2.0)
-        else:
-            fam = build_reducing_family(w, 2.0)
+        fam = build_reducing_family(w, 2.0)
         return w, fam, fam.characteristic()
 
     done, failed = _probed(rotating, (0.3, 0.6, 0.9))

@@ -34,17 +34,23 @@ __all__ = [
 ]
 
 
+def check_coverage(symbols: list, levels: int):
+    """CoverageError unless symbols has one level for each of the levels
+    detail levels of the coefficients it is to act on."""
+    if len(symbols) < levels:
+        raise CoverageError(
+            f"coefficients need symbols to level {levels - 1}, "
+            f"family has {len(symbols) - 1}"
+        )
+
+
 def apply_symbols(symbols: list, detail: list) -> list:
     """Per level, each cube's symbol applied to every detail coefficient of
     that cube: symbols[l] has shape (2^l,)*d + (n, n), detail[l] the shape of
     HaarCoefficients.detail[l], batch axes included. Symbol levels beyond the
     detail levels go unused; fewer symbol levels than detail levels raise
-    CoverageError."""
-    if len(symbols) < len(detail):
-        raise CoverageError(
-            f"coefficients need symbols to level {len(detail) - 1}, "
-            f"family has {len(symbols) - 1}"
-        )
+    CoverageError (check_coverage)."""
+    check_coverage(symbols, len(detail))
     out = []
     for s, b in zip(symbols, detail):
         cols = b.reshape(b.shape[: s.ndim - 1] + (s.shape[-1], -1))

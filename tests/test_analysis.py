@@ -11,6 +11,7 @@ import scipy.linalg
 
 from cubes import Cube
 from haarweight import (
+    CoverageError,
     EigenConvergenceError,
     HaarCoefficients,
     MatrixWeight,
@@ -410,6 +411,11 @@ def test_probe_needs_the_p2_family_of_its_own_weight():
     coarse = coarsened(w, 4)
     with pytest.raises(ParameterError, match="p=2 family"):
         sharpness_probe(w, build_reducing_family(coarse, 2.0))
+    # the details run to level L - 1 = 4: a family to depth 3 falls short
+    with pytest.raises(CoverageError, match="to level 4, family has 3"):
+        sharpness_probe(w, build_reducing_family(w, 2.0, max_depth=3))
+    assert sharpness_probe(w, build_reducing_family(w, 2.0, max_depth=4)) == \
+        sharpness_probe(w, build_reducing_family(w, 2.0))
 
 
 def test_lanczos_logs_one_debug_record(caplog):
@@ -484,6 +490,27 @@ def test_a_capped_column_fails_only_its_own_pair(monkeypatch):
     assert probe.size == alone.size
     assert probe.max_ratio == pytest.approx(alone.max_ratio, rel=1e-14)
     assert probe.max_inverse_ratio == pytest.approx(alone.max_inverse_ratio, rel=1e-14)
+
+
+def test_a_group_that_raises_fails_only_its_own_pairs(monkeypatch):
+    weights = [power_weight(0.5, 6), rotating_weight(level=6), power_weight(-0.9, 6),
+               make_weight(WeightFamily("rotating", 1, 2, 6, params={"alpha": 0.9}))]
+    pairs = [(w, build_reducing_family(w, 2.0)) for w in weights]
+    alone = [sharpness_probe(*pair) for pair in pairs[::2]]
+    make_ops = analysis._probe_operators
+
+    def singular(group):
+        if group[0][0].n == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return make_ops(group)
+
+    monkeypatch.setattr(analysis, "_probe_operators", singular)
+    probes = sharpness_probes(pairs)
+    assert [type(p) for p in probes[1::2]] == [np.linalg.LinAlgError] * 2
+    for probe, ref in zip(probes[::2], alone):
+        assert probe == ref
+    with pytest.raises(np.linalg.LinAlgError):
+        sharpness_probe(*pairs[1])
 
 
 def test_loglog_slope_recovers_power_law():

@@ -188,8 +188,9 @@ def test_failing_rotating_sharpness_point_is_a_cell_failure(tmp_path, monkeypatc
     probes = experiments.sharpness_probes
 
     def flaky(pairs):
-        return [RuntimeError("no convergence") if w.n == 2 else probe
-                for (w, _), probe in zip(pairs, probes(pairs))]
+        if any(w.n == 2 for w, _ in pairs):
+            raise RuntimeError("no convergence")
+        return probes(pairs)
 
     monkeypatch.setattr(experiments, "sharpness_probes", flaky)
     cfg = tiny_config(tmp_path / "out", experiments=("haar", "sharpness"))
@@ -320,35 +321,3 @@ def test_probe_groups_make_one_operator_call_per_lock_step(monkeypatch, caplog):
     assert len(matvecs) == 8
     assert calls == {"forward": max(matvecs[:4]), "inverse": max(matvecs[4:])}
 
-
-def test_rotating_point_reuses_a_suite_weight_with_its_cells(tmp_path, monkeypatch):
-    import haarweight.experiments as experiments
-
-    rot = WeightSpec("rot", family="rotating", d=1, n=2, level=5,
-                     params={"alpha": 0.6})
-    probed = []
-    probes = experiments.sharpness_probes
-
-    def recording(pairs):
-        probed.extend(pairs)
-        return probes(pairs)
-
-    monkeypatch.setattr(experiments, "sharpness_probes", recording)
-
-    def sweep(weights):
-        out = tmp_path / str(len(weights))
-        out.mkdir()
-        ctx = RunContext(tiny_config(out, experiments=("sharpness",), weights=weights))
-        result = experiments.RunResult(out_dir=out)
-        experiments._run_sharpness(ctx, out, result)
-        assert result.ok
-        return ctx, (out / "sharpness_sweep.csv").read_text()
-
-    ctx, with_rot = sweep((rot,))
-    assert any(w is ctx.weight("rot") and fam is ctx.family("rot", 2.0)
-               for w, fam in probed)
-    assert ctx.same_cells(make_weight(WeightFamily(
-        "rotating", 1, 2, 5, params={"alpha": 0.3}))) is None
-    # the rows read the same whether the point reuses the suite weight or not
-    _, without = sweep(tiny_config("unused").weights)
-    assert with_rot == without
