@@ -32,6 +32,8 @@ import numpy as np
 from .dyadic import (
     GridFunction,
     HaarCoefficients,
+    _levels,
+    _rows,
     haar_reconstruct,
     haar_transform,
     lp_norm,
@@ -45,7 +47,7 @@ from .errors import (
 )
 from .reducing import ReducingFamily, conjugate_exponent
 from .stopping import GenerationTree, split_generations
-from .multipliers import apply_symbols, check_coverage, t_blocks
+from .multipliers import apply_symbols, check_coverage, check_dims, t_blocks
 from .weights import MatrixWeight, weighted_lp_norm
 
 __all__ = [
@@ -117,16 +119,6 @@ def random_mean_zero_batch(
     )
 
 
-def _check_pair(f: HaarCoefficients, family: ReducingFamily):
-    """ShapeError unless f and the family share (d, n); apply_symbols checks
-    that the family reaches every detail level of f."""
-    if (f.d, f.n) != (family.d, family.n):
-        raise ShapeError(
-            f"coefficients (d={f.d}, n={f.n}) do not match family "
-            f"(d={family.d}, n={family.n})"
-        )
-
-
 def _aggregate_squares(symbols: list, f: HaarCoefficients) -> np.ndarray:
     """Cellwise sum of |S_I f_I^eps|^2 / |I| over all detail cubes: shape
     (2^L,)*d + batch, one value per cell and column."""
@@ -145,7 +137,7 @@ def _scalar_function(f: HaarCoefficients, squares: np.ndarray) -> GridFunction:
 
 def square_function(f: HaarCoefficients, family: ReducingFamily) -> GridFunction:
     """Pointwise square function with the family's V_I symbols, exact on cells."""
-    _check_pair(f, family)
+    check_dims(f, family)
     return _scalar_function(f, _aggregate_squares(family.v, f))
 
 
@@ -157,7 +149,7 @@ def square_norm(f: HaarCoefficients, family: ReducingFamily, p: float):
 def dual_square_norm(f: HaarCoefficients, family: ReducingFamily, p: float):
     """Square norm with inverse symbols V_I^{-1}, measured at the conjugate
     exponent p'; one per column of a batch."""
-    _check_pair(f, family)
+    check_dims(f, family)
     squares = _aggregate_squares(family.v_inv, f)
     return lp_norm(_scalar_function(f, squares), conjugate_exponent(p))
 
@@ -381,19 +373,23 @@ class SharpnessProbe:
 def _columnwise(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Column c of vecs times matrix c of mats: mats has shape
     cubes + (n, n, k), vecs cubes + (..., n, k), and each middle axis of vecs
-    (the Haar signatures of a detail block) meets the same matrices."""
+    (the Haar signatures of a detail block) meets the same matrices. Unlike
+    weights.apply_cells, which applies one shared matrix per cube to every
+    column, each column here has its own matrix: one per probed weight."""
     mats = mats.reshape(mats.shape[:-3] + (1,) * (vecs.ndim - mats.ndim + 1)
                         + mats.shape[-3:])
     return np.einsum("...ijk,...jk->...ik", mats, vecs)
 
 
-def _check_probe_pair(weight: MatrixWeight, family: ReducingFamily):
-    """ShapeError for a level-0 weight, ParameterError unless family is the
-    weight's p=2 family, CoverageError (check_coverage) if it stops short of
-    level L - 1."""
+def _check_probe_pair(weight: MatrixWeight, family: ReducingFamily, grid):
+    """ShapeError for a level-0 weight or one off the grid (d, n, L) (None:
+    any grid), ParameterError unless family is the weight's p=2 family,
+    CoverageError (check_coverage) if it stops short of level L - 1."""
     d, n, level = weight.d, weight.n, weight.level
     if level < 1:
         raise ShapeError("a level-0 weight has no detail coefficients to probe")
+    if grid not in (None, (d, n, level)):
+        raise ShapeError(f"weight on (d, n, L) = {d, n, level}, probe grid {grid}")
     if (family.p, family.d, family.n, family.level) != (2.0, d, n, level):
         raise ParameterError(
             f"the probe needs the p=2 family of its weight, (d, n, L) = {d, n, level}; "
@@ -403,11 +399,11 @@ def _check_probe_pair(weight: MatrixWeight, family: ReducingFamily):
 
 
 def _probe_operators(pairs):
-    """(forward, inverse, size): C = S G S and C^{-1} for a group of weights
-    on one grid, as O(size) pyramid matvecs on (size, k) column blocks.
+    """(forward, inverse, size): C = S G S and C^{-1} for weights on one
+    grid, as O(size) pyramid matvecs on (size, k) column blocks.
 
-    pairs lists (weight, family) that share (d, n, L) and pass
-    _check_probe_pair. For one weight, G = H^T W_c H is the Gram matrix of
+    pairs lists (weight, family) that pass _check_probe_pair on one grid.
+    For one weight, G = H^T W_c H is the Gram matrix of
     ||f||_{L^2(W)}^2 on its grid (cells W_c, H detail-only synthesis) and
     S = blockdiag(V_I^{-1}), with V_I and V_I^{-1} read from the weight's
     p=2 family. The Schur complement over the constant function gives
@@ -418,9 +414,10 @@ def _probe_operators(pairs):
     Pair i owns column i: its cells, W_c^{-1}, M0, V_I and V_I^{-1} are
     stacked on a trailing column axis, and one Haar pyramid serves every
     column. forward(x, cols) and inverse(x, cols) take a (size, len(cols))
-    block whose columns belong to the pairs numbered cols. Each direction
-    cuts its stacks to cols once per active set, which changes only when a
-    column converges; the whole group is a view, not a copy.
+    block, rows on the level-row axis, whose columns belong to the pairs
+    numbered cols. Each direction cuts its stacks to cols once per active
+    set, which changes only when a column converges; with every column
+    active the cut is a view, not a copy.
     """
     weight = pairs[0][0]
     d, n, level = weight.d, weight.n, weight.level
@@ -442,21 +439,18 @@ def _probe_operators(pairs):
         return lambda cols: take(tuple(cols))
 
     forward_stacks, inverse_stacks = columns([wc, *v_inv]), columns([winv, m0, *v])
-    shapes = [((1 << l),) * d + ((1 << d) - 1, n) for l in range(level)]
-    bounds = np.cumsum([0] + [math.prod(sh) for sh in shapes])
 
     def synth(x, s):  # h = H S x
         k = x.shape[-1]
-        blocks = [x[bounds[l]:bounds[l + 1]].reshape(shapes[l] + (k,))
-                  for l in range(level)]
+        blocks = _levels(x.reshape(-1, (1 << d) - 1, n, k), d)
         c = HaarCoefficients(d, n, level, np.zeros((n, k)),
                              [_columnwise(a, b) for a, b in zip(s, blocks)])
         return haar_reconstruct(c).values
 
     def analyze(mats, g, s):  # S H^T (mats g)
         f = haar_transform(GridFunction(d, n, level, _columnwise(mats, g)))
-        return np.concatenate([_columnwise(a, b).reshape(-1, g.shape[-1])
-                               for a, b in zip(s, f.detail)])
+        return _rows([_columnwise(a, b) for a, b in zip(s, f.detail)],
+                     d).reshape(-1, g.shape[-1])
 
     def forward(x, cols):
         w, *vi = forward_stacks(cols)
@@ -471,7 +465,7 @@ def _probe_operators(pairs):
         h = h - np.linalg.solve(np.moveaxis(m, -1, 0), r[..., None])[..., 0].T
         return analyze(wi, h, vc)
 
-    return forward, inverse, int(bounds[-1])
+    return forward, inverse, n * ((1 << level * d) - 1)
 
 
 _BASIS = 20  # Lanczos vectors per cycle: ARPACK's default ncv for one eigenvalue
@@ -572,75 +566,63 @@ def _largest_eigenvalues(op, size: int, k: int) -> list:
 
 def sharpness_probes(pairs) -> list:
     """Solve the p=2 generalized Rayleigh problem exactly, matrix-free, for
-    every (weight, family) pair.
+    every (weight, family) pair of one grid.
 
     With G the Gram matrix of ||f||_{L^2(W)}^2 in coefficient coordinates and
     B the block diagonal of m_I W, the extreme eigenvalues of (G, B) are the
     squared extremal ratios in both directions. B^{1/2} = blockdiag(V_I) and
     its inverse come from the pair's family, the weight's p=2 family: any
     other family gives ParameterError, and one that stops short of level
-    L - 1 gives CoverageError; a level-0 weight gives ShapeError.
+    L - 1 gives CoverageError; a level-0 weight gives ShapeError. The first
+    pair that passes these checks fixes the grid (d, n, L), and a later
+    weight off that grid gives ShapeError too.
 
-    The pairs are grouped by the grid (d, n, L) of their weights. Each group
-    takes two `_largest_eigenvalues` runs on `_probe_operators`, one column
-    per pair: first the largest eigenvalues of B^{-1/2} G B^{-1/2}, then
-    those of its inverse for the pairs whose forward run converged. Each is
-    thick-restart Lanczos with a 20-vector basis, full reorthogonalization
-    and restarts from the top 8 Ritz vectors plus the residual, from the
-    fixed start np.ones(size), until the Ritz residual is at most
-    eps * theta; the columns of a group run in lock step, so one operator
-    call serves all of them. A column that has not converged after
+    The checked pairs take two `_largest_eigenvalues` runs (thick-restart
+    Lanczos from the fixed start np.ones(size)) on `_probe_operators`, one
+    column per pair, all in lock step: first the largest eigenvalues of
+    B^{-1/2} G B^{-1/2}, then those of its inverse for the pairs whose
+    forward run converged. A column that has not converged after
     _MAX_MATVECS (5000) operator applications gives EigenConvergenceError.
 
     Returns one entry per pair, in input order: its SharpnessProbe, or the
-    exception that stopped it. Any other exception raised while a group is
-    probed (a LinAlgError, a MemoryError) takes the place of every pair of
-    that group, and the other groups still run. The sweeps record such an
-    entry as a failed point.
+    exception that stopped it. Any other exception raised while probing (a
+    LinAlgError, a MemoryError) takes the place of every checked pair. The
+    sweeps record such an entry as a failed point.
     """
-    out = [None] * len(pairs)
-    groups = {}
+    out, checked, grid = [None] * len(pairs), [], None
     for i, (weight, family) in enumerate(pairs):
         try:
-            _check_probe_pair(weight, family)
+            _check_probe_pair(weight, family, grid)
         except HaarweightError as exc:
             out[i] = exc
             continue
-        groups.setdefault((weight.d, weight.n, weight.level), []).append(i)
-    for members in groups.values():
-        try:
-            probes = _probe_group([pairs[i] for i in members])
-        except Exception as exc:  # e.g. LinAlgError, MemoryError: this group only
-            probes = [exc] * len(members)
-        for i, probe in zip(members, probes):
-            out[i] = probe
+        grid = (weight.d, weight.n, weight.level)
+        checked.append(i)
+    if not checked:
+        return out
+    try:
+        forward, inverse, size = _probe_operators([pairs[i] for i in checked])
+        tops = _largest_eigenvalues(forward, size, len(checked))
+        alive = np.array([c for c, top in enumerate(tops)
+                          if not isinstance(top, Exception)], dtype=int)
+        inverse_tops = _largest_eigenvalues(
+            lambda x, cols: inverse(x, alive[cols]), size, alive.size)
+        for c, top in zip(alive, inverse_tops):
+            tops[c] = top if isinstance(top, Exception) else SharpnessProbe(
+                math.sqrt(tops[c]), math.sqrt(top), size)
+    except Exception as exc:  # e.g. LinAlgError, MemoryError: every checked pair
+        tops = [exc] * len(checked)
+    for i, probe in zip(checked, tops):
+        out[i] = probe
     return out
-
-
-def _probe_group(group) -> list:
-    """sharpness_probes on checked pairs that share one grid: the forward
-    columns, then the inverse columns of the pairs whose forward converged."""
-    forward, inverse, size = _probe_operators(group)
-    tops = _largest_eigenvalues(forward, size, len(group))
-    alive = np.array([c for c, top in enumerate(tops)
-                      if not isinstance(top, Exception)], dtype=int)
-    inverse_tops = _largest_eigenvalues(
-        lambda x, cols: inverse(x, alive[cols]), size, alive.size)
-    for c, top in zip(alive, inverse_tops):
-        tops[c] = top if isinstance(top, Exception) else SharpnessProbe(
-            max_ratio=math.sqrt(tops[c]),
-            max_inverse_ratio=math.sqrt(top),
-            size=size,
-        )
-    return tops
 
 
 def sharpness_probe(weight: MatrixWeight, family: ReducingFamily) -> SharpnessProbe:
     """The exact extremal p=2 ratios of one weight over all mean-zero f.
 
-    This is `sharpness_probes` on the one pair (weight, family), a group of
-    one column: the same operators, Lanczos rules and cap. Where the grouped
-    entry returns an error in place, this raises it: ShapeError for a
+    This is `sharpness_probes` on the one pair (weight, family), one
+    column: the same operators, Lanczos rules and cap. Where the list entry
+    returns an error in place, this raises it: ShapeError for a
     level-0 weight, ParameterError unless family is the weight's p=2 family,
     CoverageError for a family short of level L - 1, and
     EigenConvergenceError for a direction that hits _MAX_MATVECS.

@@ -97,15 +97,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment ids {sorted(unknown)}; known: {EXPERIMENT_IDS}"
             )
-        if len(set(self.experiments)) != len(self.experiments):
-            raise ConfigError(
-                f"duplicate experiment ids in config: {list(self.experiments)}"
-            )
+        _check_unique("experiment ids", self.experiments)
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         for p in self.ps:
             if not 1.0 < p < math.inf:
                 raise ConfigError(f"exponents must exceed 1 and be finite, got {p}")
+        _check_unique("ps", self.ps)
         if not self.spectra:
             raise ConfigError("spectra must name at least one spectrum")
         bad = set(self.spectra) - set(SPECTRA)
@@ -120,9 +118,9 @@ class ExperimentConfig:
         for g in self.grids:
             if len(g) != 3 or g[0] < 1 or g[1] < 1 or g[2] < 0:
                 raise ConfigError(f"grids entries are (d, n, L) triples, got {g!r}")
-        names = [w.name for w in self.weights]
-        if len(names) != len(set(names)):
-            raise ConfigError(f"duplicate weight names in config: {names}")
+        _check_unique("grids", self.grids)
+        _check_unique("weight names", [w.name for w in self.weights])
+        _check_unique("sweep_alphas", self.sweep_alphas)
         for w in self.weights:
             if w.file is not None:
                 blank = WeightSpec(w.name, file=w.file)
@@ -133,11 +131,22 @@ class ExperimentConfig:
                 _check_family(w.family, w.params)
             except ParameterError as exc:
                 raise ConfigError(f"weight {w.name!r}: {exc}") from exc
+            if not isinstance(w.seed, int) or w.seed < 0:
+                raise ConfigError(f"weight {w.name!r}: seed must be a "
+                                  f"non-negative integer, got {w.seed!r}")
         lams = (self.stopping_lambda1, self.stopping_lambda2)
         if (lams[0] is None) != (lams[1] is None):
             raise ConfigError("stopping_lambda1 and stopping_lambda2 come as a pair")
         if lams[0] is not None and (lams[0] <= 1.0 or lams[1] <= 1.0):
             raise ConfigError(f"stopping threshold overrides must exceed 1, got {lams}")
+
+
+def _check_unique(what: str, values) -> None:
+    """ConfigError naming each value that values lists more than once."""
+    values = list(values)
+    dups = list(dict.fromkeys(v for i, v in enumerate(values) if v in values[:i]))
+    if dups:
+        raise ConfigError(f"duplicate {what} in config: {dups}")
 
 
 # the WeightSpec fields that a weight read from a file takes from the file

@@ -68,7 +68,7 @@ def sign_matrix(d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# block reshaping helpers (shared by transforms, weights, stopping, acceptance)
+# block reshaping and the level-row axis (shared across the modules)
 
 
 def _blocks(a: np.ndarray, d: int, b: int) -> np.ndarray:
@@ -97,6 +97,24 @@ def _cube_blocks(cells: np.ndarray, d: int, l: int) -> np.ndarray:
     """(2^L,)*d + tail -> (cubes at level l, cells per cube) + tail."""
     b = _blocks(cells, d, cells.shape[0] >> l)
     return b.reshape((1 << l * d,) + b.shape[d:])
+
+
+def _rows(levels: list, d: int) -> np.ndarray:
+    """The level-row axis: per-level arrays (2^l,)*d + tail stacked on one
+    row axis, level by level, each level in index order."""
+    return np.concatenate([a.reshape((-1,) + a.shape[d:]) for a in levels])
+
+
+def _levels(rows: np.ndarray, d: int) -> list:
+    """Cut a (cubes,) + tail row array back into per-level (2^l,)*d + tail
+    views, as many levels as the rows fill: the inverse of _rows."""
+    out, start = [], 0
+    while start < rows.shape[0]:
+        size = 1 << (len(out) * d)
+        shape = ((1 << len(out)),) * d + rows.shape[1:]
+        out.append(rows[start : start + size].reshape(shape))
+        start += size
+    return out
 
 
 def mean_pyramid(cells: np.ndarray, d: int) -> list:
@@ -287,6 +305,12 @@ def haar_exactness_errors(f: GridFunction) -> tuple:
     return roundtrip.reshape(f.batch), parseval.reshape(f.batch)
 
 
+def check_exponent(p: float) -> None:
+    """ParameterError unless the exponent p is finite and exceeds 1."""
+    if not 1.0 < p < np.inf:
+        raise ParameterError(f"exponent must satisfy 1 < p < inf, got {p}")
+
+
 def lp_norm(f: GridFunction, p: float):
     """L^p norm of the piecewise-constant function, exact cell sum.
 
@@ -294,8 +318,7 @@ def lp_norm(f: GridFunction, p: float):
     one norm per column. Each column's cells are summed as one contiguous
     row, so a column's norm is summed in the same order as alone.
     """
-    if not 1.0 < p < np.inf:
-        raise ParameterError(f"exponent must satisfy 1 < p < inf, got {p}")
+    check_exponent(p)
     mag = np.linalg.norm(f.values, axis=f.d) ** p
     cells = mag.reshape(-1, math.prod(f.batch))
     rows = np.ascontiguousarray(cells.T)

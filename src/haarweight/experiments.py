@@ -166,15 +166,12 @@ def _isolate(fn, keys):
 def _probed(build, keys):
     """The p=2 sharpness probe of one weight per key: build(key) returns
     (weight, its p=2 family, ...) under _isolate, and one sharpness_probes
-    call probes every cell that built; if that call raises, each of those
-    cells fails with its error. Returns (key, built, probe) for each
+    call probes every cell that built, putting the error of a cell it could
+    not probe in that cell's place. Returns (key, built, probe) for each
     cell that survived both steps and (key, repr(error)) for each that did
     not, each in key order."""
     built, failed = _isolate(lambda i: (i, build(keys[i])), range(len(keys)))
-    try:
-        probes = sharpness_probes([b[:2] for _, b in built])
-    except Exception as exc:  # isolation, as in _isolate: every probed cell fails
-        probes = [exc] * len(built)
+    probes = sharpness_probes([b[:2] for _, b in built])
     failed += [(i, repr(p)) for (i, _), p in zip(built, probes)
                if isinstance(p, Exception)]
     done = [(keys[i], b, p) for (i, b), p in zip(built, probes)

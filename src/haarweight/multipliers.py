@@ -25,7 +25,7 @@ from .dyadic import GridFunction, HaarCoefficients, haar_reconstruct
 from .errors import CoverageError, ParameterError, ShapeError
 from .reducing import ReducingFamily
 from .stopping import GenerationTree, split_generations
-from .weights import MatrixWeight, apply_cells
+from .weights import MatrixWeight, apply_cells, check_grid
 
 __all__ = [
     "apply_symbols",
@@ -44,6 +44,15 @@ def check_coverage(symbols: list, levels: int):
         )
 
 
+def check_dims(f: HaarCoefficients, family: ReducingFamily):
+    """ShapeError unless the coefficients f and the family share (d, n)."""
+    if (f.d, f.n) != (family.d, family.n):
+        raise ShapeError(
+            f"coefficients (d={f.d}, n={f.n}) do not match family "
+            f"(d={family.d}, n={family.n})"
+        )
+
+
 def apply_symbols(symbols: list, detail: list) -> list:
     """Per level, each cube's symbol applied to every detail coefficient of
     that cube: symbols[l] has shape (2^l,)*d + (n, n), detail[l] the shape of
@@ -51,11 +60,7 @@ def apply_symbols(symbols: list, detail: list) -> list:
     detail levels go unused; fewer symbol levels than detail levels raise
     CoverageError (check_coverage)."""
     check_coverage(symbols, len(detail))
-    out = []
-    for s, b in zip(symbols, detail):
-        cols = b.reshape(b.shape[: s.ndim - 1] + (s.shape[-1], -1))
-        out.append(np.einsum("...ij,...ejk->...eik", s, cols).reshape(b.shape))
-    return out
+    return [apply_cells(s[..., None, :, :], b) for s, b in zip(symbols, detail)]
 
 
 def _require_mean_zero(f: HaarCoefficients):
@@ -72,12 +77,8 @@ def _reduced(
     """f with V_I^{-1} applied to every detail coefficient."""
     if p != family.p:
         raise ParameterError(f"exponent {p} does not match family exponent {family.p}")
-    if not (weight.d, weight.n) == (f.d, f.n) == (family.d, family.n):
-        raise ShapeError("weight, coefficient and family dimensions differ")
-    if f.level != weight.level:
-        raise ShapeError(
-            f"coefficients live at level {f.level}, weight at {weight.level}"
-        )
+    check_grid(f, weight)
+    check_dims(f, family)
     detail = apply_symbols(family.v_inv, f.detail)
     return HaarCoefficients(f.d, f.n, f.level, f.root_scaling, detail)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dyadic import mean_pyramid
+from .dyadic import _levels, _rows, check_exponent, mean_pyramid
 from .errors import (
     CoverageError,
     EllipsoidFitError,
@@ -68,8 +68,7 @@ _MAX_ITER = 200_000
 
 
 def conjugate_exponent(p: float) -> float:
-    if not 1.0 < p < math.inf:
-        raise ParameterError(f"exponent must satisfy 1 < p < inf, got {p}")
+    check_exponent(p)
     return p / (p - 1.0)
 
 
@@ -112,24 +111,6 @@ def op_norm_stack(mats: np.ndarray) -> np.ndarray:
 def _outer_products(x: np.ndarray) -> np.ndarray:
     """Row-wise outer products x_m x_m^T of an (m, k) array, flattened to (m, k^2)."""
     return (x[:, :, None] * x[:, None, :]).reshape(x.shape[0], -1)
-
-
-def _rows(levels: list, d: int) -> np.ndarray:
-    """Per-level arrays (2^l,)*d + tail stacked on one row axis: level by
-    level, each level in index order."""
-    return np.concatenate([a.reshape((-1,) + a.shape[d:]) for a in levels])
-
-
-def _levels(rows: np.ndarray, d: int) -> list:
-    """Cut a (cubes,) + tail row array back into per-level (2^l,)*d + tail
-    views: the inverse of _rows."""
-    out, start = [], 0
-    while start < rows.shape[0]:
-        size = 1 << (len(out) * d)
-        shape = ((1 << len(out)),) * d + rows.shape[1:]
-        out.append(rows[start : start + size].reshape(shape))
-        start += size
-    return out
 
 
 def _rho_rows(weight: MatrixWeight, p: float, dirs: np.ndarray, dual: bool,
@@ -416,7 +397,7 @@ def build_reducing_family(
     rows of both sides where W = s A, and one _fit_operators call the rest.
     The (2, cubes, n, n) result is cut into per-level arrays at the end.
     """
-    q = conjugate_exponent(p)  # checks 1 < p < inf
+    q = conjugate_exponent(p)  # checks the exponent
     m_fit = fit_count(weight.n) if directions is None else int(directions)
     max_depth = weight.level if max_depth is None else int(max_depth)
     if not 0 <= max_depth <= weight.level:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SerializationError, ShapeError
+from .errors import SerializationError
 from .stopping import GenerationTree
 from .weights import MatrixWeight
 
@@ -147,10 +147,7 @@ def load_weight(path) -> MatrixWeight:
     mats = np.zeros((cells, n, n))
     mats[:, i, j] = flat
     mats[:, j, i] = flat  # diagonal written twice, harmlessly
-    try:
-        return MatrixWeight(d, n, level, mats.reshape(((1 << level),) * d + (n, n)), meta)
-    except ShapeError as exc:  # pragma: no cover - header/body mismatch above
-        raise SerializationError(str(exc)) from exc
+    return MatrixWeight(d, n, level, mats.reshape(((1 << level),) * d + (n, n)), meta)
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,11 @@ largest over all I.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import HaarCoefficients, _cube_blocks, refine_to_cells
+from .dyadic import HaarCoefficients, _cube_blocks, check_exponent, refine_to_cells
 from .errors import CoverageError, ParameterError, ShapeError
 from .reducing import ReducingFamily, conjugate_exponent, op_norm_stack
 
@@ -68,8 +67,7 @@ class StoppingConfig:
     lambda2: float
 
     def __post_init__(self):
-        if not 1.0 < self.p < math.inf:
-            raise ParameterError(f"exponent must satisfy 1 < p < inf, got {self.p}")
+        check_exponent(self.p)
         if self.lambda1 <= 1.0 or self.lambda2 <= 1.0:
             raise ParameterError(
                 f"thresholds must exceed 1, got {self.lambda1}, {self.lambda2}"

@@ -54,8 +54,10 @@ def spd_power_stack(mats: np.ndarray, s: float) -> np.ndarray:
 
 def apply_cells(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Cellwise matrix-vector product: cells + (n, n) applied to cells + (n,)
-    + batch, every batch column by the same cell matrix."""
-    cols = vecs.reshape(mats.shape[:-1] + (-1,))
+    + batch, every batch column by the same cell matrix. A length-1 axis of
+    mats broadcasts, so cubes + (1, n, n) applies one matrix per cube to
+    every Haar signature of cubes + (2^d - 1, n) + batch."""
+    cols = vecs.reshape(vecs.shape[: mats.ndim - 1] + (-1,))
     return np.einsum("...ij,...jk->...ik", mats, cols).reshape(vecs.shape)
 
 
@@ -136,11 +138,17 @@ class MatrixWeight:
         return out[::-1]
 
 
+def check_grid(f, weight: MatrixWeight) -> None:
+    """ShapeError unless f, a grid function or its Haar coefficients, lives
+    on the weight's grid (d, n, L)."""
+    if (f.d, f.n, f.level) != (weight.d, weight.n, weight.level):
+        raise ShapeError("function and weight live on different grids")
+
+
 def weighted_lp_norm(f: GridFunction, weight: MatrixWeight, p: float):
     """L^p norm of W^{1/p} f (the natural weighted norm); one per column of a
     batch."""
-    if (f.d, f.n, f.level) != (weight.d, weight.n, weight.level):
-        raise ShapeError("function and weight live on different grids")
+    check_grid(f, weight)
     g = apply_cells(weight.power_cells(1.0 / p), f.values)
     return lp_norm(GridFunction(f.d, f.n, f.level, g), p)
 

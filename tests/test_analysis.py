@@ -446,12 +446,13 @@ def test_lanczos_logs_one_debug_record(caplog):
             assert key in record.getMessage()
 
 
-def test_grouped_probes_match_single_pair_probes_in_input_order():
-    powers = [power_weight(a, 8) for a in (0.5, -0.9, -0.99)]
-    rotations = [rotating_weight(level=6),
-                 make_weight(WeightFamily("rotating", 1, 2, 6, params={"alpha": 0.9}))]
-    weights = [powers[0], rotations[0], powers[1], rotations[1], powers[2]]
-    pairs = [(w, build_reducing_family(w, 2.0)) for w in weights]
+@pytest.mark.parametrize("weights", [
+    lambda: [power_weight(a, 8) for a in (0.5, -0.9, -0.99)],
+    lambda: [rotating_weight(level=6),
+             make_weight(WeightFamily("rotating", 1, 2, 6, params={"alpha": 0.9}))],
+], ids=["power", "rotating"])
+def test_grouped_probes_match_single_pair_probes_in_input_order(weights):
+    pairs = [(w, build_reducing_family(w, 2.0)) for w in weights()]
     probes = sharpness_probes(pairs)
     assert len(probes) == len(pairs)
     for (w, fam), probe in zip(pairs, probes):
@@ -492,23 +493,31 @@ def test_a_capped_column_fails_only_its_own_pair(monkeypatch):
     assert probe.max_inverse_ratio == pytest.approx(alone.max_inverse_ratio, rel=1e-14)
 
 
-def test_a_group_that_raises_fails_only_its_own_pairs(monkeypatch):
+def test_a_pair_off_the_grid_fails_only_itself():
     weights = [power_weight(0.5, 6), rotating_weight(level=6), power_weight(-0.9, 6),
-               make_weight(WeightFamily("rotating", 1, 2, 6, params={"alpha": 0.9}))]
+               power_weight(-0.5, 5)]
     pairs = [(w, build_reducing_family(w, 2.0)) for w in weights]
     alone = [sharpness_probe(*pair) for pair in pairs[::2]]
-    make_ops = analysis._probe_operators
+    probes = sharpness_probes(pairs)
+    # the first pair fixes the grid (1, 1, 6): n = 2 and L = 5 are off it
+    assert [type(p) for p in probes[1::2]] == [ShapeError] * 2
+    assert "(1, 2, 6)" in str(probes[1]) and "(1, 1, 5)" in str(probes[3])
+    for probe, ref in zip(probes[::2], alone):
+        assert probe == ref
+
+
+def test_a_call_that_raises_fails_every_checked_pair(monkeypatch):
+    w0 = MatrixWeight(d=1, n=1, level=0, cells=np.ones((1, 1, 1)))
+    weights = [w0, power_weight(0.5, 6), power_weight(-0.9, 6)]
+    pairs = [(w, build_reducing_family(w, 2.0)) for w in weights]
 
     def singular(group):
-        if group[0][0].n == 2:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return make_ops(group)
+        raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(analysis, "_probe_operators", singular)
     probes = sharpness_probes(pairs)
-    assert [type(p) for p in probes[1::2]] == [np.linalg.LinAlgError] * 2
-    for probe, ref in zip(probes[::2], alone):
-        assert probe == ref
+    assert isinstance(probes[0], ShapeError)
+    assert [type(p) for p in probes[1:]] == [np.linalg.LinAlgError] * 2
     with pytest.raises(np.linalg.LinAlgError):
         sharpness_probe(*pairs[1])
 

@@ -139,6 +139,19 @@ def test_negative_seed_is_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["wa", "wb"])  # a power and a rotating weight
+def test_negative_weight_seed_is_exit_2(tmp_path, capsys, name):
+    cfg = write_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    (spec,) = [w for w in raw["weights"] if w["name"] == name]
+    spec["seed"] = -3
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"weight '{name}'" in err and "seed" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_repeated_experiment_is_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     argv = ["run", "--config", str(cfg), "--experiment", "haar", "--experiment", "haar"]

@@ -162,6 +162,19 @@ def test_duplicate_experiment_ids_rejected():
         ExperimentConfig(experiments=("haar", "reducing", "haar"))
 
 
+@pytest.mark.parametrize("field, values, named", [
+    ("ps", (2.0, 3.0, 2.0), "[2.0]"),
+    ("sweep_alphas", (0.5, -0.5, -0.5, 0.5), "[-0.5, 0.5]"),
+    ("grids", ((1, 1, 6), (2, 1, 4), (1, 1, 6)), "[(1, 1, 6)]"),
+])
+def test_duplicate_entries_rejected(field, values, named):
+    # a repeated entry would run its cells twice and write each row twice
+    with pytest.raises(ConfigError, match=f"duplicate {field}") as exc:
+        ExperimentConfig(**{field: values})
+    assert str(exc.value).endswith(named)
+    ExperimentConfig(**{field: tuple(dict.fromkeys(values))})
+
+
 def test_infinite_exponent_rejected(tmp_path):
     with pytest.raises(ConfigError, match="finite"):
         ExperimentConfig(ps=(2.0, float("inf")))

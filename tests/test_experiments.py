@@ -183,16 +183,16 @@ def test_calibration_groups_by_the_realized_weight(tmp_path):
 
 
 def test_failing_rotating_sharpness_point_is_a_cell_failure(tmp_path, monkeypatch):
-    import haarweight.experiments as experiments
+    import haarweight.analysis as analysis
 
-    probes = experiments.sharpness_probes
+    make_ops = analysis._probe_operators
 
     def flaky(pairs):
         if any(w.n == 2 for w, _ in pairs):
             raise RuntimeError("no convergence")
-        return probes(pairs)
+        return make_ops(pairs)
 
-    monkeypatch.setattr(experiments, "sharpness_probes", flaky)
+    monkeypatch.setattr(analysis, "_probe_operators", flaky)
     cfg = tiny_config(tmp_path / "out", experiments=("haar", "sharpness"))
     result = run_experiments(cfg)
     cells = [f.cell for f in result.failures]

@@ -24,16 +24,14 @@ from haarweight import (
     quasi_uniform_directions,
 )
 import haarweight.reducing as reducing
-from haarweight.dyadic import mean_pyramid
+from haarweight.dyadic import _levels, _rows, mean_pyramid
 from haarweight.reducing import (
     _CAL_FACTOR,
     _CAL_OFFSET,
     METHOD_NAMES,
     _TOL,
     _fit_operators,
-    _levels,
     _rho_rows,
-    _rows,
     fit_count,
     scan_depth,
 )
