@@ -33,7 +33,7 @@ from .errors import (
     EllipsoidFitError,
     ParameterError,
 )
-from .weights import MatrixWeight, spd_power_stack
+from .weights import MatrixWeight, _serial_matmul, spd_power_stack
 
 __all__ = [
     "ReducingFamily",
@@ -118,15 +118,17 @@ def _rho_rows(weight: MatrixWeight, p: float, dirs: np.ndarray, dual: bool,
     """rho_I (dual: rho'_I) on every direction, (rows, M), for the cubes that
     the row mask todo selects.
 
-    |W^s e|^q = (e^T W^{2s} e)^{q/2}, so one (cells, n^2) @ (n^2, M) product
+    |W^s e|^q = (e^T W^{2s} e)^{q/2}, so the (cells, n^2) @ (n^2, M) product
     of the flattened W^{2s} = W^s W^s against the direction outer products
-    gives the integrand on every cell, then mean_pyramid averages it. Only
-    the selected rows take the 1/q-th power.
+    gives the integrand on every cell, then mean_pyramid averages it. The
+    product runs as serial GEMMs over blocks of cells (weights._serial_matmul),
+    so it stays on the calling thread and its rounding does not depend on the
+    BLAS thread count. Only the selected rows take the 1/q-th power.
     """
     s = -1.0 / p if dual else 1.0 / p
     q = conjugate_exponent(p) if dual else p
     wp = weight.power_cells(s)
-    g = (wp @ wp).reshape(-1, weight.n**2) @ _outer_products(dirs).T
+    g = _serial_matmul((wp @ wp).reshape(-1, weight.n**2), _outer_products(dirs).T)
     np.power(g, 0.5 * q, out=g)
     pyr = mean_pyramid(g.reshape(wp.shape[:-2] + (-1,)), weight.d)
     rho = np.concatenate([a[t] for a, t in zip(pyr, _levels(todo, weight.d))])
@@ -152,7 +154,7 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     A^{-1} = sum_m c_m x_m x_m^T with c_m >= 0 and sum c_m <= n (1 + tol).
     max_iter caps the total batch Newton steps.
 
-    Each step builds the barrier Hessian with one (b, m) @ (m, n^4) matrix
+    Each step builds the barrier Hessian with the (b, m) @ (m, n^4) matrix
     product against the products of the direction outer products, computed
     once per call, and takes one Cholesky factor A = L L^T: L^{-1} gives both
     A^{-1} = L^{-T} L^{-1} and the pencil L^{-1} Delta L^{-T}, whose
@@ -171,8 +173,13 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     _T_FACTOR per stage up to t_final = 2m / (n tol). Within a stage a row
     leaves the batch once it is centred, so a row takes the steps it needs
     whatever the other rows need, and its result does not depend on the
-    batch beyond rounding. One DEBUG record on the haarweight logger per call
-    gives the batch Newton steps, barrier stages, stages ended at the inner
+    batch beyond rounding. The four (rows, m) products of a step (the
+    constraint values, the gradient, the Hessian and u) run as serial GEMMs
+    over blocks of rows (weights._serial_matmul): each block stays on the
+    calling thread, so no BLAS worker wakes up or spins between the many
+    small products of a fit, and the result does not depend on the BLAS
+    thread count. One DEBUG record on the haarweight logger per call gives
+    the batch Newton steps, barrier stages, stages ended at the inner
     step cap, the final decrement, the row-steps (steps summed over rows), the
     call's seconds and the search steps (Armijo halvings summed over rows).
     """
@@ -214,11 +221,11 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
             linv = np.linalg.inv(np.linalg.cholesky(al.reshape(-1, n, n)))
             linv_t = linv.swapaxes(1, 2)
             ainv = linv_t @ linv
-            slack = 1.0 - (al @ pe.T) * w2
+            slack = 1.0 - _serial_matmul(al, pe.T) * w2
             r = w2 / slack
-            grad = -ainv.reshape(-1, q) + (r @ pe) / t
+            grad = -ainv.reshape(-1, q) + _serial_matmul(r, pe) / t
             hess = np.einsum("bik,bjl->bijkl", ainv, ainv).reshape(-1, q, q)
-            hess += (np.square(r, out=r) @ pe2).reshape(-1, q, q) / t
+            hess += _serial_matmul(np.square(r, out=r), pe2).reshape(-1, q, q) / t
             del r
             delta = np.linalg.solve(hess, -grad[..., None])[..., 0]
             delta = 0.5 * (
@@ -240,7 +247,7 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
             # constraint slack, then SPD of A + alpha * delta. u, each
             # constraint's change per unit step over its slack, sets the first
             # cap and feeds every Armijo trial below.
-            u = delta @ pe.T
+            u = _serial_matmul(delta, pe.T)
             u *= w2
             u /= slack
             top = u.max(axis=1)
@@ -294,10 +301,12 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
 def _fit_operators(rho_fit, rho_all, dirs_fit, dirs_all):
     """V = c A^{1/2} from the MVEE shapes A of one _mvee_batch call over all
     rows, rescaled so |V e| >= rho on the calibration set; kappa = guaranteed
-    upper slack on that set. |A^{1/2} e|^2 = e^T A e comes from one
-    (B, n^2) @ (n^2, M_all) product against the direction outer products."""
+    upper slack on that set. |A^{1/2} e|^2 = e^T A e comes from the
+    (B, n^2) @ (n^2, M_all) product against the direction outer products,
+    run as serial GEMMs over blocks of rows (weights._serial_matmul) so that
+    it stays on the calling thread."""
     a = _mvee_batch(rho_fit, dirs_fit, _TOL, _MAX_ITER)
-    g = a.reshape(a.shape[0], -1) @ _outer_products(dirs_all).T  # |A^{1/2} e_m|^2
+    g = _serial_matmul(a.reshape(a.shape[0], -1), _outer_products(dirs_all).T)
     np.sqrt(g, out=g)
     np.divide(rho_all, g, out=g)
     c = g.max(axis=1)

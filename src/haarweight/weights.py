@@ -61,6 +61,32 @@ def apply_cells(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...jk->...ik", mats, cols).reshape(vecs.shape)
 
 
+# OpenBLAS runs a GEMM of m n k multiply-adds on one thread up to
+# SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD = 65536 * 4 (interface/gemm.c)
+_SERIAL_GEMM = 1 << 18
+
+
+def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a (..., rows, k) and b (..., k, cols), as GEMMs of at most
+    _SERIAL_GEMM multiply-adds: the rows of a go in blocks of
+    max(1, _SERIAL_GEMM // (k cols)).
+
+    OpenBLAS keeps a GEMM that small on the calling thread, so the product
+    does not depend on the BLAS thread count, and no worker thread spins
+    between the calls. A larger GEMM would go to the workers, whose split
+    changes the rounding and whose wake-up can stall the first call of a
+    process.
+    """
+    rows, k = a.shape[-2:]
+    cols = b.shape[-1]
+    block = max(1, _SERIAL_GEMM // (k * cols))
+    stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = np.empty(stack + (rows, cols), dtype=np.result_type(a, b))
+    for i in range(0, rows, block):
+        np.matmul(a[..., i : i + block, :], b, out=out[..., i : i + block, :])
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class WeightFamily:
     """Recipe for a weight: family name, grid dims, parameters, seed."""

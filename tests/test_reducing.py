@@ -3,6 +3,10 @@ fits against the norm they must sandwich, and the duality identity."""
 
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ import scipy.linalg
 import scipy.optimize
 
 from cubes import Cube
+import haarweight
 from haarweight import (
     CoverageError,
     EllipsoidFitError,
@@ -406,6 +411,44 @@ def test_rho_rows_matches_direction_norm():
                 cube = Cube(lvl, idx)
                 want = [direction_norm(w, cube, p, e, dual=dual) for e in dirs]
                 np.testing.assert_allclose(pyr[lvl][idx], want, rtol=1e-12)
+
+
+_FAMILY_ARRAYS = """
+import sys
+import numpy as np
+from haarweight import WeightFamily, build_reducing_family, make_weight
+arrays = {}
+for fam in (WeightFamily("rotating", 1, 2, 7, {"alpha": 0.6}, 3),
+            WeightFamily("logbrownian", 1, 3, 6, {"sigma": 0.4}, 5)):
+    family = build_reducing_family(make_weight(fam), 3.0)
+    for side in ("v", "v_dual", "kappa"):
+        for lvl, a in enumerate(getattr(family, side)):
+            arrays[f"{fam.family}/{side}/{lvl}"] = a
+np.savez(sys.argv[1], **arrays)
+"""
+
+
+def test_p3_family_does_not_depend_on_blas_thread_count(tmp_path):
+    """The same p=3 families built with one and with two OpenBLAS threads
+    are byte-identical: every product of the fit runs as GEMMs small enough
+    for OpenBLAS to keep on one thread. On a one-core machine both children
+    run serially and the test cannot tell."""
+    src = str(Path(haarweight.__file__).resolve().parent.parent)
+    path = os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.npz"
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", _FAMILY_ARRAYS, str(out)],
+                       env=env, check=True, timeout=120)
+        with np.load(out) as arrays:
+            runs.append({k: arrays[k] for k in arrays.files})
+    one, two = runs
+    assert one.keys() == two.keys()
+    assert len(one) == 3 * (8 + 7)  # three arrays on levels 0-7 and 0-6
+    moved = [k for k in one if one[k].tobytes() != two[k].tobytes()]
+    assert moved == []
 
 
 def test_fit_failure_raises(monkeypatch):

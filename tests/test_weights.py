@@ -11,6 +11,8 @@ from haarweight.weights import (
     EIGEN_FLOOR,
     MatrixWeight,
     WeightFamily,
+    _SERIAL_GEMM,
+    _serial_matmul,
     make_weight,
     spd_power_stack,
     weighted_lp_norm,
@@ -72,6 +74,47 @@ def test_spd_power_stack_matches_loop():
         npt.assert_allclose(
             out[k], scipy.linalg.fractional_matrix_power(mats[k], 0.25), atol=1e-12
         )
+
+
+class _GemmLog(np.ndarray):
+    """ndarray view that records the per-matrix GEMM size m k n of every
+    matmul it takes part in; a stacked matmul issues one GEMM per matrix."""
+
+    sizes: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _GemmLog) else x for x in inputs]
+        if ufunc is np.matmul:
+            a, b = plain
+            _GemmLog.sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        if "out" in kwargs:
+            kwargs["out"] = tuple(o.view(np.ndarray) for o in kwargs["out"])
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((64, 64), (64, 64)),          # one block exactly at the limit
+    ((209, 64), (64, 64)),         # 3 full blocks of 64 rows and one of 17
+    ((300, 500), (500, 81)),       # the n = 3 Hessian product: 6-row blocks
+    ((5, 300, 9), (5, 9, 1000)),   # stacked cubes against their directions
+    ((7, 1, 4), (7, 4, 1000)),     # stacked rows: one call, no split
+    ((2, 1), (1, 3)),
+], ids=["at-limit", "ragged", "hessian", "stacked", "stacked-rows", "tiny"])
+def test_serial_matmul_matches_matmul_in_serial_blocks(a_shape, b_shape):
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(a_shape)
+    b = rng.standard_normal(b_shape)
+    want = a @ b
+    _GemmLog.sizes = []
+    got = _serial_matmul(a.view(_GemmLog), b.view(_GemmLog))
+    assert type(got) is np.ndarray and got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert _GemmLog.sizes and max(_GemmLog.sizes) <= _SERIAL_GEMM
+    rows, k, cols = a_shape[-2], a_shape[-1], b_shape[-1]
+    block = max(1, _SERIAL_GEMM // (k * cols))
+    assert len(_GemmLog.sizes) == -(-rows // block)
+    if a_shape == (64, 64):
+        assert _GemmLog.sizes == [_SERIAL_GEMM]
 
 
 # ---------------------------------------------------------------------------
