@@ -133,15 +133,15 @@ def _sandwich_norms(quad: np.ndarray, v: np.ndarray, ee: np.ndarray, p: float):
     quad is W^{2/p} on the cells of each cube, flattened to (cubes, cells,
     n^2); v is V_I, (cubes, n, n); ee holds e e^T of every direction,
     flattened to (cubes, n^2, k). |W^{1/p} e|^p = (e^T W^{2/p} e)^{p/2} cell
-    by cell, and |Ve| = sqrt(e^T V^T V e). Both are per-cube products against
-    ee, run as serial GEMMs over blocks of cells (weights._serial_matmul):
-    a cube of many cells against 1000 directions would otherwise go to the
-    BLAS worker threads.
+    by cell, and |Ve| = sqrt(e^T V^T V e). The cell product quad @ ee runs
+    as serial GEMMs over blocks of cells (weights._serial_matmul): a cube of
+    many cells against 1000 directions would otherwise go to the BLAS worker
+    threads.
     """
     cubes, _, nn = quad.shape
     rho = (_serial_matmul(quad, ee) ** (p / 2)).mean(axis=1) ** (1.0 / p)
     vtv = (np.swapaxes(v, -1, -2) @ v).reshape(cubes, 1, nn)
-    return rho, np.sqrt(_serial_matmul(vtv, ee))[:, 0]
+    return rho, np.sqrt(vtv @ ee)[:, 0]
 
 
 def c03_john_sandwich(ctx: AcceptanceContext) -> CriterionResult:

@@ -62,28 +62,41 @@ def apply_cells(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 # OpenBLAS runs a GEMM of m n k multiply-adds on one thread up to
-# SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD = 65536 * 4 (interface/gemm.c)
+# SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD = 65536 * 4 (interface/gemm.c),
+# and a GEMV on an m x n matrix below m n = 2304 * 4 (interface/gemv.c; 0.3.31
+# raised that to 115200 * 4, and the lower bound holds for both)
 _SERIAL_GEMM = 1 << 18
+_SERIAL_GEMV = 2304 * 4
 
 
 def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a (..., rows, k) and b (..., k, cols), as GEMMs of at most
-    _SERIAL_GEMM multiply-adds: the rows of a go in blocks of
-    max(1, _SERIAL_GEMM // (k cols)).
+    """a @ b for a (..., rows, k) and b (..., k, cols), as BLAS calls that
+    OpenBLAS keeps on the calling thread.
 
-    OpenBLAS keeps a GEMM that small on the calling thread, so the product
-    does not depend on the BLAS thread count, and no worker thread spins
-    between the calls. A larger GEMM would go to the workers, whose split
-    changes the rounding and whose wake-up can stall the first call of a
-    process.
+    The rows of a go in the fewest blocks of at most
+    max(1, _SERIAL_GEMM // (k cols)) rows, spread evenly, so each GEMM has at
+    most _SERIAL_GEMM multiply-adds and no ragged one-row tail is left. A block
+    still has one row when rows is 1 or the limit allows at most two rows;
+    numpy runs it as a GEMV on b, so it goes in column chunks of fewer than
+    _SERIAL_GEMV entries of b. A b of one column would make every block a
+    GEMV on a; no call site has one.
+
+    On the calling thread the product does not depend on the BLAS thread
+    count, and no worker thread spins between the calls. A larger call would
+    go to the workers, whose split changes the rounding and whose wake-up can
+    stall the first call of a process.
     """
     rows, k = a.shape[-2:]
     cols = b.shape[-1]
-    block = max(1, _SERIAL_GEMM // (k * cols))
+    count = max(1, -(-rows // max(1, _SERIAL_GEMM // (k * cols))))
+    edges = [rows * i // count for i in range(count + 1)]
     stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     out = np.empty(stack + (rows, cols), dtype=np.result_type(a, b))
-    for i in range(0, rows, block):
-        np.matmul(a[..., i : i + block, :], b, out=out[..., i : i + block, :])
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        step = cols if hi - lo > 1 else max(1, (_SERIAL_GEMV - 1) // k)
+        for c in range(0, cols, step):
+            np.matmul(a[..., lo:hi, :], b[..., c : c + step],
+                      out=out[..., lo:hi, c : c + step])
     return out
 
 

@@ -12,6 +12,7 @@ from haarweight.weights import (
     MatrixWeight,
     WeightFamily,
     _SERIAL_GEMM,
+    _SERIAL_GEMV,
     _serial_matmul,
     make_weight,
     spd_power_stack,
@@ -77,16 +78,16 @@ def test_spd_power_stack_matches_loop():
 
 
 class _GemmLog(np.ndarray):
-    """ndarray view that records the per-matrix GEMM size m k n of every
-    matmul it takes part in; a stacked matmul issues one GEMM per matrix."""
+    """ndarray view that records (m, k, n) of every matmul it takes part in,
+    per matrix: a stacked matmul issues one BLAS call per matrix."""
 
-    sizes: list = []
+    shapes: list = []
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         plain = [x.view(np.ndarray) if isinstance(x, _GemmLog) else x for x in inputs]
         if ufunc is np.matmul:
             a, b = plain
-            _GemmLog.sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+            _GemmLog.shapes.append((a.shape[-2], a.shape[-1], b.shape[-1]))
         if "out" in kwargs:
             kwargs["out"] = tuple(o.view(np.ndarray) for o in kwargs["out"])
         return getattr(ufunc, method)(*plain, **kwargs)
@@ -94,27 +95,39 @@ class _GemmLog(np.ndarray):
 
 @pytest.mark.parametrize("a_shape, b_shape", [
     ((64, 64), (64, 64)),          # one block exactly at the limit
-    ((209, 64), (64, 64)),         # 3 full blocks of 64 rows and one of 17
+    ((209, 64), (64, 64)),         # 64-row limit: 4 blocks of 52-53 rows
     ((300, 500), (500, 81)),       # the n = 3 Hessian product: 6-row blocks
+    ((301, 500), (500, 81)),       # rows = 1 mod 6: no one-row tail
+    ((1, 500), (500, 81)),         # one live row: a GEMV in column chunks
+    ((1024, 9), (9, 2500)),        # n = 3 direction norms, 1024 = 1 mod 11
+    ((3, 300), (300, 400)),        # 2-row limit: blocks of 1 and 2 rows
     ((5, 300, 9), (5, 9, 1000)),   # stacked cubes against their directions
-    ((7, 1, 4), (7, 4, 1000)),     # stacked rows: one call, no split
+    ((7, 1, 4), (7, 4, 1000)),     # stacked rows: one small GEMV each
+    ((3, 1, 16), (3, 16, 1000)),   # stacked rows over the GEMV limit
     ((2, 1), (1, 3)),
-], ids=["at-limit", "ragged", "hessian", "stacked", "stacked-rows", "tiny"])
+], ids=["at-limit", "ragged", "hessian", "hessian-tail", "hessian-one-row",
+        "rho-tail", "one-row-block", "stacked", "stacked-rows",
+        "stacked-rows-chunked", "tiny"])
 def test_serial_matmul_matches_matmul_in_serial_blocks(a_shape, b_shape):
     rng = np.random.default_rng(11)
     a = rng.standard_normal(a_shape)
     b = rng.standard_normal(b_shape)
     want = a @ b
-    _GemmLog.sizes = []
+    _GemmLog.shapes = []
     got = _serial_matmul(a.view(_GemmLog), b.view(_GemmLog))
     assert type(got) is np.ndarray and got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-    assert _GemmLog.sizes and max(_GemmLog.sizes) <= _SERIAL_GEMM
-    rows, k, cols = a_shape[-2], a_shape[-1], b_shape[-1]
-    block = max(1, _SERIAL_GEMM // (k * cols))
-    assert len(_GemmLog.sizes) == -(-rows // block)
+    shapes = _GemmLog.shapes
+    assert shapes
+    for m, k, n in shapes:
+        # a one-row product is a GEMV on the (k, n) matrix
+        assert m * k * n <= _SERIAL_GEMM and (m > 1 or k * n < _SERIAL_GEMV)
+    rows = [m for m, _, _ in shapes]
+    assert max(rows) - min(rows) <= 1
     if a_shape == (64, 64):
-        assert _GemmLog.sizes == [_SERIAL_GEMM]
+        assert shapes == [(64, 64, 64)]
+    if a_shape[-2] > 2 and a_shape[-2] % 2 and b_shape == (500, 81):
+        assert min(rows) == 5
 
 
 # ---------------------------------------------------------------------------
