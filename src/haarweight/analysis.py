@@ -383,8 +383,10 @@ def _columnwise(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 def _check_probe_pair(weight: MatrixWeight, family: ReducingFamily, grid):
     """ShapeError for a level-0 weight or one off the grid (d, n, L) (None:
-    any grid), ParameterError unless family is the weight's p=2 family,
-    CoverageError (check_coverage) if it stops short of level L - 1."""
+    any grid); ParameterError unless family is the weight's p=2 family: p = 2
+    on the weight's (d, n, L), and V_I V_I = <W>_I to 1e-10 relative on every
+    level the family covers; CoverageError (check_coverage) if it stops short
+    of level L - 1."""
     d, n, level = weight.d, weight.n, weight.level
     if level < 1:
         raise ShapeError("a level-0 weight has no detail coefficients to probe")
@@ -396,75 +398,77 @@ def _check_probe_pair(weight: MatrixWeight, family: ReducingFamily, grid):
             f"got p={family.p} on {family.d, family.n, family.level}"
         )
     check_coverage(family.v, level)
+    for l, (v, mean) in enumerate(zip(family.v, weight.mean_pyramid_of(1.0))):
+        gap = np.linalg.norm(v @ v - mean, axis=(-2, -1))
+        if np.any(gap > 1e-10 * np.linalg.norm(mean, axis=(-2, -1))):
+            raise ParameterError(
+                f"the probe needs the p=2 family of its weight: V_I V_I is not "
+                f"<W>_I on level {l}"
+            )
 
 
-def _probe_operators(pairs):
-    """(forward, inverse, size): C = S G S and C^{-1} for weights on one
-    grid, as O(size) pyramid matvecs on (size, k) column blocks.
+def _probe_operators(columns):
+    """(forward, inverse, size): C = S H^T W_c H S and C^{-1} for columns on
+    one grid, as O(size) pyramid matvecs on (size, k) column blocks.
 
-    pairs lists (weight, family) that pass _check_probe_pair on one grid.
-    For one weight, G = H^T W_c H is the Gram matrix of
-    ||f||_{L^2(W)}^2 on its grid (cells W_c, H detail-only synthesis) and
-    S = blockdiag(V_I^{-1}), with V_I and V_I^{-1} read from the weight's
-    p=2 family. The Schur complement over the constant function gives
-    G^{-1} = H^T W_c^{-1} H - Z M0^{-1} Z^T, M0 = <W_c^{-1}>, Z the details of
-    W_c^{-1} e_k: together the detail part of W_c^{-1}(h - M0^{-1}<W_c^{-1} h>),
-    W_c^{-1} being the weight's cached power_cells(-1.0).
+    columns lists (weight, v, v_inv) on one grid (d, n, L), L >= 1: per
+    detail level l < L, v[l] holds one symmetric positive definite symbol
+    V_I per cube and v_inv[l] its inverse, arrays of shape (2^l,)*d + (n, n);
+    deeper levels go unused. For one column, G = H^T W_c H is the Gram matrix
+    of ||f||_{L^2(W)}^2 on the grid (cells W_c, H detail-only synthesis) and
+    S = blockdiag(V_I^{-1}), so the eigenvalues of C are those of the pencil
+    (G, blockdiag(V_I^2)). The Schur complement over the constant
+    function gives G^{-1} = H^T W_c^{-1} H - Z M0^{-1} Z^T, M0 = <W_c^{-1}>,
+    Z the details of W_c^{-1} e_k: together the detail part of
+    W_c^{-1}(h - M0^{-1}<W_c^{-1} h>), W_c^{-1} being the weight's cached
+    power_cells(-1.0). So both directions are one pencil pass, synthesis
+    with a symbol per cube, a cellwise product and analysis with the same
+    symbols: forward on (W_c, V_I^{-1}), inverse on (W_c^{-1}, V_I) with
+    that constant quotient taken out between synthesis and product.
 
-    Pair i owns column i: its cells, W_c^{-1}, M0, V_I and V_I^{-1} are
-    stacked on a trailing column axis, and one Haar pyramid serves every
-    column. forward(x, cols) and inverse(x, cols) take a (size, len(cols))
-    block, rows on the level-row axis, whose columns belong to the pairs
-    numbered cols. Each direction cuts its stacks to cols once per active
-    set, which changes only when a column converges; with every column
-    active the cut is a view, not a copy.
+    Each direction stacks column i's cells, their mean M0 (read only with
+    the quotient) and symbols at index i of a trailing axis, and one Haar
+    pyramid serves every column. forward(x, cols) and
+    inverse(x, cols) take a (size, len(cols)) block, rows on the level-row
+    axis, whose columns belong to the columns numbered cols. Each direction
+    cuts its stacks to cols once per active set, which changes only when a
+    column converges; with every column active the cut is a view, not a copy.
     """
-    weight = pairs[0][0]
+    weight = columns[0][0]
     d, n, level = weight.d, weight.n, weight.level
     cells = tuple(range(d))
-    winvs = [w.power_cells(-1.0) for w, _ in pairs]
-    wc = np.stack([w.cells for w, _ in pairs], axis=-1)
-    winv = np.stack(winvs, axis=-1)
-    m0 = np.stack([a.mean(axis=cells) for a in winvs], axis=-1)
-    v = [np.stack([f.v[l] for _, f in pairs], axis=-1) for l in range(level)]
-    v_inv = [np.stack([f.v_inv[l] for _, f in pairs], axis=-1) for l in range(level)]
-    everyone = tuple(range(len(pairs)))
+    everyone = tuple(range(len(columns)))
 
-    def columns(stacks):
+    def pencil(mats, symbols, quotient):
+        stacks = [np.stack(mats, axis=-1),
+                  np.stack([a.mean(axis=cells) for a in mats], axis=-1),
+                  *(np.stack([s[l] for s in symbols], axis=-1) for l in range(level))]
+
         @functools.lru_cache(maxsize=1)
         def take(cols):
             idx = slice(None) if cols == everyone else list(cols)
             return [a[..., idx] for a in stacks]
 
-        return lambda cols: take(tuple(cols))
+        def op(x, cols):
+            a, m0, *s = take(tuple(cols))
+            k = x.shape[-1]
+            blocks = _levels(x.reshape(-1, (1 << d) - 1, n, k), d)
+            h = haar_reconstruct(HaarCoefficients(
+                d, n, level, np.zeros((n, k)), [_columnwise(*b) for b in zip(s, blocks)]
+            )).values
+            if quotient:
+                g = _columnwise(a, h)
+                # one reduction per column: a column's sum runs in the order it has alone
+                r = np.stack([g[..., c].mean(axis=cells) for c in range(k)])
+                h = h - np.linalg.solve(np.moveaxis(m0, -1, 0), r[..., None])[..., 0].T
+            f = haar_transform(GridFunction(d, n, level, _columnwise(a, h)))
+            return _rows([_columnwise(*b) for b in zip(s, f.detail)], d).reshape(-1, k)
 
-    forward_stacks, inverse_stacks = columns([wc, *v_inv]), columns([winv, m0, *v])
+        return op
 
-    def synth(x, s):  # h = H S x
-        k = x.shape[-1]
-        blocks = _levels(x.reshape(-1, (1 << d) - 1, n, k), d)
-        c = HaarCoefficients(d, n, level, np.zeros((n, k)),
-                             [_columnwise(a, b) for a, b in zip(s, blocks)])
-        return haar_reconstruct(c).values
-
-    def analyze(mats, g, s):  # S H^T (mats g)
-        f = haar_transform(GridFunction(d, n, level, _columnwise(mats, g)))
-        return _rows([_columnwise(a, b) for a, b in zip(s, f.detail)],
-                     d).reshape(-1, g.shape[-1])
-
-    def forward(x, cols):
-        w, *vi = forward_stacks(cols)
-        return analyze(w, synth(x, vi), vi)
-
-    def inverse(x, cols):
-        wi, m, *vc = inverse_stacks(cols)
-        h = synth(x, vc)
-        g = _columnwise(wi, h)
-        # one reduction per column: a column's sum runs in the order it has alone
-        r = np.stack([g[..., c].mean(axis=cells) for c in range(len(cols))])
-        h = h - np.linalg.solve(np.moveaxis(m, -1, 0), r[..., None])[..., 0].T
-        return analyze(wi, h, vc)
-
+    forward = pencil([w.cells for w, _, _ in columns], [vi for _, _, vi in columns], False)
+    inverse = pencil([w.power_cells(-1.0) for w, _, _ in columns],
+                     [v for _, v, _ in columns], True)
     return forward, inverse, n * ((1 << level * d) - 1)
 
 
@@ -571,17 +575,19 @@ def sharpness_probes(pairs) -> list:
     With G the Gram matrix of ||f||_{L^2(W)}^2 in coefficient coordinates and
     B the block diagonal of m_I W, the extreme eigenvalues of (G, B) are the
     squared extremal ratios in both directions. B^{1/2} = blockdiag(V_I) and
-    its inverse come from the pair's family, the weight's p=2 family: any
-    other family gives ParameterError, and one that stops short of level
-    L - 1 gives CoverageError; a level-0 weight gives ShapeError. The first
-    pair that passes these checks fixes the grid (d, n, L), and a later
-    weight off that grid gives ShapeError too.
+    its inverse come from the pair's family, which must be the weight's p=2
+    family: any other family (another p or grid, or V_I V_I off m_I W by more
+    than 1e-10 relative on a level it covers) gives ParameterError, and one
+    that stops short of level L - 1 gives CoverageError; a level-0 weight
+    gives ShapeError. This is the one place that ties the probe's symbols to
+    a reducing family. The first pair that passes these checks fixes the
+    grid (d, n, L), and a later weight off that grid gives ShapeError too.
 
     The checked pairs take two `_largest_eigenvalues` runs (thick-restart
     Lanczos from the fixed start np.ones(size)) on `_probe_operators`, one
-    column per pair, all in lock step: first the largest eigenvalues of
-    B^{-1/2} G B^{-1/2}, then those of its inverse for the pairs whose
-    forward run converged. A column that has not converged after
+    column (weight, family.v, family.v_inv) per pair, all in lock step:
+    first the largest eigenvalues of B^{-1/2} G B^{-1/2}, then those of its
+    inverse for the pairs whose forward run converged. A column that has not converged after
     _MAX_MATVECS (5000) operator applications gives EigenConvergenceError.
 
     Returns one entry per pair, in input order: its SharpnessProbe, or the
@@ -601,7 +607,8 @@ def sharpness_probes(pairs) -> list:
     if not checked:
         return out
     try:
-        forward, inverse, size = _probe_operators([pairs[i] for i in checked])
+        forward, inverse, size = _probe_operators(
+            [(w, f.v, f.v_inv) for w, f in (pairs[i] for i in checked)])
         tops = _largest_eigenvalues(forward, size, len(checked))
         alive = np.array([c for c, top in enumerate(tops)
                           if not isinstance(top, Exception)], dtype=int)
@@ -623,7 +630,8 @@ def sharpness_probe(weight: MatrixWeight, family: ReducingFamily) -> SharpnessPr
     This is `sharpness_probes` on the one pair (weight, family), one
     column: the same operators, Lanczos rules and cap. Where the list entry
     returns an error in place, this raises it: ShapeError for a
-    level-0 weight, ParameterError unless family is the weight's p=2 family,
+    level-0 weight, ParameterError unless family is the weight's p=2 family
+    (V_I V_I = m_I W to 1e-10 relative on every level it covers),
     CoverageError for a family short of level L - 1, and
     EigenConvergenceError for a direction that hits _MAX_MATVECS.
     """

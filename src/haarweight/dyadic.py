@@ -291,6 +291,15 @@ def haar_reconstruct(coeffs: HaarCoefficients) -> GridFunction:
     return GridFunction(d, coeffs.n, L, a.reshape(a.shape[:d] + tail))
 
 
+def _random_grid_batch(d: int, n: int, level: int, tags: list) -> GridFunction:
+    """One function per tag as a batch: column i holds standard normal values
+    on every cell and component, drawn from default_rng(tags[i])."""
+    return GridFunction(d, n, level, np.stack([
+        np.random.default_rng(tag).standard_normal(((1 << level),) * d + (n,))
+        for tag in tags
+    ], axis=-1))
+
+
 def haar_exactness_errors(f: GridFunction) -> tuple:
     """(round-trip error max |f - H^{-1} H f|, Parseval error
     | ||f||_2 - ||H f||_2 |) of the pyramid transform H on f: arrays of the

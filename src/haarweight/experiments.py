@@ -22,7 +22,7 @@ from .analysis import (
     sharpness_probes,
 )
 from .config import EXPERIMENT_IDS, ExperimentConfig, WeightSpec, config_to_dict
-from .dyadic import GridFunction, HaarCoefficients, haar_exactness_errors, lp_norm
+from .dyadic import HaarCoefficients, _random_grid_batch, haar_exactness_errors, lp_norm
 from .errors import ConfigError, HaarweightError, ParameterError
 from .multipliers import t_blocks, t_operator
 from .reducing import build_reducing_family, duality_check
@@ -188,11 +188,8 @@ def _run_haar(ctx: RunContext, out: Path, result: RunResult):
 
     def cell(grid):
         d, n, level = grid
-        f = GridFunction(d, n, level, np.stack([
-            np.random.default_rng([cfg.seed, d, n, level, i]).standard_normal(
-                ((1 << level),) * d + (n,))
-            for i in range(cfg.count)
-        ], axis=-1))
+        f = _random_grid_batch(d, n, level, [[cfg.seed, d, n, level, i]
+                                             for i in range(cfg.count)])
         rt, pv = haar_exactness_errors(f)
         return [[d, n, level, i, float(rt[i]), float(pv[i])] for i in range(cfg.count)]
 

@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 import haarweight.acceptance as acc
+import haarweight.analysis as analysis
 import haarweight.experiments as experiments
-from haarweight import ExperimentConfig, WeightSpec
+from haarweight import ExperimentConfig, HaarCoefficients, WeightSpec
 from haarweight.dyadic import _cube_blocks
 
 
@@ -256,6 +257,26 @@ def test_block_sum_identity_fails_on_a_mislabelled_tree(tmp_path):
     with open(tmp_path / "multiplier_bounds.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert float(row["sum_identity_error"]) > 1e-9
+
+
+def test_block_partition_fails_at_p2_on_a_duplicated_piece(monkeypatch):
+    ctx = tiny_context()  # p = 2 only
+    assert acc.c07_block_partition(ctx).passed
+    split = analysis.split_generations
+
+    def duplicated(coeffs, tree):
+        # the first generation's piece twice: the pieces no longer partition f
+        pieces = split(coeffs, tree)
+        return HaarCoefficients(
+            pieces.d, pieces.n, pieces.level,
+            np.concatenate([pieces.root_scaling, pieces.root_scaling[..., :1]], axis=-1),
+            [np.concatenate([a, a[..., :1]], axis=-1) for a in pieces.detail],
+        )
+
+    monkeypatch.setattr(analysis, "split_generations", duplicated)
+    res = acc.c07_block_partition(tiny_context())
+    print(res.line())
+    assert not res.passed  # a one-generation tree reads C = 2, which _C7_CAP admits
 
 
 def test_block_reshape_helper():

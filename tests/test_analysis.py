@@ -20,7 +20,9 @@ from haarweight import (
     StoppingConfig,
     WeightFamily,
     build_generations,
+    RunContext,
     build_reducing_family,
+    default_config,
     lp_norm,
     make_weight,
     weighted_lp_norm,
@@ -266,9 +268,11 @@ def test_sharpness_brute_force_oracle():
     assert probe.max_inverse_ratio == pytest.approx(1 / math.sqrt(vals[0]), rel=1e-12)
 
 
-def dense_probe(weight):
-    """Reference (max ratio, max inverse ratio): the dense synthesis matrix,
-    the Gram matrix G, the block-diagonal B and scipy.linalg.eigh(G, B)."""
+def dense_pencil(weight, blocks):
+    """Every eigenvalue, ascending, of scipy.linalg.eigh(G, B): G the Gram
+    matrix of ||f||_{L^2(W)}^2 on the detail coefficients, built from the
+    dense synthesis matrix, and B the block diagonal with blocks[l][I] on
+    every coefficient of the level-l cube I."""
     d, n, level = weight.d, weight.n, weight.level
     cells = (1 << level) ** d
     cols = []
@@ -281,19 +285,41 @@ def dense_probe(weight):
             flat[idx] = 0.0
     h = np.stack(cols, axis=1)
     m = h.shape[1]
-    pyr = weight.mean_pyramid_of(1.0)
-    wc = pyr[level].reshape(cells, n, n)
+    wc = weight.mean_pyramid_of(1.0)[level].reshape(cells, n, n)
     # G[a i, b j] = sum_c h[c, a] W_c[i, j] h[c, b], one matmul per (i, j)
     g = np.array([[(h.T * wc[:, i, j]) @ h for j in range(n)] for i in range(n)])
     g = g.transpose(2, 0, 3, 1).reshape(m * n, m * n) / cells
     b = np.zeros((m, n, m, n))
-    blocks = np.concatenate([
-        np.repeat(pyr[l].reshape(-1, n, n), (1 << d) - 1, axis=0) for l in range(level)
+    diag = np.concatenate([
+        np.repeat(blocks[l].reshape(-1, n, n), (1 << d) - 1, axis=0) for l in range(level)
     ])
-    for col, blk in enumerate(blocks):
+    for col, blk in enumerate(diag):
         b[col, :, col, :] = blk
-    vals = scipy.linalg.eigh(g, b.reshape(m * n, m * n), eigvals_only=True)
+    return scipy.linalg.eigh(g, b.reshape(m * n, m * n), eigvals_only=True)
+
+
+def dense_probe(weight):
+    """Reference (max ratio, max inverse ratio): eigh(G, B) with B the block
+    diagonal of the cube averages m_I W."""
+    vals = dense_pencil(weight, weight.mean_pyramid_of(1.0))
     return math.sqrt(vals[-1]), 1.0 / math.sqrt(vals[0])
+
+
+def random_symbols(d, n, level, seed):
+    """(v, v_inv): per level, one random SPD matrix per cube and its inverse,
+    symbols that come from no reducing family."""
+    rng = np.random.default_rng(seed)
+    v = []
+    for l in range(level):
+        a = rng.standard_normal(((1 << l),) * d + (n, n))
+        v.append(a @ np.swapaxes(a, -1, -2) + np.eye(n))
+    return v, [np.linalg.inv(s) for s in v]
+
+
+def p2_column(w):
+    """The probe column of w with the symbols of its own p=2 family."""
+    fam = build_reducing_family(w, 2.0)
+    return w, fam.v, fam.v_inv
 
 
 def power_weight(alpha, level, d=1, n=1):
@@ -333,12 +359,16 @@ def test_sharpness_probe_matches_dense_oracle(case):
 
 
 @pytest.mark.parametrize(
-    "d, n, grid, level", [(1, 1, 6, 6), (1, 1, 6, 3), (2, 2, 4, 4), (2, 2, 4, 2)]
+    "d, n, grid, level, symbols",
+    [(1, 1, 6, 6, "family"), (1, 1, 6, 3, "family"), (2, 2, 4, 4, "family"),
+     (2, 2, 4, 2, "family"), (1, 2, 6, 6, "random")],
+    ids=["1-1-6-6", "1-1-6-3", "2-2-4-4", "2-2-4-2", "1-2-6-6-random"],
 )
-def test_probe_inverse_is_exact(d, n, grid, level):
+def test_probe_inverse_is_exact(d, n, grid, level, symbols):
     w = make_weight(WeightFamily("logbrownian", d, n, grid, params={"sigma": 0.8}, seed=2))
     w = coarsened(w, level)
-    forward, inverse, size = _probe_operators([(w, build_reducing_family(w, 2.0))])
+    column = (w, *random_symbols(d, n, level, 1)) if symbols == "random" else p2_column(w)
+    forward, inverse, size = _probe_operators([column])
     assert size == ((1 << level) ** d - 1) * n
     rng = np.random.default_rng(0)
     col = np.array([0])
@@ -346,6 +376,34 @@ def test_probe_inverse_is_exact(d, n, grid, level):
         x = rng.standard_normal((size, 1))
         np.testing.assert_allclose(inverse(forward(x, col), col), x, rtol=0, atol=1e-12)
         np.testing.assert_allclose(forward(inverse(x, col), col), x, rtol=0, atol=1e-12)
+
+
+def test_probe_operators_take_symbols_from_no_family():
+    w = rotating_weight(level=6)
+    v, v_inv = random_symbols(1, 2, 6, 4)
+    forward, inverse, size = _probe_operators([(w, v, v_inv)])
+    assert size == 126
+    vals = dense_pencil(w, [s @ s for s in v])
+    (top,) = analysis._largest_eigenvalues(forward, size, 1)
+    (inverse_top,) = analysis._largest_eigenvalues(inverse, size, 1)
+    assert top == pytest.approx(vals[-1], rel=1e-12)
+    assert inverse_top == pytest.approx(1.0 / vals[0], rel=1e-12)
+
+
+def test_inverse_direction_on_the_inverse_weight_is_the_p2_dual_square_sup():
+    # sup_f ||S_{V^{-1}} f||_2 / ||f||_{L^2(W^{-1})}, the ratio criterion 12
+    # samples at p = 2: the inverse direction on (W^{-1}, V^{-1}, V)
+    ctx = RunContext(default_config())
+    w, fam = ctx.weight("pow-am08"), ctx.family("pow-am08", 2.0)
+    dual = MatrixWeight(w.d, w.n, w.level, w.power_cells(-1.0))
+    _, inverse, size = _probe_operators([(dual, fam.v_inv, fam.v)])
+    (top,) = analysis._largest_eigenvalues(inverse, size, 1)
+    assert size == 1023
+    vals = dense_pencil(dual, [s @ s for s in fam.v_inv])
+    assert math.sqrt(top) == pytest.approx(1.0 / math.sqrt(vals[0]), rel=1e-12)
+    f = random_mean_zero_batch(w, 50, [ctx.config.seed, 12])
+    ratios = dual_square_norm(f, fam, 2.0) / weighted_lp_norm(haar_reconstruct(f), dual, 2.0)
+    assert ratios.max() <= math.sqrt(top) * (1 + 1e-12)
 
 
 def clustered_weight(level):
@@ -416,14 +474,16 @@ def test_probe_needs_the_p2_family_of_its_own_weight():
         sharpness_probe(w, build_reducing_family(w, 2.0, max_depth=3))
     assert sharpness_probe(w, build_reducing_family(w, 2.0, max_depth=4)) == \
         sharpness_probe(w, build_reducing_family(w, 2.0))
+    # another weight's p=2 family on the same grid
+    with pytest.raises(ParameterError, match="p=2 family"):
+        sharpness_probe(power_weight(0.5, 6), build_reducing_family(power_weight(-0.9, 6), 2.0))
 
 
 def test_lanczos_logs_one_debug_record(caplog):
     weights = [rotating_weight(level=6),
                make_weight(WeightFamily("logbrownian", 1, 2, 6,
                                         params={"sigma": 0.4}, seed=5))]
-    forward, _, size = _probe_operators(
-        [(w, build_reducing_family(w, 2.0)) for w in weights])
+    forward, _, size = _probe_operators([p2_column(w) for w in weights])
     with caplog.at_level(logging.DEBUG, logger="haarweight"):
         tops = analysis._largest_eigenvalues(forward, size, len(weights))
     records = [r for r in caplog.records if r.name == "haarweight.analysis"]

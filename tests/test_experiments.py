@@ -188,7 +188,7 @@ def test_failing_rotating_sharpness_point_is_a_cell_failure(tmp_path, monkeypatc
     make_ops = analysis._probe_operators
 
     def flaky(pairs):
-        if any(w.n == 2 for w, _ in pairs):
+        if any(w.n == 2 for w, _, _ in pairs):
             raise RuntimeError("no convergence")
         return make_ops(pairs)
 
