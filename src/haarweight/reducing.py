@@ -57,9 +57,15 @@ _GOLDEN = 0.6180339887498949
 # calibration directions, a second quasi-uniform grid offset by _CAL_OFFSET
 _CAL_FACTOR = 4
 _CAL_OFFSET = 0.37
-# barrier parameter multiplier per stage of the ellipsoid fit; x100 stalls
-# the centring on the default suite, x50 does not
+# barrier parameter multiplier per stage of the ellipsoid fit; with the
+# tangent step between stages, x10, x20 and x40 take row-steps within 5% of
+# each other on the default suite, and x100 stalls 17 of 40 rotating-weight
+# fits at p in {1.25, 1.5, 3, 4} that x10 to x40 all centre
 _T_FACTOR = 20.0
+# Newton's quadratic region: a row with decrement <= _NEAR_CENTRE takes the
+# capped step with no Armijo search, and a barrier stage before the last is
+# centred once the row's decrement is <= _NEAR_CENTRE
+_NEAR_CENTRE = 0.25
 # the final barrier parameter is t_final = 2m / (n _TOL) for m fit directions,
 # so the last centred point is within n _TOL / 2 of the optimal -log det A;
 # _MAX_ITER caps the total Newton steps over all barrier stages
@@ -139,6 +145,34 @@ def _rho_rows(weight: MatrixWeight, p: float, dirs: np.ndarray, dual: bool,
 # ellipsoid fit (log-barrier Newton, batched over cubes)
 
 
+def _step_length(delta, w2, slack, linv, linv_t, pe, rows=slice(None)):
+    """The largest alpha <= 1 that keeps 2% of the constraint slack and of the
+    SPD margin along the steps delta from A = L L^T, with the (rows, m) u,
+    each constraint's change per unit step over its slack, and the ascending
+    eigenvalues lam of the pencil L^{-1} delta L^{-T}.
+
+    delta steps on the rows `rows` of w2, slack, linv and linv_t; w2 and
+    slack are cut one at a time, so at most one (rows, m) copy is alive next
+    to u. The explicit caps guard against rounding: the slack cap is
+    0.98 / max_m u_m, the SPD cap -0.98 / min_i lam_i."""
+    n = linv.shape[-1]
+    u = _serial_matmul(delta, pe.T)
+    u *= w2[rows]
+    u /= slack[rows]
+    top = u.max(axis=1)
+    lam = np.linalg.eigvalsh(linv[rows] @ delta.reshape(-1, n, n) @ linv_t[rows])
+    with np.errstate(divide="ignore"):
+        cap = np.where(top > 0.0, 0.98 / top, np.inf)
+        spd = np.where(lam[:, 0] < 0.0, -0.98 / lam[:, 0], np.inf)
+    return np.minimum(np.minimum(1.0, cap), spd), u, lam
+
+
+def _symmetric(x: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric parts of a (rows, n^2) stack of flattened n x n matrices."""
+    x = x.reshape(-1, n, n)
+    return (0.5 * (x + x.swapaxes(1, 2))).reshape(-1, n * n)
+
+
 def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     """Minimum-volume ellipsoids around the symmetric point sets {dirs_m / rho_bm}.
 
@@ -154,6 +188,22 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     A^{-1} = sum_m c_m x_m x_m^T with c_m >= 0 and sum c_m <= n (1 + tol).
     max_iter caps the total batch Newton steps.
 
+    Barrier schedule (Boyd & Vandenberghe, Convex Optimization, 11.3): the
+    first stage is at t_0 = min(m, t_final), where the duality gap bound m/t
+    of a central point is 1, and t grows by _T_FACTOR per stage up to
+    t_final = 2m / (n tol). A stage before the last centres a row only into
+    Newton's quadratic region (decrement <= _NEAR_CENTRE); the last stage
+    centres it to decrement <= 1e-7, or to the rounding floor (the decrement
+    stopped halving below 1e-5), so the result is the t_final centre and the
+    earlier stages only shape the path to it. A row centred at t before the
+    last stage takes one tangent (predictor) step toward the next t': along
+    the central path, dA/d(1/t) = -t H_t^{-1} vec(A^{-1}) for the Hessian H_t
+    of the t-normalized barrier, so the step is (1 - t/t') H_t^{-1}
+    vec(A^{-1}), symmetrized, on the Hessian of the row's last Newton step.
+    Within a stage a row leaves the batch once it is centred, so a row takes
+    the steps it needs whatever the other rows need, and its result does not
+    depend on the batch beyond rounding.
+
     Each step builds the barrier Hessian with the (b, m) @ (m, n^4) matrix
     product against the products of the direction outer products, computed
     once per call, and takes one Cholesky factor A = L L^T: L^{-1} gives both
@@ -161,22 +211,19 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     eigenvalues lam_i are the generalized eigenvalues of (Delta, A). The
     weights r = w2 / slack are formed once per step: r against the direction
     outer products gives the barrier gradient, and r squared in place gives
-    the Hessian weights. The step starts at the largest alpha <= 1 that keeps
-    2% of the constraint slack and of the SPD margin: the slack cap is
-    0.98 / max_m u_m, where u, one (rows, m) pass, is each constraint's
-    change per unit step over its slack. Rows with decrement > 1/4 then halve
-    alpha until the t-normalized barrier meets the Armijo condition; each row
-    leaves the search once its step passes, and rows with decrement <= 1/4
-    keep the capped step. The trial values need no factorization:
-    log det(A + alpha Delta) - log det A = sum_i log(1 + alpha lam_i), and the
-    barrier term is sum_m log(1 - alpha u_m) on the same u. t grows by
-    _T_FACTOR per stage up to t_final = 2m / (n tol). Within a stage a row
-    leaves the batch once it is centred, so a row takes the steps it needs
-    whatever the other rows need, and its result does not depend on the
-    batch beyond rounding. The four (rows, m) products of a step (the
-    constraint values, the gradient, the Hessian and u) run as serial GEMMs
-    over blocks of rows (weights._serial_matmul): each block stays on the
-    calling thread, so no BLAS worker wakes up or spins between the many
+    the Hessian weights. Newton and tangent steps alike start at the largest
+    alpha <= 1 that keeps 2% of the constraint slack and of the SPD margin
+    (_step_length); u, one (rows, m) pass, is each constraint's change per
+    unit step over its slack. On a Newton step, rows with decrement >
+    _NEAR_CENTRE then halve alpha until the t-normalized barrier meets the
+    Armijo condition; each row leaves the search once its step passes, and
+    the other rows keep the capped step. The trial values need no
+    factorization: log det(A + alpha Delta) - log det A =
+    sum_i log(1 + alpha lam_i), and the barrier term is
+    sum_m log(1 - alpha u_m) on the same u. The (rows, m) products of a step
+    (the constraint values, the gradient, the Hessian and u) run as serial
+    GEMMs over blocks of rows (weights._serial_matmul): each block stays on
+    the calling thread, so no BLAS worker wakes up or spins between the many
     small products of a fit, and the result does not depend on the BLAS
     thread count. One DEBUG record on the haarweight logger per call gives
     the batch Newton steps, barrier stages, stages ended at the inner
@@ -195,17 +242,17 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
 
     # strictly feasible isotropic start
     a = np.outer(0.5 / invr2.max(axis=1), eye_flat)
-    t = 1.0
     t_final = 2.0 * m / (n * tol)
+    t = min(float(m), t_final)
     iters = row_steps = search_steps = stages = capped = 0
     decrement = np.full(b, np.inf)
     while True:
         stages += 1
+        last = t >= t_final
+        t_next = min(t * _T_FACTOR, t_final)
         # Newton steps at this barrier parameter on the rows not yet centred.
-        # A row is centred once its decrement is <= 1e-7, or at the rounding
-        # floor: its decrement stopped halving below 1e-5. Work with the
-        # t-normalized objective -logdet A - (1/t) sum ln(1-g): same center and
-        # same Newton step, but O(1) gradients at large t.
+        # Work with the t-normalized objective -logdet A - (1/t) sum ln(1-g):
+        # same center and same Newton step, but O(1) gradients at large t.
         live = np.arange(b)
         w2 = invr2
         previous = np.full(b, np.inf)
@@ -227,14 +274,24 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
             hess = np.einsum("bik,bjl->bijkl", ainv, ainv).reshape(-1, q, q)
             hess += _serial_matmul(np.square(r, out=r), pe2).reshape(-1, q, q) / t
             del r
-            delta = np.linalg.solve(hess, -grad[..., None])[..., 0]
-            delta = 0.5 * (
-                delta.reshape(-1, n, n) + delta.reshape(-1, n, n).swapaxes(1, 2)
-            ).reshape(-1, q)
+            delta = _symmetric(np.linalg.solve(hess, -grad[..., None])[..., 0], n)
             # Newton decrement of the un-normalized barrier: sqrt(t) * phi-decrement
             dec = np.sqrt(t * np.maximum(-np.sum(grad * delta, axis=1), 0.0))
             decrement[live] = dec
-            centred = (dec <= 1e-7) | ((dec <= 1e-5) & (dec > 0.5 * previous))
+            if last:
+                # centred at 1e-7, or at the rounding floor: the decrement
+                # stopped halving below 1e-5
+                centred = (dec <= 1e-7) | ((dec <= 1e-5) & (dec > 0.5 * previous))
+            else:
+                centred = dec <= _NEAR_CENTRE
+                if centred.any():
+                    # tangent step toward t_next on the rows centred at t;
+                    # a slice keeps the all-centred case free of copies
+                    sel = slice(None) if centred.all() else centred
+                    tangent = np.linalg.solve(hess[sel], ainv[sel].reshape(-1, q, 1))
+                    tangent = (1.0 - t / t_next) * _symmetric(tangent[..., 0], n)
+                    alpha = _step_length(tangent, w2, slack, linv, linv_t, pe, sel)[0]
+                    a[live[sel]] = al[sel] + alpha[:, None] * tangent
             if centred.all():
                 break
             if centred.any():
@@ -243,35 +300,24 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
                     x[keep] for x in (live, w2, al, linv, linv_t, slack, delta, dec)
                 )
             previous = dec
-            # explicit feasibility caps guard against rounding: linear
-            # constraint slack, then SPD of A + alpha * delta. u, each
-            # constraint's change per unit step over its slack, sets the first
-            # cap and feeds every Armijo trial below.
-            u = _serial_matmul(delta, pe.T)
-            u *= w2
-            u /= slack
-            top = u.max(axis=1)
-            lam = np.linalg.eigvalsh(linv @ delta.reshape(-1, n, n) @ linv_t)
-            with np.errstate(divide="ignore"):
-                cap = np.where(top > 0.0, 0.98 / top, np.inf)
-                spd = np.where(lam[:, 0] < 0.0, -0.98 / lam[:, 0], np.inf)
-            alpha = np.minimum(np.minimum(1.0, cap), spd)
+            alpha, u, lam = _step_length(delta, w2, slack, linv, linv_t, pe)
             # Armijo backtracking (c = 1/4) on the t-normalized barrier, only on
-            # the rows outside Newton's quadratic region (decrement > 1/4);
-            # the others keep the capped step. A row leaves the search once
-            # its step passes. The damped step 1/(1 + decrement) always passes
-            # in exact arithmetic, so a row needs about log2(1 + decrement)
-            # halvings.
+            # the rows outside Newton's quadratic region; the others keep the
+            # capped step. A row leaves the search once its step passes. The
+            # damped step 1/(1 + decrement) always passes in exact arithmetic,
+            # so a row needs about log2(1 + decrement) halvings.
             slope = dec**2 / t
-            seek = np.flatnonzero(dec > 0.25)
+            seek = np.flatnonzero(dec > _NEAR_CENTRE)
             lam_s, u_s = lam[seek], u[seek]
             for _ in range(60):
                 if not seek.size:
                     break
                 step = alpha[seek, None]
+                barrier = u_s * -step
                 change = -np.log1p(step * lam_s).sum(axis=1) - np.log1p(
-                    -step * u_s
+                    barrier, out=barrier
                 ).sum(axis=1) / t
+                del barrier  # one (rows, m) temporary per trial, freed before the next
                 short = change > -0.25 * alpha[seek] * slope[seek]
                 seek, lam_s, u_s = seek[short], lam_s[short], u_s[short]
                 alpha[seek] *= 0.5
@@ -279,14 +325,15 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
             a[live] = al + alpha[:, None] * delta
         else:
             capped += 1
-        if decrement.max() > 1e-4:
+        # stall bounds: 1e-4 in the last stage, the centring rule 1/4 before it
+        if decrement.max() > (1e-4 if last else _NEAR_CENTRE):
             raise EllipsoidFitError(
                 "ellipsoid fit: Newton centering stalled",
                 residual=float(np.max(decrement)),
             )
-        if t >= t_final:
+        if last:
             break
-        t = min(t * _T_FACTOR, t_final)
+        t = t_next
     a = a.reshape(b, n, n) * (gm**2)[:, None, None]
     _log.debug(
         "ellipsoid fit: rows=%d n=%d m=%d newton_steps=%d stages=%d "

@@ -149,7 +149,8 @@ def build_generations(family: ReducingFamily, cfg: StoppingConfig) -> Generation
         root_at = refine_to_cells(root_at, d, 1)
         t1 = np.empty(label.shape)
         t2 = np.empty(label.shape)
-        for li in np.unique(root_at).tolist():
+        # the distinct root levels, in order (np.unique imports numpy.ma)
+        for li in np.flatnonzero(np.bincount(root_at.ravel())).tolist():
             sel = root_at == li
             t1[sel] = _pair_table(family, 1, li, lj)[sel]
             t2[sel] = _pair_table(family, 2, li, lj)[sel]

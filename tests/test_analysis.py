@@ -196,6 +196,15 @@ def test_equivalence_ratios_identity_weight():
     np.testing.assert_array_equal(rep.ratios, again.ratios)
 
 
+def test_quantiles_match_numpy_bit_for_bit():
+    # np.quantile (linear method) is the reference for the report's own sort
+    rng = np.random.default_rng(11)
+    qs = (0.0, 0.25, 0.5, 0.75, 1.0)
+    for size in [*range(1, 40), 97, 500, 1001]:
+        x = rng.lognormal(size=size)
+        assert analysis._linear_quantiles(x, qs) == [float(v) for v in np.quantile(x, qs)]
+
+
 def test_equivalence_exponents_p3():
     w = rotating_weight()
     fam = build_reducing_family(w, 3.0)

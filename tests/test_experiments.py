@@ -4,12 +4,16 @@ per-cell failure isolation, and the serial runner."""
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import haarweight
 from haarweight import (
     ConfigError,
     ExperimentConfig,
@@ -253,6 +257,41 @@ def test_run_starts_no_thread(tmp_path, monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert run_experiments(tiny_config(tmp_path / "out")).ok
+
+
+_RUN_WITHOUT_MASKED_ARRAYS = """
+import sys
+from haarweight import (ExperimentConfig, StoppingConfig, WeightFamily, WeightSpec,
+                        build_generations, build_reducing_family, cross_term_rate,
+                        make_weight, run_experiments)
+cfg = ExperimentConfig(
+    ps=(2.0, 3.0), count=6, seed=3, grids=((1, 1, 3),),
+    sweep_alphas=(0.5, -0.5, -0.8), sweep_level=5,
+    weights=(WeightSpec("wa", family="power", d=1, n=1, level=4, params={"alpha": -0.5}),
+             WeightSpec("wb", family="rotating", d=1, n=2, level=3,
+                        params={"alpha": 0.4}, seed=2)),
+    out_dir=sys.argv[1])
+assert run_experiments(cfg).ok
+w = make_weight(WeightFamily("power", d=1, n=1, level=8, params={"alpha": 0.6}))
+family = build_reducing_family(w, 2.0)
+tree = build_generations(family, StoppingConfig(p=2.0, lambda1=1.2, lambda2=1.2))
+cross_term_rate(w, family, tree, 2.0, count=6, seed=0)
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_run_does_not_import_masked_arrays(tmp_path):
+    # np.unique and np.quantile import numpy.ma on their first call, about
+    # 10 ms per process; the run, its stopping trees, its quantiles and the
+    # cross-term fit avoid both
+    src = str(Path(haarweight.__file__).resolve().parent.parent)
+    path = os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_MASKED_ARRAYS, str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
 
 
 def test_alpha_sweep_lists_an_unconverged_probe_under_failed(monkeypatch):

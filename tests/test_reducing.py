@@ -283,25 +283,60 @@ def fit_inputs(n, level, m=60):
     return _rho_rows(w, 3.0, dirs, False, level_rows(1, level, [level])), dirs
 
 
+def assert_john_certificate(a_b, rho_b, dirs):
+    """A is strictly feasible for the points x_m = dirs_m / rho_m and
+    A^{-1} = sum_m c_m x_m x_m^T with c >= 0 and sum c <= n (1 + _TOL)."""
+    n = a_b.shape[0]
+    # x_m^T A x_m <= 1, recomputed from A
+    x = dirs / rho_b[:, None]
+    assert np.einsum("mi,ij,mj->m", x, a_b, x).max() < 1.0
+    # smallest sum c >= 0 with A^{-1} = sum_m c_m x_m x_m^T
+    outer = np.einsum("mi,mj->ijm", x, x).reshape(n * n, -1)
+    lp = scipy.optimize.linprog(
+        np.ones(x.shape[0]), A_eq=outer, b_eq=np.linalg.inv(a_b).ravel(),
+        bounds=(0, None), method="highs",
+    )
+    assert lp.status == 0
+    np.testing.assert_allclose(outer @ lp.x, np.linalg.inv(a_b).ravel(),
+                               rtol=0, atol=1e-8)
+    assert lp.fun <= n * (1.0 + _TOL)
+
+
 @pytest.mark.parametrize("n, level", [(2, 0), (2, 2), (3, 0), (3, 2), (2, None), (3, None)])
 def test_mvee_batch_feasible_with_john_certificate(n, level):
     rho, dirs = fit_inputs(n, level)
     a = reducing._mvee_batch(rho, dirs, _TOL, 200_000)
     assert a.shape == (rho.shape[0], n, n)
     for a_b, rho_b in zip(a, rho):
-        # x_m^T A x_m <= 1 for x_m = dirs_m / rho_m, recomputed from A
-        x = dirs / rho_b[:, None]
-        assert np.einsum("mi,ij,mj->m", x, a_b, x).max() < 1.0
-        # smallest sum c >= 0 with A^{-1} = sum_m c_m x_m x_m^T
-        outer = np.einsum("mi,mj->ijm", x, x).reshape(n * n, -1)
-        lp = scipy.optimize.linprog(
-            np.ones(x.shape[0]), A_eq=outer, b_eq=np.linalg.inv(a_b).ravel(),
-            bounds=(0, None), method="highs",
-        )
-        assert lp.status == 0
-        np.testing.assert_allclose(outer @ lp.x, np.linalg.inv(a_b).ravel(),
-                                   rtol=0, atol=1e-8)
-        assert lp.fun <= n * (1.0 + _TOL)
+        assert_john_certificate(a_b, rho_b, dirs)
+
+
+def barrier_decrement(a_b, rho_b, dirs, t):
+    """Newton decrement of t (-log det A) - sum_m log(1 - x_m^T A x_m) at A,
+    x_m = dirs_m / rho_m: the t-normalized gradient and Hessian over the n^2
+    entries of A, formed from A alone."""
+    n = a_b.shape[0]
+    x = dirs / rho_b[:, None]
+    xx = np.einsum("mi,mj->mij", x, x).reshape(x.shape[0], n * n)
+    slack = 1.0 - xx @ a_b.ravel()
+    ainv = np.linalg.inv(a_b)
+    grad = -ainv.ravel() + (xx / slack[:, None]).sum(axis=0) / t
+    hess = np.kron(ainv, ainv) + (xx / slack[:, None] ** 2).T @ xx / t
+    return math.sqrt(t * grad @ np.linalg.solve(hess, grad))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mvee_batch_returns_the_final_centre(n):
+    # the earlier stages only shape the path: every row ends centred at
+    # t_final = 2m / (n _TOL) (decrement <= 1e-7, or <= 1e-5 at the rounding
+    # floor); read against the barrier at t_final / 20, the same A give
+    # decrements >= 1.6
+    rho, dirs = fit_inputs(n, None)
+    a = reducing._mvee_batch(rho, dirs, _TOL, 200_000)
+    t_final = 2.0 * dirs.shape[0] / (n * _TOL)
+    decrements = [barrier_decrement(a_b, rho_b, dirs, t_final)
+                  for a_b, rho_b in zip(a, rho)]
+    assert len(decrements) == 14 and max(decrements) <= 1e-5
 
 
 def test_mvee_batch_logs_one_debug_record(caplog):
@@ -362,11 +397,37 @@ def test_mvee_batch_centres_every_stage(caplog, n, level):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_mvee_batch_step_budget(caplog, n):
-    # measured 73 Newton steps for both n; 90 leaves room for rounding to
-    # shift a stop by a few steps, and a x4 t-schedule needs over 120
+    # measured 36 (n = 2) and 39 (n = 3) Newton steps; 48 leaves room for
+    # rounding to shift a stop by a few steps. Starting every stage at t = 1
+    # and centring it to 1e-7 with no tangent step takes 73 for both n, and a
+    # x4 t-schedule takes 45
     rho, dirs = fit_inputs(n, 2)
     steps = _fit_record(caplog, rho, dirs)[3]
-    assert steps <= 90
+    assert steps <= 48
+
+
+def test_rotating_cube_fit_below_p_two(monkeypatch, caplog):
+    # with every stage started cold at the last centre, the t ~ 1.6e5 stage
+    # hit the 80-step cap at decrement 2.19 and the build raised
+    # EllipsoidFitError
+    w = make_weight(WeightFamily("rotating", 2, 2, 4, params={"alpha": 0.9}))
+    fits = []
+    mvee = reducing._mvee_batch
+
+    def recording(rho, dirs, *args):
+        a = mvee(rho, dirs, *args)
+        fits.append((rho, dirs, a))
+        return a
+
+    monkeypatch.setattr(reducing, "_mvee_batch", recording)
+    with caplog.at_level(logging.DEBUG, logger="haarweight"):
+        build_reducing_family(w, 1.5)
+    (record,) = [r for r in caplog.records if r.name == "haarweight.reducing"]
+    assert record.args[5] == 0  # no stage ended at the step cap
+    ((rho, dirs, a),) = fits
+    # the four most eccentric direction norms
+    for row in np.argsort(rho.max(axis=1) / rho.min(axis=1))[-4:]:
+        assert_john_certificate(a[row], rho[row], dirs)
 
 
 def test_one_fit_per_family_matches_per_level_fits(monkeypatch):
