@@ -32,10 +32,10 @@ import numpy as np
 from .dyadic import (
     GridFunction,
     HaarCoefficients,
-    _levels,
+    _analyze,
     _rows,
+    _synthesize,
     haar_reconstruct,
-    haar_transform,
     lp_norm,
     refine_to_cells,
 )
@@ -106,17 +106,32 @@ def random_mean_zero_batch(
 ) -> HaarCoefficients:
     """count random mean-zero functions on the weight's grid as one batch:
     function i draws from default_rng(tag + [i]), spectra cycled, into slot i
-    of one function-leading array per level, laid out batch-last at the end."""
-    d, n, nsig = weight.d, weight.n, (1 << weight.d) - 1
-    detail = [np.zeros((count,) + ((1 << l),) * d + (nsig, n))
-              for l in range(weight.level)]
+    of one function-leading array per level, laid out batch-last at the end.
+
+    The arrays are read-only and depend on the weight only through its grid
+    (d, n, L). The last draw is kept (_draw_batch), so a repeated request
+    returns the same arrays; run_experiments clears it, so every run draws
+    its own batches.
+    """
+    root, detail = _draw_batch(weight.d, weight.n, weight.level, count,
+                               tuple(tag), tuple(spectra))
+    return HaarCoefficients(weight.d, weight.n, weight.level, root, list(detail))
+
+
+@functools.lru_cache(maxsize=1)
+def _draw_batch(d: int, n: int, level: int, count: int, tag: tuple,
+                spectra: tuple) -> tuple:
+    """(root, detail) arrays of random_mean_zero_batch, read-only."""
+    nsig = (1 << d) - 1
+    detail = [np.zeros((count,) + ((1 << l),) * d + (nsig, n)) for l in range(level)]
     for i in range(count):
-        _draw_detail([a[i] for a in detail], np.random.default_rng(tag + [i]),
+        _draw_detail([a[i] for a in detail], np.random.default_rng([*tag, i]),
                      spectra[i % len(spectra)])
-    return HaarCoefficients(
-        d, n, weight.level, np.zeros((n, count)),
-        [np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in detail],
-    )
+    out = (np.zeros((n, count)),
+           tuple(np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in detail))
+    for a in (out[0], *out[1]):
+        a.flags.writeable = False
+    return out
 
 
 def _aggregate_squares(symbols: list, f: HaarCoefficients) -> np.ndarray:
@@ -445,12 +460,17 @@ def _probe_operators(columns):
     that constant quotient taken out between synthesis and product.
 
     Each direction stacks column i's cells, their mean M0 (read only with
-    the quotient) and symbols at index i of a trailing axis, and one Haar
-    pyramid serves every column. forward(x, cols) and
-    inverse(x, cols) take a (size, len(cols)) block, rows on the level-row
-    axis, whose columns belong to the columns numbered cols. Each direction
-    cuts its stacks to cols once per active set, which changes only when a
-    column converges; with every column active the cut is a view, not a copy.
+    the quotient) and its symbols at index i of a trailing axis. The symbols
+    of all levels lie on one level-row axis, the same rows as the block x.
+    forward(x, cols) and inverse(x, cols) take a (size, len(cols)) block
+    whose columns belong to the columns numbered cols. A matvec is one
+    _columnwise product with the symbols, _synthesize, the cellwise product
+    (and quotient), _analyze and one more _columnwise product. The pyramid
+    cores run the butterflies on plain arrays, every column on its own, so a
+    column's result does not depend on the others in the block. Each
+    direction cuts its stacks to cols once per active set, which changes
+    only when a column converges; with every column active the cut is a
+    view, not a copy.
     """
     weight = columns[0][0]
     d, n, level = weight.d, weight.n, weight.level
@@ -460,7 +480,7 @@ def _probe_operators(columns):
     def pencil(mats, symbols, quotient):
         stacks = [np.stack(mats, axis=-1),
                   np.stack([a.mean(axis=cells) for a in mats], axis=-1),
-                  *(np.stack([s[l] for s in symbols], axis=-1) for l in range(level))]
+                  np.stack([_rows(s[:level], d) for s in symbols], axis=-1)]
 
         @functools.lru_cache(maxsize=1)
         def take(cols):
@@ -468,19 +488,17 @@ def _probe_operators(columns):
             return [a[..., idx] for a in stacks]
 
         def op(x, cols):
-            a, m0, *s = take(tuple(cols))
+            a, m0, s = take(tuple(cols))
             k = x.shape[-1]
-            blocks = _levels(x.reshape(-1, (1 << d) - 1, n, k), d)
-            h = haar_reconstruct(HaarCoefficients(
-                d, n, level, np.zeros((n, k)), [_columnwise(*b) for b in zip(s, blocks)]
-            )).values
+            detail = _columnwise(s, x.reshape(-1, (1 << d) - 1, n, k))
+            h = _synthesize(np.zeros((n, k)), detail, d)
             if quotient:
                 g = _columnwise(a, h)
                 # one reduction per column: a column's sum runs in the order it has alone
                 r = np.stack([g[..., c].mean(axis=cells) for c in range(k)])
                 h = h - np.linalg.solve(np.moveaxis(m0, -1, 0), r[..., None])[..., 0].T
-            f = haar_transform(GridFunction(d, n, level, _columnwise(a, h)))
-            return _rows([_columnwise(*b) for b in zip(s, f.detail)], d).reshape(-1, k)
+            _, detail = _analyze(_columnwise(a, h), d, level)
+            return _columnwise(s, detail).reshape(-1, k)
 
         return op
 

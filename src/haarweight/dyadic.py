@@ -7,11 +7,25 @@ level < L) plus the unit scaling function is an orthonormal basis, and the
 pyramid transform below realizes analysis/synthesis exactly (machine
 precision, scalings are powers of 2).
 
+The pyramid. Analysis is the tensor-product 1-D butterfly: on each level it
+maps the even and odd cells (x0, x1) of grid axis 0 to (x0 - x1, x0 + x1),
+then does the same on axis 1 to each result, and so on to axis d - 1.
+Difference on axis i means eps_i = 0, and sum means eps_i = 1. The outputs
+are the 2^d - 1 detail signatures, in order, then the all-sums parent. Sums
+stay unnormalized up the pyramid; at the end one product with per-row
+factors (a power of 2 times 2^{-l d / 2}) turns them into coefficients.
+Synthesis runs the inverse butterfly (total + diff, total - diff) on axis
+d - 1 first and axis 0 last. Both cores, _analyze and _synthesize, act on
+plain arrays, with the details on the level-row axis (below).
+haar_transform and haar_reconstruct wrap them. At d = 1 each coefficient is
+one rounded two-term difference. At d >= 2 the 2^d-term sums are
+associated pairwise, axis by axis.
+
 Batches. k functions on one grid travel together as one object with a
 trailing batch axis: values (2^L,)*d + (n, k), detail blocks (2^l,)*d +
-(2^d - 1, n, k). The pyramids act on each value component on its own, so a
-batch is synthesized as one function with values in R^{n k}, and lp_norm
-returns one norm per column. Any number of batch axes may follow n.
+(2^d - 1, n, k). The butterflies act on each value component and column on
+its own, so a batch column is transformed bit for bit as it is alone, and
+lp_norm returns one norm per column. Any number of batch axes may follow n.
 
 Conventions. A cube at level l has sidelength 2^-l and index in {0..2^l-1}^d;
 child gamma in {0,1}^d selects the left (0) or right (1) half per axis. A Haar
@@ -56,17 +70,6 @@ def detail_signatures(d: int) -> tuple:
     return tuple(e for e in itertools.product((0, 1), repeat=d) if e != full)
 
 
-@functools.cache
-def sign_matrix(d: int) -> np.ndarray:
-    """(2^d, 2^d) sign table, the d-th Kronecker power of [[1, -1], [1, 1]]:
-    rows are the detail signatures then all-ones, columns the children gamma
-    in lexicographic order. Entry (eps, gamma) is -1 to the number of axes
-    with eps_i = 0 and gamma_i = 1. Read-only, one array per d."""
-    s = functools.reduce(np.kron, [np.array([[1.0, -1.0], [1.0, 1.0]])] * d)
-    s.flags.writeable = False
-    return s
-
-
 # ---------------------------------------------------------------------------
 # block reshaping and the level-row axis (shared across the modules)
 
@@ -75,22 +78,13 @@ def _blocks(a: np.ndarray, d: int, b: int) -> np.ndarray:
     """Reshape a (h b,)*d + tail array to (h,)*d + (b^d,) + tail blocks.
 
     The block axis enumerates the cells of each block in lexicographic
-    order; for b = 2 these are the children gamma, matching sign_matrix
-    columns.
+    order; for b = 2 these are the children gamma.
     """
     h = a.shape[0] // b
     tail = a.shape[d:]
     a = a.reshape((h, b) * d + tail)
     order = (*range(0, 2 * d, 2), *range(1, 2 * d, 2), *range(2 * d, a.ndim))
     return a.transpose(order).reshape((h,) * d + (b**d,) + tail)
-
-
-def _merge_blocks(b: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of _blocks(a, d, 2)."""
-    m, tail = b.shape[0], b.shape[d + 1 :]
-    b = b.reshape((m,) * d + (2,) * d + tail)
-    order = (*(i for k in range(d) for i in (k, d + k)), *range(2 * d, b.ndim))
-    return b.transpose(order).reshape((2 * m,) * d + tail)
 
 
 def _cube_blocks(cells: np.ndarray, d: int, l: int) -> np.ndarray:
@@ -253,42 +247,129 @@ class HaarCoefficients:
 # transforms
 
 
+@functools.cache
+def _row_scales(d: int, level: int, synthesis: bool) -> np.ndarray:
+    """One factor per row of the level-row axis of a level-`level` grid, as a
+    read-only (rows, 1) column. For synthesis, 2^(l d / 2) takes a level-l
+    Haar coefficient to the difference of cell averages it spans; for
+    analysis, 2^(-l d / 2) 2^(-d (level - l)) takes a butterfly of
+    unnormalized cell sums to the coefficient."""
+    per_level = [2.0 ** (l * d / 2.0) if synthesis
+                 else 2.0 ** (-l * d / 2.0) * 2.0 ** (-d * (level - l))
+                 for l in range(level)]
+    f = np.repeat(np.array(per_level, dtype=float), [1 << l * d for l in range(level)])
+    f = f[:, None]
+    f.flags.writeable = False
+    return f
+
+
+def _halves(a: np.ndarray, axis: int) -> tuple:
+    """The even and the odd cells of a along one grid axis: strided views."""
+    lead = (slice(None),) * axis
+    return a[lead + (slice(0, None, 2),)], a[lead + (slice(1, None, 2),)]
+
+
+def _split(parts: list, axis: int, out: list = None) -> list:
+    """One analysis butterfly along axis: each part x gives (x0 - x1, x0 + x1)
+    from its even and odd halves, in order, into out's arrays if given."""
+    res = []
+    for i, x in enumerate(parts):
+        x0, x1 = _halves(x, axis)
+        lo, hi = (None, None) if out is None else out[2 * i : 2 * i + 2]
+        res += [np.subtract(x0, x1, out=lo), np.add(x0, x1, out=hi)]
+    return res
+
+
+def _merge(parts: list, axis: int) -> list:
+    """Inverse of _split up to a factor 2: each pair (diff, total) of parts
+    gives one array twice as long along axis, total + diff on the even cells
+    and total - diff on the odd ones."""
+    res = []
+    for diff, total in zip(parts[::2], parts[1::2]):
+        shape = list(total.shape)
+        shape[axis] *= 2
+        a = np.empty(shape)
+        even, odd = _halves(a, axis)
+        np.add(diff, total, out=even)
+        np.subtract(total, diff, out=odd)
+        res.append(a)
+    return res
+
+
+def _signatures(block: np.ndarray, d: int) -> list:
+    """The signature slots of a (2^l,)*d + (2^d - 1,) + tail detail block:
+    one (2^l,)*d + tail view per signature."""
+    return [block[(slice(None),) * d + (e,)] for e in range(block.shape[d])]
+
+
+def _analyze(values: np.ndarray, d: int, level: int) -> tuple:
+    """(root, rows): exact Haar analysis of a (2^level,)*d + tail array,
+    acting on every tail entry on its own.
+
+    Each level runs the 1-D butterfly (x0 - x1, x0 + x1) on the even and odd
+    halves of one grid axis after another. The sums of the last axis feed the
+    next coarser level, and every other output is written straight into its
+    signature slot of rows, the details on the level-row axis with shape
+    (cubes, 2^d - 1) + tail. Sums stay unnormalized up the pyramid, and one
+    product with the power-of-2-exact row factors scales every level at the
+    end, so rounding is that of the sums alone: at d = 1, exactly the two
+    terms of each coefficient.
+    """
+    nsig = (1 << d) - 1
+    tail = values.shape[d:]
+    rows = np.empty((((1 << level * d) - 1) // nsig, nsig) + tail)
+    a = values
+    for block in reversed(_levels(rows, d)):
+        coarse = np.empty(block.shape[:d] + tail)
+        parts = [a]
+        for axis in range(d - 1):
+            parts = _split(parts, axis)
+        _split(parts, d - 1, _signatures(block, d) + [coarse])
+        a = coarse
+    flat = rows.reshape(rows.shape[0], math.prod(rows.shape[1:]))
+    flat *= _row_scales(d, level, False)
+    return a.reshape(tail) * 2.0 ** (-d * level), rows
+
+
+def _synthesize(root: np.ndarray, detail: np.ndarray, d: int) -> np.ndarray:
+    """Exact Haar synthesis, the inverse of _analyze: root is the tail-shaped
+    scaling coefficient and detail the level-row array (cubes, 2^d - 1) +
+    tail, as many levels as it fills; returns (2^level,)*d + tail values.
+    detail is the caller's scratch: a contiguous one is scaled in place to
+    differences of cell averages.
+
+    Each level merges its detail slots with the parent averages by the
+    inverse butterflies (total + diff, total - diff), axis d - 1 first and
+    axis 0 last, whose one merge gives the next level's averages.
+    """
+    nsig = (1 << d) - 1
+    tail = root.shape
+    level = ((detail.shape[0] * nsig + 1).bit_length() - 1) // d
+    flat = detail.reshape(detail.shape[0], math.prod(detail.shape[1:]))
+    flat *= _row_scales(d, level, True)
+    a = root.reshape((1,) * d + tail)
+    for block in _levels(flat.reshape(detail.shape), d):
+        parts = _signatures(block, d) + [a]
+        for axis in range(d - 1, -1, -1):
+            parts = _merge(parts, axis)
+        (a,) = parts
+    return a
+
+
 def haar_transform(f: GridFunction) -> HaarCoefficients:
-    """Exact Haar analysis of a grid function via the dyadic pyramid; a batch
-    is analyzed as one function with its batch axes folded into the values."""
-    d, L = f.d, f.level
-    s = sign_matrix(d)
-    tail = (f.n,) + f.batch
-    a = f.values.reshape(f.values.shape[:d] + (math.prod(tail),))
-    detail = [None] * L
-    inv = 1.0 / (1 << d)
-    for lvl in range(L - 1, -1, -1):
-        blocks = _blocks(a, d, 2)
-        b = np.einsum("ec,...cn->...en", s, blocks) * inv
-        coarse = np.ascontiguousarray(b[..., :-1, :]) * 2.0 ** (-lvl * d / 2.0)
-        detail[lvl] = coarse.reshape(coarse.shape[:-1] + tail)
-        a = np.ascontiguousarray(b[..., -1, :])
-    return HaarCoefficients(d, f.n, L, a.reshape(tail), detail)
+    """Exact Haar analysis of a grid function via the dyadic pyramid
+    (_analyze); a batch is analyzed entry by entry, every column alone."""
+    root, rows = _analyze(f.values, f.d, f.level)
+    return HaarCoefficients(f.d, f.n, f.level, root, _levels(rows, f.d))
 
 
 def haar_reconstruct(coeffs: HaarCoefficients) -> GridFunction:
-    """Exact Haar synthesis; inverse of haar_transform. A batch of k functions
-    with values in R^n is synthesized as one function with values in R^{n k}."""
-    d, L = coeffs.d, coeffs.level
-    s = sign_matrix(d)
-    tail = coeffs.root_scaling.shape
-    m = math.prod(tail)
-    a = coeffs.root_scaling.reshape((1,) * d + (m,))
-    nsig = (1 << d) - 1
-    for lvl in range(L):
-        b = np.empty(((1 << lvl),) * d + (nsig + 1, m))
-        b[..., :-1, :] = coeffs.detail[lvl].reshape(b.shape[:-2] + (nsig, m)) * (
-            2.0 ** (lvl * d / 2.0)
-        )
-        b[..., -1, :] = a
-        blocks = np.einsum("ec,...en->...cn", s, b)
-        a = _merge_blocks(blocks, d)
-    return GridFunction(d, coeffs.n, L, a.reshape(a.shape[:d] + tail))
+    """Exact Haar synthesis (_synthesize); inverse of haar_transform, every
+    column of a batch synthesized alone."""
+    d, root = coeffs.d, coeffs.root_scaling
+    rows = (_rows(coeffs.detail, d) if coeffs.detail
+            else np.empty((0, (1 << d) - 1) + root.shape))
+    return GridFunction(d, coeffs.n, coeffs.level, _synthesize(root, rows, d))
 
 
 def _random_grid_batch(d: int, n: int, level: int, tags: list) -> GridFunction:

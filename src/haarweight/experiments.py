@@ -15,6 +15,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    _draw_batch,
     block_partition_constant,
     equivalence_ratios,
     loglog_slope,
@@ -475,6 +476,7 @@ def run_experiments(config: ExperimentConfig, dump_stopping: bool = False) -> Ru
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _draw_batch.cache_clear()  # a run never reuses an earlier run's test functions
     ctx = RunContext(config)
     result = RunResult(out_dir=out)
     for name in config.experiments:

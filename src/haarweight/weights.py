@@ -44,7 +44,11 @@ def _check_spd_stack(mats: np.ndarray, what: str) -> None:
 
 
 def spd_power_stack(mats: np.ndarray, s: float) -> np.ndarray:
-    """Symmetric power A^s on a (..., n, n) stack via eigendecomposition."""
+    """Symmetric power A^s on a (..., n, n) stack via eigendecomposition; for
+    n = 1 the entrywise power, which is what the 1 x 1 eigh path returns bit
+    for bit (the entry as eigenvalue, a +-1 eigenvector)."""
+    if mats.shape[-1] == 1:
+        return mats**s
     sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
     vals, vecs = np.linalg.eigh(sym)
     powered = vals**s

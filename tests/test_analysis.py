@@ -535,6 +535,18 @@ def test_grouped_probes_match_single_pair_probes_in_input_order(weights):
         assert probe.max_inverse_ratio == pytest.approx(inverse, rel=1e-12)
 
 
+def test_a_scalar_d2_probe_reads_the_same_alone_and_in_a_group():
+    # the pyramid treats each column alone, so a one-column batch and a
+    # three-column batch give the same bits (a folded value axis of length
+    # one once took another einsum summation path: 1.1652408079523253 alone
+    # against ...255 in the group for alpha = 0.9)
+    weights = [make_weight(WeightFamily("power", 2, 1, 5, params={"alpha": a}, seed=1))
+               for a in (0.5, -0.5, 0.9)]
+    pairs = [(w, build_reducing_family(w, 2.0)) for w in weights]
+    for pair, probe in zip(pairs, sharpness_probes(pairs)):
+        assert sharpness_probe(*pair) == probe
+
+
 def test_level_one_weights_probe_inside_a_group():
     flat = MatrixWeight(d=1, n=1, level=1, cells=np.array([[[3.0]], [[5.0]]]))
     w0 = MatrixWeight(d=1, n=1, level=0, cells=np.ones((1, 1, 1)))

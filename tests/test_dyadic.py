@@ -5,6 +5,7 @@ against hand-computed cases, exactness of the pyramid transform (round trip
 and Parseval), orthonormality of the synthesized basis, and the L^p cell sums.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -22,12 +23,12 @@ from haarweight import (
     lp_norm,
 )
 from haarweight.dyadic import (
+    _blocks,
     _cube_blocks,
     detail_signatures,
     haar_exactness_errors,
     mean_pyramid,
     refine_to_cells,
-    sign_matrix,
 )
 
 
@@ -47,6 +48,65 @@ def haar_eval(cube, eps, point):
     return (-1.0) ** flips * 2.0 ** (cube.level * cube.d / 2.0)
 
 
+@functools.cache
+def sign_matrix(d):
+    """(2^d, 2^d) sign table, the d-th Kronecker power of [[1, -1], [1, 1]]:
+    rows are the detail signatures then all-ones, columns the children gamma
+    in lexicographic order. Read-only, one array per d."""
+    s = functools.reduce(np.kron, [np.array([[1.0, -1.0], [1.0, 1.0]])] * d)
+    s.flags.writeable = False
+    return s
+
+
+def merge_blocks(b, d):
+    """Inverse of _blocks(a, d, 2)."""
+    m, tail = b.shape[0], b.shape[d + 1:]
+    b = b.reshape((m,) * d + (2,) * d + tail)
+    order = (*(i for k in range(d) for i in (k, d + k)), *range(2 * d, b.ndim))
+    return b.transpose(order).reshape((2 * m,) * d + tail)
+
+
+def einsum_transform(f):
+    """(root, detail) of f by the reference pyramid: each level one einsum of
+    the children blocks against sign_matrix, with the value and batch axes
+    folded into one."""
+    d, L = f.d, f.level
+    s = sign_matrix(d)
+    tail = (f.n,) + f.batch
+    a = f.values.reshape(f.values.shape[:d] + (int(np.prod(tail)),))
+    detail = [None] * L
+    for lvl in range(L - 1, -1, -1):
+        b = np.einsum("ec,...cn->...en", s, _blocks(a, d, 2)) * (1.0 / (1 << d))
+        coarse = np.ascontiguousarray(b[..., :-1, :]) * 2.0 ** (-lvl * d / 2.0)
+        detail[lvl] = coarse.reshape(coarse.shape[:-1] + tail)
+        a = np.ascontiguousarray(b[..., -1, :])
+    return a.reshape(tail), detail
+
+
+def einsum_reconstruct(c):
+    """Grid values of c by the reference pyramid, the inverse of
+    einsum_transform."""
+    d, L = c.d, c.level
+    s = sign_matrix(d)
+    tail = c.root_scaling.shape
+    m = int(np.prod(tail))
+    a = c.root_scaling.reshape((1,) * d + (m,))
+    nsig = (1 << d) - 1
+    for lvl in range(L):
+        b = np.empty(((1 << lvl),) * d + (nsig + 1, m))
+        b[..., :-1, :] = c.detail[lvl].reshape(b.shape[:-2] + (nsig, m)) * (
+            2.0 ** (lvl * d / 2.0))
+        b[..., -1, :] = a
+        a = merge_blocks(np.einsum("ec,...en->...cn", s, b), d)
+    return a.reshape(a.shape[:d] + tail)
+
+
+def assert_within_ulps(got, want, ulps):
+    """|got - want| at most ulps units in the last place of max |want|."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want).max()))
+
+
 # ---------------------------------------------------------------------------
 # signatures
 
@@ -60,6 +120,7 @@ def test_signature_enumeration():
 
 
 def test_sign_matrix_hadamard():
+    # the reference pyramid's sign table.
     # rows are mutually orthogonal with squared norm 2^d: exact inversion.
     # Entry by entry, against the reference: (eps, gamma) flips sign on each
     # axis with eps_i = 0 and gamma_i = 1; rows are the detail signatures
@@ -251,7 +312,7 @@ def test_grid_function_validation():
 
 def test_batch_transforms_and_norms_act_per_column():
     rng = np.random.default_rng(21)
-    for d, n, L in ((1, 3, 4), (2, 2, 3)):
+    for d, n, L in ((1, 3, 4), (2, 2, 3), (2, 1, 3)):
         fs = [random_grid(d, n, L, rng) for _ in range(4)]
         batch = GridFunction(d, n, L, np.stack([f.values for f in fs], axis=-1))
         assert batch.batch == (4,)
@@ -259,15 +320,15 @@ def test_batch_transforms_and_norms_act_per_column():
         assert coeffs.batch == (4,)
         for i, f in enumerate(fs):
             single = haar_transform(f)
-            np.testing.assert_allclose(coeffs.root_scaling[..., i], single.root_scaling,
-                                       rtol=1e-14, atol=1e-15)
+            np.testing.assert_array_equal(coeffs.root_scaling[..., i], single.root_scaling)
             for a, b in zip(coeffs.detail, single.detail):
-                np.testing.assert_allclose(a[..., i], b, rtol=1e-14, atol=1e-15)
+                np.testing.assert_array_equal(a[..., i], b)
+            np.testing.assert_array_equal(haar_reconstruct(coeffs).values[..., i],
+                                          haar_reconstruct(single).values)
         back = haar_reconstruct(coeffs)
         np.testing.assert_allclose(back.values, batch.values, atol=1e-12)
         for p in (1.5, 2.0, 3.0):
-            np.testing.assert_allclose(lp_norm(batch, p), [lp_norm(f, p) for f in fs],
-                                       rtol=1e-15, atol=0)
+            np.testing.assert_array_equal(lp_norm(batch, p), [lp_norm(f, p) for f in fs])
         stacked = HaarCoefficients.stack([haar_transform(f) for f in fs])
         assert stacked.batch == (4,)
         np.testing.assert_array_equal(
@@ -278,3 +339,24 @@ def test_batch_transforms_and_norms_act_per_column():
         assert max(rt.max(), pv.max(), singles.max()) <= 1e-12
         np.testing.assert_allclose(haar_reconstruct(stacked).values, batch.values,
                                    atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_butterfly_pyramid_matches_the_sign_matrix_einsum(d):
+    # d = 1: the same two-term sums, bit for bit; d = 2: the four-term sums
+    # associate pairwise per axis, a few units in the last place apart
+    rng = np.random.default_rng(40 + d)
+    L = 5 if d == 1 else 3
+    for n in (1, 2, 3):
+        for batch in ((), (1,), (7,), (3, 4)):
+            f = GridFunction(d, n, L, rng.standard_normal(((1 << L),) * d + (n,) + batch))
+            root, detail = einsum_transform(f)
+            c = haar_transform(f)
+            want = HaarCoefficients(d, n, L, root, detail)
+            pairs = [(c.root_scaling, root), *zip(c.detail, detail),
+                     (haar_reconstruct(want).values, einsum_reconstruct(want))]
+            for got, ref in pairs:
+                if d == 1:
+                    npt.assert_array_equal(got, ref)
+                else:
+                    assert_within_ulps(got, ref, 4)

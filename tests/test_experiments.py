@@ -22,9 +22,11 @@ from haarweight import (
     WeightSpec,
     alpha_sweep_report,
     make_weight,
+    random_mean_zero_batch,
     run_experiments,
     save_weight,
 )
+from haarweight import analysis
 from haarweight.serialization import sha256_file
 
 
@@ -123,6 +125,24 @@ def test_byte_identical_reruns(tmp_path):
     m2 = json.loads((tmp_path / "b" / "manifest.json").read_text())
     assert m1["files"] == m2["files"]
     assert m1["config_sha256"] == m2["config_sha256"]
+
+
+def test_each_run_draws_its_own_test_functions(tmp_path):
+    # equivalence at p = 2 and p = 3 asks for the same batch twice: one draw
+    # and one repeat. A rerun's first request draws again rather than reuse
+    # the batch the run before it left in the memo
+    cfg = tiny_config(tmp_path / "a", experiments=("equivalence",), ps=(2.0, 3.0),
+                      weights=tiny_config(tmp_path).weights[:1])
+    infos = []
+    for tag in "ab":
+        run_experiments(dataclasses.replace(cfg, out_dir=str(tmp_path / tag)))
+        infos.append(analysis._draw_batch.cache_info())
+    assert [(i.misses, i.hits) for i in infos] == [(1, 1), (1, 1)]
+    assert (tmp_path / "a" / "equivalence_ratios.csv").read_bytes() == \
+        (tmp_path / "b" / "equivalence_ratios.csv").read_bytes()
+    batch = random_mean_zero_batch(make_weight(WeightFamily("power", 1, 1, 4)), 6, [3])
+    with pytest.raises(ValueError, match="read-only"):
+        batch.detail[0][...] = 0.0
 
 
 def test_seed_changes_outputs(tmp_path):

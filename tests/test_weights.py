@@ -48,6 +48,17 @@ def test_spd_power_against_scipy():
         )
 
 
+def test_scalar_spd_power_is_the_eigh_power_bit_for_bit():
+    # n = 1 skips eigh: the 1 x 1 eigendecomposition is the entry and +-1
+    rng = np.random.default_rng(8)
+    mats = np.exp(3.0 * rng.standard_normal((64, 1, 1)))
+    vals, vecs = np.linalg.eigh(mats)
+    for s in (0.5, -0.5, -1.0, 1.0 / 3.0, -1.0 / 3.0, 2.0):
+        eig = np.einsum("...ik,...k,...jk->...ij", vecs, vals**s, vecs)
+        npt.assert_array_equal(spd_power_stack(mats, s), eig)
+        npt.assert_array_equal(spd_power_stack(mats[::2], s), eig[::2])
+
+
 def test_spd_power_group_law():
     rng = np.random.default_rng(6)
     for _ in range(20):
