@@ -64,7 +64,6 @@ from .analysis import (
     equivalence_ratios,
     loglog_slope,
     random_mean_zero_batch,
-    random_mean_zero_coefficients,
     sharpness_probe,
     sharpness_probes,
     square_function,

@@ -52,7 +52,6 @@ from .weights import MatrixWeight, weighted_lp_norm
 
 __all__ = [
     "SPECTRA",
-    "random_mean_zero_coefficients",
     "random_mean_zero_batch",
     "square_function",
     "square_norm",
@@ -90,15 +89,6 @@ def _draw_detail(detail: list, rng: np.random.Generator, spectrum: str):
         flat[int(rng.integers(flat.shape[0]))] = rng.standard_normal(flat.shape[1])
     else:
         raise ParameterError(f"unknown spectrum {spectrum!r}, options {SPECTRA}")
-
-
-def random_mean_zero_coefficients(
-    d: int, n: int, level: int, rng: np.random.Generator, spectrum: str = "flat"
-) -> HaarCoefficients:
-    """Random detail coefficients, zero root scaling, drawn by _draw_detail."""
-    c = HaarCoefficients.zeros(d, n, level)
-    _draw_detail(c.detail, rng, spectrum)
-    return c
 
 
 def random_mean_zero_batch(
@@ -452,35 +442,37 @@ def _probe_operators(columns):
     S = blockdiag(V_I^{-1}), so the eigenvalues of C are those of the pencil
     (G, blockdiag(V_I^2)). The Schur complement over the constant
     function gives G^{-1} = H^T W_c^{-1} H - Z M0^{-1} Z^T, M0 = <W_c^{-1}>,
-    Z the details of W_c^{-1} e_k: together the detail part of
-    W_c^{-1}(h - M0^{-1}<W_c^{-1} h>), W_c^{-1} being the weight's cached
-    power_cells(-1.0). So both directions are one pencil pass, synthesis
-    with a symbol per cube, a cellwise product and analysis with the same
-    symbols: forward on (W_c, V_I^{-1}), inverse on (W_c^{-1}, V_I) with
-    that constant quotient taken out between synthesis and product.
+    Z the details of W_c^{-1} e_j (one column per component j), W_c^{-1}
+    being the weight's cached power_cells(-1.0). So both directions are one
+    pencil pass, synthesis with a symbol per cube, a cellwise product and
+    analysis with the same symbols: forward on (W_c, V_I^{-1}), inverse on
+    (W_c^{-1}, V_I), where the analysis of W_c^{-1} h also gives its root
+    <W_c^{-1} h> and the pass takes off the rank-n correction
+    Z M0^{-1} <W_c^{-1} h> before the last symbol product.
 
-    Each direction stacks column i's cells, their mean M0 (read only with
-    the quotient) and its symbols at index i of a trailing axis. The symbols
-    of all levels lie on one level-row axis, the same rows as the block x.
-    forward(x, cols) and inverse(x, cols) take a (size, len(cols)) block
-    whose columns belong to the columns numbered cols. A matvec is one
-    _columnwise product with the symbols, _synthesize, the cellwise product
-    (and quotient), _analyze and one more _columnwise product. The pyramid
-    cores run the butterflies on plain arrays, every column on its own, so a
-    column's result does not depend on the others in the block. Each
-    direction cuts its stacks to cols once per active set, which changes
-    only when a column converges; with every column active the cut is a
-    view, not a copy.
+    Each direction stacks column i's cells and its symbols at index i of a
+    trailing axis; the inverse also stacks M0 and Z, both from one _analyze
+    of the stacked W_c^{-1} cells. The symbols of all levels lie on one
+    level-row axis, the same rows as the block x and as Z. forward(x, cols)
+    and inverse(x, cols) take a (size, len(cols)) block whose columns belong
+    to the columns numbered cols. A matvec is one _columnwise product with
+    the symbols, _synthesize, the cellwise product, _analyze (and the
+    correction) and one more _columnwise product. The pyramid cores run the
+    butterflies on plain arrays, every column on its own, and the
+    correction's solve and sum run per column too, so a column's result
+    does not depend on the others in the block. Each direction cuts its
+    stacks to cols once per active set, which changes only when a column
+    converges; with every column active the cut is a view, not a copy.
     """
     weight = columns[0][0]
     d, n, level = weight.d, weight.n, weight.level
-    cells = tuple(range(d))
     everyone = tuple(range(len(columns)))
 
     def pencil(mats, symbols, quotient):
-        stacks = [np.stack(mats, axis=-1),
-                  np.stack([a.mean(axis=cells) for a in mats], axis=-1),
-                  np.stack([_rows(s[:level], d) for s in symbols], axis=-1)]
+        cells = np.stack(mats, axis=-1)
+        stacks = [cells, np.stack([_rows(s[:level], d) for s in symbols], axis=-1)]
+        if quotient:
+            stacks += _analyze(cells, d, level)  # M0 and Z
 
         @functools.lru_cache(maxsize=1)
         def take(cols):
@@ -488,16 +480,15 @@ def _probe_operators(columns):
             return [a[..., idx] for a in stacks]
 
         def op(x, cols):
-            a, m0, s = take(tuple(cols))
+            a, s, *schur = take(tuple(cols))
             k = x.shape[-1]
             detail = _columnwise(s, x.reshape(-1, (1 << d) - 1, n, k))
             h = _synthesize(np.zeros((n, k)), detail, d)
-            if quotient:
-                g = _columnwise(a, h)
-                # one reduction per column: a column's sum runs in the order it has alone
-                r = np.stack([g[..., c].mean(axis=cells) for c in range(k)])
-                h = h - np.linalg.solve(np.moveaxis(m0, -1, 0), r[..., None])[..., 0].T
-            _, detail = _analyze(_columnwise(a, h), d, level)
+            mean, detail = _analyze(_columnwise(a, h), d, level)
+            if schur:
+                m0, z = schur
+                c = np.linalg.solve(np.moveaxis(m0, -1, 0), mean.T[..., None])[..., 0].T
+                detail -= np.einsum("...ijk,jk->...ik", z, c)
             return _columnwise(s, detail).reshape(-1, k)
 
         return op

@@ -192,10 +192,13 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     first stage is at t_0 = min(m, t_final), where the duality gap bound m/t
     of a central point is 1, and t grows by _T_FACTOR per stage up to
     t_final = 2m / (n tol). A stage before the last centres a row only into
-    Newton's quadratic region (decrement <= _NEAR_CENTRE); the last stage
-    centres it to decrement <= 1e-7, or to the rounding floor (the decrement
-    stopped halving below 1e-5), so the result is the t_final centre and the
-    earlier stages only shape the path to it. A row centred at t before the
+    Newton's quadratic region (decrement <= _NEAR_CENTRE). The last stage
+    ends a row in one of three ways: its decrement is <= 1e-7; it reaches
+    the rounding floor, where the decrement stopped halving below 1e-5; or
+    the stage hits its 80-step cap, which passes only if every decrement is
+    <= 1e-4 (else EllipsoidFitError). So the result is the t_final centre
+    only to within those decrements, and the earlier stages only shape the
+    path to it. A row centred at t before the
     last stage takes one tangent (predictor) step toward the next t': along
     the central path, dA/d(1/t) = -t H_t^{-1} vec(A^{-1}) for the Hessian H_t
     of the t-normalized barrier, so the step is (1 - t/t') H_t^{-1}

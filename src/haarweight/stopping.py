@@ -17,6 +17,11 @@ flagged, since its subtree was truncated rather than exhausted. Each
 generation's roots lie strictly below the last, so there are at most L + 1
 generations.
 
+Both passes read one table per test and level (_pair_tables), the test
+values of every level-lj cube against each of its lj ancestors on a last
+axis: the labelling pass picks each cube's value at its root level, and
+calibration folds the tables into running maxima.
+
 The tree is those label arrays plus the two test values of every cube, one
 array per level; no per-cube records are built. Generation j's stopping
 cubes are the cubes labelled j + 1 whose label is above their parent's, and
@@ -107,19 +112,21 @@ class GenerationTree:
         return bool((self.gen_label[-1] == j).any())
 
 
-def _pair_table(family: ReducingFamily, mode: int, li: int, lj: int) -> np.ndarray:
-    """Test values over the level-lj grid of cubes J, with I the level-li
-    ancestor of J: ||V_J V_I^{-1}||^p (mode 1) or ||V_J^{-1} V_I||^{p'}
-    (mode 2). Cached on the family."""
-    key = ("pair", mode, li, lj)
+def _pair_tables(family: ReducingFamily, mode: int, lj: int) -> np.ndarray:
+    """Test values of every level-lj cube J against each of its ancestors,
+    shape (2^lj,)*d + (lj,): index li holds ||V_J V_I^{-1}||^p (mode 1) or
+    ||V_J^{-1} V_I||^{p'} (mode 2), I the level-li ancestor of J. One
+    op_norm_stack call on the stacked products, each computed as it is
+    alone. The transient stacks hold lj 2^{lj d} n^2 floats each, so the
+    peak is at the floor, lj = L. Cached on the family."""
+    key = ("pairs", mode, lj)
     if key not in family._cache:
         d = family.d
-        if mode == 1:
-            anc = refine_to_cells(family.v_inv[li], d, lj - li)
-            val = op_norm_stack(family.v[lj] @ anc) ** family.p
-        else:
-            anc = refine_to_cells(family.v[li], d, lj - li)
-            val = op_norm_stack(family.v_inv[lj] @ anc) ** conjugate_exponent(family.p)
+        own, anc, power = ((family.v, family.v_inv, family.p) if mode == 1 else
+                           (family.v_inv, family.v, conjugate_exponent(family.p)))
+        ancestors = np.stack([refine_to_cells(anc[li], d, lj - li) for li in range(lj)],
+                             axis=d)
+        val = op_norm_stack(own[lj][..., None, :, :] @ ancestors) ** power
         val.flags.writeable = False
         family._cache[key] = val
     return family._cache[key]
@@ -147,13 +154,9 @@ def build_generations(family: ReducingFamily, cfg: StoppingConfig) -> Generation
     for lj in range(1, floor + 1):
         label = refine_to_cells(label, d, 1)
         root_at = refine_to_cells(root_at, d, 1)
-        t1 = np.empty(label.shape)
-        t2 = np.empty(label.shape)
-        # the distinct root levels, in order (np.unique imports numpy.ma)
-        for li in np.flatnonzero(np.bincount(root_at.ravel())).tolist():
-            sel = root_at == li
-            t1[sel] = _pair_table(family, 1, li, lj)[sel]
-            t2[sel] = _pair_table(family, 2, li, lj)[sel]
+        at = root_at[..., None]
+        t1 = np.take_along_axis(_pair_tables(family, 1, lj), at, axis=-1)[..., 0]
+        t2 = np.take_along_axis(_pair_tables(family, 2, lj), at, axis=-1)[..., 0]
         hit = (t1 > cfg.lambda1) | (t2 > cfg.lambda2)
         label = label + hit
         root_at = np.where(hit, lj, root_at)
@@ -224,17 +227,18 @@ def _coverage_maxima(family: ReducingFamily, mode: int) -> list:
     the largest test value over the cubes J with x in J strictly inside I.
 
     The maximal cubes J inside I with test value above lam cover exactly the
-    floor cells whose maximum is above lam.
+    floor cells whose maximum is above lam. One pass down the levels carries
+    the running maxima of every root level li < lj on a last axis; level lj
+    adds its table against each ancestor and opens the column of root level
+    lj - 1.
     """
     floor, d = _floor(family), family.d
-    out = []
-    for li in range(floor):
-        top = _pair_table(family, mode, li, li + 1)
-        for lj in range(li + 2, floor + 1):
-            top = np.maximum(refine_to_cells(top, d, 1),
-                             _pair_table(family, mode, li, lj))
-        out.append(_cube_blocks(top, d, li))
-    return out
+    top = np.zeros((1,) * d + (0,))
+    for lj in range(1, floor + 1):
+        t = _pair_tables(family, mode, lj)
+        top = np.concatenate([np.maximum(refine_to_cells(top, d, 1), t[..., :-1]),
+                              t[..., -1:]], axis=-1)
+    return [_cube_blocks(top[..., li], d, li) for li in range(floor)]
 
 
 def _least_threshold(maxima: list, target: float) -> float:

@@ -37,7 +37,6 @@ from haarweight.analysis import (
     loglog_slope,
     _probe_operators,
     random_mean_zero_batch,
-    random_mean_zero_coefficients,
     sharpness_probe,
     sharpness_probes,
     square_function,
@@ -47,6 +46,13 @@ from haarweight.dyadic import haar_reconstruct
 from haarweight.multipliers import t_blocks
 from haarweight.weights import spd_power_stack
 from test_dyadic import haar_eval
+
+
+def random_mean_zero_coefficients(d, n, level, rng, spectrum="flat"):
+    """Random detail coefficients, zero root scaling, drawn by _draw_detail."""
+    c = HaarCoefficients.zeros(d, n, level)
+    analysis._draw_detail(c.detail, rng, spectrum)
+    return c
 
 
 def two_cell_weight():
@@ -370,8 +376,8 @@ def test_sharpness_probe_matches_dense_oracle(case):
 @pytest.mark.parametrize(
     "d, n, grid, level, symbols",
     [(1, 1, 6, 6, "family"), (1, 1, 6, 3, "family"), (2, 2, 4, 4, "family"),
-     (2, 2, 4, 2, "family"), (1, 2, 6, 6, "random")],
-    ids=["1-1-6-6", "1-1-6-3", "2-2-4-4", "2-2-4-2", "1-2-6-6-random"],
+     (2, 2, 4, 2, "family"), (1, 2, 6, 6, "random"), (1, 3, 5, 5, "family")],
+    ids=["1-1-6-6", "1-1-6-3", "2-2-4-4", "2-2-4-2", "1-2-6-6-random", "1-3-5-5"],
 )
 def test_probe_inverse_is_exact(d, n, grid, level, symbols):
     w = make_weight(WeightFamily("logbrownian", d, n, grid, params={"sigma": 0.8}, seed=2))

@@ -2,18 +2,23 @@
 
 perfbench/child.py runs each workload as `run_experiments(cfg)` or
 `run_all(AcceptanceContext(cfg), printer=...)`, and perfbench/checks.py
-reads the written tables. perfbench/ is not part of this suite, so without
-this test a change to those signatures, or to a CSV column the checks read,
-would break the benchmark unnoticed.
+reads the written tables. In traced mode, perfbench/layers.py wraps the
+program's public functions and reads its per-layer metrics from their
+arguments and results. perfbench/ is not part of this suite, so without
+these tests a change to those signatures, to a CSV column the checks read,
+or to an argument the metrics read would break the benchmark unnoticed.
 """
 
 import importlib
 import json
+import math
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import haarweight
 from haarweight.config import config_to_dict
 from test_experiments import tiny_config
 
@@ -47,3 +52,39 @@ def test_benchmark_child_runs_in_process(tmp_path, child, checks, mode):
         assert attempted > 0 and failed == 0 and problems == []
     else:
         assert sorted(out["verdicts"]) == [f"{i:02d}" for i in range(1, 14)]
+
+
+def _wrapped_names() -> set:
+    """(namespace, name) of every function carrying __wrapped__ in the
+    program's modules, the WeightSpec class and the criteria."""
+    spaces = {key: vars(m) for key, m in list(sys.modules.items())
+              if m is not None and key.split(".")[0] == "haarweight"}
+    spaces["WeightSpec"] = vars(haarweight.config.WeightSpec)
+    spaces["CRITERIA"] = dict(enumerate(haarweight.acceptance.CRITERIA))
+    return {(space, key) for space, names in spaces.items()
+            for key, val in names.items() if hasattr(val, "__wrapped__")}
+
+
+def test_traced_mode_runs_in_process(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    tracer_mod = importlib.import_module("tracer")
+    before = _wrapped_names()  # lru_cache functions carry __wrapped__ too
+    cfg = tiny_config(tmp_path / "out")
+    tracer = tracer_mod.Tracer()
+    undo = layers.instrument(tracer, haarweight)
+    try:
+        assert _wrapped_names() > before
+        start = time.perf_counter()
+        haarweight.run_experiments(cfg)
+        haarweight.run_all(haarweight.AcceptanceContext(cfg), printer=lambda line: None)
+        wall = time.perf_counter() - start
+    finally:
+        tracer_mod.undo(undo)
+    assert _wrapped_names() == before
+    metrics = layers.layer_metrics(tracer.spans, wall,
+                                   tracer_mod.span_cost(calls=1000, rounds=1))
+    assert sorted(metrics) == sorted(layers.METRICS)
+    assert all(math.isfinite(v) for v in metrics.values())
+    assert metrics["reducing.build_family.calls"] > 0
+    assert metrics["stopping.calibrate.calls"] > 0

@@ -32,15 +32,20 @@ from haarweight.dyadic import (
     haar_transform,
     refine_to_cells,
 )
-from haarweight.reducing import conjugate_exponent
+from haarweight import stopping
+from haarweight.reducing import conjugate_exponent, op_norm_stack
 from haarweight.serialization import tree_to_dict
 from haarweight.stopping import (
     _coverage_maxima,
     _covered,
     _least_multipliers,
     _least_threshold,
-    _pair_table,
+    _pair_tables,
 )
+
+
+def _pair_table(fam, mode, li, lj):
+    return _pair_tables(fam, mode, lj)[..., li]
 
 
 def two_cell_weight():
@@ -345,13 +350,13 @@ def test_least_multipliers_are_least():
 
 
 def _random_table_family(d, floor, rng):
-    """A family whose cached pair tables hold uniform random test values."""
+    """A family whose cached pair tables hold uniform random test values; its
+    real tables, on constant cells, would hold 1 everywhere."""
     cells = np.ones(((1 << floor),) * d + (1, 1))
     fam = build_reducing_family(MatrixWeight(d=d, n=1, level=floor, cells=cells), 2.0)
     for mode in (1, 2):
-        for li in range(floor):
-            for lj in range(li + 1, floor + 1):
-                fam._cache["pair", mode, li, lj] = rng.random(((1 << lj),) * d)
+        for lj in range(1, floor + 1):
+            fam._cache["pairs", mode, lj] = rng.random(((1 << lj),) * d + (lj,))
     return fam
 
 
@@ -370,6 +375,11 @@ def test_sup_decay_matches_per_pair_sums(d):
     # thresholds equal to coverage maxima, so ties with them are tested too
     values1, values2 = (np.sort(np.concatenate([t.ravel() for t in maxima]))
                         for maxima in (max1, max2))
+    # the maxima are the injected values, none of the real tables' ones
+    for mode, values in ((1, values1), (2, values2)):
+        injected = np.concatenate([_pair_tables(fam, mode, lj).ravel()
+                                   for lj in range(1, floor + 1)])
+        assert np.isin(values, injected).all() and (values < 1.0).all()
     for density in (0.02, 0.1, 0.3, 0.7):
         lam1 = values1[int((1.0 - density) * values1.size)]
         lam2 = values2[int((1.0 - density / 2) * values2.size)]
@@ -480,6 +490,23 @@ def test_labelling_pass_matches_per_root_scan(suite_ctx, p, lam):
             assert order == sorted(order)
             # the mask sum is the per-cube sum of measures, exactly
             assert decay_ratio(tree, rec["index"]) == sum(c.measure for c in stopping)
+
+
+def test_one_pair_table_per_test_and_level(monkeypatch):
+    # calibration and labelling share one table per (test, level): 2L norm
+    # stacks, not one per (root level, level) pair
+    w, fam = rotating_setup(level=6)
+    shapes = []
+
+    def counted(mats):
+        shapes.append(mats.shape)
+        return op_norm_stack(mats)
+
+    monkeypatch.setattr(stopping, "op_norm_stack", counted)
+    res = calibrate_lambdas([("rot", w, fam)])
+    build_generations(fam, StoppingConfig(p=3.0, lambda1=res.lambda1,
+                                          lambda2=res.lambda2_by_weight["rot"]))
+    assert len(shapes) == 2 * fam.level == 12
 
 
 @pytest.mark.parametrize("name", ["rot2d-a05", "rot-a06"])
