@@ -141,6 +141,25 @@ def _sandwich_norms(quad: np.ndarray, v: np.ndarray, ee: np.ndarray, p: float):
     return rho, np.sqrt(vtv @ ee)[:, 0]
 
 
+def _unit_outer_products(rng, cubes: int, m: int, n: int) -> np.ndarray:
+    """e e^T of m fresh unit directions per cube, flattened to (cubes, n^2, m):
+    e = g / |g| for one (cubes, m, n) standard normal draw g. The components
+    of g are copied into contiguous (cubes, m) arrays, and |g| is the square
+    root of their left-associated sum of squares, which is
+    np.linalg.norm(g, axis=-1) bit for bit."""
+    comps = np.moveaxis(rng.standard_normal((cubes, m, n)), -1, 0).copy()
+    norm = comps[0] ** 2
+    for i in range(1, n):
+        norm += comps[i] ** 2
+    comps /= np.sqrt(norm, out=norm)
+    del norm
+    ee = np.empty((cubes, n * n, m))
+    for i in range(n):
+        for j in range(n):
+            np.multiply(comps[i], comps[j], out=ee[:, i * n + j])
+    return ee
+
+
 def c03_john_sandwich(ctx: AcceptanceContext) -> CriterionResult:
     """p=3 sandwich on 1000 fresh directions per cube, slack 1 + 1e-3; rho
     and |Ve| come from the quadratic forms e^T W^{2/p} e and e^T V^T V e
@@ -164,11 +183,7 @@ def c03_john_sandwich(ctx: AcceptanceContext) -> CriterionResult:
             else:
                 tag = zlib.crc32(w.name.encode())
                 rng = np.random.default_rng([ctx.config.seed, 3, tag, l])
-                dirs = rng.standard_normal((cubes, m, n))
-                dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-                # e e^T of every direction, flattened: (cubes, n^2, m)
-                cols = np.swapaxes(dirs, -1, -2)
-                ee = (cols[:, :, None] * cols[:, None]).reshape(cubes, n * n, m)
+                ee = _unit_outer_products(rng, cubes, m, n)
             rho, ve = _sandwich_norms(quad, fam.v[l].reshape(cubes, n, n), ee, p)
             worst_lo = max(worst_lo, float((rho / (ve * slack)).max()))
             worst_hi = max(worst_hi, float((ve / (sqrt_n * rho * slack)).max()))

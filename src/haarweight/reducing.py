@@ -66,9 +66,9 @@ _T_FACTOR = 20.0
 # capped step with no Armijo search, and a barrier stage before the last is
 # centred once the row's decrement is <= _NEAR_CENTRE
 _NEAR_CENTRE = 0.25
-# the final barrier parameter is t_final = 2m / (n _TOL) for m fit directions,
-# so the last centred point is within n _TOL / 2 of the optimal -log det A;
-# _MAX_ITER caps the total Newton steps over all barrier stages
+# the last stage stops a row at duality gap <= n _TOL, about twice the gap of
+# the exact centre at t_final = 2m / (n _TOL) for m fit directions; _MAX_ITER
+# caps the total Newton steps over all barrier stages
 _TOL = 1e-6
 _MAX_ITER = 200_000
 
@@ -184,8 +184,9 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     A and the objective is self-concordant, so a handful of Newton steps per
     barrier stage reaches high accuracy; multiplicative-update schemes are far
     too slow at this tolerance). The returned A are strictly feasible (all
-    points inside {x : x^T A x <= 1}) and carry the John-type certificate
-    A^{-1} = sum_m c_m x_m x_m^T with c_m >= 0 and sum c_m <= n (1 + tol).
+    points inside {x : x^T A x <= 1}) and within n tol of the optimal
+    -log det A; tests check the John-type certificate A^{-1} =
+    sum_m c_m x_m x_m^T with c_m >= 0 and sum c_m <= n (1 + tol) on them.
     max_iter caps the total batch Newton steps.
 
     Barrier schedule (Boyd & Vandenberghe, Convex Optimization, 11.3): the
@@ -193,45 +194,47 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     of a central point is 1, and t grows by _T_FACTOR per stage up to
     t_final = 2m / (n tol). A stage before the last centres a row only into
     Newton's quadratic region (decrement <= _NEAR_CENTRE). The last stage
-    ends a row in one of three ways: its decrement is <= 1e-7; it reaches
-    the rounding floor, where the decrement stopped halving below 1e-5; or
-    the stage hits its 80-step cap, which passes only if every decrement is
-    <= 1e-4 (else EllipsoidFitError). So the result is the t_final centre
-    only to within those decrements, and the earlier stages only shape the
-    path to it. A row centred at t before the
-    last stage takes one tangent (predictor) step toward the next t': along
-    the central path, dA/d(1/t) = -t H_t^{-1} vec(A^{-1}) for the Hessian H_t
-    of the t-normalized barrier, so the step is (1 - t/t') H_t^{-1}
-    vec(A^{-1}), symmetrized, on the Hessian of the row's last Newton step.
-    Within a stage a row leaves the batch once it is centred, so a row takes
-    the steps it needs whatever the other rows need, and its result does not
-    depend on the batch beyond rounding.
+    stops a row once its duality gap is <= n tol (8.4): u_m = 1 / (t slack_m)
+    scaled by n / sum u is dual feasible with value log det M + n log(n /
+    sum u), M = sum_m u_m x_m x_m^T, so the gap -log det A - log det M -
+    n log(n / sum u), which the conditioning rescale leaves unchanged,
+    bounds -log det A minus its optimum. An exact t_final centre has
+    M = A^{-1} and sum u = n + m / t, so its gap n log(1 + tol / 2) leaves
+    the stop a factor-2 margin; a row above n tol after the stage's 80 steps
+    raises EllipsoidFitError with its gap as the residual. A row centred at
+    t before the last stage takes one tangent (predictor) step toward the
+    next t': along the central path, dA/d(1/t) = -t H_t^{-1} vec(A^{-1}) for
+    the Hessian H_t of the t-normalized barrier, so the step is
+    (1 - t/t') H_t^{-1} vec(A^{-1}), symmetrized, on the Hessian of the
+    row's last Newton step. A centred row leaves the stage's batch, so its
+    steps and result do not depend on the batch beyond rounding.
 
     Each step builds the barrier Hessian with the (b, m) @ (m, n^4) matrix
     product against the products of the direction outer products, computed
-    once per call, and takes one Cholesky factor A = L L^T: L^{-1} gives both
-    A^{-1} = L^{-T} L^{-1} and the pencil L^{-1} Delta L^{-T}, whose
-    eigenvalues lam_i are the generalized eigenvalues of (Delta, A). The
-    weights r = w2 / slack are formed once per step: r against the direction
-    outer products gives the barrier gradient, and r squared in place gives
-    the Hessian weights. Newton and tangent steps alike start at the largest
-    alpha <= 1 that keeps 2% of the constraint slack and of the SPD margin
-    (_step_length); u, one (rows, m) pass, is each constraint's change per
-    unit step over its slack. On a Newton step, rows with decrement >
-    _NEAR_CENTRE then halve alpha until the t-normalized barrier meets the
-    Armijo condition; each row leaves the search once its step passes, and
-    the other rows keep the capped step. The trial values need no
-    factorization: log det(A + alpha Delta) - log det A =
-    sum_i log(1 + alpha lam_i), and the barrier term is
-    sum_m log(1 - alpha u_m) on the same u. The (rows, m) products of a step
-    (the constraint values, the gradient, the Hessian and u) run as serial
-    GEMMs over blocks of rows (weights._serial_matmul): each block stays on
-    the calling thread, so no BLAS worker wakes up or spins between the many
-    small products of a fit, and the result does not depend on the BLAS
-    thread count. One DEBUG record on the haarweight logger per call gives
-    the batch Newton steps, barrier stages, stages ended at the inner
-    step cap, the final decrement, the row-steps (steps summed over rows), the
-    call's seconds and the search steps (Armijo halvings summed over rows).
+    once per call, and takes one Cholesky factor A = L L^T: L^{-1} gives
+    A^{-1} = L^{-T} L^{-1}, the log det A of the gap, and the pencil
+    L^{-1} Delta L^{-T}, whose eigenvalues lam_i are the generalized
+    eigenvalues of (Delta, A). The weights r = w2 / slack are formed once per
+    step: r against the direction outer products gives t M, the barrier
+    gradient M - A^{-1} and sum u = tr(A M) + m / t (as u_m slack_m = 1 / t),
+    and r squared in place gives the Hessian weights.
+    Newton and tangent steps alike start at the largest alpha <= 1 that keeps
+    2% of the constraint slack and of the SPD margin (_step_length); u, one
+    (rows, m) pass, is each constraint's change per unit step over its
+    slack. On a Newton step, rows with decrement > _NEAR_CENTRE then halve
+    alpha until the t-normalized barrier meets the Armijo condition; each row
+    leaves the search once its step passes, and the other rows keep the
+    capped step. The trial values need no factorization:
+    log det(A + alpha Delta) - log det A = sum_i log(1 + alpha lam_i), and
+    the barrier term is sum_m log(1 - alpha u_m) on the same u. The (rows, m)
+    products of a step (the constraint values, the gradient, the Hessian and
+    u) run as serial GEMMs over blocks of rows (weights._serial_matmul): each
+    block stays on the calling thread, so no BLAS worker wakes up or spins
+    between the many small products of a fit, and the result does not depend
+    on the BLAS thread count. One DEBUG record on the haarweight logger per
+    call gives the batch Newton steps, barrier stages, stages ended at the
+    inner step cap, the largest final gap, the row-steps and search steps
+    (Newton steps and Armijo halvings summed over rows) and the seconds.
     """
     start = time.perf_counter()
     b, m = rho.shape
@@ -248,22 +251,23 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     t_final = 2.0 * m / (n * tol)
     t = min(float(m), t_final)
     iters = row_steps = search_steps = stages = capped = 0
-    decrement = np.full(b, np.inf)
+    # each row's stop measure: its Newton decrement, and its gap in the last stage
+    residual = np.full(b, np.inf)
     while True:
         stages += 1
         last = t >= t_final
+        bound = n * tol if last else _NEAR_CENTRE
         t_next = min(t * _T_FACTOR, t_final)
         # Newton steps at this barrier parameter on the rows not yet centred.
         # Work with the t-normalized objective -logdet A - (1/t) sum ln(1-g):
         # same center and same Newton step, but O(1) gradients at large t.
         live = np.arange(b)
         w2 = invr2
-        previous = np.full(b, np.inf)
         for _ in range(80):
             if iters >= max_iter:
                 raise EllipsoidFitError(
                     f"ellipsoid fit exceeded {max_iter} Newton iterations",
-                    residual=float(np.max(decrement)),
+                    residual=float(np.max(residual)),
                 )
             iters += 1
             row_steps += live.size
@@ -273,28 +277,28 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
             ainv = linv_t @ linv
             slack = 1.0 - _serial_matmul(al, pe.T) * w2
             r = w2 / slack
-            grad = -ainv.reshape(-1, q) + _serial_matmul(r, pe) / t
+            moment = _serial_matmul(r, pe) / t  # M = sum_m u_m x_m x_m^T
+            grad = moment - ainv.reshape(-1, q)
+            if last:
+                gap = (2.0 * np.log(np.diagonal(linv, axis1=1, axis2=2)).sum(axis=1)
+                       - np.linalg.slogdet(moment.reshape(-1, n, n))[1]
+                       + n * np.log(((al * moment).sum(axis=1) + m / t) / n))
             hess = np.einsum("bik,bjl->bijkl", ainv, ainv).reshape(-1, q, q)
             hess += _serial_matmul(np.square(r, out=r), pe2).reshape(-1, q, q) / t
             del r
             delta = _symmetric(np.linalg.solve(hess, -grad[..., None])[..., 0], n)
             # Newton decrement of the un-normalized barrier: sqrt(t) * phi-decrement
             dec = np.sqrt(t * np.maximum(-np.sum(grad * delta, axis=1), 0.0))
-            decrement[live] = dec
-            if last:
-                # centred at 1e-7, or at the rounding floor: the decrement
-                # stopped halving below 1e-5
-                centred = (dec <= 1e-7) | ((dec <= 1e-5) & (dec > 0.5 * previous))
-            else:
-                centred = dec <= _NEAR_CENTRE
-                if centred.any():
-                    # tangent step toward t_next on the rows centred at t;
-                    # a slice keeps the all-centred case free of copies
-                    sel = slice(None) if centred.all() else centred
-                    tangent = np.linalg.solve(hess[sel], ainv[sel].reshape(-1, q, 1))
-                    tangent = (1.0 - t / t_next) * _symmetric(tangent[..., 0], n)
-                    alpha = _step_length(tangent, w2, slack, linv, linv_t, pe, sel)[0]
-                    a[live[sel]] = al[sel] + alpha[:, None] * tangent
+            residual[live] = gap if last else dec
+            centred = residual[live] <= bound
+            if not last and centred.any():
+                # tangent step toward t_next on the rows centred at t;
+                # a slice keeps the all-centred case free of copies
+                sel = slice(None) if centred.all() else centred
+                tangent = np.linalg.solve(hess[sel], ainv[sel].reshape(-1, q, 1))
+                tangent = (1.0 - t / t_next) * _symmetric(tangent[..., 0], n)
+                alpha = _step_length(tangent, w2, slack, linv, linv_t, pe, sel)[0]
+                a[live[sel]] = al[sel] + alpha[:, None] * tangent
             if centred.all():
                 break
             if centred.any():
@@ -302,7 +306,6 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
                 live, w2, al, linv, linv_t, slack, delta, dec = (
                     x[keep] for x in (live, w2, al, linv, linv_t, slack, delta, dec)
                 )
-            previous = dec
             alpha, u, lam = _step_length(delta, w2, slack, linv, linv_t, pe)
             # Armijo backtracking (c = 1/4) on the t-normalized barrier, only on
             # the rows outside Newton's quadratic region; the others keep the
@@ -328,21 +331,18 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
             a[live] = al + alpha[:, None] * delta
         else:
             capped += 1
-        # stall bounds: 1e-4 in the last stage, the centring rule 1/4 before it
-        if decrement.max() > (1e-4 if last else _NEAR_CENTRE):
-            raise EllipsoidFitError(
-                "ellipsoid fit: Newton centering stalled",
-                residual=float(np.max(decrement)),
-            )
+        if residual.max() > bound:
+            raise EllipsoidFitError(f"ellipsoid fit: stage stop {bound:.3g} unmet",
+                                    residual=float(np.max(residual)))
         if last:
             break
         t = t_next
     a = a.reshape(b, n, n) * (gm**2)[:, None, None]
     _log.debug(
         "ellipsoid fit: rows=%d n=%d m=%d newton_steps=%d stages=%d "
-        "capped_stages=%d final_decrement=%.3g row_steps=%d seconds=%.3f "
+        "capped_stages=%d final_gap=%.3g row_steps=%d seconds=%.3f "
         "search_steps=%d",
-        b, n, m, iters, stages, capped, float(decrement.max()), row_steps,
+        b, n, m, iters, stages, capped, float(residual.max()), row_steps,
         time.perf_counter() - start, search_steps,
     )
     return a

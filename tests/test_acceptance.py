@@ -183,6 +183,18 @@ def test_john_sandwich_fails_on_a_shrunk_operator():
     assert not res.passed
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_unit_outer_products_match_the_norm_reference(n):
+    # c03's directions, bit for bit, against normalising the draw with
+    # np.linalg.norm and taking the outer products on the swapped axes
+    got = acc._unit_outer_products(np.random.default_rng(5), 7, 1000, n)
+    dirs = np.random.default_rng(5).standard_normal((7, 1000, n))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    cols = np.swapaxes(dirs, -1, -2)
+    want = (cols[:, :, None] * cols[:, None]).reshape(7, n * n, 1000)
+    assert got.tobytes() == want.tobytes()
+
+
 def _power_p3_config():
     return dataclasses.replace(
         tiny_context().config,
