@@ -68,9 +68,22 @@ _T_FACTOR = 20.0
 _NEAR_CENTRE = 0.25
 # the last stage stops a row at duality gap <= n _TOL, about twice the gap of
 # the exact centre at t_final = 2m / (n _TOL) for m fit directions; _MAX_ITER
-# caps the total Newton steps over all barrier stages
+# caps the batch Newton steps over all barrier stages
 _TOL = 1e-6
 _MAX_ITER = 200_000
+# a row's least-squares start is divided by 1 + _START_MARGIN past its
+# farthest fit point, so every point lies strictly inside. On the 50 fits of
+# the rotating-fit sweep in tests/test_reducing.py (pytest -m slow), margins
+# 1e-6, 1e-5, 1e-4, 1e-3 and 1e-2 took 298,230, 238,646, 210,087, 233,606
+# and 245,543 row-steps, and no fit raised
+_START_MARGIN = 1e-4
+# a row's first barrier parameter is t_0 = _T0_FACTOR m / G_0, clipped to
+# [m, t_final], for the certified duality gap G_0 of its start: the exact
+# centre at t_0 has gap m / t_0 = G_0 / _T0_FACTOR. On the same sweep,
+# factors 3, 10, 30 and 100 raised on no fit and took 283,973, 256,654,
+# 233,388 and 210,087 row-steps; factor 1 raised on 1 fit, and 300, 1000
+# and 3000 on 1, 3 and 12
+_T0_FACTOR = 100.0
 
 
 def conjugate_exponent(p: float) -> float:
@@ -145,22 +158,21 @@ def _rho_rows(weight: MatrixWeight, p: float, dirs: np.ndarray, dual: bool,
 # ellipsoid fit (log-barrier Newton, batched over cubes)
 
 
-def _step_length(delta, w2, slack, linv, linv_t, pe, rows=slice(None)):
+def _step_length(delta, r, linv, linv_t, pe):
     """The largest alpha <= 1 that keeps 2% of the constraint slack and of the
     SPD margin along the steps delta from A = L L^T, with the (rows, m) u,
     each constraint's change per unit step over its slack, and the ascending
     eigenvalues lam of the pencil L^{-1} delta L^{-T}.
 
-    delta steps on the rows `rows` of w2, slack, linv and linv_t; w2 and
-    slack are cut one at a time, so at most one (rows, m) copy is alive next
-    to u. The explicit caps guard against rounding: the slack cap is
-    0.98 / max_m u_m, the SPD cap -0.98 / min_i lam_i."""
+    r = w2 / slack are the weights the step has already formed, so u is one
+    (rows, m) product scaled by r in place. The explicit caps guard against
+    rounding: the slack cap is 0.98 / max_m u_m, the SPD cap
+    -0.98 / min_i lam_i."""
     n = linv.shape[-1]
     u = _serial_matmul(delta, pe.T)
-    u *= w2[rows]
-    u /= slack[rows]
+    u *= r
     top = u.max(axis=1)
-    lam = np.linalg.eigvalsh(linv[rows] @ delta.reshape(-1, n, n) @ linv_t[rows])
+    lam = np.linalg.eigvalsh(linv @ delta.reshape(-1, n, n) @ linv_t)
     with np.errstate(divide="ignore"):
         cap = np.where(top > 0.0, 0.98 / top, np.inf)
         spd = np.where(lam[:, 0] < 0.0, -0.98 / lam[:, 0], np.inf)
@@ -171,6 +183,47 @@ def _symmetric(x: np.ndarray, n: int) -> np.ndarray:
     """The symmetric parts of a (rows, n^2) stack of flattened n x n matrices."""
     x = x.reshape(-1, n, n)
     return (0.5 * (x + x.swapaxes(1, 2))).reshape(-1, n * n)
+
+
+def _least_squares_start(w2: np.ndarray, pe: np.ndarray) -> np.ndarray:
+    """Each row's least-squares ellipse, shrunk so that every fit point lies
+    strictly inside it: (rows, n^2) flattened A.
+
+    The points x_m have x_m^T A x_m = w2_m e_m^T A e_m, which is linear in
+    the n(n+1)/2 symmetric coordinates A_ij, i <= j (an off-diagonal one
+    counts twice). One (rows, m) @ (m, k^2) product of w2^2 against the
+    coordinate outer products gives each row's k x k normal matrix of the
+    fit of x_m^T A x_m = 1, one (rows, m) @ (m, k) product its right-hand
+    side, and one k x k solve per row the fit. The fit is then divided by
+    (1 + _START_MARGIN) max_m x_m^T A x_m."""
+    n = math.isqrt(pe.shape[1])
+    i, j = np.triu_indices(n)
+    coords = pe[:, i * n + j] * np.where(i == j, 1.0, 2.0)
+    k = i.size
+    normal = _serial_matmul(np.square(w2), _outer_products(coords)).reshape(-1, k, k)
+    c = np.linalg.solve(normal, _serial_matmul(w2, coords)[..., None])[..., 0]
+    a = np.empty((w2.shape[0], n, n))
+    a[:, i, j] = c
+    a[:, j, i] = c
+    # on a norm far from any ellipse the fit can be indefinite: such a row
+    # starts from the isotropic ellipse through its nearest point instead
+    indefinite = ~(np.linalg.eigvalsh(a)[:, 0] > 0.0)
+    a[indefinite] = np.eye(n) / w2[indefinite].max(axis=1)[:, None, None]
+    a = a.reshape(-1, n * n)
+    g = _serial_matmul(a, pe.T)
+    g *= w2
+    return a / ((1.0 + _START_MARGIN) * g.max(axis=1))[:, None]
+
+
+def _quartic_monomials(pe: np.ndarray):
+    """The C(n+3, 4) distinct products x_i x_j x_k x_l, i <= j <= k <= l, of
+    each direction, (m, C), and for each entry of the flattened n^2 x n^2
+    matrix vec(x x^T) vec(x x^T)^T the column that holds its product."""
+    n = math.isqrt(pe.shape[1])
+    quads = np.sort(np.indices((n,) * 4).reshape(4, -1).T, axis=1)
+    quads, where = np.unique(quads, axis=0, return_inverse=True)
+    mono = pe[:, quads[:, 0] * n + quads[:, 1]] * pe[:, quads[:, 2] * n + quads[:, 3]]
+    return mono, where.reshape(-1)
 
 
 def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
@@ -189,35 +242,43 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     sum_m c_m x_m x_m^T with c_m >= 0 and sum c_m <= n (1 + tol) on them.
     max_iter caps the total batch Newton steps.
 
-    Barrier schedule (Boyd & Vandenberghe, Convex Optimization, 11.3): the
-    first stage is at t_0 = min(m, t_final), where the duality gap bound m/t
-    of a central point is 1, and t grows by _T_FACTOR per stage up to
-    t_final = 2m / (n tol). A stage before the last centres a row only into
-    Newton's quadratic region (decrement <= _NEAR_CENTRE). The last stage
-    stops a row once its duality gap is <= n tol (8.4): u_m = 1 / (t slack_m)
-    scaled by n / sum u is dual feasible with value log det M + n log(n /
-    sum u), M = sum_m u_m x_m x_m^T, so the gap -log det A - log det M -
-    n log(n / sum u), which the conditioning rescale leaves unchanged,
-    bounds -log det A minus its optimum. An exact t_final centre has
-    M = A^{-1} and sum u = n + m / t, so its gap n log(1 + tol / 2) leaves
-    the stop a factor-2 margin; a row above n tol after the stage's 80 steps
-    raises EllipsoidFitError with its gap as the residual. A row centred at
-    t before the last stage takes one tangent (predictor) step toward the
-    next t': along the central path, dA/d(1/t) = -t H_t^{-1} vec(A^{-1}) for
-    the Hessian H_t of the t-normalized barrier, so the step is
-    (1 - t/t') H_t^{-1} vec(A^{-1}), symmetrized, on the Hessian of the
-    row's last Newton step. A centred row leaves the stage's batch, so its
-    steps and result do not depend on the batch beyond rounding.
+    Start: each row starts at its least-squares ellipse, shrunk so that every
+    point lies strictly inside (_least_squares_start), or at the isotropic
+    ellipse through its nearest point where that fit is indefinite.
 
-    Each step builds the barrier Hessian with the (b, m) @ (m, n^4) matrix
-    product against the products of the direction outer products, computed
-    once per call, and takes one Cholesky factor A = L L^T: L^{-1} gives
-    A^{-1} = L^{-T} L^{-1}, the log det A of the gap, and the pencil
-    L^{-1} Delta L^{-T}, whose eigenvalues lam_i are the generalized
-    eigenvalues of (Delta, A). The weights r = w2 / slack are formed once per
-    step: r against the direction outer products gives t M, the barrier
-    gradient M - A^{-1} and sum u = tr(A M) + m / t (as u_m slack_m = 1 / t),
-    and r squared in place gives the Hessian weights.
+    Barrier schedule (Boyd & Vandenberghe, Convex Optimization, 11.3): each
+    row runs its own path. Its first barrier parameter is t_0 = _T0_FACTOR m
+    / G_0, clipped to [m, t_final], for the duality gap G_0 of its start, and
+    its t grows by _T_FACTOR per stage up to t_final = 2m / (n tol). Before
+    t_final a row is centred once it is in Newton's quadratic region
+    (decrement <= _NEAR_CENTRE); it then takes one tangent (predictor) step
+    to t' = min(_T_FACTOR t, t_final) and goes on at t' on the next step.
+    Along the central path dA/d(1/t) = -t H_t^{-1} vec(A^{-1}) for the
+    Hessian H_t of the t-normalized barrier, so the step is (1 - t/t')
+    H_t^{-1} vec(A^{-1}), symmetrized, on the Hessian of the row's last
+    Newton step. At t_final a row stops once its duality gap is <= n tol
+    (8.4), before its Hessian is built: u_m = 1 / (t slack_m) scaled by n /
+    sum u is dual feasible with value log det M + n log(n / sum u), M =
+    sum_m u_m x_m x_m^T, so the gap -log det A - log det M - n log(n / sum u),
+    which the conditioning rescale leaves unchanged, bounds -log det A minus
+    its optimum. An exact t_final centre has M = A^{-1} and sum u = n + m / t,
+    so its gap n log(1 + tol / 2) leaves the stop a factor-2 margin. The gap
+    is the same for every t once M is scaled by t, so the same formula gives
+    G_0. A row that is not centred after 80 steps at one t raises
+    EllipsoidFitError with its residual (the decrement, or the gap at
+    t_final). A row leaves the batch when it stops, so its steps and result
+    do not depend on the batch beyond rounding.
+
+    Each step takes one Cholesky factor A = L L^T: L^{-1} gives A^{-1} =
+    L^{-T} L^{-1}, the log det A of the gap, and the pencil L^{-1} Delta
+    L^{-T}, whose eigenvalues lam_i are the generalized eigenvalues of
+    (Delta, A). The weights r = w2 / slack are formed once per step: r
+    against the direction outer products gives t M, the barrier gradient
+    M - A^{-1} and sum u = tr(A M) + m / t (as u_m slack_m = 1 / t); r
+    squared against the C(n+3, 4) distinct quartic monomials of each
+    direction (_quartic_monomials; 5 columns at n = 2, 15 at n = 3) gives
+    the Hessian's barrier term, and r itself gives u below. One solve with
+    two right-hand sides gives the Newton step and the tangent direction.
     Newton and tangent steps alike start at the largest alpha <= 1 that keeps
     2% of the constraint slack and of the SPD margin (_step_length); u, one
     (rows, m) pass, is each constraint's change per unit step over its
@@ -227,14 +288,17 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     capped step. The trial values need no factorization:
     log det(A + alpha Delta) - log det A = sum_i log(1 + alpha lam_i), and
     the barrier term is sum_m log(1 - alpha u_m) on the same u. The (rows, m)
-    products of a step (the constraint values, the gradient, the Hessian and
-    u) run as serial GEMMs over blocks of rows (weights._serial_matmul): each
-    block stays on the calling thread, so no BLAS worker wakes up or spins
-    between the many small products of a fit, and the result does not depend
-    on the BLAS thread count. One DEBUG record on the haarweight logger per
-    call gives the batch Newton steps, barrier stages, stages ended at the
-    inner step cap, the largest final gap, the row-steps and search steps
-    (Newton steps and Armijo halvings summed over rows) and the seconds.
+    products of the start and of a step (the constraint values, the
+    gradient, the Hessian and u) run as serial GEMMs over blocks of rows
+    (weights._serial_matmul): each block stays on the calling thread, so no
+    BLAS worker wakes up or spins between the many small products of a fit,
+    and the result does not depend on the BLAS thread count.
+
+    One DEBUG record on the haarweight logger per call, also when it raises,
+    gives the batch Newton steps, the most barrier stages any row ran, the
+    largest final gap (on a raise, the failing residual), the seconds, the
+    row-steps and the search steps (Newton steps and Armijo halvings summed
+    over rows).
     """
     start = time.perf_counter()
     b, m = rho.shape
@@ -243,108 +307,115 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     gm = np.exp(np.mean(np.log(rho), axis=1))  # conditioning rescale, undone at exit
     invr2 = (gm[:, None] / rho) ** 2
     pe = _outer_products(dirs)
-    pe2 = _outer_products(pe)
-    eye_flat = np.eye(n).reshape(q)
-
-    # strictly feasible isotropic start
-    a = np.outer(0.5 / invr2.max(axis=1), eye_flat)
+    mono, quartic = _quartic_monomials(pe)
+    a = _least_squares_start(invr2, pe)
     t_final = 2.0 * m / (n * tol)
-    t = min(float(m), t_final)
-    iters = row_steps = search_steps = stages = capped = 0
-    # each row's stop measure: its Newton decrement, and its gap in the last stage
+    t = None  # each row's barrier parameter, set from its start's gap on the first step
+    stage_steps = np.zeros(b, dtype=np.int64)  # each row's Newton steps at its t
+    stages = np.ones(b, dtype=np.int64)
+    # each row's stop measure: its Newton decrement, and its gap at t_final
     residual = np.full(b, np.inf)
+    iters = row_steps = search_steps = 0
+
+    def report(worst):
+        _log.debug(
+            "ellipsoid fit: rows=%d n=%d m=%d newton_steps=%d stages=%d "
+            "final_gap=%.3g seconds=%.3f row_steps=%d search_steps=%d",
+            b, n, m, iters, int(stages.max()), worst,
+            time.perf_counter() - start, row_steps, search_steps,
+        )
+
+    live, w2 = np.arange(b), invr2
     while True:
-        stages += 1
-        last = t >= t_final
-        bound = n * tol if last else _NEAR_CENTRE
-        t_next = min(t * _T_FACTOR, t_final)
-        # Newton steps at this barrier parameter on the rows not yet centred.
-        # Work with the t-normalized objective -logdet A - (1/t) sum ln(1-g):
-        # same center and same Newton step, but O(1) gradients at large t.
-        live = np.arange(b)
-        w2 = invr2
-        for _ in range(80):
-            if iters >= max_iter:
-                raise EllipsoidFitError(
-                    f"ellipsoid fit exceeded {max_iter} Newton iterations",
-                    residual=float(np.max(residual)),
-                )
-            iters += 1
-            row_steps += live.size
-            al = a[live]
-            linv = np.linalg.inv(np.linalg.cholesky(al.reshape(-1, n, n)))
-            linv_t = linv.swapaxes(1, 2)
-            ainv = linv_t @ linv
-            slack = 1.0 - _serial_matmul(al, pe.T) * w2
-            r = w2 / slack
-            moment = _serial_matmul(r, pe) / t  # M = sum_m u_m x_m x_m^T
-            grad = moment - ainv.reshape(-1, q)
-            if last:
-                gap = (2.0 * np.log(np.diagonal(linv, axis1=1, axis2=2)).sum(axis=1)
-                       - np.linalg.slogdet(moment.reshape(-1, n, n))[1]
-                       + n * np.log(((al * moment).sum(axis=1) + m / t) / n))
-            hess = np.einsum("bik,bjl->bijkl", ainv, ainv).reshape(-1, q, q)
-            hess += _serial_matmul(np.square(r, out=r), pe2).reshape(-1, q, q) / t
-            del r
-            delta = _symmetric(np.linalg.solve(hess, -grad[..., None])[..., 0], n)
-            # Newton decrement of the un-normalized barrier: sqrt(t) * phi-decrement
-            dec = np.sqrt(t * np.maximum(-np.sum(grad * delta, axis=1), 0.0))
-            residual[live] = gap if last else dec
-            centred = residual[live] <= bound
-            if not last and centred.any():
-                # tangent step toward t_next on the rows centred at t;
-                # a slice keeps the all-centred case free of copies
-                sel = slice(None) if centred.all() else centred
-                tangent = np.linalg.solve(hess[sel], ainv[sel].reshape(-1, q, 1))
-                tangent = (1.0 - t / t_next) * _symmetric(tangent[..., 0], n)
-                alpha = _step_length(tangent, w2, slack, linv, linv_t, pe, sel)[0]
-                a[live[sel]] = al[sel] + alpha[:, None] * tangent
-            if centred.all():
-                break
-            if centred.any():
-                keep = ~centred
-                live, w2, al, linv, linv_t, slack, delta, dec = (
-                    x[keep] for x in (live, w2, al, linv, linv_t, slack, delta, dec)
-                )
-            alpha, u, lam = _step_length(delta, w2, slack, linv, linv_t, pe)
-            # Armijo backtracking (c = 1/4) on the t-normalized barrier, only on
-            # the rows outside Newton's quadratic region; the others keep the
-            # capped step. A row leaves the search once its step passes. The
-            # damped step 1/(1 + decrement) always passes in exact arithmetic,
-            # so a row needs about log2(1 + decrement) halvings.
-            slope = dec**2 / t
-            seek = np.flatnonzero(dec > _NEAR_CENTRE)
-            lam_s, u_s = lam[seek], u[seek]
-            for _ in range(60):
-                if not seek.size:
-                    break
-                step = alpha[seek, None]
-                barrier = u_s * -step
-                change = -np.log1p(step * lam_s).sum(axis=1) - np.log1p(
-                    barrier, out=barrier
-                ).sum(axis=1) / t
-                del barrier  # one (rows, m) temporary per trial, freed before the next
-                short = change > -0.25 * alpha[seek] * slope[seek]
-                seek, lam_s, u_s = seek[short], lam_s[short], u_s[short]
-                alpha[seek] *= 0.5
-                search_steps += seek.size
-            a[live] = al + alpha[:, None] * delta
-        else:
-            capped += 1
-        if residual.max() > bound:
-            raise EllipsoidFitError(f"ellipsoid fit: stage stop {bound:.3g} unmet",
-                                    residual=float(np.max(residual)))
-        if last:
+        if iters >= max_iter:
+            worst = float(residual[live].max())
+            report(worst)
+            raise EllipsoidFitError(
+                f"ellipsoid fit exceeded {max_iter} Newton iterations", residual=worst)
+        iters += 1
+        row_steps += live.size
+        al = a[live]
+        linv = np.linalg.inv(np.linalg.cholesky(al.reshape(-1, n, n)))
+        linv_t = linv.swapaxes(1, 2)
+        ainv = linv_t @ linv
+        r = _serial_matmul(al, pe.T)  # becomes w2 / slack in place
+        r *= w2
+        np.subtract(1.0, r, out=r)
+        np.divide(w2, r, out=r)
+        tm = _serial_matmul(r, pe)  # t M, M = sum_m u_m x_m x_m^T
+        gap = (2.0 * np.log(np.diagonal(linv, axis1=1, axis2=2)).sum(axis=1)
+               - np.linalg.slogdet(tm.reshape(-1, n, n))[1]
+               + n * np.log(((al * tm).sum(axis=1) + m) / n))
+        if t is None:
+            # the start's margin keeps its gap >= n log(1 + _START_MARGIN) > 0
+            t = np.clip(_T0_FACTOR * m / gap, m, t_final)
+        tl = t[live]
+        last = tl >= t_final
+        residual[live[last]] = gap[last]
+        done = last & (gap <= n * tol)
+        if done.all():
             break
-        t = t_next
+        if done.any():
+            keep = ~done
+            live, w2, al, linv, linv_t, ainv, r, tm, tl, last = (
+                x[keep] for x in (live, w2, al, linv, linv_t, ainv, r, tm, tl, last))
+        # Newton step on the t-normalized objective -logdet A - (1/t) sum ln(1-g):
+        # the same centre and step as the barrier's, with O(1) gradients at large t
+        grad = tm / tl[:, None] - ainv.reshape(-1, q)
+        hess = np.einsum("bik,bjl->bijkl", ainv, ainv).reshape(-1, q, q)
+        sq = np.square(r)
+        hess += _serial_matmul(sq, mono)[:, quartic].reshape(-1, q, q) / tl[:, None, None]
+        del sq
+        # the Newton step and the tangent direction H^{-1} vec(A^{-1}), one solve
+        sol = np.linalg.solve(hess, np.stack([-grad, ainv.reshape(-1, q)], axis=2))
+        delta = _symmetric(sol[..., 0], n)
+        # Newton decrement of the un-normalized barrier: sqrt(t) * phi-decrement
+        dec = np.sqrt(tl * np.maximum(-np.sum(grad * delta, axis=1), 0.0))
+        residual[live[~last]] = dec[~last]
+        centred = ~last & (dec <= _NEAR_CENTRE)
+        stage_steps[live] += 1
+        stuck = ~centred & (stage_steps[live] >= 80)
+        if stuck.any():
+            worst = float(residual[live[stuck]].max())
+            report(worst)
+            raise EllipsoidFitError(
+                f"ellipsoid fit: {int(stuck.sum())} rows not centred in 80 steps",
+                residual=worst)
+        # a centred row takes the tangent step toward its next t instead
+        t_next = np.minimum(tl * _T_FACTOR, t_final)
+        tangent = (1.0 - tl / t_next)[:, None] * _symmetric(sol[..., 1], n)
+        step = np.where(centred[:, None], tangent, delta)
+        alpha, u, lam = _step_length(step, r, linv, linv_t, pe)
+        del r
+        # Armijo backtracking (c = 1/4) on the t-normalized barrier, only on
+        # the rows outside Newton's quadratic region; the others keep the
+        # capped step. A row leaves the search once its step passes. The
+        # damped step 1/(1 + decrement) always passes in exact arithmetic,
+        # so a row needs about log2(1 + decrement) halvings.
+        slope = dec**2 / tl
+        seek = np.flatnonzero(dec > _NEAR_CENTRE)
+        lam_s, u_s, t_s = lam[seek], u[seek], tl[seek]
+        del u
+        for _ in range(60):
+            if not seek.size:
+                break
+            trial = alpha[seek, None]
+            barrier = u_s * -trial
+            change = -np.log1p(trial * lam_s).sum(axis=1) - np.log1p(
+                barrier, out=barrier
+            ).sum(axis=1) / t_s
+            del barrier  # one (rows, m) temporary per trial, freed before the next
+            short = change > -0.25 * alpha[seek] * slope[seek]
+            seek, lam_s, u_s, t_s = seek[short], lam_s[short], u_s[short], t_s[short]
+            alpha[seek] *= 0.5
+            search_steps += seek.size
+        a[live] = al + alpha[:, None] * step
+        moved = live[centred]
+        t[moved] = t_next[centred]
+        stage_steps[moved] = 0
+        stages[moved] += 1
     a = a.reshape(b, n, n) * (gm**2)[:, None, None]
-    _log.debug(
-        "ellipsoid fit: rows=%d n=%d m=%d newton_steps=%d stages=%d "
-        "capped_stages=%d final_gap=%.3g row_steps=%d seconds=%.3f "
-        "search_steps=%d",
-        b, n, m, iters, stages, capped, float(residual.max()), row_steps,
-        time.perf_counter() - start, search_steps,
-    )
+    report(float(residual.max()))
     return a
 
 
