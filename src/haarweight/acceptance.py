@@ -25,7 +25,7 @@ from .analysis import (
     random_mean_zero_batch,
 )
 from .config import ExperimentConfig, default_config
-from .dyadic import _cube_blocks, _random_grid_batch, haar_exactness_errors, haar_reconstruct
+from .dyadic import _cube_blocks, _random_exactness_errors, _spans, haar_reconstruct
 from .errors import HaarweightError
 from .experiments import RunContext, alpha_sweep_report, run_experiments
 from .multipliers import t_blocks, t_operator
@@ -87,14 +87,14 @@ class AcceptanceContext(RunContext):
 
 def c01_haar_exactness(ctx: AcceptanceContext) -> CriterionResult:
     """Round-trip and Parseval errors <= 1e-10, 100 functions per (d, L);
-    the functions of one (d, n, L) are checked as one batch."""
+    the functions of one (d, n, L) are drawn and checked in blocks of columns
+    (dyadic._random_exactness_errors), each column as it is alone."""
     worst_rt = worst_pv = 0.0
     grids = [(1, level) for level in range(1, 11)] + [(2, level) for level in range(1, 7)]
     for d, level in grids:
         for n in (1, 2, 3):
-            f = _random_grid_batch(d, n, level, [[ctx.config.seed, 1, d, level, i]
-                                                 for i in range(n - 1, 100, 3)])
-            rt, pv = haar_exactness_errors(f)
+            rt, pv = _random_exactness_errors(d, n, level, [[ctx.config.seed, 1, d, level, i]
+                                                            for i in range(n - 1, 100, 3)])
             worst_rt = max(worst_rt, float(rt.max()))
             worst_pv = max(worst_pv, float(pv.max()))
     passed = worst_rt <= 1e-10 and worst_pv <= 1e-10
@@ -165,28 +165,37 @@ def c03_john_sandwich(ctx: AcceptanceContext) -> CriterionResult:
     and |Ve| come from the quadratic forms e^T W^{2/p} e and e^T V^T V e
     (_sandwich_norms). An R^1 weight is checked on its one unit direction
     e = 1, with no draw: every unit direction of R^1 is +-1, so e e^T = 1 and
-    all of them give the same rho and |Ve|."""
+    all of them give the same rho and |Ve|.
+
+    Each level streams its cubes in blocks (dyadic._spans, (cells per cube +
+    n^2) x directions values per cube), drawing each block's directions from
+    the level's one generator in turn: consecutive draws give the stream of
+    one draw for the whole level, so every cube sees the same directions as
+    in a one-shot level."""
     p, m, slack = 3.0, 1000, 1.0 + 1e-3
     worst_lo = worst_hi = 0.0  # max violations of the two inequalities
     for w in ctx.config.weights:
         weight = ctx.weight(w.name)
         fam = ctx.family(w.name, p)
         n = weight.n
+        k = 1 if n == 1 else m  # directions per cube
         wp = weight.power_cells(1.0 / p)
         w2p = (wp @ wp).reshape(wp.shape[:-2] + (n * n,))
         sqrt_n = math.sqrt(n)
         for l in range(fam.max_depth + 1):
             quad = _cube_blocks(w2p, weight.d, l)
             cubes = quad.shape[0]
-            if n == 1:
-                ee = np.ones((cubes, 1, 1))
-            else:
-                tag = zlib.crc32(w.name.encode())
-                rng = np.random.default_rng([ctx.config.seed, 3, tag, l])
-                ee = _unit_outer_products(rng, cubes, m, n)
-            rho, ve = _sandwich_norms(quad, fam.v[l].reshape(cubes, n, n), ee, p)
-            worst_lo = max(worst_lo, float((rho / (ve * slack)).max()))
-            worst_hi = max(worst_hi, float((ve / (sqrt_n * rho * slack)).max()))
+            v = fam.v[l].reshape(cubes, n, n)
+            tag = zlib.crc32(w.name.encode())
+            rng = np.random.default_rng([ctx.config.seed, 3, tag, l])
+            for block in _spans(cubes, (quad.shape[1] + n * n) * k):
+                size = block.stop - block.start
+                ee = (np.ones((size, 1, 1)) if n == 1
+                      else _unit_outer_products(rng, size, m, n))
+                rho, ve = _sandwich_norms(quad[block], v[block], ee, p)
+                del ee  # freed before the next block is drawn
+                worst_lo = max(worst_lo, float((rho / (ve * slack)).max()))
+                worst_hi = max(worst_hi, float((ve / (sqrt_n * rho * slack)).max()))
     passed = worst_lo <= 1.0 and worst_hi <= 1.0
     return CriterionResult(
         3, "john-sandwich-p3", passed,
@@ -358,19 +367,23 @@ def c09_cross_term_decay(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c10_equivalence_uniform(ctx: AcceptanceContext) -> CriterionResult:
-    ok = True
-    parts = []
-    for p in ctx.config.ps:
-        c1 = c2 = 0.0
-        for w in ctx.config.weights:
+    # the exponents inside the weights, so each weight's batch of test
+    # functions is drawn once and reused at every p
+    c1 = dict.fromkeys(ctx.config.ps, 0.0)
+    c2 = dict.fromkeys(ctx.config.ps, 0.0)
+    for w in ctx.config.weights:
+        for p in ctx.config.ps:
             rep = equivalence_ratios(
                 ctx.weight(w.name), ctx.family(w.name, p), p,
                 count=50, seed=ctx.config.seed,
             )
-            c1 = max(c1, rep.c1_emp)
-            c2 = max(c2, rep.c2_emp)
-        ok = ok and c1 <= _C10_CAP and c2 <= _C10_CAP
-        parts.append(f"p={p:g}: C1_emp={c1:.4f} C2_emp={c2:.4f}")
+            c1[p] = max(c1[p], rep.c1_emp)
+            c2[p] = max(c2[p], rep.c2_emp)
+    ok = True
+    parts = []
+    for p in ctx.config.ps:
+        ok = ok and c1[p] <= _C10_CAP and c2[p] <= _C10_CAP
+        parts.append(f"p={p:g}: C1_emp={c1[p]:.4f} C2_emp={c2[p]:.4f}")
     # Parseval case: identity weight at p=2 has ratio exactly 1
     ident = make_weight(
         WeightFamily("constant", 1, 2, 6, params={"matrix": np.eye(2)})
@@ -433,19 +446,21 @@ def c11_slopes_and_sharpness(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c12_dual_square_bound(ctx: AcceptanceContext) -> CriterionResult:
+    # the exponents inside the weights: one batch and one synthesis per weight
+    caps = dict.fromkeys(ctx.config.ps, 0.0)
+    for w in ctx.config.weights:
+        weight = ctx.weight(w.name)
+        f = random_mean_zero_batch(weight, 50, [ctx.config.seed, 12])
+        g = haar_reconstruct(f)
+        for p in ctx.config.ps:
+            rhs = weighted_lp_norm(g, _dual_weight(weight, p), conjugate_exponent(p))
+            ratio = dual_square_norm(f, ctx.family(w.name, p), p) / rhs
+            caps[p] = max(caps[p], float(ratio.max()))
     ok = True
     parts = []
     for p in ctx.config.ps:
-        q = conjugate_exponent(p)
-        cap = 0.0
-        for w in ctx.config.weights:
-            weight = ctx.weight(w.name)
-            fam = ctx.family(w.name, p)
-            f = random_mean_zero_batch(weight, 50, [ctx.config.seed, 12])
-            rhs = weighted_lp_norm(haar_reconstruct(f), _dual_weight(weight, p), q)
-            cap = max(cap, float((dual_square_norm(f, fam, p) / rhs).max()))
-        ok = ok and cap <= _C12_CAP
-        parts.append(f"p={p:g}: C_emp={cap:.4f}")
+        ok = ok and caps[p] <= _C12_CAP
+        parts.append(f"p={p:g}: C_emp={caps[p]:.4f}")
     return CriterionResult(
         12, "dual-square-bound", ok, "; ".join(parts) + f"; cap {_C12_CAP}",
     )

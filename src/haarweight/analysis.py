@@ -33,6 +33,7 @@ from .dyadic import (
     GridFunction,
     HaarCoefficients,
     _analyze,
+    _column_blocks,
     _rows,
     _synthesize,
     haar_reconstruct,
@@ -269,11 +270,20 @@ def block_partition_constant(
     f: HaarCoefficients, tree: GenerationTree, p: float
 ) -> tuple:
     """(sum_j ||Delta_j f||_p^p / ||f||_p^p, ||Delta_j f||_p^p per generation
-    on a last axis) for mean-zero f; one constant per column of a batch."""
+    on a last axis) for mean-zero f; one constant per column of a batch.
+
+    The columns of a batch go in blocks (dyadic._column_blocks): each block
+    splits into its generation pieces and synthesizes them, cells x n x
+    generations values per column, before the next block. Each column is
+    computed as it is alone, so the blocks leave the values unchanged."""
     denom = lp_norm(haar_reconstruct(f), p) ** p
     if np.any(denom == 0.0):
         raise ParameterError("zero function has no partition constant")
-    parts = lp_norm(haar_reconstruct(split_generations(f, tree)), p) ** p
+    per_column = (1 << f.level * f.d) * f.n * tree.generation_count()
+    parts = np.concatenate([
+        lp_norm(haar_reconstruct(split_generations(part, tree)), p) ** p
+        for _, part in _column_blocks(f, per_column)
+    ])
     return parts.sum(axis=-1) / denom, parts
 
 
@@ -338,24 +348,31 @@ def cross_term_rate(
 ) -> CrossTermReport:
     """Fit log of diagonal-normalized cross terms vs generation separation.
 
-    The blocks T_j f of all count random f are formed as one batch;
-    off-diagonal terms int |T_j|^{p/2}|T_k|^{p/2} are divided by the diagonal
-    geometric mean, so the j = k value is exactly 1 and the pooled regression
-    needs no per-f scale. Test functions cycle through SPECTRA. Points are
-    pooled in (f, j, k) order. Requires at least two populated generations.
+    The blocks T_j f of the count random f are formed in blocks of function
+    columns (dyadic._column_blocks), cells x n x generations values per
+    column, each column as it is alone; off-diagonal terms
+    int |T_j|^{p/2}|T_k|^{p/2} are divided by the diagonal geometric mean,
+    so the j = k value is exactly 1 and the pooled regression needs no
+    per-f scale. Test functions cycle through SPECTRA. Points are pooled in
+    (f, j, k) order. Requires at least two populated generations.
     """
     f = random_mean_zero_batch(weight, count, [seed], SPECTRA)
-    blocks = t_blocks(weight, family, f, tree, p)
-    # |T_j f| as one contiguous row of cells per (function, generation)
-    norms = np.linalg.norm(blocks.values, axis=weight.d)
-    norms = norms.reshape(-1, count, norms.shape[-1]).transpose(1, 2, 0).copy()
-    gens = norms.shape[1]
-    diag = np.mean(norms**p, axis=-1)
+    gens = tree.generation_count()
+    diag = np.empty((count, gens))
     raw = np.zeros((count, gens, gens))  # raw[:, j, k], filled for j < k
-    for sep in range(1, gens):
-        rows = np.arange(gens - sep)
-        cross = (norms[:, :-sep] * norms[:, sep:]) ** (p / 2.0)
-        raw[:, rows, rows + sep] = np.mean(cross, axis=-1)
+    cells = 1 << weight.level * weight.d
+    for cols, part in _column_blocks(f, cells * weight.n * gens):
+        blocks = t_blocks(weight, family, part, tree, p)
+        # |T_j f| as one contiguous row of cells per (function, generation)
+        norms = np.linalg.norm(blocks.values, axis=weight.d)
+        del blocks
+        norms = norms.reshape(cells, -1, gens).transpose(1, 2, 0).copy()
+        diag[cols] = np.mean(norms**p, axis=-1)
+        for sep in range(1, gens):
+            rows = np.arange(gens - sep)
+            cross = (norms[:, :-sep] * norms[:, sep:]) ** (p / 2.0)
+            raw[cols, rows, rows + sep] = np.mean(cross, axis=-1)
+        del norms  # freed before the next block is formed
     kept = (diag[:, :, None] != 0.0) & (diag[:, None, :] != 0.0) & (raw != 0.0)
     i, j, k = np.nonzero(kept)
     xs = k - j

@@ -111,6 +111,40 @@ def _levels(rows: np.ndarray, d: int) -> list:
     return out
 
 
+# the working-set budget of the batched paths, in float64 entries (1 MiB):
+# each walks one axis (directions, function columns, cubes, quadrature rows)
+# in blocks of _spans, so a call's temporaries no longer grow with how many
+# items it handles. Every item of such an axis is computed on its own, so the
+# blocks leave the outputs unchanged
+_BLOCK_ENTRIES = 1 << 17
+
+
+def _even_slices(count: int, limit: int) -> list:
+    """range(count) cut into the fewest even blocks of at most limit items,
+    as slices; one empty slice when count is 0."""
+    blocks = max(1, -(-count // max(1, limit)))
+    edges = [count * i // blocks for i in range(blocks + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _spans(count: int, per_item: int) -> list:
+    """Blocks of count items that hold per_item entries each, within
+    _BLOCK_ENTRIES per block (at least one item per block)."""
+    return _even_slices(count, _BLOCK_ENTRIES // max(1, per_item))
+
+
+def _column_blocks(f: "HaarCoefficients", per_column: int):
+    """(index, coefficients) per block of the columns of a batch with one
+    batch axis (_spans; the coefficients are views); a single function, or a
+    batch of several axes, is one block with index Ellipsis."""
+    if len(f.batch) != 1:
+        yield Ellipsis, f
+        return
+    for cols in _spans(f.batch[0], per_column):
+        yield cols, HaarCoefficients(f.d, f.n, f.level, f.root_scaling[..., cols],
+                                     [a[..., cols] for a in f.detail])
+
+
 def mean_pyramid(cells: np.ndarray, d: int) -> list:
     """Per-level averages over cubes: out[l] has shape (2^l,)*d + tail.
 
@@ -379,6 +413,17 @@ def _random_grid_batch(d: int, n: int, level: int, tags: list) -> GridFunction:
         np.random.default_rng(tag).standard_normal(((1 << level),) * d + (n,))
         for tag in tags
     ], axis=-1))
+
+
+def _random_exactness_errors(d: int, n: int, level: int, tags: list) -> tuple:
+    """haar_exactness_errors of _random_grid_batch(d, n, level, tags), one
+    error of each kind per tag, drawn and checked in blocks of tags (_spans,
+    cells x n values per tag): memory does not grow with the number of tags,
+    and each column is transformed as it is alone."""
+    errors = np.empty((2, len(tags)))
+    for block in _spans(len(tags), (1 << level * d) * n):
+        errors[:, block] = haar_exactness_errors(_random_grid_batch(d, n, level, tags[block]))
+    return errors[0], errors[1]
 
 
 def haar_exactness_errors(f: GridFunction) -> tuple:

@@ -23,7 +23,7 @@ from .analysis import (
     sharpness_probes,
 )
 from .config import EXPERIMENT_IDS, ExperimentConfig, WeightSpec, config_to_dict
-from .dyadic import HaarCoefficients, _random_grid_batch, haar_exactness_errors, lp_norm
+from .dyadic import HaarCoefficients, _column_blocks, _random_exactness_errors, lp_norm
 from .errors import ConfigError, HaarweightError, ParameterError
 from .multipliers import t_blocks, t_operator
 from .reducing import build_reducing_family, duality_check
@@ -189,9 +189,8 @@ def _run_haar(ctx: RunContext, out: Path, result: RunResult):
 
     def cell(grid):
         d, n, level = grid
-        f = _random_grid_batch(d, n, level, [[cfg.seed, d, n, level, i]
-                                             for i in range(cfg.count)])
-        rt, pv = haar_exactness_errors(f)
+        rt, pv = _random_exactness_errors(d, n, level, [[cfg.seed, d, n, level, i]
+                                                        for i in range(cfg.count)])
         return [[d, n, level, i, float(rt[i]), float(pv[i])] for i in range(cfg.count)]
 
     done, failed = _isolate(cell, cfg.grids)
@@ -270,16 +269,25 @@ def _run_multiplier(ctx: RunContext, out: Path, result: RunResult):
         tree = ctx.tree(name, p)
         f = random_mean_zero_batch(w, cfg.count, [cfg.seed, 5], cfg.spectra)
         parts, delta_norms = block_partition_constant(f, tree, p)
-        blocks = t_blocks(w, fam, f, tree, p)
+        # ||T_j f||_p per function and generation, in blocks of function
+        # columns, and sum_j T_j f of the first five functions
+        block_norms = np.empty(delta_norms.shape)
+        total = np.empty(((1 << w.level),) * w.d + (w.n, min(5, cfg.count)))
+        per_column = (1 << w.level * w.d) * w.n * delta_norms.shape[-1]
+        for cols, part in _column_blocks(f, per_column):
+            blocks = t_blocks(w, fam, part, tree, p)
+            block_norms[cols] = lp_norm(blocks, p)
+            head = range(cols.start, min(cols.stop, 5))  # the block's share of the five
+            total[..., head.start : head.stop] = blocks.values[..., : len(head), :].sum(axis=-1)
+            del blocks  # freed before the next block is formed
         # ||T_j f||_p^p / ||Delta_j f||_p^p over the blocks that carry f
         carried = delta_norms > 0.0
-        quots = lp_norm(blocks, p)[carried] ** p / delta_norms[carried]
+        quots = block_norms[carried] ** p / delta_norms[carried]
         # the sum identity on the first five functions of the batch, copied
         # out: strided views left a 0.8 MiB higher peak RSS on the p=2 suite
         first = HaarCoefficients(f.d, f.n, f.level, f.root_scaling[..., :5].copy(),
                                  [a[..., :5].copy() for a in f.detail])
         tf = t_operator(w, fam, first, p).values
-        total = blocks.values[..., :5, :].sum(axis=-1)
         grid = tuple(range(w.d + 1))  # cells and value components
         scale = np.maximum(1.0, np.abs(tf).max(axis=grid))
         sum_err = float((np.abs(total - tf).max(axis=grid) / scale).max())

@@ -20,6 +20,7 @@ scalar A_p product <w>_I <w^{1-p'}>_I^{p-1}; it is >= 1 up to fit slack.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dyadic import _levels, _rows, check_exponent, mean_pyramid
+from .dyadic import _levels, _rows, _spans, check_exponent, mean_pyramid
 from .errors import (
     CoverageError,
     EllipsoidFitError,
@@ -132,26 +133,50 @@ def _outer_products(x: np.ndarray) -> np.ndarray:
     return (x[:, :, None] * x[:, None, :]).reshape(x.shape[0], -1)
 
 
-def _rho_rows(weight: MatrixWeight, p: float, dirs: np.ndarray, dual: bool,
-              todo: np.ndarray) -> np.ndarray:
-    """rho_I (dual: rho'_I) on every direction, (rows, M), for the cubes that
-    the row mask todo selects.
+def _rho_blocks(weight: MatrixWeight, p: float, dirs: np.ndarray, todo: np.ndarray,
+                sides: tuple = (False, True)):
+    """(directions, rho) per block of dirs: rho holds, side after side, rho_I
+    (side False) or rho'_I (side True) of the cubes that the row mask todo
+    selects on the block's directions, (len(sides) rows, k).
 
-    |W^s e|^q = (e^T W^{2s} e)^{q/2}, so the (cells, n^2) @ (n^2, M) product
-    of the flattened W^{2s} = W^s W^s against the direction outer products
-    gives the integrand on every cell, then mean_pyramid averages it. The
-    product runs as serial GEMMs over blocks of cells (weights._serial_matmul),
-    so it stays on the calling thread and its rounding does not depend on the
-    BLAS thread count. Only the selected rows take the 1/q-th power.
+    |W^s e|^q = (e^T W^{2s} e)^{q/2}, so the (cells, n^2) @ (n^2, k) product
+    of the flattened W^{2s} = W^s W^s against the outer products of the
+    block's k directions gives the integrand on every cell, then
+    mean_pyramid averages it. The blocks come from dyadic._spans with cells
+    + len(sides) rows entries per direction, so neither the integrand nor
+    rho ever holds all of dirs, and a caller that keeps only a running
+    reduction of rho holds one block. The product runs as serial GEMMs over
+    blocks of cells (weights._serial_matmul), so it stays on the calling
+    thread and its rounding does not depend on the BLAS thread count. Only
+    the selected rows take the 1/q-th power.
     """
-    s = -1.0 / p if dual else 1.0 / p
-    q = conjugate_exponent(p) if dual else p
-    wp = weight.power_cells(s)
-    g = _serial_matmul((wp @ wp).reshape(-1, weight.n**2), _outer_products(dirs).T)
-    np.power(g, 0.5 * q, out=g)
-    pyr = mean_pyramid(g.reshape(wp.shape[:-2] + (-1,)), weight.d)
-    rho = np.concatenate([a[t] for a, t in zip(pyr, _levels(todo, weight.d))])
-    return np.power(rho, 1.0 / q, out=rho)
+    picks = _levels(todo, weight.d)
+    rows = int(todo.sum())
+    cells = weight.cells.shape[: weight.d]
+    squares = []
+    for dual in sides:
+        wp = weight.power_cells(-1.0 / p if dual else 1.0 / p)
+        squares.append(((wp @ wp).reshape(-1, weight.n**2),
+                        conjugate_exponent(p) if dual else p))
+    for block in _spans(dirs.shape[0], math.prod(cells) + len(sides) * rows):
+        ee = _outer_products(dirs[block]).T
+        rho = np.empty((len(sides) * rows, ee.shape[1]))
+        for side, (w2, q) in zip(np.split(rho, len(sides)), squares):
+            g = _serial_matmul(w2, ee)
+            np.power(g, 0.5 * q, out=g)
+            pyr = mean_pyramid(g.reshape(cells + (-1,)), weight.d)
+            del g
+            np.concatenate([a[t] for a, t in zip(pyr, picks)], out=side)
+            np.power(side, 1.0 / q, out=side)
+        yield dirs[block], rho
+
+
+def _rho_rows(weight: MatrixWeight, p: float, dirs: np.ndarray, todo: np.ndarray,
+              sides: tuple = (False, True)) -> np.ndarray:
+    """rho on every direction, (len(sides) rows, M): the blocks of
+    _rho_blocks joined, for a direction set the caller keeps whole."""
+    blocks = [rho for _, rho in _rho_blocks(weight, p, dirs, todo, sides)]
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +291,11 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     is the same for every t once M is scaled by t, so the same formula gives
     G_0. A row that is not centred after 80 steps at one t raises
     EllipsoidFitError with its residual (the decrement, or the gap at
-    t_final). A row leaves the batch when it stops, so its steps and result
-    do not depend on the batch beyond rounding.
+    t_final); so does a start, Cholesky factor or Newton system that is
+    singular in floats, with the last residual of the rows left (infinite
+    before the first step), where numpy raises LinAlgError. A row leaves the
+    batch when it stops, so its steps and result do not depend on the batch
+    beyond rounding.
 
     Each step takes one Cholesky factor A = L L^T: L^{-1} gives A^{-1} =
     L^{-T} L^{-1}, the log det A of the gap, and the pencil L^{-1} Delta
@@ -308,7 +336,6 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     invr2 = (gm[:, None] / rho) ** 2
     pe = _outer_products(dirs)
     mono, quartic = _quartic_monomials(pe)
-    a = _least_squares_start(invr2, pe)
     t_final = 2.0 * m / (n * tol)
     t = None  # each row's barrier parameter, set from its start's gap on the first step
     stage_steps = np.zeros(b, dtype=np.int64)  # each row's Newton steps at its t
@@ -325,7 +352,17 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
             time.perf_counter() - start, row_steps, search_steps,
         )
 
+    def singular(what, exc):
+        # a system singular in floats (an eccentric norm) fails like a stall
+        worst = float(residual[live].max())
+        report(worst)
+        return EllipsoidFitError(f"ellipsoid fit: singular {what} ({exc})", residual=worst)
+
     live, w2 = np.arange(b), invr2
+    try:
+        a = _least_squares_start(invr2, pe)
+    except np.linalg.LinAlgError as exc:
+        raise singular("least-squares start", exc) from exc
     while True:
         if iters >= max_iter:
             worst = float(residual[live].max())
@@ -335,7 +372,10 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
         iters += 1
         row_steps += live.size
         al = a[live]
-        linv = np.linalg.inv(np.linalg.cholesky(al.reshape(-1, n, n)))
+        try:
+            linv = np.linalg.inv(np.linalg.cholesky(al.reshape(-1, n, n)))
+        except np.linalg.LinAlgError as exc:
+            raise singular("Cholesky factor", exc) from exc
         linv_t = linv.swapaxes(1, 2)
         ainv = linv_t @ linv
         r = _serial_matmul(al, pe.T)  # becomes w2 / slack in place
@@ -367,7 +407,10 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
         hess += _serial_matmul(sq, mono)[:, quartic].reshape(-1, q, q) / tl[:, None, None]
         del sq
         # the Newton step and the tangent direction H^{-1} vec(A^{-1}), one solve
-        sol = np.linalg.solve(hess, np.stack([-grad, ainv.reshape(-1, q)], axis=2))
+        try:
+            sol = np.linalg.solve(hess, np.stack([-grad, ainv.reshape(-1, q)], axis=2))
+        except np.linalg.LinAlgError as exc:
+            raise singular("Newton system", exc) from exc
         delta = _symmetric(sol[..., 0], n)
         # Newton decrement of the un-normalized barrier: sqrt(t) * phi-decrement
         dec = np.sqrt(tl * np.maximum(-np.sum(grad * delta, axis=1), 0.0))
@@ -419,21 +462,31 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     return a
 
 
-def _fit_operators(rho_fit, rho_all, dirs_fit, dirs_all):
+def _fit_operators(rho_fit, dirs_fit, calibration):
     """V = c A^{1/2} from the MVEE shapes A of one _mvee_batch call over all
     rows, rescaled so |V e| >= rho on the calibration set; kappa = guaranteed
-    upper slack on that set. |A^{1/2} e|^2 = e^T A e comes from the
-    (B, n^2) @ (n^2, M_all) product against the direction outer products,
-    run as serial GEMMs over blocks of rows (weights._serial_matmul) so that
-    it stays on the calling thread."""
+    upper slack on that set.
+
+    The calibration set is the fit directions plus the (directions, rho)
+    blocks that calibration yields. Each block keeps only a running max and
+    min of rho / |A^{1/2} e| per row, which give c and kappa = c / min exactly,
+    so no (rows, directions) array outlives its block. |A^{1/2} e|^2 =
+    e^T A e comes from the (B, n^2) @ (n^2, k) product against the block's
+    direction outer products, run as serial GEMMs over blocks of rows
+    (weights._serial_matmul) so that it stays on the calling thread."""
     a = _mvee_batch(rho_fit, dirs_fit, _TOL, _MAX_ITER)
-    g = _serial_matmul(a.reshape(a.shape[0], -1), _outer_products(dirs_all).T)
-    np.sqrt(g, out=g)
-    np.divide(rho_all, g, out=g)
-    c = g.max(axis=1)
-    kappa = c / g.min(axis=1)
+    flat = a.reshape(a.shape[0], -1)
+    c = np.zeros(a.shape[0])
+    low = np.full(a.shape[0], np.inf)
+    for dirs, rho in itertools.chain([(dirs_fit, rho_fit)], calibration):
+        g = _serial_matmul(flat, _outer_products(dirs).T)
+        np.sqrt(g, out=g)
+        np.divide(rho, g, out=g)
+        np.maximum(c, g.max(axis=1), out=c)
+        np.minimum(low, g.min(axis=1), out=low)
+        del g, rho  # freed before the next block is computed
     v = spd_power_stack(a, 0.5) * c[:, None, None]
-    return v, kappa
+    return v, c / low
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +579,11 @@ def build_reducing_family(
     the stacked averages of W and W^{-1}; otherwise the closed form fills the
     rows of both sides where W = s A, and one _fit_operators call the rest.
     The (2, cubes, n, n) result is cut into per-level arrays at the end.
+
+    The fit sees rho on the m fit directions only (_rho_rows). The
+    _CAL_FACTOR m calibration directions are then streamed in blocks
+    (_rho_blocks), each reduced to a running max and min per row by
+    _fit_operators, so no (rows, directions) array of them is ever held.
     """
     q = conjugate_exponent(p)  # checks the exponent
     m_fit = fit_count(weight.n) if directions is None else int(directions)
@@ -555,11 +613,9 @@ def build_reducing_family(
         todo = ~flags
         if todo.any():
             dirs_fit = quasi_uniform_directions(n, m_fit)
-            extra = quasi_uniform_directions(n, m_fit * _CAL_FACTOR, offset=_CAL_OFFSET)
-            dirs_all = np.concatenate([dirs_fit, extra], axis=0)
-            rho = np.concatenate([_rho_rows(weight, p, dirs_all, dual, todo)
-                                  for dual in (False, True)])
-            v_fit, kappa_fit = _fit_operators(rho[:, :m_fit], rho, dirs_fit, dirs_all)
+            dirs_cal = quasi_uniform_directions(n, m_fit * _CAL_FACTOR, offset=_CAL_OFFSET)
+            v_fit, kappa_fit = _fit_operators(_rho_rows(weight, p, dirs_fit, todo), dirs_fit,
+                                              _rho_blocks(weight, p, dirs_cal, todo))
             v[:, todo] = v_fit.reshape(2, -1, n, n)
             kappa[:, todo] = kappa_fit.reshape(2, -1)
         method = np.stack([np.where(todo, _M_ELL, _M_SCALAR).astype(np.int8)] * 2)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import GridFunction, _blocks, lp_norm, mean_pyramid
+from .dyadic import GridFunction, _blocks, _even_slices, _spans, lp_norm, mean_pyramid
 from .errors import MatrixDomainError, ParameterError, ShapeError
 
 __all__ = [
@@ -92,15 +92,13 @@ def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     rows, k = a.shape[-2:]
     cols = b.shape[-1]
-    count = max(1, -(-rows // max(1, _SERIAL_GEMM // (k * cols))))
-    edges = [rows * i // count for i in range(count + 1)]
     stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     out = np.empty(stack + (rows, cols), dtype=np.result_type(a, b))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        step = cols if hi - lo > 1 else max(1, (_SERIAL_GEMV - 1) // k)
+    for block in _even_slices(rows, _SERIAL_GEMM // (k * cols)):
+        step = cols if block.stop - block.start > 1 else max(1, (_SERIAL_GEMV - 1) // k)
         for c in range(0, cols, step):
-            np.matmul(a[..., lo:hi, :], b[..., c : c + step],
-                      out=out[..., lo:hi, c : c + step])
+            np.matmul(a[..., block, :], b[..., c : c + step],
+                      out=out[..., block, c : c + step])
     return out
 
 
@@ -206,6 +204,17 @@ def _axis_midpoints(level: int, oversample: int = 1) -> np.ndarray:
 
 
 def _power_cells(fam: WeightFamily) -> np.ndarray:
+    """|x - x0|^alpha I_n, averaged over each cell: exactly from the
+    antiderivative at d = 1, and at d >= 2 by the midpoint rule on a grid
+    16 times finer per axis.
+
+    The fine grid is never built whole: an open grid (np.meshgrid with
+    sparse=True) gives one axis of offsets per dimension, and blocks of
+    coarse rows along axis 0 (dyadic._spans: one row holds 16 (16 2^L)^(d-1)
+    fine points) take |x - x0|^alpha in place and average it, axis by axis,
+    before the next block. Each cell's average is summed in the same order as
+    on the whole grid.
+    """
     alpha = float(fam.params.get("alpha", 0.0))
     if alpha <= -1.0:
         raise ParameterError(f"power exponent alpha must exceed -1, got {alpha}")
@@ -221,14 +230,19 @@ def _power_cells(fam: WeightFamily) -> np.ndarray:
     else:
         q = 16
         mids = _axis_midpoints(fam.level, q)
-        grids = np.meshgrid(*[mids - x0[i] for i in range(fam.d)], indexing="ij")
-        r = np.sqrt(sum(g**2 for g in grids))
-        vals = r**alpha
-        for axis in range(fam.d):
-            vals = vals.reshape(
-                vals.shape[:axis] + (h, q) + vals.shape[axis + 1 :]
-            ).mean(axis=axis + 1)
-        scalar = vals
+        axes = np.meshgrid(*[mids - x0[i] for i in range(fam.d)], indexing="ij",
+                           sparse=True)
+        scalar = np.empty((h,) * fam.d)
+        for rows in _spans(h, q * (h * q) ** (fam.d - 1)):
+            fine = slice(rows.start * q, rows.stop * q)
+            vals = sum(g**2 for g in (axes[0][fine], *axes[1:]))
+            np.sqrt(vals, out=vals)
+            np.power(vals, alpha, out=vals)
+            for axis in range(fam.d):
+                vals = vals.reshape(
+                    vals.shape[:axis] + (-1, q) + vals.shape[axis + 1 :]
+                ).mean(axis=axis + 1)
+            scalar[rows] = vals
     return scalar.reshape((h,) * fam.d + (1, 1)) * np.eye(fam.n)
 
 

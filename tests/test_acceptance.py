@@ -18,6 +18,7 @@ import pytest
 
 import haarweight.acceptance as acc
 import haarweight.analysis as analysis
+import haarweight.dyadic as dyadic
 import haarweight.experiments as experiments
 from haarweight import ExperimentConfig, HaarCoefficients, WeightSpec
 from haarweight.dyadic import _cube_blocks
@@ -193,6 +194,24 @@ def test_unit_outer_products_match_the_norm_reference(n):
     cols = np.swapaxes(dirs, -1, -2)
     want = (cols[:, :, None] * cols[:, None]).reshape(7, n * n, 1000)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_unit_outer_products_in_cube_blocks_match_one_draw(n):
+    # c03 draws a level's directions block by block from the level's one
+    # generator: consecutive draws continue one stream, so the blocks are
+    # the one-shot array bit for bit
+    whole = acc._unit_outer_products(np.random.default_rng(5), 7, 1000, n)
+    rng = np.random.default_rng(5)
+    blocks = [acc._unit_outer_products(rng, k, 1000, n) for k in (3, 1, 3)]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
+def test_john_sandwich_line_does_not_depend_on_the_cube_blocks(monkeypatch):
+    ctx = tiny_context()
+    want = acc.c03_john_sandwich(ctx).line()
+    monkeypatch.setattr(dyadic, "_BLOCK_ENTRIES", 1)  # one cube per block
+    assert acc.c03_john_sandwich(ctx).line() == want
 
 
 def _power_p3_config():

@@ -27,7 +27,7 @@ from haarweight import (
     make_weight,
     weighted_lp_norm,
 )
-from haarweight import analysis
+from haarweight import analysis, dyadic
 from haarweight.analysis import (
     SPECTRA,
     block_partition_constant,
@@ -678,6 +678,21 @@ def test_batched_partition_constants_match_a_per_function_loop(suite_case):
         single, single_parts = block_partition_constant(f, tree, p)
         assert single == pytest.approx(const, rel=1e-13)
         np.testing.assert_allclose(single_parts, row, rtol=1e-13, atol=0)
+
+
+def test_column_blocks_match_one_batch(suite_case, monkeypatch):
+    # block_partition_constant and cross_term_rate stream the function
+    # columns in blocks; one column per block gives the one-batch values
+    # byte for byte, since every column is computed as it is alone
+    w, fam, tree, p = suite_case
+    f = random_mean_zero_batch(w, 7, [9], SPECTRA)
+    whole = block_partition_constant(f, tree, p)
+    rate = cross_term_rate(w, fam, tree, p, count=7, seed=9)
+    monkeypatch.setattr(dyadic, "_BLOCK_ENTRIES", 1)
+    assert len(list(dyadic._column_blocks(f, 1))) == 7
+    for got, want in zip(block_partition_constant(f, tree, p), whole):
+        assert got.tobytes() == want.tobytes()
+    assert cross_term_rate(w, fam, tree, p, count=7, seed=9) == rate
 
 
 def test_batched_dual_square_norm_matches_single_calls(suite_case):

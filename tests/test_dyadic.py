@@ -22,9 +22,12 @@ from haarweight import (
     haar_transform,
     lp_norm,
 )
+from haarweight import dyadic
 from haarweight.dyadic import (
     _blocks,
     _cube_blocks,
+    _random_exactness_errors,
+    _random_grid_batch,
     detail_signatures,
     haar_exactness_errors,
     mean_pyramid,
@@ -339,6 +342,17 @@ def test_batch_transforms_and_norms_act_per_column():
         assert max(rt.max(), pv.max(), singles.max()) <= 1e-12
         np.testing.assert_allclose(haar_reconstruct(stacked).values, batch.values,
                                    atol=1e-12)
+
+
+def test_random_exactness_errors_in_blocks_match_one_batch(monkeypatch):
+    # drawn and checked one tag per block, the errors are those of the one
+    # batch of every tag, byte for byte
+    tags = [[4, i] for i in range(5)]
+    want = haar_exactness_errors(_random_grid_batch(2, 3, 3, tags))
+    monkeypatch.setattr(dyadic, "_BLOCK_ENTRIES", 1)
+    assert dyadic._spans(len(tags), 64 * 3) == [slice(i, i + 1) for i in range(5)]
+    got = _random_exactness_errors(2, 3, 3, tags)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -101,6 +101,22 @@ def test_csv_headers_are_pinned(tmp_path):
             assert next(csv.reader(fh)) == header, name
 
 
+def test_multiplier_blocks_match_one_batch(tmp_path, monkeypatch):
+    # the multiplier cell forms T_j f in blocks of function columns; one
+    # column per block writes the one-batch table byte for byte, the sum
+    # identity of the first five functions included. The weights are s(x) A,
+    # so no family is fitted: a fit's rounding follows its direction blocks
+    cfg = tiny_config(tmp_path / "a", experiments=("multiplier",), ps=(2.0, 3.0),
+                      weights=(tiny_config(tmp_path).weights[0],
+                               WeightSpec("wc", family="power", d=2, n=2, level=3,
+                                          params={"alpha": 0.5})))
+    run_experiments(cfg)
+    monkeypatch.setattr(haarweight.dyadic, "_BLOCK_ENTRIES", 1)
+    run_experiments(dataclasses.replace(cfg, out_dir=str(tmp_path / "b")))
+    table = "multiplier_bounds.csv"
+    assert (tmp_path / "b" / table).read_bytes() == (tmp_path / "a" / table).read_bytes()
+
+
 def test_manifest_covers_every_file(tmp_path):
     cfg = tiny_config(tmp_path / "out")
     result = run_experiments(cfg)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from haarweight import (
     quasi_uniform_directions,
     suite_weight_specs,
 )
+import haarweight.dyadic as dyadic
 import haarweight.reducing as reducing
 from haarweight.dyadic import _levels, _rows, mean_pyramid
 from haarweight.reducing import (
@@ -191,8 +193,9 @@ def test_closed_form_matches_fit_on_power_weight():
     m_fit, dirs_fit, dirs_all = fit_directions(2)
     for dual, closed in ((False, redfam.v), (True, redfam.v_dual)):
         for lvl in (0, 2, 4):
-            rho = _rho_rows(w, p, dirs_all, dual, level_rows(1, lvl, [lvl]))
-            v_fit, _ = _fit_operators(rho[:, :m_fit], rho, dirs_fit, dirs_all)
+            rho = _rho_rows(w, p, dirs_all, level_rows(1, lvl, [lvl]), (dual,))
+            v_fit, _ = _fit_operators(rho[:, :m_fit], dirs_fit,
+                                      [(dirs_all[m_fit:], rho[:, m_fit:])])
             np.testing.assert_allclose(
                 v_fit, closed[lvl].reshape(-1, 2, 2), rtol=0, atol=1e-10
             )
@@ -282,8 +285,8 @@ def fit_inputs(n, level, m=60):
     dirs = quasi_uniform_directions(n, m)
     if level is None:
         todo = level_rows(1, 2, range(3))
-        return np.concatenate([_rho_rows(w, 3.0, dirs, dual, todo) for dual in (False, True)]), dirs
-    return _rho_rows(w, 3.0, dirs, False, level_rows(1, level, [level])), dirs
+        return _rho_rows(w, 3.0, dirs, todo), dirs
+    return _rho_rows(w, 3.0, dirs, level_rows(1, level, [level]), (False,)), dirs
 
 
 def assert_john_certificate(a_b, rho_b, dirs):
@@ -539,8 +542,9 @@ def test_one_fit_per_family_matches_per_level_fits(monkeypatch):
     m_fit, dirs_fit, dirs_all = fit_directions(2)
     for dual, vs, kappas in ((False, fam.v, fam.kappa), (True, fam.v_dual, fam.kappa_dual)):
         for lvl in range(4):
-            rho = _rho_rows(w, p, dirs_all, dual, level_rows(1, lvl, [lvl]))
-            v, kappa = _fit_operators(rho[:, :m_fit], rho, dirs_fit, dirs_all)
+            rho = _rho_rows(w, p, dirs_all, level_rows(1, lvl, [lvl]), (dual,))
+            v, kappa = _fit_operators(rho[:, :m_fit], dirs_fit,
+                                      [(dirs_all[m_fit:], rho[:, m_fit:])])
             np.testing.assert_allclose(vs[lvl].reshape(-1, 2, 2), v, rtol=1e-12, atol=0)
             np.testing.assert_allclose(kappas[lvl].reshape(-1), kappa, rtol=1e-12, atol=0)
     assert len(calls) == 1 + 2 * 4
@@ -553,7 +557,7 @@ def test_rho_rows_matches_direction_norm():
     todo = level_rows(1, 4, range(5))
     todo[[2, 9]] = False  # level 1 index 1, level 3 index 2
     for dual in (False, True):
-        rho = _rho_rows(w, p, dirs, dual, todo)
+        rho = _rho_rows(w, p, dirs, todo, (dual,))
         assert rho.shape == (29, 12)
         full = np.zeros((31, 12))
         full[todo] = rho
@@ -563,6 +567,61 @@ def test_rho_rows_matches_direction_norm():
                 cube = Cube(lvl, idx)
                 want = [direction_norm(w, cube, p, e, dual=dual) for e in dirs]
                 np.testing.assert_allclose(pyr[lvl][idx], want, rtol=1e-12)
+
+
+def test_rho_blocks_match_one_block(monkeypatch):
+    # the direction blocks of _rho_blocks cover dirs in order, and each block
+    # is within its budget of cells + rows entries per direction
+    w = rotating_weight(level=4)
+    dirs = quasi_uniform_directions(2, 40)
+    todo = level_rows(1, 3, range(4))
+    whole = _rho_rows(w, 3.0, dirs, todo)
+    monkeypatch.setattr(dyadic, "_BLOCK_ENTRIES", 16 * (16 + 2 * 15))
+    blocks = list(reducing._rho_blocks(w, 3.0, dirs, todo))
+    assert [len(part) for part, _ in blocks] == [13, 13, 14]
+    np.testing.assert_array_equal(np.concatenate([part for part, _ in blocks]), dirs)
+    np.testing.assert_allclose(np.concatenate([rho for _, rho in blocks], axis=1), whole,
+                               rtol=1e-14, atol=0)
+
+
+def test_family_build_memory_is_bounded():
+    # the fit sees rho on its 500 fit directions, and the 2,000 calibration
+    # directions stream in blocks: traced peak 16.2 MiB, most of it the
+    # ellipsoid fit. With rho held on all 2,500 directions at once, and its
+    # integrand and pyramid over every cell, the same build peaked at 50.7 MiB
+    w = make_weight(WeightFamily("rotating", 2, 2, 5, params={"alpha": 0.5}, seed=1))
+    tracemalloc.start()
+    try:
+        build_reducing_family(w, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
+def test_singular_newton_system_raises_ellipsoid_fit_error(caplog):
+    # a rotated l1 norm with axis ratio 1e3: the fit's Newton system goes
+    # singular in floats, which used to escape as numpy's LinAlgError
+    dirs = quasi_uniform_directions(2, 500)
+    c, s = math.cos(0.3), math.sin(0.3)
+    rho = np.abs(dirs @ np.array([[c, s], [-s, c]]) * [1.0, 1e3]).sum(axis=1)[None]
+    with caplog.at_level(logging.DEBUG, logger="haarweight"):
+        with pytest.raises(EllipsoidFitError, match="singular") as raised:
+            reducing._mvee_batch(rho, dirs, _TOL, 200_000)
+    assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
+    assert 0.0 < raised.value.residual < math.inf
+    (record,) = [r for r in caplog.records if r.name == "haarweight.reducing"]
+    assert record.args[5] == raised.value.residual
+
+
+def test_singular_least_squares_start_raises_ellipsoid_fit_error():
+    # points on the two axes only: the start's normal matrix has no
+    # off-diagonal coordinate, so its solve is singular before any step
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0]] * 3)
+    with pytest.raises(EllipsoidFitError, match="least-squares start") as raised:
+        reducing._mvee_batch(np.ones((1, 6)), dirs, _TOL, 200_000)
+    assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
+    assert raised.value.residual == math.inf
 
 
 _FAMILY_ARRAYS = """

@@ -6,7 +6,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from haarweight import GridFunction, MatrixDomainError, ParameterError
+from haarweight import GridFunction, MatrixDomainError, ParameterError, dyadic
 from haarweight.weights import (
     EIGEN_FLOOR,
     MatrixWeight,
@@ -262,6 +262,24 @@ def test_power_family_2d_matches_radial_average():
     ref = np.mean(np.sqrt(gx**2 + gy**2) ** 0.5)
     npt.assert_allclose(w.cells[3, 5, 0, 0], ref, rtol=1e-4)
     npt.assert_allclose(w.cells[3, 5], w.cells[3, 5, 0, 0] * np.eye(2), rtol=1e-13)
+
+
+@pytest.mark.parametrize("d, level", [(2, 5), (3, 2)])
+def test_power_family_row_blocks_match_the_dense_grid(monkeypatch, d, level):
+    # the quadrature walks blocks of coarse rows on an open grid; with one
+    # coarse row per block it equals the average over the whole dense
+    # meshgrid byte for byte
+    monkeypatch.setattr(dyadic, "_BLOCK_ENTRIES", 1)
+    alpha, x0 = -0.5, (0.3,) * d
+    w = make_weight(WeightFamily("power", d, 1, level, {"alpha": alpha, "x0": x0}))
+    h, q = 1 << level, 16
+    mids = (np.arange(h * q) + 0.5) / (h * q)
+    grids = np.meshgrid(*[mids - c for c in x0], indexing="ij")
+    vals = np.sqrt(sum(g**2 for g in grids)) ** alpha
+    for axis in range(d):
+        vals = vals.reshape(vals.shape[:axis] + (h, q) + vals.shape[axis + 1 :]).mean(
+            axis=axis + 1)
+    assert w.cells[..., 0, 0].tobytes() == vals.tobytes()
 
 
 def test_rotating_family_structure():
