@@ -10,7 +10,7 @@ between the norm ball and its John dilate. The dual operator V'_I plays the
 same role for rho'_I built from W^{-1/p} at the conjugate exponent. At p = 2
 both are exact matrix square roots of cube averages (kappa = 1). On a cube
 where W(x) = s(x) A, rho_I(e) = <s>_I^{1/p} |A^{1/p} e|, so V_I and V'_I are
-exact closed forms too (kappa = 1). Every other cube gets a log-barrier Newton
+exact closed forms too (kappa = 1). Every other cube gets a primal-dual Newton
 minimum-volume-ellipsoid fit on a deterministic direction set. A family is
 built on one row axis that holds every level of both sides, so each route
 (square root, closed form, batched fit) runs once per family.
@@ -58,33 +58,34 @@ _GOLDEN = 0.6180339887498949
 # calibration directions, a second quasi-uniform grid offset by _CAL_OFFSET
 _CAL_FACTOR = 4
 _CAL_OFFSET = 0.37
-# barrier parameter multiplier per stage of the ellipsoid fit; with the
-# tangent step between stages, x10, x20 and x40 take row-steps within 5% of
-# each other on the default suite, and x100 stalls 17 of 40 rotating-weight
-# fits at p in {1.25, 1.5, 3, 4} that x10 to x40 all centre
-_T_FACTOR = 20.0
-# Newton's quadratic region: a row with decrement <= _NEAR_CENTRE takes the
-# capped step with no Armijo search, and a barrier stage before the last is
-# centred once the row's decrement is <= _NEAR_CENTRE
-_NEAR_CENTRE = 0.25
-# the last stage stops a row at duality gap <= n _TOL, about twice the gap of
-# the exact centre at t_final = 2m / (n _TOL) for m fit directions; _MAX_ITER
-# caps the batch Newton steps over all barrier stages
+# the primal and the dual step of the ellipsoid fit go this fraction of the
+# way to the nearest zero slack or zero dual. On the 50 fits of the
+# rotating-fit sweep in tests/test_reducing.py (pytest -m slow), fractions
+# 0.9, 0.95, 0.98 and 0.99 took 59,382, 54,681, 51,626 and 51,823
+# row-steps, and no fit raised; 0.95 keeps a wider margin against rounding
+# near the boundary for 6% more steps than 0.98
+_STEP_FRACTION = 0.95
+# Mehrotra's centring parameter sigma = (mu_aff / mu)^_SIGMA_POWER; on the
+# same sweep, powers 3 and 2 took 54,681 and 57,778 row-steps
+_SIGMA_POWER = 3
+# the primal step goes at most this fraction of the way to the SPD boundary,
+# so A shrinks by at most a factor 4 along any direction per step: there the
+# linear model of A^{-1} is poor, and full steps let a row cycle between
+# near-singular and doubling A. On 600 one-row fits of rotated l1, l1.5, l2,
+# l3 and box norms in R^2 and R^3 with axis ratios 10 to 1e4, fractions
+# 0.5, 0.75 and 0.95 raised on 55, 50 and 63 (the barrier path: 74); on the
+# sweep they take the same steps
+_SPD_FRACTION = 0.75
+# the fit stops a row once its certified duality gap is <= n _TOL; _MAX_ITER
+# caps the batch Newton steps of one fit
 _TOL = 1e-6
 _MAX_ITER = 200_000
 # a row's least-squares start is divided by 1 + _START_MARGIN past its
 # farthest fit point, so every point lies strictly inside. On the 50 fits of
 # the rotating-fit sweep in tests/test_reducing.py (pytest -m slow), margins
-# 1e-6, 1e-5, 1e-4, 1e-3 and 1e-2 took 298,230, 238,646, 210,087, 233,606
-# and 245,543 row-steps, and no fit raised
+# 1e-6, 1e-5, 1e-4, 1e-3 and 1e-2 took 86,109, 60,600, 54,681, 59,149 and
+# 67,687 row-steps, and no fit raised
 _START_MARGIN = 1e-4
-# a row's first barrier parameter is t_0 = _T0_FACTOR m / G_0, clipped to
-# [m, t_final], for the certified duality gap G_0 of its start: the exact
-# centre at t_0 has gap m / t_0 = G_0 / _T0_FACTOR. On the same sweep,
-# factors 3, 10, 30 and 100 raised on no fit and took 283,973, 256,654,
-# 233,388 and 210,087 row-steps; factor 1 raised on 1 fit, and 300, 1000
-# and 3000 on 1, 3 and 12
-_T0_FACTOR = 100.0
 
 
 def conjugate_exponent(p: float) -> float:
@@ -180,28 +181,15 @@ def _rho_rows(weight: MatrixWeight, p: float, dirs: np.ndarray, todo: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# ellipsoid fit (log-barrier Newton, batched over cubes)
+# ellipsoid fit (primal-dual Newton, batched over cubes)
 
 
-def _step_length(delta, r, linv, linv_t, pe):
-    """The largest alpha <= 1 that keeps 2% of the constraint slack and of the
-    SPD margin along the steps delta from A = L L^T, with the (rows, m) u,
-    each constraint's change per unit step over its slack, and the ascending
-    eigenvalues lam of the pencil L^{-1} delta L^{-T}.
-
-    r = w2 / slack are the weights the step has already formed, so u is one
-    (rows, m) product scaled by r in place. The explicit caps guard against
-    rounding: the slack cap is 0.98 / max_m u_m, the SPD cap
-    -0.98 / min_i lam_i."""
-    n = linv.shape[-1]
-    u = _serial_matmul(delta, pe.T)
-    u *= r
-    top = u.max(axis=1)
-    lam = np.linalg.eigvalsh(linv @ delta.reshape(-1, n, n) @ linv_t)
-    with np.errstate(divide="ignore"):
-        cap = np.where(top > 0.0, 0.98 / top, np.inf)
-        spd = np.where(lam[:, 0] < 0.0, -0.98 / lam[:, 0], np.inf)
-    return np.minimum(np.minimum(1.0, cap), spd), u, lam
+def _boundary_step(worst: np.ndarray, fraction: float) -> np.ndarray:
+    """min(1, fraction / -worst) per row: the step length that goes fraction
+    of the way to the nearest boundary, for each row's most negative change
+    per unit step relative to its distance from that boundary (1 when it is
+    >= -fraction)."""
+    return fraction / np.maximum(fraction, -worst)
 
 
 def _symmetric(x: np.ndarray, n: int) -> np.ndarray:
@@ -258,205 +246,200 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
 
         minimize -log det A   s.t.   x_m^T A x_m <= 1,  x_m = dirs_m / rho_bm,
 
-    by primal log-barrier Newton path following (the constraints are linear in
-    A and the objective is self-concordant, so a handful of Newton steps per
-    barrier stage reaches high accuracy; multiplicative-update schemes are far
-    too slow at this tolerance). The returned A are strictly feasible (all
+    by primal-dual path following with Mehrotra's predictor-corrector steps
+    (Mehrotra, SIAM J. Optim. 2 (1992); for minimum-volume ellipsoids, Sun &
+    Freund, Oper. Res. 52 (2004)). The returned A are strictly feasible (all
     points inside {x : x^T A x <= 1}) and within n tol of the optimal
-    -log det A; tests check the John-type certificate A^{-1} =
-    sum_m c_m x_m x_m^T with c_m >= 0 and sum c_m <= n (1 + tol) on them.
-    max_iter caps the total batch Newton steps.
+    -log det A; tests check the John-type certificate A^{-1} = sum_m c_m x_m
+    x_m^T with c_m >= 0 and sum c_m <= n (1 + tol) on the suite's norms, and
+    the gap against an independent dual on eccentric ones. max_iter caps the
+    batch Newton steps, summed over the row blocks.
 
-    Start: each row starts at its least-squares ellipse, shrunk so that every
-    point lies strictly inside (_least_squares_start), or at the isotropic
-    ellipse through its nearest point where that fit is indefinite.
+    Each row is rescaled by the geometric mean g of its rho, undone at exit,
+    so its constraints read <E_m, A> <= r_m with E_m = e_m e_m^T, e_m =
+    dirs_m, and r_m = (rho_m / g)^2. A row carries A, its slacks s_m = r_m -
+    <E_m, A> > 0 and a dual u > 0. The optimum has A^{-1} = M = sum_m u_m E_m
+    and u_m s_m = 0; the central path has u_m s_m = mu for all m.
 
-    Barrier schedule (Boyd & Vandenberghe, Convex Optimization, 11.3): each
-    row runs its own path. Its first barrier parameter is t_0 = _T0_FACTOR m
-    / G_0, clipped to [m, t_final], for the duality gap G_0 of its start, and
-    its t grows by _T_FACTOR per stage up to t_final = 2m / (n tol). Before
-    t_final a row is centred once it is in Newton's quadratic region
-    (decrement <= _NEAR_CENTRE); it then takes one tangent (predictor) step
-    to t' = min(_T_FACTOR t, t_final) and goes on at t' on the next step.
-    Along the central path dA/d(1/t) = -t H_t^{-1} vec(A^{-1}) for the
-    Hessian H_t of the t-normalized barrier, so the step is (1 - t/t')
-    H_t^{-1} vec(A^{-1}), symmetrized, on the Hessian of the row's last
-    Newton step. At t_final a row stops once its duality gap is <= n tol
-    (8.4), before its Hessian is built: u_m = 1 / (t slack_m) scaled by n /
-    sum u is dual feasible with value log det M + n log(n / sum u), M =
-    sum_m u_m x_m x_m^T, so the gap -log det A - log det M - n log(n / sum u),
-    which the conditioning rescale leaves unchanged, bounds -log det A minus
-    its optimum. An exact t_final centre has M = A^{-1} and sum u = n + m / t,
-    so its gap n log(1 + tol / 2) leaves the stop a factor-2 margin. The gap
-    is the same for every t once M is scaled by t, so the same formula gives
-    G_0. A row that is not centred after 80 steps at one t raises
-    EllipsoidFitError with its residual (the decrement, or the gap at
-    t_final); so does a start, Cholesky factor or Newton system that is
-    singular in floats, with the last residual of the rows left (infinite
-    before the first step), where numpy raises LinAlgError. A row leaves the
-    batch when it stops, so its steps and result do not depend on the batch
-    beyond rounding.
+    Start: A is the row's least-squares ellipse, shrunk so that every point
+    lies strictly inside (_least_squares_start), or the isotropic ellipse
+    through its nearest point where that fit is indefinite. Its dual is u_0 =
+    mu_0 / s_0, with mu_0 = G_0 / m for the duality gap G_0 of the start.
 
-    Each step takes one Cholesky factor A = L L^T: L^{-1} gives A^{-1} =
-    L^{-T} L^{-1}, the log det A of the gap, and the pencil L^{-1} Delta
-    L^{-T}, whose eigenvalues lam_i are the generalized eigenvalues of
-    (Delta, A). The weights r = w2 / slack are formed once per step: r
-    against the direction outer products gives t M, the barrier gradient
-    M - A^{-1} and sum u = tr(A M) + m / t (as u_m slack_m = 1 / t); r
-    squared against the C(n+3, 4) distinct quartic monomials of each
-    direction (_quartic_monomials; 5 columns at n = 2, 15 at n = 3) gives
-    the Hessian's barrier term, and r itself gives u below. One solve with
-    two right-hand sides gives the Newton step and the tangent direction.
-    Newton and tangent steps alike start at the largest alpha <= 1 that keeps
-    2% of the constraint slack and of the SPD margin (_step_length); u, one
-    (rows, m) pass, is each constraint's change per unit step over its
-    slack. On a Newton step, rows with decrement > _NEAR_CENTRE then halve
-    alpha until the t-normalized barrier meets the Armijo condition; each row
-    leaves the search once its step passes, and the other rows keep the
-    capped step. The trial values need no factorization:
-    log det(A + alpha Delta) - log det A = sum_i log(1 + alpha lam_i), and
-    the barrier term is sum_m log(1 - alpha u_m) on the same u. The (rows, m)
-    products of the start and of a step (the constraint values, the
-    gradient, the Hessian and u) run as serial GEMMs over blocks of rows
+    Stop: for any u > 0, u scaled by n / sum_m u_m r_m is dual feasible with
+    value log det M + n log(n / sum_m u_m r_m), so by weak duality the gap
+
+        G = -log det A - log det M - n log(n / sum_m u_m r_m),
+
+    with sum_m u_m r_m = u^T s + tr(A M), bounds -log det A minus its optimum
+    for a strictly feasible A. The rescale leaves G unchanged, and G does not
+    depend on the scale of u. A row leaves the batch once its G <= n tol,
+    before its Newton matrix is built. A row still uncertified after 80
+    Newton steps raises EllipsoidFitError with its gap. So does a start,
+    Cholesky factor or Newton system that is singular in floats, where numpy
+    raises LinAlgError, with the last gap of the rows left (infinite before
+    the first step).
+
+    Step: linearizing A^{-1} = M and u_m s_m = sigma mu gives, for the step
+    Delta of A, the Newton matrix H = A^{-1} (x) A^{-1} + sum_m (u_m / s_m)
+    vec(E_m) vec(E_m)^T and the right-hand side vec(A^{-1}) - sum_m c_m
+    vec(E_m), after which du_m = c_m - u_m (1 - <E_m, Delta> / s_m). The
+    predictor takes c = 0 (the affine-scaling step, sigma = 0) and gives
+    mu_aff, the mean of u s after its steps; the corrector, on the same H,
+    takes sigma = (mu_aff / mu)^_SIGMA_POWER and c_m = (sigma max(mu, G / m)
+    - ds_aff_m du_aff_m) / s_m. The primal step goes _STEP_FRACTION of the
+    way to the nearest zero slack and at most _SPD_FRACTION of the way to
+    the SPD margin, read from the eigenvalues of the pencil L^{-1} Delta
+    L^{-T} of A = L L^T; the dual step goes _STEP_FRACTION of the way to
+    u = 0 (_boundary_step). Each row keeps its own mu = u^T s / m, G and
+    step lengths, so its iterates do not depend on the batch beyond
+    rounding. The slacks follow the step, s <- s (1 - alpha <E, Delta> / s),
+    and are not recomputed from A.
+
+    Each step takes one Cholesky factor A = L L^T, which gives A^{-1} and the
+    log det A of the gap. H's barrier term comes from the weights u / s
+    against the C(n+3, 4) distinct quartic monomials of each direction
+    (_quartic_monomials; 5 columns at n = 2, 15 at n = 3). The rows go in
+    blocks of dyadic._spans, within _BLOCK_ENTRIES entries for the four
+    (rows, m) arrays a step holds (s, u and two work arrays); the blocks run
+    one after another in this one call. The (rows, m) products of the start
+    and of a step (M, H's barrier term, the two constraint changes and the
+    corrector's right-hand side) run as serial GEMMs over blocks of rows
     (weights._serial_matmul): each block stays on the calling thread, so no
     BLAS worker wakes up or spins between the many small products of a fit,
     and the result does not depend on the BLAS thread count.
 
     One DEBUG record on the haarweight logger per call, also when it raises,
-    gives the batch Newton steps, the most barrier stages any row ran, the
-    largest final gap (on a raise, the failing residual), the seconds, the
-    row-steps and the search steps (Newton steps and Armijo halvings summed
-    over rows).
+    gives the rows, n, m, the batch Newton steps, the largest final gap (on
+    a raise, the failing residual), the seconds and the row-steps (Newton
+    steps summed over rows).
     """
     start = time.perf_counter()
     b, m = rho.shape
     n = dirs.shape[1]
     q = n * n
-    gm = np.exp(np.mean(np.log(rho), axis=1))  # conditioning rescale, undone at exit
-    invr2 = (gm[:, None] / rho) ** 2
+    gm = np.empty(b)  # each row's rescale g, undone at exit
     pe = _outer_products(dirs)
     mono, quartic = _quartic_monomials(pe)
-    t_final = 2.0 * m / (n * tol)
-    t = None  # each row's barrier parameter, set from its start's gap on the first step
-    stage_steps = np.zeros(b, dtype=np.int64)  # each row's Newton steps at its t
-    stages = np.ones(b, dtype=np.int64)
-    # each row's stop measure: its Newton decrement, and its gap at t_final
-    residual = np.full(b, np.inf)
-    iters = row_steps = search_steps = 0
+    a = np.empty((b, q))
+    residual = np.full(b, np.inf)  # each row's last duality gap
+    live = np.arange(b)
+    steps = row_steps = 0
 
     def report(worst):
         _log.debug(
-            "ellipsoid fit: rows=%d n=%d m=%d newton_steps=%d stages=%d "
-            "final_gap=%.3g seconds=%.3f row_steps=%d search_steps=%d",
-            b, n, m, iters, int(stages.max()), worst,
-            time.perf_counter() - start, row_steps, search_steps,
+            "ellipsoid fit: rows=%d n=%d m=%d newton_steps=%d final_gap=%.3g "
+            "seconds=%.3f row_steps=%d",
+            b, n, m, steps, worst, time.perf_counter() - start, row_steps,
         )
 
-    def singular(what, exc):
-        # a system singular in floats (an eccentric norm) fails like a stall
+    def failure(what):
         worst = float(residual[live].max())
         report(worst)
-        return EllipsoidFitError(f"ellipsoid fit: singular {what} ({exc})", residual=worst)
+        return EllipsoidFitError(f"ellipsoid fit: {what}", residual=worst)
 
-    live, w2 = np.arange(b), invr2
-    try:
-        a = _least_squares_start(invr2, pe)
-    except np.linalg.LinAlgError as exc:
-        raise singular("least-squares start", exc) from exc
-    while True:
-        if iters >= max_iter:
-            worst = float(residual[live].max())
-            report(worst)
-            raise EllipsoidFitError(
-                f"ellipsoid fit exceeded {max_iter} Newton iterations", residual=worst)
-        iters += 1
-        row_steps += live.size
-        al = a[live]
+    def newton(hess, rhs):
         try:
-            linv = np.linalg.inv(np.linalg.cholesky(al.reshape(-1, n, n)))
+            return _symmetric(np.linalg.solve(hess, rhs[..., None])[..., 0], n)
         except np.linalg.LinAlgError as exc:
-            raise singular("Cholesky factor", exc) from exc
-        linv_t = linv.swapaxes(1, 2)
-        ainv = linv_t @ linv
-        r = _serial_matmul(al, pe.T)  # becomes w2 / slack in place
-        r *= w2
-        np.subtract(1.0, r, out=r)
-        np.divide(w2, r, out=r)
-        tm = _serial_matmul(r, pe)  # t M, M = sum_m u_m x_m x_m^T
-        gap = (2.0 * np.log(np.diagonal(linv, axis1=1, axis2=2)).sum(axis=1)
-               - np.linalg.slogdet(tm.reshape(-1, n, n))[1]
-               + n * np.log(((al * tm).sum(axis=1) + m) / n))
-        if t is None:
-            # the start's margin keeps its gap >= n log(1 + _START_MARGIN) > 0
-            t = np.clip(_T0_FACTOR * m / gap, m, t_final)
-        tl = t[live]
-        last = tl >= t_final
-        residual[live[last]] = gap[last]
-        done = last & (gap <= n * tol)
-        if done.all():
-            break
-        if done.any():
-            keep = ~done
-            live, w2, al, linv, linv_t, ainv, r, tm, tl, last = (
-                x[keep] for x in (live, w2, al, linv, linv_t, ainv, r, tm, tl, last))
-        # Newton step on the t-normalized objective -logdet A - (1/t) sum ln(1-g):
-        # the same centre and step as the barrier's, with O(1) gradients at large t
-        grad = tm / tl[:, None] - ainv.reshape(-1, q)
-        hess = np.einsum("bik,bjl->bijkl", ainv, ainv).reshape(-1, q, q)
-        sq = np.square(r)
-        hess += _serial_matmul(sq, mono)[:, quartic].reshape(-1, q, q) / tl[:, None, None]
-        del sq
-        # the Newton step and the tangent direction H^{-1} vec(A^{-1}), one solve
+            # a system singular in floats (an eccentric norm) fails like a stall
+            raise failure(f"singular Newton system ({exc})") from exc
+
+    # one step holds four (rows, m) arrays: s, u and two work arrays
+    for block in _spans(b, 4 * m):
+        live = np.arange(block.start, block.stop)
+        r = np.log(rho[block])
+        gm[block] = np.exp(r.mean(axis=1))
+        np.divide(rho[block], gm[block, None], out=r)
+        np.square(r, out=r)  # the constraints e_m^T A e_m <= r_m
         try:
-            sol = np.linalg.solve(hess, np.stack([-grad, ainv.reshape(-1, q)], axis=2))
+            al = _least_squares_start(1.0 / r, pe)
         except np.linalg.LinAlgError as exc:
-            raise singular("Newton system", exc) from exc
-        delta = _symmetric(sol[..., 0], n)
-        # Newton decrement of the un-normalized barrier: sqrt(t) * phi-decrement
-        dec = np.sqrt(tl * np.maximum(-np.sum(grad * delta, axis=1), 0.0))
-        residual[live[~last]] = dec[~last]
-        centred = ~last & (dec <= _NEAR_CENTRE)
-        stage_steps[live] += 1
-        stuck = ~centred & (stage_steps[live] >= 80)
-        if stuck.any():
-            worst = float(residual[live[stuck]].max())
-            report(worst)
-            raise EllipsoidFitError(
-                f"ellipsoid fit: {int(stuck.sum())} rows not centred in 80 steps",
-                residual=worst)
-        # a centred row takes the tangent step toward its next t instead
-        t_next = np.minimum(tl * _T_FACTOR, t_final)
-        tangent = (1.0 - tl / t_next)[:, None] * _symmetric(sol[..., 1], n)
-        step = np.where(centred[:, None], tangent, delta)
-        alpha, u, lam = _step_length(step, r, linv, linv_t, pe)
+            raise failure(f"singular least-squares start ({exc})") from exc
+        s = r - _serial_matmul(al, pe.T)
         del r
-        # Armijo backtracking (c = 1/4) on the t-normalized barrier, only on
-        # the rows outside Newton's quadratic region; the others keep the
-        # capped step. A row leaves the search once its step passes. The
-        # damped step 1/(1 + decrement) always passes in exact arithmetic,
-        # so a row needs about log2(1 + decrement) halvings.
-        slope = dec**2 / tl
-        seek = np.flatnonzero(dec > _NEAR_CENTRE)
-        lam_s, u_s, t_s = lam[seek], u[seek], tl[seek]
-        del u
-        for _ in range(60):
-            if not seek.size:
+        u = 1.0 / s  # u_0 = mu_0 / s_0 once the start's gap gives mu_0
+        for k in range(81):
+            try:
+                linv = np.linalg.inv(np.linalg.cholesky(al.reshape(-1, n, n)))
+            except np.linalg.LinAlgError as exc:
+                raise failure(f"singular Cholesky factor ({exc})") from exc
+            moment = _serial_matmul(u, pe)  # M = sum_m u_m e_m e_m^T
+            us = np.einsum("ij,ij->i", u, s)
+            # sum_m u_m r_m = sum_m u_m s_m + tr(A M)
+            gap = (2.0 * np.log(np.diagonal(linv, axis1=1, axis2=2)).sum(axis=1)
+                   - np.linalg.slogdet(moment.reshape(-1, n, n))[1]
+                   + n * np.log((us + np.einsum("ij,ij->i", al, moment)) / n))
+            residual[live] = gap
+            if k == 0:
+                # the start's margin keeps its gap >= n log(1 + _START_MARGIN) > 0
+                u *= (gap / m)[:, None]
+                us *= gap / m
+            done = gap <= n * tol
+            if done.any():
+                a[live[done]] = al[done]
+                keep = ~done
+                live, al, linv, us, gap = live[keep], al[keep], linv[keep], us[keep], gap[keep]
+                s = s[keep]
+                u = u[keep]
+            if not live.size:
                 break
-            trial = alpha[seek, None]
-            barrier = u_s * -trial
-            change = -np.log1p(trial * lam_s).sum(axis=1) - np.log1p(
-                barrier, out=barrier
-            ).sum(axis=1) / t_s
-            del barrier  # one (rows, m) temporary per trial, freed before the next
-            short = change > -0.25 * alpha[seek] * slope[seek]
-            seek, lam_s, u_s, t_s = seek[short], lam_s[short], u_s[short], t_s[short]
-            alpha[seek] *= 0.5
-            search_steps += seek.size
-        a[live] = al + alpha[:, None] * step
-        moved = live[centred]
-        t[moved] = t_next[centred]
-        stage_steps[moved] = 0
-        stages[moved] += 1
+            if k == 80:
+                raise failure(f"{live.size} rows not certified in 80 Newton steps")
+            if steps >= max_iter:
+                raise failure(f"exceeded {max_iter} Newton steps")
+            steps += 1
+            row_steps += live.size
+            linv_t = linv.swapaxes(1, 2)
+            ainv = linv_t @ linv
+            work = u / s  # the Newton matrix's barrier weights
+            hess = np.einsum("bik,bjl->bijkl", ainv, ainv).reshape(-1, q, q)
+            hess += _serial_matmul(work, mono)[:, quartic].reshape(-1, q, q)
+            ainv = ainv.reshape(-1, q)
+            # predictor: the affine-scaling step, on the right-hand side
+            # vec(A^{-1}); grow = -ds / s, each constraint's growth over its
+            # slack, gives ds_aff = -s grow and du_aff = u (grow - 1). ap and
+            # ad are the primal and dual step lengths
+            grow = _serial_matmul(newton(hess, ainv), pe.T)
+            grow /= s
+            ap = _boundary_step(-grow.max(axis=1), _STEP_FRACTION)
+            ad = _boundary_step(grow.min(axis=1) - 1.0, _STEP_FRACTION)
+            # with v = u s grow, mu_aff m = sum_m (s + ap ds)(u + ad du) =
+            # (1 - ad) sum u s + (ad - ap (1 - ad)) sum v - ap ad sum v grow
+            np.multiply(u, s, out=work)
+            work *= grow
+            mu_aff = ((1.0 - ad) * us + (ad - ap * (1.0 - ad)) * work.sum(axis=1)
+                      - ap * ad * np.einsum("ij,ij->i", work, grow))
+            # the target never falls below sigma G / m: complementarity that
+            # runs ahead of the gap strands a row near the boundary (without
+            # the floor, 108 of the 600 fits of _SPD_FRACTION's note raised,
+            # against 50)
+            sigma_mu = (mu_aff / us) ** _SIGMA_POWER * np.maximum(us, gap) / m
+            # corrector: c = (sigma mu - ds_aff du_aff) / s = (sigma mu + v (grow - 1)) / s
+            grow -= 1.0
+            work *= grow
+            del grow
+            work += sigma_mu[:, None]
+            work /= s
+            delta = newton(hess, ainv - _serial_matmul(work, pe))
+            grow = _serial_matmul(delta, pe.T)
+            grow /= s
+            lam = np.linalg.eigvalsh(linv @ delta.reshape(-1, n, n) @ linv_t)[:, 0]
+            ap = np.minimum(_boundary_step(-grow.max(axis=1), _STEP_FRACTION),
+                            _boundary_step(lam, _SPD_FRACTION))[:, None]
+            # du = c - u (1 - grow): u + ad du = u ((1 - ad) + ad (c / u + grow))
+            work /= u
+            work += grow
+            ad = _boundary_step(work.min(axis=1) - 1.0, _STEP_FRACTION)[:, None]
+            al = al + ap * delta
+            grow *= -ap
+            grow += 1.0
+            s *= grow
+            del grow
+            work *= ad
+            work += 1.0 - ad
+            u *= work
+            del work
     a = a.reshape(b, n, n) * (gm**2)[:, None, None]
     report(float(residual.max()))
     return a

@@ -46,6 +46,7 @@ from haarweight.dyadic import haar_reconstruct
 from haarweight.multipliers import t_blocks
 from haarweight.weights import spd_power_stack
 from test_dyadic import haar_eval
+from test_reducing import frame_cascade
 
 
 def random_mean_zero_coefficients(d, n, level, rng, spectrum="flat"):
@@ -422,17 +423,9 @@ def test_inverse_direction_on_the_inverse_weight_is_the_p2_dual_square_sup():
 
 
 def clustered_weight(level):
-    """d=1, n=2: W = R(theta) diag(8, 1/8) R(theta)^T with theta = 0.785 times
-    the sum of the first eight Rademacher functions. Both probe operators
-    have a top eigenvalue of multiplicity >= 3."""
-    x = (np.arange(1 << level) + 0.5) / (1 << level)
-    theta = 0.785 * sum(
-        np.where(np.floor(x * 2 ** (k + 1)) % 2 == 0, 1.0, -1.0) for k in range(8)
-    )
-    c, s = np.cos(theta), np.sin(theta)
-    rot = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
-    cells = rot @ np.diag([8.0, 1.0 / 8.0]) @ np.swapaxes(rot, -1, -2)
-    return MatrixWeight(d=1, n=2, level=level, cells=cells)
+    """d=1, n=2: the frame cascade (m, phi, k) = (8, 0.785, 8). Both probe
+    operators have a top eigenvalue of multiplicity >= 3."""
+    return frame_cascade(8.0, 0.785, 8, level)
 
 
 def test_sharpness_probe_converges_on_a_repeated_top_eigenvalue():

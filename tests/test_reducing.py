@@ -1,6 +1,7 @@
 """Reducing-operator tests: exact routes against scipy oracles, ellipsoid
 fits against the norm they must sandwich, and the duality identity."""
 
+import itertools
 import logging
 import math
 import os
@@ -107,6 +108,21 @@ def rotating_weight(level=4, seed=3):
     fam = WeightFamily("rotating", d=1, n=2, level=level,
                        params={"alpha": 0.6}, seed=seed)
     return make_weight(fam)
+
+
+def frame_cascade(m, phi, k, level):
+    """d=1, n=2: W = R(theta) diag(m, 1/m) R(theta)^T with theta = phi times
+    the sum of the first k Rademacher functions r_j(x) = sign of the j-th
+    binary digit of x (+1 for a 0 digit), on the cell centres of level
+    `level`."""
+    x = (np.arange(1 << level) + 0.5) / (1 << level)
+    theta = phi * sum(
+        np.where(np.floor(x * 2 ** (j + 1)) % 2 == 0, 1.0, -1.0) for j in range(k)
+    )
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    cells = rot @ np.diag([m, 1.0 / m]) @ np.swapaxes(rot, -1, -2)
+    return MatrixWeight(d=1, n=2, level=level, cells=cells)
 
 
 def test_direction_norm_two_cell():
@@ -289,9 +305,9 @@ def fit_inputs(n, level, m=60):
     return _rho_rows(w, 3.0, dirs, level_rows(1, level, [level]), (False,)), dirs
 
 
-def assert_john_certificate(a_b, rho_b, dirs):
-    """A is strictly feasible for the points x_m = dirs_m / rho_m and
-    A^{-1} = sum_m c_m x_m x_m^T with c >= 0 and sum c <= n (1 + _TOL)."""
+def john_weight_sum(a_b, rho_b, dirs):
+    """The least sum c over c >= 0 with A^{-1} = sum_m c_m x_m x_m^T, for the
+    points x_m = dirs_m / rho_m, which must lie strictly inside A."""
     n = a_b.shape[0]
     # x_m^T A x_m <= 1, recomputed from A
     x = dirs / rho_b[:, None]
@@ -305,7 +321,13 @@ def assert_john_certificate(a_b, rho_b, dirs):
     assert lp.status == 0
     np.testing.assert_allclose(outer @ lp.x, np.linalg.inv(a_b).ravel(),
                                rtol=0, atol=1e-8)
-    assert lp.fun <= n * (1.0 + _TOL)
+    return lp.fun
+
+
+def assert_john_certificate(a_b, rho_b, dirs):
+    """A is strictly feasible for the points x_m = dirs_m / rho_m and
+    A^{-1} = sum_m c_m x_m x_m^T with c >= 0 and sum c <= n (1 + _TOL)."""
+    assert john_weight_sum(a_b, rho_b, dirs) <= a_b.shape[0] * (1.0 + _TOL)
 
 
 @pytest.mark.parametrize("n, level", [(2, 0), (2, 2), (3, 0), (3, 2), (2, None), (3, None)])
@@ -319,17 +341,14 @@ def test_mvee_batch_feasible_with_john_certificate(n, level):
 
 def duality_gap(a_b, rho_b, dirs):
     """-log det A minus the Lagrange dual value of the fit for the points
-    x_m = dirs_m / rho_m, formed from A alone: the dual point u_m = 1 / (t
-    slack_m) scaled by n / sum u is u_m = n / (slack_m sum_k 1 / slack_k),
-    whatever t, with dual value log det sum_m u_m x_m x_m^T. A must be
-    strictly feasible, so that u >= 0."""
+    x_m = dirs_m / rho_m, formed from A alone. The dual point is the least
+    sum c of john_weight_sum: sum_m c_m x_m x_m^T = A^{-1}, so its dual value
+    log det A^{-1} + n log(n / sum c) leaves the gap n log(sum c / n). Any
+    strictly feasible A has such a point; a dual formed from the slacks
+    alone, u ~ 1 / slack, certifies only points on the log barrier's
+    central path."""
     n = a_b.shape[0]
-    x = dirs / rho_b[:, None]
-    slack = 1.0 - np.einsum("mi,ij,mj->m", x, a_b, x)
-    assert slack.min() > 0.0
-    u = n / (slack * (1.0 / slack).sum())
-    moment = np.einsum("m,mi,mj->ij", u, x, x)
-    return -np.linalg.slogdet(a_b)[1] - np.linalg.slogdet(moment)[1]
+    return n * math.log(john_weight_sum(a_b, rho_b, dirs) / n)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -374,33 +393,96 @@ def test_indefinite_least_squares_fit_starts_isotropic():
     assert duality_gap(fit, rho[0], dirs) <= 3 * _TOL
 
 
+def design_dual_value(x, tol=1e-9):
+    """A lower bound on the optimal -log det A over x_m^T A x_m <= 1: the
+    dual value log det(n M) of the design u >= 0, sum u = 1, M = sum_m u_m
+    x_m x_m^T, that Todd and Yildirim's Frank-Wolfe steps with away steps
+    (Discrete Appl. Math. 155 (2007)) reach once max_m x_m^T M^{-1} x_m <= n
+    (1 + tol), which puts it within n log(1 + tol) of that optimum."""
+    m, n = x.shape
+    u = np.full(m, 1.0 / m)
+    for _ in range(100_000):
+        moment = (x.T * u) @ x
+        g = np.einsum("mi,ij,mj->m", x, np.linalg.inv(moment), x)
+        j = int(np.argmax(g))
+        if g[j] <= n * (1.0 + tol):
+            return np.linalg.slogdet(n * moment)[1]
+        support = np.flatnonzero(u > 0.0)
+        k = support[np.argmin(g[support])]
+        if g[j] - n >= n - g[k]:  # toward x_j
+            lam = (g[j] / n - 1.0) / (g[j] - 1.0)
+            u *= 1.0 - lam
+            u[j] += lam
+        else:  # away from x_k, at most until u_k = 0
+            lam = u[k] / (1.0 - u[k])
+            if g[k] > 1.0:
+                lam = min(lam, (1.0 - g[k] / n) / (g[k] - 1.0))
+            u *= 1.0 + lam
+            u[k] = max(u[k] - lam, 0.0)
+    raise AssertionError("design iteration did not converge")
+
+
+def euler_rotation(a, b, c):
+    """The 3-D rotation R_z(a) R_y(b) R_x(c)."""
+    ca, sa, cb, sb, cc, sc = (f(t) for t in (a, b, c) for f in (math.cos, math.sin))
+    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cc, -sc], [0.0, sc, cc]])
+    return rz @ ry @ rx
+
+
+def test_eccentric_3d_norms_fit_certified():
+    # rotated l1 and box norms of R e with axis scales (1, sqrt(k), k), k =
+    # 300 and 500, in one batch. A log-barrier path per row raised on two box
+    # norms (singular Newton systems). Mehrotra steps with a centring target
+    # sigma u^T s / m that may fall below sigma G / m, and a primal step
+    # 0.95 of the way to the SPD boundary, raised on five: three singular
+    # Newton systems (box norms) and two l1 norms still uncertified after 80
+    # steps, cycling near the SPD boundary. The fit's gap is checked against
+    # an independent dual. On these norms the John LP of john_weight_sum
+    # reads n log(sum c / n) = 1.6e-5 and 2.5e-5 on two box norms whose
+    # -log det A is within 1.3e-7 of the optimum, and below zero, which no
+    # feasible A allows, on two others
+    dirs = quasi_uniform_directions(3, 500)
+    rho = []
+    for k in (300.0, 500.0):
+        for angles in ((0.3, 0.5, 0.7), (0.6, 0.2, 1.1), (1.0, 0.4, 0.3)):
+            y = np.abs(dirs @ euler_rotation(*angles) * [1.0, math.sqrt(k), k])
+            rho += [y.sum(axis=1), y.max(axis=1)]
+    rho = np.array(rho)
+    a = reducing._mvee_batch(rho, dirs, _TOL, 200_000)
+    for a_b, rho_b in zip(a, rho):
+        x = dirs / rho_b[:, None]
+        assert np.einsum("mi,ij,mj->m", x, a_b, x).max() < 1.0
+        assert -np.linalg.slogdet(a_b)[1] - design_dual_value(x) <= 3 * _TOL
+
+
 def test_mvee_batch_logs_one_debug_record(caplog):
     rho, dirs = fit_inputs(2, 2)
     with caplog.at_level(logging.DEBUG, logger="haarweight"):
         reducing._mvee_batch(rho, dirs, 1e-4, 200_000)
     records = [r for r in caplog.records if r.name == "haarweight.reducing"]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
-    rows, n, m, steps, stages, gap, seconds, row_steps, search_steps = records[0].args
+    rows, n, m, steps, gap, seconds, row_steps = records[0].args
     assert (rows, n, m) == (4, 2, 60)
-    assert steps >= stages >= 1
+    assert steps >= 1
     assert gap <= n * 1e-4
     assert steps <= row_steps <= rows * steps
     assert seconds > 0.0
-    assert 0 <= search_steps <= 60 * row_steps
     assert "newton_steps=" in records[0].getMessage()
     assert "seconds=" in records[0].getMessage()
-    assert "search_steps=" in records[0].getMessage()
+    assert "row_steps=" in records[0].getMessage()
 
 
 def _fit_record(caplog, rho, dirs, full=False):
     """The DEBUG record args of one _mvee_batch call at the default _TOL:
-    rows, n, m, newton_steps, stages, final_gap, and with full=True also
-    seconds, row_steps and search_steps."""
+    rows, n, m, newton_steps, final_gap, and with full=True also seconds and
+    row_steps."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="haarweight"):
         reducing._mvee_batch(rho, dirs, _TOL, 200_000)
     (record,) = [r for r in caplog.records if r.name == "haarweight.reducing"]
-    return record.args if full else record.args[:6]
+    return record.args if full else record.args[:5]
 
 
 def test_centred_rows_leave_the_stage(caplog):
@@ -409,7 +491,7 @@ def test_centred_rows_leave_the_stage(caplog):
     rho, dirs = fit_inputs(2, 0)
     easy = np.ones_like(rho)
     both = np.concatenate([easy, rho])
-    rows, _, _, steps, _, _, _, row_steps, _ = _fit_record(caplog, both, dirs, full=True)
+    rows, _, _, steps, _, _, row_steps = _fit_record(caplog, both, dirs, full=True)
     assert row_steps < rows * steps
     # each row takes the steps of its solo fit
     assert row_steps == _fit_record(caplog, easy, dirs)[3] + _fit_record(caplog, rho, dirs)[3]
@@ -422,7 +504,7 @@ def test_centred_rows_leave_the_stage(caplog):
 @pytest.mark.parametrize("n, level", [(2, 0), (2, 2), (3, 0), (3, 2)])
 def test_mvee_batch_centres_every_stage(caplog, n, level):
     rho, dirs = fit_inputs(n, level)
-    _, _, _, steps, _, gap = _fit_record(caplog, rho, dirs)
+    _, _, _, steps, gap = _fit_record(caplog, rho, dirs)
     assert gap <= n * _TOL
     # negative control: one step fewer than the fit needs must not pass, and
     # the fit logs its one record, with the failing residual, before it raises
@@ -432,26 +514,22 @@ def test_mvee_batch_centres_every_stage(caplog, n, level):
             reducing._mvee_batch(rho, dirs, _TOL, steps - 1)
     (record,) = [r for r in caplog.records if r.name == "haarweight.reducing"]
     assert record.args[3] == steps - 1
-    assert record.args[5] == raised.value.residual > n * _TOL
+    assert record.args[4] == raised.value.residual > n * _TOL
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_mvee_batch_step_budget(caplog, n):
-    # measured 24 (n = 2) and 23 (n = 3) Newton steps; 32 leaves room for
-    # rounding to shift a stop by a few steps. Starting every row at the same
-    # isotropic ellipse and t = m takes 35 and 37; starting every stage at
-    # t = 1 and centring it to 1e-7 with no tangent step takes 73 for both n,
-    # and a x4 t-schedule takes 45
+    # measured 6 (n = 2) and 7 (n = 3) Newton steps; 32 leaves room for
+    # rounding to shift a stop by a few steps. A log-barrier path per row
+    # from the same start took 24 and 23 (counting each row's last gap check
+    # as a step); from one isotropic ellipse and t = m, 35 and 37
     rho, dirs = fit_inputs(n, 2)
     steps = _fit_record(caplog, rho, dirs)[3]
     assert steps <= 32
 
 
-def test_rotating_cube_fit_below_p_two(monkeypatch, caplog):
-    # with every stage started cold at the last centre, the t ~ 1.6e5 stage
-    # hit the 80-step cap at decrement 2.19 and the build raised
-    # EllipsoidFitError
-    w = make_weight(WeightFamily("rotating", 2, 2, 4, params={"alpha": 0.9}))
+def record_fits(monkeypatch):
+    """A list that receives (rho, dirs, A) of every _mvee_batch call from now on."""
     fits = []
     mvee = reducing._mvee_batch
 
@@ -461,20 +539,55 @@ def test_rotating_cube_fit_below_p_two(monkeypatch, caplog):
         return a
 
     monkeypatch.setattr(reducing, "_mvee_batch", recording)
+    return fits
+
+
+def test_rotating_cube_fit_below_p_two(monkeypatch, caplog):
+    # with every stage started cold at the last centre, the t ~ 1.6e5 stage
+    # hit the 80-step cap at decrement 2.19 and the build raised
+    # EllipsoidFitError
+    w = make_weight(WeightFamily("rotating", 2, 2, 4, params={"alpha": 0.9}))
+    fits = record_fits(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="haarweight"):
         build_reducing_family(w, 1.5)
     (record,) = [r for r in caplog.records if r.name == "haarweight.reducing"]
-    assert record.args[5] <= 2 * _TOL  # the final gap
+    assert record.args[4] <= 2 * _TOL  # the final gap
     ((rho, dirs, a),) = fits
     # the four most eccentric direction norms
     for row in np.argsort(rho.max(axis=1) / rho.min(axis=1))[-4:]:
         assert_john_certificate(a[row], rho[row], dirs)
 
 
+@pytest.mark.parametrize("p, m, phi, k", [
+    (3.0, 8.0, 0.6, 8), (3.0, 12.0, 0.6, 8), (4.0, 16.0, 0.6, 8), (1.5, 4.0, 1.0, 8),
+])
+def test_frame_cascade_fit_ends_certified(monkeypatch, p, m, phi, k):
+    # a log-barrier path per row, started at t_0 = 100 m / G_0 for the gap G_0
+    # of its least-squares start, left 2-12 rows of each of these builds
+    # uncentred after 80 steps at t_0 (decrements 0.45-9.35), and the build
+    # raised EllipsoidFitError. The norms are mild (max/min rho <= 1.39 on the
+    # first); a start close in -log det was far from that path's centre
+    fits = record_fits(monkeypatch)
+    build_reducing_family(frame_cascade(m, phi, k, 10), p)
+    ((rho, dirs, a),) = fits
+    # the ten most eccentric direction norms
+    for row in np.argsort(rho.max(axis=1) / rho.min(axis=1))[-10:]:
+        assert_john_certificate(a[row], rho[row], dirs)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+def test_frame_cascade_grid_fits(p):
+    # the frame-cascade grid behind the fit's start and step rules: 72 builds
+    # per exponent, none of which may raise EllipsoidFitError
+    for m, phi, k in itertools.product((2.0, 4.0, 8.0, 12.0, 16.0, 32.0),
+                                       (0.3, 0.6, 0.785, 1.0), (4, 8, 10)):
+        build_reducing_family(frame_cascade(m, phi, k, 10), p)
+
+
 def _family_fit_records(caplog, weight, p):
     """The DEBUG record args of every _mvee_batch call of one family build:
-    rows, n, m, newton_steps, stages, final_gap, seconds, row_steps,
-    search_steps."""
+    rows, n, m, newton_steps, final_gap, seconds, row_steps."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="haarweight"):
         build_reducing_family(weight, p)
@@ -490,21 +603,22 @@ def test_rotating_fit_below_p_two_ends_certified(caplog, alpha):
     # alphas
     w = make_weight(WeightFamily("rotating", 1, 2, 7, params={"alpha": alpha}))
     for p in (1.25, 1.5, 4.0, 6.0):
-        ((*_, gap, _, _, _),) = _family_fit_records(caplog, w, p)
+        ((*_, gap, _, _),) = _family_fit_records(caplog, w, p)
         assert gap <= 2e-6
 
 
 def test_suite_p3_fits_end_certified(caplog):
     # the genuinely matrix weights of the benchmarked suite: every fit ends
-    # its last stage certified within n 1e-6. Measured 9,706 row-steps over
-    # the three; every row starting at one isotropic ellipse and t = m took
-    # 16,607
+    # certified within n 1e-6. Measured 2,783 row-steps over the three; a
+    # log-barrier path per row from the same start took 9,706 (counting each
+    # row's last gap check as a step), and from one isotropic ellipse and
+    # t = m, 16,607
     specs = {s.name: s for s in suite_weight_specs()}
     row_steps = 0
     for name in ("rot-a06", "logb3-s04", "rot2d-a05"):
         records = _family_fit_records(caplog, specs[name].realize(), 3.0)
         assert records
-        for _, n, _, _, _, gap, _, steps, _ in records:
+        for _, n, _, _, gap, _, steps in records:
             assert gap <= n * 1e-6
             row_steps += steps
     assert row_steps <= 11_000
@@ -520,7 +634,7 @@ def test_rotating_fit_sweep_ends_certified(caplog, d, level):
         for p in (1.25, 1.5, 3.0, 4.0, 6.0):
             records = _family_fit_records(caplog, w, p)
             assert records
-            for _, n, _, _, _, gap, *_ in records:
+            for _, n, _, _, gap, *_ in records:
                 assert gap <= n * _TOL
 
 
@@ -599,19 +713,35 @@ def test_family_build_memory_is_bounded():
     assert peak < 24 * 2**20
 
 
+def test_family_build_fit_memory_is_blocked():
+    # the fit takes its 682 rows in blocks of the working-set budget: traced
+    # peak 5.6 MiB, of which 1.1 MiB above what the fit starts with. With all
+    # rows in one batch the same build peaked at 16.3 MiB, 13.4 MiB of it in
+    # the fit
+    w = make_weight(WeightFamily("rotating", 2, 2, 5, params={"alpha": 0.5}, seed=1))
+    tracemalloc.start()
+    try:
+        build_reducing_family(w, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_singular_newton_system_raises_ellipsoid_fit_error(caplog):
-    # a rotated l1 norm with axis ratio 1e3: the fit's Newton system goes
-    # singular in floats, which used to escape as numpy's LinAlgError
+    # a rotated l1 norm with axis ratio 1e5: the fit's Newton system goes
+    # singular in floats, which used to escape as numpy's LinAlgError. At
+    # axis ratio 1e3 the primal-dual fit ends certified
     dirs = quasi_uniform_directions(2, 500)
     c, s = math.cos(0.3), math.sin(0.3)
-    rho = np.abs(dirs @ np.array([[c, s], [-s, c]]) * [1.0, 1e3]).sum(axis=1)[None]
+    rho = np.abs(dirs @ np.array([[c, s], [-s, c]]) * [1.0, 1e5]).sum(axis=1)[None]
     with caplog.at_level(logging.DEBUG, logger="haarweight"):
         with pytest.raises(EllipsoidFitError, match="singular") as raised:
             reducing._mvee_batch(rho, dirs, _TOL, 200_000)
     assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
     assert 0.0 < raised.value.residual < math.inf
     (record,) = [r for r in caplog.records if r.name == "haarweight.reducing"]
-    assert record.args[5] == raised.value.residual
+    assert record.args[4] == raised.value.residual
 
 
 def test_singular_least_squares_start_raises_ellipsoid_fit_error():
