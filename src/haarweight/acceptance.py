@@ -275,7 +275,7 @@ def c06_stopping_decay(ctx: AcceptanceContext) -> CriterionResult:
     # negative control: thresholds barely above 1 must break the bound
     violated = False
     for w in ctx.config.weights:
-        cfg = StoppingConfig(p=2.0, lambda1=1.0 + 1e-6, lambda2=1.0 + 1e-6)
+        cfg = StoppingConfig(lambda1=1.0 + 1e-6, lambda2=1.0 + 1e-6)
         tree = build_generations(ctx.family(w.name, 2.0), cfg)
         if any(
             decay_ratio(tree, j) > 2.0 ** (-j) * 1.05 for j in range(1, 6)
@@ -301,7 +301,7 @@ def c07_block_partition(ctx: AcceptanceContext) -> CriterionResult:
         for name, p in ctx.cells():
             w = ctx.weight(name)
             f = random_mean_zero_batch(w, 100, [ctx.config.seed + seed_tag, 7])
-            c = block_partition_constant(f, ctx.tree(name, p), p)[0]
+            c = block_partition_constant(f, ctx.tree(name, p))[0]
             caps[(p, seed_tag)] = max(caps.get((p, seed_tag), 0.0), float(c.max()))
             errors[p] = max(errors.get(p, 0.0), float(np.abs(c - 1.0).max()))
     ok = True
@@ -327,8 +327,8 @@ def c08_block_identities(ctx: AcceptanceContext) -> CriterionResult:
         w = ctx.weight(name)
         fam = ctx.family(name, p)
         f = random_mean_zero_batch(w, 10, [ctx.config.seed, 8])
-        total = t_blocks(w, fam, f, ctx.tree(name, p), p).values.sum(axis=-1)
-        tf = t_operator(w, fam, f, p)
+        total = t_blocks(w, fam, f, ctx.tree(name, p)).values.sum(axis=-1)
+        tf = t_operator(w, fam, f)
         worst = max(worst, float(np.abs(total - tf.values).max()))
     return CriterionResult(
         8, "block-identities", worst <= 1e-9,
@@ -350,13 +350,12 @@ def c09_cross_term_decay(ctx: AcceptanceContext) -> CriterionResult:
                                     target=ctx.config.calibration_target)
             q = conjugate_exponent(p)
             cfg = StoppingConfig(
-                p=p,
                 lambda1=max(cal.c1_hat, 1.0 + 1e-9),
                 lambda2=max(cal.c2_hat * cal.chars[f"a{alpha}"] ** (q / p),
                             1.0 + 1e-9),
             )
             tree = build_generations(fam, cfg)
-            rep = cross_term_rate(w, fam, tree, p, count=50, seed=ctx.config.seed)
+            rep = cross_term_rate(w, fam, tree, count=50, seed=ctx.config.seed)
             ok = ok and rep.passed
             parts.append(
                 f"alpha={alpha} p={p:g}: rate {rep.rate:.3f} ci95 {rep.rate_ci95:.3f}"
@@ -374,7 +373,7 @@ def c10_equivalence_uniform(ctx: AcceptanceContext) -> CriterionResult:
     for w in ctx.config.weights:
         for p in ctx.config.ps:
             rep = equivalence_ratios(
-                ctx.weight(w.name), ctx.family(w.name, p), p,
+                ctx.weight(w.name), ctx.family(w.name, p),
                 count=50, seed=ctx.config.seed,
             )
             c1[p] = max(c1[p], rep.c1_emp)
@@ -389,7 +388,7 @@ def c10_equivalence_uniform(ctx: AcceptanceContext) -> CriterionResult:
         WeightFamily("constant", 1, 2, 6, params={"matrix": np.eye(2)})
     )
     idrep = equivalence_ratios(
-        ident, build_reducing_family(ident, 2.0), 2.0,
+        ident, build_reducing_family(ident, 2.0),
         count=50, seed=ctx.config.seed,
     )
     parseval = float(np.abs(idrep.ratios - 1.0).max())
@@ -454,7 +453,7 @@ def c12_dual_square_bound(ctx: AcceptanceContext) -> CriterionResult:
         g = haar_reconstruct(f)
         for p in ctx.config.ps:
             rhs = weighted_lp_norm(g, _dual_weight(weight, p), conjugate_exponent(p))
-            ratio = dual_square_norm(f, ctx.family(w.name, p), p) / rhs
+            ratio = dual_square_norm(f, ctx.family(w.name, p)) / rhs
             caps[p] = max(caps[p], float(ratio.max()))
     ok = True
     parts = []

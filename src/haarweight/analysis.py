@@ -147,17 +147,17 @@ def square_function(f: HaarCoefficients, family: ReducingFamily) -> GridFunction
     return _scalar_function(f, _aggregate_squares(family.v, f))
 
 
-def square_norm(f: HaarCoefficients, family: ReducingFamily, p: float):
-    """||S f||_p; one per column of a batch."""
-    return lp_norm(square_function(f, family), p)
+def square_norm(f: HaarCoefficients, family: ReducingFamily):
+    """||S f||_p, p the family's exponent; one per column of a batch."""
+    return lp_norm(square_function(f, family), family.p)
 
 
-def dual_square_norm(f: HaarCoefficients, family: ReducingFamily, p: float):
+def dual_square_norm(f: HaarCoefficients, family: ReducingFamily):
     """Square norm with inverse symbols V_I^{-1}, measured at the conjugate
-    exponent p'; one per column of a batch."""
+    p' of the family's exponent; one per column of a batch."""
     check_dims(f, family)
     squares = _aggregate_squares(family.v_inv, f)
-    return lp_norm(_scalar_function(f, squares), conjugate_exponent(p))
+    return lp_norm(_scalar_function(f, squares), conjugate_exponent(family.p))
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +227,10 @@ def _linear_quantiles(values: np.ndarray, qs) -> list:
     return vals
 
 
-def equivalence_ratios(
-    weight: MatrixWeight,
-    family: ReducingFamily,
-    p: float,
-    count: int,
-    seed: int = 0,
-    spectra: tuple = SPECTRA,
-) -> EquivalenceReport:
-    """Measure r(f) over count random mean-zero f, spectra cycled.
+def equivalence_ratios(weight: MatrixWeight, family: ReducingFamily, count: int,
+                       seed: int = 0, spectra: tuple = SPECTRA) -> EquivalenceReport:
+    """Measure r(f) over count random mean-zero f, spectra cycled, at the
+    family's exponent p.
 
     Each function draws from its own generator seeded by (seed, index), so
     reports are reproducible regardless of evaluation order; the draws are
@@ -244,17 +239,15 @@ def equivalence_ratios(
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
-    if p != family.p:
-        raise ParameterError(f"exponent {p} does not match family exponent {family.p}")
     char = family.characteristic()
     f = random_mean_zero_batch(weight, count, [seed], spectra)
-    wn = weighted_lp_norm(haar_reconstruct(f), weight, p)
-    sn = square_norm(f, family, p)
+    wn = weighted_lp_norm(haar_reconstruct(f), weight, family.p)
+    sn = square_norm(f, family)
     kept = np.flatnonzero((wn != 0.0) & (sn != 0.0))
     if not kept.size:
         raise ParameterError("all test functions degenerated to zero")
     return EquivalenceReport(
-        p=p,
+        p=family.p,
         char=char,
         count=count,
         seed=seed,
@@ -266,16 +259,16 @@ def equivalence_ratios(
     )
 
 
-def block_partition_constant(
-    f: HaarCoefficients, tree: GenerationTree, p: float
-) -> tuple:
+def block_partition_constant(f: HaarCoefficients, tree: GenerationTree) -> tuple:
     """(sum_j ||Delta_j f||_p^p / ||f||_p^p, ||Delta_j f||_p^p per generation
-    on a last axis) for mean-zero f; one constant per column of a batch.
+    on a last axis) for mean-zero f, p the tree's exponent; one constant per
+    column of a batch.
 
     The columns of a batch go in blocks (dyadic._column_blocks): each block
     splits into its generation pieces and synthesizes them, cells x n x
     generations values per column, before the next block. Each column is
     computed as it is alone, so the blocks leave the values unchanged."""
+    p = tree.p
     denom = lp_norm(haar_reconstruct(f), p) ** p
     if np.any(denom == 0.0):
         raise ParameterError("zero function has no partition constant")
@@ -338,15 +331,10 @@ class CrossTermReport:
         return self.rate_ci95 < 1.0
 
 
-def cross_term_rate(
-    weight: MatrixWeight,
-    family: ReducingFamily,
-    tree: GenerationTree,
-    p: float,
-    count: int,
-    seed: int = 0,
-) -> CrossTermReport:
-    """Fit log of diagonal-normalized cross terms vs generation separation.
+def cross_term_rate(weight: MatrixWeight, family: ReducingFamily, tree: GenerationTree,
+                    count: int, seed: int = 0) -> CrossTermReport:
+    """Fit log of diagonal-normalized cross terms vs generation separation,
+    at the family's exponent p.
 
     The blocks T_j f of the count random f are formed in blocks of function
     columns (dyadic._column_blocks), cells x n x generations values per
@@ -356,13 +344,14 @@ def cross_term_rate(
     per-f scale. Test functions cycle through SPECTRA. Points are pooled in
     (f, j, k) order. Requires at least two populated generations.
     """
+    p = family.p
     f = random_mean_zero_batch(weight, count, [seed], SPECTRA)
     gens = tree.generation_count()
     diag = np.empty((count, gens))
     raw = np.zeros((count, gens, gens))  # raw[:, j, k], filled for j < k
     cells = 1 << weight.level * weight.d
     for cols, part in _column_blocks(f, cells * weight.n * gens):
-        blocks = t_blocks(weight, family, part, tree, p)
+        blocks = t_blocks(weight, family, part, tree)
         # |T_j f| as one contiguous row of cells per (function, generation)
         norms = np.linalg.norm(blocks.values, axis=weight.d)
         del blocks

@@ -117,14 +117,10 @@ class RunContext:
     def stopping_config(self, name: str, p: float) -> StoppingConfig:
         cfg = self.config
         if cfg.stopping_lambda1 is not None:
-            return StoppingConfig(
-                p=p, lambda1=cfg.stopping_lambda1, lambda2=cfg.stopping_lambda2
-            )
+            return StoppingConfig(cfg.stopping_lambda1, cfg.stopping_lambda2)
         w = self.weight(name)
         cal = self.calibration(w.d, w.n, p)
-        return StoppingConfig(
-            p=p, lambda1=cal.lambda1, lambda2=cal.lambda2_by_weight[name]
-        )
+        return StoppingConfig(cal.lambda1, cal.lambda2_by_weight[name])
 
     def tree(self, name: str, p: float):
         if (name, p) not in self._trees:
@@ -268,14 +264,14 @@ def _run_multiplier(ctx: RunContext, out: Path, result: RunResult):
         fam = ctx.family(name, p)
         tree = ctx.tree(name, p)
         f = random_mean_zero_batch(w, cfg.count, [cfg.seed, 5], cfg.spectra)
-        parts, delta_norms = block_partition_constant(f, tree, p)
+        parts, delta_norms = block_partition_constant(f, tree)
         # ||T_j f||_p per function and generation, in blocks of function
         # columns, and sum_j T_j f of the first five functions
         block_norms = np.empty(delta_norms.shape)
         total = np.empty(((1 << w.level),) * w.d + (w.n, min(5, cfg.count)))
         per_column = (1 << w.level * w.d) * w.n * delta_norms.shape[-1]
         for cols, part in _column_blocks(f, per_column):
-            blocks = t_blocks(w, fam, part, tree, p)
+            blocks = t_blocks(w, fam, part, tree)
             block_norms[cols] = lp_norm(blocks, p)
             head = range(cols.start, min(cols.stop, 5))  # the block's share of the five
             total[..., head.start : head.stop] = blocks.values[..., : len(head), :].sum(axis=-1)
@@ -287,7 +283,7 @@ def _run_multiplier(ctx: RunContext, out: Path, result: RunResult):
         # out: strided views left a 0.8 MiB higher peak RSS on the p=2 suite
         first = HaarCoefficients(f.d, f.n, f.level, f.root_scaling[..., :5].copy(),
                                  [a[..., :5].copy() for a in f.detail])
-        tf = t_operator(w, fam, first, p).values
+        tf = t_operator(w, fam, first).values
         grid = tuple(range(w.d + 1))  # cells and value components
         scale = np.maximum(1.0, np.abs(tf).max(axis=grid))
         sum_err = float((np.abs(total - tf).max(axis=grid) / scale).max())
@@ -312,7 +308,7 @@ def _run_equivalence(ctx: RunContext, out: Path, result: RunResult):
     def cell(key):
         name, p = key
         return name, p, equivalence_ratios(
-            ctx.weight(name), ctx.family(name, p), p, cfg.count,
+            ctx.weight(name), ctx.family(name, p), cfg.count,
             seed=cfg.seed, spectra=cfg.spectra,
         )
 
@@ -372,7 +368,7 @@ def alpha_sweep_report(config: ExperimentConfig) -> dict:
                          seed=seed)
         )
         fam = build_reducing_family(w, 2.0)
-        rep = equivalence_ratios(w, fam, 2.0, count, seed=seed)
+        rep = equivalence_ratios(w, fam, count, seed=seed)
         return w, fam, fam.characteristic(), rep
 
     done, failed = _probed(cell, config.sweep_alphas)

@@ -7,7 +7,8 @@ inverse multiplier with Haar synthesis and a pointwise W^{1/p} factor,
 
     T f = W^{1/p} sum_{I, eps} V_I^{-1} f_I^eps h_I^eps,
 
-realized coefficient-side then cellwise, never as a dense matrix. The blocks
+with p the exponent of the reducing family, realized
+coefficient-side then cellwise, never as a dense matrix. The blocks
 T_j f apply V_I^{-1} once, split the result along the stopping generations,
 and synthesize every piece at once; the pieces partition the detail
 coefficients, so the blocks sum back to T f.
@@ -71,41 +72,34 @@ def _require_mean_zero(f: HaarCoefficients):
         )
 
 
-def _reduced(
-    weight: MatrixWeight, family: ReducingFamily, f: HaarCoefficients, p: float
-) -> HaarCoefficients:
+def _reduced(weight: MatrixWeight, family: ReducingFamily,
+             f: HaarCoefficients) -> HaarCoefficients:
     """f with V_I^{-1} applied to every detail coefficient."""
-    if p != family.p:
-        raise ParameterError(f"exponent {p} does not match family exponent {family.p}")
     check_grid(f, weight)
     check_dims(f, family)
     detail = apply_symbols(family.v_inv, f.detail)
     return HaarCoefficients(f.d, f.n, f.level, f.root_scaling, detail)
 
 
-def _synthesize(weight: MatrixWeight, c: HaarCoefficients, p: float) -> GridFunction:
-    """W^{1/p} times the Haar synthesis of c."""
+def _synthesize(weight: MatrixWeight, family: ReducingFamily,
+                c: HaarCoefficients) -> GridFunction:
+    """W^{1/p} times the Haar synthesis of c, p the family's exponent."""
     g = haar_reconstruct(c)
-    vals = apply_cells(weight.power_cells(1.0 / p), g.values)
+    vals = apply_cells(weight.power_cells(1.0 / family.p), g.values)
     return GridFunction(g.d, g.n, g.level, vals)
 
 
-def t_operator(
-    weight: MatrixWeight, family: ReducingFamily, f: HaarCoefficients, p: float
-) -> GridFunction:
-    """T f = W^{1/p} M^{-1} f as a grid function; requires mean-zero f."""
+def t_operator(weight: MatrixWeight, family: ReducingFamily,
+               f: HaarCoefficients) -> GridFunction:
+    """T f = W^{1/p} M^{-1} f as a grid function, p the family's exponent;
+    requires mean-zero f."""
     _require_mean_zero(f)
-    return _synthesize(weight, _reduced(weight, family, f, p), p)
+    return _synthesize(weight, family, _reduced(weight, family, f))
 
 
-def t_blocks(
-    weight: MatrixWeight,
-    family: ReducingFamily,
-    f: HaarCoefficients,
-    tree: GenerationTree,
-    p: float,
-) -> GridFunction:
+def t_blocks(weight: MatrixWeight, family: ReducingFamily, f: HaarCoefficients,
+             tree: GenerationTree) -> GridFunction:
     """The generation pieces T_1 f, ..., T_G f as one batch: the last axis
     of the values holds T_j f at index j - 1, and they sum to T f."""
-    pieces = split_generations(_reduced(weight, family, f, p), tree)
-    return _synthesize(weight, pieces, p)
+    pieces = split_generations(_reduced(weight, family, f), tree)
+    return _synthesize(weight, family, pieces)

@@ -135,10 +135,12 @@ def _outer_products(x: np.ndarray) -> np.ndarray:
 
 
 def _rho_blocks(weight: MatrixWeight, p: float, dirs: np.ndarray, todo: np.ndarray,
-                sides: tuple = (False, True)):
+                sides: tuple = (False, True), out: np.ndarray | None = None):
     """(directions, rho) per block of dirs: rho holds, side after side, rho_I
     (side False) or rho'_I (side True) of the cubes that the row mask todo
-    selects on the block's directions, (len(sides) rows, k).
+    selects on the block's directions, (len(sides) rows, k). Given out, the
+    (len(sides) rows, M) array of every direction, rho is the block's view of
+    it.
 
     |W^s e|^q = (e^T W^{2s} e)^{q/2}, so the (cells, n^2) @ (n^2, k) product
     of the flattened W^{2s} = W^s W^s against the outer products of the
@@ -161,23 +163,26 @@ def _rho_blocks(weight: MatrixWeight, p: float, dirs: np.ndarray, todo: np.ndarr
                         conjugate_exponent(p) if dual else p))
     for block in _spans(dirs.shape[0], math.prod(cells) + len(sides) * rows):
         ee = _outer_products(dirs[block]).T
-        rho = np.empty((len(sides) * rows, ee.shape[1]))
+        rho = np.empty((len(sides) * rows, ee.shape[1])) if out is None else out[:, block]
         for side, (w2, q) in zip(np.split(rho, len(sides)), squares):
             g = _serial_matmul(w2, ee)
             np.power(g, 0.5 * q, out=g)
             pyr = mean_pyramid(g.reshape(cells + (-1,)), weight.d)
             del g
             np.concatenate([a[t] for a, t in zip(pyr, picks)], out=side)
+            del pyr  # its finest level is g: freed before the next side's g
             np.power(side, 1.0 / q, out=side)
         yield dirs[block], rho
 
 
 def _rho_rows(weight: MatrixWeight, p: float, dirs: np.ndarray, todo: np.ndarray,
               sides: tuple = (False, True)) -> np.ndarray:
-    """rho on every direction, (len(sides) rows, M): the blocks of
-    _rho_blocks joined, for a direction set the caller keeps whole."""
-    blocks = [rho for _, rho in _rho_blocks(weight, p, dirs, todo, sides)]
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    """rho on every direction, (len(sides) rows, M), for a direction set the
+    caller keeps whole: _rho_blocks writes each block into one array."""
+    out = np.empty((len(sides) * int(todo.sum()), dirs.shape[0]))
+    for _ in _rho_blocks(weight, p, dirs, todo, sides, out):
+        pass
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +244,7 @@ def _quartic_monomials(pe: np.ndarray):
     return mono, where.reshape(-1)
 
 
-def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
+def _mvee_batch(rho: np.ndarray, dirs: np.ndarray):
     """Minimum-volume ellipsoids around the symmetric point sets {dirs_m / rho_bm}.
 
     Solves, batched over rows b (cubes of any level and side),
@@ -249,10 +254,10 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
     by primal-dual path following with Mehrotra's predictor-corrector steps
     (Mehrotra, SIAM J. Optim. 2 (1992); for minimum-volume ellipsoids, Sun &
     Freund, Oper. Res. 52 (2004)). The returned A are strictly feasible (all
-    points inside {x : x^T A x <= 1}) and within n tol of the optimal
+    points inside {x : x^T A x <= 1}) and within n _TOL of the optimal
     -log det A; tests check the John-type certificate A^{-1} = sum_m c_m x_m
-    x_m^T with c_m >= 0 and sum c_m <= n (1 + tol) on the suite's norms, and
-    the gap against an independent dual on eccentric ones. max_iter caps the
+    x_m^T with c_m >= 0 and sum c_m <= n (1 + _TOL) on the suite's norms, and
+    the gap against an independent dual on eccentric ones. _MAX_ITER caps the
     batch Newton steps, summed over the row blocks.
 
     Each row is rescaled by the geometric mean g of its rho, undone at exit,
@@ -273,7 +278,7 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
 
     with sum_m u_m r_m = u^T s + tr(A M), bounds -log det A minus its optimum
     for a strictly feasible A. The rescale leaves G unchanged, and G does not
-    depend on the scale of u. A row leaves the batch once its G <= n tol,
+    depend on the scale of u. A row leaves the batch once its G <= n _TOL,
     before its Newton matrix is built. A row still uncertified after 80
     Newton steps raises EllipsoidFitError with its gap. So does a start,
     Cholesky factor or Newton system that is singular in floats, where numpy
@@ -375,7 +380,7 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
                 # the start's margin keeps its gap >= n log(1 + _START_MARGIN) > 0
                 u *= (gap / m)[:, None]
                 us *= gap / m
-            done = gap <= n * tol
+            done = gap <= n * _TOL
             if done.any():
                 a[live[done]] = al[done]
                 keep = ~done
@@ -386,8 +391,8 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray, tol: float, max_iter: int):
                 break
             if k == 80:
                 raise failure(f"{live.size} rows not certified in 80 Newton steps")
-            if steps >= max_iter:
-                raise failure(f"exceeded {max_iter} Newton steps")
+            if steps >= _MAX_ITER:
+                raise failure(f"exceeded {_MAX_ITER} Newton steps")
             steps += 1
             row_steps += live.size
             linv_t = linv.swapaxes(1, 2)
@@ -457,7 +462,7 @@ def _fit_operators(rho_fit, dirs_fit, calibration):
     e^T A e comes from the (B, n^2) @ (n^2, k) product against the block's
     direction outer products, run as serial GEMMs over blocks of rows
     (weights._serial_matmul) so that it stays on the calling thread."""
-    a = _mvee_batch(rho_fit, dirs_fit, _TOL, _MAX_ITER)
+    a = _mvee_batch(rho_fit, dirs_fit)
     flat = a.reshape(a.shape[0], -1)
     c = np.zeros(a.shape[0])
     low = np.full(a.shape[0], np.inf)

@@ -188,7 +188,7 @@ def tree_to_dict(tree: GenerationTree) -> dict:
     return {
         "schema_version": 1,
         "d": tree.d,
-        "p": cfg.p,
+        "p": tree.p,
         "lambda1": cfg.lambda1,
         "lambda2": cfg.lambda2,
         "floor_level": tree.level,

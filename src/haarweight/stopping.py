@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import HaarCoefficients, _cube_blocks, check_exponent, refine_to_cells
+from .dyadic import HaarCoefficients, _cube_blocks, refine_to_cells
 from .errors import CoverageError, ParameterError, ShapeError
 from .reducing import ReducingFamily, conjugate_exponent, op_norm_stack
 
@@ -65,14 +65,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StoppingConfig:
-    """Exponent and thresholds for one decomposition."""
+    """Thresholds for one decomposition; the exponent is the family's."""
 
-    p: float
     lambda1: float
     lambda2: float
 
     def __post_init__(self):
-        check_exponent(self.p)
         if self.lambda1 <= 1.0 or self.lambda2 <= 1.0:
             raise ParameterError(
                 f"thresholds must exceed 1, got {self.lambda1}, {self.lambda2}"
@@ -91,6 +89,7 @@ class GenerationTree:
     """
 
     config: StoppingConfig
+    p: float  # the exponent of the family the tree was built from
     d: int
     level: int
     gen_label: list  # per level 0..floor: int arrays of generation labels
@@ -143,9 +142,8 @@ def _floor(family: ReducingFamily) -> int:
 
 def build_generations(family: ReducingFamily, cfg: StoppingConfig) -> GenerationTree:
     """Label every cube in one pass down the levels (see the module
-    docstring), keeping each cube's two test values."""
-    if cfg.p != family.p:
-        raise ParameterError(f"config exponent {cfg.p} != family exponent {family.p}")
+    docstring), keeping each cube's two test values; the tests use the
+    family's exponent."""
     floor = _floor(family)
     d = family.d
     label = np.ones((1,) * d, dtype=np.int32)
@@ -163,7 +161,7 @@ def build_generations(family: ReducingFamily, cfg: StoppingConfig) -> Generation
         gen_label.append(label)
         test1.append(t1)
         test2.append(t2)
-    return GenerationTree(config=cfg, d=d, level=family.level,
+    return GenerationTree(config=cfg, p=family.p, d=d, level=family.level,
                           gen_label=gen_label, test1=test1, test2=test2)
 
 

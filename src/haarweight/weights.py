@@ -203,6 +203,25 @@ def _axis_midpoints(level: int, oversample: int = 1) -> np.ndarray:
     return (np.arange(h * oversample) + 0.5) / (h * oversample)
 
 
+def _alpha(fam: WeightFamily) -> float:
+    """The exponent alpha of a power-type family: 0.0 (power) or 0.5
+    (rotating) unless its params set it."""
+    return float(fam.params.get("alpha", 0.5 if fam.family == "rotating" else 0.0))
+
+
+def _x0(fam: WeightFamily, default) -> np.ndarray:
+    """The centre x0 of a power-type family, default when its params leave it
+    out; ShapeError unless it has shape (d,), ParameterError if it is
+    required (default None) and missing."""
+    if "x0" not in fam.params and default is None:
+        raise ParameterError(
+            f"{fam.family} family at d={fam.d} needs x0 of shape ({fam.d},)")
+    x0 = np.asarray(fam.params.get("x0", default), dtype=float)
+    if x0.shape != (fam.d,):
+        raise ShapeError(f"x0 shape {x0.shape}, expected ({fam.d},)")
+    return x0
+
+
 def _power_cells(fam: WeightFamily) -> np.ndarray:
     """|x - x0|^alpha I_n, averaged over each cell: exactly from the
     antiderivative at d = 1, and at d >= 2 by the midpoint rule on a grid
@@ -215,12 +234,10 @@ def _power_cells(fam: WeightFamily) -> np.ndarray:
     before the next block. Each cell's average is summed in the same order as
     on the whole grid.
     """
-    alpha = float(fam.params.get("alpha", 0.0))
+    alpha = _alpha(fam)
     if alpha <= -1.0:
         raise ParameterError(f"power exponent alpha must exceed -1, got {alpha}")
-    x0 = np.asarray(fam.params.get("x0", (0.0,) * fam.d), dtype=float)
-    if x0.shape != (fam.d,):
-        raise ShapeError(f"x0 shape {x0.shape}, expected ({fam.d},)")
+    x0 = _x0(fam, (0.0,) * fam.d)
     h = 1 << fam.level
     if fam.d == 1:
         # exact cell averages from the antiderivative of |x - x0|^alpha
@@ -249,11 +266,10 @@ def _power_cells(fam: WeightFamily) -> np.ndarray:
 def _rotating_cells(fam: WeightFamily) -> np.ndarray:
     if fam.n != 2:
         raise ParameterError("rotating family requires n = 2")
-    alpha = float(fam.params.get("alpha", 0.5))
+    alpha = _alpha(fam)
     omega = float(fam.params.get("omega", np.pi))
     phase = float(fam.params.get("phase", 0.0))
-    default_x0 = (0.31,) if fam.d == 1 else (0.31, 0.17)
-    x0 = np.asarray(fam.params.get("x0", default_x0), dtype=float)
+    x0 = _x0(fam, {1: (0.31,), 2: (0.31, 0.17)}.get(fam.d))
     mids = _axis_midpoints(fam.level)
     grids = np.meshgrid(*([mids] * fam.d), indexing="ij")
     r = np.sqrt(sum((g - x0[i]) ** 2 for i, g in enumerate(grids)))
@@ -337,7 +353,7 @@ def make_weight(fam: WeightFamily) -> MatrixWeight:
     cells = _FAMILIES[fam.family][0](fam)
     warning = None
     if fam.family in ("power", "rotating"):
-        alpha = float(fam.params.get("alpha", 0.5 if fam.family == "rotating" else 0.0))
+        alpha = _alpha(fam)
         p_range = float(fam.params.get("p_range", 2.0))
         if not -1.0 < alpha < p_range - 1.0:
             warning = (

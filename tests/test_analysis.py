@@ -78,8 +78,10 @@ def test_square_function_single_coefficient():
     f.detail[0][0, 0] = 1.0
     s = square_function(f, fam)
     np.testing.assert_allclose(s.values[:, 0], math.sqrt(2.5), rtol=1e-14)
+    # at any p the scalar V_I is <w>_I^{1/p}, so S f is 2.5^{1/p} on [0, 1)
     for p in (2.0, 3.0):
-        assert square_norm(f, fam, p) == pytest.approx(math.sqrt(2.5), rel=1e-13)
+        assert square_norm(f, build_reducing_family(w, p)) == pytest.approx(
+            2.5 ** (1.0 / p), rel=1e-13)
     # support: a child-cube coefficient spreads over that child only
     w4 = MatrixWeight(d=1, n=1, level=2, cells=np.ones((4, 1, 1)))
     fam4 = build_reducing_family(w4, 2.0)
@@ -94,7 +96,7 @@ def test_identity_weight_parseval():
     fam = build_reducing_family(w, 2.0)
     rng = np.random.default_rng(0)
     f = random_mean_zero_coefficients(1, 2, 4, rng, "flat")
-    assert square_norm(f, fam, 2.0) == pytest.approx(f.detail_l2(), rel=1e-12)
+    assert square_norm(f, fam) == pytest.approx(f.detail_l2(), rel=1e-12)
 
 
 def test_dual_square_norm_oracles():
@@ -102,14 +104,14 @@ def test_dual_square_norm_oracles():
     fam = build_reducing_family(w, 2.0)
     f = HaarCoefficients.zeros(1, 1, 1)
     f.detail[0][0, 0] = 1.0
-    assert dual_square_norm(f, fam, 2.0) == pytest.approx(1 / math.sqrt(2.5), rel=1e-13)
+    assert dual_square_norm(f, fam) == pytest.approx(1 / math.sqrt(2.5), rel=1e-13)
 
     wid = identity_weight()
     famid = build_reducing_family(wid, 3.0)
     rng = np.random.default_rng(1)
     g = random_mean_zero_coefficients(1, 2, 4, rng, "flat")
     un = lp_norm(square_function(g, famid), 1.5)
-    assert dual_square_norm(g, famid, 3.0) == pytest.approx(un, rel=1e-13)
+    assert dual_square_norm(g, famid) == pytest.approx(un, rel=1e-13)
 
 
 def p2_sequence_norm(f, weight):
@@ -135,7 +137,7 @@ def test_p2_sequence_norm():
     rng = np.random.default_rng(2)
     g = random_mean_zero_coefficients(1, 2, 4, rng, "flat")
     np.testing.assert_allclose(
-        p2_sequence_norm(g, wr), square_norm(g, famr, 2.0), rtol=1e-10
+        p2_sequence_norm(g, wr), square_norm(g, famr), rtol=1e-10
     )
 
 
@@ -188,7 +190,7 @@ def test_batch_draws_match_per_level_draws(spectra):
 def test_equivalence_ratios_identity_weight():
     w = identity_weight()
     fam = build_reducing_family(w, 2.0)
-    rep = equivalence_ratios(w, fam, 2.0, count=12, seed=9)
+    rep = equivalence_ratios(w, fam, count=12, seed=9)
     np.testing.assert_allclose(rep.ratios, 1.0, atol=1e-10)
     assert rep.char == pytest.approx(1.0)
     assert rep.max_ratio == pytest.approx(1.0, abs=1e-10)
@@ -199,7 +201,7 @@ def test_equivalence_ratios_identity_weight():
     assert set(rep.spectrum_of) == set(SPECTRA)
     assert rep.quantiles()["q50"] == pytest.approx(1.0, abs=1e-10)
 
-    again = equivalence_ratios(w, fam, 2.0, count=12, seed=9)
+    again = equivalence_ratios(w, fam, count=12, seed=9)
     np.testing.assert_array_equal(rep.ratios, again.ratios)
 
 
@@ -215,7 +217,7 @@ def test_quantiles_match_numpy_bit_for_bit():
 def test_equivalence_exponents_p3():
     w = rotating_weight()
     fam = build_reducing_family(w, 3.0)
-    rep = equivalence_ratios(w, fam, 3.0, count=6, seed=1)
+    rep = equivalence_ratios(w, fam, count=6, seed=1)
     assert rep.exponent_upper == pytest.approx(4.0 / 3.0)
     assert rep.exponent_lower == pytest.approx(4.0 / 3.0)  # ceil(1.5) = 2
     assert np.all(rep.ratios > 0)
@@ -224,16 +226,16 @@ def test_equivalence_exponents_p3():
 def test_block_partition_single_generation():
     w = identity_weight()
     fam = build_reducing_family(w, 3.0)
-    tree = build_generations(fam, StoppingConfig(p=3.0, lambda1=2.0, lambda2=2.0))
+    tree = build_generations(fam, StoppingConfig(lambda1=2.0, lambda2=2.0))
     rng = np.random.default_rng(4)
     f = random_mean_zero_coefficients(1, 2, 4, rng, "flat")
     assert tree.generation_count() == 1
-    const, delta_norms = block_partition_constant(f, tree, 3.0)
+    const, delta_norms = block_partition_constant(f, tree)
     assert const == pytest.approx(1.0, rel=1e-12)
     assert len(delta_norms) == 1
     assert delta_norms[0] == pytest.approx(lp_norm(haar_reconstruct(f), 3.0) ** 3,
                                            rel=1e-12)
-    t1 = t_blocks(w, fam, f, tree, 3.0)
+    t1 = t_blocks(w, fam, f, tree)
     assert t1.batch == (1,)
     # T = identity here
     assert lp_norm(t1, 3.0)[0] ** 3 / delta_norms[0] == pytest.approx(1.0, rel=1e-12)
@@ -243,9 +245,9 @@ def test_cross_term_rate_smoke():
     fam = WeightFamily("power", d=1, n=1, level=8, params={"alpha": 0.6}, seed=0)
     w = make_weight(fam)
     red = build_reducing_family(w, 2.0)
-    tree = build_generations(red, StoppingConfig(p=2.0, lambda1=1.2, lambda2=1.2))
+    tree = build_generations(red, StoppingConfig(lambda1=1.2, lambda2=1.2))
     assert tree.generation_count() >= 3
-    rep = cross_term_rate(w, red, tree, 2.0, count=6, seed=0)
+    rep = cross_term_rate(w, red, tree, count=6, seed=0)
     assert rep.n_points > 0 and rep.max_separation >= 2
     assert rep.rate > 0.0
     assert rep.rate_ci95 >= rep.rate
@@ -253,9 +255,9 @@ def test_cross_term_rate_smoke():
     # a single-generation tree has no separations to fit
     wid = identity_weight()
     famid = build_reducing_family(wid, 3.0)
-    t1 = build_generations(famid, StoppingConfig(p=3.0, lambda1=2.0, lambda2=2.0))
+    t1 = build_generations(famid, StoppingConfig(lambda1=2.0, lambda2=2.0))
     with pytest.raises(ParameterError):
-        cross_term_rate(wid, famid, t1, 3.0, count=2, seed=0)
+        cross_term_rate(wid, famid, t1, count=2, seed=0)
 
 
 def test_sharpness_identity():
@@ -418,7 +420,7 @@ def test_inverse_direction_on_the_inverse_weight_is_the_p2_dual_square_sup():
     vals = dense_pencil(dual, [s @ s for s in fam.v_inv])
     assert math.sqrt(top) == pytest.approx(1.0 / math.sqrt(vals[0]), rel=1e-12)
     f = random_mean_zero_batch(w, 50, [ctx.config.seed, 12])
-    ratios = dual_square_norm(f, fam, 2.0) / weighted_lp_norm(haar_reconstruct(f), dual, 2.0)
+    ratios = dual_square_norm(f, fam) / weighted_lp_norm(haar_reconstruct(f), dual, 2.0)
     assert ratios.max() <= math.sqrt(top) * (1 + 1e-12)
 
 
@@ -640,19 +642,19 @@ def suite_case(request):
     name, p = request.param
     w = suite_weight(name)
     fam = build_reducing_family(w, p)
-    tree = build_generations(fam, StoppingConfig(p=p, lambda1=1.3, lambda2=1.3))
+    tree = build_generations(fam, StoppingConfig(lambda1=1.3, lambda2=1.3))
     assert tree.generation_count() >= 2
     return w, fam, tree, p
 
 
 def test_batched_ratios_match_a_per_function_loop(suite_case):
     w, fam, _, p = suite_case
-    rep = equivalence_ratios(w, fam, p, count=9, seed=4)
+    rep = equivalence_ratios(w, fam, count=9, seed=4)
     want = []
     for i in range(9):
         rng = np.random.default_rng([4, i])
         f = random_mean_zero_coefficients(w.d, w.n, w.level, rng, SPECTRA[i % 3])
-        want.append(weighted_lp_norm(haar_reconstruct(f), w, p) / square_norm(f, fam, p))
+        want.append(weighted_lp_norm(haar_reconstruct(f), w, p) / square_norm(f, fam))
     assert rep.skipped == 0
     np.testing.assert_allclose(rep.ratios, want, rtol=1e-13, atol=0)
 
@@ -661,14 +663,14 @@ def test_batched_partition_constants_match_a_per_function_loop(suite_case):
     w, _, tree, p = suite_case
     rng = np.random.default_rng(5)
     fs = [random_mean_zero_coefficients(w.d, w.n, w.level, rng, s) for s in SPECTRA]
-    consts, parts = block_partition_constant(HaarCoefficients.stack(fs), tree, p)
+    consts, parts = block_partition_constant(HaarCoefficients.stack(fs), tree)
     assert parts.shape == (3, tree.generation_count())
     for f, const, row in zip(fs, consts, parts):
         want = [lp_norm(haar_reconstruct(c), p) ** p for c in oracle_pieces(f, tree)]
         np.testing.assert_allclose(row, want, rtol=1e-13, atol=0)
         denom = lp_norm(haar_reconstruct(f), p) ** p
         assert const == pytest.approx(sum(want) / denom, rel=1e-13)
-        single, single_parts = block_partition_constant(f, tree, p)
+        single, single_parts = block_partition_constant(f, tree)
         assert single == pytest.approx(const, rel=1e-13)
         np.testing.assert_allclose(single_parts, row, rtol=1e-13, atol=0)
 
@@ -679,29 +681,29 @@ def test_column_blocks_match_one_batch(suite_case, monkeypatch):
     # byte for byte, since every column is computed as it is alone
     w, fam, tree, p = suite_case
     f = random_mean_zero_batch(w, 7, [9], SPECTRA)
-    whole = block_partition_constant(f, tree, p)
-    rate = cross_term_rate(w, fam, tree, p, count=7, seed=9)
+    whole = block_partition_constant(f, tree)
+    rate = cross_term_rate(w, fam, tree, count=7, seed=9)
     monkeypatch.setattr(dyadic, "_BLOCK_ENTRIES", 1)
     assert len(list(dyadic._column_blocks(f, 1))) == 7
-    for got, want in zip(block_partition_constant(f, tree, p), whole):
+    for got, want in zip(block_partition_constant(f, tree), whole):
         assert got.tobytes() == want.tobytes()
-    assert cross_term_rate(w, fam, tree, p, count=7, seed=9) == rate
+    assert cross_term_rate(w, fam, tree, count=7, seed=9) == rate
 
 
 def test_batched_dual_square_norm_matches_single_calls(suite_case):
     w, fam, _, p = suite_case
     rng = np.random.default_rng(6)
     fs = [random_mean_zero_coefficients(w.d, w.n, w.level, rng) for _ in range(4)]
-    got = dual_square_norm(HaarCoefficients.stack(fs), fam, p)
-    want = [dual_square_norm(f, fam, p) for f in fs]
+    got = dual_square_norm(HaarCoefficients.stack(fs), fam)
+    want = [dual_square_norm(f, fam) for f in fs]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 def test_equivalence_seed_is_not_truncated_to_32_bits():
     w = suite_weight("pow-a03")
     fam = build_reducing_family(w, 2.0)
-    low = equivalence_ratios(w, fam, 2.0, count=5, seed=7)
-    high = equivalence_ratios(w, fam, 2.0, count=5, seed=2**32 + 7)
+    low = equivalence_ratios(w, fam, count=5, seed=7)
+    high = equivalence_ratios(w, fam, count=5, seed=2**32 + 7)
     assert not np.array_equal(low.ratios, high.ratios)
 
 

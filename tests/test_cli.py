@@ -116,6 +116,18 @@ def test_bad_config_is_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(p)]) == 2
 
 
+@pytest.mark.parametrize("command", [["calibrate"], ["dump-weight", "r3"]])
+def test_bad_weight_parameters_are_exit_2(tmp_path, monkeypatch, capsys, command):
+    # a d=3 rotating weight has no default x0; it used to escape as an
+    # IndexError with a traceback and exit 1
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, ps=(3.0,), weights=(
+        WeightSpec("r3", family="rotating", d=3, n=2, level=2, params={"alpha": 0.5}),))
+    assert main(command + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "x0" in err
+
+
 def test_wrongly_typed_config_is_exit_2(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"count": "5"}))

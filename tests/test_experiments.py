@@ -310,8 +310,8 @@ cfg = ExperimentConfig(
 assert run_experiments(cfg).ok
 w = make_weight(WeightFamily("power", d=1, n=1, level=8, params={"alpha": 0.6}))
 family = build_reducing_family(w, 2.0)
-tree = build_generations(family, StoppingConfig(p=2.0, lambda1=1.2, lambda2=1.2))
-cross_term_rate(w, family, tree, 2.0, count=6, seed=0)
+tree = build_generations(family, StoppingConfig(lambda1=1.2, lambda2=1.2))
+cross_term_rate(w, family, tree, count=6, seed=0)
 print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 """
 

@@ -1,5 +1,6 @@
 """Export integrity: every name a module lists in __all__, and every name the
-package imports into haarweight, resolves.
+package imports into haarweight, resolves; and the operators built on a
+reducing family or a stopping tree take no exponent beside it.
 
 perfbench/layers.py wraps each layer's public functions by looking up the
 names of __all__ with a default, so a stale name there would silently drop
@@ -7,7 +8,9 @@ its span rather than fail. A fresh import also loads no scipy module.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import haarweight
+from haarweight.stopping import StoppingConfig
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(haarweight.__path__))
 
@@ -52,3 +56,16 @@ def test_import_leaves_scipy_unloaded():
     code = ("import haarweight, sys; "
             "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+@pytest.mark.parametrize("name", ["analysis", "multipliers", "stopping"])
+def test_exponent_comes_from_the_family_or_tree(name):
+    """A family and the tree built from it carry their exponent p; a second
+    copy passed beside them could disagree with it unnoticed."""
+    mod = importlib.import_module(f"haarweight.{name}")
+    for fname in mod.__all__:
+        obj = getattr(mod, fname)
+        if inspect.isfunction(obj):
+            params = set(inspect.signature(obj).parameters)
+            assert not ("p" in params and params & {"family", "tree"}), fname
+    assert "p" not in {f.name for f in dataclasses.fields(StoppingConfig)}

@@ -51,7 +51,7 @@ def rotating_setup(level=4, p=3.0):
 def test_identity_weight_is_reconstruction():
     w, fam = identity_setup()
     f = random_mean_zero(1, 2, 4, seed=0)
-    out = t_operator(w, fam, f, 3.0)
+    out = t_operator(w, fam, f)
     np.testing.assert_allclose(out.values, haar_reconstruct(f).values, atol=1e-13)
 
 
@@ -74,7 +74,7 @@ def test_scalar_symbol_oracle():
     out = apply_symbols(fam.v, f.detail)
     assert out[0][0, 0, 0] == pytest.approx(math.sqrt(2.5), rel=1e-14)
 
-    tf = t_operator(w, fam, f, 2.0)
+    tf = t_operator(w, fam, f)
     mids = (np.arange(2) + 0.5) / 2
     expect = [
         math.sqrt(w.cells[i, 0, 0]) / math.sqrt(2.5)
@@ -88,12 +88,12 @@ def test_scalar_symbol_oracle():
 
 def test_block_sum_equals_t():
     w, fam = rotating_setup()
-    tree = build_generations(fam, StoppingConfig(p=3.0, lambda1=1.3, lambda2=1.3))
+    tree = build_generations(fam, StoppingConfig(lambda1=1.3, lambda2=1.3))
     f = random_mean_zero(1, 2, 4, seed=2)
-    blocks = t_blocks(w, fam, f, tree, 3.0)
+    blocks = t_blocks(w, fam, f, tree)
     assert blocks.batch == (tree.generation_count(),)
     total = blocks.values.sum(axis=-1)
-    tf = t_operator(w, fam, f, 3.0)
+    tf = t_operator(w, fam, f)
     np.testing.assert_allclose(total, tf.values, atol=1e-9)
 
 
@@ -102,19 +102,17 @@ def test_mean_zero_required():
     f = random_mean_zero(1, 2, 4, seed=5)
     f.root_scaling[:] = [1.0, 0.0]
     with pytest.raises(ParameterError):
-        t_operator(w, fam, f, 3.0)
+        t_operator(w, fam, f)
 
 
 def test_validation_errors():
     w, fam = rotating_setup()
     f = random_mean_zero(1, 2, 4, seed=6)
-    with pytest.raises(ParameterError):
-        t_operator(w, fam, f, 2.0)  # family was built at p=3
     shallow = build_reducing_family(w, 3.0, max_depth=1)
     with pytest.raises(CoverageError):
-        t_operator(w, shallow, f, 3.0)
+        t_operator(w, shallow, f)
     with pytest.raises(CoverageError):
-        square_norm(f, shallow, 3.0)
+        square_norm(f, shallow)
     # symbol levels beyond the detail levels go unused; one fewer raises
     assert len(fam.v) == 5 and len(apply_symbols(fam.v, f.detail)) == 4
     with pytest.raises(CoverageError, match="to level 3, family has 2"):
@@ -130,11 +128,11 @@ def test_validation_errors():
 def test_batched_t_blocks_match_a_per_function_loop(name, p):
     w = suite_weight(name)
     fam = build_reducing_family(w, p)
-    tree = build_generations(fam, StoppingConfig(p=p, lambda1=1.3, lambda2=1.3))
+    tree = build_generations(fam, StoppingConfig(lambda1=1.3, lambda2=1.3))
     gens = tree.generation_count()
     assert gens >= 2
     fs = [random_mean_zero(w.d, w.n, w.level, seed=s) for s in range(3)]
-    blocks = t_blocks(w, fam, HaarCoefficients.stack(fs), tree, p)
+    blocks = t_blocks(w, fam, HaarCoefficients.stack(fs), tree)
     assert blocks.batch == (3, gens)
     got = lp_norm(blocks, p) ** p
     for f, row in zip(fs, got):
@@ -148,7 +146,7 @@ def test_batched_t_blocks_match_a_per_function_loop(name, p):
             piece = HaarCoefficients(w.d, w.n, w.level, np.zeros(w.n), detail)
             want.append(weighted_lp_norm(haar_reconstruct(piece), w, p) ** p)
         np.testing.assert_allclose(row, want, rtol=1e-13, atol=0)
-    tf = t_operator(w, fam, HaarCoefficients.stack(fs), p)
+    tf = t_operator(w, fam, HaarCoefficients.stack(fs))
     np.testing.assert_allclose(blocks.values.sum(axis=-1), tf.values, atol=1e-12)
 
 

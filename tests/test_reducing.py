@@ -333,7 +333,7 @@ def assert_john_certificate(a_b, rho_b, dirs):
 @pytest.mark.parametrize("n, level", [(2, 0), (2, 2), (3, 0), (3, 2), (2, None), (3, None)])
 def test_mvee_batch_feasible_with_john_certificate(n, level):
     rho, dirs = fit_inputs(n, level)
-    a = reducing._mvee_batch(rho, dirs, _TOL, 200_000)
+    a = reducing._mvee_batch(rho, dirs)
     assert a.shape == (rho.shape[0], n, n)
     for a_b, rho_b in zip(a, rho):
         assert_john_certificate(a_b, rho_b, dirs)
@@ -356,7 +356,7 @@ def test_mvee_batch_certifies_its_duality_gap(n):
     # every returned A is within n _TOL of the optimal -log det A, read from
     # A, rho and the directions alone; the same A scaled by 0.99 are not
     rho, dirs = fit_inputs(n, None)
-    a = reducing._mvee_batch(rho, dirs, _TOL, 200_000)
+    a = reducing._mvee_batch(rho, dirs)
     gaps = [duality_gap(a_b, rho_b, dirs) for a_b, rho_b in zip(a, rho)]
     assert len(gaps) == 14 and max(gaps) <= n * _TOL
     shrunk = [duality_gap(0.99 * a_b, rho_b, dirs) for a_b, rho_b in zip(a, rho)]
@@ -389,7 +389,7 @@ def test_indefinite_least_squares_fit_starts_isotropic():
     a = _least_squares_start(rho**-2.0, _outer_products(dirs))
     assert_strictly_feasible_start(a, rho, dirs)
     np.testing.assert_allclose(a.reshape(3, 3), a[0, 0] * np.eye(3), rtol=0, atol=0)
-    (fit,) = reducing._mvee_batch(rho, dirs, _TOL, 200_000)
+    (fit,) = reducing._mvee_batch(rho, dirs)
     assert duality_gap(fit, rho[0], dirs) <= 3 * _TOL
 
 
@@ -450,17 +450,18 @@ def test_eccentric_3d_norms_fit_certified():
             y = np.abs(dirs @ euler_rotation(*angles) * [1.0, math.sqrt(k), k])
             rho += [y.sum(axis=1), y.max(axis=1)]
     rho = np.array(rho)
-    a = reducing._mvee_batch(rho, dirs, _TOL, 200_000)
+    a = reducing._mvee_batch(rho, dirs)
     for a_b, rho_b in zip(a, rho):
         x = dirs / rho_b[:, None]
         assert np.einsum("mi,ij,mj->m", x, a_b, x).max() < 1.0
         assert -np.linalg.slogdet(a_b)[1] - design_dual_value(x) <= 3 * _TOL
 
 
-def test_mvee_batch_logs_one_debug_record(caplog):
+def test_mvee_batch_logs_one_debug_record(monkeypatch, caplog):
     rho, dirs = fit_inputs(2, 2)
+    monkeypatch.setattr(reducing, "_TOL", 1e-4)
     with caplog.at_level(logging.DEBUG, logger="haarweight"):
-        reducing._mvee_batch(rho, dirs, 1e-4, 200_000)
+        reducing._mvee_batch(rho, dirs)
     records = [r for r in caplog.records if r.name == "haarweight.reducing"]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
     rows, n, m, steps, gap, seconds, row_steps = records[0].args
@@ -480,7 +481,7 @@ def _fit_record(caplog, rho, dirs, full=False):
     row_steps."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="haarweight"):
-        reducing._mvee_batch(rho, dirs, _TOL, 200_000)
+        reducing._mvee_batch(rho, dirs)
     (record,) = [r for r in caplog.records if r.name == "haarweight.reducing"]
     return record.args if full else record.args[:5]
 
@@ -495,23 +496,24 @@ def test_centred_rows_leave_the_stage(caplog):
     assert row_steps < rows * steps
     # each row takes the steps of its solo fit
     assert row_steps == _fit_record(caplog, easy, dirs)[3] + _fit_record(caplog, rho, dirs)[3]
-    a_both = reducing._mvee_batch(both, dirs, _TOL, 200_000)
-    a_easy = reducing._mvee_batch(easy, dirs, _TOL, 200_000)
+    a_both = reducing._mvee_batch(both, dirs)
+    a_easy = reducing._mvee_batch(easy, dirs)
     scale = np.abs(a_easy[0]).max()  # relative to the matrix: off-diagonals are ~1e-17
     np.testing.assert_allclose(a_both[0], a_easy[0], rtol=0, atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize("n, level", [(2, 0), (2, 2), (3, 0), (3, 2)])
-def test_mvee_batch_centres_every_stage(caplog, n, level):
+def test_mvee_batch_centres_every_stage(monkeypatch, caplog, n, level):
     rho, dirs = fit_inputs(n, level)
     _, _, _, steps, gap = _fit_record(caplog, rho, dirs)
     assert gap <= n * _TOL
     # negative control: one step fewer than the fit needs must not pass, and
     # the fit logs its one record, with the failing residual, before it raises
     caplog.clear()
+    monkeypatch.setattr(reducing, "_MAX_ITER", steps - 1)
     with caplog.at_level(logging.DEBUG, logger="haarweight"):
         with pytest.raises(EllipsoidFitError) as raised:
-            reducing._mvee_batch(rho, dirs, _TOL, steps - 1)
+            reducing._mvee_batch(rho, dirs)
     (record,) = [r for r in caplog.records if r.name == "haarweight.reducing"]
     assert record.args[3] == steps - 1
     assert record.args[4] == raised.value.residual > n * _TOL
@@ -728,6 +730,23 @@ def test_family_build_fit_memory_is_blocked():
     assert peak < 8 * 2**20
 
 
+def test_rho_rows_memory_is_the_result_and_one_block():
+    # each direction block is written straight into the result, and each
+    # side's pyramid is freed before the next side's integrand: traced peak
+    # 1.54x the 2.6 MiB result (682 rows x 500 directions, 7 blocks). Joining
+    # a list of blocks with np.concatenate held both: 2.03x
+    w = make_weight(WeightFamily("rotating", 2, 2, 5, params={"alpha": 0.5}, seed=1))
+    dirs = quasi_uniform_directions(2, fit_count(2))
+    tracemalloc.start()
+    try:
+        rho = _rho_rows(w, 3.0, dirs, level_rows(2, 5, range(5)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.shape == (682, 500)
+    assert peak <= 1.6 * rho.nbytes
+
+
 def test_singular_newton_system_raises_ellipsoid_fit_error(caplog):
     # a rotated l1 norm with axis ratio 1e5: the fit's Newton system goes
     # singular in floats, which used to escape as numpy's LinAlgError. At
@@ -737,7 +756,7 @@ def test_singular_newton_system_raises_ellipsoid_fit_error(caplog):
     rho = np.abs(dirs @ np.array([[c, s], [-s, c]]) * [1.0, 1e5]).sum(axis=1)[None]
     with caplog.at_level(logging.DEBUG, logger="haarweight"):
         with pytest.raises(EllipsoidFitError, match="singular") as raised:
-            reducing._mvee_batch(rho, dirs, _TOL, 200_000)
+            reducing._mvee_batch(rho, dirs)
     assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
     assert 0.0 < raised.value.residual < math.inf
     (record,) = [r for r in caplog.records if r.name == "haarweight.reducing"]
@@ -749,7 +768,7 @@ def test_singular_least_squares_start_raises_ellipsoid_fit_error():
     # off-diagonal coordinate, so its solve is singular before any step
     dirs = np.array([[1.0, 0.0], [0.0, 1.0]] * 3)
     with pytest.raises(EllipsoidFitError, match="least-squares start") as raised:
-        reducing._mvee_batch(np.ones((1, 6)), dirs, _TOL, 200_000)
+        reducing._mvee_batch(np.ones((1, 6)), dirs)
     assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
     assert raised.value.residual == math.inf
 

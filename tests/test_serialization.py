@@ -106,7 +106,7 @@ def test_body_shape_checked(tmp_path):
 def test_tree_json(tmp_path):
     w = make_weight(WeightFamily("power", 1, 1, 5, params={"alpha": -0.8}))
     fam = build_reducing_family(w, 2.0)
-    tree = build_generations(fam, StoppingConfig(p=2.0, lambda1=1.2, lambda2=1.2))
+    tree = build_generations(fam, StoppingConfig(lambda1=1.2, lambda2=1.2))
     d = tree_to_dict(tree)
     assert d["schema_version"] == 1
     assert d["generation_count"] == tree.generation_count()
@@ -124,7 +124,7 @@ def test_two_cell_tree_json_pinned():
     # left one because the weight shrank, the right one because it grew
     w = MatrixWeight(d=1, n=1, level=1, cells=np.array([[[1.0]], [[4.0]]]))
     fam = build_reducing_family(w, 2.0)
-    tree = build_generations(fam, StoppingConfig(p=2.0, lambda1=1.2, lambda2=1.2))
+    tree = build_generations(fam, StoppingConfig(lambda1=1.2, lambda2=1.2))
     approx = lambda x: pytest.approx(x, rel=1e-12)
     left = {"level": 1, "index": [0], "reason": "shrink",
             "test1": approx(0.4), "test2": approx(2.5)}
@@ -156,7 +156,7 @@ def test_equivalence_report_serialization():
 
     w = make_weight(WeightFamily("power", 1, 1, 4, params={"alpha": 0.3}))
     fam = build_reducing_family(w, 2.0)
-    rep = equivalence_ratios(w, fam, 2.0, count=6, seed=1)
+    rep = equivalence_ratios(w, fam, count=6, seed=1)
     d = equivalence_to_dict(rep)
     assert d["count"] == 6 and d["p"] == 2.0
     assert d["max_ratio"] == max(r[2] for r in equivalence_rows(rep))
@@ -186,7 +186,7 @@ def test_write_json_keeps_bools(tmp_path):
     # a tree's floor_hit flags are written as JSON booleans
     w = MatrixWeight(d=1, n=1, level=1, cells=np.array([[[1.0]], [[4.0]]]))
     tree = build_generations(build_reducing_family(w, 2.0),
-                             StoppingConfig(p=2.0, lambda1=1.2, lambda2=1.2))
+                             StoppingConfig(lambda1=1.2, lambda2=1.2))
     text = save_generation_tree(tree, tmp_path / "tree.json").read_text()
     assert '"floor_hit": false' in text and '"floor_hit": true' in text
 

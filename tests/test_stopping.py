@@ -62,7 +62,7 @@ def rotating_setup(level=4, p=3.0):
 def test_two_cell_tree_hand_checked():
     w = two_cell_weight()
     fam = build_reducing_family(w, 2.0)
-    cfg = StoppingConfig(p=2.0, lambda1=1.2, lambda2=1.2)
+    cfg = StoppingConfig(lambda1=1.2, lambda2=1.2)
     tree = build_generations(fam, cfg)
 
     # generation 1: the root block; both children fire, for different reasons
@@ -100,7 +100,7 @@ def test_constant_weight_single_generation():
     fam = WeightFamily("constant", d=1, n=2, level=4, params={"matrix": np.eye(2)})
     w = make_weight(fam)
     red = build_reducing_family(w, 3.0)
-    tree = build_generations(red, StoppingConfig(p=3.0, lambda1=1.5, lambda2=1.5))
+    tree = build_generations(red, StoppingConfig(lambda1=1.5, lambda2=1.5))
     assert tree.generation_count() == 1
     assert tree.floor_hit(1)  # block reaches the floor untruncated
     for lvl in range(5):
@@ -112,7 +112,7 @@ def test_negative_control_tiny_thresholds():
     # lambda barely above 1: every nonconstant child fires immediately
     w, fam = rotating_setup()
     lam = 1.0 + 1e-6
-    tree = build_generations(fam, StoppingConfig(p=3.0, lambda1=lam, lambda2=lam))
+    tree = build_generations(fam, StoppingConfig(lambda1=lam, lambda2=lam))
     assert decay_ratio(tree, 1) == pytest.approx(1.0)
 
 
@@ -122,7 +122,7 @@ def test_generations_bounded_by_floor_depth():
     lam = 1.0 + 1e-6
     for spec in suite_weight_specs():
         fam = build_reducing_family(spec.realize(), 2.0)
-        tree = build_generations(fam, StoppingConfig(p=2.0, lambda1=lam, lambda2=lam))
+        tree = build_generations(fam, StoppingConfig(lambda1=lam, lambda2=lam))
         assert tree.level == spec.level
         assert 1 <= tree.generation_count() <= tree.level + 1
         gens = tree_to_dict(tree)["generations"]
@@ -133,7 +133,7 @@ def test_generations_bounded_by_floor_depth():
 
 def test_partition_and_admissibility_invariants():
     w, fam = rotating_setup(level=5)
-    cfg = StoppingConfig(p=3.0, lambda1=1.4, lambda2=1.4)
+    cfg = StoppingConfig(lambda1=1.4, lambda2=1.4)
     tree = build_generations(fam, cfg)
 
     # every cube in the truncated tree carries exactly one block label
@@ -172,7 +172,7 @@ def test_partition_and_admissibility_invariants():
 
 def test_telescoping_sum_recovers_function():
     w, fam = rotating_setup(level=4)
-    tree = build_generations(fam, StoppingConfig(p=3.0, lambda1=1.3, lambda2=1.3))
+    tree = build_generations(fam, StoppingConfig(lambda1=1.3, lambda2=1.3))
     assert tree.generation_count() >= 2
     rng = np.random.default_rng(7)
     f = GridFunction(1, 2, 4, rng.standard_normal((16, 2)))
@@ -195,7 +195,7 @@ def test_telescoping_sum_recovers_function():
 
 def test_split_rejects_coefficients_off_the_tree_level():
     w, fam = rotating_setup(level=4)
-    tree = build_generations(fam, StoppingConfig(p=3.0, lambda1=1.3, lambda2=1.3))
+    tree = build_generations(fam, StoppingConfig(lambda1=1.3, lambda2=1.3))
     rng = np.random.default_rng(8)
     # a finer grid has detail cubes below the floor that carry no label
     for level in (3, 5, 6):
@@ -217,7 +217,7 @@ def test_calibration_two_cell_frozen():
     assert res.achieved["w14"] == 0.0
 
     tree = build_generations(
-        fam, StoppingConfig(p=2.0, lambda1=res.lambda1,
+        fam, StoppingConfig(lambda1=res.lambda1,
                             lambda2=res.lambda2_by_weight["w14"])
     )
     assert decay_ratio(tree, 1) <= res.target
@@ -227,7 +227,7 @@ def test_calibration_decay_bound_holds():
     w, fam = rotating_setup(level=4)
     res = calibrate_lambdas([("rot", w, fam)], target=0.5)
     tree = build_generations(
-        fam, StoppingConfig(p=3.0, lambda1=res.lambda1,
+        fam, StoppingConfig(lambda1=res.lambda1,
                             lambda2=res.lambda2_by_weight["rot"])
     )
     for j in range(1, tree.generation_count() + 1):
@@ -396,15 +396,13 @@ def test_sup_decay_matches_per_pair_sums(d):
 
 def test_config_validation():
     with pytest.raises(ParameterError):
-        StoppingConfig(p=2.0, lambda1=1.0, lambda2=2.0)
-    with pytest.raises(ParameterError):
-        StoppingConfig(p=1.0, lambda1=2.0, lambda2=2.0)
+        StoppingConfig(lambda1=1.0, lambda2=2.0)
     w, fam = rotating_setup(level=3)
-    with pytest.raises(ParameterError):
-        build_generations(fam, StoppingConfig(p=2.0, lambda1=2.0, lambda2=2.0))
+    # the tree takes its exponent from the family it is built from
+    assert build_generations(fam, StoppingConfig(lambda1=2.0, lambda2=2.0)).p == 3.0
     shallow = build_reducing_family(w, 3.0, max_depth=1)
     with pytest.raises(CoverageError):
-        build_generations(shallow, StoppingConfig(p=3.0, lambda1=2.0, lambda2=2.0))
+        build_generations(shallow, StoppingConfig(lambda1=2.0, lambda2=2.0))
 
 
 # Oracle: the per-root block scan that the single labelling pass replaced.
@@ -471,7 +469,7 @@ def test_labelling_pass_matches_per_root_scan(suite_ctx, p, lam):
         if lam is None:
             cfg = suite_ctx.stopping_config(spec.name, p)
         else:
-            cfg = StoppingConfig(p=p, lambda1=lam, lambda2=lam)
+            cfg = StoppingConfig(lambda1=lam, lambda2=lam)
         tree = build_generations(fam, cfg)
         gen_label, generations = _per_root_generations(fam, cfg)
 
@@ -504,7 +502,7 @@ def test_one_pair_table_per_test_and_level(monkeypatch):
 
     monkeypatch.setattr(stopping, "op_norm_stack", counted)
     res = calibrate_lambdas([("rot", w, fam)])
-    build_generations(fam, StoppingConfig(p=3.0, lambda1=res.lambda1,
+    build_generations(fam, StoppingConfig(lambda1=res.lambda1,
                                           lambda2=res.lambda2_by_weight["rot"]))
     assert len(shapes) == 2 * fam.level == 12
 

@@ -6,7 +6,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from haarweight import GridFunction, MatrixDomainError, ParameterError, dyadic
+from haarweight import GridFunction, MatrixDomainError, ParameterError, ShapeError, dyadic
 from haarweight.weights import (
     EIGEN_FLOOR,
     MatrixWeight,
@@ -252,6 +252,17 @@ def test_power_family_warning_flag():
         make_weight(WeightFamily("power", 1, 1, 4, {"alpha": -1.0}))
 
 
+def test_default_alpha_is_the_one_the_cells_use():
+    # p_range 1.25 documents alpha in (-1, 0.25): the rotating default 0.5 is
+    # outside it and the power default 0.0 inside
+    w = make_weight(WeightFamily("rotating", 1, 2, 3, {"p_range": 1.25}))
+    assert "alpha=0.5 outside" in w.meta["warning"]
+    assert w.cells.tobytes() == make_weight(
+        WeightFamily("rotating", 1, 2, 3, {"alpha": 0.5})).cells.tobytes()
+    w = make_weight(WeightFamily("power", 1, 1, 3, {"p_range": 1.25}))
+    assert w.meta["warning"] is None
+
+
 def test_power_family_2d_matches_radial_average():
     w = make_weight(WeightFamily("power", 2, 2, 3, {"alpha": 0.5}))
     # oversampled reference for one off-corner cell
@@ -297,6 +308,22 @@ def test_rotating_family_structure():
     npt.assert_allclose(vals[:, 1], 1.0, atol=1e-12)  # larger eigenvalue is 1
     with pytest.raises(ParameterError):
         make_weight(WeightFamily("rotating", 1, 3, 2))
+
+
+@pytest.mark.parametrize("family, n", [("power", 1), ("rotating", 2)])
+@pytest.mark.parametrize("d, x0", [(2, [0.1]), (1, [0.1, 0.2, 0.3]), (2, [[0.1, 0.2]])])
+def test_x0_must_have_shape_d(family, n, d, x0):
+    # a short x0 used to raise a raw IndexError and a long one was truncated
+    with pytest.raises(ShapeError, match=r"x0 shape"):
+        make_weight(WeightFamily(family, d, n, 2, {"x0": x0}))
+
+
+def test_rotating_family_needs_x0_from_d3():
+    with pytest.raises(ParameterError, match="needs x0"):
+        make_weight(WeightFamily("rotating", 3, 2, 2, {"alpha": 0.5}))
+    w = make_weight(WeightFamily("rotating", 3, 2, 2, {"x0": [0.3, 0.2, 0.1]}))
+    assert w.cells.shape == (4, 4, 4, 2, 2)
+    assert np.linalg.eigvalsh(w.cells).min() > 0.0
 
 
 def test_logbrownian_family_spd_and_deterministic():
