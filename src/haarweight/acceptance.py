@@ -324,11 +324,10 @@ def c07_block_partition(ctx: AcceptanceContext) -> CriterionResult:
 def c08_block_identities(ctx: AcceptanceContext) -> CriterionResult:
     worst = 0.0
     for name, p in ctx.cells():
-        w = ctx.weight(name)
-        fam = ctx.family(name, p)
-        f = random_mean_zero_batch(w, 10, [ctx.config.seed, 8])
-        total = t_blocks(w, fam, f, ctx.tree(name, p)).values.sum(axis=-1)
-        tf = t_operator(w, fam, f)
+        tree = ctx.tree(name, p)
+        f = random_mean_zero_batch(ctx.weight(name), 10, [ctx.config.seed, 8])
+        total = t_blocks(tree, f).values.sum(axis=-1)
+        tf = t_operator(tree.family, f)
         worst = max(worst, float(np.abs(total - tf.values).max()))
     return CriterionResult(
         8, "block-identities", worst <= 1e-9,
@@ -355,7 +354,7 @@ def c09_cross_term_decay(ctx: AcceptanceContext) -> CriterionResult:
                             1.0 + 1e-9),
             )
             tree = build_generations(fam, cfg)
-            rep = cross_term_rate(w, fam, tree, count=50, seed=ctx.config.seed)
+            rep = cross_term_rate(tree, count=50, seed=ctx.config.seed)
             ok = ok and rep.passed
             parts.append(
                 f"alpha={alpha} p={p:g}: rate {rep.rate:.3f} ci95 {rep.rate_ci95:.3f}"
@@ -372,10 +371,8 @@ def c10_equivalence_uniform(ctx: AcceptanceContext) -> CriterionResult:
     c2 = dict.fromkeys(ctx.config.ps, 0.0)
     for w in ctx.config.weights:
         for p in ctx.config.ps:
-            rep = equivalence_ratios(
-                ctx.weight(w.name), ctx.family(w.name, p),
-                count=50, seed=ctx.config.seed,
-            )
+            rep = equivalence_ratios(ctx.family(w.name, p), count=50,
+                                     seed=ctx.config.seed)
             c1[p] = max(c1[p], rep.c1_emp)
             c2[p] = max(c2[p], rep.c2_emp)
     ok = True
@@ -387,10 +384,8 @@ def c10_equivalence_uniform(ctx: AcceptanceContext) -> CriterionResult:
     ident = make_weight(
         WeightFamily("constant", 1, 2, 6, params={"matrix": np.eye(2)})
     )
-    idrep = equivalence_ratios(
-        ident, build_reducing_family(ident, 2.0),
-        count=50, seed=ctx.config.seed,
-    )
+    idrep = equivalence_ratios(build_reducing_family(ident, 2.0), count=50,
+                               seed=ctx.config.seed)
     parseval = float(np.abs(idrep.ratios - 1.0).max())
     ok = ok and parseval <= 1e-10
     return CriterionResult(

@@ -102,8 +102,12 @@ def random_mean_zero_batch(
     The arrays are read-only and depend on the weight only through its grid
     (d, n, L). The last draw is kept (_draw_batch), so a repeated request
     returns the same arrays; run_experiments clears it, so every run draws
-    its own batches.
+    its own batches. ParameterError for count < 1 or no spectra: every
+    batched measurement draws its functions here.
     """
+    if count < 1 or not spectra:
+        raise ParameterError(
+            f"a batch needs count >= 1 and a spectrum, got {count}, {spectra!r}")
     root, detail = _draw_batch(weight.d, weight.n, weight.level, count,
                                tuple(tag), tuple(spectra))
     return HaarCoefficients(weight.d, weight.n, weight.level, root, list(detail))
@@ -227,18 +231,17 @@ def _linear_quantiles(values: np.ndarray, qs) -> list:
     return vals
 
 
-def equivalence_ratios(weight: MatrixWeight, family: ReducingFamily, count: int,
-                       seed: int = 0, spectra: tuple = SPECTRA) -> EquivalenceReport:
-    """Measure r(f) over count random mean-zero f, spectra cycled, at the
-    family's exponent p.
+def equivalence_ratios(family: ReducingFamily, count: int, seed: int = 0,
+                       spectra: tuple = SPECTRA) -> EquivalenceReport:
+    """Measure r(f) over count random mean-zero f, spectra cycled, against
+    the family's weight W at its exponent p.
 
     Each function draws from its own generator seeded by (seed, index), so
     reports are reproducible regardless of evaluation order; the draws are
     then measured as one batch. Degenerate draws (zero norm on either side)
     are skipped and counted.
     """
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
+    weight = family.weight
     char = family.characteristic()
     f = random_mean_zero_batch(weight, count, [seed], spectra)
     wn = weighted_lp_norm(haar_reconstruct(f), weight, family.p)
@@ -331,10 +334,9 @@ class CrossTermReport:
         return self.rate_ci95 < 1.0
 
 
-def cross_term_rate(weight: MatrixWeight, family: ReducingFamily, tree: GenerationTree,
-                    count: int, seed: int = 0) -> CrossTermReport:
+def cross_term_rate(tree: GenerationTree, count: int, seed: int = 0) -> CrossTermReport:
     """Fit log of diagonal-normalized cross terms vs generation separation,
-    at the family's exponent p.
+    on the weight of the tree's family at its exponent p.
 
     The blocks T_j f of the count random f are formed in blocks of function
     columns (dyadic._column_blocks), cells x n x generations values per
@@ -344,14 +346,14 @@ def cross_term_rate(weight: MatrixWeight, family: ReducingFamily, tree: Generati
     per-f scale. Test functions cycle through SPECTRA. Points are pooled in
     (f, j, k) order. Requires at least two populated generations.
     """
-    p = family.p
+    p, weight = tree.p, tree.family.weight
     f = random_mean_zero_batch(weight, count, [seed], SPECTRA)
     gens = tree.generation_count()
     diag = np.empty((count, gens))
     raw = np.zeros((count, gens, gens))  # raw[:, j, k], filled for j < k
     cells = 1 << weight.level * weight.d
     for cols, part in _column_blocks(f, cells * weight.n * gens):
-        blocks = t_blocks(weight, family, part, tree)
+        blocks = t_blocks(tree, part)
         # |T_j f| as one contiguous row of cells per (function, generation)
         norms = np.linalg.norm(blocks.values, axis=weight.d)
         del blocks
@@ -410,30 +412,18 @@ def _columnwise(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.einsum("...ijk,...jk->...ik", mats, vecs)
 
 
-def _check_probe_pair(weight: MatrixWeight, family: ReducingFamily, grid):
-    """ShapeError for a level-0 weight or one off the grid (d, n, L) (None:
-    any grid); ParameterError unless family is the weight's p=2 family: p = 2
-    on the weight's (d, n, L), and V_I V_I = <W>_I to 1e-10 relative on every
-    level the family covers; CoverageError (check_coverage) if it stops short
-    of level L - 1."""
-    d, n, level = weight.d, weight.n, weight.level
+def _check_probe_family(family: ReducingFamily, grid):
+    """ShapeError for the family of a level-0 weight or of one off the grid
+    (d, n, L) (None: any grid); ParameterError unless p = 2; CoverageError
+    (check_coverage) if the family stops short of level L - 1."""
+    d, n, level = family.d, family.n, family.level
     if level < 1:
         raise ShapeError("a level-0 weight has no detail coefficients to probe")
     if grid not in (None, (d, n, level)):
         raise ShapeError(f"weight on (d, n, L) = {d, n, level}, probe grid {grid}")
-    if (family.p, family.d, family.n, family.level) != (2.0, d, n, level):
-        raise ParameterError(
-            f"the probe needs the p=2 family of its weight, (d, n, L) = {d, n, level}; "
-            f"got p={family.p} on {family.d, family.n, family.level}"
-        )
+    if family.p != 2.0:
+        raise ParameterError(f"the probe needs a p=2 family, got p={family.p}")
     check_coverage(family.v, level)
-    for l, (v, mean) in enumerate(zip(family.v, weight.mean_pyramid_of(1.0))):
-        gap = np.linalg.norm(v @ v - mean, axis=(-2, -1))
-        if np.any(gap > 1e-10 * np.linalg.norm(mean, axis=(-2, -1))):
-            raise ParameterError(
-                f"the probe needs the p=2 family of its weight: V_I V_I is not "
-                f"<W>_I on level {l}"
-            )
 
 
 def _probe_operators(columns):
@@ -601,47 +591,46 @@ def _largest_eigenvalues(op, size: int, k: int) -> list:
     return out
 
 
-def sharpness_probes(pairs) -> list:
+def sharpness_probes(families) -> list:
     """Solve the p=2 generalized Rayleigh problem exactly, matrix-free, for
-    every (weight, family) pair of one grid.
+    the weight of every p=2 reducing family of one grid.
 
     With G the Gram matrix of ||f||_{L^2(W)}^2 in coefficient coordinates and
     B the block diagonal of m_I W, the extreme eigenvalues of (G, B) are the
     squared extremal ratios in both directions. B^{1/2} = blockdiag(V_I) and
-    its inverse come from the pair's family, which must be the weight's p=2
-    family: any other family (another p or grid, or V_I V_I off m_I W by more
-    than 1e-10 relative on a level it covers) gives ParameterError, and one
-    that stops short of level L - 1 gives CoverageError; a level-0 weight
-    gives ShapeError. This is the one place that ties the probe's symbols to
-    a reducing family. The first pair that passes these checks fixes the
-    grid (d, n, L), and a later weight off that grid gives ShapeError too.
+    its inverse come from the family, which holds W: a family at another p
+    gives ParameterError, one that stops short of level L - 1 gives
+    CoverageError, and one of a level-0 weight gives ShapeError. The first
+    family that passes these checks fixes the grid (d, n, L), and a later
+    family off that grid gives ShapeError too.
 
-    The checked pairs take two `_largest_eigenvalues` runs (thick-restart
+    The checked families take two `_largest_eigenvalues` runs (thick-restart
     Lanczos from the fixed start np.ones(size)) on `_probe_operators`, one
-    column (weight, family.v, family.v_inv) per pair, all in lock step:
-    first the largest eigenvalues of B^{-1/2} G B^{-1/2}, then those of its
-    inverse for the pairs whose forward run converged. A column that has not converged after
-    _MAX_MATVECS (5000) operator applications gives EigenConvergenceError.
+    column (family.weight, family.v, family.v_inv) per family, all in lock
+    step: first the largest eigenvalues of B^{-1/2} G B^{-1/2}, then those of
+    its inverse for the families whose forward run converged. A column that
+    has not converged after _MAX_MATVECS (5000) operator applications gives
+    EigenConvergenceError.
 
-    Returns one entry per pair, in input order: its SharpnessProbe, or the
+    Returns one entry per family, in input order: its SharpnessProbe, or the
     exception that stopped it. Any other exception raised while probing (a
-    LinAlgError, a MemoryError) takes the place of every checked pair. The
+    LinAlgError, a MemoryError) takes the place of every checked family. The
     sweeps record such an entry as a failed point.
     """
-    out, checked, grid = [None] * len(pairs), [], None
-    for i, (weight, family) in enumerate(pairs):
+    out, checked, grid = [None] * len(families), [], None
+    for i, family in enumerate(families):
         try:
-            _check_probe_pair(weight, family, grid)
+            _check_probe_family(family, grid)
         except HaarweightError as exc:
             out[i] = exc
             continue
-        grid = (weight.d, weight.n, weight.level)
+        grid = (family.d, family.n, family.level)
         checked.append(i)
     if not checked:
         return out
     try:
         forward, inverse, size = _probe_operators(
-            [(w, f.v, f.v_inv) for w, f in (pairs[i] for i in checked)])
+            [(f.weight, f.v, f.v_inv) for f in (families[i] for i in checked)])
         tops = _largest_eigenvalues(forward, size, len(checked))
         alive = np.array([c for c, top in enumerate(tops)
                           if not isinstance(top, Exception)], dtype=int)
@@ -650,25 +639,25 @@ def sharpness_probes(pairs) -> list:
         for c, top in zip(alive, inverse_tops):
             tops[c] = top if isinstance(top, Exception) else SharpnessProbe(
                 math.sqrt(tops[c]), math.sqrt(top), size)
-    except Exception as exc:  # e.g. LinAlgError, MemoryError: every checked pair
+    except Exception as exc:  # e.g. LinAlgError, MemoryError: every checked family
         tops = [exc] * len(checked)
     for i, probe in zip(checked, tops):
         out[i] = probe
     return out
 
 
-def sharpness_probe(weight: MatrixWeight, family: ReducingFamily) -> SharpnessProbe:
-    """The exact extremal p=2 ratios of one weight over all mean-zero f.
+def sharpness_probe(family: ReducingFamily) -> SharpnessProbe:
+    """The exact extremal p=2 ratios of the family's weight over all
+    mean-zero f.
 
-    This is `sharpness_probes` on the one pair (weight, family), one
-    column: the same operators, Lanczos rules and cap. Where the list entry
-    returns an error in place, this raises it: ShapeError for a
-    level-0 weight, ParameterError unless family is the weight's p=2 family
-    (V_I V_I = m_I W to 1e-10 relative on every level it covers),
-    CoverageError for a family short of level L - 1, and
-    EigenConvergenceError for a direction that hits _MAX_MATVECS.
+    This is `sharpness_probes` on the one family, one column: the same
+    operators, Lanczos rules and cap. Where the list entry returns an error
+    in place, this raises it: ShapeError for the family of a level-0 weight,
+    ParameterError for a family at p != 2, CoverageError for a family short
+    of level L - 1, and EigenConvergenceError for a direction that hits
+    _MAX_MATVECS.
     """
-    (probe,) = sharpness_probes([(weight, family)])
+    (probe,) = sharpness_probes([family])
     if isinstance(probe, Exception):
         raise probe
     return probe

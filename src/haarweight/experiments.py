@@ -108,8 +108,9 @@ class RunContext:
             names = self.signatures().get((d, n))
             if not names:
                 raise ConfigError(f"no suite weights with d={d}, n={n}")
+            fams = [(name, self.family(name, p)) for name in names]
             self._cals[d, n, p] = calibrate_lambdas(
-                [(name, self.weight(name), self.family(name, p)) for name in names],
+                [(name, fam.weight, fam) for name, fam in fams],
                 target=self.config.calibration_target,
             )
         return self._cals[d, n, p]
@@ -162,13 +163,13 @@ def _isolate(fn, keys):
 
 def _probed(build, keys):
     """The p=2 sharpness probe of one weight per key: build(key) returns
-    (weight, its p=2 family, ...) under _isolate, and one sharpness_probes
+    (the weight's p=2 family, ...) under _isolate, and one sharpness_probes
     call probes every cell that built, putting the error of a cell it could
     not probe in that cell's place. Returns (key, built, probe) for each
     cell that survived both steps and (key, repr(error)) for each that did
     not, each in key order."""
     built, failed = _isolate(lambda i: (i, build(keys[i])), range(len(keys)))
-    probes = sharpness_probes([b[:2] for _, b in built])
+    probes = sharpness_probes([b[0] for _, b in built])
     failed += [(i, repr(p)) for (i, _), p in zip(built, probes)
                if isinstance(p, Exception)]
     done = [(keys[i], b, p) for (i, b), p in zip(built, probes)
@@ -261,7 +262,6 @@ def _run_multiplier(ctx: RunContext, out: Path, result: RunResult):
     def cell(key):
         name, p = key
         w = ctx.weight(name)
-        fam = ctx.family(name, p)
         tree = ctx.tree(name, p)
         f = random_mean_zero_batch(w, cfg.count, [cfg.seed, 5], cfg.spectra)
         parts, delta_norms = block_partition_constant(f, tree)
@@ -271,7 +271,7 @@ def _run_multiplier(ctx: RunContext, out: Path, result: RunResult):
         total = np.empty(((1 << w.level),) * w.d + (w.n, min(5, cfg.count)))
         per_column = (1 << w.level * w.d) * w.n * delta_norms.shape[-1]
         for cols, part in _column_blocks(f, per_column):
-            blocks = t_blocks(w, fam, part, tree)
+            blocks = t_blocks(tree, part)
             block_norms[cols] = lp_norm(blocks, p)
             head = range(cols.start, min(cols.stop, 5))  # the block's share of the five
             total[..., head.start : head.stop] = blocks.values[..., : len(head), :].sum(axis=-1)
@@ -283,7 +283,7 @@ def _run_multiplier(ctx: RunContext, out: Path, result: RunResult):
         # out: strided views left a 0.8 MiB higher peak RSS on the p=2 suite
         first = HaarCoefficients(f.d, f.n, f.level, f.root_scaling[..., :5].copy(),
                                  [a[..., :5].copy() for a in f.detail])
-        tf = t_operator(w, fam, first).values
+        tf = t_operator(tree.family, first).values
         grid = tuple(range(w.d + 1))  # cells and value components
         scale = np.maximum(1.0, np.abs(tf).max(axis=grid))
         sum_err = float((np.abs(total - tf).max(axis=grid) / scale).max())
@@ -307,10 +307,8 @@ def _run_equivalence(ctx: RunContext, out: Path, result: RunResult):
 
     def cell(key):
         name, p = key
-        return name, p, equivalence_ratios(
-            ctx.weight(name), ctx.family(name, p), cfg.count,
-            seed=cfg.seed, spectra=cfg.spectra,
-        )
+        return name, p, equivalence_ratios(ctx.family(name, p), cfg.count,
+                                           seed=cfg.seed, spectra=cfg.spectra)
 
     done, failed = _isolate(cell, ctx.cells())
     result.failures += [CellFailure("equivalence", str(k), e) for k, e in failed]
@@ -368,8 +366,7 @@ def alpha_sweep_report(config: ExperimentConfig) -> dict:
                          seed=seed)
         )
         fam = build_reducing_family(w, 2.0)
-        rep = equivalence_ratios(w, fam, count, seed=seed)
-        return w, fam, fam.characteristic(), rep
+        return fam, fam.characteristic(), equivalence_ratios(fam, count, seed=seed)
 
     done, failed = _probed(cell, config.sweep_alphas)
     rows = [
@@ -381,7 +378,7 @@ def alpha_sweep_report(config: ExperimentConfig) -> dict:
             "probe_max_ratio": probe.max_ratio,
             "probe_max_inverse_ratio": probe.max_inverse_ratio,
         }
-        for alpha, (_, _, char, rep), probe in done
+        for alpha, (_, char, rep), probe in done
     ]
     failed = [{"alpha": float(a), "error": err} for a, err in failed]
     if len(rows) < 3:
@@ -440,12 +437,12 @@ def _run_sharpness(ctx: RunContext, out: Path, result: RunResult):
                          params={"alpha": alpha}, seed=cfg.seed)
         )
         fam = build_reducing_family(w, 2.0)
-        return w, fam, fam.characteristic()
+        return fam, fam.characteristic()
 
     done, failed = _probed(rotating, (0.3, 0.6, 0.9))
     rows += [[alpha, char, float("nan"), float("nan"),
               probe.max_ratio, probe.max_inverse_ratio]
-             for alpha, (_, _, char), probe in done]
+             for alpha, (_, char), probe in done]
     result.failures += [CellFailure("sharpness", f"rotating alpha={a}", e)
                         for a, e in failed]
     result.files.append(

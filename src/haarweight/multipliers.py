@@ -7,11 +7,12 @@ inverse multiplier with Haar synthesis and a pointwise W^{1/p} factor,
 
     T f = W^{1/p} sum_{I, eps} V_I^{-1} f_I^eps h_I^eps,
 
-with p the exponent of the reducing family, realized
-coefficient-side then cellwise, never as a dense matrix. The blocks
-T_j f apply V_I^{-1} once, split the result along the stopping generations,
-and synthesize every piece at once; the pieces partition the detail
-coefficients, so the blocks sum back to T f.
+with W the weight of the reducing family and p its exponent, realized
+coefficient-side then cellwise, never as a dense matrix. The blocks T_j f
+take the family from their stopping tree, apply V_I^{-1} once, split the
+result along the stopping generations, and synthesize every piece at once;
+the pieces partition the detail coefficients, so the blocks sum back to T f.
+Both require mean-zero f.
 
 Batches ride in the value axis. A batch of k functions carries a trailing
 axis of length k after the n value components (see dyadic), and the
@@ -26,7 +27,7 @@ from .dyadic import GridFunction, HaarCoefficients, haar_reconstruct
 from .errors import CoverageError, ParameterError, ShapeError
 from .reducing import ReducingFamily
 from .stopping import GenerationTree, split_generations
-from .weights import MatrixWeight, apply_cells, check_grid
+from .weights import apply_cells, check_grid
 
 __all__ = [
     "apply_symbols",
@@ -72,34 +73,32 @@ def _require_mean_zero(f: HaarCoefficients):
         )
 
 
-def _reduced(weight: MatrixWeight, family: ReducingFamily,
-             f: HaarCoefficients) -> HaarCoefficients:
-    """f with V_I^{-1} applied to every detail coefficient."""
-    check_grid(f, weight)
-    check_dims(f, family)
+def _reduced(family: ReducingFamily, f: HaarCoefficients) -> HaarCoefficients:
+    """f, on the grid of the family's weight, with V_I^{-1} applied to every
+    detail coefficient."""
+    check_grid(f, family.weight)
     detail = apply_symbols(family.v_inv, f.detail)
     return HaarCoefficients(f.d, f.n, f.level, f.root_scaling, detail)
 
 
-def _synthesize(weight: MatrixWeight, family: ReducingFamily,
-                c: HaarCoefficients) -> GridFunction:
-    """W^{1/p} times the Haar synthesis of c, p the family's exponent."""
+def _synthesize(family: ReducingFamily, c: HaarCoefficients) -> GridFunction:
+    """W^{1/p} times the Haar synthesis of c, W and p the family's."""
     g = haar_reconstruct(c)
-    vals = apply_cells(weight.power_cells(1.0 / family.p), g.values)
+    vals = apply_cells(family.weight.power_cells(1.0 / family.p), g.values)
     return GridFunction(g.d, g.n, g.level, vals)
 
 
-def t_operator(weight: MatrixWeight, family: ReducingFamily,
-               f: HaarCoefficients) -> GridFunction:
-    """T f = W^{1/p} M^{-1} f as a grid function, p the family's exponent;
+def t_operator(family: ReducingFamily, f: HaarCoefficients) -> GridFunction:
+    """T f = W^{1/p} M^{-1} f as a grid function, W and p the family's;
     requires mean-zero f."""
     _require_mean_zero(f)
-    return _synthesize(weight, family, _reduced(weight, family, f))
+    return _synthesize(family, _reduced(family, f))
 
 
-def t_blocks(weight: MatrixWeight, family: ReducingFamily, f: HaarCoefficients,
-             tree: GenerationTree) -> GridFunction:
-    """The generation pieces T_1 f, ..., T_G f as one batch: the last axis
-    of the values holds T_j f at index j - 1, and they sum to T f."""
-    pieces = split_generations(_reduced(weight, family, f), tree)
-    return _synthesize(weight, family, pieces)
+def t_blocks(tree: GenerationTree, f: HaarCoefficients) -> GridFunction:
+    """The generation pieces T_1 f, ..., T_G f as one batch, T that of the
+    tree's family: the last axis of the values holds T_j f at index j - 1,
+    and they sum to T f. Requires mean-zero f, as T does."""
+    _require_mean_zero(f)
+    pieces = split_generations(_reduced(tree.family, f), tree)
+    return _synthesize(tree.family, pieces)

@@ -24,7 +24,7 @@ import itertools
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -483,16 +483,16 @@ def _fit_operators(rho_fit, dirs_fit, calibration):
 
 @dataclass(eq=False)
 class ReducingFamily:
-    """Reducing operators V_I, V'_I for every cube of level <= max_depth.
+    """Reducing operators V_I, V'_I of one weight for every cube of level <=
+    max_depth.
 
     Arrays are per level: v[l] has shape (2^l,)*d + (n, n); kappa and method
-    are (2^l,)*d. Method codes index METHOD_NAMES.
+    are (2^l,)*d. Method codes index METHOD_NAMES. The grid (d, n, L) is the
+    weight's.
     """
 
+    weight: MatrixWeight
     p: float
-    d: int
-    n: int
-    level: int
     max_depth: int
     v: list
     v_dual: list
@@ -500,6 +500,10 @@ class ReducingFamily:
     kappa_dual: list
     method: list
     method_dual: list
+
+    d = property(lambda self: self.weight.d)
+    n = property(lambda self: self.weight.n)
+    level = property(lambda self: self.weight.level)
 
     def __post_init__(self):
         self._cache = {}
@@ -533,24 +537,6 @@ class ReducingFamily:
             )
         best = max(float(self.pair_norms(l).max()) for l in range(depth + 1))
         return best**self.p
-
-    def swapped(self) -> ReducingFamily:
-        """The family of W^{1-p'} at p'.
-
-        (W^{1-p'})^{1/p'} = W^{-1/p}, so the direction norm of W^{1-p'} at p'
-        is the dual norm rho'_I of W at p, and its dual norm is rho_I: the two
-        sides trade places, with their kappas and methods.
-        """
-        return replace(
-            self,
-            p=conjugate_exponent(self.p),
-            v=self.v_dual,
-            v_dual=self.v,
-            kappa=self.kappa_dual,
-            kappa_dual=self.kappa,
-            method=self.method_dual,
-            method_dual=self.method,
-        )
 
 
 def build_reducing_family(
@@ -611,7 +597,7 @@ def build_reducing_family(
         _levels(side, d) for rows in (v, kappa, method) for side in rows
     )
     return ReducingFamily(
-        p=float(p), d=d, n=n, level=weight.level, max_depth=max_depth,
+        weight=weight, p=float(p), max_depth=max_depth,
         v=v, v_dual=v_dual, kappa=kappa, kappa_dual=kappa_dual,
         method=method, method_dual=method_dual,
     )
@@ -649,21 +635,24 @@ def duality_check(
 ) -> DualityReport:
     """Check ||W^{1-p'}||_{A_p'} = ||W||_{A_p}^{p'/p} on the family of W at p.
 
-    The family of W^{1-p'} at p' is not fitted: it is the family of W at p
-    with its sides swapped (ReducingFamily.swapped), so the two
-    characteristics agree up to rounding and no second family is built.
-    log_bound = log(kappa_max^4) is the slack an independent refit of
-    W^{1-p'} may show; acceptance criterion 5 makes that refit. Both
-    characteristics scan to scan_depth(L).
+    The family of W^{1-p'} at p' is not fitted. (W^{1-p'})^{1/p'} = W^{-1/p},
+    so its direction norm is the dual norm rho'_I of W at p and its dual
+    norm is rho_I: its operators are V'_I and V_I, and its characteristic is
+    max_I ||V'_I V_I||^{p'} on the family of W at p. The two characteristics
+    agree up to rounding and no second family is built. log_bound =
+    log(kappa_max^4) is the slack an independent refit of W^{1-p'} may show;
+    acceptance criterion 5 makes that refit. Both characteristics scan to
+    scan_depth(L).
     """
     q = conjugate_exponent(p)
     depth = scan_depth(weight.level)
     if family is None:
         family = build_reducing_family(weight, p, max_depth=depth)
-    elif family.p != p:
-        raise ParameterError(f"family exponent {family.p} != requested {p}")
+    elif family.weight is not weight or family.p != p:
+        raise ParameterError(f"family at p={family.p} is not this weight's family at p={p}")
     char = family.characteristic(depth)
-    char_dual = family.swapped().characteristic(depth)
+    char_dual = max(float(op_norm_stack(family.v_dual[l] @ family.v[l]).max())
+                    for l in range(depth + 1)) ** q
     predicted = char ** (q / p)
     kappa = family.max_kappa(depth)
     log_gap = abs(math.log(char_dual) - math.log(predicted))

@@ -22,8 +22,8 @@ values of every level-lj cube against each of its lj ancestors on a last
 axis: the labelling pass picks each cube's value at its root level, and
 calibration folds the tables into running maxima.
 
-The tree is those label arrays plus the two test values of every cube, one
-array per level; no per-cube records are built. Generation j's stopping
+The tree is its family, those label arrays and the two test values of
+every cube, one array per level; no per-cube records are built. Generation j's stopping
 cubes are the cubes labelled j + 1 whose label is above their parent's, and
 generation j + 1's roots are the same cubes.
 
@@ -79,22 +79,26 @@ class StoppingConfig:
 
 @dataclass(eq=False)
 class GenerationTree:
-    """A stopping tree is its label arrays and test values.
+    """A stopping tree is its reducing family, its label arrays and its test
+    values.
 
     gen_label[l] holds the generation label of every level-l cube, for l =
     0..floor. test1[l - 1] and test2[l - 1] hold, for l = 1..floor, the two
-    test values of every level-l cube against its parent's block root. Only
-    this module reads the label encoding; stopping_masks and floor_hit give
-    the generations it stands for.
+    test values of every level-l cube against its parent's block root. The
+    exponent p and the grid (d, L) are the family's, so the tree reaches W
+    through the family. Only this module reads the label encoding;
+    stopping_masks and floor_hit give the generations it stands for.
     """
 
     config: StoppingConfig
-    p: float  # the exponent of the family the tree was built from
-    d: int
-    level: int
+    family: ReducingFamily  # the family the tree was built from
     gen_label: list  # per level 0..floor: int arrays of generation labels
     test1: list  # per level 1..floor: ||V_J V_I^{-1}||^p, I the parent's root
     test2: list  # per level 1..floor: ||V_J^{-1} V_I||^{p'}
+
+    p = property(lambda self: self.family.p)
+    d = property(lambda self: self.family.d)
+    level = property(lambda self: self.family.level)
 
     def generation_count(self) -> int:
         return int(self.gen_label[-1].max())
@@ -161,8 +165,8 @@ def build_generations(family: ReducingFamily, cfg: StoppingConfig) -> Generation
         gen_label.append(label)
         test1.append(t1)
         test2.append(t2)
-    return GenerationTree(config=cfg, p=family.p, d=d, level=family.level,
-                          gen_label=gen_label, test1=test1, test2=test2)
+    return GenerationTree(config=cfg, family=family, gen_label=gen_label,
+                          test1=test1, test2=test2)
 
 
 def decay_ratio(tree: GenerationTree, j: int) -> float:

@@ -190,7 +190,7 @@ def test_batch_draws_match_per_level_draws(spectra):
 def test_equivalence_ratios_identity_weight():
     w = identity_weight()
     fam = build_reducing_family(w, 2.0)
-    rep = equivalence_ratios(w, fam, count=12, seed=9)
+    rep = equivalence_ratios(fam, count=12, seed=9)
     np.testing.assert_allclose(rep.ratios, 1.0, atol=1e-10)
     assert rep.char == pytest.approx(1.0)
     assert rep.max_ratio == pytest.approx(1.0, abs=1e-10)
@@ -201,7 +201,7 @@ def test_equivalence_ratios_identity_weight():
     assert set(rep.spectrum_of) == set(SPECTRA)
     assert rep.quantiles()["q50"] == pytest.approx(1.0, abs=1e-10)
 
-    again = equivalence_ratios(w, fam, count=12, seed=9)
+    again = equivalence_ratios(fam, count=12, seed=9)
     np.testing.assert_array_equal(rep.ratios, again.ratios)
 
 
@@ -217,7 +217,7 @@ def test_quantiles_match_numpy_bit_for_bit():
 def test_equivalence_exponents_p3():
     w = rotating_weight()
     fam = build_reducing_family(w, 3.0)
-    rep = equivalence_ratios(w, fam, count=6, seed=1)
+    rep = equivalence_ratios(fam, count=6, seed=1)
     assert rep.exponent_upper == pytest.approx(4.0 / 3.0)
     assert rep.exponent_lower == pytest.approx(4.0 / 3.0)  # ceil(1.5) = 2
     assert np.all(rep.ratios > 0)
@@ -235,7 +235,7 @@ def test_block_partition_single_generation():
     assert len(delta_norms) == 1
     assert delta_norms[0] == pytest.approx(lp_norm(haar_reconstruct(f), 3.0) ** 3,
                                            rel=1e-12)
-    t1 = t_blocks(w, fam, f, tree)
+    t1 = t_blocks(tree, f)
     assert t1.batch == (1,)
     # T = identity here
     assert lp_norm(t1, 3.0)[0] ** 3 / delta_norms[0] == pytest.approx(1.0, rel=1e-12)
@@ -247,7 +247,7 @@ def test_cross_term_rate_smoke():
     red = build_reducing_family(w, 2.0)
     tree = build_generations(red, StoppingConfig(lambda1=1.2, lambda2=1.2))
     assert tree.generation_count() >= 3
-    rep = cross_term_rate(w, red, tree, count=6, seed=0)
+    rep = cross_term_rate(tree, count=6, seed=0)
     assert rep.n_points > 0 and rep.max_separation >= 2
     assert rep.rate > 0.0
     assert rep.rate_ci95 >= rep.rate
@@ -257,12 +257,30 @@ def test_cross_term_rate_smoke():
     famid = build_reducing_family(wid, 3.0)
     t1 = build_generations(famid, StoppingConfig(lambda1=2.0, lambda2=2.0))
     with pytest.raises(ParameterError):
-        cross_term_rate(wid, famid, t1, count=2, seed=0)
+        cross_term_rate(t1, count=2, seed=0)
+
+
+def test_cross_term_rate_needs_a_function():
+    w = rotating_weight()
+    tree = build_generations(build_reducing_family(w, 2.0),
+                             StoppingConfig(lambda1=1.3, lambda2=1.3))
+    with pytest.raises(ParameterError, match="count >= 1"):
+        cross_term_rate(tree, count=0)
+    with pytest.raises(ParameterError, match="count >= 1"):
+        random_mean_zero_batch(w, 0, [1])
+
+
+def test_equivalence_ratios_need_a_spectrum():
+    fam = build_reducing_family(rotating_weight(), 2.0)
+    with pytest.raises(ParameterError, match="a spectrum"):
+        equivalence_ratios(fam, 3, spectra=())
+    with pytest.raises(ParameterError, match="count >= 1"):
+        equivalence_ratios(fam, 0)
 
 
 def test_sharpness_identity():
     w = identity_weight(level=3, n=1)
-    probe = sharpness_probe(w, build_reducing_family(w, 2.0))
+    probe = sharpness_probe(build_reducing_family(w, 2.0))
     assert probe.max_ratio == pytest.approx(1.0, abs=1e-10)
     assert probe.max_inverse_ratio == pytest.approx(1.0, abs=1e-10)
     assert probe.size == 7
@@ -281,7 +299,7 @@ def test_sharpness_brute_force_oracle():
     b = np.diag([cells.mean(), cells[:2].mean(), cells[2:].mean()])
     vals = scipy.linalg.eigh(g, b, eigvals_only=True)
 
-    probe = sharpness_probe(w, build_reducing_family(w, 2.0))
+    probe = sharpness_probe(build_reducing_family(w, 2.0))
     assert probe.max_ratio == pytest.approx(math.sqrt(vals[-1]), rel=1e-12)
     assert probe.max_inverse_ratio == pytest.approx(1 / math.sqrt(vals[0]), rel=1e-12)
 
@@ -371,7 +389,7 @@ def test_sharpness_probe_matches_dense_oracle(case):
     if level is not None:
         w = coarsened(w, level)
     ratio, inverse = dense_probe(w)
-    probe = sharpness_probe(w, build_reducing_family(w, 2.0))
+    probe = sharpness_probe(build_reducing_family(w, 2.0))
     assert probe.max_ratio == pytest.approx(ratio, rel=1e-12)
     assert probe.max_inverse_ratio == pytest.approx(inverse, rel=1e-12)
 
@@ -433,7 +451,7 @@ def clustered_weight(level):
 def test_sharpness_probe_converges_on_a_repeated_top_eigenvalue():
     w = clustered_weight(9)
     ratio, inverse = dense_probe(w)
-    probe = sharpness_probe(w, build_reducing_family(w, 2.0))
+    probe = sharpness_probe(build_reducing_family(w, 2.0))
     assert probe.size == 1022
     assert probe.max_ratio == pytest.approx(ratio, rel=1e-12)
     assert probe.max_inverse_ratio == pytest.approx(inverse, rel=1e-12)
@@ -443,23 +461,23 @@ def test_lanczos_cap_raises(monkeypatch):
     monkeypatch.setattr(analysis, "_MAX_MATVECS", 2)
     with pytest.raises(EigenConvergenceError, match="cap of 2 matvecs"):
         w = clustered_weight(9)
-        sharpness_probe(w, build_reducing_family(w, 2.0))
+        sharpness_probe(build_reducing_family(w, 2.0))
 
 
 def test_sharpness_single_coefficient():
     w = two_cell_weight()  # G = 2.5 = B, so both ratios are 1
-    probe = sharpness_probe(w, build_reducing_family(w, 2.0))
+    probe = sharpness_probe(build_reducing_family(w, 2.0))
     assert probe.size == 1
     assert probe.max_ratio == pytest.approx(1.0, rel=1e-15)
     assert probe.max_inverse_ratio == pytest.approx(1.0, rel=1e-15)
     with pytest.raises(ShapeError):
         w0 = MatrixWeight(d=1, n=1, level=0, cells=np.ones((1, 1, 1)))
-        sharpness_probe(w0, build_reducing_family(w0, 2.0))
+        sharpness_probe(build_reducing_family(w0, 2.0))
 
 
 def test_sharpness_deep_grid_bounds_rayleigh_quotients():
     w = power_weight(-0.9, 13)  # 8192 cells
-    probe = sharpness_probe(w, build_reducing_family(w, 2.0))
+    probe = sharpness_probe(build_reducing_family(w, 2.0))
     assert probe.size == 8191
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -467,7 +485,7 @@ def test_sharpness_deep_grid_bounds_rayleigh_quotients():
         r = weighted_lp_norm(haar_reconstruct(f), w, 2.0) / p2_sequence_norm(f, w)
         assert 1.0 / probe.max_inverse_ratio <= r * (1 + 1e-12)
         assert r <= probe.max_ratio * (1 + 1e-12)
-    again = sharpness_probe(w, build_reducing_family(w, 2.0))
+    again = sharpness_probe(build_reducing_family(w, 2.0))
     assert (again.max_ratio, again.max_inverse_ratio) == (
         probe.max_ratio, probe.max_inverse_ratio)
 
@@ -475,18 +493,12 @@ def test_sharpness_deep_grid_bounds_rayleigh_quotients():
 def test_probe_needs_the_p2_family_of_its_own_weight():
     w = rotating_weight(level=5)
     with pytest.raises(ParameterError, match="p=2 family"):
-        sharpness_probe(w, build_reducing_family(w, 3.0))
-    coarse = coarsened(w, 4)
-    with pytest.raises(ParameterError, match="p=2 family"):
-        sharpness_probe(w, build_reducing_family(coarse, 2.0))
+        sharpness_probe(build_reducing_family(w, 3.0))
     # the details run to level L - 1 = 4: a family to depth 3 falls short
     with pytest.raises(CoverageError, match="to level 4, family has 3"):
-        sharpness_probe(w, build_reducing_family(w, 2.0, max_depth=3))
-    assert sharpness_probe(w, build_reducing_family(w, 2.0, max_depth=4)) == \
-        sharpness_probe(w, build_reducing_family(w, 2.0))
-    # another weight's p=2 family on the same grid
-    with pytest.raises(ParameterError, match="p=2 family"):
-        sharpness_probe(power_weight(0.5, 6), build_reducing_family(power_weight(-0.9, 6), 2.0))
+        sharpness_probe(build_reducing_family(w, 2.0, max_depth=3))
+    assert sharpness_probe(build_reducing_family(w, 2.0, max_depth=4)) == \
+        sharpness_probe(build_reducing_family(w, 2.0))
 
 
 def test_lanczos_logs_one_debug_record(caplog):
@@ -522,11 +534,12 @@ def test_lanczos_logs_one_debug_record(caplog):
              make_weight(WeightFamily("rotating", 1, 2, 6, params={"alpha": 0.9}))],
 ], ids=["power", "rotating"])
 def test_grouped_probes_match_single_pair_probes_in_input_order(weights):
-    pairs = [(w, build_reducing_family(w, 2.0)) for w in weights()]
-    probes = sharpness_probes(pairs)
-    assert len(probes) == len(pairs)
-    for (w, fam), probe in zip(pairs, probes):
-        alone = sharpness_probe(w, fam)
+    families = [build_reducing_family(w, 2.0) for w in weights()]
+    probes = sharpness_probes(families)
+    assert len(probes) == len(families)
+    for fam, probe in zip(families, probes):
+        w = fam.weight
+        alone = sharpness_probe(fam)
         assert probe.size == alone.size == (1 << w.level) * w.n - w.n
         assert probe.max_ratio == pytest.approx(alone.max_ratio, rel=1e-14)
         assert probe.max_inverse_ratio == pytest.approx(alone.max_inverse_ratio,
@@ -543,16 +556,16 @@ def test_a_scalar_d2_probe_reads_the_same_alone_and_in_a_group():
     # against ...255 in the group for alpha = 0.9)
     weights = [make_weight(WeightFamily("power", 2, 1, 5, params={"alpha": a}, seed=1))
                for a in (0.5, -0.5, 0.9)]
-    pairs = [(w, build_reducing_family(w, 2.0)) for w in weights]
-    for pair, probe in zip(pairs, sharpness_probes(pairs)):
-        assert sharpness_probe(*pair) == probe
+    families = [build_reducing_family(w, 2.0) for w in weights]
+    for fam, probe in zip(families, sharpness_probes(families)):
+        assert sharpness_probe(fam) == probe
 
 
 def test_level_one_weights_probe_inside_a_group():
     flat = MatrixWeight(d=1, n=1, level=1, cells=np.array([[[3.0]], [[5.0]]]))
     w0 = MatrixWeight(d=1, n=1, level=0, cells=np.ones((1, 1, 1)))
     weights = [two_cell_weight(), w0, flat]
-    probes = sharpness_probes([(w, build_reducing_family(w, 2.0)) for w in weights])
+    probes = sharpness_probes([build_reducing_family(w, 2.0) for w in weights])
     assert isinstance(probes[1], ShapeError)
     for probe in (probes[0], probes[2]):  # one coefficient: G = B, both ratios 1
         assert probe.size == 1
@@ -562,12 +575,12 @@ def test_level_one_weights_probe_inside_a_group():
 
 def test_a_capped_column_fails_only_its_own_pair(monkeypatch):
     fast, slow = rotating_weight(level=8), clustered_weight(8)
-    pairs = [(w, build_reducing_family(w, 2.0)) for w in (slow, fast)]
-    alone = sharpness_probe(*pairs[1])
+    families = [build_reducing_family(w, 2.0) for w in (slow, fast)]
+    alone = sharpness_probe(families[1])
     # rotating_weight(8) converges in 29 / 16 matvecs, clustered_weight(8)
     # needs 901 / 1356
     monkeypatch.setattr(analysis, "_MAX_MATVECS", 100)
-    capped, probe = sharpness_probes(pairs)
+    capped, probe = sharpness_probes(families)
     assert isinstance(capped, EigenConvergenceError)
     assert "cap of 100 matvecs" in str(capped)
     assert probe.size == alone.size
@@ -578,10 +591,10 @@ def test_a_capped_column_fails_only_its_own_pair(monkeypatch):
 def test_a_pair_off_the_grid_fails_only_itself():
     weights = [power_weight(0.5, 6), rotating_weight(level=6), power_weight(-0.9, 6),
                power_weight(-0.5, 5)]
-    pairs = [(w, build_reducing_family(w, 2.0)) for w in weights]
-    alone = [sharpness_probe(*pair) for pair in pairs[::2]]
-    probes = sharpness_probes(pairs)
-    # the first pair fixes the grid (1, 1, 6): n = 2 and L = 5 are off it
+    families = [build_reducing_family(w, 2.0) for w in weights]
+    alone = [sharpness_probe(fam) for fam in families[::2]]
+    probes = sharpness_probes(families)
+    # the first family fixes the grid (1, 1, 6): n = 2 and L = 5 are off it
     assert [type(p) for p in probes[1::2]] == [ShapeError] * 2
     assert "(1, 2, 6)" in str(probes[1]) and "(1, 1, 5)" in str(probes[3])
     for probe, ref in zip(probes[::2], alone):
@@ -591,17 +604,17 @@ def test_a_pair_off_the_grid_fails_only_itself():
 def test_a_call_that_raises_fails_every_checked_pair(monkeypatch):
     w0 = MatrixWeight(d=1, n=1, level=0, cells=np.ones((1, 1, 1)))
     weights = [w0, power_weight(0.5, 6), power_weight(-0.9, 6)]
-    pairs = [(w, build_reducing_family(w, 2.0)) for w in weights]
+    families = [build_reducing_family(w, 2.0) for w in weights]
 
     def singular(group):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(analysis, "_probe_operators", singular)
-    probes = sharpness_probes(pairs)
+    probes = sharpness_probes(families)
     assert isinstance(probes[0], ShapeError)
     assert [type(p) for p in probes[1:]] == [np.linalg.LinAlgError] * 2
     with pytest.raises(np.linalg.LinAlgError):
-        sharpness_probe(*pairs[1])
+        sharpness_probe(families[1])
 
 
 def test_loglog_slope_recovers_power_law():
@@ -649,7 +662,7 @@ def suite_case(request):
 
 def test_batched_ratios_match_a_per_function_loop(suite_case):
     w, fam, _, p = suite_case
-    rep = equivalence_ratios(w, fam, count=9, seed=4)
+    rep = equivalence_ratios(fam, count=9, seed=4)
     want = []
     for i in range(9):
         rng = np.random.default_rng([4, i])
@@ -682,12 +695,12 @@ def test_column_blocks_match_one_batch(suite_case, monkeypatch):
     w, fam, tree, p = suite_case
     f = random_mean_zero_batch(w, 7, [9], SPECTRA)
     whole = block_partition_constant(f, tree)
-    rate = cross_term_rate(w, fam, tree, count=7, seed=9)
+    rate = cross_term_rate(tree, count=7, seed=9)
     monkeypatch.setattr(dyadic, "_BLOCK_ENTRIES", 1)
     assert len(list(dyadic._column_blocks(f, 1))) == 7
     for got, want in zip(block_partition_constant(f, tree), whole):
         assert got.tobytes() == want.tobytes()
-    assert cross_term_rate(w, fam, tree, count=7, seed=9) == rate
+    assert cross_term_rate(tree, count=7, seed=9) == rate
 
 
 def test_batched_dual_square_norm_matches_single_calls(suite_case):
@@ -702,8 +715,8 @@ def test_batched_dual_square_norm_matches_single_calls(suite_case):
 def test_equivalence_seed_is_not_truncated_to_32_bits():
     w = suite_weight("pow-a03")
     fam = build_reducing_family(w, 2.0)
-    low = equivalence_ratios(w, fam, count=5, seed=7)
-    high = equivalence_ratios(w, fam, count=5, seed=2**32 + 7)
+    low = equivalence_ratios(fam, count=5, seed=7)
+    high = equivalence_ratios(fam, count=5, seed=2**32 + 7)
     assert not np.array_equal(low.ratios, high.ratios)
 
 

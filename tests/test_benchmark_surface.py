@@ -78,6 +78,10 @@ def test_traced_mode_runs_in_process(tmp_path, monkeypatch):
         start = time.perf_counter()
         haarweight.run_experiments(cfg)
         haarweight.run_all(haarweight.AcceptanceContext(cfg), printer=lambda line: None)
+        # the probe's attribute reader takes the grid from its first argument
+        w = haarweight.make_weight(haarweight.WeightFamily(
+            "power", 1, 1, 4, params={"alpha": 0.3}))
+        haarweight.sharpness_probe(haarweight.build_reducing_family(w, 2.0))
         wall = time.perf_counter() - start
     finally:
         tracer_mod.undo(undo)
@@ -88,3 +92,5 @@ def test_traced_mode_runs_in_process(tmp_path, monkeypatch):
     assert all(math.isfinite(v) for v in metrics.values())
     assert metrics["reducing.build_family.calls"] > 0
     assert metrics["stopping.calibrate.calls"] > 0
+    assert metrics["analysis.sharpness_probe.calls"] == 1
+    assert metrics["analysis.sharpness_probe.gflop"] > 0.0

@@ -311,7 +311,7 @@ assert run_experiments(cfg).ok
 w = make_weight(WeightFamily("power", d=1, n=1, level=8, params={"alpha": 0.6}))
 family = build_reducing_family(w, 2.0)
 tree = build_generations(family, StoppingConfig(lambda1=1.2, lambda2=1.2))
-cross_term_rate(w, family, tree, count=6, seed=0)
+cross_term_rate(tree, count=6, seed=0)
 print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 """
 
@@ -336,13 +336,13 @@ def test_alpha_sweep_lists_an_unconverged_probe_under_failed(monkeypatch):
 
     probes = experiments.sharpness_probes
 
-    def capped(pairs):
-        out = probes(pairs)
-        for i, (weight, family) in enumerate(pairs):
-            if weight.meta["params"]["alpha"] == -0.8:
+    def capped(families):
+        out = probes(families)
+        for i, family in enumerate(families):
+            if family.weight.meta["params"]["alpha"] == -0.8:
                 with monkeypatch.context() as m:
                     m.setattr(analysis, "_MAX_MATVECS", 2)
-                    (out[i],) = probes([(weight, family)])
+                    (out[i],) = probes([family])
         return out
 
     monkeypatch.setattr(experiments, "sharpness_probes", capped)

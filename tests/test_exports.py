@@ -1,6 +1,7 @@
 """Export integrity: every name a module lists in __all__, and every name the
 package imports into haarweight, resolves; and the operators built on a
-reducing family or a stopping tree take no exponent beside it.
+reducing family or a stopping tree take no exponent, weight or family beside
+it.
 
 perfbench/layers.py wraps each layer's public functions by looking up the
 names of __all__ with a default, so a stale name there would silently drop
@@ -20,7 +21,8 @@ from pathlib import Path
 import pytest
 
 import haarweight
-from haarweight.stopping import StoppingConfig
+from haarweight.reducing import ReducingFamily
+from haarweight.stopping import GenerationTree, StoppingConfig
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(haarweight.__path__))
 
@@ -60,12 +62,19 @@ def test_import_leaves_scipy_unloaded():
 
 @pytest.mark.parametrize("name", ["analysis", "multipliers", "stopping"])
 def test_exponent_comes_from_the_family_or_tree(name):
-    """A family and the tree built from it carry their exponent p; a second
-    copy passed beside them could disagree with it unnoticed."""
+    """A family holds its weight and exponent p, and the tree built from it
+    holds the family; a second copy of either passed beside them could
+    disagree with it unnoticed. So no public operator takes p or weight
+    beside a family or tree, or a family beside a tree, and neither class
+    keeps its own copy of what it reads through the other."""
     mod = importlib.import_module(f"haarweight.{name}")
     for fname in mod.__all__:
         obj = getattr(mod, fname)
         if inspect.isfunction(obj):
             params = set(inspect.signature(obj).parameters)
-            assert not ("p" in params and params & {"family", "tree"}), fname
+            if params & {"family", "tree"}:
+                assert not params & {"p", "weight"}, fname
+            assert not {"family", "tree"} <= params, fname
     assert "p" not in {f.name for f in dataclasses.fields(StoppingConfig)}
+    assert not {"d", "n", "level"} & {f.name for f in dataclasses.fields(ReducingFamily)}
+    assert not {"p", "d", "level"} & {f.name for f in dataclasses.fields(GenerationTree)}

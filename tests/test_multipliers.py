@@ -51,7 +51,7 @@ def rotating_setup(level=4, p=3.0):
 def test_identity_weight_is_reconstruction():
     w, fam = identity_setup()
     f = random_mean_zero(1, 2, 4, seed=0)
-    out = t_operator(w, fam, f)
+    out = t_operator(fam, f)
     np.testing.assert_allclose(out.values, haar_reconstruct(f).values, atol=1e-13)
 
 
@@ -74,7 +74,7 @@ def test_scalar_symbol_oracle():
     out = apply_symbols(fam.v, f.detail)
     assert out[0][0, 0, 0] == pytest.approx(math.sqrt(2.5), rel=1e-14)
 
-    tf = t_operator(w, fam, f)
+    tf = t_operator(fam, f)
     mids = (np.arange(2) + 0.5) / 2
     expect = [
         math.sqrt(w.cells[i, 0, 0]) / math.sqrt(2.5)
@@ -90,10 +90,10 @@ def test_block_sum_equals_t():
     w, fam = rotating_setup()
     tree = build_generations(fam, StoppingConfig(lambda1=1.3, lambda2=1.3))
     f = random_mean_zero(1, 2, 4, seed=2)
-    blocks = t_blocks(w, fam, f, tree)
+    blocks = t_blocks(tree, f)
     assert blocks.batch == (tree.generation_count(),)
     total = blocks.values.sum(axis=-1)
-    tf = t_operator(w, fam, f)
+    tf = t_operator(fam, f)
     np.testing.assert_allclose(total, tf.values, atol=1e-9)
 
 
@@ -102,7 +102,11 @@ def test_mean_zero_required():
     f = random_mean_zero(1, 2, 4, seed=5)
     f.root_scaling[:] = [1.0, 0.0]
     with pytest.raises(ParameterError):
-        t_operator(w, fam, f)
+        t_operator(fam, f)
+    # the blocks sum to T f, so they take mean-zero f only too
+    tree = build_generations(fam, StoppingConfig(lambda1=1.3, lambda2=1.3))
+    with pytest.raises(ParameterError, match="mean-zero"):
+        t_blocks(tree, f)
 
 
 def test_validation_errors():
@@ -110,7 +114,7 @@ def test_validation_errors():
     f = random_mean_zero(1, 2, 4, seed=6)
     shallow = build_reducing_family(w, 3.0, max_depth=1)
     with pytest.raises(CoverageError):
-        t_operator(w, shallow, f)
+        t_operator(shallow, f)
     with pytest.raises(CoverageError):
         square_norm(f, shallow)
     # symbol levels beyond the detail levels go unused; one fewer raises
@@ -132,7 +136,7 @@ def test_batched_t_blocks_match_a_per_function_loop(name, p):
     gens = tree.generation_count()
     assert gens >= 2
     fs = [random_mean_zero(w.d, w.n, w.level, seed=s) for s in range(3)]
-    blocks = t_blocks(w, fam, HaarCoefficients.stack(fs), tree)
+    blocks = t_blocks(tree, HaarCoefficients.stack(fs))
     assert blocks.batch == (3, gens)
     got = lp_norm(blocks, p) ** p
     for f, row in zip(fs, got):
@@ -146,7 +150,7 @@ def test_batched_t_blocks_match_a_per_function_loop(name, p):
             piece = HaarCoefficients(w.d, w.n, w.level, np.zeros(w.n), detail)
             want.append(weighted_lp_norm(haar_reconstruct(piece), w, p) ** p)
         np.testing.assert_allclose(row, want, rtol=1e-13, atol=0)
-    tf = t_operator(w, fam, HaarCoefficients.stack(fs))
+    tf = t_operator(fam, HaarCoefficients.stack(fs))
     np.testing.assert_allclose(blocks.values.sum(axis=-1), tf.values, atol=1e-12)
 
 

@@ -243,18 +243,21 @@ def test_kappa_within_john_bound():
 
 
 def test_dual_weight_family_is_the_primal_swapped():
+    # (W^{1-p'})^{1/p'} = W^{-1/p}: the family of W^{1-p'} at p' holds the
+    # family of W at p with its sides traded, kappas and methods too
     w = rotating_weight(level=4)
     p, q = 3.0, conjugate_exponent(3.0)
     fam = build_reducing_family(w, p)
     dual = MatrixWeight(w.d, w.n, w.level, w.power_cells(1.0 - q))
     fresh = build_reducing_family(dual, q)
-    swapped = fam.swapped()
-    assert swapped.p == fresh.p
-    for side in ("v", "v_dual", "kappa", "kappa_dual"):
-        for got, want in zip(getattr(swapped, side), getattr(fresh, side)):
+    assert fresh.p == q
+    sides = (("v_dual", "v"), ("v", "v_dual"), ("kappa_dual", "kappa"),
+             ("kappa", "kappa_dual"))
+    for mine, theirs in sides:
+        for got, want in zip(getattr(fam, mine), getattr(fresh, theirs), strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
-    for side in ("method", "method_dual"):
-        for got, want in zip(getattr(swapped, side), getattr(fresh, side)):
+    for mine, theirs in (("method_dual", "method"), ("method", "method_dual")):
+        for got, want in zip(getattr(fam, mine), getattr(fresh, theirs), strict=True):
             np.testing.assert_array_equal(got, want)
     assert (fresh.method[0] == METHOD_NAMES.index("ellipsoid")).all()
 
@@ -281,6 +284,11 @@ def test_duality_identity(monkeypatch):
     rep = duality_check(w, 3.0, family=fam)
     assert builds == []
     assert rep.log_gap == rep3.log_gap and rep.log_bound == rep3.log_bound
+    # the family belongs to its own weight and exponent
+    with pytest.raises(ParameterError, match="not this weight's family"):
+        duality_check(rotating_weight(level=4), 3.0, family=fam)
+    with pytest.raises(ParameterError, match="not this weight's family"):
+        duality_check(w, 2.0, family=fam)
 
 
 def test_pair_norms_at_least_one():

@@ -156,7 +156,7 @@ def test_equivalence_report_serialization():
 
     w = make_weight(WeightFamily("power", 1, 1, 4, params={"alpha": 0.3}))
     fam = build_reducing_family(w, 2.0)
-    rep = equivalence_ratios(w, fam, count=6, seed=1)
+    rep = equivalence_ratios(fam, count=6, seed=1)
     d = equivalence_to_dict(rep)
     assert d["count"] == 6 and d["p"] == 2.0
     assert d["max_ratio"] == max(r[2] for r in equivalence_rows(rep))
