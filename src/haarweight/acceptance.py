@@ -69,7 +69,7 @@ class CriterionResult:
 
 
 class AcceptanceContext(RunContext):
-    """RunContext plus the alpha sweep and cached negative-control trees."""
+    """RunContext plus the cached alpha sweep of criterion 11."""
 
     def __init__(self, config: ExperimentConfig | None = None):
         super().__init__(config or default_config())
@@ -124,83 +124,80 @@ def c02_p2_oracle(ctx: AcceptanceContext) -> CriterionResult:
     )
 
 
-def _sandwich_norms(quad: np.ndarray, v: np.ndarray, ee: np.ndarray, p: float):
-    """rho_I(e) and |V_I e|, each (cubes, k), on k directions per cube.
-
-    quad is W^{2/p} on the cells of each cube, flattened to (cubes, cells,
-    n^2); v is V_I, (cubes, n, n); ee holds e e^T of every direction,
-    flattened to (cubes, n^2, k). |W^{1/p} e|^p = (e^T W^{2/p} e)^{p/2} cell
-    by cell, and |Ve| = sqrt(e^T V^T V e). The cell product quad @ ee runs
-    as serial GEMMs over blocks of cells (weights._serial_matmul): a cube of
-    many cells against 1000 directions would otherwise go to the BLAS worker
-    threads.
-    """
-    cubes, _, nn = quad.shape
-    rho = (_serial_matmul(quad, ee) ** (p / 2)).mean(axis=1) ** (1.0 / p)
-    vtv = (np.swapaxes(v, -1, -2) @ v).reshape(cubes, 1, nn)
-    return rho, np.sqrt(vtv @ ee)[:, 0]
-
-
-def _unit_outer_products(rng, cubes: int, m: int, n: int) -> np.ndarray:
-    """e e^T of m fresh unit directions per cube, flattened to (cubes, n^2, m):
-    e = g / |g| for one (cubes, m, n) standard normal draw g. The components
-    of g are copied into contiguous (cubes, m) arrays, and |g| is the square
-    root of their left-associated sum of squares, which is
-    np.linalg.norm(g, axis=-1) bit for bit."""
-    comps = np.moveaxis(rng.standard_normal((cubes, m, n)), -1, 0).copy()
+def _unit_outer_products(rng, m: int, n: int) -> np.ndarray:
+    """e e^T of m fresh unit directions, flattened to (n^2, m): e = g / |g|
+    for one (m, n) standard normal draw g. The components of g are copied
+    into contiguous rows, and |g| is the square root of their
+    left-associated sum of squares, which is np.linalg.norm(g, axis=-1) bit
+    for bit."""
+    comps = rng.standard_normal((m, n)).T.copy()
     norm = comps[0] ** 2
-    for i in range(1, n):
-        norm += comps[i] ** 2
-    comps /= np.sqrt(norm, out=norm)
-    del norm
-    ee = np.empty((cubes, n * n, m))
-    for i in range(n):
-        for j in range(n):
-            np.multiply(comps[i], comps[j], out=ee[:, i * n + j])
-    return ee
+    for c in comps[1:]:
+        norm += c**2
+    comps /= np.sqrt(norm)
+    return (comps[:, None] * comps).reshape(n * n, m)
+
+
+def _sandwich_norms(quad: np.ndarray, v: list, ee: np.ndarray, q: float) -> list:
+    """[(rho_I(e), |V_I e|) per level], each (cubes, k), on the k directions
+    of ee, (n^2, k). quad is W^{2s} on the cells, (2^L,)*d + (n^2,), and v
+    the operators of the same side per level.
+
+    The cell integrand |W^s e|^q = (e^T W^{2s} e)^{q/2} is formed once;
+    rho_I(e) is the q-th root of its mean over the cells of I
+    (dyadic._cube_blocks, not the fit's mean pyramid), and |V_I e| is
+    sqrt(e^T V^T V e). The products run as serial GEMMs
+    (weights._serial_matmul): the cells against many directions would
+    otherwise go to the BLAS worker threads.
+    """
+    nn = ee.shape[0]
+    g = _serial_matmul(quad.reshape(-1, nn), ee) ** (q / 2)
+    g = g.reshape(quad.shape[:-1] + (-1,))
+    out = []
+    for l, vl in enumerate(v):
+        vl = vl.reshape((-1,) + vl.shape[-2:])
+        vtv = (np.swapaxes(vl, -1, -2) @ vl).reshape(-1, nn)
+        rho = _cube_blocks(g, quad.ndim - 1, l).mean(axis=1) ** (1.0 / q)
+        out.append((rho, np.sqrt(_serial_matmul(vtv, ee))))
+    return out
 
 
 def c03_john_sandwich(ctx: AcceptanceContext) -> CriterionResult:
-    """p=3 sandwich on 1000 fresh directions per cube, slack 1 + 1e-3; rho
-    and |Ve| come from the quadratic forms e^T W^{2/p} e and e^T V^T V e
-    (_sandwich_norms). An R^1 weight is checked on its one unit direction
-    e = 1, with no draw: every unit direction of R^1 is +-1, so e e^T = 1 and
-    all of them give the same rho and |Ve|.
+    """The John sandwich rho_I(e) <= |V_I e| <= sqrt(n) rho_I(e) at p=3 and
+    rho'_I(e) <= |V'_I e| <= sqrt(n) rho'_I(e) at p'=3/2, slack 1 + 1e-3,
+    on every cube; rho from the W^{1/p} integrand and rho' from the W^{-1/p}
+    one (_sandwich_norms).
 
-    Each level streams its cubes in blocks (dyadic._spans, (cells per cube +
-    n^2) x directions values per cube), drawing each block's directions from
-    the level's one generator in turn: consecutive draws give the stream of
-    one draw for the whole level, so every cube sees the same directions as
-    in a one-shot level."""
+    Each weight draws one set of 1000 fresh unit directions from its own
+    generator, independently of the fit's quasi-uniform grids, and checks
+    every cube on all of them, the directions in blocks (dyadic._spans,
+    cells + 2 x cubes entries each). An R^1 weight is checked on its one unit
+    direction e = 1, with no draw: every unit direction of R^1 is +-1, so
+    e e^T = 1 and all of them give the same rho and |Ve|."""
     p, m, slack = 3.0, 1000, 1.0 + 1e-3
-    worst_lo = worst_hi = 0.0  # max violations of the two inequalities
+    worst = np.zeros((2, 2))  # per side, max violations of the two inequalities
     for w in ctx.config.weights:
-        weight = ctx.weight(w.name)
-        fam = ctx.family(w.name, p)
+        weight, fam = ctx.weight(w.name), ctx.family(w.name, p)
         n = weight.n
-        k = 1 if n == 1 else m  # directions per cube
-        wp = weight.power_cells(1.0 / p)
-        w2p = (wp @ wp).reshape(wp.shape[:-2] + (n * n,))
-        sqrt_n = math.sqrt(n)
-        for l in range(fam.max_depth + 1):
-            quad = _cube_blocks(w2p, weight.d, l)
-            cubes = quad.shape[0]
-            v = fam.v[l].reshape(cubes, n, n)
-            tag = zlib.crc32(w.name.encode())
-            rng = np.random.default_rng([ctx.config.seed, 3, tag, l])
-            for block in _spans(cubes, (quad.shape[1] + n * n) * k):
-                size = block.stop - block.start
-                ee = (np.ones((size, 1, 1)) if n == 1
-                      else _unit_outer_products(rng, size, m, n))
-                rho, ve = _sandwich_norms(quad[block], v[block], ee, p)
-                del ee  # freed before the next block is drawn
-                worst_lo = max(worst_lo, float((rho / (ve * slack)).max()))
-                worst_hi = max(worst_hi, float((ve / (sqrt_n * rho * slack)).max()))
-    passed = worst_lo <= 1.0 and worst_hi <= 1.0
+        rng = np.random.default_rng([ctx.config.seed, 3, zlib.crc32(w.name.encode())])
+        ee = np.ones((1, 1)) if n == 1 else _unit_outer_products(rng, m, n)
+        cubes = sum(a.size for a in fam.v) // (n * n)
+        sides = ((1.0 / p, p, fam.v), (-1.0 / p, conjugate_exponent(p), fam.v_dual))
+        for side, (s, q, stack) in enumerate(sides):
+            ws = weight.power_cells(s)
+            quad = (ws @ ws).reshape(ws.shape[:-2] + (n * n,))
+            for block in _spans(ee.shape[1], quad.size // (n * n) + 2 * cubes):
+                for rho, ve in _sandwich_norms(quad, stack, ee[:, block], q):
+                    worst[side] = np.maximum(worst[side], (
+                        (rho / (ve * slack)).max(),
+                        (ve / (math.sqrt(n) * rho * slack)).max()))
+    (lo, hi), (lo_dual, hi_dual) = worst
     return CriterionResult(
-        3, "john-sandwich-p3", passed,
-        f"max rho/(|Ve|(1+1e-3)) = {worst_lo:.6f}, "
-        f"max |Ve|/(sqrt(n) rho (1+1e-3)) = {worst_hi:.6f}",
+        3, "john-sandwich-p3", bool((worst <= 1.0).all()),
+        f"max rho/(|Ve|(1+1e-3)) = {lo:.6f}, "
+        f"max |Ve|/(sqrt(n) rho (1+1e-3)) = {hi:.6f}; dual at p'=1.5: "
+        f"max rho'/(|V'e|(1+1e-3)) = {lo_dual:.6f}, "
+        f"max |V'e|/(sqrt(n) rho' (1+1e-3)) = {hi_dual:.6f}",
     )
 
 

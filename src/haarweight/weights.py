@@ -83,7 +83,8 @@ def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     still has one row when rows is 1 or the limit allows at most two rows;
     numpy runs it as a GEMV on b, so it goes in column chunks of fewer than
     _SERIAL_GEMV entries of b. A b of one column would make every block a
-    GEMV on a; no call site has one.
+    GEMV on a; criterion 3 has one on an R^1 weight, where it multiplies by
+    e e^T = 1, which no split can round differently.
 
     On the calling thread the product does not depend on the BLAS thread
     count, and no worker thread spins between the calls. A larger call would

@@ -163,8 +163,8 @@ def test_duality_criterion_fails_on_a_perturbed_family():
     assert not res.passed
 
 
-def test_john_sandwich_fails_on_a_shrunk_operator():
-    cfg = dataclasses.replace(
+def _rot_p3_config():
+    return dataclasses.replace(
         tiny_context().config,
         ps=(3.0,),
         weights=(
@@ -172,6 +172,10 @@ def test_john_sandwich_fails_on_a_shrunk_operator():
                        params={"alpha": 0.6}, seed=3),
         ),
     )
+
+
+def test_john_sandwich_fails_on_a_shrunk_operator():
+    cfg = _rot_p3_config()
     ctx = acc.AcceptanceContext(cfg)
     assert acc.c03_john_sandwich(ctx).passed
     fam = ctx.family("rot", 3.0)
@@ -184,33 +188,58 @@ def test_john_sandwich_fails_on_a_shrunk_operator():
     assert not res.passed
 
 
+def test_john_sandwich_fails_on_a_shrunk_dual_operator():
+    # the dual side rho'_I(e) <= |V'_I e| at p' = 3/2 is checked too
+    cfg = _rot_p3_config()
+    ctx = acc.AcceptanceContext(cfg)
+    assert acc.c03_john_sandwich(ctx).passed
+    fam = ctx.family("rot", 3.0)
+    v_dual = [a.copy() for a in fam.v_dual]
+    v_dual[2][1] *= 0.99  # |V'_I e| now falls below rho'_I(e) on one cube
+    ctx = acc.AcceptanceContext(cfg)
+    ctx._families["rot", 3.0] = dataclasses.replace(fam, v_dual=v_dual)
+    res = acc.c03_john_sandwich(ctx)
+    print(res.line())
+    assert not res.passed
+
+
+def test_john_sandwich_fails_on_a_shrunk_finest_cube_in_2d():
+    # d = 2: rho_I comes from the cube means of the cell integrand
+    cfg = dataclasses.replace(
+        _rot_p3_config(),
+        weights=(
+            WeightSpec("rot", family="rotating", d=2, n=2, level=3,
+                       params={"alpha": 0.5}),
+        ),
+    )
+    ctx = acc.AcceptanceContext(cfg)
+    assert acc.c03_john_sandwich(ctx).passed
+    fam = ctx.family("rot", 3.0)
+    v = [a.copy() for a in fam.v]
+    v[3][5, 2] *= 0.99  # one cube of the finest level
+    ctx = acc.AcceptanceContext(cfg)
+    ctx._families["rot", 3.0] = dataclasses.replace(fam, v=v)
+    res = acc.c03_john_sandwich(ctx)
+    print(res.line())
+    assert not res.passed
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_unit_outer_products_match_the_norm_reference(n):
     # c03's directions, bit for bit, against normalising the draw with
     # np.linalg.norm and taking the outer products on the swapped axes
-    got = acc._unit_outer_products(np.random.default_rng(5), 7, 1000, n)
-    dirs = np.random.default_rng(5).standard_normal((7, 1000, n))
+    got = acc._unit_outer_products(np.random.default_rng(5), 1000, n)
+    dirs = np.random.default_rng(5).standard_normal((1000, n))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    cols = np.swapaxes(dirs, -1, -2)
-    want = (cols[:, :, None] * cols[:, None]).reshape(7, n * n, 1000)
+    cols = dirs.T
+    want = (cols[:, None] * cols[None]).reshape(n * n, 1000)
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_unit_outer_products_in_cube_blocks_match_one_draw(n):
-    # c03 draws a level's directions block by block from the level's one
-    # generator: consecutive draws continue one stream, so the blocks are
-    # the one-shot array bit for bit
-    whole = acc._unit_outer_products(np.random.default_rng(5), 7, 1000, n)
-    rng = np.random.default_rng(5)
-    blocks = [acc._unit_outer_products(rng, k, 1000, n) for k in (3, 1, 3)]
-    assert np.concatenate(blocks).tobytes() == whole.tobytes()
-
-
-def test_john_sandwich_line_does_not_depend_on_the_cube_blocks(monkeypatch):
+def test_john_sandwich_line_does_not_depend_on_the_direction_blocks(monkeypatch):
     ctx = tiny_context()
     want = acc.c03_john_sandwich(ctx).line()
-    monkeypatch.setattr(dyadic, "_BLOCK_ENTRIES", 1)  # one cube per block
+    monkeypatch.setattr(dyadic, "_BLOCK_ENTRIES", 1)  # one direction per block
     assert acc.c03_john_sandwich(ctx).line() == want
 
 
@@ -245,18 +274,18 @@ def test_one_direction_sandwich_matches_random_directions():
     ctx = acc.AcceptanceContext(_power_p3_config())
     weight, fam = ctx.weight("pow"), ctx.family("pow", 3.0)
     wp = weight.power_cells(1.0 / 3.0)
-    quad = _cube_blocks((wp @ wp).reshape(-1, 1), 1, 2)[1:2]  # 16 cells
-    v = fam.v[2][1:2]
-    rho1, ve1 = acc._sandwich_norms(quad, v, np.ones((1, 1, 1)), 3.0)
-    dirs = np.random.default_rng(0).standard_normal((1, 1000, 1))
+    quad = (wp @ wp).reshape(-1, 1)  # 64 cells
+    one = acc._sandwich_norms(quad, fam.v, np.ones((1, 1)), 3.0)
+    dirs = np.random.default_rng(0).standard_normal((1000, 1))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     assert set(np.unique(dirs)) == {-1.0, 1.0}
-    ee = (dirs * dirs).reshape(1, 1, 1000)
-    rho, ve = acc._sandwich_norms(quad, v, ee, 3.0)
-    assert rho.shape == ve.shape == (1, 1000)
-    for got, want in ((rho, rho1), (ve, ve1)):
-        np.testing.assert_allclose(got, np.broadcast_to(want, got.shape),
-                                   rtol=1e-15, atol=0)
+    many = acc._sandwich_norms(quad, fam.v, (dirs * dirs).reshape(1, 1000), 3.0)
+    assert len(one) == len(many) == fam.max_depth + 1
+    for l, ((rho1, ve1), (rho, ve)) in enumerate(zip(one, many)):
+        assert rho.shape == ve.shape == (1 << l, 1000)
+        for got, want in ((rho, rho1), (ve, ve1)):
+            np.testing.assert_allclose(got, np.broadcast_to(want, got.shape),
+                                       rtol=1e-15, atol=0)
 
 
 def test_block_sum_identity_fails_on_a_mislabelled_tree(tmp_path):
