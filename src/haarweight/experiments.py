@@ -4,6 +4,11 @@ Each experiment decomposes into independent cells (one weight and exponent,
 one grid, one sweep point). Cells run one after another in a fixed order, so
 reruns of a config write identical outputs. A failing cell is recorded and
 skipped; it never aborts the sweep.
+
+The characteristic sweeps of the sharpness experiment (the scalar power
+sweep, which criterion 11 shares, and the rotating points) are data
+(`_Sweep`) run by one runner, `_run_sweep`: one build per point, one
+`sharpness_probes` call per sweep, rows in characteristic order.
 """
 
 from __future__ import annotations
@@ -159,22 +164,6 @@ def _isolate(fn, keys):
         except Exception as exc:  # isolation: a bad cell must not kill the run
             failed.append((key, repr(exc)))
     return done, failed
-
-
-def _probed(build, keys):
-    """The p=2 sharpness probe of one weight per key: build(key) returns
-    (the weight's p=2 family, ...) under _isolate, and one sharpness_probes
-    call probes every cell that built, putting the error of a cell it could
-    not probe in that cell's place. Returns (key, built, probe) for each
-    cell that survived both steps and (key, repr(error)) for each that did
-    not, each in key order."""
-    built, failed = _isolate(lambda i: (i, build(keys[i])), range(len(keys)))
-    probes = sharpness_probes([b[0] for _, b in built])
-    failed += [(i, repr(p)) for (i, _), p in zip(built, probes)
-               if isinstance(p, Exception)]
-    done = [(keys[i], b, p) for (i, b), p in zip(built, probes)
-            if not isinstance(p, Exception)]
-    return done, [(keys[i], err) for i, err in sorted(failed)]
 
 
 # ---------------------------------------------------------------------------
@@ -337,66 +326,97 @@ def _run_equivalence(ctx: RunContext, out: Path, result: RunResult):
 
 
 # ---------------------------------------------------------------------------
-# the alpha sweep (shared with acceptance criterion 11)
+# the characteristic sweeps (the power sweep is shared with criterion 11)
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """A characteristic sweep: one p=2 point per alpha of a weight family on
+    (d, n, level). Every point records its characteristic and probe extremes;
+    `equivalence` adds the sampled equivalence maxima, else they read nan. A
+    level of None and empty alphas take the config's sweep_level and
+    sweep_alphas, and sweep_level caps every level."""
+
+    family: str
+    d: int
+    n: int
+    level: int | None
+    alphas: tuple
+    equivalence: bool
+
+
+_POWER = _Sweep("power", 1, 1, None, (), equivalence=True)
+# exploratory n=2 points: reported, never asserted
+_ROTATING = _Sweep("rotating", 1, 2, 7, (0.3, 0.6, 0.9), equivalence=False)
+_SWEEP_COLUMNS = ["alpha", "char", "eq_max_ratio", "eq_max_inverse_ratio",
+                  "probe_max_ratio", "probe_max_inverse_ratio"]
+
+
+def _run_sweep(sweep: _Sweep, config: ExperimentConfig):
+    """Every point of the sweep. Each point's weight and p=2 family (and
+    equivalence report) are built once, under _isolate; then one
+    sharpness_probes call probes every point that built, all on one grid, so
+    one lock-step Lanczos per direction serves the whole sweep.
+
+    Returns the rows (dicts keyed by _SWEEP_COLUMNS) of the points that
+    survived both steps, sorted by char, and {"alpha", "error"} for each
+    point whose build or probe raised, in sweep order."""
+    level = min(sweep.level or config.sweep_level, config.sweep_level)
+    alphas, seed = [float(a) for a in sweep.alphas or config.sweep_alphas], config.seed
+
+    def build(i):
+        w = make_weight(WeightFamily(sweep.family, sweep.d, sweep.n, level,
+                                     params={"alpha": alphas[i]}, seed=seed))
+        fam = build_reducing_family(w, 2.0)
+        eq = (float("nan"),) * 2
+        if sweep.equivalence:
+            rep = equivalence_ratios(fam, config.count, seed=seed)
+            eq = (rep.max_ratio, rep.max_inverse_ratio)
+        return i, fam, (alphas[i], fam.characteristic(), *eq)
+
+    built, failed = _isolate(build, range(len(alphas)))
+    rows = []
+    for (i, _, head), probe in zip(built, sharpness_probes([b[1] for b in built])):
+        if isinstance(probe, Exception):
+            failed.append((i, repr(probe)))
+        else:
+            rows.append(dict(zip(_SWEEP_COLUMNS,
+                                 head + (probe.max_ratio, probe.max_inverse_ratio))))
+    rows.sort(key=lambda r: r["char"])
+    return rows, [{"alpha": alphas[i], "error": err} for i, err in sorted(failed)]
 
 
 def alpha_sweep_report(config: ExperimentConfig) -> dict:
-    """p=2 scalar power sweep over the config's sweep_alphas at sweep_level:
-    equivalence slopes and exact probe slopes.
-
-    Returns per-alpha rows plus fitted log-log slopes of four quantities:
-    the sampled max ratio and max inverse ratio (upper-bounded by the 3/2 and
-    2 exponents) and the probe extremal ratios (compared against the scalar
+    """The p=2 scalar power sweep over the config's sweep_alphas at
+    sweep_level: its rows in char order, the points that failed, and fitted
+    log-log slopes of four quantities against the characteristic: the
+    sampled max ratio and max inverse ratio (upper-bounded by the 3/2 and 2
+    exponents) and the probe extremal ratios (compared against the scalar
     sharp exponents 1/2 and 1). Eigenvalue-level and low-characteristic local
     slopes are reported as diagnostics: the extremal-ratio direction is
     capped at sqrt(levels) on a depth-L grid, which confines its power growth
     in the characteristic to chars below about L.
 
-    Each point's weight, p=2 family and equivalence report are built in
-    turn; then one sharpness_probes call probes every point that built, all
-    on one grid, so one lock-step Lanczos per direction serves the whole
-    sweep. A point whose build or probe raises is listed under "failed", in
-    sweep order.
+    The rows and failed points are those of _run_sweep(_POWER); fewer than
+    three surviving rows give ParameterError.
     """
-    level, count, seed = config.sweep_level, config.count, config.seed
+    return _power_report(config, *_run_sweep(_POWER, config))
 
-    def cell(alpha):
-        w = make_weight(
-            WeightFamily("power", 1, 1, level, params={"alpha": float(alpha)},
-                         seed=seed)
-        )
-        fam = build_reducing_family(w, 2.0)
-        return fam, fam.characteristic(), equivalence_ratios(fam, count, seed=seed)
 
-    done, failed = _probed(cell, config.sweep_alphas)
-    rows = [
-        {
-            "alpha": float(alpha),
-            "char": char,
-            "eq_max_ratio": rep.max_ratio,
-            "eq_max_inverse_ratio": rep.max_inverse_ratio,
-            "probe_max_ratio": probe.max_ratio,
-            "probe_max_inverse_ratio": probe.max_inverse_ratio,
-        }
-        for alpha, (_, char, rep), probe in done
-    ]
-    failed = [{"alpha": float(a), "error": err} for a, err in failed]
+def _power_report(config: ExperimentConfig, rows: list, failed: list) -> dict:
     if len(rows) < 3:
         raise ParameterError(
             f"alpha sweep needs at least three surviving points, got {len(rows)}"
         )
     chars = np.array([r["char"] for r in rows])
-    order = np.argsort(chars)
-    chars = chars[order]
-    rows = [rows[i] for i in order]
 
     def slope_of(field_name):
         return loglog_slope(chars, [r[field_name] for r in rows])
 
     report = {
-        "level": level,
-        "count": count,
-        "seed": seed,
+        "level": config.sweep_level,
+        "count": config.count,
+        "seed": config.seed,
         "char_decades": float(np.log10(chars.max() / chars.min())),
         "rows": rows,
         "failed": failed,
@@ -414,9 +434,7 @@ def alpha_sweep_report(config: ExperimentConfig) -> dict:
             chars[low], [rows[i]["probe_max_ratio"] for i in np.nonzero(low)[0]]
         )
     report["probe_eigen_ratio_slope"] = 2.0 * report["probe_ratio_slope"]["slope"]
-    report["probe_eigen_inverse_slope"] = (
-        2.0 * report["probe_inverse_slope"]["slope"]
-    )
+    report["probe_eigen_inverse_slope"] = 2.0 * report["probe_inverse_slope"]["slope"]
     return report
 
 
@@ -424,35 +442,15 @@ def _run_sharpness(ctx: RunContext, out: Path, result: RunResult):
     cfg = ctx.config
     if not cfg.sweep_alphas:
         raise ConfigError("sharpness experiment needs sweep_alphas in the config")
-    report = alpha_sweep_report(cfg)
-    rows = [
-        [r["alpha"], r["char"], r["eq_max_ratio"], r["eq_max_inverse_ratio"],
-         r["probe_max_ratio"], r["probe_max_inverse_ratio"]]
-        for r in report["rows"]
-    ]
-
-    def rotating(alpha):  # exploratory n=2 points: reported, never asserted
-        w = make_weight(
-            WeightFamily("rotating", 1, 2, min(cfg.sweep_level, 7),
-                         params={"alpha": alpha}, seed=cfg.seed)
-        )
-        fam = build_reducing_family(w, 2.0)
-        return fam, fam.characteristic()
-
-    done, failed = _probed(rotating, (0.3, 0.6, 0.9))
-    rows += [[alpha, char, float("nan"), float("nan"),
-              probe.max_ratio, probe.max_inverse_ratio]
-             for alpha, (_, char), probe in done]
-    result.failures += [CellFailure("sharpness", f"rotating alpha={a}", e)
-                        for a, e in failed]
+    runs = {sweep: _run_sweep(sweep, cfg) for sweep in (_POWER, _ROTATING)}
+    for sweep, (_, failed) in runs.items():
+        result.failures += [CellFailure("sharpness", f"{sweep.family} alpha={f['alpha']}",
+                                        f["error"]) for f in failed]
     result.files.append(
-        write_csv(
-            out / "sharpness_sweep.csv",
-            ["alpha", "char", "eq_max_ratio", "eq_max_inverse_ratio",
-             "probe_max_ratio", "probe_max_inverse_ratio"],
-            rows,
-        )
+        write_csv(out / "sharpness_sweep.csv", _SWEEP_COLUMNS,
+                  [[r[k] for k in _SWEEP_COLUMNS] for rows, _ in runs.values() for r in rows])
     )
+    report = _power_report(cfg, *runs[_POWER])
     result.files.append(write_json(out / "sharpness_report.json", report))
 
 

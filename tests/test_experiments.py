@@ -330,8 +330,9 @@ def test_run_does_not_import_masked_arrays(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
-def test_alpha_sweep_lists_an_unconverged_probe_under_failed(monkeypatch):
-    import haarweight.analysis as analysis
+def _cap_probe(monkeypatch, alpha):
+    """Make the sweeps' probe of the point at alpha stop at two matvecs, so
+    that point alone fails with EigenConvergenceError."""
     import haarweight.experiments as experiments
 
     probes = experiments.sharpness_probes
@@ -339,18 +340,61 @@ def test_alpha_sweep_lists_an_unconverged_probe_under_failed(monkeypatch):
     def capped(families):
         out = probes(families)
         for i, family in enumerate(families):
-            if family.weight.meta["params"]["alpha"] == -0.8:
+            if family.weight.meta["params"]["alpha"] == alpha:
                 with monkeypatch.context() as m:
                     m.setattr(analysis, "_MAX_MATVECS", 2)
                     (out[i],) = probes([family])
         return out
 
     monkeypatch.setattr(experiments, "sharpness_probes", capped)
+
+
+def test_alpha_sweep_lists_an_unconverged_probe_under_failed(monkeypatch):
+    _cap_probe(monkeypatch, -0.8)
     rep = alpha_sweep_report(ExperimentConfig(
         sweep_alphas=(0.5, -0.5, -0.8, 0.3), sweep_level=5, count=5, seed=1))
     assert [f["alpha"] for f in rep["failed"]] == [-0.8]
     assert "EigenConvergenceError" in rep["failed"][0]["error"]
     assert {r["alpha"] for r in rep["rows"]} == {0.5, -0.5, 0.3}
+
+
+@pytest.mark.parametrize("alphas", [(0.5, -0.5, -0.8, 0.3), (0.5, -0.5, -0.8)])
+def test_failing_power_sharpness_point_is_a_cell_failure(tmp_path, monkeypatch, alphas):
+    # of three alphas two points are left, too few to fit the slopes: the
+    # experiment fails after the point's failure and the sweep table are written
+    _cap_probe(monkeypatch, -0.8)
+    cfg = tiny_config(tmp_path / "out", experiments=("sharpness",), sweep_alphas=alphas)
+    result = run_experiments(cfg)
+    cells = [f.cell for f in result.failures]
+    assert cells == ["power alpha=-0.8"] + ([] if len(alphas) == 4 else ["<experiment>"])
+    with open(result.out_dir / "failures.csv", newline="") as fh:
+        _, row, *_ = csv.reader(fh)
+    assert row[:2] == ["sharpness", "power alpha=-0.8"]
+    assert row[2].startswith("EigenConvergenceError")
+    table = (result.out_dir / "sharpness_sweep.csv").read_text().splitlines()
+    assert len(table) == 1 + len(alphas) - 1 + 3  # header, power, rotating
+    if len(alphas) == 4:
+        report = json.loads((result.out_dir / "sharpness_report.json").read_text())
+        assert [f["alpha"] for f in report["failed"]] == [-0.8]
+
+
+def test_sharpness_sweep_table_holds_the_power_then_the_rotating_rows(tmp_path):
+    cfg = tiny_config(tmp_path / "out", experiments=("sharpness",))
+    result = run_experiments(cfg)
+    assert result.ok
+    with open(result.out_dir / "sharpness_sweep.csv", newline="") as fh:
+        table = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+    power, rotating = table[:-3], table[-3:]
+    assert sorted(r["alpha"] for r in power) == sorted(cfg.sweep_alphas)
+    assert [r["alpha"] for r in rotating] == [0.3, 0.6, 0.9]
+    eq = ("eq_max_ratio", "eq_max_inverse_ratio")
+    for rows, finite in ((power, True), (rotating, False)):
+        chars = [r["char"] for r in rows]
+        assert chars == sorted(chars)
+        assert all(np.isfinite(r[k]) if finite else np.isnan(r[k])
+                   for r in rows for k in eq)
+    report = json.loads((result.out_dir / "sharpness_report.json").read_text())
+    assert power == report["rows"]
 
 
 def test_alpha_sweep_report_shape():
