@@ -69,16 +69,11 @@ class CriterionResult:
 
 
 class AcceptanceContext(RunContext):
-    """RunContext plus the cached alpha sweep of criterion 11."""
+    """The RunContext the criteria share, on the default config unless one
+    is given."""
 
     def __init__(self, config: ExperimentConfig | None = None):
         super().__init__(config or default_config())
-        self._sweep = None
-
-    def sweep(self) -> dict:
-        if self._sweep is None:
-            self._sweep = alpha_sweep_report(self.config)
-        return self._sweep
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +396,7 @@ def c11_slopes_and_sharpness(ctx: AcceptanceContext) -> CriterionResult:
     direction grows like char^(1/2). Neither window is reachable on a
     two-decade sweep at L=10; the result records the measurements.
     """
-    rep = ctx.sweep()
+    rep = alpha_sweep_report(ctx.config)
     decades = rep["char_decades"]
     eq1 = rep["eq_ratio_slope"]["slope"]
     eq2 = rep["eq_inverse_slope"]["slope"]

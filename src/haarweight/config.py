@@ -121,6 +121,8 @@ class ExperimentConfig:
         _check_unique("grids", self.grids)
         _check_unique("weight names", [w.name for w in self.weights])
         _check_unique("sweep_alphas", self.sweep_alphas)
+        if self.sweep_level < 1:  # a level-0 grid has no detail coefficient to probe
+            raise ConfigError(f"sweep_level must be >= 1, got {self.sweep_level}")
         for w in self.weights:
             if w.file is not None:
                 blank = WeightSpec(w.name, file=w.file)

@@ -13,7 +13,9 @@ where W(x) = s(x) A, rho_I(e) = <s>_I^{1/p} |A^{1/p} e|, so V_I and V'_I are
 exact closed forms too (kappa = 1). Every other cube gets a primal-dual Newton
 minimum-volume-ellipsoid fit on a deterministic direction set. A family is
 built on one row axis that holds every level of both sides, so each route
-(square root, closed form, batched fit) runs once per family.
+(square root, closed form, batched fit) runs once per family. The cube
+averages and the W = s A flags are the build's own, computed from the
+weight's cells and cached powers; the weight keeps neither.
 
 The characteristic sup_I ||V_I V'_I||^p is the operator-weight analogue of the
 scalar A_p product <w>_I <w^{1-p'}>_I^{p-1}; it is >= 1 up to fit slack.
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import _levels, _rows, _spans, check_exponent, mean_pyramid
+from .dyadic import _blocks, _levels, _rows, _spans, check_exponent, mean_pyramid
 from .errors import (
     CoverageError,
     EllipsoidFitError,
@@ -539,6 +541,23 @@ class ReducingFamily:
         return best**self.p
 
 
+def _proportionality(weight: MatrixWeight) -> list:
+    """Per level, (mask, A) for the cubes on which W(x) = s(x) A exactly,
+    with s = W_00. Cells divided by W_00 compare by exact equality, so a
+    cube is never flagged wrongly; at worst it is missed and fitted."""
+    d = weight.d
+    flag = np.ones(((1 << weight.level),) * d, dtype=bool)
+    rep = weight.cells / weight.cells[..., :1, :1]
+    out = [(flag, rep)]
+    for _ in range(weight.level):
+        blocks = _blocks(rep, d, 2)
+        same = np.all(blocks == blocks[..., :1, :, :], axis=(d, -1, -2))
+        flag = np.all(_blocks(flag, d, 2), axis=d) & same
+        rep = blocks[..., 0, :, :]
+        out.append((flag, rep))
+    return out[::-1]
+
+
 def build_reducing_family(
     weight: MatrixWeight,
     p: float,
@@ -550,8 +569,9 @@ def build_reducing_family(
 
     Rows are the primal cubes level by level, each level in index order, then
     the dual cubes. At p = 2 one spd_power_stack takes the square roots of
-    the stacked averages of W and W^{-1}; otherwise the closed form fills the
-    rows of both sides where W = s A, and one _fit_operators call the rest.
+    the stacked averages of W and W^{-1} (mean_pyramid of power_cells(+-1));
+    otherwise _proportionality flags the cubes where W = s A, the closed form
+    fills their rows of both sides, and one _fit_operators call the rest.
     The (2, cubes, n, n) result is cut into per-level arrays at the end.
 
     The fit sees rho on the m fit directions only (_rho_rows). The
@@ -567,12 +587,13 @@ def build_reducing_family(
     d, n = weight.d, weight.n
     if p == 2.0:
         v = spd_power_stack(np.stack([
-            _rows(weight.mean_pyramid_of(s)[: max_depth + 1], d) for s in (1.0, -1.0)
+            _rows(mean_pyramid(weight.power_cells(s), d)[: max_depth + 1], d)
+            for s in (1.0, -1.0)
         ]), 0.5)
         kappa = np.ones(v.shape[:2])
         method = np.full(v.shape[:2], _M_P2, dtype=np.int8)
     else:
-        prop = weight.proportionality_pyramid()[: max_depth + 1]
+        prop = _proportionality(weight)[: max_depth + 1]
         flags = _rows([flag for flag, _ in prop], d)
         reps = _rows([rep for _, rep in prop], d)[flags]
         # W = s A: V = <s>^{1/p} A^{1/p}, V' = <s^{1-p'}>^{1/p'} A^{-1/p}

@@ -1,11 +1,12 @@
 """Matrix weights on the finest dyadic grid.
 
 A weight is one SPD n x n matrix per finest cell (the cell sample or exact
-cell average, depending on the family). Coarser cube averages are always
-taken over cells, so they are exact integrals of the piecewise-constant
-realization. Validation is strict: symmetry to 1e-12 (relative to the largest
-entry) and eigenvalues >= EIGEN_FLOOR, else MatrixDomainError; nothing is
-clamped or repaired.
+cell average, depending on the family); it caches only the cellwise powers
+W^s asked of it. Coarser cube averages are taken over cells by the code that
+reads them (dyadic.mean_pyramid), so they are exact integrals of the
+piecewise-constant realization. Validation is strict: symmetry to 1e-12
+(relative to the largest entry) and eigenvalues >= EIGEN_FLOOR, else
+MatrixDomainError; nothing is clamped or repaired.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import GridFunction, _blocks, _even_slices, _spans, lp_norm, mean_pyramid
+from .dyadic import GridFunction, _even_slices, _spans, lp_norm
 from .errors import MatrixDomainError, ParameterError, ShapeError
 
 __all__ = [
@@ -122,7 +123,9 @@ class WeightFamily:
 
 @dataclass(eq=False)
 class MatrixWeight:
-    """SPD matrix field on the finest grid; cells shape (2^L,)*d + (n, n)."""
+    """SPD matrix field on the finest grid; cells shape (2^L,)*d + (n, n).
+    It holds its cells and the powers that power_cells caches, nothing else:
+    cube averages and per-cube decisions belong to the code that reads them."""
 
     d: int
     n: int
@@ -139,45 +142,19 @@ class MatrixWeight:
         c = 0.5 * (c + np.swapaxes(c, -1, -2))
         c.flags.writeable = False
         self.cells = c
-        self._cache = {}
+        self._powers = {}
 
     def power_cells(self, s: float) -> np.ndarray:
-        """Cached cellwise power W^s."""
+        """Cellwise power W^s, cached by s rounded to 12 decimals; s = 1 is
+        the cells themselves."""
         key = round(float(s), 12)
         if key == 1.0:
             return self.cells
-        if ("power", key) not in self._cache:
+        if key not in self._powers:
             out = spd_power_stack(self.cells, float(s))
             out.flags.writeable = False
-            self._cache["power", key] = out
-        return self._cache["power", key]
-
-    def mean_pyramid_of(self, s: float) -> list:
-        """Cached per-level averages of W^s (exact integrals)."""
-        key = round(float(s), 12)
-        if ("mean", key) not in self._cache:
-            self._cache["mean", key] = mean_pyramid(self.power_cells(s), self.d)
-        return self._cache["mean", key]
-
-    def proportionality_pyramid(self) -> list:
-        """Per level, (mask, A) for the cubes on which W(x) = s(x) A exactly,
-        with s = W_00. Cells divided by W_00 compare by exact equality, so a
-        cube is never flagged wrongly; at worst it is missed and fitted."""
-        if "prop" not in self._cache:
-            self._cache["prop"] = self._build_proportionality()
-        return self._cache["prop"]
-
-    def _build_proportionality(self) -> list:
-        flag = np.ones(((1 << self.level),) * self.d, dtype=bool)
-        rep = self.cells / self.cells[..., :1, :1]
-        out = [(flag, rep)]
-        for _ in range(self.level):
-            blocks = _blocks(rep, self.d, 2)
-            same = np.all(blocks == blocks[..., :1, :, :], axis=(self.d, -1, -2))
-            flag = np.all(_blocks(flag, self.d, 2), axis=self.d) & same
-            rep = blocks[..., 0, :, :]
-            out.append((flag, rep))
-        return out[::-1]
+            self._powers[key] = out
+        return self._powers[key]
 
 
 def check_grid(f, weight: MatrixWeight) -> None:

@@ -116,7 +116,7 @@ def test_dual_square_norm_oracles():
 
 def p2_sequence_norm(f, weight):
     """(sum_{I,eps} |(m_I W)^{1/2} f_I^eps|^2)^{1/2}, the discrete p=2 form."""
-    pyr = weight.mean_pyramid_of(1.0)
+    pyr = dyadic.mean_pyramid(weight.power_cells(1.0), weight.d)
     total = 0.0
     for l in range(f.level):
         y = np.einsum("...ij,...ej->...ei", spd_power_stack(pyr[l], 0.5), f.detail[l])
@@ -321,7 +321,7 @@ def dense_pencil(weight, blocks):
             flat[idx] = 0.0
     h = np.stack(cols, axis=1)
     m = h.shape[1]
-    wc = weight.mean_pyramid_of(1.0)[level].reshape(cells, n, n)
+    wc = dyadic.mean_pyramid(weight.power_cells(1.0), weight.d)[level].reshape(cells, n, n)
     # G[a i, b j] = sum_c h[c, a] W_c[i, j] h[c, b], one matmul per (i, j)
     g = np.array([[(h.T * wc[:, i, j]) @ h for j in range(n)] for i in range(n)])
     g = g.transpose(2, 0, 3, 1).reshape(m * n, m * n) / cells
@@ -337,7 +337,7 @@ def dense_pencil(weight, blocks):
 def dense_probe(weight):
     """Reference (max ratio, max inverse ratio): eigh(G, B) with B the block
     diagonal of the cube averages m_I W."""
-    vals = dense_pencil(weight, weight.mean_pyramid_of(1.0))
+    vals = dense_pencil(weight, dyadic.mean_pyramid(weight.power_cells(1.0), weight.d))
     return math.sqrt(vals[-1]), 1.0 / math.sqrt(vals[0])
 
 
@@ -379,7 +379,7 @@ ORACLE_CASES = {
 def coarsened(w, level):
     """w averaged down to a level-`level` grid. mean_pyramid averages level by
     level, so the coarse weight's pyramid is bit-identical to w's below it."""
-    return MatrixWeight(w.d, w.n, level, w.mean_pyramid_of(1.0)[level])
+    return MatrixWeight(w.d, w.n, level, dyadic.mean_pyramid(w.power_cells(1.0), w.d)[level])
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))

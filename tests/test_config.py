@@ -132,6 +132,9 @@ def test_field_validation():
         ExperimentConfig(count=0)
     with pytest.raises(ConfigError, match="triples"):
         ExperimentConfig(grids=((1, 1),))
+    for level in (0, -3):
+        with pytest.raises(ConfigError, match="sweep_level"):
+            ExperimentConfig(sweep_level=level)
     with pytest.raises(ConfigError, match="duplicate"):
         ExperimentConfig(weights=(WeightSpec("w"), WeightSpec("w")))
     with pytest.raises(ConfigError, match="pair"):

@@ -42,6 +42,7 @@ from haarweight.reducing import (
     _fit_operators,
     _least_squares_start,
     _outer_products,
+    _proportionality,
     _rho_rows,
     fit_count,
     scan_depth,
@@ -143,8 +144,8 @@ def test_p2_family_matches_sqrtm():
     w = rotating_weight(level=3)
     fam = build_reducing_family(w, 2.0)
     assert fam.max_depth == 3
-    pyr = w.mean_pyramid_of(1.0)
-    inv_pyr = w.mean_pyramid_of(-1.0)
+    pyr = mean_pyramid(w.power_cells(1.0), w.d)
+    inv_pyr = mean_pyramid(w.power_cells(-1.0), w.d)
     for lvl in range(4):
         flat = pyr[lvl].reshape(-1, 2, 2)
         flat_inv = inv_pyr[lvl].reshape(-1, 2, 2)
@@ -199,6 +200,64 @@ def test_scalar_times_matrix_weight_is_exact_everywhere():
     for codes in redfam.method + redfam.method_dual:
         assert (codes == METHOD_NAMES.index("exact-scalar")).all()
     assert redfam.max_kappa() == 1.0
+
+
+def test_proportionality_pyramid_scaled_cell():
+    cells = np.broadcast_to(np.eye(2), (8, 2, 2)).copy()
+    cells[5] = 2.0 * np.eye(2)  # W = s(x) I still holds
+    w = MatrixWeight(1, 2, 3, cells)
+    for flags, reps in _proportionality(w):
+        assert flags.all()
+        np.testing.assert_array_equal(reps, np.broadcast_to(np.eye(2), reps.shape))
+
+
+def test_proportionality_pyramid_shape_change():
+    cells = np.broadcast_to(np.eye(2), (8, 2, 2)).copy()
+    cells[5] = np.diag([2.0, 1.0])
+    w = MatrixWeight(1, 2, 3, cells)
+    pyr = _proportionality(w)
+    flags1, _ = pyr[1]
+    assert flags1[0] and not flags1[1]
+    flags2, reps2 = pyr[2]
+    assert list(flags2) == [True, True, False, True]
+    np.testing.assert_array_equal(reps2[0], np.eye(2))
+    assert not pyr[0][0].any()
+
+
+def test_proportionality_pyramid_rotating_finest_only():
+    w = make_weight(WeightFamily("rotating", 1, 2, 4, {"alpha": 0.6}, seed=3))
+    pyr = _proportionality(w)
+    assert pyr[4][0].all()
+    for flags, _ in pyr[:4]:
+        assert not flags.any()
+
+
+def test_proportionality_pyramid_constant_family():
+    m = [[2.0, 0.5], [0.5, 1.0]]
+    w = make_weight(WeightFamily("constant", 1, 2, 3, {"matrix": m}))
+    flags, reps = _proportionality(w)[0]
+    assert flags.all()
+    np.testing.assert_array_equal(reps[0], np.asarray(m) / m[0][0])
+
+
+def test_family_builds_leave_only_cell_powers_on_the_weight(monkeypatch):
+    # the p = 2 cube averages and the p != 2 proportionality flags belong to
+    # the build that reads them; the weight keeps its cells and their powers
+    w = rotating_weight()
+    asked = set()
+    power_cells = MatrixWeight.power_cells
+
+    def recording(self, s):
+        asked.add(round(float(s), 12))
+        return power_cells(self, s)
+
+    monkeypatch.setattr(MatrixWeight, "power_cells", recording)
+    build_reducing_family(w, 2.0)
+    build_reducing_family(w, 3.0)
+    (memo,) = (v for k, v in vars(w).items() if k not in ("d", "n", "level", "cells", "meta"))
+    assert set(memo) == asked - {1.0}
+    assert {-1.0, round(1.0 / 3.0, 12), round(-1.0 / 3.0, 12)} <= asked
+    assert all(cells.shape == w.cells.shape for cells in memo.values())
 
 
 def test_closed_form_matches_fit_on_power_weight():

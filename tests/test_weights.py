@@ -180,36 +180,6 @@ def test_power_cells_cache_consistency(monkeypatch):
     assert w.power_cells(0.5) is half  # cached
 
 
-def test_proportionality_pyramid_scaled_cell():
-    cells = np.broadcast_to(np.eye(2), (8, 2, 2)).copy()
-    cells[5] = 2.0 * np.eye(2)  # W = s(x) I still holds
-    w = MatrixWeight(1, 2, 3, cells)
-    for flags, reps in w.proportionality_pyramid():
-        assert flags.all()
-        npt.assert_array_equal(reps, np.broadcast_to(np.eye(2), reps.shape))
-
-
-def test_proportionality_pyramid_shape_change():
-    cells = np.broadcast_to(np.eye(2), (8, 2, 2)).copy()
-    cells[5] = np.diag([2.0, 1.0])
-    w = MatrixWeight(1, 2, 3, cells)
-    pyr = w.proportionality_pyramid()
-    flags1, _ = pyr[1]
-    assert flags1[0] and not flags1[1]
-    flags2, reps2 = pyr[2]
-    assert list(flags2) == [True, True, False, True]
-    npt.assert_array_equal(reps2[0], np.eye(2))
-    assert not pyr[0][0].any()
-
-
-def test_proportionality_pyramid_rotating_finest_only():
-    w = make_weight(WeightFamily("rotating", 1, 2, 4, {"alpha": 0.6}, seed=3))
-    pyr = w.proportionality_pyramid()
-    assert pyr[4][0].all()
-    for flags, _ in pyr[:4]:
-        assert not flags.any()
-
-
 def test_weighted_lp_norm_diagonal():
     w = MatrixWeight(1, 2, 1, np.broadcast_to(np.diag([1.0, 16.0]), (2, 2, 2)).copy())
     f = GridFunction(1, 2, 1, np.array([[0.0, 1.0], [0.0, 1.0]]))
@@ -351,9 +321,6 @@ def test_constant_family():
     m = [[2.0, 0.5], [0.5, 1.0]]
     w = make_weight(WeightFamily("constant", 1, 2, 3, {"matrix": m}))
     npt.assert_allclose(w.cells[4], m)
-    flags, reps = w.proportionality_pyramid()[0]
-    assert flags.all()
-    npt.assert_array_equal(reps[0], np.asarray(m) / m[0][0])
     with pytest.raises(ParameterError):
         make_weight(WeightFamily("nosuch", 1, 1, 2))
 
