@@ -13,8 +13,8 @@ eigenvalues, found by Lanczos on exact matrix-free pyramid operators.
 A batch of test functions is one HaarCoefficients whose function axis rides
 after the n value components, and the generation pieces of a stopping tree
 add one more axis after it. Each batch takes one Haar synthesis, and each
-norm one reduction with one value per column, so no loop runs over the
-functions or the generations of a cell.
+L^p quantity one per-column reduction (dyadic._lp_integrals) of its cell
+array, so no loop runs over the functions or the generations of a cell.
 
 Test functions are mean zero, so root scaling terms never enter them: every
 sum below runs over detail cubes only.
@@ -34,10 +34,11 @@ from .dyadic import (
     HaarCoefficients,
     _analyze,
     _column_blocks,
+    _column_rows,
+    _lp_integrals,
     _rows,
     _synthesize,
     haar_reconstruct,
-    lp_norm,
     refine_to_cells,
 )
 from .errors import (
@@ -129,39 +130,35 @@ def _draw_batch(d: int, n: int, level: int, count: int, tag: tuple,
     return out
 
 
-def _aggregate_squares(symbols: list, f: HaarCoefficients) -> np.ndarray:
-    """Cellwise sum of |S_I f_I^eps|^2 / |I| over all detail cubes: shape
-    (2^L,)*d + batch, one value per cell and column."""
+def _square_values(f: HaarCoefficients, family: ReducingFamily, symbols: list) -> np.ndarray:
+    """(sum_{I contains x, eps} |S_I f_I^eps|^2 / |I|)^{1/2} on each cell x, S_I
+    symbols of the family: shape (2^L,)*d + batch, one value per cell and column."""
+    check_dims(f, family)
     d, L = f.d, f.level
     acc = np.zeros(((1 << L),) * d + f.batch)
     for l, y in enumerate(apply_symbols(symbols, f.detail)):
         s = np.sum(y * y, axis=(d, d + 1)) * 2.0 ** (l * d)
         acc += refine_to_cells(s, d, L - l)
-    return acc
-
-
-def _scalar_function(f: HaarCoefficients, squares: np.ndarray) -> GridFunction:
-    """The pointwise root of aggregated squares, as a scalar grid function."""
-    return GridFunction(f.d, 1, f.level, np.expand_dims(np.sqrt(squares), f.d))
+    return np.sqrt(acc)
 
 
 def square_function(f: HaarCoefficients, family: ReducingFamily) -> GridFunction:
     """Pointwise square function with the family's V_I symbols, exact on cells."""
-    check_dims(f, family)
-    return _scalar_function(f, _aggregate_squares(family.v, f))
+    values = _square_values(f, family, family.v)
+    return GridFunction(f.d, 1, f.level, np.expand_dims(values, f.d))
 
 
 def square_norm(f: HaarCoefficients, family: ReducingFamily):
-    """||S f||_p, p the family's exponent; one per column of a batch."""
-    return lp_norm(square_function(f, family), family.p)
+    """||S f||_p, p the family's exponent; one per column of a batch, as alone."""
+    p = family.p
+    return _lp_integrals(_square_values(f, family, family.v), f.d, p) ** (1.0 / p)
 
 
 def dual_square_norm(f: HaarCoefficients, family: ReducingFamily):
     """Square norm with inverse symbols V_I^{-1}, measured at the conjugate
-    p' of the family's exponent; one per column of a batch."""
-    check_dims(f, family)
-    squares = _aggregate_squares(family.v_inv, f)
-    return lp_norm(_scalar_function(f, squares), conjugate_exponent(family.p))
+    p' of the family's exponent; one per column of a batch, as alone."""
+    q = conjugate_exponent(family.p)
+    return _lp_integrals(_square_values(f, family, family.v_inv), f.d, q) ** (1.0 / q)
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +261,22 @@ def equivalence_ratios(family: ReducingFamily, count: int, seed: int = 0,
 
 def block_partition_constant(f: HaarCoefficients, tree: GenerationTree) -> tuple:
     """(sum_j ||Delta_j f||_p^p / ||f||_p^p, ||Delta_j f||_p^p per generation
-    on a last axis) for mean-zero f, p the tree's exponent; one constant per
-    column of a batch.
+    on a last axis) for mean-zero f, p the tree's exponent, each p-th power
+    an integral (dyadic._lp_integrals) with no root; one constant per column
+    of a batch. The columns go in blocks (dyadic._column_blocks), each split
+    into its generation pieces and synthesized, cells x n x generations
+    values per column, before the next; every column as it is alone."""
+    p, d = tree.p, f.d
 
-    The columns of a batch go in blocks (dyadic._column_blocks): each block
-    splits into its generation pieces and synthesizes them, cells x n x
-    generations values per column, before the next block. Each column is
-    computed as it is alone, so the blocks leave the values unchanged."""
-    p = tree.p
-    denom = lp_norm(haar_reconstruct(f), p) ** p
+    def integrals(g: GridFunction):
+        return _lp_integrals(np.linalg.norm(g.values, axis=d), d, p)
+
+    denom = integrals(haar_reconstruct(f))
     if np.any(denom == 0.0):
         raise ParameterError("zero function has no partition constant")
-    per_column = (1 << f.level * f.d) * f.n * tree.generation_count()
-    parts = np.concatenate([
-        lp_norm(haar_reconstruct(split_generations(part, tree)), p) ** p
-        for _, part in _column_blocks(f, per_column)
-    ])
+    per_column = (1 << f.level * d) * f.n * tree.generation_count()
+    parts = np.concatenate([integrals(haar_reconstruct(split_generations(part, tree)))
+                            for _, part in _column_blocks(f, per_column)])
     return parts.sum(axis=-1) / denom, parts
 
 
@@ -353,11 +350,9 @@ def cross_term_rate(tree: GenerationTree, count: int, seed: int = 0) -> CrossTer
     raw = np.zeros((count, gens, gens))  # raw[:, j, k], filled for j < k
     cells = 1 << weight.level * weight.d
     for cols, part in _column_blocks(f, cells * weight.n * gens):
-        blocks = t_blocks(tree, part)
         # |T_j f| as one contiguous row of cells per (function, generation)
-        norms = np.linalg.norm(blocks.values, axis=weight.d)
-        del blocks
-        norms = norms.reshape(cells, -1, gens).transpose(1, 2, 0).copy()
+        norms = np.linalg.norm(t_blocks(tree, part).values, axis=weight.d)
+        norms = _column_rows(norms, norms.shape[weight.d:]).reshape(-1, gens, cells)
         diag[cols] = np.mean(norms**p, axis=-1)
         for sep in range(1, gens):
             rows = np.arange(gens - sep)

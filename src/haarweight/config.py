@@ -87,6 +87,12 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        # 2 and 2.0 are one config: the same CSV columns and config hash
+        for key in ("ps", "sweep_alphas", "stopping_lambda1", "stopping_lambda2"):
+            v = getattr(self, key)
+            if v is not None:
+                v = tuple(map(float, v)) if isinstance(v, (tuple, list)) else float(v)
+                object.__setattr__(self, key, v)
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(
                 f"schema_version {self.schema_version} unsupported "
@@ -288,7 +294,7 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
             _check_keys(typed, _PARAM_TYPES, f"{where} params")
             specs.append(WeightSpec(**w))
         kw["weights"] = tuple(specs)
-    for key in ("experiments", "ps", "spectra", "sweep_alphas"):
+    for key in ("experiments", "spectra"):
         if key in kw:
             kw[key] = tuple(kw[key])
     if "grids" in kw:

@@ -25,7 +25,8 @@ Batches. k functions on one grid travel together as one object with a
 trailing batch axis: values (2^L,)*d + (n, k), detail blocks (2^l,)*d +
 (2^d - 1, n, k). The butterflies act on each value component and column on
 its own, so a batch column is transformed bit for bit as it is alone, and
-lp_norm returns one norm per column. Any number of batch axes may follow n.
+every L^p quantity is one sum per column (_lp_integrals) over that column's
+contiguous row (_column_rows). Any number of batch axes may follow n.
 
 Conventions. A cube at level l has sidelength 2^-l and index in {0..2^l-1}^d;
 child gamma in {0,1}^d selects the left (0) or right (1) half per axis. A Haar
@@ -266,14 +267,9 @@ class HaarCoefficients:
 
     def detail_l2(self):
         """l2 norm of all detail coefficients (excludes root scaling): a float
-        for one function, one norm per column of a batch, each column summed
-        as one contiguous row."""
-        k = math.prod(self.batch)
-        norms = np.sqrt(sum(
-            (np.sum(np.ascontiguousarray((a * a).reshape(-1, k).T), axis=-1)
-             for a in self.detail),
-            np.zeros(k),
-        ))
+        for one function, one norm per column of a batch (_column_rows)."""
+        sums = [np.sum(_column_rows(a * a, self.batch), axis=-1) for a in self.detail]
+        norms = np.sqrt(sum(sums, np.zeros(math.prod(self.batch))))
         return float(norms[0]) if not self.batch else norms.reshape(self.batch)
 
 
@@ -432,11 +428,9 @@ def haar_exactness_errors(f: GridFunction) -> tuple:
     batch shape, one error of each kind per column."""
     coeffs = haar_transform(f)
     back = haar_reconstruct(coeffs).values
-    k = math.prod(f.batch)
-    roundtrip = np.abs(back - f.values).reshape(-1, k).max(axis=0)
-    root = coeffs.root_scaling.reshape(f.n, k)
-    energy = np.sqrt(np.sum(root * root, axis=0) + coeffs.detail_l2() ** 2)
-    parseval = np.abs(lp_norm(f, 2.0) - energy)
+    roundtrip = np.abs(back - f.values).reshape(-1, math.prod(f.batch)).max(axis=0)
+    root = np.sum(_column_rows(coeffs.root_scaling**2, f.batch), axis=-1)
+    parseval = np.abs(lp_norm(f, 2.0) - np.sqrt(root + coeffs.detail_l2() ** 2))
     return roundtrip.reshape(f.batch), parseval.reshape(f.batch)
 
 
@@ -446,18 +440,23 @@ def check_exponent(p: float) -> None:
         raise ParameterError(f"exponent must satisfy 1 < p < inf, got {p}")
 
 
-def lp_norm(f: GridFunction, p: float):
-    """L^p norm of the piecewise-constant function, exact cell sum.
+def _column_rows(a: np.ndarray, batch: tuple) -> np.ndarray:
+    """(columns, entries): each column of a's trailing batch axes as one row."""
+    return np.ascontiguousarray(a.reshape(-1, math.prod(batch)).T)
 
-    A float for one function; for a batch, an array of the batch shape with
-    one norm per column. Each column's cells are summed as one contiguous
-    row, so a column's norm is summed in the same order as alone.
-    """
+
+def _lp_integrals(mag: np.ndarray, d: int, p: float):
+    """The integral over [0,1)^d of mag^p, mag one magnitude per finest cell
+    ((2^L,)*d + batch): a float for batch (), else one per column, each
+    summed as its contiguous row (_column_rows), so the same bits as alone."""
+    batch = mag.shape[d:]
+    rows = _column_rows(mag**p, batch)
+    means = np.sum(rows, axis=-1) * rows.shape[1] ** -1.0
+    return float(means[0]) if not batch else means.reshape(batch)
+
+
+def lp_norm(f: GridFunction, p: float):
+    """L^p norm of the piecewise-constant function, exact cell sum
+    (_lp_integrals): a float for one function, one per column of a batch."""
     check_exponent(p)
-    mag = np.linalg.norm(f.values, axis=f.d) ** p
-    cells = mag.reshape(-1, math.prod(f.batch))
-    rows = np.ascontiguousarray(cells.T)
-    means = np.sum(rows, axis=-1) * cells.shape[0] ** -1.0
-    if not f.batch:
-        return float(means[0]) ** (1.0 / p)
-    return (means ** (1.0 / p)).reshape(f.batch)
+    return _lp_integrals(np.linalg.norm(f.values, axis=f.d), f.d, p) ** (1.0 / p)

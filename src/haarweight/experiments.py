@@ -28,7 +28,7 @@ from .analysis import (
     sharpness_probes,
 )
 from .config import EXPERIMENT_IDS, ExperimentConfig, WeightSpec, config_to_dict
-from .dyadic import HaarCoefficients, _column_blocks, _random_exactness_errors, lp_norm
+from .dyadic import HaarCoefficients, _column_blocks, _lp_integrals, _random_exactness_errors
 from .errors import ConfigError, HaarweightError, ParameterError
 from .multipliers import t_blocks, t_operator
 from .reducing import build_reducing_family, duality_check
@@ -253,21 +253,20 @@ def _run_multiplier(ctx: RunContext, out: Path, result: RunResult):
         w = ctx.weight(name)
         tree = ctx.tree(name, p)
         f = random_mean_zero_batch(w, cfg.count, [cfg.seed, 5], cfg.spectra)
-        parts, delta_norms = block_partition_constant(f, tree)
-        # ||T_j f||_p per function and generation, in blocks of function
+        parts, deltas = block_partition_constant(f, tree)
+        # ||T_j f||_p^p per function and generation, in blocks of function
         # columns, and sum_j T_j f of the first five functions
-        block_norms = np.empty(delta_norms.shape)
+        powers = np.empty(deltas.shape)
         total = np.empty(((1 << w.level),) * w.d + (w.n, min(5, cfg.count)))
-        per_column = (1 << w.level * w.d) * w.n * delta_norms.shape[-1]
+        per_column = (1 << w.level * w.d) * w.n * deltas.shape[-1]
         for cols, part in _column_blocks(f, per_column):
             blocks = t_blocks(tree, part)
-            block_norms[cols] = lp_norm(blocks, p)
+            powers[cols] = _lp_integrals(np.linalg.norm(blocks.values, axis=w.d), w.d, p)
             head = range(cols.start, min(cols.stop, 5))  # the block's share of the five
             total[..., head.start : head.stop] = blocks.values[..., : len(head), :].sum(axis=-1)
             del blocks  # freed before the next block is formed
-        # ||T_j f||_p^p / ||Delta_j f||_p^p over the blocks that carry f
-        carried = delta_norms > 0.0
-        quots = block_norms[carried] ** p / delta_norms[carried]
+        carried = deltas > 0.0  # ||T_j f||_p^p / ||Delta_j f||_p^p where Delta_j f != 0
+        quots = powers[carried] / deltas[carried]
         # the sum identity on the first five functions of the batch, copied
         # out: strided views left a 0.8 MiB higher peak RSS on the p=2 suite
         first = HaarCoefficients(f.d, f.n, f.level, f.root_scaling[..., :5].copy(),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import GridFunction, _even_slices, _spans, lp_norm
+from .dyadic import GridFunction, _even_slices, _lp_integrals, _spans, check_exponent
 from .errors import MatrixDomainError, ParameterError, ShapeError
 
 __all__ = [
@@ -166,10 +166,11 @@ def check_grid(f, weight: MatrixWeight) -> None:
 
 def weighted_lp_norm(f: GridFunction, weight: MatrixWeight, p: float):
     """L^p norm of W^{1/p} f (the natural weighted norm); one per column of a
-    batch."""
+    batch, as alone. The exponent is checked before W^{1/p} is formed."""
+    check_exponent(p)
     check_grid(f, weight)
     g = apply_cells(weight.power_cells(1.0 / p), f.values)
-    return lp_norm(GridFunction(f.d, f.n, f.level, g), p)
+    return _lp_integrals(np.linalg.norm(g, axis=f.d), f.d, p) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

@@ -704,12 +704,17 @@ def test_column_blocks_match_one_batch(suite_case, monkeypatch):
 
 
 def test_batched_dual_square_norm_matches_single_calls(suite_case):
+    # and the other L^p readers: each column of a batch reads the same bits
+    # as that function alone
     w, fam, _, p = suite_case
     rng = np.random.default_rng(6)
     fs = [random_mean_zero_coefficients(w.d, w.n, w.level, rng) for _ in range(4)]
-    got = dual_square_norm(HaarCoefficients.stack(fs), fam)
-    want = [dual_square_norm(f, fam) for f in fs]
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    batch = HaarCoefficients.stack(fs)
+    for norm in (square_norm, dual_square_norm):
+        np.testing.assert_array_equal(norm(batch, fam), [norm(f, fam) for f in fs])
+    np.testing.assert_array_equal(
+        weighted_lp_norm(haar_reconstruct(batch), w, p),
+        [weighted_lp_norm(haar_reconstruct(f), w, p) for f in fs])
 
 
 def test_equivalence_seed_is_not_truncated_to_32_bits():

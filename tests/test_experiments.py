@@ -143,6 +143,27 @@ def test_byte_identical_reruns(tmp_path):
     assert m1["config_sha256"] == m2["config_sha256"]
 
 
+def test_real_numbers_spelled_as_integers_give_the_same_run(tmp_path):
+    # ps, the threshold overrides and sweep_alphas hold floats however the
+    # JSON spells them, so the CSV bodies and the config hash agree
+    reals = haarweight.config.config_to_dict(tiny_config(
+        tmp_path / "out", experiments=("stopping", "multiplier", "equivalence"),
+        ps=(2.0, 3.0), stopping_lambda1=2.0, stopping_lambda2=3.0,
+        sweep_alphas=(0.0, -0.5, -0.75)))
+    integers = dict(reals, ps=[2, 3], stopping_lambda1=2, stopping_lambda2=3,
+                    sweep_alphas=[0, -0.5, -0.75])
+    runs = []
+    for raw in (reals, integers):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        result = run_experiments(haarweight.load_config(path))
+        assert result.ok
+        manifest = json.loads((result.out_dir / "manifest.json").read_text())
+        runs.append((manifest["config_sha256"],
+                     {f.name: f.read_bytes() for f in result.files if f.suffix == ".csv"}))
+    assert runs[0] == runs[1]
+
+
 def test_each_run_draws_its_own_test_functions(tmp_path):
     # equivalence at p = 2 and p = 3 asks for the same batch twice: one draw
     # and one repeat. A rerun's first request draws again rather than reuse

@@ -92,6 +92,11 @@ def level_rows(d, depth, levels):
     return _rows([np.full(((1 << l),) * d, l in levels) for l in range(depth + 1)], d)
 
 
+def side_rows(w, p, dirs, todo, dual):
+    """The rows of one side of _rho_rows: rho (dual False) or rho' (True)."""
+    return np.split(_rho_rows(w, p, dirs, todo), 2)[dual]
+
+
 def fit_directions(n):
     """The fit count and the fit and fit-plus-calibration directions of a family build."""
     m_fit = fit_count(n)
@@ -268,7 +273,7 @@ def test_closed_form_matches_fit_on_power_weight():
     m_fit, dirs_fit, dirs_all = fit_directions(2)
     for dual, closed in ((False, redfam.v), (True, redfam.v_dual)):
         for lvl in (0, 2, 4):
-            rho = _rho_rows(w, p, dirs_all, level_rows(1, lvl, [lvl]), (dual,))
+            rho = side_rows(w, p, dirs_all, level_rows(1, lvl, [lvl]), dual)
             v_fit, _ = _fit_operators(rho[:, :m_fit], dirs_fit,
                                       [(dirs_all[m_fit:], rho[:, m_fit:])])
             np.testing.assert_allclose(
@@ -369,7 +374,7 @@ def fit_inputs(n, level, m=60):
     if level is None:
         todo = level_rows(1, 2, range(3))
         return _rho_rows(w, 3.0, dirs, todo), dirs
-    return _rho_rows(w, 3.0, dirs, level_rows(1, level, [level]), (False,)), dirs
+    return side_rows(w, 3.0, dirs, level_rows(1, level, [level]), False), dirs
 
 
 def john_weight_sum(a_b, rho_b, dirs):
@@ -678,10 +683,9 @@ def test_rotating_fit_below_p_two_ends_certified(caplog, alpha):
 
 def test_suite_p3_fits_end_certified(caplog):
     # the genuinely matrix weights of the benchmarked suite: every fit ends
-    # certified within n 1e-6. Measured 2,783 row-steps over the three; a
-    # log-barrier path per row from the same start took 9,706 (counting each
-    # row's last gap check as a step), and from one isotropic ellipse and
-    # t = m, 16,607
+    # certified within n 1e-6. Measured 2,783 row-steps over the three from
+    # the least-squares start, and 5,210 with every row started from the
+    # isotropic ellipse through its nearest point (_least_squares_start)
     specs = {s.name: s for s in suite_weight_specs()}
     row_steps = 0
     for name in ("rot-a06", "logb3-s04", "rot2d-a05"):
@@ -725,7 +729,7 @@ def test_one_fit_per_family_matches_per_level_fits(monkeypatch):
     m_fit, dirs_fit, dirs_all = fit_directions(2)
     for dual, vs, kappas in ((False, fam.v, fam.kappa), (True, fam.v_dual, fam.kappa_dual)):
         for lvl in range(4):
-            rho = _rho_rows(w, p, dirs_all, level_rows(1, lvl, [lvl]), (dual,))
+            rho = side_rows(w, p, dirs_all, level_rows(1, lvl, [lvl]), dual)
             v, kappa = _fit_operators(rho[:, :m_fit], dirs_fit,
                                       [(dirs_all[m_fit:], rho[:, m_fit:])])
             np.testing.assert_allclose(vs[lvl].reshape(-1, 2, 2), v, rtol=1e-12, atol=0)
@@ -740,7 +744,7 @@ def test_rho_rows_matches_direction_norm():
     todo = level_rows(1, 4, range(5))
     todo[[2, 9]] = False  # level 1 index 1, level 3 index 2
     for dual in (False, True):
-        rho = _rho_rows(w, p, dirs, todo, (dual,))
+        rho = side_rows(w, p, dirs, todo, dual)
         assert rho.shape == (29, 12)
         full = np.zeros((31, 12))
         full[todo] = rho

@@ -187,6 +187,16 @@ def test_weighted_lp_norm_diagonal():
     assert weighted_lp_norm(f, w, 4.0) == pytest.approx(2.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, np.inf])
+def test_weighted_lp_norm_checks_the_exponent_first(p):
+    # an exponent outside (1, inf) is refused before W^{1/p} is formed and cached
+    w = MatrixWeight(1, 2, 1, np.broadcast_to(np.diag([1.0, 16.0]), (2, 2, 2)).copy())
+    f = GridFunction(1, 2, 1, np.ones((2, 2)))
+    with pytest.raises(ParameterError, match="exponent"):
+        weighted_lp_norm(f, w, p)
+    assert w._powers == {}
+
+
 # ---------------------------------------------------------------------------
 # families
 
