@@ -176,7 +176,7 @@ def c03_john_sandwich(ctx: AcceptanceContext) -> CriterionResult:
         n = weight.n
         rng = np.random.default_rng([ctx.config.seed, 3, zlib.crc32(w.name.encode())])
         ee = np.ones((1, 1)) if n == 1 else _unit_outer_products(rng, m, n)
-        cubes = sum(a.size for a in fam.v) // (n * n)
+        cubes = fam.operators.shape[1]
         sides = ((1.0 / p, p, fam.v), (-1.0 / p, conjugate_exponent(p), fam.v_dual))
         for side, (s, q, stack) in enumerate(sides):
             ws = weight.power_cells(s)

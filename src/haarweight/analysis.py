@@ -35,8 +35,9 @@ from .dyadic import (
     _analyze,
     _column_blocks,
     _column_rows,
+    _cube_count,
+    _levels,
     _lp_integrals,
-    _rows,
     _synthesize,
     haar_reconstruct,
     refine_to_cells,
@@ -98,7 +99,7 @@ def random_mean_zero_batch(
 ) -> HaarCoefficients:
     """count random mean-zero functions on the weight's grid as one batch:
     function i draws from default_rng(tag + [i]), spectra cycled, into slot i
-    of one function-leading array per level, laid out batch-last at the end.
+    of one function-leading detail-row array, laid out batch-last at the end.
 
     The arrays are read-only and depend on the weight only through its grid
     (d, n, L). The last draw is kept (_draw_batch), so a repeated request
@@ -109,34 +110,32 @@ def random_mean_zero_batch(
     if count < 1 or not spectra:
         raise ParameterError(
             f"a batch needs count >= 1 and a spectrum, got {count}, {spectra!r}")
-    root, detail = _draw_batch(weight.d, weight.n, weight.level, count,
-                               tuple(tag), tuple(spectra))
-    return HaarCoefficients(weight.d, weight.n, weight.level, root, list(detail))
+    root, rows = _draw_batch(weight.d, weight.n, weight.level, count,
+                             tuple(tag), tuple(spectra))
+    return HaarCoefficients(weight.d, weight.n, weight.level, root, rows)
 
 
 @functools.lru_cache(maxsize=1)
 def _draw_batch(d: int, n: int, level: int, count: int, tag: tuple,
                 spectra: tuple) -> tuple:
-    """(root, detail) arrays of random_mean_zero_batch, read-only."""
-    nsig = (1 << d) - 1
-    detail = [np.zeros((count,) + ((1 << l),) * d + (nsig, n)) for l in range(level)]
+    """(root, rows) arrays of random_mean_zero_batch, read-only."""
+    rows = np.zeros((count, _cube_count(d, level), (1 << d) - 1, n))
     for i in range(count):
-        _draw_detail([a[i] for a in detail], np.random.default_rng([*tag, i]),
+        _draw_detail(_levels(rows[i], d), np.random.default_rng([*tag, i]),
                      spectra[i % len(spectra)])
-    out = (np.zeros((n, count)),
-           tuple(np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in detail))
-    for a in (out[0], *out[1]):
+    out = (np.zeros((n, count)), np.ascontiguousarray(np.moveaxis(rows, 0, -1)))
+    for a in out:
         a.flags.writeable = False
     return out
 
 
-def _square_values(f: HaarCoefficients, family: ReducingFamily, symbols: list) -> np.ndarray:
+def _square_values(f: HaarCoefficients, family: ReducingFamily, symbols: np.ndarray):
     """(sum_{I contains x, eps} |S_I f_I^eps|^2 / |I|)^{1/2} on each cell x, S_I
-    symbols of the family: shape (2^L,)*d + batch, one value per cell and column."""
+    symbol rows of the family: shape (2^L,)*d + batch, one per cell and column."""
     check_dims(f, family)
     d, L = f.d, f.level
     acc = np.zeros(((1 << L),) * d + f.batch)
-    for l, y in enumerate(apply_symbols(symbols, f.detail)):
+    for l, y in enumerate(_levels(apply_symbols(symbols, f), d)):
         s = np.sum(y * y, axis=(d, d + 1)) * 2.0 ** (l * d)
         acc += refine_to_cells(s, d, L - l)
     return np.sqrt(acc)
@@ -144,21 +143,21 @@ def _square_values(f: HaarCoefficients, family: ReducingFamily, symbols: list) -
 
 def square_function(f: HaarCoefficients, family: ReducingFamily) -> GridFunction:
     """Pointwise square function with the family's V_I symbols, exact on cells."""
-    values = _square_values(f, family, family.v)
+    values = _square_values(f, family, family.operators[0])
     return GridFunction(f.d, 1, f.level, np.expand_dims(values, f.d))
 
 
 def square_norm(f: HaarCoefficients, family: ReducingFamily):
     """||S f||_p, p the family's exponent; one per column of a batch, as alone."""
     p = family.p
-    return _lp_integrals(_square_values(f, family, family.v), f.d, p) ** (1.0 / p)
+    return _lp_integrals(_square_values(f, family, family.operators[0]), f.d, p) ** (1.0 / p)
 
 
 def dual_square_norm(f: HaarCoefficients, family: ReducingFamily):
     """Square norm with inverse symbols V_I^{-1}, measured at the conjugate
     p' of the family's exponent; one per column of a batch, as alone."""
     q = conjugate_exponent(family.p)
-    return _lp_integrals(_square_values(f, family, family.v_inv), f.d, q) ** (1.0 / q)
+    return _lp_integrals(_square_values(f, family, family.inverses), f.d, q) ** (1.0 / q)
 
 
 # ---------------------------------------------------------------------------
@@ -418,17 +417,17 @@ def _check_probe_family(family: ReducingFamily, grid):
         raise ShapeError(f"weight on (d, n, L) = {d, n, level}, probe grid {grid}")
     if family.p != 2.0:
         raise ParameterError(f"the probe needs a p=2 family, got p={family.p}")
-    check_coverage(family.v, level)
+    check_coverage(family.operators[0], d, level)
 
 
 def _probe_operators(columns):
     """(forward, inverse, size): C = S H^T W_c H S and C^{-1} for columns on
     one grid, as O(size) pyramid matvecs on (size, k) column blocks.
 
-    columns lists (weight, v, v_inv) on one grid (d, n, L), L >= 1: per
-    detail level l < L, v[l] holds one symmetric positive definite symbol
-    V_I per cube and v_inv[l] its inverse, arrays of shape (2^l,)*d + (n, n);
-    deeper levels go unused. For one column, G = H^T W_c H is the Gram matrix
+    columns lists (weight, v, v_inv) on one grid (d, n, L), L >= 1: v holds
+    one symmetric positive definite symbol V_I per cube on the level-row
+    axis, (cubes, n, n), and v_inv its inverse; rows past the detail levels
+    l < L go unused. For one column, G = H^T W_c H is the Gram matrix
     of ||f||_{L^2(W)}^2 on the grid (cells W_c, H detail-only synthesis) and
     S = blockdiag(V_I^{-1}), so the eigenvalues of C are those of the pencil
     (G, blockdiag(V_I^2)). The Schur complement over the constant
@@ -443,17 +442,17 @@ def _probe_operators(columns):
 
     Each direction stacks column i's cells and its symbols at index i of a
     trailing axis; the inverse also stacks M0 and Z, both from one _analyze
-    of the stacked W_c^{-1} cells. The symbols of all levels lie on one
-    level-row axis, the same rows as the block x and as Z. forward(x, cols)
-    and inverse(x, cols) take a (size, len(cols)) block whose columns belong
-    to the columns numbered cols. A matvec is one _columnwise product with
-    the symbols, _synthesize, the cellwise product, _analyze (and the
-    correction) and one more _columnwise product. The pyramid cores run the
-    butterflies on plain arrays, every column on its own, and the
-    correction's solve and sum run per column too, so a column's result
-    does not depend on the others in the block. Each direction cuts its
-    stacks to cols once per active set, which changes only when a column
-    converges; with every column active the cut is a view, not a copy.
+    of the stacked W_c^{-1} cells. The symbols lie on the level-row axis,
+    the same rows as the block x and as Z. forward(x, cols) and inverse(x,
+    cols) take a (size, len(cols)) block of the columns numbered cols. A
+    matvec is one _columnwise product with the symbols, _synthesize, the
+    cellwise product, _analyze (and the correction) and one more _columnwise
+    product. The pyramid cores run the butterflies on plain arrays, every
+    column on its own, and the correction's solve and sum run per column
+    too, so a column's result does not depend on the others in the block.
+    Each direction cuts its stacks to cols once per active set, which
+    changes only when a column converges; with every column active the cut
+    is a view, not a copy.
     """
     weight = columns[0][0]
     d, n, level = weight.d, weight.n, weight.level
@@ -461,7 +460,7 @@ def _probe_operators(columns):
 
     def pencil(mats, symbols, quotient):
         cells = np.stack(mats, axis=-1)
-        stacks = [cells, np.stack([_rows(s[:level], d) for s in symbols], axis=-1)]
+        stacks = [cells, np.stack([s[: _cube_count(d, level)] for s in symbols], axis=-1)]
         if quotient:
             stacks += _analyze(cells, d, level)  # M0 and Z
 
@@ -601,8 +600,8 @@ def sharpness_probes(families) -> list:
 
     The checked families take two `_largest_eigenvalues` runs (thick-restart
     Lanczos from the fixed start np.ones(size)) on `_probe_operators`, one
-    column (family.weight, family.v, family.v_inv) per family, all in lock
-    step: first the largest eigenvalues of B^{-1/2} G B^{-1/2}, then those of
+    column (weight, V_I rows, V_I^{-1} rows) per family, all in lock step:
+    first the largest eigenvalues of B^{-1/2} G B^{-1/2}, then those of
     its inverse for the families whose forward run converged. A column that
     has not converged after _MAX_MATVECS (5000) operator applications gives
     EigenConvergenceError.
@@ -625,7 +624,7 @@ def sharpness_probes(families) -> list:
         return out
     try:
         forward, inverse, size = _probe_operators(
-            [(f.weight, f.v, f.v_inv) for f in (families[i] for i in checked)])
+            [(f.weight, f.operators[0], f.inverses) for f in (families[i] for i in checked)])
         tops = _largest_eigenvalues(forward, size, len(checked))
         alive = np.array([c for c, top in enumerate(tops)
                           if not isinstance(top, Exception)], dtype=int)

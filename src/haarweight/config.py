@@ -52,6 +52,10 @@ class WeightSpec:
     params: dict = field(default_factory=dict)
     file: str | None = None
 
+    def __post_init__(self):
+        # 9 and 9.0 are one parameter: the same weight meta and config hash
+        object.__setattr__(self, "params", {k: _floats(v) for k, v in self.params.items()})
+
     def realize(self) -> MatrixWeight:
         if self.file is not None:
             from .serialization import load_weight
@@ -193,6 +197,13 @@ def _int(v) -> bool:
 
 def _num(v) -> bool:
     return _int(v) or isinstance(v, float)
+
+
+def _floats(v):
+    """v with each number in it a float, lists and tuples entry by entry."""
+    if isinstance(v, (list, tuple)):
+        return type(v)(map(_floats, v))
+    return float(v) if _num(v) else v
 
 
 def _str(v) -> bool:

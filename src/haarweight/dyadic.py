@@ -22,11 +22,14 @@ one rounded two-term difference. At d >= 2 the 2^d-term sums are
 associated pairwise, axis by axis.
 
 Batches. k functions on one grid travel together as one object with a
-trailing batch axis: values (2^L,)*d + (n, k), detail blocks (2^l,)*d +
-(2^d - 1, n, k). The butterflies act on each value component and column on
-its own, so a batch column is transformed bit for bit as it is alone, and
-every L^p quantity is one sum per column (_lp_integrals) over that column's
-contiguous row (_column_rows). Any number of batch axes may follow n.
+trailing batch axis: values (2^L,)*d + (n, k), details (cubes, 2^d - 1, n,
+k). The butterflies act on each value component and column on its own, so a
+batch column is transformed bit for bit as it is alone, and every L^p
+quantity is one sum per column (_lp_integrals) over that column's contiguous
+row (_column_rows). Any number of batch axes may follow n. Per-cube data
+(Haar details, reducing operators) is stored once on the level-row axis,
+every cube level by level (_rows): a cube-by-cube operation is one array
+operation on it, and per-level (2^l,)*d + tail arrays are views (_levels).
 
 Conventions. A cube at level l has sidelength 2^-l and index in {0..2^l-1}^d;
 child gamma in {0,1}^d selects the left (0) or right (1) half per axis. A Haar
@@ -40,7 +43,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,6 +103,11 @@ def _rows(levels: list, d: int) -> np.ndarray:
     return np.concatenate([a.reshape((-1,) + a.shape[d:]) for a in levels])
 
 
+def _cube_count(d: int, levels: int) -> int:
+    """Rows of the level-row axis that levels 0..levels-1 fill."""
+    return ((1 << levels * d) - 1) // ((1 << d) - 1)
+
+
 def _levels(rows: np.ndarray, d: int) -> list:
     """Cut a (cubes,) + tail row array back into per-level (2^l,)*d + tail
     views, as many levels as the rows fill: the inverse of _rows."""
@@ -143,7 +151,7 @@ def _column_blocks(f: "HaarCoefficients", per_column: int):
         return
     for cols in _spans(f.batch[0], per_column):
         yield cols, HaarCoefficients(f.d, f.n, f.level, f.root_scaling[..., cols],
-                                     [a[..., cols] for a in f.detail])
+                                     f.rows[..., cols])
 
 
 def mean_pyramid(cells: np.ndarray, d: int) -> list:
@@ -209,18 +217,22 @@ class GridFunction:
 
 @dataclass(eq=False)
 class HaarCoefficients:
-    """Haar analysis data: root scaling coefficient plus per-level details.
+    """Haar analysis data: root scaling coefficient plus details on the
+    level-row axis.
 
-    detail[l] has shape (2^l,)*d + (2^d - 1, n): one block of coefficients per
-    level-l cube, signature axis ordered as detail_signatures(d). A batch
-    appends its batch axes to root_scaling (n,) and to every detail block.
+    rows has shape (cubes of level < L, 2^d - 1, n), signature axis ordered
+    as detail_signatures(d); detail[l] is the (2^l,)*d + (2^d - 1, n) view of
+    level l's rows. A batch appends its batch axes to root_scaling (n,) and
+    to rows.
     """
 
     d: int
     n: int
     level: int
     root_scaling: np.ndarray
-    detail: list = field(default_factory=list)
+    rows: np.ndarray
+
+    detail = property(lambda self: _levels(self.rows, self.d))
 
     def __post_init__(self):
         rs = np.asarray(self.root_scaling, dtype=float)
@@ -228,27 +240,15 @@ class HaarCoefficients:
             raise ShapeError(
                 f"root scaling shape {rs.shape}, expected ({self.n},) + batch"
             )
-        self.root_scaling = rs
-        batch = rs.shape[1:]
-        if len(self.detail) != self.level:
-            raise ShapeError(
-                f"{len(self.detail)} detail levels for finest level {self.level}"
-            )
-        nsig = (1 << self.d) - 1
-        clean = []
-        for lvl, arr in enumerate(self.detail):
-            arr = np.asarray(arr, dtype=float)
-            want = ((1 << lvl),) * self.d + (nsig, self.n) + batch
-            if arr.shape != want:
-                raise ShapeError(f"detail[{lvl}] shape {arr.shape}, expected {want}")
-            clean.append(arr)
-        self.detail = clean
+        rows = np.asarray(self.rows, dtype=float)
+        want = (_cube_count(self.d, self.level), (1 << self.d) - 1, self.n) + rs.shape[1:]
+        if rows.shape != want:
+            raise ShapeError(f"detail rows shape {rows.shape}, expected {want}")
+        self.root_scaling, self.rows = rs, rows
 
     @classmethod
     def zeros(cls, d: int, n: int, level: int) -> "HaarCoefficients":
-        nsig = (1 << d) - 1
-        detail = [np.zeros(((1 << l),) * d + (nsig, n)) for l in range(level)]
-        return cls(d, n, level, np.zeros(n), detail)
+        return cls(d, n, level, np.zeros(n), np.zeros((_cube_count(d, level), (1 << d) - 1, n)))
 
     @classmethod
     def stack(cls, coeffs: list) -> "HaarCoefficients":
@@ -257,7 +257,7 @@ class HaarCoefficients:
         return cls(
             first.d, first.n, first.level,
             np.stack([c.root_scaling for c in coeffs], axis=-1),
-            [np.stack(arrs, axis=-1) for arrs in zip(*(c.detail for c in coeffs))],
+            np.stack([c.rows for c in coeffs], axis=-1),
         )
 
     @property
@@ -267,7 +267,8 @@ class HaarCoefficients:
 
     def detail_l2(self):
         """l2 norm of all detail coefficients (excludes root scaling): a float
-        for one function, one norm per column of a batch (_column_rows)."""
+        for one function, one norm per column of a batch (_column_rows),
+        summed level by level: the rounding of haar_checks.csv's values."""
         sums = [np.sum(_column_rows(a * a, self.batch), axis=-1) for a in self.detail]
         norms = np.sqrt(sum(sums, np.zeros(math.prod(self.batch))))
         return float(norms[0]) if not self.batch else norms.reshape(self.batch)
@@ -347,7 +348,7 @@ def _analyze(values: np.ndarray, d: int, level: int) -> tuple:
     """
     nsig = (1 << d) - 1
     tail = values.shape[d:]
-    rows = np.empty((((1 << level * d) - 1) // nsig, nsig) + tail)
+    rows = np.empty((_cube_count(d, level), nsig) + tail)
     a = values
     for block in reversed(_levels(rows, d)):
         coarse = np.empty(block.shape[:d] + tail)
@@ -372,13 +373,11 @@ def _synthesize(root: np.ndarray, detail: np.ndarray, d: int) -> np.ndarray:
     inverse butterflies (total + diff, total - diff), axis d - 1 first and
     axis 0 last, whose one merge gives the next level's averages.
     """
-    nsig = (1 << d) - 1
-    tail = root.shape
-    level = ((detail.shape[0] * nsig + 1).bit_length() - 1) // d
     flat = detail.reshape(detail.shape[0], math.prod(detail.shape[1:]))
-    flat *= _row_scales(d, level, True)
-    a = root.reshape((1,) * d + tail)
-    for block in _levels(flat.reshape(detail.shape), d):
+    blocks = _levels(flat.reshape(detail.shape), d)
+    flat *= _row_scales(d, len(blocks), True)
+    a = root.reshape((1,) * d + root.shape)
+    for block in blocks:
         parts = _signatures(block, d) + [a]
         for axis in range(d - 1, -1, -1):
             parts = _merge(parts, axis)
@@ -389,17 +388,14 @@ def _synthesize(root: np.ndarray, detail: np.ndarray, d: int) -> np.ndarray:
 def haar_transform(f: GridFunction) -> HaarCoefficients:
     """Exact Haar analysis of a grid function via the dyadic pyramid
     (_analyze); a batch is analyzed entry by entry, every column alone."""
-    root, rows = _analyze(f.values, f.d, f.level)
-    return HaarCoefficients(f.d, f.n, f.level, root, _levels(rows, f.d))
+    return HaarCoefficients(f.d, f.n, f.level, *_analyze(f.values, f.d, f.level))
 
 
 def haar_reconstruct(coeffs: HaarCoefficients) -> GridFunction:
-    """Exact Haar synthesis (_synthesize); inverse of haar_transform, every
-    column of a batch synthesized alone."""
-    d, root = coeffs.d, coeffs.root_scaling
-    rows = (_rows(coeffs.detail, d) if coeffs.detail
-            else np.empty((0, (1 << d) - 1) + root.shape))
-    return GridFunction(d, coeffs.n, coeffs.level, _synthesize(root, rows, d))
+    """Exact Haar synthesis (_synthesize) of a copy of the rows, which it
+    scales in place; inverse of haar_transform, every column alone."""
+    values = _synthesize(coeffs.root_scaling, coeffs.rows.copy(), coeffs.d)
+    return GridFunction(coeffs.d, coeffs.n, coeffs.level, values)
 
 
 def _random_grid_batch(d: int, n: int, level: int, tags: list) -> GridFunction:

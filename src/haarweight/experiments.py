@@ -270,7 +270,7 @@ def _run_multiplier(ctx: RunContext, out: Path, result: RunResult):
         # the sum identity on the first five functions of the batch, copied
         # out: strided views left a 0.8 MiB higher peak RSS on the p=2 suite
         first = HaarCoefficients(f.d, f.n, f.level, f.root_scaling[..., :5].copy(),
-                                 [a[..., :5].copy() for a in f.detail])
+                                 f.rows[..., :5].copy())
         tf = t_operator(tree.family, first).values
         grid = tuple(range(w.d + 1))  # cells and value components
         scale = np.maximum(1.0, np.abs(tf).max(axis=grid))

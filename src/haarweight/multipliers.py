@@ -2,8 +2,10 @@
 
 A multiplier acts coefficient-wise (apply_symbols): the detail coefficient at
 (I, eps) is multiplied by one matrix per cube, V_I in the square function and
-V_I^{-1} in T; the root scaling term passes through untouched. T composes the
-inverse multiplier with Haar synthesis and a pointwise W^{1/p} factor,
+V_I^{-1} in T, in one apply_cells call over the level-row axis (see dyadic)
+that symbols and coefficients share; the root scaling term passes through
+untouched. T composes the inverse multiplier with Haar synthesis and a
+pointwise W^{1/p} factor,
 
     T f = W^{1/p} sum_{I, eps} V_I^{-1} f_I^eps h_I^eps,
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dyadic import GridFunction, HaarCoefficients, haar_reconstruct
+from .dyadic import GridFunction, HaarCoefficients, _cube_count, _levels, haar_reconstruct
 from .errors import CoverageError, ParameterError, ShapeError
 from .reducing import ReducingFamily
 from .stopping import GenerationTree, split_generations
@@ -36,13 +38,13 @@ __all__ = [
 ]
 
 
-def check_coverage(symbols: list, levels: int):
-    """CoverageError unless symbols has one level for each of the levels
-    detail levels of the coefficients it is to act on."""
-    if len(symbols) < levels:
+def check_coverage(symbols: np.ndarray, d: int, levels: int):
+    """CoverageError unless symbols, rows on the level-row axis in dimension
+    d, has a row for every cube of levels 0..levels-1."""
+    if symbols.shape[0] < _cube_count(d, levels):
         raise CoverageError(
             f"coefficients need symbols to level {levels - 1}, "
-            f"family has {len(symbols) - 1}"
+            f"family has {len(_levels(symbols, d)) - 1}"
         )
 
 
@@ -55,18 +57,17 @@ def check_dims(f: HaarCoefficients, family: ReducingFamily):
         )
 
 
-def apply_symbols(symbols: list, detail: list) -> list:
-    """Per level, each cube's symbol applied to every detail coefficient of
-    that cube: symbols[l] has shape (2^l,)*d + (n, n), detail[l] the shape of
-    HaarCoefficients.detail[l], batch axes included. Symbol levels beyond the
-    detail levels go unused; fewer symbol levels than detail levels raise
-    CoverageError (check_coverage)."""
-    check_coverage(symbols, len(detail))
-    return [apply_cells(s[..., None, :, :], b) for s, b in zip(symbols, detail)]
+def apply_symbols(symbols: np.ndarray, f: HaarCoefficients) -> np.ndarray:
+    """Each cube's symbol applied to every detail coefficient of that cube,
+    as rows like f.rows: symbols has shape (cubes, n, n) on the level-row
+    axis, one apply_cells call over all of f's rows. Rows of symbols beyond
+    f's levels go unused; fewer raise CoverageError (check_coverage)."""
+    check_coverage(symbols, f.d, f.level)
+    return apply_cells(symbols[: f.rows.shape[0], None], f.rows)
 
 
 def _require_mean_zero(f: HaarCoefficients):
-    scale = max([1.0] + [float(np.abs(a).max()) for a in f.detail if a.size])
+    scale = max(1.0, float(np.abs(f.rows).max(initial=0.0)))
     if float(np.linalg.norm(f.root_scaling)) > 1e-9 * scale:
         raise ParameterError(
             "operator is defined on mean-zero input; root scaling is not zero"
@@ -77,8 +78,7 @@ def _reduced(family: ReducingFamily, f: HaarCoefficients) -> HaarCoefficients:
     """f, on the grid of the family's weight, with V_I^{-1} applied to every
     detail coefficient."""
     check_grid(f, family.weight)
-    detail = apply_symbols(family.v_inv, f.detail)
-    return HaarCoefficients(f.d, f.n, f.level, f.root_scaling, detail)
+    return HaarCoefficients(f.d, f.n, f.level, f.root_scaling, apply_symbols(family.inverses, f))
 
 
 def _synthesize(family: ReducingFamily, c: HaarCoefficients) -> GridFunction:

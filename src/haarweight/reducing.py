@@ -13,7 +13,8 @@ where W(x) = s(x) A, rho_I(e) = <s>_I^{1/p} |A^{1/p} e|, so V_I and V'_I are
 exact closed forms too (kappa = 1). Every other cube gets a primal-dual Newton
 minimum-volume-ellipsoid fit on a deterministic direction set. A family is
 built on one row axis that holds every level of both sides, so each route
-(square root, closed form, batched fit) runs once per family. The cube
+(square root, closed form, batched fit) runs once per family; the family
+keeps those rows, and its per-level arrays are views of them. The cube
 averages and the W = s A flags are the build's own, computed from the
 weight's cells and cached powers; the weight keeps neither.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import _blocks, _levels, _rows, _spans, check_exponent, mean_pyramid
+from .dyadic import _blocks, _cube_count, _levels, _rows, _spans, check_exponent, mean_pyramid
 from .errors import (
     CoverageError,
     EllipsoidFitError,
@@ -486,48 +487,51 @@ def _fit_operators(rho_fit, dirs_fit, calibration):
 @dataclass(eq=False)
 class ReducingFamily:
     """Reducing operators V_I, V'_I of one weight for every cube of level <=
-    max_depth.
-
-    Arrays are per level: v[l] has shape (2^l,)*d + (n, n); kappa and method
-    are (2^l,)*d. Method codes index METHOD_NAMES. The grid (d, n, L) is the
-    weight's.
+    max_depth, on the level-row axis (dyadic._rows), primal side then dual:
+    operators (2, cubes, n, n), kappas and method codes (2, cubes), which
+    index METHOD_NAMES. v, v_dual, kappa, kappa_dual, method, method_dual and
+    v_inv are per-level views (dyadic._levels). The grid is the weight's.
     """
 
     weight: MatrixWeight
     p: float
     max_depth: int
-    v: list
-    v_dual: list
-    kappa: list
-    kappa_dual: list
-    method: list
-    method_dual: list
+    operators: np.ndarray
+    kappas: np.ndarray
+    methods: np.ndarray
 
     d = property(lambda self: self.weight.d)
     n = property(lambda self: self.weight.n)
     level = property(lambda self: self.weight.level)
+    v = property(lambda self: _levels(self.operators[0], self.d))
+    v_dual = property(lambda self: _levels(self.operators[1], self.d))
+    kappa = property(lambda self: _levels(self.kappas[0], self.d))
+    kappa_dual = property(lambda self: _levels(self.kappas[1], self.d))
+    method = property(lambda self: _levels(self.methods[0], self.d))
+    method_dual = property(lambda self: _levels(self.methods[1], self.d))
+    v_inv = property(lambda self: _levels(self.inverses, self.d))
 
     def __post_init__(self):
         self._cache = {}
 
     @property
-    def v_inv(self) -> list:
-        if "v_inv" not in self._cache:
-            self._cache["v_inv"] = [spd_power_stack(a, -1.0) for a in self.v]
-        return self._cache["v_inv"]
+    def inverses(self) -> np.ndarray:
+        """V_I^{-1} on the level-row axis, (cubes, n, n), computed once."""
+        if "inverses" not in self._cache:
+            self._cache["inverses"] = spd_power_stack(self.operators[0], -1.0)
+        return self._cache["inverses"]
+
+    def _pair_rows(self, depth: int, dual: bool = False) -> np.ndarray:
+        """||V_I V'_I|| (dual: ||V'_I V_I||) of each cube of level <= depth."""
+        first, second = self.operators[:, : _cube_count(self.d, depth + 1)]
+        return op_norm_stack(second @ first if dual else first @ second)
 
     def max_kappa(self, depth: int | None = None) -> float:
         depth = self.max_depth if depth is None else min(depth, self.max_depth)
-        vals = [self.kappa[l].max() for l in range(depth + 1)]
-        vals += [self.kappa_dual[l].max() for l in range(depth + 1)]
-        return float(max(vals))
-
-    def pair_norms(self, level: int) -> np.ndarray:
-        """||V_I V'_I|| for all cubes of one level."""
-        return op_norm_stack(self.v[level] @ self.v_dual[level])
+        return float(self.kappas[:, : _cube_count(self.d, depth + 1)].max())
 
     def min_pair_norm(self) -> float:
-        return float(min(self.pair_norms(l).min() for l in range(self.max_depth + 1)))
+        return float(self._pair_rows(self.max_depth).min())
 
     def characteristic(self, depth: int | None = None) -> float:
         """sup over cubes of level <= depth (default scan_depth) of
@@ -537,8 +541,7 @@ class ReducingFamily:
             raise CoverageError(
                 f"scan depth {depth} beyond family depth {self.max_depth}"
             )
-        best = max(float(self.pair_norms(l).max()) for l in range(depth + 1))
-        return best**self.p
+        return float(self._pair_rows(depth).max()) ** self.p
 
 
 def _proportionality(weight: MatrixWeight) -> list:
@@ -572,7 +575,7 @@ def build_reducing_family(
     the stacked averages of W and W^{-1} (mean_pyramid of power_cells(+-1));
     otherwise _proportionality flags the cubes where W = s A, the closed form
     fills their rows of both sides, and one _fit_operators call the rest.
-    The (2, cubes, n, n) result is cut into per-level arrays at the end.
+    The family keeps these (2, cubes) rows as they are built.
 
     The fit sees rho on the m fit directions only (_rho_rows). The
     _CAL_FACTOR m calibration directions are then streamed in blocks
@@ -614,14 +617,7 @@ def build_reducing_family(
             v[:, todo] = v_fit.reshape(2, -1, n, n)
             kappa[:, todo] = kappa_fit.reshape(2, -1)
         method = np.stack([np.where(todo, _M_ELL, _M_SCALAR).astype(np.int8)] * 2)
-    v, v_dual, kappa, kappa_dual, method, method_dual = (
-        _levels(side, d) for rows in (v, kappa, method) for side in rows
-    )
-    return ReducingFamily(
-        weight=weight, p=float(p), max_depth=max_depth,
-        v=v, v_dual=v_dual, kappa=kappa, kappa_dual=kappa_dual,
-        method=method, method_dual=method_dual,
-    )
+    return ReducingFamily(weight, float(p), max_depth, v, kappa, method)
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +668,7 @@ def duality_check(
     elif family.weight is not weight or family.p != p:
         raise ParameterError(f"family at p={family.p} is not this weight's family at p={p}")
     char = family.characteristic(depth)
-    char_dual = max(float(op_norm_stack(family.v_dual[l] @ family.v[l]).max())
-                    for l in range(depth + 1)) ** q
+    char_dual = float(family._pair_rows(depth, dual=True).max()) ** q
     predicted = char ** (q / p)
     kappa = family.max_kappa(depth)
     log_gap = abs(math.log(char_dual) - math.log(predicted))

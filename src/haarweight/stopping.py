@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import HaarCoefficients, _cube_blocks, refine_to_cells
+from .dyadic import HaarCoefficients, _cube_blocks, _rows, refine_to_cells
 from .errors import CoverageError, ParameterError, ShapeError
 from .reducing import ReducingFamily, conjugate_exponent, op_norm_stack
 
@@ -188,7 +188,7 @@ def split_generations(
     labelled j; the root scaling is zero, so haar_reconstruct of it is
     Delta_j f. Every detail cube carries exactly one label, so the pieces
     add up to f minus its mean. A batch f gets the generation axis after its
-    own batch axes.
+    own batch axes. One mask on the level-row axis covers every level.
     """
     if (coeffs.d, coeffs.level) != (tree.d, tree.level):
         raise ShapeError(
@@ -196,13 +196,11 @@ def split_generations(
             f"the tree (d={tree.d}, level {tree.level})"
         )
     gens = np.arange(1, tree.generation_count() + 1)
-    detail = []
-    for arr, lab in zip(coeffs.detail, tree.gen_label):
-        mask = lab[..., None] == gens
-        tail = (1,) * (arr.ndim - lab.ndim) + gens.shape
-        detail.append(arr[..., None] * mask.reshape(lab.shape + tail))
+    labels = _rows(tree.gen_label, tree.d)[: coeffs.rows.shape[0]]
+    mask = labels.reshape(labels.shape + (1,) * coeffs.rows.ndim) == gens
     root = np.zeros(coeffs.root_scaling.shape + gens.shape)
-    return HaarCoefficients(coeffs.d, coeffs.n, coeffs.level, root, detail)
+    return HaarCoefficients(coeffs.d, coeffs.n, coeffs.level, root,
+                            coeffs.rows[..., None] * mask)
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,9 @@ def test_duality_criterion_fails_on_a_perturbed_family():
     ctx = acc.AcceptanceContext(cfg)
     assert acc.c05_duality(ctx).passed
     fam = ctx.family("rot", 3.0)
-    bad = dataclasses.replace(fam, v_dual=[1.05 * v for v in fam.v_dual])
+    operators = fam.operators.copy()
+    operators[1] *= 1.05  # every V'_I
+    bad = dataclasses.replace(fam, operators=operators)
     ctx = acc.AcceptanceContext(cfg)
     ctx._families["rot", 3.0] = bad
     res = acc.c05_duality(ctx)
@@ -179,10 +181,11 @@ def test_john_sandwich_fails_on_a_shrunk_operator():
     ctx = acc.AcceptanceContext(cfg)
     assert acc.c03_john_sandwich(ctx).passed
     fam = ctx.family("rot", 3.0)
-    v = [a.copy() for a in fam.v]
-    v[2][1] *= 0.99  # |V_I e| now falls below rho_I(e) on one cube
+    bad = dataclasses.replace(fam, operators=fam.operators.copy())
+    # the per-level arrays are views: a write through one changes the copy
+    bad.v[2][1] *= 0.99  # |V_I e| now falls below rho_I(e) on one cube
     ctx = acc.AcceptanceContext(cfg)
-    ctx._families["rot", 3.0] = dataclasses.replace(fam, v=v)
+    ctx._families["rot", 3.0] = bad
     res = acc.c03_john_sandwich(ctx)
     print(res.line())
     assert not res.passed
@@ -194,10 +197,10 @@ def test_john_sandwich_fails_on_a_shrunk_dual_operator():
     ctx = acc.AcceptanceContext(cfg)
     assert acc.c03_john_sandwich(ctx).passed
     fam = ctx.family("rot", 3.0)
-    v_dual = [a.copy() for a in fam.v_dual]
-    v_dual[2][1] *= 0.99  # |V'_I e| now falls below rho'_I(e) on one cube
+    bad = dataclasses.replace(fam, operators=fam.operators.copy())
+    bad.v_dual[2][1] *= 0.99  # |V'_I e| now falls below rho'_I(e) on one cube
     ctx = acc.AcceptanceContext(cfg)
-    ctx._families["rot", 3.0] = dataclasses.replace(fam, v_dual=v_dual)
+    ctx._families["rot", 3.0] = bad
     res = acc.c03_john_sandwich(ctx)
     print(res.line())
     assert not res.passed
@@ -215,10 +218,10 @@ def test_john_sandwich_fails_on_a_shrunk_finest_cube_in_2d():
     ctx = acc.AcceptanceContext(cfg)
     assert acc.c03_john_sandwich(ctx).passed
     fam = ctx.family("rot", 3.0)
-    v = [a.copy() for a in fam.v]
-    v[3][5, 2] *= 0.99  # one cube of the finest level
+    bad = dataclasses.replace(fam, operators=fam.operators.copy())
+    bad.v[3][5, 2] *= 0.99  # one cube of the finest level
     ctx = acc.AcceptanceContext(cfg)
-    ctx._families["rot", 3.0] = dataclasses.replace(fam, v=v)
+    ctx._families["rot", 3.0] = bad
     res = acc.c03_john_sandwich(ctx)
     print(res.line())
     assert not res.passed
@@ -260,10 +263,10 @@ def test_john_sandwich_fails_on_a_shrunk_scalar_operator():
     ctx = acc.AcceptanceContext(cfg)
     assert acc.c03_john_sandwich(ctx).passed
     fam = ctx.family("pow", 3.0)
-    v = [a.copy() for a in fam.v]
-    v[3][5] *= 0.99  # |V_I e| now falls below rho_I(e) on one cube
+    bad = dataclasses.replace(fam, operators=fam.operators.copy())
+    bad.v[3][5] *= 0.99  # |V_I e| now falls below rho_I(e) on one cube
     ctx = acc.AcceptanceContext(cfg)
-    ctx._families["pow", 3.0] = dataclasses.replace(fam, v=v)
+    ctx._families["pow", 3.0] = bad
     res = acc.c03_john_sandwich(ctx)
     print(res.line())
     assert not res.passed
@@ -330,7 +333,7 @@ def test_block_partition_fails_at_p2_on_a_duplicated_piece(monkeypatch):
         return HaarCoefficients(
             pieces.d, pieces.n, pieces.level,
             np.concatenate([pieces.root_scaling, pieces.root_scaling[..., :1]], axis=-1),
-            [np.concatenate([a, a[..., :1]], axis=-1) for a in pieces.detail],
+            np.concatenate([pieces.rows, pieces.rows[..., :1]], axis=-1),
         )
 
     monkeypatch.setattr(analysis, "split_generations", duplicated)

@@ -342,20 +342,22 @@ def dense_probe(weight):
 
 
 def random_symbols(d, n, level, seed):
-    """(v, v_inv): per level, one random SPD matrix per cube and its inverse,
-    symbols that come from no reducing family."""
+    """(v, v_inv): one random SPD matrix per cube of level < level, drawn
+    level by level, and its inverse, on the level-row axis: symbols that
+    come from no reducing family."""
     rng = np.random.default_rng(seed)
     v = []
     for l in range(level):
         a = rng.standard_normal(((1 << l),) * d + (n, n))
         v.append(a @ np.swapaxes(a, -1, -2) + np.eye(n))
-    return v, [np.linalg.inv(s) for s in v]
+    v = dyadic._rows(v, d)
+    return v, np.linalg.inv(v)
 
 
 def p2_column(w):
     """The probe column of w with the symbols of its own p=2 family."""
     fam = build_reducing_family(w, 2.0)
-    return w, fam.v, fam.v_inv
+    return w, fam.operators[0], fam.inverses
 
 
 def power_weight(alpha, level, d=1, n=1):
@@ -419,7 +421,7 @@ def test_probe_operators_take_symbols_from_no_family():
     v, v_inv = random_symbols(1, 2, 6, 4)
     forward, inverse, size = _probe_operators([(w, v, v_inv)])
     assert size == 126
-    vals = dense_pencil(w, [s @ s for s in v])
+    vals = dense_pencil(w, dyadic._levels(v @ v, 1))
     (top,) = analysis._largest_eigenvalues(forward, size, 1)
     (inverse_top,) = analysis._largest_eigenvalues(inverse, size, 1)
     assert top == pytest.approx(vals[-1], rel=1e-12)
@@ -432,7 +434,7 @@ def test_inverse_direction_on_the_inverse_weight_is_the_p2_dual_square_sup():
     ctx = RunContext(default_config())
     w, fam = ctx.weight("pow-am08"), ctx.family("pow-am08", 2.0)
     dual = MatrixWeight(w.d, w.n, w.level, w.power_cells(-1.0))
-    _, inverse, size = _probe_operators([(dual, fam.v_inv, fam.v)])
+    _, inverse, size = _probe_operators([(dual, fam.inverses, fam.operators[0])])
     (top,) = analysis._largest_eigenvalues(inverse, size, 1)
     assert size == 1023
     vals = dense_pencil(dual, [s @ s for s in fam.v_inv])
@@ -642,7 +644,8 @@ def oracle_pieces(f, tree):
     return [
         HaarCoefficients(
             f.d, f.n, f.level, np.zeros(f.n),
-            [a * (lab == j)[..., None, None] for a, lab in zip(f.detail, tree.gen_label)],
+            dyadic._rows([a * (lab == j)[..., None, None]
+                          for a, lab in zip(f.detail, tree.gen_label)], f.d),
         )
         for j in range(1, tree.generation_count() + 1)
     ]

@@ -72,7 +72,12 @@ def test_traced_mode_runs_in_process(tmp_path, monkeypatch):
     before = _wrapped_names()  # lru_cache functions carry __wrapped__ too
     cfg = tiny_config(tmp_path / "out")
     tracer = tracer_mod.Tracer()
-    undo = layers.instrument(tracer, haarweight)
+    # every family the run builds, recorded beneath the benchmark's wrapper
+    built = []
+    undo = tracer_mod.wrap_everywhere(
+        tracer_mod.Tracer(), "record", haarweight.reducing, "build_reducing_family",
+        "haarweight", lambda args, kwargs, fam: built.append(fam))
+    undo += layers.instrument(tracer, haarweight)
     try:
         assert _wrapped_names() > before
         start = time.perf_counter()
@@ -94,3 +99,12 @@ def test_traced_mode_runs_in_process(tmp_path, monkeypatch):
     assert metrics["stopping.calibrate.calls"] > 0
     assert metrics["analysis.sharpness_probe.calls"] == 1
     assert metrics["analysis.sharpness_probe.gflop"] > 0.0
+    # the method counts that layers.py reads from the per-level views are the
+    # counts of the families' stored (2, cubes) method codes
+    ell = haarweight.reducing.METHOD_NAMES.index("ellipsoid")
+    ellipsoid = sum(int((fam.methods == ell).sum()) for fam in built)
+    cubes = sum(fam.methods.size for fam in built)
+    assert len(built) == metrics["reducing.build_family.calls"]
+    assert ellipsoid > 0
+    assert metrics["reducing.ellipsoid_cubes"] == ellipsoid
+    assert metrics["reducing.shortcut_frac"] == 1.0 - ellipsoid / cubes

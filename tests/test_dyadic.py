@@ -28,6 +28,7 @@ from haarweight.dyadic import (
     _cube_blocks,
     _random_exactness_errors,
     _random_grid_batch,
+    _rows,
     detail_signatures,
     haar_exactness_errors,
     mean_pyramid,
@@ -355,6 +356,47 @@ def test_random_exactness_errors_in_blocks_match_one_batch(monkeypatch):
     assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
+def test_detail_levels_are_views_of_the_rows():
+    # the coefficients are stored once on the level-row axis; detail[l] is
+    # the view of level l's rows, so a write through it lands in them
+    rng = np.random.default_rng(12)
+    for d, L in ((1, 4), (2, 3)):
+        c = HaarCoefficients.zeros(d, 2, L)
+        assert c.rows.shape == (sum(1 << (l * d) for l in range(L)), (1 << d) - 1, 2)
+        c.detail[L - 1][(1,) * d + (0, 1)] = 5.0
+        row = sum(1 << (l * d) for l in range(L - 1))
+        row += int(np.ravel_multi_index((1,) * d, ((1 << (L - 1)),) * d))
+        assert c.rows[row, 0, 1] == 5.0 and np.count_nonzero(c.rows) == 1
+        f = haar_transform(GridFunction(d, 2, L, rng.standard_normal(((1 << L),) * d + (2, 3))))
+        for l, a in enumerate(f.detail):
+            assert a.shape == ((1 << l),) * d + ((1 << d) - 1, 2, 3)
+            assert np.shares_memory(a, f.rows)
+
+
+def test_reconstruct_leaves_its_input_unchanged(monkeypatch):
+    # _synthesize scales the rows it is given in place; haar_reconstruct
+    # hands it a copy, so the coefficients, a whole batch or a view of some
+    # of its columns (_column_blocks), stay as they were and a second call
+    # gives the same values
+    rng = np.random.default_rng(13)
+    monkeypatch.setattr(dyadic, "_BLOCK_ENTRIES", 1)  # one column per block
+    for d, n, L in ((1, 2, 4), (2, 1, 3)):
+        batch = haar_transform(
+            GridFunction(d, n, L, rng.standard_normal(((1 << L),) * d + (n, 3))))
+        whole = haar_reconstruct(batch).values
+        parts = [part for _, part in dyadic._column_blocks(batch, 1)]
+        assert len(parts) == 3
+        assert all(np.shares_memory(part.rows, batch.rows) for part in parts)
+        for i, c in enumerate([batch] + parts):
+            before = (c.root_scaling.copy(), c.rows.copy())
+            first = haar_reconstruct(c).values
+            assert haar_reconstruct(c).values.tobytes() == first.tobytes()
+            assert c.root_scaling.tobytes() == before[0].tobytes()
+            assert c.rows.tobytes() == before[1].tobytes()
+            want = whole if i == 0 else whole[..., i - 1 : i]
+            assert first.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_butterfly_pyramid_matches_the_sign_matrix_einsum(d):
     # d = 1: the same two-term sums, bit for bit; d = 2: the four-term sums
@@ -366,7 +408,7 @@ def test_butterfly_pyramid_matches_the_sign_matrix_einsum(d):
             f = GridFunction(d, n, L, rng.standard_normal(((1 << L),) * d + (n,) + batch))
             root, detail = einsum_transform(f)
             c = haar_transform(f)
-            want = HaarCoefficients(d, n, L, root, detail)
+            want = HaarCoefficients(d, n, L, root, _rows(detail, d))
             pairs = [(c.root_scaling, root), *zip(c.detail, detail),
                      (haar_reconstruct(want).values, einsum_reconstruct(want))]
             for got, ref in pairs:

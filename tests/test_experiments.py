@@ -143,15 +143,40 @@ def test_byte_identical_reruns(tmp_path):
     assert m1["config_sha256"] == m2["config_sha256"]
 
 
+def _integral(v):
+    """v with each integral float spelled as an int, lists entry by entry."""
+    if isinstance(v, list):
+        return [_integral(x) for x in v]
+    return int(v) if isinstance(v, float) and v.is_integer() else v
+
+
 def test_real_numbers_spelled_as_integers_give_the_same_run(tmp_path):
-    # ps, the threshold overrides and sweep_alphas hold floats however the
-    # JSON spells them, so the CSV bodies and the config hash agree
+    # ps, the threshold overrides, sweep_alphas and every numeric weight
+    # parameter hold floats however the JSON spells them, so the config
+    # hash, the CSV bodies and the weight meta of the equivalence JSON agree
+    weights = tiny_config(tmp_path).weights + (
+        WeightSpec("wc", family="constant", d=1, n=2, level=3,
+                   params={"matrix": [[1.0, 0.0], [0.0, 9.0]]}),
+        WeightSpec("wk", family="constant", d=1, n=2, level=3,
+                   params={"cond": 4.0}, seed=1),
+        WeightSpec("wr", family="rotating", d=1, n=2, level=3,
+                   params={"alpha": 1.0, "omega": 3.0, "phase": 1.0,
+                           "p_range": 3.0, "x0": [0.0]}),
+        WeightSpec("wl", family="logbrownian", d=1, n=2, level=3,
+                   params={"sigma": 1.0}, seed=2),
+    )
     reals = haarweight.config.config_to_dict(tiny_config(
         tmp_path / "out", experiments=("stopping", "multiplier", "equivalence"),
         ps=(2.0, 3.0), stopping_lambda1=2.0, stopping_lambda2=3.0,
-        sweep_alphas=(0.0, -0.5, -0.75)))
+        sweep_alphas=(0.0, -0.5, -0.75), weights=weights))
     integers = dict(reals, ps=[2, 3], stopping_lambda1=2, stopping_lambda2=3,
-                    sweep_alphas=[0, -0.5, -0.75])
+                    sweep_alphas=[0, -0.5, -0.75],
+                    weights=[dict(w, params={k: _integral(v) for k, v in w["params"].items()})
+                             for w in reals["weights"]])
+    # every parameter the config reads is spelled with integers somewhere
+    spelled = {k for w in integers["weights"] for k, v in w["params"].items()
+               if "." not in json.dumps(v)}
+    assert spelled == set(haarweight.config._PARAM_TYPES)
     runs = []
     for raw in (reals, integers):
         path = tmp_path / "config.json"
@@ -159,8 +184,9 @@ def test_real_numbers_spelled_as_integers_give_the_same_run(tmp_path):
         result = run_experiments(haarweight.load_config(path))
         assert result.ok
         manifest = json.loads((result.out_dir / "manifest.json").read_text())
-        runs.append((manifest["config_sha256"],
-                     {f.name: f.read_bytes() for f in result.files if f.suffix == ".csv"}))
+        bodies = {f.name: f.read_bytes() for f in result.files if f.name != "manifest.json"}
+        assert any(name.startswith("equivalence_w") for name in bodies)
+        runs.append((manifest["config_sha256"], bodies))
     assert runs[0] == runs[1]
 
 

@@ -21,8 +21,9 @@ from haarweight import (
     weighted_lp_norm,
 )
 from haarweight.analysis import square_norm
-from haarweight.dyadic import haar_reconstruct
+from haarweight.dyadic import _levels, _rows, haar_reconstruct
 from haarweight.multipliers import apply_symbols, t_blocks, t_operator
+from haarweight.weights import apply_cells
 from test_analysis import suite_weight
 from test_dyadic import haar_eval
 
@@ -61,9 +62,8 @@ def test_forward_inverse_roundtrip():
         np.testing.assert_allclose(v_inv @ v, np.broadcast_to(np.eye(2), v.shape),
                                    atol=1e-9)
     f = random_mean_zero(1, 2, 4, seed=1)
-    back = apply_symbols(fam.v_inv, apply_symbols(fam.v, f.detail))
-    for a, b in zip(back, f.detail):
-        np.testing.assert_allclose(a, b, atol=1e-9)
+    g = HaarCoefficients(f.d, f.n, f.level, f.root_scaling, apply_symbols(fam.operators[0], f))
+    np.testing.assert_allclose(apply_symbols(fam.inverses, g), f.rows, atol=1e-9)
 
 
 def test_scalar_symbol_oracle():
@@ -71,8 +71,8 @@ def test_scalar_symbol_oracle():
     fam = build_reducing_family(w, 2.0)
     f = HaarCoefficients.zeros(1, 1, 1)
     f.detail[0][0, 0] = 1.0
-    out = apply_symbols(fam.v, f.detail)
-    assert out[0][0, 0, 0] == pytest.approx(math.sqrt(2.5), rel=1e-14)
+    out = apply_symbols(fam.operators[0], f)
+    assert out[0, 0, 0] == pytest.approx(math.sqrt(2.5), rel=1e-14)
 
     tf = t_operator(fam, f)
     mids = (np.arange(2) + 0.5) / 2
@@ -117,10 +117,12 @@ def test_validation_errors():
         t_operator(shallow, f)
     with pytest.raises(CoverageError):
         square_norm(f, shallow)
-    # symbol levels beyond the detail levels go unused; one fewer raises
-    assert len(fam.v) == 5 and len(apply_symbols(fam.v, f.detail)) == 4
+    # symbol rows beyond the detail levels (31 cubes to level 4 against 15
+    # to level 3) go unused; a level fewer (7 cubes) raises
+    assert fam.operators.shape[1] == 31
+    assert apply_symbols(fam.operators[0], f).shape == f.rows.shape == (15, 1, 2)
     with pytest.raises(CoverageError, match="to level 3, family has 2"):
-        apply_symbols(fam.v[:3], f.detail)
+        apply_symbols(fam.operators[0, :7], f)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +149,7 @@ def test_batched_t_blocks_match_a_per_function_loop(name, p):
                 np.einsum("...ij,...ej->...ei", v, a) * (lab == j)[..., None, None]
                 for v, a, lab in zip(fam.v_inv, f.detail, tree.gen_label)
             ]
-            piece = HaarCoefficients(w.d, w.n, w.level, np.zeros(w.n), detail)
+            piece = HaarCoefficients(w.d, w.n, w.level, np.zeros(w.n), _rows(detail, w.d))
             want.append(weighted_lp_norm(haar_reconstruct(piece), w, p) ** p)
         np.testing.assert_allclose(row, want, rtol=1e-13, atol=0)
     tf = t_operator(fam, HaarCoefficients.stack(fs))
@@ -158,13 +160,27 @@ def test_single_function_symbols_are_the_per_cube_product():
     w = suite_weight("rot2d-a05")
     fam = build_reducing_family(w, 2.0)
     f = random_mean_zero(w.d, w.n, w.level, seed=9)
-    out = apply_symbols(fam.v, f.detail)
-    one = apply_symbols(fam.v, HaarCoefficients.stack([f]).detail)  # a batch of 1
-    for y, y1 in zip(out, one):
-        np.testing.assert_array_equal(y1[..., 0], y)
-    for v, a, y in zip(fam.v, f.detail, out):
+    out = apply_symbols(fam.operators[0], f)
+    one = apply_symbols(fam.operators[0], HaarCoefficients.stack([f]))  # a batch of 1
+    np.testing.assert_array_equal(one[..., 0], out)
+    for v, a, y in zip(fam.v, f.detail, _levels(out, w.d)):
         assert y.shape == a.shape
         for cube in np.ndindex(v.shape[:-2]):
             for e in range(a.shape[-2]):
                 np.testing.assert_allclose(y[cube][e], v[cube] @ a[cube][e],
                                            rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("d, level", [(1, 5), (2, 3)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symbols_on_the_rows_match_the_per_level_products(d, level, n):
+    # one apply_cells call over the level-row axis gives the bytes of the
+    # per-level calls it replaced, for one function and for a batch
+    rng = np.random.default_rng(10 * d + n)
+    symbols = rng.standard_normal((sum(1 << (l * d) for l in range(level + 1)), n, n))
+    for batch in ((), (4,)):
+        f = HaarCoefficients(d, n, level, np.zeros((n,) + batch), rng.standard_normal(
+            (sum(1 << (l * d) for l in range(level)), (1 << d) - 1, n) + batch))
+        want = _rows([apply_cells(s[..., None, :, :], a)
+                      for s, a in zip(_levels(symbols, d), f.detail)], d)
+        assert apply_symbols(symbols, f).tobytes() == want.tobytes()

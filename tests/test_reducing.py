@@ -34,6 +34,7 @@ from haarweight import (
 import haarweight.dyadic as dyadic
 import haarweight.reducing as reducing
 from haarweight.dyadic import _levels, _rows, mean_pyramid
+from haarweight.multipliers import apply_symbols, t_operator
 from haarweight.reducing import (
     _CAL_FACTOR,
     _CAL_OFFSET,
@@ -926,6 +927,39 @@ def test_shallow_family_keeps_the_exact_rows(d, level):
             for side in ("v", "v_dual", "kappa", "kappa_dual"):
                 np.testing.assert_array_equal(getattr(shallow, side)[l][exact],
                                               getattr(full, side)[l][exact])
+
+
+@pytest.mark.parametrize("d, level", [(1, 4), (2, 3)])
+def test_family_levels_are_views_of_its_rows(d, level):
+    # a family stores each side once on the level-row axis; its per-level
+    # arrays are views of those rows, and a shallow family holds exactly
+    # the rows of its levels
+    w = make_weight(WeightFamily("rotating", d=d, n=2, level=level,
+                                 params={"alpha": 0.6}, seed=3))
+    for depth in (level, level - 2):
+        fam = build_reducing_family(w, 3.0, max_depth=depth)
+        cubes = sum(1 << (l * d) for l in range(depth + 1))
+        assert fam.operators.shape == (2, cubes, 2, 2)
+        assert fam.kappas.shape == fam.methods.shape == (2, cubes)
+        assert fam.inverses.shape == (cubes, 2, 2)
+        assert len(fam.v) == len(fam.kappa_dual) == len(fam.v_inv) == depth + 1
+        for l in range(depth + 1):
+            assert fam.v[l].shape == ((1 << l),) * d + (2, 2)
+            for view, side, rows in ((fam.v[l], 0, fam.operators),
+                                     (fam.v_dual[l], 1, fam.operators),
+                                     (fam.kappa[l], 0, fam.kappas),
+                                     (fam.kappa_dual[l], 1, fam.kappas),
+                                     (fam.method_dual[l], 1, fam.methods)):
+                assert np.shares_memory(view, rows[side])
+                assert not np.shares_memory(view, rows[1 - side])
+            assert np.shares_memory(fam.v_inv[l], fam.inverses)
+    # the depth level - 2 family stops short of the coefficients' last
+    # detail level, level - 1
+    f = dyadic.HaarCoefficients.zeros(d, 2, level)
+    with pytest.raises(CoverageError, match=f"to level {level - 1}, family has {level - 2}"):
+        apply_symbols(fam.inverses, f)
+    with pytest.raises(CoverageError):
+        t_operator(fam, f)
 
 
 @pytest.mark.parametrize("d", [1, 2])
