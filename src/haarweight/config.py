@@ -114,6 +114,12 @@ class ExperimentConfig:
             if not 1.0 < p < math.inf:
                 raise ConfigError(f"exponents must exceed 1 and be finite, got {p}")
         _check_unique("ps", self.ps)
+        spelled = {}
+        for p in self.ps:  # an exponent's files are named p{p:g}
+            other = spelled.setdefault(f"{p:g}", p)
+            if other != p:
+                raise ConfigError(f"exponents {other!r} and {p!r} both name their "
+                                  f"files p{p:g}")
         if not self.spectra:
             raise ConfigError("spectra must name at least one spectrum")
         bad = set(self.spectra) - set(SPECTRA)

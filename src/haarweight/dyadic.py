@@ -265,14 +265,6 @@ class HaarCoefficients:
         """Shape of the batch axes after n; () for a single function."""
         return self.root_scaling.shape[1:]
 
-    def detail_l2(self):
-        """l2 norm of all detail coefficients (excludes root scaling): a float
-        for one function, one norm per column of a batch (_column_rows),
-        summed level by level: the rounding of haar_checks.csv's values."""
-        sums = [np.sum(_column_rows(a * a, self.batch), axis=-1) for a in self.detail]
-        norms = np.sqrt(sum(sums, np.zeros(math.prod(self.batch))))
-        return float(norms[0]) if not self.batch else norms.reshape(self.batch)
-
 
 # ---------------------------------------------------------------------------
 # transforms
@@ -425,8 +417,9 @@ def haar_exactness_errors(f: GridFunction) -> tuple:
     coeffs = haar_transform(f)
     back = haar_reconstruct(coeffs).values
     roundtrip = np.abs(back - f.values).reshape(-1, math.prod(f.batch)).max(axis=0)
-    root = np.sum(_column_rows(coeffs.root_scaling**2, f.batch), axis=-1)
-    parseval = np.abs(lp_norm(f, 2.0) - np.sqrt(root + coeffs.detail_l2() ** 2))
+    root, detail = (np.sum(_column_rows(a * a, f.batch), axis=-1)
+                    for a in (coeffs.root_scaling, coeffs.rows))
+    parseval = np.abs(lp_norm(f, 2.0) - np.sqrt(root + detail))
     return roundtrip.reshape(f.batch), parseval.reshape(f.batch)
 
 

@@ -5,6 +5,12 @@ one grid, one sweep point). Cells run one after another in a fixed order, so
 reruns of a config write identical outputs. A failing cell is recorded and
 skipped; it never aborts the sweep.
 
+Every experiment but sharpness is a cell function and the spec of its
+tables. One helper, `_run_cells`, runs the cells, records each cell that
+raises as a `CellFailure`, writes the side files of the cells that returned
+(the equivalence reports, the stopping trees), then writes the rows of those
+cells into the tables. A cell that raises leaves neither rows nor side files.
+
 The characteristic sweeps of the sharpness experiment (the scalar power
 sweep, which criterion 11 shares, and the rotating points) are data
 (`_Sweep`) run by one runner, `_run_sweep`: one build per point, one
@@ -166,86 +172,70 @@ def _isolate(fn, keys):
     return done, failed
 
 
+def _run_cells(result: RunResult, experiment: str, cell, keys, *tables):
+    """Run cell on each key in order (_isolate) and write the experiment's
+    tables, each a (file name, header) pair, into result.out_dir. A cell
+    returns one list of rows per table, then its side files as
+    zero-argument writers that return their path. A cell that raises is a
+    CellFailure row and leaves no row and no side file; the side files of
+    the cells that returned are written in cell order, then the tables."""
+    done, failed = _isolate(cell, keys)
+    result.failures += [CellFailure(experiment, str(k), e) for k, e in failed]
+    result.files += [write() for *_, sides in done for write in sides]
+    for i, (name, header) in enumerate(tables):
+        rows = [row for parts in done for row in parts[i]]
+        result.files.append(write_csv(result.out_dir / name, header, rows))
+
+
 # ---------------------------------------------------------------------------
-# experiment bodies
+# experiment bodies: a cell function and the spec of its tables
 
 
-def _run_haar(ctx: RunContext, out: Path, result: RunResult):
+def _run_haar(ctx: RunContext, result: RunResult):
     cfg = ctx.config
 
     def cell(grid):
         d, n, level = grid
         rt, pv = _random_exactness_errors(d, n, level, [[cfg.seed, d, n, level, i]
                                                         for i in range(cfg.count)])
-        return [[d, n, level, i, float(rt[i]), float(pv[i])] for i in range(cfg.count)]
+        return [[d, n, level, i, float(rt[i]), float(pv[i])] for i in range(cfg.count)], ()
 
-    done, failed = _isolate(cell, cfg.grids)
-    result.failures += [CellFailure("haar", str(k), e) for k, e in failed]
-    result.files.append(
-        write_csv(
-            out / "haar_checks.csv",
-            ["d", "n", "L", "index", "roundtrip_error", "parseval_error"],
-            [row for rows in done for row in rows],
-        )
-    )
+    _run_cells(result, "haar", cell, cfg.grids,
+               ("haar_checks.csv",
+                ["d", "n", "L", "index", "roundtrip_error", "parseval_error"]))
 
 
-def _run_reducing(ctx: RunContext, out: Path, result: RunResult):
+def _run_reducing(ctx: RunContext, result: RunResult):
     def cell(key):
         name, p = key
-        w = ctx.weight(name)
         fam = ctx.family(name, p)
-        rep = duality_check(w, p, family=fam)
-        return [
-            name,
-            p,
-            rep.char,
-            fam.min_pair_norm(),
-            fam.max_kappa(),
-            rep.log_gap,
-            rep.log_bound,
-            rep.passed,
-        ]
+        rep = duality_check(ctx.weight(name), p, family=fam)
+        return [[name, p, rep.char, fam.min_pair_norm(), fam.max_kappa(),
+                 rep.log_gap, rep.log_bound, rep.passed]], ()
 
-    rows, failed = _isolate(cell, ctx.cells())
-    result.failures += [CellFailure("reducing", str(k), e) for k, e in failed]
-    result.files.append(
-        write_csv(
-            out / "reducing_scan.csv",
-            ["weight", "p", "char", "min_pair_norm", "max_kappa",
-             "duality_log_gap", "duality_log_bound", "duality_ok"],
-            rows,
-        )
-    )
+    _run_cells(result, "reducing", cell, ctx.cells(),
+               ("reducing_scan.csv",
+                ["weight", "p", "char", "min_pair_norm", "max_kappa",
+                 "duality_log_gap", "duality_log_bound", "duality_ok"]))
 
 
-def _run_stopping(ctx: RunContext, out: Path, result: RunResult,
-                  dump: bool = False):
+def _run_stopping(ctx: RunContext, result: RunResult, dump: bool = False):
     def cell(key):
         name, p = key
         tree = ctx.tree(name, p)
-        scfg = tree.config
         decays = [decay_ratio(tree, j) for j in range(1, 6)]
-        row = [name, p, scfg.lambda1, scfg.lambda2, tree.generation_count()]
-        return row + decays, tree
+        path = result.out_dir / f"stopping_{name}_p{p:g}.json"
+        return ([[name, p, tree.config.lambda1, tree.config.lambda2,
+                  tree.generation_count(), *decays]],
+                [lambda: save_generation_tree(tree, path)] if dump else ())
 
-    done, failed = _isolate(cell, ctx.cells())
-    result.failures += [CellFailure("stopping", str(k), e) for k, e in failed]
-    if dump:
-        for (name, p, *_), tree in done:
-            path = out / f"stopping_{name}_p{p:g}.json"
-            result.files.append(save_generation_tree(tree, path))
-    result.files.append(
-        write_csv(
-            out / "stopping_decay.csv",
-            ["weight", "p", "lambda1", "lambda2", "generations",
-             "decay_1", "decay_2", "decay_3", "decay_4", "decay_5"],
-            [row for row, _ in done],
-        )
-    )
+    _run_cells(result, "stopping", cell, ctx.cells(),
+               ("stopping_decay.csv",
+                ["weight", "p", "lambda1", "lambda2", "generations",
+                 "decay_1", "decay_2", "decay_3", "decay_4", "decay_5"]))
 
 
-def _run_multiplier(ctx: RunContext, out: Path, result: RunResult):
+def _run_multiplier(ctx: RunContext, result: RunResult):
     cfg = ctx.config
 
     def cell(key):
@@ -255,73 +245,54 @@ def _run_multiplier(ctx: RunContext, out: Path, result: RunResult):
         f = random_mean_zero_batch(w, cfg.count, [cfg.seed, 5], cfg.spectra)
         parts, deltas = block_partition_constant(f, tree)
         # ||T_j f||_p^p per function and generation, in blocks of function
-        # columns, and sum_j T_j f of the first five functions
+        # columns; a block's T_j f is freed before the next is formed
         powers = np.empty(deltas.shape)
-        total = np.empty(((1 << w.level),) * w.d + (w.n, min(5, cfg.count)))
         per_column = (1 << w.level * w.d) * w.n * deltas.shape[-1]
         for cols, part in _column_blocks(f, per_column):
-            blocks = t_blocks(tree, part)
-            powers[cols] = _lp_integrals(np.linalg.norm(blocks.values, axis=w.d), w.d, p)
-            head = range(cols.start, min(cols.stop, 5))  # the block's share of the five
-            total[..., head.start : head.stop] = blocks.values[..., : len(head), :].sum(axis=-1)
-            del blocks  # freed before the next block is formed
+            powers[cols] = _lp_integrals(np.linalg.norm(t_blocks(tree, part).values, axis=w.d),
+                                         w.d, p)
         carried = deltas > 0.0  # ||T_j f||_p^p / ||Delta_j f||_p^p where Delta_j f != 0
         quots = powers[carried] / deltas[carried]
-        # the sum identity on the first five functions of the batch, copied
-        # out: strided views left a 0.8 MiB higher peak RSS on the p=2 suite
+        # the sum identity sum_j T_j f = T f on the first five functions of
+        # the batch, copied out: strided views left a 0.8 MiB higher peak RSS
+        # on the p=2 suite. t_blocks forms every column as it is alone, so
+        # these T_j f are those of the blocks above, bit for bit
         first = HaarCoefficients(f.d, f.n, f.level, f.root_scaling[..., :5].copy(),
                                  f.rows[..., :5].copy())
+        total = t_blocks(tree, first).values.sum(axis=-1)
         tf = t_operator(tree.family, first).values
         grid = tuple(range(w.d + 1))  # cells and value components
         scale = np.maximum(1.0, np.abs(tf).max(axis=grid))
         sum_err = float((np.abs(total - tf).max(axis=grid) / scale).max())
-        return [name, p, parts.max(), parts.mean(),
-                quots.max() if quots.size else float("nan"), sum_err]
+        return [[name, p, parts.max(), parts.mean(),
+                 quots.max() if quots.size else float("nan"), sum_err]], ()
 
-    rows, failed = _isolate(cell, ctx.cells())
-    result.failures += [CellFailure("multiplier", str(k), e) for k, e in failed]
-    result.files.append(
-        write_csv(
-            out / "multiplier_bounds.csv",
-            ["weight", "p", "partition_max", "partition_mean",
-             "block_quotient_max", "sum_identity_error"],
-            rows,
-        )
-    )
+    _run_cells(result, "multiplier", cell, ctx.cells(),
+               ("multiplier_bounds.csv",
+                ["weight", "p", "partition_max", "partition_mean",
+                 "block_quotient_max", "sum_identity_error"]))
 
 
-def _run_equivalence(ctx: RunContext, out: Path, result: RunResult):
+def _run_equivalence(ctx: RunContext, result: RunResult):
     cfg = ctx.config
 
     def cell(key):
         name, p = key
-        return name, p, equivalence_ratios(ctx.family(name, p), cfg.count,
-                                           seed=cfg.seed, spectra=cfg.spectra)
+        rep = equivalence_ratios(ctx.family(name, p), cfg.count,
+                                 seed=cfg.seed, spectra=cfg.spectra)
+        report = equivalence_to_dict(rep)
+        path = result.out_dir / f"equivalence_{name}_p{p:g}.json"
+        return ([[name, p, rep.char, rep.max_ratio, rep.max_inverse_ratio,
+                  rep.c1_emp, rep.c2_emp, rep.skipped]],
+                [[name, p, *row] for row in equivalence_rows(rep)],
+                [lambda: write_json(path, report)])
 
-    done, failed = _isolate(cell, ctx.cells())
-    result.failures += [CellFailure("equivalence", str(k), e) for k, e in failed]
-    for name, p, rep in done:
-        result.files.append(
-            write_json(out / f"equivalence_{name}_p{p:g}.json",
-                       equivalence_to_dict(rep))
-        )
-    result.files.append(
-        write_csv(
-            out / "equivalence_summary.csv",
-            ["weight", "p", "char", "max_ratio", "max_inverse_ratio",
-             "c1_emp", "c2_emp", "skipped"],
-            [[name, p, rep.char, rep.max_ratio, rep.max_inverse_ratio,
-              rep.c1_emp, rep.c2_emp, rep.skipped] for name, p, rep in done],
-        )
-    )
-    result.files.append(
-        write_csv(
-            out / "equivalence_ratios.csv",
-            ["weight", "p", "index", "spectrum", "ratio", "inverse_ratio"],
-            [[name, p] + row for name, p, rep in done
-             for row in equivalence_rows(rep)],
-        )
-    )
+    _run_cells(result, "equivalence", cell, ctx.cells(),
+               ("equivalence_summary.csv",
+                ["weight", "p", "char", "max_ratio", "max_inverse_ratio",
+                 "c1_emp", "c2_emp", "skipped"]),
+               ("equivalence_ratios.csv",
+                ["weight", "p", "index", "spectrum", "ratio", "inverse_ratio"]))
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +408,7 @@ def _power_report(config: ExperimentConfig, rows: list, failed: list) -> dict:
     return report
 
 
-def _run_sharpness(ctx: RunContext, out: Path, result: RunResult):
+def _run_sharpness(ctx: RunContext, result: RunResult):
     cfg = ctx.config
     if not cfg.sweep_alphas:
         raise ConfigError("sharpness experiment needs sweep_alphas in the config")
@@ -446,11 +417,11 @@ def _run_sharpness(ctx: RunContext, out: Path, result: RunResult):
         result.failures += [CellFailure("sharpness", f"{sweep.family} alpha={f['alpha']}",
                                         f["error"]) for f in failed]
     result.files.append(
-        write_csv(out / "sharpness_sweep.csv", _SWEEP_COLUMNS,
+        write_csv(result.out_dir / "sharpness_sweep.csv", _SWEEP_COLUMNS,
                   [[r[k] for k in _SWEEP_COLUMNS] for rows, _ in runs.values() for r in rows])
     )
     report = _power_report(cfg, *runs[_POWER])
-    result.files.append(write_json(out / "sharpness_report.json", report))
+    result.files.append(write_json(result.out_dir / "sharpness_report.json", report))
 
 
 _REGISTRY = {
@@ -480,9 +451,9 @@ def run_experiments(config: ExperimentConfig, dump_stopping: bool = False) -> Ru
     for name in config.experiments:
         try:
             if name == "stopping":
-                _REGISTRY[name](ctx, out, result, dump=dump_stopping)
+                _REGISTRY[name](ctx, result, dump=dump_stopping)
             else:
-                _REGISTRY[name](ctx, out, result)
+                _REGISTRY[name](ctx, result)
         except HaarweightError as exc:
             result.failures.append(CellFailure(name, "<experiment>", repr(exc)))
     if result.failures:

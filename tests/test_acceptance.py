@@ -315,7 +315,7 @@ def test_block_sum_identity_fails_on_a_mislabelled_tree(tmp_path):
     assert not res.passed
 
     result = experiments.RunResult(out_dir=tmp_path)
-    experiments._run_multiplier(ctx, tmp_path, result)
+    experiments._run_multiplier(ctx, result)
     assert result.ok
     with open(tmp_path / "multiplier_bounds.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)

@@ -19,8 +19,8 @@ from pathlib import Path
 import pytest
 
 import haarweight
-from haarweight.config import config_to_dict
-from test_experiments import tiny_config
+from haarweight.config import WeightSpec, config_to_dict
+from test_experiments import broken_weight_file, tiny_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -52,6 +52,30 @@ def test_benchmark_child_runs_in_process(tmp_path, child, checks, mode):
         assert attempted > 0 and failed == 0 and problems == []
     else:
         assert sorted(out["verdicts"]) == [f"{i:02d}" for i in range(1, 14)]
+
+
+def test_benchmark_counts_a_broken_weight_as_its_failed_cells(tmp_path, checks):
+    # a cell that raises leaves no row, so the output checks count it as a
+    # missing cell: the broken weight fails its four cells (one per weight
+    # experiment at p = 2) and the run attempts as many cells as one whose
+    # third weight is sound
+    third = {"sound": WeightSpec("sound", family="power", d=1, n=1, level=3,
+                                 params={"alpha": 0.3}),
+             "broken": WeightSpec("broken", file=str(broken_weight_file(tmp_path)))}
+    counts = {}
+    for name, spec in third.items():
+        cfg = tiny_config(tmp_path / name, weights=tiny_config(tmp_path).weights + (spec,))
+        result = haarweight.run_experiments(cfg)
+        attempted, failed, _, problems = checks.check_run(result.out_dir,
+                                                          config_to_dict(cfg))
+        counts[name] = attempted, failed, sorted(problems)
+    attempted, failed, problems = counts["broken"]
+    assert counts["sound"] == (attempted, 0, [])
+    tables = {"reducing": "reducing_scan.csv", "stopping": "stopping_decay.csv",
+              "multiplier": "multiplier_bounds.csv", "equivalence": "equivalence_summary.csv"}
+    assert failed == len(tables)
+    assert problems == sorted([f"failures.csv: {e} ('broken', 2.0)" for e in tables]
+                              + [f"{t} ('broken', '2.0'): missing" for t in tables.values()])
 
 
 def _wrapped_names() -> set:

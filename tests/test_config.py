@@ -178,6 +178,14 @@ def test_duplicate_entries_rejected(field, values, named):
     ExperimentConfig(**{field: tuple(dict.fromkeys(values))})
 
 
+def test_exponents_sharing_a_file_name_rejected():
+    # the artifacts of an exponent are named p{p:g}: two exponents spelled
+    # alike would write each other's equivalence and stopping JSON
+    with pytest.raises(ConfigError, match=r"exponents 2\.0 and 2\.0000001 .* p2$"):
+        ExperimentConfig(ps=(2.0, 3.0, 2.0000001))
+    ExperimentConfig(ps=(2.0, 2.00001))
+
+
 def test_infinite_exponent_rejected(tmp_path):
     with pytest.raises(ConfigError, match="finite"):
         ExperimentConfig(ps=(2.0, float("inf")))

@@ -226,7 +226,7 @@ def test_round_trip_and_parseval():
             g = haar_reconstruct(c)
             npt.assert_allclose(g.values, f.values, atol=1e-12)
             lhs = lp_norm(f, 2.0) ** 2
-            rhs = float(np.sum(c.root_scaling**2)) + c.detail_l2() ** 2
+            rhs = float(np.sum(c.root_scaling**2)) + float(np.sum(c.rows**2))
             npt.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
@@ -335,11 +335,13 @@ def test_batch_transforms_and_norms_act_per_column():
             np.testing.assert_array_equal(lp_norm(batch, p), [lp_norm(f, p) for f in fs])
         stacked = HaarCoefficients.stack([haar_transform(f) for f in fs])
         assert stacked.batch == (4,)
-        np.testing.assert_array_equal(
-            stacked.detail_l2(), [haar_transform(f).detail_l2() for f in fs])
+        np.testing.assert_allclose(np.sum(stacked.rows**2, axis=(0, 1, 2)),
+                                   [np.sum(haar_transform(f).rows**2) for f in fs],
+                                   rtol=1e-14)
         rt, pv = haar_exactness_errors(batch)
         assert rt.shape == pv.shape == (4,)
         singles = np.array([haar_exactness_errors(f) for f in fs])
+        np.testing.assert_array_equal(np.stack([rt, pv], axis=-1), singles)
         assert max(rt.max(), pv.max(), singles.max()) <= 1e-12
         np.testing.assert_allclose(haar_reconstruct(stacked).values, batch.values,
                                    atol=1e-12)

@@ -26,7 +26,8 @@ from haarweight import (
     run_experiments,
     save_weight,
 )
-from haarweight import analysis
+from haarweight import analysis, experiments
+from haarweight.errors import MatrixDomainError
 from haarweight.serialization import sha256_file
 
 
@@ -53,9 +54,10 @@ def tiny_config(out_dir, **over):
 
 
 def test_run_writes_expected_artifacts(tmp_path):
-    cfg = tiny_config(tmp_path / "out")
-    result = run_experiments(cfg)
+    cfg = tiny_config(tmp_path / "out", ps=(2.0, 3.0))
+    result = run_experiments(cfg, dump_stopping=True)
     assert result.ok
+    assert len(set(result.files)) == len(result.files)  # no file written twice
     names = {p.name for p in result.files}
     assert {
         "haar_checks.csv", "reducing_scan.csv", "stopping_decay.csv",
@@ -63,7 +65,8 @@ def test_run_writes_expected_artifacts(tmp_path):
         "equivalence_ratios.csv", "sharpness_sweep.csv",
         "sharpness_report.json", "manifest.json",
     } <= names
-    assert "equivalence_wa_p2.json" in names and "equivalence_wb_p2.json" in names
+    assert {f"{kind}_{w}_p{p}.json" for kind in ("equivalence", "stopping")
+            for w in ("wa", "wb") for p in (2, 3)} <= names
 
 
 # the exact header of every CSV that `run` writes; the benchmark's output
@@ -218,40 +221,98 @@ def test_seed_changes_outputs(tmp_path):
     assert a != b
 
 
-# the per-(weight, p) table of each experiment that runs the suite's cells
-CELL_TABLES = {
-    "reducing": "reducing_scan.csv",
-    "stopping": "stopping_decay.csv",
-    "multiplier": "multiplier_bounds.csv",
-    "equivalence": "equivalence_summary.csv",
-}
-
-
-@pytest.mark.parametrize("experiment", CELL_TABLES)
-def test_cell_failure_isolation(tmp_path, experiment):
+def broken_weight_file(tmp_path) -> Path:
+    """A d=1, n=2 weight file whose second cell is not positive definite, so
+    every cell of a weight read from it fails with MatrixDomainError."""
     w = make_weight(WeightFamily("constant", 1, 2, 2, params={"matrix": np.eye(2)}))
-    path = save_weight(w, tmp_path / "w.csv")
-    lines = path.read_text().splitlines()
+    lines = save_weight(w, tmp_path / "w.csv").read_text().splitlines()
     lines[2] = "-1.0,0.0,-1.0"
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
+    return bad
+
+
+# the table of each experiment that runs cells through experiments._run_cells,
+# and how many of its leading columns name a cell
+CELL_TABLES = {
+    "haar": ("haar_checks.csv", 3),
+    "reducing": ("reducing_scan.csv", 1),
+    "stopping": ("stopping_decay.csv", 1),
+    "multiplier": ("multiplier_bounds.csv", 1),
+    "equivalence": ("equivalence_summary.csv", 1),
+}
+
+
+def _side_files(result) -> set:
+    """Names of the JSON files of a run besides the manifest, in its file
+    list and in its manifest."""
+    manifest = json.loads((result.out_dir / "manifest.json").read_text())
+    return {name for name in {p.name for p in result.files} | set(manifest["files"])
+            if name.endswith(".json") and name != "manifest.json"}
+
+
+@pytest.mark.parametrize("experiment", CELL_TABLES)
+def test_cell_failure_isolation(tmp_path, monkeypatch, experiment):
+    # the broken weight fails its weight cells; the haar cell of the grid
+    # (1, 2, 2) raises in its draw. Neither leaves a row or a side file
+    draw = experiments._random_exactness_errors
+
+    def broken_grid(d, n, level, tags):
+        if (d, n, level) == (1, 2, 2):
+            raise MatrixDomainError("broken grid")
+        return draw(d, n, level, tags)
+
+    monkeypatch.setattr(experiments, "_random_exactness_errors", broken_grid)
     cfg = tiny_config(
         tmp_path / "out",
         experiments=(experiment,),
         weights=(
             WeightSpec("good", family="power", d=1, n=1, level=3,
                        params={"alpha": 0.3}),
-            WeightSpec("broken", file=str(bad)),
+            WeightSpec("broken", file=str(broken_weight_file(tmp_path))),
         ),
     )
-    result = run_experiments(cfg)
-    assert [(f.experiment, f.cell) for f in result.failures] == [
-        (experiment, "('broken', 2.0)")
-    ]
-    with open(result.out_dir / CELL_TABLES[experiment], newline="") as fh:
-        assert [row[0] for row in csv.reader(fh)][1:] == ["good"]
+    result = run_experiments(cfg, dump_stopping=True)
+    broken, good = (("(1, 2, 2)", {"1,1,3"}) if experiment == "haar"
+                    else ("('broken', 2.0)", {"good"}))
+    assert [(f.experiment, f.cell) for f in result.failures] == [(experiment, broken)]
+    table, key_columns = CELL_TABLES[experiment]
+    with open(result.out_dir / table, newline="") as fh:
+        assert {",".join(row[:key_columns]) for row in list(csv.reader(fh))[1:]} == good
     failures = (result.out_dir / "failures.csv").read_text()
-    assert "('broken', 2.0)" in failures and "MatrixDomainError" in failures
+    assert broken in failures and "MatrixDomainError" in failures
+    sides = {"stopping": {"stopping_good_p2.json"},
+             "equivalence": {"equivalence_good_p2.json"}}
+    assert _side_files(result) == sides.get(experiment, set())
+
+
+# a step of the cell after its measurement, and the meta of the weight it sees
+AFTER_MEASURING = {
+    "stopping": ("decay_ratio", lambda tree: tree.family.weight.meta),
+    "equivalence": ("equivalence_rows", lambda report: report.weight_meta),
+}
+
+
+@pytest.mark.parametrize("experiment", AFTER_MEASURING)
+def test_a_cell_that_raises_after_measuring_leaves_no_side_file(tmp_path, monkeypatch,
+                                                                experiment):
+    # wb's tree or report is built, then the next step of its cell raises:
+    # the cell fails, and neither its row nor its JSON is written
+    step, meta = AFTER_MEASURING[experiment]
+    measured = getattr(experiments, step)
+
+    def fails_on_wb(value, *args):
+        if meta(value)["family"] == "rotating":
+            raise RuntimeError("after the measurement")
+        return measured(value, *args)
+
+    monkeypatch.setattr(experiments, step, fails_on_wb)
+    result = run_experiments(tiny_config(tmp_path / "out", experiments=(experiment,)),
+                             dump_stopping=True)
+    assert [(f.experiment, f.cell) for f in result.failures] == [(experiment, "('wb', 2.0)")]
+    assert _side_files(result) == {f"{experiment}_wa_p2.json"}
+    with open(result.out_dir / CELL_TABLES[experiment][0], newline="") as fh:
+        assert [row[0] for row in csv.reader(fh)][1:] == ["wa"]
 
 
 def test_calibration_groups_by_the_realized_weight(tmp_path):
