@@ -7,9 +7,10 @@ skipped; it never aborts the sweep.
 
 Every experiment but sharpness is a cell function and the spec of its
 tables. One helper, `_run_cells`, runs the cells, records each cell that
-raises as a `CellFailure`, writes the side files of the cells that returned
-(the equivalence reports, the stopping trees), then writes the rows of those
-cells into the tables. A cell that raises leaves neither rows nor side files.
+raises as a `CellFailure`, then writes the rows of the cells that returned
+into the tables. A cell writes its side file (an equivalence report, a
+stopping tree) as its last step, so a cell that raises leaves neither rows
+nor side files.
 
 The characteristic sweeps of the sharpness experiment (the scalar power
 sweep, which criterion 11 shares, and the rotating points) are data
@@ -175,13 +176,10 @@ def _isolate(fn, keys):
 def _run_cells(result: RunResult, experiment: str, cell, keys, *tables):
     """Run cell on each key in order (_isolate) and write the experiment's
     tables, each a (file name, header) pair, into result.out_dir. A cell
-    returns one list of rows per table, then its side files as
-    zero-argument writers that return their path. A cell that raises is a
-    CellFailure row and leaves no row and no side file; the side files of
-    the cells that returned are written in cell order, then the tables."""
+    returns a tuple with one list of rows per table; a cell that raises is a
+    CellFailure row instead."""
     done, failed = _isolate(cell, keys)
     result.failures += [CellFailure(experiment, str(k), e) for k, e in failed]
-    result.files += [write() for *_, sides in done for write in sides]
     for i, (name, header) in enumerate(tables):
         rows = [row for parts in done for row in parts[i]]
         result.files.append(write_csv(result.out_dir / name, header, rows))
@@ -198,7 +196,7 @@ def _run_haar(ctx: RunContext, result: RunResult):
         d, n, level = grid
         rt, pv = _random_exactness_errors(d, n, level, [[cfg.seed, d, n, level, i]
                                                         for i in range(cfg.count)])
-        return [[d, n, level, i, float(rt[i]), float(pv[i])] for i in range(cfg.count)], ()
+        return ([[d, n, level, i, float(rt[i]), float(pv[i])] for i in range(cfg.count)],)
 
     _run_cells(result, "haar", cell, cfg.grids,
                ("haar_checks.csv",
@@ -210,8 +208,8 @@ def _run_reducing(ctx: RunContext, result: RunResult):
         name, p = key
         fam = ctx.family(name, p)
         rep = duality_check(ctx.weight(name), p, family=fam)
-        return [[name, p, rep.char, fam.min_pair_norm(), fam.max_kappa(),
-                 rep.log_gap, rep.log_bound, rep.passed]], ()
+        return ([[name, p, rep.char, fam.min_pair_norm(), fam.max_kappa(),
+                  rep.log_gap, rep.log_bound, rep.passed]],)
 
     _run_cells(result, "reducing", cell, ctx.cells(),
                ("reducing_scan.csv",
@@ -223,11 +221,12 @@ def _run_stopping(ctx: RunContext, result: RunResult, dump: bool = False):
     def cell(key):
         name, p = key
         tree = ctx.tree(name, p)
-        decays = [decay_ratio(tree, j) for j in range(1, 6)]
-        path = result.out_dir / f"stopping_{name}_p{p:g}.json"
-        return ([[name, p, tree.config.lambda1, tree.config.lambda2,
-                  tree.generation_count(), *decays]],
-                [lambda: save_generation_tree(tree, path)] if dump else ())
+        rows = [[name, p, tree.config.lambda1, tree.config.lambda2, tree.generation_count(),
+                 *(decay_ratio(tree, j) for j in range(1, 6))]]
+        if dump:  # the last step: a cell that raises leaves no tree behind
+            path = result.out_dir / f"stopping_{name}_p{p:g}.json"
+            result.files.append(save_generation_tree(tree, path))
+        return (rows,)
 
     _run_cells(result, "stopping", cell, ctx.cells(),
                ("stopping_decay.csv",
@@ -264,8 +263,8 @@ def _run_multiplier(ctx: RunContext, result: RunResult):
         grid = tuple(range(w.d + 1))  # cells and value components
         scale = np.maximum(1.0, np.abs(tf).max(axis=grid))
         sum_err = float((np.abs(total - tf).max(axis=grid) / scale).max())
-        return [[name, p, parts.max(), parts.mean(),
-                 quots.max() if quots.size else float("nan"), sum_err]], ()
+        return ([[name, p, parts.max(), parts.mean(),
+                  quots.max() if quots.size else float("nan"), sum_err]],)
 
     _run_cells(result, "multiplier", cell, ctx.cells(),
                ("multiplier_bounds.csv",
@@ -280,12 +279,13 @@ def _run_equivalence(ctx: RunContext, result: RunResult):
         name, p = key
         rep = equivalence_ratios(ctx.family(name, p), cfg.count,
                                  seed=cfg.seed, spectra=cfg.spectra)
-        report = equivalence_to_dict(rep)
-        path = result.out_dir / f"equivalence_{name}_p{p:g}.json"
-        return ([[name, p, rep.char, rep.max_ratio, rep.max_inverse_ratio,
+        rows = ([[name, p, rep.char, rep.max_ratio, rep.max_inverse_ratio,
                   rep.c1_emp, rep.c2_emp, rep.skipped]],
-                [[name, p, *row] for row in equivalence_rows(rep)],
-                [lambda: write_json(path, report)])
+                [[name, p, *row] for row in equivalence_rows(rep)])
+        # the last step: a cell that raises leaves no report behind
+        path = result.out_dir / f"equivalence_{name}_p{p:g}.json"
+        result.files.append(write_json(path, equivalence_to_dict(rep)))
+        return rows
 
     _run_cells(result, "equivalence", cell, ctx.cells(),
                ("equivalence_summary.csv",
