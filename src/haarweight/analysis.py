@@ -75,23 +75,34 @@ SPECTRA = ("flat", "geometric", "spike")
 _log = logging.getLogger(__name__)
 
 
-def _draw_detail(detail: list, rng: np.random.Generator, spectrum: str):
-    """Fill one function's zeroed detail blocks in place from rng.
+def _draw_detail(rows: np.ndarray, d: int, level: int, rng: np.random.Generator,
+                 spectrum: str):
+    """Fill one function's zeroed detail rows (cubes, 2^d - 1, n) in place
+    from rng.
 
     flat: iid normal at every slot. geometric: level l scaled by 2^{-l}.
-    spike: a single random slot (one cube, one signature).
+    spike: a single random slot (one cube, one signature). The rows hold the
+    levels in order, so one draw fills every level as level-by-level draws
+    would.
     """
     if spectrum in ("flat", "geometric"):
-        for l, a in enumerate(detail):
-            rng.standard_normal(out=a)
-            if spectrum == "geometric":
-                a *= 2.0 ** (-l)
+        rng.standard_normal(out=rows)
+        if spectrum == "geometric":
+            rows *= _level_scales(d, level)
     elif spectrum == "spike":
-        l = int(rng.integers(len(detail)))
-        flat = detail[l].reshape(-1, detail[l].shape[-1])
+        l = int(rng.integers(level))
+        flat = rows[_cube_count(d, l) : _cube_count(d, l + 1)].reshape(-1, rows.shape[-1])
         flat[int(rng.integers(flat.shape[0]))] = rng.standard_normal(flat.shape[1])
     else:
         raise ParameterError(f"unknown spectrum {spectrum!r}, options {SPECTRA}")
+
+
+@functools.lru_cache(maxsize=None)
+def _level_scales(d: int, level: int) -> np.ndarray:
+    """2^{-l} on each row of the level-row axis, as a (cubes, 1, 1) column."""
+    out = np.repeat(2.0 ** -np.arange(level), [1 << (l * d) for l in range(level)])[:, None, None]
+    out.flags.writeable = False
+    return out
 
 
 def random_mean_zero_batch(
@@ -121,7 +132,7 @@ def _draw_batch(d: int, n: int, level: int, count: int, tag: tuple,
     """(root, rows) arrays of random_mean_zero_batch, read-only."""
     rows = np.zeros((count, _cube_count(d, level), (1 << d) - 1, n))
     for i in range(count):
-        _draw_detail(_levels(rows[i], d), np.random.default_rng([*tag, i]),
+        _draw_detail(rows[i], d, level, np.random.default_rng([*tag, i]),
                      spectra[i % len(spectra)])
     out = (np.zeros((n, count)), np.ascontiguousarray(np.moveaxis(rows, 0, -1)))
     for a in out:

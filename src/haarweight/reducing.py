@@ -121,11 +121,32 @@ def quasi_uniform_directions(n: int, m: int, offset: float = 0.0) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _extreme_singular_values(mats: np.ndarray) -> tuple:
+    """(sigma_max, sigma_min) of every matrix of a (..., n, n) stack.
+
+    n = 1: both are |M|. n = 2: with M = [[a, b], [c, d]], sigma_max and
+    sigma_min are (hypot(a + d, c - b) +- hypot(a - d, b + c)) / 2 (the
+    difference taken in absolute value, for det M < 0). Nothing is squared,
+    so nothing overflows, and a stack scaled by 2^k gives values scaled by
+    2^k exactly; sigma_min, a difference, holds to about eps * kappa
+    relative. n >= 3: one SVD without vectors gives both.
+    """
+    n = mats.shape[-1]
+    if n == 1:
+        s = np.abs(mats[..., 0, 0])
+        return s, s
+    if n == 2:
+        a, b, c, d = (mats[..., i, j] for i in range(2) for j in range(2))
+        plus, minus = np.hypot(a + d, c - b), np.hypot(a - d, b + c)
+        return (plus + minus) / 2, np.abs(plus - minus) / 2
+    s = np.linalg.svd(mats, compute_uv=False)
+    return s[..., 0], s[..., -1]
+
+
 def op_norm_stack(mats: np.ndarray) -> np.ndarray:
-    """Spectral norms of a (..., n, n) stack."""
-    if mats.shape[-1] == 1:
-        return np.abs(mats[..., 0, 0])
-    return np.linalg.svd(mats, compute_uv=False)[..., 0]
+    """Spectral norms of a (..., n, n) stack: sigma_max of
+    _extreme_singular_values, the routine the stopping tests read too."""
+    return _extreme_singular_values(mats)[0]
 
 
 # ---------------------------------------------------------------------------

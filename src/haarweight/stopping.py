@@ -20,7 +20,9 @@ generations.
 Both passes read one table per test and level (_pair_tables), the test
 values of every level-lj cube against each of its lj ancestors on a last
 axis: the labelling pass picks each cube's value at its root level, and
-calibration folds the tables into running maxima.
+calibration folds the tables into running maxima. Both tables of a level
+come from one product per (cube, ancestor) pair, M = V_J V_I^{-1}: test 1 is
+sigma_max(M)^p and test 2 is sigma_min(M)^{-p'}.
 
 The tree is its family, those label arrays and the two test values of
 every cube, one array per level; no per-cube records are built. Generation j's stopping
@@ -50,7 +52,7 @@ import numpy as np
 
 from .dyadic import HaarCoefficients, _cube_blocks, _rows, refine_to_cells
 from .errors import CoverageError, ParameterError, ShapeError
-from .reducing import ReducingFamily, conjugate_exponent, op_norm_stack
+from .reducing import ReducingFamily, _extreme_singular_values, conjugate_exponent
 
 __all__ = [
     "StoppingConfig",
@@ -118,20 +120,25 @@ class GenerationTree:
 def _pair_tables(family: ReducingFamily, mode: int, lj: int) -> np.ndarray:
     """Test values of every level-lj cube J against each of its ancestors,
     shape (2^lj,)*d + (lj,): index li holds ||V_J V_I^{-1}||^p (mode 1) or
-    ||V_J^{-1} V_I||^{p'} (mode 2), I the level-li ancestor of J. One
-    op_norm_stack call on the stacked products, each computed as it is
-    alone. The transient stacks hold lj 2^{lj d} n^2 floats each, so the
-    peak is at the floor, lj = L. Cached on the family."""
+    ||V_J^{-1} V_I||^{p'} (mode 2), I the level-li ancestor of J.
+
+    Both tables of a level come from one stacked product per pair, M = V_J
+    V_I^{-1}, each computed as it is alone: test 1 is sigma_max(M)^p, and
+    since the operators are symmetric, V_J^{-1} V_I is the transpose of
+    M^{-1}, so test 2 is sigma_min(M)^{-p'}. The first call at a level caches
+    both. The transient product stack holds lj 2^{lj d} n^2 floats and the
+    two tables lj 2^{lj d} each, so the peak is at the floor, lj = L.
+    Cached on the family."""
     key = ("pairs", mode, lj)
     if key not in family._cache:
-        d = family.d
-        own, anc, power = ((family.v, family.v_inv, family.p) if mode == 1 else
-                           (family.v_inv, family.v, conjugate_exponent(family.p)))
-        ancestors = np.stack([refine_to_cells(anc[li], d, lj - li) for li in range(lj)],
+        d, inv = family.d, family.v_inv
+        ancestors = np.stack([refine_to_cells(inv[li], d, lj - li) for li in range(lj)],
                              axis=d)
-        val = op_norm_stack(own[lj][..., None, :, :] @ ancestors) ** power
-        val.flags.writeable = False
-        family._cache[key] = val
+        big, small = _extreme_singular_values(family.v[lj][..., None, :, :] @ ancestors)
+        for m, val in ((1, big ** family.p),
+                       (2, small ** -conjugate_exponent(family.p))):
+            val.flags.writeable = False
+            family._cache["pairs", m, lj] = val
     return family._cache[key]
 
 

@@ -52,7 +52,7 @@ from test_reducing import frame_cascade
 def random_mean_zero_coefficients(d, n, level, rng, spectrum="flat"):
     """Random detail coefficients, zero root scaling, drawn by _draw_detail."""
     c = HaarCoefficients.zeros(d, n, level)
-    analysis._draw_detail(c.detail, rng, spectrum)
+    analysis._draw_detail(c.rows, d, level, rng, spectrum)
     return c
 
 

@@ -1,6 +1,7 @@
 """Reducing-operator tests: exact routes against scipy oracles, ellipsoid
 fits against the norm they must sandwich, and the duality identity."""
 
+import decimal
 import itertools
 import logging
 import math
@@ -40,6 +41,7 @@ from haarweight.reducing import (
     _CAL_OFFSET,
     METHOD_NAMES,
     _TOL,
+    _extreme_singular_values,
     _fit_operators,
     _least_squares_start,
     _outer_products,
@@ -979,6 +981,17 @@ def test_rows_split_round_trip(d):
         np.testing.assert_array_equal(got, want)
 
 
+def _singular_values_50_digits(m):
+    """(sigma_max, sigma_min) of a 2x2 float matrix in 50-digit decimals:
+    sigma_max^2 + sigma_min^2 = |M|_F^2 and sigma_max sigma_min = |det M|."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, b, c, d = (decimal.Decimal(float(x)) for x in m.ravel())
+        frob, det = a * a + b * b + c * c + d * d, abs(a * d - b * c)
+        big = ((frob + (frob * frob - 4 * det * det).sqrt()) / 2).sqrt()
+        return float(big), float(det / big)
+
+
 def test_op_norm_stack_oracle():
     rng = np.random.default_rng(5)
     mats = rng.standard_normal((7, 3, 3))
@@ -987,6 +1000,33 @@ def test_op_norm_stack_oracle():
     np.testing.assert_allclose(got, want, rtol=1e-12)
     one = rng.standard_normal((4, 1, 1))
     np.testing.assert_allclose(op_norm_stack(one), np.abs(one[:, 0, 0]))
+    for stack in (mats, one):
+        big, small = _extreme_singular_values(stack)
+        np.testing.assert_array_equal(big, op_norm_stack(stack))
+        np.testing.assert_allclose(small, np.linalg.svd(stack, compute_uv=False)[:, -1],
+                                   rtol=1e-12)
+    # 2x2 is a closed form. Exact multiples of the identity: both singular
+    # values are exactly |c|
+    c = np.array([1.0, -3.0, 0.1, 2.0**-40, 7e5])
+    for got in _extreme_singular_values(c[:, None, None] * np.eye(2)):
+        np.testing.assert_array_equal(got, np.abs(c))
+    # rotation x diag(1, 1/kappa) x rotation, kappa up to 1e8: sigma_max to a
+    # few ulps, sigma_min to 2e-15 kappa relative, against 50-digit values
+    kappa = np.logspace(0.0, 8.0, 33)
+    t1, t2 = rng.uniform(0.0, 2.0 * np.pi, (2, kappa.size))
+    rot = lambda t: np.stack([np.stack([np.cos(t), -np.sin(t)], -1),
+                              np.stack([np.sin(t), np.cos(t)], -1)], -2)
+    diag = np.zeros((kappa.size, 2, 2))
+    diag[:, 0, 0], diag[:, 1, 1] = 1.0, 1.0 / kappa
+    mats = rot(t1) @ diag @ rot(t2)
+    big, small = _extreme_singular_values(mats)
+    want = np.array([_singular_values_50_digits(m) for m in mats])
+    np.testing.assert_allclose(big, want[:, 0], rtol=1e-15, atol=0)
+    assert (np.abs(small - want[:, 1]) <= 2e-15 * kappa * want[:, 1]).all()
+    # a 2^k scale comes out exactly, far past where squares over/underflow
+    for k in (600, -600):
+        for got, base in zip(_extreme_singular_values(mats * 2.0**k), (big, small)):
+            np.testing.assert_array_equal(got, base * 2.0**k)
 
 
 def test_quasi_uniform_directions():

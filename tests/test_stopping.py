@@ -4,6 +4,7 @@ per-root block scan it replaced, per-cube pair tables, and threshold
 calibration against an independent per-pair decay and log-scale bisection."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from haarweight.dyadic import (
     refine_to_cells,
 )
 from haarweight import stopping
-from haarweight.reducing import conjugate_exponent, op_norm_stack
+from haarweight.reducing import _extreme_singular_values, conjugate_exponent
 from haarweight.serialization import tree_to_dict
 from haarweight.stopping import (
     _coverage_maxima,
@@ -491,37 +492,51 @@ def test_labelling_pass_matches_per_root_scan(suite_ctx, p, lam):
 
 
 def test_one_pair_table_per_test_and_level(monkeypatch):
-    # calibration and labelling share one table per (test, level): 2L norm
-    # stacks, not one per (root level, level) pair
+    # calibration and labelling share the tables of a level, and both tests
+    # of a level come from one singular-value pass: L passes, not one per
+    # test and level (2L) or per (root level, level) pair
     w, fam = rotating_setup(level=6)
     shapes = []
 
     def counted(mats):
         shapes.append(mats.shape)
-        return op_norm_stack(mats)
+        return _extreme_singular_values(mats)
 
-    monkeypatch.setattr(stopping, "op_norm_stack", counted)
+    monkeypatch.setattr(stopping, "_extreme_singular_values", counted)
     res = calibrate_lambdas([("rot", w, fam)])
     build_generations(fam, StoppingConfig(lambda1=res.lambda1,
                                           lambda2=res.lambda2_by_weight["rot"]))
-    assert len(shapes) == 2 * fam.level == 12
+    assert len(shapes) == fam.level == 6
+    assert shapes == [(1 << lj, lj, 2, 2) for lj in range(1, 7)]
 
 
-@pytest.mark.parametrize("name", ["rot2d-a05", "rot-a06"])
-def test_pair_table_per_cube(name):
-    spec = {s.name: s for s in suite_weight_specs()}[name]
-    p = 3.0
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("name", [s.name for s in suite_weight_specs()])
+def test_pair_table_per_cube(suite_ctx, name, p):
+    # every suite weight (n = 1, 2, 3; d = 1, 2) against per-pair SVD norms
     q = conjugate_exponent(p)
-    fam = build_reducing_family(spec.realize(), p)
-    for li in range(fam.level):
-        for lj in range(li + 1, fam.level + 1):
+    fam = suite_ctx.family(name, p)
+    for lj in range(1, fam.level + 1):
+        js = np.indices(((1 << lj),) * fam.d)
+        vj = fam.v[lj][tuple(js)]
+        for li in range(lj):
             t1 = _pair_table(fam, 1, li, lj)
             t2 = _pair_table(fam, 2, li, lj)
             assert t1.shape == t2.shape == ((1 << lj),) * fam.d
-            for J in np.ndindex(t1.shape):
-                I = tuple(i >> (lj - li) for i in J)
-                vi, vj = fam.v[li][I], fam.v[lj][J]
-                want1 = np.linalg.norm(vj @ np.linalg.inv(vi), 2) ** p
-                want2 = np.linalg.norm(np.linalg.inv(vj) @ vi, 2) ** q
-                assert t1[J] == pytest.approx(want1, rel=1e-12)
-                assert t2[J] == pytest.approx(want2, rel=1e-12)
+            vi = fam.v[li][tuple(js >> (lj - li))]
+            want1 = np.linalg.norm(vj @ np.linalg.inv(vi), 2, axis=(-2, -1)) ** p
+            want2 = np.linalg.norm(np.linalg.inv(vj) @ vi, 2, axis=(-2, -1)) ** q
+            np.testing.assert_allclose(t1, want1, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(t2, want2, rtol=1e-12, atol=0)
+
+
+def test_suite_generation_labels_pinned(suite_ctx):
+    # one crc32 over the labels of every suite tree at p in {2, 3} on the
+    # default config: a change to how the test values are computed must move
+    # no stopping decision
+    assert len(suite_ctx.cells()) == 18
+    crc = 0
+    for name, p in suite_ctx.cells():
+        for labels in suite_ctx.tree(name, p).gen_label:
+            crc = zlib.crc32(np.ascontiguousarray(labels, dtype="<i4").tobytes(), crc)
+    assert crc == 0x8D77D749
