@@ -394,7 +394,7 @@ def c11_slopes_and_sharpness(ctx: AcceptanceContext) -> CriterionResult:
     the max-ratio direction is capped at sqrt(L+1) uniformly in the weight
     (triangle inequality across levels), and the power family's inverse
     direction grows like char^(1/2). Neither window is reachable on a
-    two-decade sweep at L=10; the result records the measurements.
+    two-decade sweep at L=10; the result records this run's measurements.
     """
     rep = alpha_sweep_report(ctx.config)
     decades = rep["char_decades"]
@@ -420,10 +420,8 @@ def c11_slopes_and_sharpness(ctx: AcceptanceContext) -> CriterionResult:
             "mechanism), and the power family's inverse direction is an exact "
             f"char^(1/2) law (eigenvalue-level slope "
             f"{rep['probe_eigen_inverse_slope']:.3f}); deeper grids and a "
-            "cascade family miss both windows too (README, acceptance status): "
-            "the power family's probe slopes go from 0.135/0.483 at L=10 to "
-            "0.183/0.468 at L=20, and dyadic Riesz products at L=10 give "
-            "0.178/0.520 (K=8) and 0.065/0.398 (K=4)"
+            "cascade family miss both windows too (tables in the README, "
+            "Acceptance status)"
         )
     return CriterionResult(
         11, "slope-and-sharpness",

@@ -36,6 +36,7 @@ from .dyadic import (
     _column_blocks,
     _column_rows,
     _cube_count,
+    _level_factors,
     _levels,
     _lp_integrals,
     _synthesize,
@@ -88,21 +89,13 @@ def _draw_detail(rows: np.ndarray, d: int, level: int, rng: np.random.Generator,
     if spectrum in ("flat", "geometric"):
         rng.standard_normal(out=rows)
         if spectrum == "geometric":
-            rows *= _level_scales(d, level)
+            rows *= _level_factors(d, tuple(2.0 ** -l for l in range(level)))[:, None, None]
     elif spectrum == "spike":
         l = int(rng.integers(level))
         flat = rows[_cube_count(d, l) : _cube_count(d, l + 1)].reshape(-1, rows.shape[-1])
         flat[int(rng.integers(flat.shape[0]))] = rng.standard_normal(flat.shape[1])
     else:
         raise ParameterError(f"unknown spectrum {spectrum!r}, options {SPECTRA}")
-
-
-@functools.lru_cache(maxsize=None)
-def _level_scales(d: int, level: int) -> np.ndarray:
-    """2^{-l} on each row of the level-row axis, as a (cubes, 1, 1) column."""
-    out = np.repeat(2.0 ** -np.arange(level), [1 << (l * d) for l in range(level)])[:, None, None]
-    out.flags.writeable = False
-    return out
 
 
 def random_mean_zero_batch(

@@ -22,6 +22,7 @@ from .acceptance import AcceptanceContext, run_all
 from .config import (
     EXPERIMENT_IDS,
     ExperimentConfig,
+    _exponent_tag,
     default_config,
     load_config,
 )
@@ -98,7 +99,7 @@ def _cmd_dump_weight(args) -> int:
 def _cmd_dump_stopping(args) -> int:
     cfg = _load(args)
     ctx = RunContext(cfg)
-    out = args.out or Path(f"{args.name}_p{args.p:g}.json")
+    out = args.out or Path(f"{args.name}_{_exponent_tag(args.p)}.json")
     save_generation_tree(ctx.tree(args.name, args.p), out)
     print(out)
     return 0

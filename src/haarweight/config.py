@@ -39,6 +39,11 @@ EXPERIMENT_IDS = (
 )
 
 
+def _exponent_tag(p: float) -> str:
+    """The tag p{p:g} in the names of an exponent's files."""
+    return f"p{p:g}"
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """One weight in the grid: either a generated family or a file to load."""
@@ -115,11 +120,11 @@ class ExperimentConfig:
                 raise ConfigError(f"exponents must exceed 1 and be finite, got {p}")
         _check_unique("ps", self.ps)
         spelled = {}
-        for p in self.ps:  # an exponent's files are named p{p:g}
-            other = spelled.setdefault(f"{p:g}", p)
+        for p in self.ps:
+            other = spelled.setdefault(_exponent_tag(p), p)
             if other != p:
                 raise ConfigError(f"exponents {other!r} and {p!r} both name their "
-                                  f"files p{p:g}")
+                                  f"files {_exponent_tag(p)}")
         if not self.spectra:
             raise ConfigError("spectra must name at least one spectrum")
         bad = set(self.spectra) - set(SPECTRA)
@@ -322,9 +327,11 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return _config_from_dict(raw)

@@ -29,7 +29,8 @@ quantity is one sum per column (_lp_integrals) over that column's contiguous
 row (_column_rows). Any number of batch axes may follow n. Per-cube data
 (Haar details, reducing operators) is stored once on the level-row axis,
 every cube level by level (_rows): a cube-by-cube operation is one array
-operation on it, and per-level (2^l,)*d + tail arrays are views (_levels).
+operation on it, per-level (2^l,)*d + tail arrays are views (_levels), and
+a per-level factor becomes one value per row (_level_factors).
 
 Conventions. A cube at level l has sidelength 2^-l and index in {0..2^l-1}^d;
 child gamma in {0,1}^d selects the left (0) or right (1) half per axis. A Haar
@@ -118,6 +119,16 @@ def _levels(rows: np.ndarray, d: int) -> list:
         out.append(rows[start : start + size].reshape(shape))
         start += size
     return out
+
+
+@functools.cache
+def _level_factors(d: int, per_level: tuple) -> np.ndarray:
+    """per_level[l] on every row of level l of the level-row axis, levels
+    0..len(per_level) - 1, as a read-only (rows,) array."""
+    f = np.repeat(np.array(per_level, dtype=float),
+                  [1 << l * d for l in range(len(per_level))])
+    f.flags.writeable = False
+    return f
 
 
 # the working-set budget of the batched paths, in float64 entries (1 MiB):
@@ -270,20 +281,15 @@ class HaarCoefficients:
 # transforms
 
 
-@functools.cache
 def _row_scales(d: int, level: int, synthesis: bool) -> np.ndarray:
     """One factor per row of the level-row axis of a level-`level` grid, as a
     read-only (rows, 1) column. For synthesis, 2^(l d / 2) takes a level-l
     Haar coefficient to the difference of cell averages it spans; for
     analysis, 2^(-l d / 2) 2^(-d (level - l)) takes a butterfly of
     unnormalized cell sums to the coefficient."""
-    per_level = [2.0 ** (l * d / 2.0) if synthesis
-                 else 2.0 ** (-l * d / 2.0) * 2.0 ** (-d * (level - l))
-                 for l in range(level)]
-    f = np.repeat(np.array(per_level, dtype=float), [1 << l * d for l in range(level)])
-    f = f[:, None]
-    f.flags.writeable = False
-    return f
+    return _level_factors(d, tuple(2.0 ** (l * d / 2.0) if synthesis
+                                   else 2.0 ** (-l * d / 2.0) * 2.0 ** (-d * (level - l))
+                                   for l in range(level)))[:, None]
 
 
 def _halves(a: np.ndarray, axis: int) -> tuple:

@@ -34,7 +34,7 @@ from .analysis import (
     random_mean_zero_batch,
     sharpness_probes,
 )
-from .config import EXPERIMENT_IDS, ExperimentConfig, WeightSpec, config_to_dict
+from .config import EXPERIMENT_IDS, ExperimentConfig, WeightSpec, _exponent_tag, config_to_dict
 from .dyadic import HaarCoefficients, _column_blocks, _lp_integrals, _random_exactness_errors
 from .errors import ConfigError, HaarweightError, ParameterError
 from .multipliers import t_blocks, t_operator
@@ -224,7 +224,7 @@ def _run_stopping(ctx: RunContext, result: RunResult, dump: bool = False):
         rows = [[name, p, tree.config.lambda1, tree.config.lambda2, tree.generation_count(),
                  *(decay_ratio(tree, j) for j in range(1, 6))]]
         if dump:  # the last step: a cell that raises leaves no tree behind
-            path = result.out_dir / f"stopping_{name}_p{p:g}.json"
+            path = result.out_dir / f"stopping_{name}_{_exponent_tag(p)}.json"
             result.files.append(save_generation_tree(tree, path))
         return (rows,)
 
@@ -283,7 +283,7 @@ def _run_equivalence(ctx: RunContext, result: RunResult):
                   rep.c1_emp, rep.c2_emp, rep.skipped]],
                 [[name, p, *row] for row in equivalence_rows(rep)])
         # the last step: a cell that raises leaves no report behind
-        path = result.out_dir / f"equivalence_{name}_p{p:g}.json"
+        path = result.out_dir / f"equivalence_{name}_{_exponent_tag(p)}.json"
         result.files.append(write_json(path, equivalence_to_dict(rep)))
         return rows
 

@@ -79,10 +79,10 @@ _SIGMA_POWER = 3
 # 0.5, 0.75 and 0.95 raised on 55, 50 and 63 (the barrier path: 74); on the
 # sweep they take the same steps
 _SPD_FRACTION = 0.75
-# the fit stops a row once its certified duality gap is <= n _TOL; _MAX_ITER
-# caps the batch Newton steps of one fit
+# the fit stops a row once its certified duality gap is <= n _TOL; a row
+# still uncertified after _MAX_STEPS Newton steps raises
 _TOL = 1e-6
-_MAX_ITER = 200_000
+_MAX_STEPS = 80
 # a row's least-squares start is divided by 1 + _START_MARGIN past its
 # farthest fit point, so every point lies strictly inside. On the 50 fits of
 # the rotating-fit sweep in tests/test_reducing.py (pytest -m slow), margins
@@ -283,8 +283,7 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray):
     points inside {x : x^T A x <= 1}) and within n _TOL of the optimal
     -log det A; tests check the John-type certificate A^{-1} = sum_m c_m x_m
     x_m^T with c_m >= 0 and sum c_m <= n (1 + _TOL) on the suite's norms, and
-    the gap against an independent dual on eccentric ones. _MAX_ITER caps the
-    batch Newton steps, summed over the row blocks.
+    the gap against an independent dual on eccentric ones.
 
     Each row is rescaled by the geometric mean g of its rho, undone at exit,
     so its constraints read <E_m, A> <= r_m with E_m = e_m e_m^T, e_m =
@@ -303,11 +302,11 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray):
     with sum_m u_m r_m = u^T s + tr(A M), bounds -log det A minus its optimum
     for a strictly feasible A. The rescale leaves G unchanged, and G does not
     depend on the scale of u. A row leaves the batch once its G <= n _TOL,
-    before its Newton matrix is built. A row still uncertified after 80
-    Newton steps raises EllipsoidFitError with its gap. So does a start,
-    Cholesky factor or Newton system that is singular in floats, where numpy
-    raises LinAlgError, with the last gap of the rows left (infinite before
-    the first step).
+    before its Newton matrix is built. A row still uncertified after
+    _MAX_STEPS (80) Newton steps raises EllipsoidFitError with its gap. So
+    does a start, Cholesky factor or Newton system that is singular in
+    floats, where numpy raises LinAlgError, with the last gap of the rows
+    left (infinite before the first step).
 
     Step: linearizing A^{-1} = M and u_m s_m = sigma mu gives, for the step
     Delta of A, the Newton matrix H = A^{-1} (x) A^{-1} + sum_m (u_m / s_m)
@@ -331,7 +330,8 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray):
     (_quartic_monomials; 5 columns at n = 2, 15 at n = 3). The rows go in
     blocks of dyadic._spans, within _BLOCK_ENTRIES entries for the four
     (rows, m) arrays a step holds (s, u and two work arrays); the blocks run
-    one after another in this one call. The (rows, m) products of the start
+    one after another in this one call, each from step 0, so the step cap
+    does not depend on how the rows are cut. The (rows, m) products of the start
     and of a step (M, H's barrier term, the two constraint changes and the
     corrector's right-hand side) run as serial GEMMs over blocks of rows
     (weights._serial_matmul): each block stays on the calling thread, so no
@@ -388,7 +388,7 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray):
         s = r - _serial_matmul(al, pe.T)
         del r
         u = 1.0 / s  # u_0 = mu_0 / s_0 once the start's gap gives mu_0
-        for k in range(81):
+        for k in range(_MAX_STEPS + 1):
             try:
                 linv = np.linalg.inv(np.linalg.cholesky(al.reshape(-1, n, n)))
             except np.linalg.LinAlgError as exc:
@@ -413,10 +413,8 @@ def _mvee_batch(rho: np.ndarray, dirs: np.ndarray):
                 u = u[keep]
             if not live.size:
                 break
-            if k == 80:
-                raise failure(f"{live.size} rows not certified in 80 Newton steps")
-            if steps >= _MAX_ITER:
-                raise failure(f"exceeded {_MAX_ITER} Newton steps")
+            if k == _MAX_STEPS:
+                raise failure(f"{live.size} rows not certified in {_MAX_STEPS} Newton steps")
             steps += 1
             row_steps += live.size
             linv_t = linv.swapaxes(1, 2)

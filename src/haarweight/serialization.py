@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dyadic import _levels
 from .errors import SerializationError
 from .stopping import GenerationTree
 from .weights import MatrixWeight
@@ -168,10 +169,11 @@ def tree_to_dict(tree: GenerationTree) -> dict:
     cfg = tree.config
     gens = []
     roots = [{"level": 0, "index": [0] * tree.d}]
+    tests = [_levels(t, tree.d) for t in tree.tests]
     for j in range(1, tree.generation_count() + 1):
         stopping = []
-        levels = zip(tree.stopping_masks(j), tree.test1, tree.test2)
-        for lvl, (mask, t1, t2) in enumerate(levels, 1):
+        levels = zip(_levels(tree.stopping_masks(j), tree.d), *tests)
+        for lvl, (mask, t1, t2) in enumerate(levels):
             # boolean indexing and argwhere both walk the mask in index order
             for idx, v1, v2 in zip(np.argwhere(mask).tolist(), t1[mask].tolist(),
                                    t2[mask].tolist()):

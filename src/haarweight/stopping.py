@@ -24,9 +24,10 @@ calibration folds the tables into running maxima. Both tables of a level
 come from one product per (cube, ancestor) pair, M = V_J V_I^{-1}: test 1 is
 sigma_max(M)^p and test 2 is sigma_min(M)^{-p'}.
 
-The tree is its family, those label arrays and the two test values of
-every cube, one array per level; no per-cube records are built. Generation j's stopping
-cubes are the cubes labelled j + 1 whose label is above their parent's, and
+The tree is its family and three row arrays on the level-row axis of
+levels 0..floor (dyadic._levels gives their per-level views): each cube's
+label, whether it fired, and its two test values; no per-cube records are
+built. Generation j's stopping cubes are the fired cubes labelled j + 1, and
 generation j + 1's roots are the same cubes.
 
 The same labels split a function and the operators built on it:
@@ -50,7 +51,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import HaarCoefficients, _cube_blocks, _rows, refine_to_cells
+from .dyadic import (
+    HaarCoefficients,
+    _cube_blocks,
+    _cube_count,
+    _level_factors,
+    _levels,
+    refine_to_cells,
+)
 from .errors import CoverageError, ParameterError, ShapeError
 from .reducing import ReducingFamily, _extreme_singular_values, conjugate_exponent
 
@@ -81,12 +89,12 @@ class StoppingConfig:
 
 @dataclass(eq=False)
 class GenerationTree:
-    """A stopping tree is its reducing family, its label arrays and its test
-    values.
+    """A stopping tree is its reducing family and three row arrays on the
+    level-row axis of levels 0..floor.
 
-    gen_label[l] holds the generation label of every level-l cube, for l =
-    0..floor. test1[l - 1] and test2[l - 1] hold, for l = 1..floor, the two
-    test values of every level-l cube against its parent's block root. The
+    labels holds each cube's generation label, fired whether the cube fired
+    a test against its parent's block root, and tests[0] and tests[1] the
+    two test values there (0.0 on the root row, which never fires). The
     exponent p and the grid (d, L) are the family's, so the tree reaches W
     through the family. Only this module reads the label encoding;
     stopping_masks and floor_hit give the generations it stands for.
@@ -94,27 +102,26 @@ class GenerationTree:
 
     config: StoppingConfig
     family: ReducingFamily  # the family the tree was built from
-    gen_label: list  # per level 0..floor: int arrays of generation labels
-    test1: list  # per level 1..floor: ||V_J V_I^{-1}||^p, I the parent's root
-    test2: list  # per level 1..floor: ||V_J^{-1} V_I||^{p'}
+    labels: np.ndarray  # (cubes,) int32 generation labels
+    fired: np.ndarray  # (cubes,) bool: the cube opened a generation
+    tests: np.ndarray  # (2, cubes): test 1 and test 2 against the parent's root
 
     p = property(lambda self: self.family.p)
     d = property(lambda self: self.family.d)
     level = property(lambda self: self.family.level)
 
     def generation_count(self) -> int:
-        return int(self.gen_label[-1].max())
+        """The largest floor label: labels never drop down the tree."""
+        return int(self.labels[_cube_count(self.d, self.level):].max())
 
-    def stopping_masks(self, j: int) -> list:
-        """Per level 1..floor, as test1 and test2, generation j's stopping
-        cubes: the cubes labelled j + 1 whose label is above their parent's
-        (they fired)."""
-        return [(lab == j + 1) & (lab > refine_to_cells(parent, self.d, 1))
-                for parent, lab in zip(self.gen_label, self.gen_label[1:])]
+    def stopping_masks(self, j: int) -> np.ndarray:
+        """Generation j's stopping cubes as one row mask: the fired cubes
+        labelled j + 1."""
+        return self.fired & (self.labels == j + 1)
 
     def floor_hit(self, j: int) -> bool:
         """Whether generation j reaches the floor: a floor cube is labelled j."""
-        return bool((self.gen_label[-1] == j).any())
+        return bool((self.labels[_cube_count(self.d, self.level):] == j).any())
 
 
 def _pair_tables(family: ReducingFamily, mode: int, lj: int) -> np.ndarray:
@@ -157,33 +164,32 @@ def build_generations(family: ReducingFamily, cfg: StoppingConfig) -> Generation
     family's exponent."""
     floor = _floor(family)
     d = family.d
-    label = np.ones((1,) * d, dtype=np.int32)
+    rows = _cube_count(d, floor + 1)
+    labels, fired, tests = np.ones(rows, np.int32), np.zeros(rows, bool), np.zeros((2, rows))
+    label, hit, t1, t2 = (_levels(a, d) for a in (labels, fired, *tests))
     root_at = np.zeros((1,) * d, dtype=np.int32)  # level of each cube's block root
-    gen_label, test1, test2 = [label], [], []
     for lj in range(1, floor + 1):
-        label = refine_to_cells(label, d, 1)
         root_at = refine_to_cells(root_at, d, 1)
         at = root_at[..., None]
-        t1 = np.take_along_axis(_pair_tables(family, 1, lj), at, axis=-1)[..., 0]
-        t2 = np.take_along_axis(_pair_tables(family, 2, lj), at, axis=-1)[..., 0]
-        hit = (t1 > cfg.lambda1) | (t2 > cfg.lambda2)
-        label = label + hit
-        root_at = np.where(hit, lj, root_at)
-        gen_label.append(label)
-        test1.append(t1)
-        test2.append(t2)
-    return GenerationTree(config=cfg, family=family, gen_label=gen_label,
-                          test1=test1, test2=test2)
+        t1[lj][...] = np.take_along_axis(_pair_tables(family, 1, lj), at, axis=-1)[..., 0]
+        t2[lj][...] = np.take_along_axis(_pair_tables(family, 2, lj), at, axis=-1)[..., 0]
+        hit[lj][...] = (t1[lj] > cfg.lambda1) | (t2[lj] > cfg.lambda2)
+        label[lj][...] = refine_to_cells(label[lj - 1], d, 1) + hit[lj]
+        root_at = np.where(hit[lj], lj, root_at)
+    return GenerationTree(config=cfg, family=family, labels=labels, fired=fired,
+                          tests=tests)
 
 
 def decay_ratio(tree: GenerationTree, j: int) -> float:
-    """Relative measure of the union of generation-j stopping cubes; every
-    term is a dyadic fraction, so the sum is exact."""
+    """Relative measure of the union of generation-j stopping cubes: one
+    masked sum of the cube measures 2^{-l d}. The cubes are disjoint, so
+    every term and partial sum is a multiple of 2^{-L d} no larger than 1,
+    and the sum is exact."""
     if j < 1:
         raise ParameterError(f"generation index must be >= 1, got {j}")
-    masks = tree.stopping_masks(j)
-    return float(sum(m.sum() * 2.0 ** (-lvl * tree.d)
-                     for lvl, m in enumerate(masks, 1)))
+    d = tree.d
+    measure = _level_factors(d, tuple(2.0 ** (-l * d) for l in range(tree.level + 1)))
+    return float(measure[tree.stopping_masks(j)].sum())
 
 
 def split_generations(
@@ -203,7 +209,7 @@ def split_generations(
             f"the tree (d={tree.d}, level {tree.level})"
         )
     gens = np.arange(1, tree.generation_count() + 1)
-    labels = _rows(tree.gen_label, tree.d)[: coeffs.rows.shape[0]]
+    labels = tree.labels[: coeffs.rows.shape[0]]
     mask = labels.reshape(labels.shape + (1,) * coeffs.rows.ndim) == gens
     root = np.zeros(coeffs.root_scaling.shape + gens.shape)
     return HaarCoefficients(coeffs.d, coeffs.n, coeffs.level, root,

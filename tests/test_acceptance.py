@@ -21,7 +21,7 @@ import haarweight.analysis as analysis
 import haarweight.dyadic as dyadic
 import haarweight.experiments as experiments
 from haarweight import ExperimentConfig, HaarCoefficients, WeightSpec
-from haarweight.dyadic import _cube_blocks
+from haarweight.dyadic import _cube_blocks, _levels
 
 
 @pytest.fixture(scope="module")
@@ -304,9 +304,9 @@ def test_block_sum_identity_fails_on_a_mislabelled_tree(tmp_path):
     ctx = acc.AcceptanceContext(cfg)
     assert acc.c08_block_identities(ctx).passed
     tree = ctx.tree("rot", 3.0)
-    labels = [lab.copy() for lab in tree.gen_label]
-    labels[1][1] = 0  # one detail cube now belongs to no generation
-    bad = dataclasses.replace(tree, gen_label=labels)
+    labels = tree.labels.copy()
+    _levels(labels, tree.d)[1][1] = 0  # one detail cube now belongs to no generation
+    bad = dataclasses.replace(tree, labels=labels)
 
     ctx = acc.AcceptanceContext(cfg)
     ctx._trees["rot", 3.0] = bad

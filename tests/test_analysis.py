@@ -645,7 +645,7 @@ def oracle_pieces(f, tree):
         HaarCoefficients(
             f.d, f.n, f.level, np.zeros(f.n),
             dyadic._rows([a * (lab == j)[..., None, None]
-                          for a, lab in zip(f.detail, tree.gen_label)], f.d),
+                          for a, lab in zip(f.detail, dyadic._levels(tree.labels, f.d))], f.d),
         )
         for j in range(1, tree.generation_count() + 1)
     ]

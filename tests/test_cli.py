@@ -116,6 +116,22 @@ def test_bad_config_is_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(p)]) == 2
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+def test_unreadable_config_is_exit_2(tmp_path, capsys, kind):
+    # these used to escape as FileNotFoundError, IsADirectoryError and
+    # UnicodeDecodeError, with a traceback and exit 1
+    p = tmp_path / "c.json"
+    if kind == "directory":
+        p.mkdir()
+    elif kind == "undecodable":
+        p.write_bytes(b'{"seed": "\xff"}')
+    assert main(["run", "--config", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error:") and str(p) in line
+
+
 @pytest.mark.parametrize("command", [["calibrate"], ["dump-weight", "r3"]])
 def test_bad_weight_parameters_are_exit_2(tmp_path, monkeypatch, capsys, command):
     # a d=3 rotating weight has no default x0; it used to escape as an

@@ -147,7 +147,7 @@ def test_batched_t_blocks_match_a_per_function_loop(name, p):
             # V_I^{-1} f_I on the cubes labelled j, cube by cube
             detail = [
                 np.einsum("...ij,...ej->...ei", v, a) * (lab == j)[..., None, None]
-                for v, a, lab in zip(fam.v_inv, f.detail, tree.gen_label)
+                for v, a, lab in zip(fam.v_inv, f.detail, _levels(tree.labels, w.d))
             ]
             piece = HaarCoefficients(w.d, w.n, w.level, np.zeros(w.n), _rows(detail, w.d))
             want.append(weighted_lp_norm(haar_reconstruct(piece), w, p) ** p)

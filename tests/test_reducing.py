@@ -585,13 +585,30 @@ def test_mvee_batch_centres_every_stage(monkeypatch, caplog, n, level):
     # negative control: one step fewer than the fit needs must not pass, and
     # the fit logs its one record, with the failing residual, before it raises
     caplog.clear()
-    monkeypatch.setattr(reducing, "_MAX_ITER", steps - 1)
+    monkeypatch.setattr(reducing, "_MAX_STEPS", steps - 1)
     with caplog.at_level(logging.DEBUG, logger="haarweight"):
         with pytest.raises(EllipsoidFitError) as raised:
             reducing._mvee_batch(rho, dirs)
     (record,) = [r for r in caplog.records if r.name == "haarweight.reducing"]
     assert record.args[3] == steps - 1
     assert record.args[4] == raised.value.residual > n * _TOL
+
+
+def test_step_cap_holds_per_row_block(monkeypatch, caplog):
+    # the cap counts each row's steps, so cutting a fit into row blocks moves
+    # no outcome: at a cap of the most steps any one block takes, the cut fit
+    # certifies, although its blocks' steps sum past that cap
+    rho, dirs = fit_inputs(2, None)
+    whole = reducing._mvee_batch(rho, dirs)
+    rows, m = rho.shape
+    monkeypatch.setattr(dyadic, "_BLOCK_ENTRIES", 4 * m * 5)
+    blocks = dyadic._spans(rows, 4 * m)
+    assert len(blocks) >= 3
+    most = max(_fit_record(caplog, rho[b], dirs)[3] for b in blocks)
+    assert _fit_record(caplog, rho, dirs)[3] > most
+    monkeypatch.setattr(reducing, "_MAX_STEPS", most)
+    np.testing.assert_allclose(reducing._mvee_batch(rho, dirs), whole, rtol=0,
+                               atol=1e-12 * np.abs(whole).max())
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -887,7 +904,7 @@ def test_p3_family_does_not_depend_on_blas_thread_count(tmp_path):
 
 def test_fit_failure_raises(monkeypatch):
     w = rotating_weight(level=2)
-    monkeypatch.setattr(reducing, "_MAX_ITER", 3)
+    monkeypatch.setattr(reducing, "_MAX_STEPS", 3)
     with pytest.raises(EllipsoidFitError):
         build_reducing_family(w, 3.0)
 

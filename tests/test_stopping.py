@@ -1,10 +1,12 @@
 """Stopping-time tests: a fully hand-checked two-cell tree, partition and
 admissibility invariants on a rotating weight, the labelling pass against the
-per-root block scan it replaced, per-cube pair tables, and threshold
+per-root block scan it replaced, the row arrays (fired flags and exact decay
+sums) against per-level labels, per-cube pair tables, and threshold
 calibration against an independent per-pair decay and log-scale bisection."""
 
 import math
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from haarweight import (
 )
 from haarweight.dyadic import (
     GridFunction,
+    _levels,
+    _rows,
     haar_reconstruct,
     haar_transform,
     refine_to_cells,
@@ -72,7 +76,7 @@ def test_two_cell_tree_hand_checked():
     assert g1["roots"] == [{"level": 0, "index": [0]}]
     fired = {tuple(c["index"]): c for c in g1["stopping"]}
     assert set(fired) == {(0,), (1,)}
-    np.testing.assert_array_equal(tree.stopping_masks(1)[0], [True, True])
+    np.testing.assert_array_equal(tree.stopping_masks(1), [False, True, True])
     # left child: weight shrank; ||V_J^{-1} V_I||^2 = 2.5
     assert fired[(0,)]["test2"] == pytest.approx(2.5, rel=1e-12)
     assert fired[(0,)]["test2"] > cfg.lambda2 and fired[(0,)]["test1"] <= cfg.lambda1
@@ -86,15 +90,18 @@ def test_two_cell_tree_hand_checked():
     # generation 2: the fired floor cubes become roots with nothing below
     assert [tuple(c["index"]) for c in g2["roots"]] == [(0,), (1,)]
     assert g2["stopping"] == []
-    assert not any(m.any() for m in tree.stopping_masks(2))
+    assert not tree.stopping_masks(2).any()
     assert not g1["floor_hit"] and g2["floor_hit"]
     assert (tree.floor_hit(1), tree.floor_hit(2)) == (False, True)
 
     assert decay_ratio(tree, 1) == pytest.approx(1.0)
     assert decay_ratio(tree, 2) == 0.0
     assert decay_ratio(tree, 5) == 0.0
-    np.testing.assert_array_equal(tree.gen_label[0], [1])
-    np.testing.assert_array_equal(tree.gen_label[1], [2, 2])
+    # the rows: the root, then the two level-1 cubes
+    np.testing.assert_array_equal(tree.labels, [1, 2, 2])
+    np.testing.assert_array_equal(tree.fired, [False, True, True])
+    np.testing.assert_allclose(tree.tests, [[0.0, 0.4, 1.6], [0.0, 2.5, 0.625]],
+                               rtol=1e-12, atol=0)
 
 
 def test_constant_weight_single_generation():
@@ -104,8 +111,9 @@ def test_constant_weight_single_generation():
     tree = build_generations(red, StoppingConfig(lambda1=1.5, lambda2=1.5))
     assert tree.generation_count() == 1
     assert tree.floor_hit(1)  # block reaches the floor untruncated
-    for lvl in range(5):
-        np.testing.assert_array_equal(tree.gen_label[lvl], 1)
+    assert tree.labels.shape == (31,)  # levels 0..4
+    np.testing.assert_array_equal(tree.labels, 1)
+    assert not tree.fired.any()
     assert decay_ratio(tree, 1) == 0.0
 
 
@@ -138,22 +146,22 @@ def test_partition_and_admissibility_invariants():
     tree = build_generations(fam, cfg)
 
     # every cube in the truncated tree carries exactly one block label
-    for lvl in range(tree.level + 1):
-        lab = tree.gen_label[lvl]
-        assert lab.min() >= 1 and lab.max() <= tree.generation_count()
+    labels = _levels(tree.labels, tree.d)
+    assert len(labels) == tree.level + 1
+    assert tree.labels.min() >= 1 and tree.labels.max() <= tree.generation_count()
 
     for rec in tree_to_dict(tree)["generations"]:
         j = rec["index"]
         root_at = {}
         for r in (Cube(r["level"], tuple(r["index"])) for r in rec["roots"]):
             for lvl in range(r.level, tree.level + 1):
-                mask = np.zeros_like(tree.gen_label[lvl], dtype=bool)
+                mask = np.zeros_like(labels[lvl], dtype=bool)
                 sl = r.cell_slices(lvl)
                 mask[sl] = True
                 root_at.setdefault(lvl, {})[r] = mask
         # kept cubes satisfy both tests against their own block root
         for lvl in range(tree.level + 1):
-            in_block = tree.gen_label[lvl] == j
+            in_block = labels[lvl] == j
             for r, mask in root_at.get(lvl, {}).items():
                 if r.level == lvl:
                     continue
@@ -168,7 +176,7 @@ def test_partition_and_admissibility_invariants():
         for c in rec["stopping"]:
             assert c["test1"] > cfg.lambda1 or c["test2"] > cfg.lambda2
             parent = tuple(i >> 1 for i in c["index"])
-            assert tree.gen_label[c["level"] - 1][parent] == j
+            assert labels[c["level"] - 1][parent] == j
 
 
 def test_telescoping_sum_recovers_function():
@@ -474,10 +482,8 @@ def test_labelling_pass_matches_per_root_scan(suite_ctx, p, lam):
         tree = build_generations(fam, cfg)
         gen_label, generations = _per_root_generations(fam, cfg)
 
-        assert len(tree.gen_label) == len(gen_label)
-        for got, want in zip(tree.gen_label, gen_label):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+        assert tree.labels.dtype == np.int32
+        np.testing.assert_array_equal(tree.labels, _rows(gen_label, fam.d))
         gens = tree_to_dict(tree)["generations"]
         assert tree.generation_count() == len(generations) == len(gens)
         for rec, (roots, stopping, floor_hit) in zip(gens, generations):
@@ -537,6 +543,38 @@ def test_suite_generation_labels_pinned(suite_ctx):
     assert len(suite_ctx.cells()) == 18
     crc = 0
     for name, p in suite_ctx.cells():
-        for labels in suite_ctx.tree(name, p).gen_label:
-            crc = zlib.crc32(np.ascontiguousarray(labels, dtype="<i4").tobytes(), crc)
+        labels = suite_ctx.tree(name, p).labels
+        crc = zlib.crc32(np.ascontiguousarray(labels, dtype="<i4").tobytes(), crc)
     assert crc == 0x8D77D749
+
+
+def _suite_and_control_trees(ctx):
+    """The 18 suite trees (p in {2, 3}) and, as criterion 6 builds them, the
+    negative-control trees at thresholds 1 + 1e-6 and p = 2."""
+    control = StoppingConfig(lambda1=1.0 + 1e-6, lambda2=1.0 + 1e-6)
+    return ([ctx.tree(name, p) for name, p in ctx.cells()]
+            + [build_generations(ctx.family(w.name, 2.0), control)
+               for w in ctx.config.weights])
+
+
+def test_fired_rows_are_the_label_steps(suite_ctx):
+    # a cube fired exactly when its label is above its parent's; the root
+    # row never fires and carries no test values
+    for tree in _suite_and_control_trees(suite_ctx):
+        labels, fired = _levels(tree.labels, tree.d), _levels(tree.fired, tree.d)
+        assert not fired[0].any() and (tree.tests[:, 0] == 0.0).all()
+        for parent, lab, hit in zip(labels, labels[1:], fired[1:]):
+            np.testing.assert_array_equal(hit, lab > refine_to_cells(parent, tree.d, 1))
+
+
+def test_decay_ratio_is_the_exact_measure_sum(suite_ctx):
+    # the masked row sum against exact rationals: per level l, the count of
+    # cubes labelled j + 1 above their parent's label, times 2^{-l d}
+    for tree in _suite_and_control_trees(suite_ctx):
+        labels = _levels(tree.labels, tree.d)
+        for j in range(1, 6):
+            want = sum(Fraction(int(((lab == j + 1)
+                                     & (lab > refine_to_cells(parent, tree.d, 1))).sum()),
+                                2 ** (lvl * tree.d))
+                       for lvl, (parent, lab) in enumerate(zip(labels, labels[1:]), 1))
+            assert Fraction(decay_ratio(tree, j)) == want
