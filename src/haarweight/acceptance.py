@@ -25,7 +25,7 @@ from .analysis import (
     random_mean_zero_batch,
 )
 from .config import ExperimentConfig, default_config
-from .dyadic import _cube_blocks, _random_exactness_errors, _spans, haar_reconstruct
+from .dyadic import _cube_blocks, _levels, _random_exactness_errors, _spans, haar_reconstruct
 from .errors import HaarweightError
 from .experiments import RunContext, alpha_sweep_report, run_experiments
 from .multipliers import t_blocks, t_operator
@@ -101,18 +101,17 @@ def c01_haar_exactness(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c02_p2_oracle(ctx: AcceptanceContext) -> CriterionResult:
-    """p=2 operators equal exact square roots of cube averages everywhere."""
+    """p=2 operators equal exact square roots of cube averages everywhere, the
+    averages taken over each cube's cells (_cube_blocks), laid out as rows."""
     worst = 0.0
     for w in ctx.config.weights:
         weight = ctx.weight(w.name)
         fam = ctx.family(w.name, 2.0)
-        for sign, stack in ((1.0, fam.v), (-1.0, fam.v_dual)):
+        for sign, got in zip((1.0, -1.0), fam.operators):
             cells = weight.power_cells(sign)
-            for l in range(fam.max_depth + 1):
-                avg = _cube_blocks(cells, weight.d, l).mean(axis=1)
-                want = spd_power_stack(avg, 0.5)
-                got = stack[l].reshape(want.shape)
-                worst = max(worst, float(np.abs(got - want).max()))
+            avg = np.concatenate([_cube_blocks(cells, weight.d, l).mean(axis=1)
+                                  for l in range(fam.max_depth + 1)])
+            worst = max(worst, float(np.abs(got - spd_power_stack(avg, 0.5)).max()))
     return CriterionResult(
         2, "p2-reducing-oracle", worst <= 1e-10,
         f"max |V - (m_I W)^(1/2)| = {worst:.2e} over every cube, both sides",
@@ -133,10 +132,10 @@ def _unit_outer_products(rng, m: int, n: int) -> np.ndarray:
     return (comps[:, None] * comps).reshape(n * n, m)
 
 
-def _sandwich_norms(quad: np.ndarray, v: list, ee: np.ndarray, q: float) -> list:
-    """[(rho_I(e), |V_I e|) per level], each (cubes, k), on the k directions
-    of ee, (n^2, k). quad is W^{2s} on the cells, (2^L,)*d + (n^2,), and v
-    the operators of the same side per level.
+def _sandwich_norms(quad: np.ndarray, v: np.ndarray, ee: np.ndarray, q: float) -> tuple:
+    """(rho_I(e), |V_I e|), each (cubes, k), on the k directions of ee,
+    (n^2, k). quad is W^{2s} on the cells, (2^L,)*d + (n^2,), and v the
+    operators of the same side on the level-row axis, (cubes, n, n).
 
     The cell integrand |W^s e|^q = (e^T W^{2s} e)^{q/2} is formed once;
     rho_I(e) is the q-th root of its mean over the cells of I
@@ -145,16 +144,13 @@ def _sandwich_norms(quad: np.ndarray, v: list, ee: np.ndarray, q: float) -> list
     (weights._serial_matmul): the cells against many directions would
     otherwise go to the BLAS worker threads.
     """
-    nn = ee.shape[0]
+    nn, d = ee.shape[0], quad.ndim - 1
     g = _serial_matmul(quad.reshape(-1, nn), ee) ** (q / 2)
     g = g.reshape(quad.shape[:-1] + (-1,))
-    out = []
-    for l, vl in enumerate(v):
-        vl = vl.reshape((-1,) + vl.shape[-2:])
-        vtv = (np.swapaxes(vl, -1, -2) @ vl).reshape(-1, nn)
-        rho = _cube_blocks(g, quad.ndim - 1, l).mean(axis=1) ** (1.0 / q)
-        out.append((rho, np.sqrt(_serial_matmul(vtv, ee))))
-    return out
+    rho = np.concatenate([_cube_blocks(g, d, l).mean(axis=1) for l in range(len(_levels(v, d)))])
+    rho **= 1.0 / q
+    ve = _serial_matmul((np.swapaxes(v, -1, -2) @ v).reshape(-1, nn), ee)
+    return rho, np.sqrt(ve, out=ve)
 
 
 def c03_john_sandwich(ctx: AcceptanceContext) -> CriterionResult:
@@ -166,7 +162,8 @@ def c03_john_sandwich(ctx: AcceptanceContext) -> CriterionResult:
     Each weight draws one set of 1000 fresh unit directions from its own
     generator, independently of the fit's quasi-uniform grids, and checks
     every cube on all of them, the directions in blocks (dyadic._spans,
-    cells + 2 x cubes entries each). An R^1 weight is checked on its one unit
+    cells + 4 x cubes entries each: the integrand, then rho, |Ve| and two
+    temporaries of their ratios). An R^1 weight is checked on its one unit
     direction e = 1, with no draw: every unit direction of R^1 is +-1, so
     e e^T = 1 and all of them give the same rho and |Ve|."""
     p, m, slack = 3.0, 1000, 1.0 + 1e-3
@@ -177,15 +174,15 @@ def c03_john_sandwich(ctx: AcceptanceContext) -> CriterionResult:
         rng = np.random.default_rng([ctx.config.seed, 3, zlib.crc32(w.name.encode())])
         ee = np.ones((1, 1)) if n == 1 else _unit_outer_products(rng, m, n)
         cubes = fam.operators.shape[1]
-        sides = ((1.0 / p, p, fam.v), (-1.0 / p, conjugate_exponent(p), fam.v_dual))
-        for side, (s, q, stack) in enumerate(sides):
+        sides = ((1.0 / p, p), (-1.0 / p, conjugate_exponent(p)))
+        for side, ((s, q), v) in enumerate(zip(sides, fam.operators)):
             ws = weight.power_cells(s)
             quad = (ws @ ws).reshape(ws.shape[:-2] + (n * n,))
-            for block in _spans(ee.shape[1], quad.size // (n * n) + 2 * cubes):
-                for rho, ve in _sandwich_norms(quad, stack, ee[:, block], q):
-                    worst[side] = np.maximum(worst[side], (
-                        (rho / (ve * slack)).max(),
-                        (ve / (math.sqrt(n) * rho * slack)).max()))
+            for block in _spans(ee.shape[1], quad.size // (n * n) + 4 * cubes):
+                rho, ve = _sandwich_norms(quad, v, ee[:, block], q)
+                worst[side] = np.maximum(worst[side], (
+                    (rho / (ve * slack)).max(),
+                    (ve / (math.sqrt(n) * rho * slack)).max()))
     (lo, hi), (lo_dual, hi_dual) = worst
     return CriterionResult(
         3, "john-sandwich-p3", bool((worst <= 1.0).all()),

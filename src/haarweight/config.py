@@ -160,7 +160,8 @@ class ExperimentConfig:
         lams = (self.stopping_lambda1, self.stopping_lambda2)
         if (lams[0] is None) != (lams[1] is None):
             raise ConfigError("stopping_lambda1 and stopping_lambda2 come as a pair")
-        if lams[0] is not None and (lams[0] <= 1.0 or lams[1] <= 1.0):
+        # written so that NaN fails, and infinity (a test that never fires) passes
+        if lams[0] is not None and not (lams[0] > 1.0 and lams[1] > 1.0):
             raise ConfigError(f"stopping threshold overrides must exceed 1, got {lams}")
 
 

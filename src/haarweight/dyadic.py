@@ -27,10 +27,11 @@ k). The butterflies act on each value component and column on its own, so a
 batch column is transformed bit for bit as it is alone, and every L^p
 quantity is one sum per column (_lp_integrals) over that column's contiguous
 row (_column_rows). Any number of batch axes may follow n. Per-cube data
-(Haar details, reducing operators) is stored once on the level-row axis,
-every cube level by level (_rows): a cube-by-cube operation is one array
-operation on it, per-level (2^l,)*d + tail arrays are views (_levels), and
-a per-level factor becomes one value per row (_level_factors).
+(Haar details, cube averages, reducing operators, W = s A flags, stopping
+labels and tests) is stored and passed only on the level-row axis, every
+cube level by level, each level in index order: a cube-by-cube operation is
+one array operation on it, a per-level factor one value per row
+(_level_factors), and a pass down the levels cuts level views (_levels).
 
 Conventions. A cube at level l has sidelength 2^-l and index in {0..2^l-1}^d;
 child gamma in {0,1}^d selects the left (0) or right (1) half per axis. A Haar
@@ -98,20 +99,14 @@ def _cube_blocks(cells: np.ndarray, d: int, l: int) -> np.ndarray:
     return b.reshape((1 << l * d,) + b.shape[d:])
 
 
-def _rows(levels: list, d: int) -> np.ndarray:
-    """The level-row axis: per-level arrays (2^l,)*d + tail stacked on one
-    row axis, level by level, each level in index order."""
-    return np.concatenate([a.reshape((-1,) + a.shape[d:]) for a in levels])
-
-
 def _cube_count(d: int, levels: int) -> int:
     """Rows of the level-row axis that levels 0..levels-1 fill."""
     return ((1 << levels * d) - 1) // ((1 << d) - 1)
 
 
 def _levels(rows: np.ndarray, d: int) -> list:
-    """Cut a (cubes,) + tail row array back into per-level (2^l,)*d + tail
-    views, as many levels as the rows fill: the inverse of _rows."""
+    """Cut a (cubes,) + tail row array into per-level (2^l,)*d + tail views,
+    as many levels as the rows fill."""
     out, start = [], 0
     while start < rows.shape[0]:
         size = 1 << (len(out) * d)
@@ -165,21 +160,25 @@ def _column_blocks(f: "HaarCoefficients", per_column: int):
                                      f.rows[..., cols])
 
 
-def mean_pyramid(cells: np.ndarray, d: int) -> list:
-    """Per-level averages over cubes: out[l] has shape (2^l,)*d + tail.
-
-    cells is a (2^L,)*d + tail array of finest-cell values; out[L] is cells
-    itself. Averages of equal-measure cells are exact integrals.
+def mean_pyramid(cells: np.ndarray, d: int, depth: int) -> np.ndarray:
+    """Averages over the cubes of levels 0..depth, as (cubes,) + tail rows
+    of the level-row axis, from cells, a (2^L,)*d + tail array of finest-cell
+    values (copied at depth L). Each coarser level is the mean of its
+    children, written into its rows, so no level depends on depth. Averages
+    of equal-measure cells are exact integrals.
     """
     levels = int(round(np.log2(cells.shape[0]))) if cells.shape[0] > 1 else 0
     if cells.shape[:d] != ((1 << levels),) * d:
         raise ShapeError(f"cell array shape {cells.shape} is not a dyadic {d}-grid")
-    out = [None] * (levels + 1)
-    out[levels] = cells
+    if not 0 <= depth <= levels:
+        raise ParameterError(f"pyramid depth {depth} outside [0, {levels}]")
+    out = np.empty((_cube_count(d, depth + 1),) + cells.shape[d:])
+    views = _levels(out, d)
+    if depth == levels:
+        views[levels][...] = cells
     a = cells
     for lvl in range(levels - 1, -1, -1):
-        a = _blocks(a, d, 2).mean(axis=d)
-        out[lvl] = a
+        a = _blocks(a, d, 2).mean(axis=d, out=views[lvl] if lvl <= depth else None)
     return out
 
 
@@ -232,9 +231,8 @@ class HaarCoefficients:
     level-row axis.
 
     rows has shape (cubes of level < L, 2^d - 1, n), signature axis ordered
-    as detail_signatures(d); detail[l] is the (2^l,)*d + (2^d - 1, n) view of
-    level l's rows. A batch appends its batch axes to root_scaling (n,) and
-    to rows.
+    as detail_signatures(d). A batch appends its batch axes to root_scaling
+    (n,) and to rows.
     """
 
     d: int
@@ -242,8 +240,6 @@ class HaarCoefficients:
     level: int
     root_scaling: np.ndarray
     rows: np.ndarray
-
-    detail = property(lambda self: _levels(self.rows, self.d))
 
     def __post_init__(self):
         rs = np.asarray(self.root_scaling, dtype=float)

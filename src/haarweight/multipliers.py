@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dyadic import GridFunction, HaarCoefficients, _cube_count, _levels, haar_reconstruct
+from .dyadic import GridFunction, HaarCoefficients, _cube_count, haar_reconstruct
 from .errors import CoverageError, ParameterError, ShapeError
 from .reducing import ReducingFamily
 from .stopping import GenerationTree, split_generations
@@ -41,10 +41,11 @@ __all__ = [
 def check_coverage(symbols: np.ndarray, d: int, levels: int):
     """CoverageError unless symbols, rows on the level-row axis in dimension
     d, has a row for every cube of levels 0..levels-1."""
-    if symbols.shape[0] < _cube_count(d, levels):
+    need = _cube_count(d, levels)
+    if symbols.shape[0] < need:
         raise CoverageError(
-            f"coefficients need symbols to level {levels - 1}, "
-            f"family has {len(_levels(symbols, d)) - 1}"
+            f"coefficients need symbols to level {levels - 1}, {need} rows; "
+            f"the family has {symbols.shape[0]}"
         )
 
 

@@ -13,10 +13,10 @@ where W(x) = s(x) A, rho_I(e) = <s>_I^{1/p} |A^{1/p} e|, so V_I and V'_I are
 exact closed forms too (kappa = 1). Every other cube gets a primal-dual Newton
 minimum-volume-ellipsoid fit on a deterministic direction set. A family is
 built on one row axis that holds every level of both sides, so each route
-(square root, closed form, batched fit) runs once per family; the family
-keeps those rows, and its per-level arrays are views of them. The cube
-averages and the W = s A flags are the build's own, computed from the
-weight's cells and cached powers; the weight keeps neither.
+(square root, closed form, batched fit) runs once per family, and the family
+keeps those rows. The cube averages, W = s A flags and direction norms are
+the build's own, on the same row axis, from the weight's cells and cached
+powers; the weight keeps none of them.
 
 The characteristic sup_I ||V_I V'_I||^p is the operator-weight analogue of the
 scalar A_p product <w>_I <w^{1-p'}>_I^{p-1}; it is >= 1 up to fit slack.
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import _blocks, _cube_count, _levels, _rows, _spans, check_exponent, mean_pyramid
+from .dyadic import _blocks, _cube_count, _levels, _spans, check_exponent, mean_pyramid
 from .errors import (
     CoverageError,
     EllipsoidFitError,
@@ -161,23 +161,26 @@ def _outer_products(x: np.ndarray) -> np.ndarray:
 def _rho_blocks(weight: MatrixWeight, p: float, dirs: np.ndarray, todo: np.ndarray,
                 out: np.ndarray | None = None):
     """(directions, rho) per block of dirs: rho holds rho_I, then rho'_I, of
-    the cubes that the row mask todo selects on the block's directions,
-    (2 rows, k). Given out, the (2 rows, M) array of every direction, rho is
-    the block's view of it.
+    the cubes that the level-row mask todo selects on the block's
+    directions, (2 rows, k). Given out, the (2 rows, M) array of every
+    direction, rho is the block's view of it.
 
     |W^s e|^q = (e^T W^{2s} e)^{q/2}, so the (cells, n^2) @ (n^2, k) product
     of the flattened W^{2s} = W^s W^s against the outer products of the
     block's k directions gives the integrand on every cell, then
-    mean_pyramid averages it. The blocks come from dyadic._spans with cells
-    + 2 rows entries per direction, so neither the integrand nor rho ever
-    holds all of dirs, and a caller that keeps only a running reduction of
-    rho holds one block. The product runs as serial GEMMs over
-    blocks of cells (weights._serial_matmul), so it stays on the calling
-    thread and its rounding does not depend on the BLAS thread count. Only
-    the selected rows take the 1/q-th power.
+    mean_pyramid averages it down to the deepest selected level: no finest
+    one in a family build (a cell is W = s A), so the pyramid holds no copy
+    of the integrand. The blocks come from dyadic._spans with cells + 2 rows
+    entries per direction, so neither the integrand nor rho ever holds all
+    of dirs, and a caller that keeps only a running reduction of rho holds
+    one block. The product runs as serial GEMMs over blocks of cells
+    (weights._serial_matmul), so it stays on the calling thread and its
+    rounding does not depend on the BLAS thread count. Only the selected
+    rows take the 1/q-th power.
     """
-    picks = _levels(todo, weight.d)
     rows = int(todo.sum())
+    depth = max(l for l, picks in enumerate(_levels(todo, weight.d)) if picks.any())
+    todo = todo[: _cube_count(weight.d, depth + 1)]
     cells = weight.cells.shape[: weight.d]
     squares = [((wp @ wp).reshape(-1, weight.n**2), q) for wp, q in (
         (weight.power_cells(1.0 / p), p),
@@ -188,10 +191,10 @@ def _rho_blocks(weight: MatrixWeight, p: float, dirs: np.ndarray, todo: np.ndarr
         for side, (w2, q) in zip(np.split(rho, 2), squares):
             g = _serial_matmul(w2, ee)
             np.power(g, 0.5 * q, out=g)
-            pyr = mean_pyramid(g.reshape(cells + (-1,)), weight.d)
+            pyr = mean_pyramid(g.reshape(cells + (-1,)), weight.d, depth)
             del g
-            np.concatenate([a[t] for a, t in zip(pyr, picks)], out=side)
-            del pyr  # its finest level is g: freed before the next side's g
+            np.compress(todo, pyr, axis=0, out=side)
+            del pyr
             np.power(side, 1.0 / q, out=side)
         yield dirs[block], rho
 
@@ -506,10 +509,9 @@ def _fit_operators(rho_fit, dirs_fit, calibration):
 @dataclass(eq=False)
 class ReducingFamily:
     """Reducing operators V_I, V'_I of one weight for every cube of level <=
-    max_depth, on the level-row axis (dyadic._rows), primal side then dual:
+    max_depth, on the level-row axis (see dyadic), primal side then dual:
     operators (2, cubes, n, n), kappas and method codes (2, cubes), which
-    index METHOD_NAMES. v, v_dual, kappa, kappa_dual, method, method_dual and
-    v_inv are per-level views (dyadic._levels). The grid is the weight's.
+    index METHOD_NAMES. The grid is the weight's.
     """
 
     weight: MatrixWeight
@@ -522,13 +524,10 @@ class ReducingFamily:
     d = property(lambda self: self.weight.d)
     n = property(lambda self: self.weight.n)
     level = property(lambda self: self.weight.level)
-    v = property(lambda self: _levels(self.operators[0], self.d))
-    v_dual = property(lambda self: _levels(self.operators[1], self.d))
-    kappa = property(lambda self: _levels(self.kappas[0], self.d))
-    kappa_dual = property(lambda self: _levels(self.kappas[1], self.d))
+    # per-level views of the primal method codes, read by perfbench/layers.py
     method = property(lambda self: _levels(self.methods[0], self.d))
+    # the same of the dual side's codes, read there beside method
     method_dual = property(lambda self: _levels(self.methods[1], self.d))
-    v_inv = property(lambda self: _levels(self.inverses, self.d))
 
     def __post_init__(self):
         self._cache = {}
@@ -563,21 +562,22 @@ class ReducingFamily:
         return float(self._pair_rows(depth).max()) ** self.p
 
 
-def _proportionality(weight: MatrixWeight) -> list:
-    """Per level, (mask, A) for the cubes on which W(x) = s(x) A exactly,
-    with s = W_00. Cells divided by W_00 compare by exact equality, so a
-    cube is never flagged wrongly; at worst it is missed and fitted."""
-    d = weight.d
-    flag = np.ones(((1 << weight.level),) * d, dtype=bool)
-    rep = weight.cells / weight.cells[..., :1, :1]
-    out = [(flag, rep)]
-    for _ in range(weight.level):
-        blocks = _blocks(rep, d, 2)
-        same = np.all(blocks == blocks[..., :1, :, :], axis=(d, -1, -2))
-        flag = np.all(_blocks(flag, d, 2), axis=d) & same
-        rep = blocks[..., 0, :, :]
-        out.append((flag, rep))
-    return out[::-1]
+def _proportionality(weight: MatrixWeight) -> tuple:
+    """(flags, shapes) on the level-row axis of levels 0..L: whether W(x) =
+    s(x) A exactly on the cube (s = W_00; always on a single cell), and that
+    A. Cells divided by W_00 compare by exact equality, so a cube is never
+    flagged wrongly; at worst it is missed and fitted."""
+    d, level = weight.d, weight.level
+    rows = _cube_count(d, level + 1)
+    flags, shapes = np.ones(rows, dtype=bool), np.empty((rows,) + weight.cells.shape[d:])
+    flag, rep = _levels(flags, d), _levels(shapes, d)
+    np.divide(weight.cells, weight.cells[..., :1, :1], out=rep[level])
+    for lvl in range(level - 1, -1, -1):
+        blocks = _blocks(rep[lvl + 1], d, 2)
+        flag[lvl][...] = (np.all(_blocks(flag[lvl + 1], d, 2), axis=d)
+                          & np.all(blocks == blocks[..., :1, :, :], axis=(d, -1, -2)))
+        rep[lvl][...] = blocks[..., 0, :, :]
+    return flags, shapes
 
 
 def build_reducing_family(
@@ -592,9 +592,9 @@ def build_reducing_family(
     Rows are the primal cubes level by level, each level in index order, then
     the dual cubes. At p = 2 one spd_power_stack takes the square roots of
     the stacked averages of W and W^{-1} (mean_pyramid of power_cells(+-1));
-    otherwise _proportionality flags the cubes where W = s A, the closed form
-    fills their rows of both sides, and one _fit_operators call the rest.
-    The family keeps these (2, cubes) rows as they are built.
+    otherwise _proportionality flags the rows where W = s A, the closed form
+    fills them on both sides, and one _fit_operators call the rest. The
+    family keeps these (2, cubes) rows as they are built.
 
     The fit sees rho on the m fit directions only (_rho_rows). The
     _CAL_FACTOR m calibration directions are then streamed in blocks
@@ -608,25 +608,23 @@ def build_reducing_family(
         raise ParameterError(f"max_depth {max_depth} outside [0, {weight.level}]")
     d, n = weight.d, weight.n
     if p == 2.0:
-        v = spd_power_stack(np.stack([
-            _rows(mean_pyramid(weight.power_cells(s), d)[: max_depth + 1], d)
-            for s in (1.0, -1.0)
-        ]), 0.5)
+        v = spd_power_stack(np.stack([mean_pyramid(weight.power_cells(s), d, max_depth)
+                                      for s in (1.0, -1.0)]), 0.5)
         kappa = np.ones(v.shape[:2])
         method = np.full(v.shape[:2], _M_P2, dtype=np.int8)
     else:
-        prop = _proportionality(weight)[: max_depth + 1]
-        flags = _rows([flag for flag, _ in prop], d)
-        reps = _rows([rep for _, rep in prop], d)[flags]
+        rows = _cube_count(d, max_depth + 1)
+        flags, shapes = (a[:rows] for a in _proportionality(weight))
+        shapes = shapes[flags]
         # W = s A: V = <s>^{1/p} A^{1/p}, V' = <s^{1-p'}>^{1/p'} A^{-1/p}
         s = weight.cells[..., 0, 0]
-        v = np.empty((2, flags.size, n, n))
+        v = np.empty((2, rows, n, n))
         v[:, flags] = [
-            _rows(mean_pyramid(w, d)[: max_depth + 1], d)[flags, None, None] ** (1.0 / r)
-            * spd_power_stack(reps, e)
+            mean_pyramid(w, d, max_depth)[flags, None, None] ** (1.0 / r)
+            * spd_power_stack(shapes, e)
             for w, r, e in ((s, p, 1.0 / p), (s ** (1.0 - q), q, -1.0 / p))
         ]
-        kappa = np.ones((2, flags.size))
+        kappa = np.ones((2, rows))
         todo = ~flags
         if todo.any():
             dirs_fit = quasi_uniform_directions(n, m_fit)

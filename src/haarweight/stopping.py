@@ -17,18 +17,17 @@ flagged, since its subtree was truncated rather than exhausted. Each
 generation's roots lie strictly below the last, so there are at most L + 1
 generations.
 
-Both passes read one table per test and level (_pair_tables), the test
-values of every level-lj cube against each of its lj ancestors on a last
-axis: the labelling pass picks each cube's value at its root level, and
-calibration folds the tables into running maxima. Both tables of a level
-come from one product per (cube, ancestor) pair, M = V_J V_I^{-1}: test 1 is
-sigma_max(M)^p and test 2 is sigma_min(M)^{-p'}.
+Both passes read one table per level (_pair_tables): both tests of every
+level-lj cube against each of its lj ancestors, from one product per pair,
+M = V_J V_I^{-1} (test 1 is sigma_max(M)^p, test 2 sigma_min(M)^{-p'}). The
+labelling pass picks each cube's two values at its root level, and
+calibration folds the tables into running maxima.
 
 The tree is its family and three row arrays on the level-row axis of
-levels 0..floor (dyadic._levels gives their per-level views): each cube's
-label, whether it fired, and its two test values; no per-cube records are
-built. Generation j's stopping cubes are the fired cubes labelled j + 1, and
-generation j + 1's roots are the same cubes.
+levels 0..floor (see dyadic): each cube's label, whether it fired, and its
+two test values; no per-cube records are built. Generation j's stopping
+cubes are the fired cubes labelled j + 1, and generation j + 1's roots are
+the same cubes.
 
 The same labels split a function and the operators built on it:
 split_generations cuts f's detail coefficients into one piece per block,
@@ -81,7 +80,8 @@ class StoppingConfig:
     lambda2: float
 
     def __post_init__(self):
-        if self.lambda1 <= 1.0 or self.lambda2 <= 1.0:
+        # written so that NaN fails, and infinity (a test that never fires) passes
+        if not self.lambda1 > 1.0 or not self.lambda2 > 1.0:
             raise ParameterError(
                 f"thresholds must exceed 1, got {self.lambda1}, {self.lambda2}"
             )
@@ -124,28 +124,32 @@ class GenerationTree:
         return bool((self.labels[_cube_count(self.d, self.level):] == j).any())
 
 
-def _pair_tables(family: ReducingFamily, mode: int, lj: int) -> np.ndarray:
-    """Test values of every level-lj cube J against each of its ancestors,
-    shape (2^lj,)*d + (lj,): index li holds ||V_J V_I^{-1}||^p (mode 1) or
-    ||V_J^{-1} V_I||^{p'} (mode 2), I the level-li ancestor of J.
+def _pair_tables(family: ReducingFamily, lj: int) -> np.ndarray:
+    """Both test values of every level-lj cube J against each of its
+    ancestors, a read-only (2,) + (2^lj,)*d + (lj,) array: at li, index 0
+    holds ||V_J V_I^{-1}||^p (test 1) and index 1 ||V_J^{-1} V_I||^{p'}
+    (test 2), I the level-li ancestor of J.
 
-    Both tables of a level come from one stacked product per pair, M = V_J
-    V_I^{-1}, each computed as it is alone: test 1 is sigma_max(M)^p, and
-    since the operators are symmetric, V_J^{-1} V_I is the transpose of
-    M^{-1}, so test 2 is sigma_min(M)^{-p'}. The first call at a level caches
-    both. The transient product stack holds lj 2^{lj d} n^2 floats and the
-    two tables lj 2^{lj d} each, so the peak is at the floor, lj = L.
-    Cached on the family."""
-    key = ("pairs", mode, lj)
+    Both come from one stacked product per pair, M = V_J V_I^{-1}, each
+    computed as it is alone: test 1 is sigma_max(M)^p, and since the
+    operators are symmetric, V_J^{-1} V_I is the transpose of M^{-1}, so
+    test 2 is sigma_min(M)^{-p'}. The transient product stack holds
+    lj 2^{lj d} n^2 floats and the table 2 lj 2^{lj d}, so the peak is at
+    the floor, lj = L. Cached on the family."""
+    key = ("pairs", lj)
     if key not in family._cache:
-        d, inv = family.d, family.v_inv
+        d = family.d
+        # allocated before the transient stacks it is made from, so that they are
+        # freed above it on the heap
+        tables = np.empty((2,) + ((1 << lj),) * d + (lj,))
+        v, inv = (_levels(a, d) for a in (family.operators[0], family.inverses))
         ancestors = np.stack([refine_to_cells(inv[li], d, lj - li) for li in range(lj)],
                              axis=d)
-        big, small = _extreme_singular_values(family.v[lj][..., None, :, :] @ ancestors)
-        for m, val in ((1, big ** family.p),
-                       (2, small ** -conjugate_exponent(family.p))):
-            val.flags.writeable = False
-            family._cache["pairs", m, lj] = val
+        tables[0], tables[1] = _extreme_singular_values(v[lj][..., None, :, :] @ ancestors)
+        tables[0] **= family.p
+        tables[1] **= -conjugate_exponent(family.p)
+        tables.flags.writeable = False
+        family._cache[key] = tables
     return family._cache[key]
 
 
@@ -166,14 +170,15 @@ def build_generations(family: ReducingFamily, cfg: StoppingConfig) -> Generation
     d = family.d
     rows = _cube_count(d, floor + 1)
     labels, fired, tests = np.ones(rows, np.int32), np.zeros(rows, bool), np.zeros((2, rows))
-    label, hit, t1, t2 = (_levels(a, d) for a in (labels, fired, *tests))
+    label, hit = _levels(labels, d), _levels(fired, d)
+    lams = np.reshape([cfg.lambda1, cfg.lambda2], (2,) + (1,) * d)
     root_at = np.zeros((1,) * d, dtype=np.int32)  # level of each cube's block root
     for lj in range(1, floor + 1):
         root_at = refine_to_cells(root_at, d, 1)
-        at = root_at[..., None]
-        t1[lj][...] = np.take_along_axis(_pair_tables(family, 1, lj), at, axis=-1)[..., 0]
-        t2[lj][...] = np.take_along_axis(_pair_tables(family, 2, lj), at, axis=-1)[..., 0]
-        hit[lj][...] = (t1[lj] > cfg.lambda1) | (t2[lj] > cfg.lambda2)
+        t = np.take_along_axis(_pair_tables(family, lj), root_at[None, ..., None],
+                               axis=-1)[..., 0]
+        tests[:, _cube_count(d, lj) : _cube_count(d, lj + 1)] = t.reshape(2, -1)
+        hit[lj][...] = (t > lams).any(axis=0)
         label[lj][...] = refine_to_cells(label[lj - 1], d, 1) + hit[lj]
         root_at = np.where(hit[lj], lj, root_at)
     return GenerationTree(config=cfg, family=family, labels=labels, fired=fired,
@@ -234,39 +239,41 @@ class CalibrationResult:
     achieved: dict  # weight name -> measured combined sup decay at the margins
 
 
-def _coverage_maxima(family: ReducingFamily, mode: int) -> list:
-    """Per root level li < floor, the coverage maxima of one test, as a
-    (level-li cubes I, floor cells per I) array: for each floor cell x in I,
-    the largest test value over the cubes J with x in J strictly inside I.
+def _coverage_maxima(family: ReducingFamily) -> list:
+    """Per root level li < floor, the coverage maxima of both tests, as a
+    (2 tests, level-li cubes I, floor cells per I) array: for each floor
+    cell x in I, the largest test value over the cubes J with x in J
+    strictly inside I.
 
     The maximal cubes J inside I with test value above lam cover exactly the
     floor cells whose maximum is above lam. One pass down the levels carries
-    the running maxima of every root level li < lj on a last axis; level lj
-    adds its table against each ancestor and opens the column of root level
-    lj - 1.
+    each test's running maxima of every root level li < lj on a last axis;
+    level lj adds its table against each ancestor and opens the column of
+    root level lj - 1.
     """
     floor, d = _floor(family), family.d
-    top = np.zeros((1,) * d + (0,))
+    tops = [np.zeros((1,) * d + (0,))] * 2
     for lj in range(1, floor + 1):
-        t = _pair_tables(family, mode, lj)
-        top = np.concatenate([np.maximum(refine_to_cells(top, d, 1), t[..., :-1]),
-                              t[..., -1:]], axis=-1)
-    return [_cube_blocks(top[..., li], d, li) for li in range(floor)]
+        tops = [np.concatenate([np.maximum(refine_to_cells(top, d, 1), t[..., :-1]),
+                                t[..., -1:]], axis=-1)
+                for top, t in zip(tops, _pair_tables(family, lj))]
+    return [np.stack([_cube_blocks(top[..., li], d, li) for top in tops]) for li in range(floor)]
 
 
-def _least_threshold(maxima: list, target: float) -> float:
-    """Least lam whose fired cubes cover at most target/2 of every cube I.
+def _least_threshold(maxima: list, target: float) -> np.ndarray:
+    """Least lam of each test whose fired cubes cover at most target/2 of
+    every cube I, as a (2,) array.
 
     A cube of N floor cells passes when at most k = floor(target/2 * N) of
     its maxima exceed lam (N is a power of two, so the product is exact),
     that is when lam is at least its (k+1)-th largest maximum. 0 when the
     floor is the root: nothing can fire there.
     """
-    least = 0.0
+    least = np.zeros(2)
     for top in maxima:
-        cells = top.shape[1]
+        cells = top.shape[-1]
         rank = cells - 1 - int(target / 2 * cells)
-        least = max(least, float(np.partition(top, rank, axis=1)[:, rank].max()))
+        least = np.maximum(least, np.partition(top, rank, axis=-1)[..., rank].max(axis=-1))
     return least
 
 
@@ -280,11 +287,12 @@ def _least_multipliers(t: np.ndarray, s: float | np.ndarray) -> np.ndarray:
     return c
 
 
-def _covered(max1: list, max2: list, lambda1: float, lambda2: float) -> float:
+def _covered(maxima: list, lambda1: float, lambda2: float) -> float:
     """sup over cubes I of the share of I covered by the maximal cubes that
     fire either test. Each share is a count over a power of two, so exact."""
-    return max((float(((t1 > lambda1) | (t2 > lambda2)).sum(axis=1).max()) / t1.shape[1]
-                for t1, t2 in zip(max1, max2)), default=0.0)
+    lams = np.reshape([lambda1, lambda2], (2, 1, 1))
+    return max((float((top > lams).any(axis=0).sum(axis=1).max()) / top.shape[-1]
+                for top in maxima), default=0.0)
 
 
 def calibrate_lambdas(
@@ -312,19 +320,15 @@ def calibrate_lambdas(
         raise ParameterError(f"target decay must lie in (0,1), got {target}")
     maxima, chars = {}, {}
     for name, _, fam in weights_and_families:
-        maxima[name] = (_coverage_maxima(fam, 1), _coverage_maxima(fam, 2))
+        maxima[name] = _coverage_maxima(fam)
         chars[name] = fam.characteristic()
-
-    def least_c(test: int, power: float) -> float:
-        least = np.array([_least_threshold(m[test], target) for m in maxima.values()])
-        scale = np.array([char**power for char in chars.values()])
-        return max(1.0, float(_least_multipliers(least, scale).max()))
-
-    c1 = least_c(0, 0.0)
-    c2 = least_c(1, q / p)
+    least = np.array([_least_threshold(m, target) for m in maxima.values()])
+    # per weight, test 1's threshold is c1 and test 2's c2 char^{p'/p}
+    scale = np.array([(1.0, char ** (q / p)) for char in chars.values()])
+    c1, c2 = (max(1.0, float(c)) for c in _least_multipliers(least, scale).max(axis=0))
     lambda1 = 4.0 * c1
     lambda2s = {name: 4.0 * c2 * char ** (q / p) for name, char in chars.items()}
-    achieved = {name: _covered(*maxima[name], lambda1, lambda2s[name]) for name in chars}
+    achieved = {name: _covered(maxima[name], lambda1, lambda2s[name]) for name in chars}
     return CalibrationResult(
         p=p,
         target=target,

@@ -3,10 +3,10 @@
 A weight is one SPD n x n matrix per finest cell (the cell sample or exact
 cell average, depending on the family); it caches only the cellwise powers
 W^s asked of it. Coarser cube averages are taken over cells by the code that
-reads them (dyadic.mean_pyramid), so they are exact integrals of the
-piecewise-constant realization. Validation is strict: symmetry to 1e-12
-(relative to the largest entry) and eigenvalues >= EIGEN_FLOOR, else
-MatrixDomainError; nothing is clamped or repaired.
+reads them (dyadic.mean_pyramid, as rows of the level-row axis), so they are
+exact integrals of the piecewise-constant realization. Validation is strict:
+symmetry to 1e-12 (relative to the largest entry) and eigenvalues >=
+EIGEN_FLOOR, else MatrixDomainError; nothing is clamped or repaired.
 """
 from __future__ import annotations
 

@@ -1,11 +1,21 @@
 """Dyadic cubes as test vocabulary.
 
-The package stores cubes only as positions in per-level arrays; tests that
+The package stores cubes only as rows of the level-row axis; tests that
 name single cubes (pointwise Haar values, per-cube methods, the per-root
 stopping scan) use this small value type: level l, index in {0..2^l-1}^d.
+Tests that build per-cube data level by level, as oracles do, lay it out
+as rows with stack_levels.
 """
 
 from typing import NamedTuple
+
+import numpy as np
+
+
+def stack_levels(levels: list, d: int) -> np.ndarray:
+    """Per-level (2^l,)*d + tail arrays stacked on the level-row axis, level
+    by level, each level in index order: what dyadic._levels cuts apart."""
+    return np.concatenate([a.reshape((-1,) + a.shape[d:]) for a in levels])
 
 
 class Cube(NamedTuple):

@@ -182,8 +182,8 @@ def test_john_sandwich_fails_on_a_shrunk_operator():
     assert acc.c03_john_sandwich(ctx).passed
     fam = ctx.family("rot", 3.0)
     bad = dataclasses.replace(fam, operators=fam.operators.copy())
-    # the per-level arrays are views: a write through one changes the copy
-    bad.v[2][1] *= 0.99  # |V_I e| now falls below rho_I(e) on one cube
+    # a level view of the copied rows: a write through it changes the copy
+    dyadic._levels(bad.operators[0], 1)[2][1] *= 0.99  # |V_I e| < rho_I(e) on one cube
     ctx = acc.AcceptanceContext(cfg)
     ctx._families["rot", 3.0] = bad
     res = acc.c03_john_sandwich(ctx)
@@ -198,7 +198,7 @@ def test_john_sandwich_fails_on_a_shrunk_dual_operator():
     assert acc.c03_john_sandwich(ctx).passed
     fam = ctx.family("rot", 3.0)
     bad = dataclasses.replace(fam, operators=fam.operators.copy())
-    bad.v_dual[2][1] *= 0.99  # |V'_I e| now falls below rho'_I(e) on one cube
+    dyadic._levels(bad.operators[1], 1)[2][1] *= 0.99  # |V'_I e| < rho'_I(e) on one cube
     ctx = acc.AcceptanceContext(cfg)
     ctx._families["rot", 3.0] = bad
     res = acc.c03_john_sandwich(ctx)
@@ -219,7 +219,7 @@ def test_john_sandwich_fails_on_a_shrunk_finest_cube_in_2d():
     assert acc.c03_john_sandwich(ctx).passed
     fam = ctx.family("rot", 3.0)
     bad = dataclasses.replace(fam, operators=fam.operators.copy())
-    bad.v[3][5, 2] *= 0.99  # one cube of the finest level
+    dyadic._levels(bad.operators[0], 2)[3][5, 2] *= 0.99  # one cube of the finest level
     ctx = acc.AcceptanceContext(cfg)
     ctx._families["rot", 3.0] = bad
     res = acc.c03_john_sandwich(ctx)
@@ -264,7 +264,7 @@ def test_john_sandwich_fails_on_a_shrunk_scalar_operator():
     assert acc.c03_john_sandwich(ctx).passed
     fam = ctx.family("pow", 3.0)
     bad = dataclasses.replace(fam, operators=fam.operators.copy())
-    bad.v[3][5] *= 0.99  # |V_I e| now falls below rho_I(e) on one cube
+    dyadic._levels(bad.operators[0], 1)[3][5] *= 0.99  # |V_I e| < rho_I(e) on one cube
     ctx = acc.AcceptanceContext(cfg)
     ctx._families["pow", 3.0] = bad
     res = acc.c03_john_sandwich(ctx)
@@ -278,17 +278,17 @@ def test_one_direction_sandwich_matches_random_directions():
     weight, fam = ctx.weight("pow"), ctx.family("pow", 3.0)
     wp = weight.power_cells(1.0 / 3.0)
     quad = (wp @ wp).reshape(-1, 1)  # 64 cells
-    one = acc._sandwich_norms(quad, fam.v, np.ones((1, 1)), 3.0)
+    rho1, ve1 = acc._sandwich_norms(quad, fam.operators[0], np.ones((1, 1)), 3.0)
     dirs = np.random.default_rng(0).standard_normal((1000, 1))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     assert set(np.unique(dirs)) == {-1.0, 1.0}
-    many = acc._sandwich_norms(quad, fam.v, (dirs * dirs).reshape(1, 1000), 3.0)
-    assert len(one) == len(many) == fam.max_depth + 1
-    for l, ((rho1, ve1), (rho, ve)) in enumerate(zip(one, many)):
-        assert rho.shape == ve.shape == (1 << l, 1000)
-        for got, want in ((rho, rho1), (ve, ve1)):
-            np.testing.assert_allclose(got, np.broadcast_to(want, got.shape),
-                                       rtol=1e-15, atol=0)
+    rho, ve = acc._sandwich_norms(quad, fam.operators[0], (dirs * dirs).reshape(1, 1000), 3.0)
+    cubes = (1 << (fam.max_depth + 1)) - 1  # every row of levels 0..6
+    assert rho1.shape == ve1.shape == (cubes, 1)
+    assert rho.shape == ve.shape == (cubes, 1000)
+    for got, want in ((rho, rho1), (ve, ve1)):
+        np.testing.assert_allclose(got, np.broadcast_to(want, got.shape),
+                                   rtol=1e-15, atol=0)
 
 
 def test_block_sum_identity_fails_on_a_mislabelled_tree(tmp_path):

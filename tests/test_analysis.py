@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cubes import Cube
+from cubes import Cube, stack_levels
 from haarweight import (
     CoverageError,
     EigenConvergenceError,
@@ -75,7 +75,7 @@ def test_square_function_single_coefficient():
     w = two_cell_weight()
     fam = build_reducing_family(w, 2.0)
     f = HaarCoefficients.zeros(1, 1, 1)
-    f.detail[0][0, 0] = 1.0
+    f.rows[0, 0] = 1.0
     s = square_function(f, fam)
     np.testing.assert_allclose(s.values[:, 0], math.sqrt(2.5), rtol=1e-14)
     # at any p the scalar V_I is <w>_I^{1/p}, so S f is 2.5^{1/p} on [0, 1)
@@ -86,7 +86,7 @@ def test_square_function_single_coefficient():
     w4 = MatrixWeight(d=1, n=1, level=2, cells=np.ones((4, 1, 1)))
     fam4 = build_reducing_family(w4, 2.0)
     g = HaarCoefficients.zeros(1, 1, 2)
-    g.detail[1][1, 0] = 3.0
+    g.rows[2, 0] = 3.0  # level 1, index 1
     sv = square_function(g, fam4).values[:, 0]
     np.testing.assert_allclose(sv, [0.0, 0.0, 3.0 * math.sqrt(2.0), 3.0 * math.sqrt(2.0)])
 
@@ -103,7 +103,7 @@ def test_dual_square_norm_oracles():
     w = two_cell_weight()
     fam = build_reducing_family(w, 2.0)
     f = HaarCoefficients.zeros(1, 1, 1)
-    f.detail[0][0, 0] = 1.0
+    f.rows[0, 0] = 1.0
     assert dual_square_norm(f, fam) == pytest.approx(1 / math.sqrt(2.5), rel=1e-13)
 
     wid = identity_weight()
@@ -116,12 +116,9 @@ def test_dual_square_norm_oracles():
 
 def p2_sequence_norm(f, weight):
     """(sum_{I,eps} |(m_I W)^{1/2} f_I^eps|^2)^{1/2}, the discrete p=2 form."""
-    pyr = dyadic.mean_pyramid(weight.power_cells(1.0), weight.d)
-    total = 0.0
-    for l in range(f.level):
-        y = np.einsum("...ij,...ej->...ei", spd_power_stack(pyr[l], 0.5), f.detail[l])
-        total += float(np.sum(y * y))
-    return math.sqrt(total)
+    pyr = dyadic.mean_pyramid(weight.power_cells(1.0), weight.d, f.level - 1)
+    y = np.einsum("cij,cej->cei", spd_power_stack(pyr, 0.5), f.rows)
+    return math.sqrt(float(np.sum(y * y)))
 
 
 def test_p2_sequence_norm():
@@ -129,7 +126,7 @@ def test_p2_sequence_norm():
                        params={"matrix": np.diag([1.0, 9.0])})
     w = make_weight(fam)
     f = HaarCoefficients.zeros(1, 2, 3)
-    f.detail[0][0, 0] = [0.0, 1.0]
+    f.rows[0, 0] = [0.0, 1.0]
     assert p2_sequence_norm(f, w) == pytest.approx(3.0, rel=1e-14)
 
     wr = rotating_weight()
@@ -144,12 +141,12 @@ def test_p2_sequence_norm():
 def test_generator_spectra():
     rng = np.random.default_rng(3)
     spike = random_mean_zero_coefficients(1, 2, 5, rng, "spike")
-    nz = sum(int(np.count_nonzero(a)) for a in spike.detail)
+    nz = int(np.count_nonzero(spike.rows))
     assert nz == 2  # one slot, two components
     assert np.all(spike.root_scaling == 0.0)
 
     geo = random_mean_zero_coefficients(1, 1, 6, rng, "geometric")
-    scales = [float(np.abs(a).max()) for a in geo.detail]
+    scales = [float(np.abs(a).max()) for a in dyadic._levels(geo.rows, 1)]
     assert scales[5] < scales[0]
     with pytest.raises(ParameterError):
         random_mean_zero_coefficients(1, 1, 3, rng, "violet")
@@ -175,14 +172,15 @@ def test_batch_draws_match_per_level_draws(spectra):
                                  params={"alpha": 0.5}, seed=1))
     batch = random_mean_zero_batch(w, 7, [4, 2], spectra)
     assert batch.batch == (7,)
-    assert all(a.flags.c_contiguous for a in batch.detail)
+    assert batch.rows.flags.c_contiguous
     np.testing.assert_array_equal(batch.root_scaling, 0.0)
     for i in range(7):
         spectrum = spectra[i % len(spectra)]
         one = random_mean_zero_coefficients(2, 2, 3, np.random.default_rng([4, 2, i]),
                                             spectrum)
         want = _draw_per_level(2, 2, 3, np.random.default_rng([4, 2, i]), spectrum)
-        for got, single, ref in zip(batch.detail, one.detail, want):
+        for got, single, ref in zip(dyadic._levels(batch.rows, 2), dyadic._levels(one.rows, 2),
+                                    want, strict=True):
             np.testing.assert_array_equal(got[..., i], ref)
             np.testing.assert_array_equal(single, ref)
 
@@ -307,28 +305,26 @@ def test_sharpness_brute_force_oracle():
 def dense_pencil(weight, blocks):
     """Every eigenvalue, ascending, of scipy.linalg.eigh(G, B): G the Gram
     matrix of ||f||_{L^2(W)}^2 on the detail coefficients, built from the
-    dense synthesis matrix, and B the block diagonal with blocks[l][I] on
-    every coefficient of the level-l cube I."""
+    dense synthesis matrix, and B the block diagonal with the row of blocks
+    of cube I (level-row axis, (cubes, n, n)) on every coefficient of I."""
     d, n, level = weight.d, weight.n, weight.level
     cells = (1 << level) ** d
     cols = []
     for l in range(level):
         f = HaarCoefficients.zeros(d, 1, level)
-        flat = f.detail[l].reshape(-1)
+        flat = dyadic._levels(f.rows, d)[l].reshape(-1)
         for idx in range(flat.size):
             flat[idx] = 1.0
             cols.append(haar_reconstruct(f).values.reshape(cells))
             flat[idx] = 0.0
     h = np.stack(cols, axis=1)
     m = h.shape[1]
-    wc = dyadic.mean_pyramid(weight.power_cells(1.0), weight.d)[level].reshape(cells, n, n)
+    wc = weight.power_cells(1.0).reshape(cells, n, n)
     # G[a i, b j] = sum_c h[c, a] W_c[i, j] h[c, b], one matmul per (i, j)
     g = np.array([[(h.T * wc[:, i, j]) @ h for j in range(n)] for i in range(n)])
     g = g.transpose(2, 0, 3, 1).reshape(m * n, m * n) / cells
     b = np.zeros((m, n, m, n))
-    diag = np.concatenate([
-        np.repeat(blocks[l].reshape(-1, n, n), (1 << d) - 1, axis=0) for l in range(level)
-    ])
+    diag = np.repeat(blocks[: m // ((1 << d) - 1)], (1 << d) - 1, axis=0)
     for col, blk in enumerate(diag):
         b[col, :, col, :] = blk
     return scipy.linalg.eigh(g, b.reshape(m * n, m * n), eigvals_only=True)
@@ -337,7 +333,8 @@ def dense_pencil(weight, blocks):
 def dense_probe(weight):
     """Reference (max ratio, max inverse ratio): eigh(G, B) with B the block
     diagonal of the cube averages m_I W."""
-    vals = dense_pencil(weight, dyadic.mean_pyramid(weight.power_cells(1.0), weight.d))
+    vals = dense_pencil(weight, dyadic.mean_pyramid(weight.power_cells(1.0), weight.d,
+                                                    weight.level - 1))
     return math.sqrt(vals[-1]), 1.0 / math.sqrt(vals[0])
 
 
@@ -350,7 +347,7 @@ def random_symbols(d, n, level, seed):
     for l in range(level):
         a = rng.standard_normal(((1 << l),) * d + (n, n))
         v.append(a @ np.swapaxes(a, -1, -2) + np.eye(n))
-    v = dyadic._rows(v, d)
+    v = stack_levels(v, d)
     return v, np.linalg.inv(v)
 
 
@@ -381,7 +378,8 @@ ORACLE_CASES = {
 def coarsened(w, level):
     """w averaged down to a level-`level` grid. mean_pyramid averages level by
     level, so the coarse weight's pyramid is bit-identical to w's below it."""
-    return MatrixWeight(w.d, w.n, level, dyadic.mean_pyramid(w.power_cells(1.0), w.d)[level])
+    pyr = dyadic.mean_pyramid(w.power_cells(1.0), w.d, level)
+    return MatrixWeight(w.d, w.n, level, dyadic._levels(pyr, w.d)[level])
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -421,7 +419,7 @@ def test_probe_operators_take_symbols_from_no_family():
     v, v_inv = random_symbols(1, 2, 6, 4)
     forward, inverse, size = _probe_operators([(w, v, v_inv)])
     assert size == 126
-    vals = dense_pencil(w, dyadic._levels(v @ v, 1))
+    vals = dense_pencil(w, v @ v)
     (top,) = analysis._largest_eigenvalues(forward, size, 1)
     (inverse_top,) = analysis._largest_eigenvalues(inverse, size, 1)
     assert top == pytest.approx(vals[-1], rel=1e-12)
@@ -437,7 +435,7 @@ def test_inverse_direction_on_the_inverse_weight_is_the_p2_dual_square_sup():
     _, inverse, size = _probe_operators([(dual, fam.inverses, fam.operators[0])])
     (top,) = analysis._largest_eigenvalues(inverse, size, 1)
     assert size == 1023
-    vals = dense_pencil(dual, [s @ s for s in fam.v_inv])
+    vals = dense_pencil(dual, fam.inverses @ fam.inverses)
     assert math.sqrt(top) == pytest.approx(1.0 / math.sqrt(vals[0]), rel=1e-12)
     f = random_mean_zero_batch(w, 50, [ctx.config.seed, 12])
     ratios = dual_square_norm(f, fam) / weighted_lp_norm(haar_reconstruct(f), dual, 2.0)
@@ -497,7 +495,7 @@ def test_probe_needs_the_p2_family_of_its_own_weight():
     with pytest.raises(ParameterError, match="p=2 family"):
         sharpness_probe(build_reducing_family(w, 3.0))
     # the details run to level L - 1 = 4: a family to depth 3 falls short
-    with pytest.raises(CoverageError, match="to level 4, family has 3"):
+    with pytest.raises(CoverageError, match="to level 4, 31 rows; the family has 15$"):
         sharpness_probe(build_reducing_family(w, 2.0, max_depth=3))
     assert sharpness_probe(build_reducing_family(w, 2.0, max_depth=4)) == \
         sharpness_probe(build_reducing_family(w, 2.0))
@@ -644,8 +642,9 @@ def oracle_pieces(f, tree):
     return [
         HaarCoefficients(
             f.d, f.n, f.level, np.zeros(f.n),
-            dyadic._rows([a * (lab == j)[..., None, None]
-                          for a, lab in zip(f.detail, dyadic._levels(tree.labels, f.d))], f.d),
+            stack_levels([a * (lab == j)[..., None, None]
+                          for a, lab in zip(*(dyadic._levels(rows, f.d)
+                                              for rows in (f.rows, tree.labels)))], f.d),
         )
         for j in range(1, tree.generation_count() + 1)
     ]

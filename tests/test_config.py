@@ -145,6 +145,28 @@ def test_field_validation():
     ExperimentConfig(stopping_lambda1=1.0001, stopping_lambda2=1.0001)
 
 
+def test_nan_stopping_thresholds_rejected(tmp_path, capsys):
+    # every comparison with NaN is false: NaN overrides would fire no test,
+    # leave one generation per tree and pass the decay checks vacuously.
+    # Infinity, a test that never fires, stays allowed
+    nan = float("nan")
+    for lams in ((nan, nan), (nan, 1.5), (1.5, nan)):
+        with pytest.raises(ConfigError, match="exceed 1"):
+            ExperimentConfig(stopping_lambda1=lams[0], stopping_lambda2=lams[1])
+    ExperimentConfig(stopping_lambda1=float("inf"), stopping_lambda2=float("inf"))
+    payload = config_to_dict(default_config())
+    payload.update(stopping_lambda1=nan, stopping_lambda2=nan)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(payload))  # written as the JSON token NaN
+    assert "NaN" in p.read_text()
+    with pytest.raises(ConfigError, match="exceed 1"):
+        load_config(p)
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "exceed 1" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_rejected(tmp_path):
     # default_rng refuses negative seeds, so every seeded cell would fail
     with pytest.raises(ConfigError, match="seed"):

@@ -12,7 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cubes import Cube
+from cubes import Cube, stack_levels
 from haarweight import (
     GridFunction,
     HaarCoefficients,
@@ -27,8 +27,8 @@ from haarweight.dyadic import (
     _blocks,
     _cube_blocks,
     _random_exactness_errors,
+    _levels,
     _random_grid_batch,
-    _rows,
     detail_signatures,
     haar_exactness_errors,
     mean_pyramid,
@@ -98,7 +98,7 @@ def einsum_reconstruct(c):
     nsig = (1 << d) - 1
     for lvl in range(L):
         b = np.empty(((1 << lvl),) * d + (nsig + 1, m))
-        b[..., :-1, :] = c.detail[lvl].reshape(b.shape[:-2] + (nsig, m)) * (
+        b[..., :-1, :] = _levels(c.rows, d)[lvl].reshape(b.shape[:-2] + (nsig, m)) * (
             2.0 ** (lvl * d / 2.0))
         b[..., -1, :] = a
         a = merge_blocks(np.einsum("ec,...en->...cn", s, b), d)
@@ -200,7 +200,7 @@ def test_transform_two_cells():
     f = GridFunction(1, 1, 1, np.array([[1.0], [3.0]]))
     c = haar_transform(f)
     npt.assert_allclose(c.root_scaling, [2.0], atol=1e-15)
-    npt.assert_allclose(c.detail[0], [[[-1.0]]], atol=1e-15)
+    npt.assert_allclose(c.rows, [[[-1.0]]], atol=1e-15)
     g = haar_reconstruct(c)
     npt.assert_allclose(g.values, f.values, atol=1e-15)
 
@@ -212,8 +212,8 @@ def test_transform_linear_function_root_detail():
         avg = (np.arange(1 << L) + 0.5) * h
         f = GridFunction(1, 1, L, avg[:, None])
         c = haar_transform(f)
-        assert abs(c.detail[0][0, 0, 0] + 0.25) <= 2.0**-L
-        assert abs(c.detail[0][0, 0, 0] + 0.25) <= 1e-12
+        assert abs(c.rows[0, 0, 0] + 0.25) <= 2.0**-L
+        assert abs(c.rows[0, 0, 0] + 0.25) <= 1e-12
 
 
 def test_round_trip_and_parseval():
@@ -241,7 +241,7 @@ def test_single_coefficient_synthesis_matches_eval():
             pos = int(rng.integers(0, (1 << d) - 1))
             sig = detail_signatures(d)[pos]
             c = HaarCoefficients.zeros(d, 1, L)
-            c.detail[lvl][idx + (pos,)] = 1.0
+            _levels(c.rows, d)[lvl][idx + (pos,)] = 1.0
             g = haar_reconstruct(c)
             h = 1 << L
             pts = (np.arange(h) + 0.5) / h
@@ -264,7 +264,7 @@ def test_basis_orthonormality_gram():
             for idx in np.ndindex(*((1 << lvl),) * d):
                 for pos in range((1 << d) - 1):
                     c = HaarCoefficients.zeros(d, 1, L)
-                    c.detail[lvl][idx + (pos,)] = 1.0
+                    _levels(c.rows, d)[lvl][idx + (pos,)] = 1.0
                     cols.append(haar_reconstruct(c).values.reshape(-1))
         h = np.stack(cols, axis=1)
         gram = h.T @ h / h.shape[0]
@@ -286,12 +286,28 @@ def test_lp_norm_examples():
 
 
 def test_mean_pyramid_exact():
+    # the row pyramid of levels 0..depth, at every depth: each level against
+    # the mean over its cubes' cells, and bit for bit against the per-level
+    # chain of child means it is filled from; the finest level is the cells
     rng = np.random.default_rng(11)
-    cells = rng.standard_normal((8, 8, 3))
-    pyr = mean_pyramid(cells, 2)
-    assert len(pyr) == 4
-    npt.assert_allclose(pyr[0][0, 0], cells.mean(axis=(0, 1)), rtol=1e-14)
-    npt.assert_allclose(pyr[2][1, 0], cells[2:4, 0:2].mean(axis=(0, 1)), rtol=1e-14)
+    for d, L in ((1, 5), (2, 3), (3, 2)):
+        cells = rng.standard_normal(((1 << L),) * d + (3, 2))
+        chain = [cells]
+        for _ in range(L):
+            chain.insert(0, _blocks(chain[0], d, 2).mean(axis=d))
+        for depth in range(L + 1):
+            pyr = mean_pyramid(cells, d, depth)
+            assert pyr.shape == (sum(1 << (l * d) for l in range(depth + 1)), 3, 2)
+            levels = _levels(pyr, d)
+            assert len(levels) == depth + 1
+            for l, got in enumerate(levels):
+                want = _cube_blocks(cells, d, l).mean(axis=1)
+                npt.assert_allclose(got.reshape(want.shape), want, rtol=1e-14, atol=1e-14)
+                assert got.tobytes() == chain[l].tobytes()
+        with pytest.raises(ParameterError):
+            mean_pyramid(cells, d, L + 1)
+        with pytest.raises(ShapeError):
+            mean_pyramid(cells[:3], d, 0)
 
 
 def test_coarsen_refine():
@@ -325,8 +341,7 @@ def test_batch_transforms_and_norms_act_per_column():
         for i, f in enumerate(fs):
             single = haar_transform(f)
             np.testing.assert_array_equal(coeffs.root_scaling[..., i], single.root_scaling)
-            for a, b in zip(coeffs.detail, single.detail):
-                np.testing.assert_array_equal(a[..., i], b)
+            np.testing.assert_array_equal(coeffs.rows[..., i], single.rows)
             np.testing.assert_array_equal(haar_reconstruct(coeffs).values[..., i],
                                           haar_reconstruct(single).values)
         back = haar_reconstruct(coeffs)
@@ -359,18 +374,20 @@ def test_random_exactness_errors_in_blocks_match_one_batch(monkeypatch):
 
 
 def test_detail_levels_are_views_of_the_rows():
-    # the coefficients are stored once on the level-row axis; detail[l] is
-    # the view of level l's rows, so a write through it lands in them
+    # the coefficients are stored once on the level-row axis; _levels cuts
+    # level l's rows as a view, so a write through it lands in them
     rng = np.random.default_rng(12)
     for d, L in ((1, 4), (2, 3)):
         c = HaarCoefficients.zeros(d, 2, L)
         assert c.rows.shape == (sum(1 << (l * d) for l in range(L)), (1 << d) - 1, 2)
-        c.detail[L - 1][(1,) * d + (0, 1)] = 5.0
+        _levels(c.rows, d)[L - 1][(1,) * d + (0, 1)] = 5.0
         row = sum(1 << (l * d) for l in range(L - 1))
         row += int(np.ravel_multi_index((1,) * d, ((1 << (L - 1)),) * d))
         assert c.rows[row, 0, 1] == 5.0 and np.count_nonzero(c.rows) == 1
         f = haar_transform(GridFunction(d, 2, L, rng.standard_normal(((1 << L),) * d + (2, 3))))
-        for l, a in enumerate(f.detail):
+        levels = _levels(f.rows, d)
+        assert len(levels) == L
+        for l, a in enumerate(levels):
             assert a.shape == ((1 << l),) * d + ((1 << d) - 1, 2, 3)
             assert np.shares_memory(a, f.rows)
 
@@ -410,8 +427,8 @@ def test_butterfly_pyramid_matches_the_sign_matrix_einsum(d):
             f = GridFunction(d, n, L, rng.standard_normal(((1 << L),) * d + (n,) + batch))
             root, detail = einsum_transform(f)
             c = haar_transform(f)
-            want = HaarCoefficients(d, n, L, root, _rows(detail, d))
-            pairs = [(c.root_scaling, root), *zip(c.detail, detail),
+            want = HaarCoefficients(d, n, L, root, stack_levels(detail, d))
+            pairs = [(c.root_scaling, root), *zip(_levels(c.rows, d), detail),
                      (haar_reconstruct(want).values, einsum_reconstruct(want))]
             for got, ref in pairs:
                 if d == 1:

@@ -208,7 +208,7 @@ def test_each_run_draws_its_own_test_functions(tmp_path):
         (tmp_path / "b" / "equivalence_ratios.csv").read_bytes()
     batch = random_mean_zero_batch(make_weight(WeightFamily("power", 1, 1, 4)), 6, [3])
     with pytest.raises(ValueError, match="read-only"):
-        batch.detail[0][...] = 0.0
+        batch.rows[...] = 0.0
 
 
 def test_seed_changes_outputs(tmp_path):

@@ -1,7 +1,7 @@
 """Export integrity: every name a module lists in __all__, and every name the
-package imports into haarweight, resolves; and the operators built on a
+package imports into haarweight, resolves; the operators built on a
 reducing family or a stopping tree take no exponent, weight or family beside
-it.
+it; and per-cube data lives on the level-row axis only.
 
 perfbench/layers.py wraps each layer's public functions by looking up the
 names of __all__ with a default, so a stale name there would silently drop
@@ -20,9 +20,13 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 import haarweight
-from haarweight.reducing import ReducingFamily
-from haarweight.stopping import GenerationTree, StoppingConfig
+from haarweight.dyadic import HaarCoefficients, _cube_count
+from haarweight.reducing import ReducingFamily, build_reducing_family
+from haarweight.stopping import GenerationTree, StoppingConfig, build_generations
+from haarweight.weights import WeightFamily, make_weight
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(haarweight.__path__))
 
@@ -78,3 +82,38 @@ def test_exponent_comes_from_the_family_or_tree(name):
     assert "p" not in {f.name for f in dataclasses.fields(StoppingConfig)}
     assert not {"d", "n", "level"} & {f.name for f in dataclasses.fields(ReducingFamily)}
     assert not {"p", "d", "level"} & {f.name for f in dataclasses.fields(GenerationTree)}
+
+
+def test_per_cube_data_lives_on_the_level_row_axis():
+    """Each class stores its per-cube data once, as row arrays with the cubes
+    of every level on one axis, and offers no per-level list views of it:
+    code that needs a level's grid cuts it with dyadic._levels. The method
+    codes' views are the one exception; perfbench/layers.py, their only
+    reader, sums them level by level."""
+    d, level = 2, 3
+    weight = make_weight(WeightFamily("rotating", d=d, n=2, level=level,
+                                      params={"alpha": 0.5}, seed=1))
+    fam = build_reducing_family(weight, 3.0)
+    tree = build_generations(fam, StoppingConfig(lambda1=1.5, lambda2=1.5))
+    coeffs = HaarCoefficients.zeros(d, 2, level)
+    cubes = _cube_count(d, level + 1)
+    rows = {
+        (fam, "operators"): (2, cubes, 2, 2), (fam, "kappas"): (2, cubes),
+        (fam, "methods"): (2, cubes), (fam, "inverses"): (cubes, 2, 2),
+        (coeffs, "rows"): (_cube_count(d, level), 3, 2),
+        (tree, "labels"): (cubes,), (tree, "fired"): (cubes,), (tree, "tests"): (2, cubes),
+    }
+    for (obj, name), shape in rows.items():
+        assert getattr(obj, name).shape == shape, name
+    views = {}
+    for obj in (fam, coeffs, tree):
+        for name in dir(type(obj)):
+            attr = getattr(type(obj), name)
+            if isinstance(attr, property) and not name.startswith("_"):
+                value = getattr(obj, name)
+                if isinstance(value, list) and all(isinstance(a, np.ndarray) for a in value):
+                    views[type(obj).__name__, name] = len(value)
+    assert views == {("ReducingFamily", "method"): level + 1,
+                     ("ReducingFamily", "method_dual"): level + 1}, (
+        "per-level views other than ReducingFamily.method and method_dual, "
+        "which perfbench/layers.py reads")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cubes import Cube
+from cubes import Cube, stack_levels
 from haarweight import (
     CoverageError,
     HaarCoefficients,
@@ -21,7 +21,7 @@ from haarweight import (
     weighted_lp_norm,
 )
 from haarweight.analysis import square_norm
-from haarweight.dyadic import _levels, _rows, haar_reconstruct
+from haarweight.dyadic import _levels, haar_reconstruct
 from haarweight.multipliers import apply_symbols, t_blocks, t_operator
 from haarweight.weights import apply_cells
 from test_analysis import suite_weight
@@ -31,8 +31,8 @@ from test_dyadic import haar_eval
 def random_mean_zero(d, n, level, seed):
     rng = np.random.default_rng(seed)
     c = HaarCoefficients.zeros(d, n, level)
-    for l in range(level):
-        c.detail[l][...] = rng.standard_normal(c.detail[l].shape)
+    for a in _levels(c.rows, d):
+        a[...] = rng.standard_normal(a.shape)
     return c
 
 
@@ -58,9 +58,9 @@ def test_identity_weight_is_reconstruction():
 
 def test_forward_inverse_roundtrip():
     w, fam = rotating_setup()
-    for v, v_inv in zip(fam.v, fam.v_inv):
-        np.testing.assert_allclose(v_inv @ v, np.broadcast_to(np.eye(2), v.shape),
-                                   atol=1e-9)
+    v = fam.operators[0]
+    np.testing.assert_allclose(fam.inverses @ v, np.broadcast_to(np.eye(2), v.shape),
+                               atol=1e-9)
     f = random_mean_zero(1, 2, 4, seed=1)
     g = HaarCoefficients(f.d, f.n, f.level, f.root_scaling, apply_symbols(fam.operators[0], f))
     np.testing.assert_allclose(apply_symbols(fam.inverses, g), f.rows, atol=1e-9)
@@ -70,7 +70,7 @@ def test_scalar_symbol_oracle():
     w = MatrixWeight(d=1, n=1, level=1, cells=np.array([[[1.0]], [[4.0]]]))
     fam = build_reducing_family(w, 2.0)
     f = HaarCoefficients.zeros(1, 1, 1)
-    f.detail[0][0, 0] = 1.0
+    f.rows[0, 0] = 1.0
     out = apply_symbols(fam.operators[0], f)
     assert out[0, 0, 0] == pytest.approx(math.sqrt(2.5), rel=1e-14)
 
@@ -121,8 +121,18 @@ def test_validation_errors():
     # to level 3) go unused; a level fewer (7 cubes) raises
     assert fam.operators.shape[1] == 31
     assert apply_symbols(fam.operators[0], f).shape == f.rows.shape == (15, 1, 2)
-    with pytest.raises(CoverageError, match="to level 3, family has 2"):
+    with pytest.raises(CoverageError, match="to level 3, 15 rows; the family has 7$"):
         apply_symbols(fam.operators[0, :7], f)
+
+
+def test_symbols_ending_inside_a_level_raise_coverage_error():
+    # the message counts rows, so symbols that stop partway through a level
+    # (5 rows: level 1 complete, 2 of level 2's 4) raise CoverageError too
+    f = HaarCoefficients.zeros(1, 1, 3)
+    for rows in (3, 5, 6):
+        with pytest.raises(CoverageError, match=f"to level 2, 7 rows; the family has {rows}$"):
+            apply_symbols(np.ones((rows, 1, 1)), f)
+    assert apply_symbols(np.ones((7, 1, 1)), f).shape == f.rows.shape
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +157,11 @@ def test_batched_t_blocks_match_a_per_function_loop(name, p):
             # V_I^{-1} f_I on the cubes labelled j, cube by cube
             detail = [
                 np.einsum("...ij,...ej->...ei", v, a) * (lab == j)[..., None, None]
-                for v, a, lab in zip(fam.v_inv, f.detail, _levels(tree.labels, w.d))
+                for v, a, lab in zip(*(_levels(rows, w.d)
+                                       for rows in (fam.inverses, f.rows, tree.labels)))
             ]
-            piece = HaarCoefficients(w.d, w.n, w.level, np.zeros(w.n), _rows(detail, w.d))
+            piece = HaarCoefficients(w.d, w.n, w.level, np.zeros(w.n),
+                                     stack_levels(detail, w.d))
             want.append(weighted_lp_norm(haar_reconstruct(piece), w, p) ** p)
         np.testing.assert_allclose(row, want, rtol=1e-13, atol=0)
     tf = t_operator(fam, HaarCoefficients.stack(fs))
@@ -163,7 +175,7 @@ def test_single_function_symbols_are_the_per_cube_product():
     out = apply_symbols(fam.operators[0], f)
     one = apply_symbols(fam.operators[0], HaarCoefficients.stack([f]))  # a batch of 1
     np.testing.assert_array_equal(one[..., 0], out)
-    for v, a, y in zip(fam.v, f.detail, _levels(out, w.d)):
+    for v, a, y in zip(*(_levels(rows, w.d) for rows in (fam.operators[0], f.rows, out))):
         assert y.shape == a.shape
         for cube in np.ndindex(v.shape[:-2]):
             for e in range(a.shape[-2]):
@@ -181,6 +193,6 @@ def test_symbols_on_the_rows_match_the_per_level_products(d, level, n):
     for batch in ((), (4,)):
         f = HaarCoefficients(d, n, level, np.zeros((n,) + batch), rng.standard_normal(
             (sum(1 << (l * d) for l in range(level)), (1 << d) - 1, n) + batch))
-        want = _rows([apply_cells(s[..., None, :, :], a)
-                      for s, a in zip(_levels(symbols, d), f.detail)], d)
+        want = stack_levels([apply_cells(s[..., None, :, :], a)
+                             for s, a in zip(_levels(symbols, d), _levels(f.rows, d))], d)
         assert apply_symbols(symbols, f).tobytes() == want.tobytes()

@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from cubes import Cube
+from cubes import Cube, stack_levels
 import haarweight
 from haarweight import (
     CoverageError,
@@ -34,7 +34,7 @@ from haarweight import (
 )
 import haarweight.dyadic as dyadic
 import haarweight.reducing as reducing
-from haarweight.dyadic import _levels, _rows, mean_pyramid
+from haarweight.dyadic import _levels, mean_pyramid
 from haarweight.multipliers import apply_symbols, t_operator
 from haarweight.reducing import (
     _CAL_FACTOR,
@@ -78,21 +78,20 @@ def scalar_ap_characteristic(weight, e, p):
     the n = 1 oracle for ReducingFamily.characteristic."""
     x = np.einsum("...ij,j->...i", weight.power_cells(1.0 / p), np.asarray(e, float))
     w = np.linalg.norm(x, axis=-1) ** p
-    pyr_w = mean_pyramid(w, weight.d)
-    pyr_s = mean_pyramid(w ** (1.0 - conjugate_exponent(p)), weight.d)
-    return max(
-        float((pyr_w[l] * pyr_s[l] ** (p - 1.0)).max())
-        for l in range(scan_depth(weight.level) + 1)
-    )
+    depth = scan_depth(weight.level)
+    pyr_w = mean_pyramid(w, weight.d, depth)
+    pyr_s = mean_pyramid(w ** (1.0 - conjugate_exponent(p)), weight.d, depth)
+    return float((pyr_w * pyr_s ** (p - 1.0)).max())
 
 
 def method_at(codes, cube):
-    return METHOD_NAMES[int(codes[cube.level][cube.index])]
+    """The method name of one cube from a side's method-code rows."""
+    return METHOD_NAMES[int(_levels(codes, cube.d)[cube.level][cube.index])]
 
 
 def level_rows(d, depth, levels):
     """Row mask of a depth-`depth` family that selects the cubes of `levels`."""
-    return _rows([np.full(((1 << l),) * d, l in levels) for l in range(depth + 1)], d)
+    return stack_levels([np.full(((1 << l),) * d, l in levels) for l in range(depth + 1)], d)
 
 
 def side_rows(w, p, dirs, todo, dual):
@@ -152,17 +151,15 @@ def test_p2_family_matches_sqrtm():
     w = rotating_weight(level=3)
     fam = build_reducing_family(w, 2.0)
     assert fam.max_depth == 3
-    pyr = mean_pyramid(w.power_cells(1.0), w.d)
-    inv_pyr = mean_pyramid(w.power_cells(-1.0), w.d)
+    pyr = mean_pyramid(w.power_cells(1.0), w.d, 3)
+    inv_pyr = mean_pyramid(w.power_cells(-1.0), w.d, 3)
+    assert fam.operators.shape == (2, pyr.shape[0], 2, 2)
+    for k in range(pyr.shape[0]):
+        np.testing.assert_allclose(fam.operators[0, k], scipy.linalg.sqrtm(pyr[k]), atol=1e-12)
+        np.testing.assert_allclose(fam.operators[1, k], scipy.linalg.sqrtm(inv_pyr[k]),
+                                   atol=1e-12)
     for lvl in range(4):
-        flat = pyr[lvl].reshape(-1, 2, 2)
-        flat_inv = inv_pyr[lvl].reshape(-1, 2, 2)
-        v = fam.v[lvl].reshape(-1, 2, 2)
-        vd = fam.v_dual[lvl].reshape(-1, 2, 2)
-        for k in range(flat.shape[0]):
-            np.testing.assert_allclose(v[k], scipy.linalg.sqrtm(flat[k]), atol=1e-12)
-            np.testing.assert_allclose(vd[k], scipy.linalg.sqrtm(flat_inv[k]), atol=1e-12)
-        assert method_at(fam.method, Cube(lvl, (0,))) == "exact-p2"
+        assert method_at(fam.methods[0], Cube(lvl, (0,))) == "exact-p2"
     assert fam.max_kappa() == 1.0
 
 
@@ -177,7 +174,7 @@ def test_scalar_route_matches_matrix_route():
     fam = WeightFamily("power", d=1, n=1, level=6, params={"alpha": 0.6}, seed=0)
     w = make_weight(fam)
     redfam = build_reducing_family(w, 3.0)
-    assert method_at(redfam.method, Cube(2, (1,))) == "exact-scalar"
+    assert method_at(redfam.methods[0], Cube(2, (1,))) == "exact-scalar"
     char = redfam.characteristic()
     schar = scalar_ap_characteristic(w, [1.0], 3.0)
     np.testing.assert_allclose(char, schar, rtol=1e-12)
@@ -189,15 +186,11 @@ def test_identity_weight_fixed_point():
     w = make_weight(fam)
     for p in (2.0, 3.0, 1.5):
         redfam = build_reducing_family(w, p)
-        for lvl in range(5):
-            np.testing.assert_array_equal(
-                redfam.v[lvl], np.broadcast_to(np.eye(2), redfam.v[lvl].shape)
-            )
-            np.testing.assert_array_equal(
-                redfam.v_dual[lvl], np.broadcast_to(np.eye(2), redfam.v[lvl].shape)
-            )
+        assert redfam.operators.shape == (2, 31, 2, 2)  # both sides, levels 0..4
+        np.testing.assert_array_equal(
+            redfam.operators, np.broadcast_to(np.eye(2), redfam.operators.shape))
         assert redfam.characteristic(4) == 1.0
-    assert method_at(redfam.method, Cube(1, (0,))) == "exact-scalar"
+    assert method_at(redfam.methods[0], Cube(1, (0,))) == "exact-scalar"
 
 
 def test_scalar_times_matrix_weight_is_exact_everywhere():
@@ -205,8 +198,7 @@ def test_scalar_times_matrix_weight_is_exact_everywhere():
     fam = WeightFamily("power", d=1, n=3, level=4, params={"alpha": 0.6}, seed=0)
     w = make_weight(fam)
     redfam = build_reducing_family(w, 3.0)
-    for codes in redfam.method + redfam.method_dual:
-        assert (codes == METHOD_NAMES.index("exact-scalar")).all()
+    assert (redfam.methods == METHOD_NAMES.index("exact-scalar")).all()
     assert redfam.max_kappa() == 1.0
 
 
@@ -214,36 +206,37 @@ def test_proportionality_pyramid_scaled_cell():
     cells = np.broadcast_to(np.eye(2), (8, 2, 2)).copy()
     cells[5] = 2.0 * np.eye(2)  # W = s(x) I still holds
     w = MatrixWeight(1, 2, 3, cells)
-    for flags, reps in _proportionality(w):
-        assert flags.all()
-        np.testing.assert_array_equal(reps, np.broadcast_to(np.eye(2), reps.shape))
+    flags, reps = _proportionality(w)
+    assert flags.shape == (15,) and reps.shape == (15, 2, 2)  # levels 0..3
+    assert flags.all()
+    np.testing.assert_array_equal(reps, np.broadcast_to(np.eye(2), reps.shape))
 
 
 def test_proportionality_pyramid_shape_change():
     cells = np.broadcast_to(np.eye(2), (8, 2, 2)).copy()
     cells[5] = np.diag([2.0, 1.0])
     w = MatrixWeight(1, 2, 3, cells)
-    pyr = _proportionality(w)
-    flags1, _ = pyr[1]
-    assert flags1[0] and not flags1[1]
-    flags2, reps2 = pyr[2]
-    assert list(flags2) == [True, True, False, True]
-    np.testing.assert_array_equal(reps2[0], np.eye(2))
-    assert not pyr[0][0].any()
+    flags, reps = _proportionality(w)
+    flag, rep = _levels(flags, 1), _levels(reps, 1)
+    assert flag[1][0] and not flag[1][1]
+    assert list(flag[2]) == [True, True, False, True]
+    np.testing.assert_array_equal(rep[2][0], np.eye(2))
+    assert not flag[0].any()
+    assert flag[3].all()
 
 
 def test_proportionality_pyramid_rotating_finest_only():
     w = make_weight(WeightFamily("rotating", 1, 2, 4, {"alpha": 0.6}, seed=3))
-    pyr = _proportionality(w)
-    assert pyr[4][0].all()
-    for flags, _ in pyr[:4]:
-        assert not flags.any()
+    flags, _ = _proportionality(w)
+    levels = _levels(flags, 1)
+    assert len(levels) == 5 and levels[4].all()
+    assert not flags[:15].any()
 
 
 def test_proportionality_pyramid_constant_family():
     m = [[2.0, 0.5], [0.5, 1.0]]
     w = make_weight(WeightFamily("constant", 1, 2, 3, {"matrix": m}))
-    flags, reps = _proportionality(w)[0]
+    flags, reps = _proportionality(w)
     assert flags.all()
     np.testing.assert_array_equal(reps[0], np.asarray(m) / m[0][0])
 
@@ -274,13 +267,13 @@ def test_closed_form_matches_fit_on_power_weight():
     p = 3.0
     redfam = build_reducing_family(w, p)
     m_fit, dirs_fit, dirs_all = fit_directions(2)
-    for dual, closed in ((False, redfam.v), (True, redfam.v_dual)):
+    for dual, closed in enumerate(redfam.operators):
         for lvl in (0, 2, 4):
             rho = side_rows(w, p, dirs_all, level_rows(1, lvl, [lvl]), dual)
             v_fit, _ = _fit_operators(rho[:, :m_fit], dirs_fit,
                                       [(dirs_all[m_fit:], rho[:, m_fit:])])
             np.testing.assert_allclose(
-                v_fit, closed[lvl].reshape(-1, 2, 2), rtol=0, atol=1e-10
+                v_fit, _levels(closed, 1)[lvl], rtol=0, atol=1e-10
             )
 
 
@@ -288,14 +281,14 @@ def test_ellipsoid_sandwich_fresh_directions():
     w = rotating_weight(level=4)
     p = 3.0
     fam = build_reducing_family(w, p)
-    assert method_at(fam.method, Cube.root(1)) == "ellipsoid"
+    assert method_at(fam.methods[0], Cube.root(1)) == "ellipsoid"
     rng = np.random.default_rng(11)
     dirs = rng.standard_normal((64, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     for lvl in (0, 2, 4):
         for idx in [(0,), ((1 << lvl) - 1,)]:
             cube = Cube(lvl, idx)
-            v = fam.v[lvl][idx]
+            v = _levels(fam.operators[0], 1)[lvl][idx]
             for e in dirs:
                 rho = direction_norm(w, cube, p, e)
                 ve = float(np.linalg.norm(v @ e))
@@ -318,15 +311,10 @@ def test_dual_weight_family_is_the_primal_swapped():
     dual = MatrixWeight(w.d, w.n, w.level, w.power_cells(1.0 - q))
     fresh = build_reducing_family(dual, q)
     assert fresh.p == q
-    sides = (("v_dual", "v"), ("v", "v_dual"), ("kappa_dual", "kappa"),
-             ("kappa", "kappa_dual"))
-    for mine, theirs in sides:
-        for got, want in zip(getattr(fam, mine), getattr(fresh, theirs), strict=True):
-            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
-    for mine, theirs in (("method_dual", "method"), ("method", "method_dual")):
-        for got, want in zip(getattr(fam, mine), getattr(fresh, theirs), strict=True):
-            np.testing.assert_array_equal(got, want)
-    assert (fresh.method[0] == METHOD_NAMES.index("ellipsoid")).all()
+    for mine, theirs in ((fam.operators, fresh.operators), (fam.kappas, fresh.kappas)):
+        np.testing.assert_allclose(mine, theirs[::-1], rtol=1e-10, atol=1e-10)
+    np.testing.assert_array_equal(fam.methods, fresh.methods[::-1])
+    assert fresh.methods[0, 0] == METHOD_NAMES.index("ellipsoid")
 
 
 def test_duality_identity(monkeypatch):
@@ -745,15 +733,15 @@ def test_one_fit_per_family_matches_per_level_fits(monkeypatch):
     fam = build_reducing_family(w, p)
     # every cube of levels 0-3 on both sides; a level-4 cube is one cell, W = s A
     assert calls == [2 * (2**4 - 1)]
-    assert (fam.method[4] == METHOD_NAMES.index("exact-scalar")).all()
+    assert (_levels(fam.methods[0], 1)[4] == METHOD_NAMES.index("exact-scalar")).all()
     m_fit, dirs_fit, dirs_all = fit_directions(2)
-    for dual, vs, kappas in ((False, fam.v, fam.kappa), (True, fam.v_dual, fam.kappa_dual)):
+    for dual, (vs, kappas) in enumerate(zip(fam.operators, fam.kappas)):
         for lvl in range(4):
             rho = side_rows(w, p, dirs_all, level_rows(1, lvl, [lvl]), dual)
             v, kappa = _fit_operators(rho[:, :m_fit], dirs_fit,
                                       [(dirs_all[m_fit:], rho[:, m_fit:])])
-            np.testing.assert_allclose(vs[lvl].reshape(-1, 2, 2), v, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(kappas[lvl].reshape(-1), kappa, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(_levels(vs, 1)[lvl], v, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(_levels(kappas, 1)[lvl], kappa, rtol=1e-12, atol=0)
     assert len(calls) == 1 + 2 * 4
 
 
@@ -868,12 +856,15 @@ _FAMILY_ARRAYS = """
 import sys
 import numpy as np
 from haarweight import WeightFamily, build_reducing_family, make_weight
+from haarweight.dyadic import _levels
 arrays = {}
 for fam in (WeightFamily("rotating", 1, 2, 7, {"alpha": 0.6}, 3),
             WeightFamily("logbrownian", 1, 3, 6, {"sigma": 0.4}, 5)):
     family = build_reducing_family(make_weight(fam), 3.0)
-    for side in ("v", "v_dual", "kappa"):
-        for lvl, a in enumerate(getattr(family, side)):
+    sides = {"v": family.operators[0], "v_dual": family.operators[1],
+             "kappa": family.kappas[0]}
+    for side, rows in sides.items():
+        for lvl, a in enumerate(_levels(rows, 1)):
             arrays[f"{fam.family}/{side}/{lvl}"] = a
 np.savez(sys.argv[1], **arrays)
 """
@@ -936,23 +927,23 @@ def test_shallow_family_keeps_the_exact_rows(d, level):
     for p in (2.0, 3.0):
         full = build_reducing_family(w, p)
         shallow = build_reducing_family(w, p, max_depth=depth)
-        assert len(shallow.v) == depth + 1
-        codes = np.concatenate([c.reshape(-1) for c in shallow.method[: depth + 1]])
+        rows = sum(1 << (l * d) for l in range(depth + 1))
+        assert shallow.operators.shape[1] == rows
+        codes = shallow.methods[0]
         assert (codes == ell).any() == (p != 2.0) and not (codes == ell).all()
-        for l in range(depth + 1):
-            exact = full.method[l] != ell
-            for side in ("method", "method_dual"):
-                np.testing.assert_array_equal(getattr(shallow, side)[l], getattr(full, side)[l])
-            for side in ("v", "v_dual", "kappa", "kappa_dual"):
-                np.testing.assert_array_equal(getattr(shallow, side)[l][exact],
-                                              getattr(full, side)[l][exact])
+        np.testing.assert_array_equal(shallow.methods, full.methods[:, :rows])
+        exact = full.methods[0, :rows] != ell
+        for mine, theirs in ((shallow.operators, full.operators),
+                             (shallow.kappas, full.kappas)):
+            np.testing.assert_array_equal(mine[:, exact], theirs[:, :rows][:, exact])
 
 
 @pytest.mark.parametrize("d, level", [(1, 4), (2, 3)])
 def test_family_levels_are_views_of_its_rows(d, level):
-    # a family stores each side once on the level-row axis; its per-level
-    # arrays are views of those rows, and a shallow family holds exactly
-    # the rows of its levels
+    # a family stores each side once on the level-row axis, and a shallow
+    # family holds exactly the rows of its levels; _levels cuts them into
+    # per-level views, and the per-level method views are views of the
+    # method rows of their side
     w = make_weight(WeightFamily("rotating", d=d, n=2, level=level,
                                  params={"alpha": 0.6}, seed=3))
     for depth in (level, level - 2):
@@ -961,21 +952,21 @@ def test_family_levels_are_views_of_its_rows(d, level):
         assert fam.operators.shape == (2, cubes, 2, 2)
         assert fam.kappas.shape == fam.methods.shape == (2, cubes)
         assert fam.inverses.shape == (cubes, 2, 2)
-        assert len(fam.v) == len(fam.kappa_dual) == len(fam.v_inv) == depth + 1
+        levels = _levels(fam.operators[0], d)
+        assert len(levels) == len(fam.method) == len(fam.method_dual) == depth + 1
         for l in range(depth + 1):
-            assert fam.v[l].shape == ((1 << l),) * d + (2, 2)
-            for view, side, rows in ((fam.v[l], 0, fam.operators),
-                                     (fam.v_dual[l], 1, fam.operators),
-                                     (fam.kappa[l], 0, fam.kappas),
-                                     (fam.kappa_dual[l], 1, fam.kappas),
-                                     (fam.method_dual[l], 1, fam.methods)):
-                assert np.shares_memory(view, rows[side])
-                assert not np.shares_memory(view, rows[1 - side])
-            assert np.shares_memory(fam.v_inv[l], fam.inverses)
+            assert levels[l].shape == ((1 << l),) * d + (2, 2)
+            assert np.shares_memory(levels[l], fam.operators[0])
+            for side, view in enumerate((fam.method[l], fam.method_dual[l])):
+                assert view.shape == ((1 << l),) * d
+                assert np.shares_memory(view, fam.methods[side])
+                assert not np.shares_memory(view, fam.methods[1 - side])
     # the depth level - 2 family stops short of the coefficients' last
     # detail level, level - 1
     f = dyadic.HaarCoefficients.zeros(d, 2, level)
-    with pytest.raises(CoverageError, match=f"to level {level - 1}, family has {level - 2}"):
+    need, have = (sum(1 << (l * d) for l in range(k)) for k in (level, level - 1))
+    with pytest.raises(CoverageError,
+                       match=f"to level {level - 1}, {need} rows; the family has {have}$"):
         apply_symbols(fam.inverses, f)
     with pytest.raises(CoverageError):
         t_operator(fam, f)
@@ -985,7 +976,7 @@ def test_family_levels_are_views_of_its_rows(d, level):
 def test_rows_split_round_trip(d):
     rng = np.random.default_rng(d)
     pyr = [rng.standard_normal(((1 << l),) * d + (2, 3)) for l in range(4)]
-    rows = _rows(pyr, d)
+    rows = stack_levels(pyr, d)
     assert rows.shape == (sum(1 << (l * d) for l in range(4)), 2, 3)
     # level by level, each level in index order
     np.testing.assert_array_equal(rows[1 : 1 + (1 << d)], pyr[1].reshape(-1, 2, 3))
@@ -994,7 +985,7 @@ def test_rows_split_round_trip(d):
     for got, want in zip(back, pyr):
         np.testing.assert_array_equal(got, want)
     flags = [a[..., 0, 0] > 0.0 for a in pyr]
-    for got, want in zip(_levels(_rows(flags, d), d), flags):
+    for got, want in zip(_levels(stack_levels(flags, d), d), flags):
         np.testing.assert_array_equal(got, want)
 
 

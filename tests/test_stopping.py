@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cubes import Cube
+from cubes import Cube, stack_levels
 from haarweight import (
     CoverageError,
     MatrixWeight,
@@ -32,7 +32,6 @@ from haarweight import (
 from haarweight.dyadic import (
     GridFunction,
     _levels,
-    _rows,
     haar_reconstruct,
     haar_transform,
     refine_to_cells,
@@ -49,8 +48,9 @@ from haarweight.stopping import (
 )
 
 
-def _pair_table(fam, mode, li, lj):
-    return _pair_tables(fam, mode, lj)[..., li]
+def _pair_table(fam, test, li, lj):
+    """Test 1 or 2 of every level-lj cube against its level-li ancestor."""
+    return _pair_tables(fam, lj)[test - 1, ..., li]
 
 
 def two_cell_weight():
@@ -195,11 +195,11 @@ def test_telescoping_sum_recovers_function():
 
     # every detail coefficient lies in exactly one piece, and the pieces add
     # up to f's details bit for bit
-    for l in range(4):
-        held = pieces.detail[l]
-        assert (coeffs.detail[l] != 0.0).all()
-        np.testing.assert_array_equal((held != 0.0).sum(axis=-1), 1)
-        np.testing.assert_array_equal(held.sum(axis=-1), coeffs.detail[l])
+    held = pieces.rows
+    assert held.shape == coeffs.rows.shape + pieces.batch
+    assert (coeffs.rows != 0.0).all()
+    np.testing.assert_array_equal((held != 0.0).sum(axis=-1), 1)
+    np.testing.assert_array_equal(held.sum(axis=-1), coeffs.rows)
 
 
 def test_split_rejects_coefficients_off_the_tree_level():
@@ -363,9 +363,10 @@ def _random_table_family(d, floor, rng):
     real tables, on constant cells, would hold 1 everywhere."""
     cells = np.ones(((1 << floor),) * d + (1, 1))
     fam = build_reducing_family(MatrixWeight(d=d, n=1, level=floor, cells=cells), 2.0)
-    for mode in (1, 2):
-        for lj in range(1, floor + 1):
-            fam._cache["pairs", mode, lj] = rng.random(((1 << lj),) * d + (lj,))
+    tables = [[rng.random(((1 << lj),) * d + (lj,)) for lj in range(1, floor + 1)]
+              for _ in range(2)]
+    for lj, both in enumerate(zip(*tables), 1):
+        fam._cache["pairs", lj] = np.stack(both)
     return fam
 
 
@@ -375,30 +376,33 @@ def test_sup_decay_matches_per_pair_sums(d):
     # the per-pair sums on random tables; density is the share that fires
     floor = 6 if d == 1 else 4
     fam = _random_table_family(d, floor, np.random.default_rng(11 + d))
-    max1, max2 = _coverage_maxima(fam, 1), _coverage_maxima(fam, 2)
+    maxima = _coverage_maxima(fam)
+    assert [m.shape for m in maxima] == [(2, 1 << (li * d), 1 << ((floor - li) * d))
+                                         for li in range(floor)]
 
     def decay(lam1, lam2):
         return _sup_decay_per_pair(d, floor, lambda li, lj: (
             (_pair_table(fam, 1, li, lj) > lam1) | (_pair_table(fam, 2, li, lj) > lam2)))
 
     # thresholds equal to coverage maxima, so ties with them are tested too
-    values1, values2 = (np.sort(np.concatenate([t.ravel() for t in maxima]))
-                        for maxima in (max1, max2))
-    # the maxima are the injected values, none of the real tables' ones
-    for mode, values in ((1, values1), (2, values2)):
-        injected = np.concatenate([_pair_tables(fam, mode, lj).ravel()
+    values1, values2 = (np.sort(np.concatenate([m[test].ravel() for m in maxima]))
+                        for test in (0, 1))
+    # the maxima are the injected values of their test, none of the real
+    # tables' ones
+    for test, values in enumerate((values1, values2)):
+        injected = np.concatenate([_pair_tables(fam, lj)[test].ravel()
                                    for lj in range(1, floor + 1)])
         assert np.isin(values, injected).all() and (values < 1.0).all()
     for density in (0.02, 0.1, 0.3, 0.7):
         lam1 = values1[int((1.0 - density) * values1.size)]
         lam2 = values2[int((1.0 - density / 2) * values2.size)]
         for lams in ((lam1, lam2), (lam1, np.inf), (np.inf, lam2)):
-            assert _covered(max1, max2, *lams) == decay(*lams)
+            assert _covered(maxima, *lams) == decay(*lams)
     # the least threshold passes each test alone, and the next double below fails
     for target in (0.1, 0.3, 0.5, 0.9):
-        for maxima, lams in ((max1, lambda lam: (lam, np.inf)),
-                             (max2, lambda lam: (np.inf, lam))):
-            least = _least_threshold(maxima, target)
+        least1, least2 = _least_threshold(maxima, target)
+        for least, lams in ((least1, lambda lam: (lam, np.inf)),
+                            (least2, lambda lam: (np.inf, lam))):
             assert decay(*lams(least)) <= target / 2
             assert decay(*lams(np.nextafter(least, -np.inf))) > target / 2
 
@@ -412,6 +416,17 @@ def test_config_validation():
     shallow = build_reducing_family(w, 3.0, max_depth=1)
     with pytest.raises(CoverageError):
         build_generations(shallow, StoppingConfig(lambda1=2.0, lambda2=2.0))
+
+
+def test_nan_thresholds_rejected():
+    # NaN would compare false everywhere, so nothing would fire; infinity
+    # switches a test off and stays allowed
+    nan, inf = float("nan"), float("inf")
+    for lams in ((nan, 2.0), (2.0, nan), (nan, nan)):
+        with pytest.raises(ParameterError, match="exceed 1"):
+            StoppingConfig(*lams)
+    w, fam = rotating_setup(level=3)
+    assert build_generations(fam, StoppingConfig(inf, inf)).generation_count() == 1
 
 
 # Oracle: the per-root block scan that the single labelling pass replaced.
@@ -483,7 +498,7 @@ def test_labelling_pass_matches_per_root_scan(suite_ctx, p, lam):
         gen_label, generations = _per_root_generations(fam, cfg)
 
         assert tree.labels.dtype == np.int32
-        np.testing.assert_array_equal(tree.labels, _rows(gen_label, fam.d))
+        np.testing.assert_array_equal(tree.labels, stack_levels(gen_label, fam.d))
         gens = tree_to_dict(tree)["generations"]
         assert tree.generation_count() == len(generations) == len(gens)
         for rec, (roots, stopping, floor_hit) in zip(gens, generations):
@@ -519,17 +534,20 @@ def test_one_pair_table_per_test_and_level(monkeypatch):
 @pytest.mark.parametrize("p", [2.0, 3.0])
 @pytest.mark.parametrize("name", [s.name for s in suite_weight_specs()])
 def test_pair_table_per_cube(suite_ctx, name, p):
-    # every suite weight (n = 1, 2, 3; d = 1, 2) against per-pair SVD norms
+    # every suite weight (n = 1, 2, 3; d = 1, 2) against per-pair SVD norms:
+    # one read-only table per level, test 1 then test 2
     q = conjugate_exponent(p)
     fam = suite_ctx.family(name, p)
+    v = _levels(fam.operators[0], fam.d)
     for lj in range(1, fam.level + 1):
         js = np.indices(((1 << lj),) * fam.d)
-        vj = fam.v[lj][tuple(js)]
+        vj = v[lj][tuple(js)]
+        tables = _pair_tables(fam, lj)
+        assert tables.shape == (2,) + ((1 << lj),) * fam.d + (lj,)
+        assert not tables.flags.writeable
         for li in range(lj):
-            t1 = _pair_table(fam, 1, li, lj)
-            t2 = _pair_table(fam, 2, li, lj)
-            assert t1.shape == t2.shape == ((1 << lj),) * fam.d
-            vi = fam.v[li][tuple(js >> (lj - li))]
+            t1, t2 = tables[..., li]
+            vi = v[li][tuple(js >> (lj - li))]
             want1 = np.linalg.norm(vj @ np.linalg.inv(vi), 2, axis=(-2, -1)) ** p
             want2 = np.linalg.norm(np.linalg.inv(vj) @ vi, 2, axis=(-2, -1)) ** q
             np.testing.assert_allclose(t1, want1, rtol=1e-12, atol=0)
