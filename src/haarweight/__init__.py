@@ -26,7 +26,7 @@ from .dyadic import (
 )
 from .weights import (
     MatrixWeight,
-    WeightFamily,
+    WeightSpec,
     make_weight,
     weighted_lp_norm,
 )
@@ -78,7 +78,6 @@ from .serialization import (
 )
 from .config import (
     ExperimentConfig,
-    WeightSpec,
     default_config,
     load_config,
     suite_weight_specs,

@@ -38,7 +38,7 @@ from .stopping import (
 )
 from .weights import (
     MatrixWeight,
-    WeightFamily,
+    WeightSpec,
     _serial_matmul,
     make_weight,
     spd_power_stack,
@@ -328,18 +328,17 @@ def c09_cross_term_decay(ctx: AcceptanceContext) -> CriterionResult:
     ok = True
     parts = []
     for alpha in (0.3, 0.6):
-        w = make_weight(
-            WeightFamily("power", 1, 1, 10, params={"alpha": alpha},
-                         seed=ctx.config.seed)
-        )
+        spec = WeightSpec(f"a{alpha}", "power", 1, 1, 10, seed=ctx.config.seed,
+                          params={"alpha": alpha})
+        w = make_weight(spec)
         for p in ctx.config.ps:
             fam = build_reducing_family(w, p)
-            cal = calibrate_lambdas([(f"a{alpha}", w, fam)],
+            cal = calibrate_lambdas([(spec.name, w, fam)],
                                     target=ctx.config.calibration_target)
             q = conjugate_exponent(p)
             cfg = StoppingConfig(
                 lambda1=max(cal.c1_hat, 1.0 + 1e-9),
-                lambda2=max(cal.c2_hat * cal.chars[f"a{alpha}"] ** (q / p),
+                lambda2=max(cal.c2_hat * cal.chars[spec.name] ** (q / p),
                             1.0 + 1e-9),
             )
             tree = build_generations(fam, cfg)
@@ -370,9 +369,8 @@ def c10_equivalence_uniform(ctx: AcceptanceContext) -> CriterionResult:
         ok = ok and c1[p] <= _C10_CAP and c2[p] <= _C10_CAP
         parts.append(f"p={p:g}: C1_emp={c1[p]:.4f} C2_emp={c2[p]:.4f}")
     # Parseval case: identity weight at p=2 has ratio exactly 1
-    ident = make_weight(
-        WeightFamily("constant", 1, 2, 6, params={"matrix": np.eye(2)})
-    )
+    ident = make_weight(WeightSpec("identity", "constant", 1, 2, 6,
+                                   params={"matrix": np.eye(2)}))
     idrep = equivalence_ratios(build_reducing_family(ident, 2.0), count=50,
                                seed=ctx.config.seed)
     parseval = float(np.abs(idrep.ratios - 1.0).max())

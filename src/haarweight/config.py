@@ -3,23 +3,24 @@
 A config fully determines a run: weight grid, exponents, function counts,
 seeds, calibration target, and output directory. Unknown keys are rejected
 with the offending path so typos cannot silently change an experiment.
+The constructor checks the values with the loader's own type tests, and
+each weight with weights._check_spec, as a ConfigError that names it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .analysis import SPECTRA
 from .errors import ConfigError, ParameterError
-from .weights import _FAMILIES, MatrixWeight, WeightFamily, _check_family, make_weight
+from .weights import _FAMILIES, WeightSpec, _check_spec, _int, _num
 
 __all__ = [
     "SCHEMA_VERSION",
     "EXPERIMENT_IDS",
-    "WeightSpec",
     "ExperimentConfig",
     "config_to_dict",
     "load_config",
@@ -42,40 +43,6 @@ EXPERIMENT_IDS = (
 def _exponent_tag(p: float) -> str:
     """The tag p{p:g} in the names of an exponent's files."""
     return f"p{p:g}"
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """One weight in the grid: either a generated family or a file to load."""
-
-    name: str
-    family: str = "constant"
-    d: int = 1
-    n: int = 1
-    level: int = 4
-    seed: int = 7
-    params: dict = field(default_factory=dict)
-    file: str | None = None
-
-    def __post_init__(self):
-        # 9 and 9.0 are one parameter: the same weight meta and config hash
-        object.__setattr__(self, "params", {k: _floats(v) for k, v in self.params.items()})
-
-    def realize(self) -> MatrixWeight:
-        if self.file is not None:
-            from .serialization import load_weight
-
-            return load_weight(self.file)
-        return make_weight(
-            WeightFamily(
-                family=self.family,
-                d=self.d,
-                n=self.n,
-                level=self.level,
-                params=dict(self.params),
-                seed=self.seed,
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -102,7 +69,7 @@ class ExperimentConfig:
             if v is not None:
                 v = tuple(map(float, v)) if isinstance(v, (tuple, list)) else float(v)
                 object.__setattr__(self, key, v)
-        if self.schema_version != SCHEMA_VERSION:
+        if not _int(self.schema_version) or self.schema_version != SCHEMA_VERSION:
             raise ConfigError(
                 f"schema_version {self.schema_version} unsupported "
                 f"(this library reads version {SCHEMA_VERSION})"
@@ -113,7 +80,7 @@ class ExperimentConfig:
                 f"unknown experiment ids {sorted(unknown)}; known: {EXPERIMENT_IDS}"
             )
         _check_unique("experiment ids", self.experiments)
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         for p in self.ps:
             if not 1.0 < p < math.inf:
@@ -130,20 +97,24 @@ class ExperimentConfig:
         bad = set(self.spectra) - set(SPECTRA)
         if bad:
             raise ConfigError(f"unknown spectra {sorted(bad)}; known: {SPECTRA}")
-        if self.count < 1:
-            raise ConfigError(f"count must be >= 1, got {self.count}")
+        if not _int(self.count) or self.count < 1:
+            raise ConfigError(f"count must be an integer >= 1, got {self.count!r}")
         if not 0.0 < self.calibration_target < 1.0:
             raise ConfigError(
                 f"calibration_target must lie in (0, 1), got {self.calibration_target}"
             )
         for g in self.grids:
-            if len(g) != 3 or g[0] < 1 or g[1] < 1 or g[2] < 0:
+            if len(g) != 3 or not all(map(_int, g)) or g[0] < 1 or g[1] < 1 or g[2] < 0:
                 raise ConfigError(f"grids entries are (d, n, L) triples, got {g!r}")
         _check_unique("grids", self.grids)
         _check_unique("weight names", [w.name for w in self.weights])
+        for a in self.sweep_alphas:
+            if not math.isfinite(a):
+                raise ConfigError(f"sweep_alphas must be finite, got {a}")
         _check_unique("sweep_alphas", self.sweep_alphas)
-        if self.sweep_level < 1:  # a level-0 grid has no detail coefficient to probe
-            raise ConfigError(f"sweep_level must be >= 1, got {self.sweep_level}")
+        # a level-0 grid has no detail coefficient to probe
+        if not _int(self.sweep_level) or self.sweep_level < 1:
+            raise ConfigError(f"sweep_level must be an integer >= 1, got {self.sweep_level!r}")
         for w in self.weights:
             if w.file is not None:
                 blank = WeightSpec(w.name, file=w.file)
@@ -151,12 +122,9 @@ class ExperimentConfig:
                                           if getattr(w, k) != getattr(blank, k)])
                 continue
             try:
-                _check_family(w.family, w.params)
+                _check_spec(w)
             except ParameterError as exc:
                 raise ConfigError(f"weight {w.name!r}: {exc}") from exc
-            if not isinstance(w.seed, int) or w.seed < 0:
-                raise ConfigError(f"weight {w.name!r}: seed must be a "
-                                  f"non-negative integer, got {w.seed!r}")
         lams = (self.stopping_lambda1, self.stopping_lambda2)
         if (lams[0] is None) != (lams[1] is None):
             raise ConfigError("stopping_lambda1 and stopping_lambda2 come as a pair")
@@ -190,32 +158,12 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     for f in fields(cfg):
         val = getattr(cfg, f.name)
         if f.name == "weights":
-            val = [
-                {"name": w.name, "file": w.file} if w.file is not None else
-                {k: getattr(w, k) for k in (
-                    "name", "family", "d", "n", "level", "seed", "params", "file"
-                )}
-                for w in val
-            ]
+            val = [{"name": w.name, "file": w.file} if w.file is not None else asdict(w)
+                   for w in val]
         elif isinstance(val, tuple):
             val = [list(v) if isinstance(v, tuple) else v for v in val]
         out[f.name] = val
     return out
-
-
-def _int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)  # true is not 1
-
-
-def _num(v) -> bool:
-    return _int(v) or isinstance(v, float)
-
-
-def _floats(v):
-    """v with each number in it a float, lists and tuples entry by entry."""
-    if isinstance(v, (list, tuple)):
-        return type(v)(map(_floats, v))
-    return float(v) if _num(v) else v
 
 
 def _str(v) -> bool:
@@ -267,7 +215,7 @@ _WEIGHT_TYPES = {
     "file": (_or_null(_str), "a string or null"),
 }
 # the JSON type of every family parameter; which keys a family reads is
-# checked by weights._check_family
+# checked by weights._check_spec
 _PARAM_TYPES = {
     "alpha": (_num, "a number"),
     "omega": (_num, "a number"),
@@ -312,7 +260,7 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
             _check_keys(w, _WEIGHT_TYPES, where)
             if w.get("file") is not None:  # even a key at its default is refused
                 _check_file_spec(w["name"], [k for k in _FILE_FIXED if k in w])
-            # a key no family reads is left to _check_family, which names it
+            # a key no family reads is left to _check_spec, which names it
             typed = {k: v for k, v in w.get("params", {}).items() if k in _PARAM_TYPES}
             _check_keys(typed, _PARAM_TYPES, f"{where} params")
             specs.append(WeightSpec(**w))

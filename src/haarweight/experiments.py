@@ -13,14 +13,15 @@ stopping tree) as its last step, so a cell that raises leaves neither rows
 nor side files.
 
 The characteristic sweeps of the sharpness experiment (the scalar power
-sweep, which criterion 11 shares, and the rotating points) are data
-(`_Sweep`) run by one runner, `_run_sweep`: one build per point, one
-`sharpness_probes` call per sweep, rows in characteristic order.
+sweep, which criterion 11 shares, and the rotating points) are data built
+from the config (`_sweeps`: a base WeightSpec and its alphas) run by one
+runner, `_run_sweep`: one spec and build per point, named like `power
+alpha=0.5`, one `sharpness_probes` call per sweep, rows in char order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .analysis import (
     random_mean_zero_batch,
     sharpness_probes,
 )
-from .config import EXPERIMENT_IDS, ExperimentConfig, WeightSpec, _exponent_tag, config_to_dict
+from .config import EXPERIMENT_IDS, ExperimentConfig, _exponent_tag, config_to_dict
 from .dyadic import HaarCoefficients, _column_blocks, _lp_integrals, _random_exactness_errors
 from .errors import ConfigError, HaarweightError, ParameterError
 from .multipliers import t_blocks, t_operator
@@ -53,7 +54,7 @@ from .stopping import (
     calibrate_lambdas,
     decay_ratio,
 )
-from .weights import WeightFamily, make_weight
+from .weights import WeightSpec, make_weight
 
 __all__ = [
     "RunContext",
@@ -301,23 +302,26 @@ def _run_equivalence(ctx: RunContext, result: RunResult):
 
 @dataclass(frozen=True)
 class _Sweep:
-    """A characteristic sweep: one p=2 point per alpha of a weight family on
-    (d, n, level). Every point records its characteristic and probe extremes;
-    `equivalence` adds the sampled equivalence maxima, else they read nan. A
-    level of None and empty alphas take the config's sweep_level and
-    sweep_alphas, and sweep_level caps every level."""
+    """One p=2 point per alpha, the base spec at that alpha. Every point
+    records its characteristic and probe extremes; `equivalence` adds the
+    sampled equivalence maxima, else they read nan."""
 
-    family: str
-    d: int
-    n: int
-    level: int | None
+    base: WeightSpec
     alphas: tuple
     equivalence: bool
 
 
-_POWER = _Sweep("power", 1, 1, None, (), equivalence=True)
-# exploratory n=2 points: reported, never asserted
-_ROTATING = _Sweep("rotating", 1, 2, 7, (0.3, 0.6, 0.9), equivalence=False)
+def _sweeps(config: ExperimentConfig) -> tuple:
+    """The power sweep over sweep_alphas at sweep_level, and the exploratory
+    n=2 rotating points (reported, never asserted) at level 7 or below."""
+    return (
+        _Sweep(WeightSpec("power", "power", 1, 1, config.sweep_level, seed=config.seed),
+               config.sweep_alphas, equivalence=True),
+        _Sweep(WeightSpec("rotating", "rotating", 1, 2, min(7, config.sweep_level),
+                          seed=config.seed), (0.3, 0.6, 0.9), equivalence=False),
+    )
+
+
 _SWEEP_COLUMNS = ["alpha", "char", "eq_max_ratio", "eq_max_inverse_ratio",
                   "probe_max_ratio", "probe_max_inverse_ratio"]
 
@@ -329,22 +333,21 @@ def _run_sweep(sweep: _Sweep, config: ExperimentConfig):
     one lock-step Lanczos per direction serves the whole sweep.
 
     Returns the rows (dicts keyed by _SWEEP_COLUMNS) of the points that
-    survived both steps, sorted by char, and {"alpha", "error"} for each
-    point whose build or probe raised, in sweep order."""
-    level = min(sweep.level or config.sweep_level, config.sweep_level)
-    alphas, seed = [float(a) for a in sweep.alphas or config.sweep_alphas], config.seed
+    survived both steps, sorted by char, and (spec, error) for each point
+    whose build or probe raised, in sweep order."""
+    base = sweep.base
+    specs = [replace(base, name=f"{base.name} alpha={a}", params={"alpha": a})
+             for a in sweep.alphas]
 
     def build(i):
-        w = make_weight(WeightFamily(sweep.family, sweep.d, sweep.n, level,
-                                     params={"alpha": alphas[i]}, seed=seed))
-        fam = build_reducing_family(w, 2.0)
+        fam = build_reducing_family(make_weight(specs[i]), 2.0)
         eq = (float("nan"),) * 2
         if sweep.equivalence:
-            rep = equivalence_ratios(fam, config.count, seed=seed)
+            rep = equivalence_ratios(fam, config.count, seed=config.seed)
             eq = (rep.max_ratio, rep.max_inverse_ratio)
-        return i, fam, (alphas[i], fam.characteristic(), *eq)
+        return i, fam, (sweep.alphas[i], fam.characteristic(), *eq)
 
-    built, failed = _isolate(build, range(len(alphas)))
+    built, failed = _isolate(build, range(len(specs)))
     rows = []
     for (i, _, head), probe in zip(built, sharpness_probes([b[1] for b in built])):
         if isinstance(probe, Exception):
@@ -353,7 +356,7 @@ def _run_sweep(sweep: _Sweep, config: ExperimentConfig):
             rows.append(dict(zip(_SWEEP_COLUMNS,
                                  head + (probe.max_ratio, probe.max_inverse_ratio))))
     rows.sort(key=lambda r: r["char"])
-    return rows, [{"alpha": alphas[i], "error": err} for i, err in sorted(failed)]
+    return rows, [(specs[i], err) for i, err in sorted(failed)]
 
 
 def alpha_sweep_report(config: ExperimentConfig) -> dict:
@@ -367,10 +370,11 @@ def alpha_sweep_report(config: ExperimentConfig) -> dict:
     capped at sqrt(levels) on a depth-L grid, which confines its power growth
     in the characteristic to chars below about L.
 
-    The rows and failed points are those of _run_sweep(_POWER); fewer than
-    three surviving rows give ParameterError.
+    The rows and failed points are those of the power sweep's _run_sweep;
+    fewer than three surviving rows give ParameterError.
     """
-    return _power_report(config, *_run_sweep(_POWER, config))
+    power, _ = _sweeps(config)
+    return _power_report(config, *_run_sweep(power, config))
 
 
 def _power_report(config: ExperimentConfig, rows: list, failed: list) -> dict:
@@ -389,7 +393,7 @@ def _power_report(config: ExperimentConfig, rows: list, failed: list) -> dict:
         "seed": config.seed,
         "char_decades": float(np.log10(chars.max() / chars.min())),
         "rows": rows,
-        "failed": failed,
+        "failed": [{"alpha": spec.params["alpha"], "error": err} for spec, err in failed],
         "eq_ratio_slope": slope_of("eq_max_ratio"),
         "eq_inverse_slope": slope_of("eq_max_inverse_ratio"),
         "probe_ratio_slope": slope_of("probe_max_ratio"),
@@ -412,15 +416,14 @@ def _run_sharpness(ctx: RunContext, result: RunResult):
     cfg = ctx.config
     if not cfg.sweep_alphas:
         raise ConfigError("sharpness experiment needs sweep_alphas in the config")
-    runs = {sweep: _run_sweep(sweep, cfg) for sweep in (_POWER, _ROTATING)}
-    for sweep, (_, failed) in runs.items():
-        result.failures += [CellFailure("sharpness", f"{sweep.family} alpha={f['alpha']}",
-                                        f["error"]) for f in failed]
+    runs = [_run_sweep(sweep, cfg) for sweep in _sweeps(cfg)]  # power, rotating
+    result.failures += [CellFailure("sharpness", spec.name, err)
+                        for _, failed in runs for spec, err in failed]
     result.files.append(
         write_csv(result.out_dir / "sharpness_sweep.csv", _SWEEP_COLUMNS,
-                  [[r[k] for k in _SWEEP_COLUMNS] for rows, _ in runs.values() for r in rows])
+                  [[r[k] for k in _SWEEP_COLUMNS] for rows, _ in runs for r in rows])
     )
-    report = _power_report(cfg, *runs[_POWER])
+    report = _power_report(cfg, *runs[0])
     result.files.append(write_json(result.out_dir / "sharpness_report.json", report))
 
 

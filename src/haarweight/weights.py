@@ -7,6 +7,9 @@ reads them (dyadic.mean_pyramid, as rows of the level-row axis), so they are
 exact integrals of the piecewise-constant realization. Validation is strict:
 symmetry to 1e-12 (relative to the largest entry) and eigenvalues >=
 EIGEN_FLOOR, else MatrixDomainError; nothing is clamped or repaired.
+
+Every weight the lab builds comes from one recipe, a WeightSpec; make_weight
+checks it (_check_spec, which a config's weights pass too) and builds it.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from .errors import MatrixDomainError, ParameterError, ShapeError
 __all__ = [
     "EIGEN_FLOOR",
     "MatrixWeight",
-    "WeightFamily",
+    "WeightSpec",
     "spd_power_stack",
     "apply_cells",
     "weighted_lp_norm",
@@ -104,23 +107,6 @@ def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class WeightFamily:
-    """Recipe for a weight: family name, grid dims, parameters, seed."""
-
-    family: str
-    d: int
-    n: int
-    level: int
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-
-    def rng(self) -> np.random.Generator:
-        if self.seed < 0:
-            raise ParameterError(f"weight seed must be non-negative, got {self.seed}")
-        return np.random.default_rng([zlib.crc32(self.family.encode()), self.seed])
-
-
 @dataclass(eq=False)
 class MatrixWeight:
     """SPD matrix field on the finest grid; cells shape (2^L,)*d + (n, n).
@@ -177,31 +163,77 @@ def weighted_lp_norm(f: GridFunction, weight: MatrixWeight, p: float):
 # weight families
 
 
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)  # true is not 1
+
+
+def _num(v) -> bool:
+    return _int(v) or isinstance(v, float)
+
+
+def _floats(v):
+    """v with each number in it a float, lists and tuples entry by entry."""
+    if isinstance(v, (list, tuple)):
+        return type(v)(map(_floats, v))
+    return float(v) if _num(v) else v
+
+
+@dataclass(frozen=True)
+class WeightSpec:
+    """One named weight: a family on the grid (d, n, level) with its params
+    and seed, which make_weight generates, or a file to load; realize()
+    gives either."""
+
+    name: str
+    family: str = "constant"
+    d: int = 1
+    n: int = 1
+    level: int = 4
+    seed: int = 7
+    params: dict = field(default_factory=dict)
+    file: str | None = None
+
+    def __post_init__(self):
+        # 9 and 9.0 are one parameter: the same weight meta and config hash
+        object.__setattr__(self, "params", {k: _floats(v) for k, v in self.params.items()})
+
+    def realize(self) -> MatrixWeight:
+        if self.file is None:
+            return make_weight(self)
+        from .serialization import load_weight
+
+        return load_weight(self.file)
+
+
+def _rng(spec: WeightSpec) -> np.random.Generator:
+    return np.random.default_rng([zlib.crc32(spec.family.encode()), spec.seed])
+
+
 def _axis_midpoints(level: int, oversample: int = 1) -> np.ndarray:
     h = 1 << level
     return (np.arange(h * oversample) + 0.5) / (h * oversample)
 
 
-def _alpha(fam: WeightFamily) -> float:
+def _alpha(spec: WeightSpec) -> float:
     """The exponent alpha of a power-type family: 0.0 (power) or 0.5
     (rotating) unless its params set it."""
-    return float(fam.params.get("alpha", 0.5 if fam.family == "rotating" else 0.0))
+    return float(spec.params.get("alpha", 0.5 if spec.family == "rotating" else 0.0))
 
 
-def _x0(fam: WeightFamily, default) -> np.ndarray:
+def _x0(spec: WeightSpec, default) -> np.ndarray:
     """The centre x0 of a power-type family, default when its params leave it
     out; ShapeError unless it has shape (d,), ParameterError if it is
     required (default None) and missing."""
-    if "x0" not in fam.params and default is None:
+    if "x0" not in spec.params and default is None:
         raise ParameterError(
-            f"{fam.family} family at d={fam.d} needs x0 of shape ({fam.d},)")
-    x0 = np.asarray(fam.params.get("x0", default), dtype=float)
-    if x0.shape != (fam.d,):
-        raise ShapeError(f"x0 shape {x0.shape}, expected ({fam.d},)")
+            f"{spec.family} family at d={spec.d} needs x0 of shape ({spec.d},)")
+    x0 = np.asarray(spec.params.get("x0", default), dtype=float)
+    if x0.shape != (spec.d,):
+        raise ShapeError(f"x0 shape {x0.shape}, expected ({spec.d},)")
     return x0
 
 
-def _power_cells(fam: WeightFamily) -> np.ndarray:
+def _power_cells(spec: WeightSpec) -> np.ndarray:
     """|x - x0|^alpha I_n, averaged over each cell: exactly from the
     antiderivative at d = 1, and at d >= 2 by the midpoint rule on a grid
     16 times finer per axis.
@@ -213,44 +245,44 @@ def _power_cells(fam: WeightFamily) -> np.ndarray:
     before the next block. Each cell's average is summed in the same order as
     on the whole grid.
     """
-    alpha = _alpha(fam)
+    alpha = _alpha(spec)
     if alpha <= -1.0:
         raise ParameterError(f"power exponent alpha must exceed -1, got {alpha}")
-    x0 = _x0(fam, (0.0,) * fam.d)
-    h = 1 << fam.level
-    if fam.d == 1:
+    x0 = _x0(spec, (0.0,) * spec.d)
+    h = 1 << spec.level
+    if spec.d == 1:
         # exact cell averages from the antiderivative of |x - x0|^alpha
         edges = np.arange(h + 1) / h - x0[0]
         anti = np.sign(edges) * np.abs(edges) ** (alpha + 1.0) / (alpha + 1.0)
         scalar = (anti[1:] - anti[:-1]) * h
     else:
         q = 16
-        mids = _axis_midpoints(fam.level, q)
-        axes = np.meshgrid(*[mids - x0[i] for i in range(fam.d)], indexing="ij",
+        mids = _axis_midpoints(spec.level, q)
+        axes = np.meshgrid(*[mids - x0[i] for i in range(spec.d)], indexing="ij",
                            sparse=True)
-        scalar = np.empty((h,) * fam.d)
-        for rows in _spans(h, q * (h * q) ** (fam.d - 1)):
+        scalar = np.empty((h,) * spec.d)
+        for rows in _spans(h, q * (h * q) ** (spec.d - 1)):
             fine = slice(rows.start * q, rows.stop * q)
             vals = sum(g**2 for g in (axes[0][fine], *axes[1:]))
             np.sqrt(vals, out=vals)
             np.power(vals, alpha, out=vals)
-            for axis in range(fam.d):
+            for axis in range(spec.d):
                 vals = vals.reshape(
                     vals.shape[:axis] + (-1, q) + vals.shape[axis + 1 :]
                 ).mean(axis=axis + 1)
             scalar[rows] = vals
-    return scalar.reshape((h,) * fam.d + (1, 1)) * np.eye(fam.n)
+    return scalar.reshape((h,) * spec.d + (1, 1)) * np.eye(spec.n)
 
 
-def _rotating_cells(fam: WeightFamily) -> np.ndarray:
-    if fam.n != 2:
+def _rotating_cells(spec: WeightSpec) -> np.ndarray:
+    if spec.n != 2:
         raise ParameterError("rotating family requires n = 2")
-    alpha = _alpha(fam)
-    omega = float(fam.params.get("omega", np.pi))
-    phase = float(fam.params.get("phase", 0.0))
-    x0 = _x0(fam, {1: (0.31,), 2: (0.31, 0.17)}.get(fam.d))
-    mids = _axis_midpoints(fam.level)
-    grids = np.meshgrid(*([mids] * fam.d), indexing="ij")
+    alpha = _alpha(spec)
+    omega = float(spec.params.get("omega", np.pi))
+    phase = float(spec.params.get("phase", 0.0))
+    x0 = _x0(spec, {1: (0.31,), 2: (0.31, 0.17)}.get(spec.d))
+    mids = _axis_midpoints(spec.level)
+    grids = np.meshgrid(*([mids] * spec.d), indexing="ij")
     r = np.sqrt(sum((g - x0[i]) ** 2 for i, g in enumerate(grids)))
     theta = omega * grids[0] + phase
     c, s = np.cos(theta), np.sin(theta)
@@ -264,12 +296,12 @@ def _rotating_cells(fam: WeightFamily) -> np.ndarray:
     return w
 
 
-def _logbrownian_cells(fam: WeightFamily) -> np.ndarray:
-    sigma = float(fam.params.get("sigma", 0.3))
-    rng = fam.rng()
-    h = 1 << fam.level
-    count = h**fam.d
-    n = fam.n
+def _logbrownian_cells(spec: WeightSpec) -> np.ndarray:
+    sigma = float(spec.params.get("sigma", 0.3))
+    rng = _rng(spec)
+    h = 1 << spec.level
+    count = h**spec.d
+    n = spec.n
     iu = np.triu_indices(n)
     incr = rng.standard_normal((count, len(iu[0]))) / np.sqrt(count)
     path = np.cumsum(incr, axis=0)
@@ -279,23 +311,23 @@ def _logbrownian_cells(fam: WeightFamily) -> np.ndarray:
     b[:, np.arange(n), np.arange(n)] *= 0.5
     vals, vecs = np.linalg.eigh(sigma * b)
     w = np.einsum("kij,kj,klj->kil", vecs, np.exp(vals), vecs)
-    return w.reshape((h,) * fam.d + (n, n))
+    return w.reshape((h,) * spec.d + (n, n))
 
 
-def _constant_cells(fam: WeightFamily) -> np.ndarray:
-    if "matrix" in fam.params:
-        m = np.asarray(fam.params["matrix"], dtype=float)
-        if m.shape != (fam.n, fam.n):
-            raise ShapeError(f"constant matrix shape {m.shape}, expected square n={fam.n}")
+def _constant_cells(spec: WeightSpec) -> np.ndarray:
+    if "matrix" in spec.params:
+        m = np.asarray(spec.params["matrix"], dtype=float)
+        if m.shape != (spec.n, spec.n):
+            raise ShapeError(f"constant matrix shape {m.shape}, expected square n={spec.n}")
     else:
         # random SPD with controlled condition number
-        cond = float(fam.params.get("cond", 10.0))
-        rng = fam.rng()
-        q, _ = np.linalg.qr(rng.standard_normal((fam.n, fam.n)))
-        lam = np.exp(np.linspace(0.0, np.log(cond), fam.n))
+        cond = float(spec.params.get("cond", 10.0))
+        rng = _rng(spec)
+        q, _ = np.linalg.qr(rng.standard_normal((spec.n, spec.n)))
+        lam = np.exp(np.linspace(0.0, np.log(cond), spec.n))
         m = (q * lam) @ q.T
-    h = 1 << fam.level
-    return np.broadcast_to(m, (h,) * fam.d + (fam.n, fam.n)).copy()
+    h = 1 << spec.level
+    return np.broadcast_to(m, (h,) * spec.d + (spec.n, spec.n)).copy()
 
 
 # family name -> (cell builder, the params keys it reads)
@@ -307,45 +339,45 @@ _FAMILIES = {
 }
 
 
-def _check_family(family: str, params: dict) -> None:
-    """ParameterError for an unknown family or a params key it does not read."""
-    if family not in _FAMILIES:
-        raise ParameterError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
-    known = _FAMILIES[family][1]
-    unknown = set(params) - known
+def _check_spec(spec: WeightSpec) -> None:
+    """ParameterError unless spec generates a weight: a known family, only
+    parameters it reads, and integer (not bool) d >= 1, n >= 1, level >= 0
+    and seed >= 0."""
+    if spec.file is not None:
+        raise ParameterError(f"weight {spec.name!r} is read from {spec.file!r}; "
+                             "realize() loads it")
+    if spec.family not in _FAMILIES:
+        raise ParameterError(f"unknown family {spec.family!r}; known: {sorted(_FAMILIES)}")
+    known = _FAMILIES[spec.family][1]
+    unknown = set(spec.params) - known
     if unknown:
         raise ParameterError(
-            f"unknown {family} parameter(s) {sorted(unknown)}; known: {sorted(known)}"
+            f"unknown {spec.family} parameter(s) {sorted(unknown)}; known: {sorted(known)}"
         )
+    for key, low in (("d", 1), ("n", 1), ("level", 0), ("seed", 0)):
+        value = getattr(spec, key)
+        if not _int(value) or value < low:
+            raise ParameterError(f"{key} must be an integer >= {low}, got {value!r}")
 
 
-def make_weight(fam: WeightFamily) -> MatrixWeight:
-    """Realize a weight family on its grid; deterministic in (family, seed).
+def make_weight(spec: WeightSpec) -> MatrixWeight:
+    """Generate the weight of a checked spec; deterministic in (family, seed).
 
     Power-type exponents outside (-1, p_range - 1) are allowed (the discrete
     realization is still SPD) but flagged in meta["warning"]: continuum
     guarantees tied to the documented exponent range no longer apply.
     """
-    _check_family(fam.family, fam.params)
-    if fam.d < 1 or fam.n < 1 or fam.level < 0:
-        raise ParameterError(f"bad dims d={fam.d} n={fam.n} L={fam.level}")
-    cells = _FAMILIES[fam.family][0](fam)
+    _check_spec(spec)
+    cells = _FAMILIES[spec.family][0](spec)
     warning = None
-    if fam.family in ("power", "rotating"):
-        alpha = _alpha(fam)
-        p_range = float(fam.params.get("p_range", 2.0))
+    if spec.family in ("power", "rotating"):
+        alpha = _alpha(spec)
+        p_range = float(spec.params.get("p_range", 2.0))
         if not -1.0 < alpha < p_range - 1.0:
             warning = (
                 f"alpha={alpha} outside the documented range (-1, {p_range - 1}) "
                 f"for exponent p={p_range}"
             )
-    meta = {
-        "family": fam.family,
-        "d": fam.d,
-        "n": fam.n,
-        "level": fam.level,
-        "params": dict(fam.params),
-        "seed": fam.seed,
-        "warning": warning,
-    }
-    return MatrixWeight(fam.d, fam.n, fam.level, cells, meta)
+    meta = dict(family=spec.family, d=spec.d, n=spec.n, level=spec.level,
+                params=dict(spec.params), seed=spec.seed, warning=warning)
+    return MatrixWeight(spec.d, spec.n, spec.level, cells, meta)

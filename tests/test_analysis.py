@@ -18,7 +18,7 @@ from haarweight import (
     ParameterError,
     ShapeError,
     StoppingConfig,
-    WeightFamily,
+    WeightSpec,
     build_generations,
     RunContext,
     build_reducing_family,
@@ -61,14 +61,14 @@ def two_cell_weight():
 
 
 def identity_weight(level=4, n=2):
-    fam = WeightFamily("constant", d=1, n=n, level=level, params={"matrix": np.eye(n)})
-    return make_weight(fam)
+    spec = WeightSpec("w", "constant", d=1, n=n, level=level, params={"matrix": np.eye(n)})
+    return make_weight(spec)
 
 
 def rotating_weight(level=4, seed=3):
-    fam = WeightFamily("rotating", d=1, n=2, level=level,
-                       params={"alpha": 0.6}, seed=3)
-    return make_weight(fam)
+    spec = WeightSpec("w", "rotating", d=1, n=2, level=level,
+                      params={"alpha": 0.6}, seed=3)
+    return make_weight(spec)
 
 
 def test_square_function_single_coefficient():
@@ -122,9 +122,9 @@ def p2_sequence_norm(f, weight):
 
 
 def test_p2_sequence_norm():
-    fam = WeightFamily("constant", d=1, n=2, level=3,
-                       params={"matrix": np.diag([1.0, 9.0])})
-    w = make_weight(fam)
+    spec = WeightSpec("w", "constant", d=1, n=2, level=3,
+                      params={"matrix": np.diag([1.0, 9.0])})
+    w = make_weight(spec)
     f = HaarCoefficients.zeros(1, 2, 3)
     f.rows[0, 0] = [0.0, 1.0]
     assert p2_sequence_norm(f, w) == pytest.approx(3.0, rel=1e-14)
@@ -168,8 +168,8 @@ def _draw_per_level(d, n, level, rng, spectrum):
 
 @pytest.mark.parametrize("spectra", [("flat",), SPECTRA], ids=["flat", "cycled"])
 def test_batch_draws_match_per_level_draws(spectra):
-    w = make_weight(WeightFamily("rotating", d=2, n=2, level=3,
-                                 params={"alpha": 0.5}, seed=1))
+    w = make_weight(WeightSpec("w", "rotating", d=2, n=2, level=3,
+                               params={"alpha": 0.5}, seed=1))
     batch = random_mean_zero_batch(w, 7, [4, 2], spectra)
     assert batch.batch == (7,)
     assert batch.rows.flags.c_contiguous
@@ -240,8 +240,8 @@ def test_block_partition_single_generation():
 
 
 def test_cross_term_rate_smoke():
-    fam = WeightFamily("power", d=1, n=1, level=8, params={"alpha": 0.6}, seed=0)
-    w = make_weight(fam)
+    spec = WeightSpec("w", "power", d=1, n=1, level=8, params={"alpha": 0.6}, seed=0)
+    w = make_weight(spec)
     red = build_reducing_family(w, 2.0)
     tree = build_generations(red, StoppingConfig(lambda1=1.2, lambda2=1.2))
     assert tree.generation_count() >= 3
@@ -358,7 +358,7 @@ def p2_column(w):
 
 
 def power_weight(alpha, level, d=1, n=1):
-    return make_weight(WeightFamily("power", d, n, level, params={"alpha": alpha}, seed=7))
+    return make_weight(WeightSpec("w", "power", d, n, level, params={"alpha": alpha}, seed=7))
 
 
 ORACLE_CASES = {
@@ -367,8 +367,8 @@ ORACLE_CASES = {
     "power-am099": (lambda: power_weight(-0.99, 8), None),
     "rotating-n2": (lambda: rotating_weight(level=6), None),
     "logbrownian-d2n2": (
-        lambda: make_weight(WeightFamily("logbrownian", 2, 2, 4,
-                                         params={"sigma": 0.4}, seed=5)),
+        lambda: make_weight(WeightSpec("w", "logbrownian", 2, 2, 4,
+                                       params={"sigma": 0.4}, seed=5)),
         None,
     ),
     "rotating-coarse": (lambda: rotating_weight(level=7), 5),
@@ -401,7 +401,7 @@ def test_sharpness_probe_matches_dense_oracle(case):
     ids=["1-1-6-6", "1-1-6-3", "2-2-4-4", "2-2-4-2", "1-2-6-6-random", "1-3-5-5"],
 )
 def test_probe_inverse_is_exact(d, n, grid, level, symbols):
-    w = make_weight(WeightFamily("logbrownian", d, n, grid, params={"sigma": 0.8}, seed=2))
+    w = make_weight(WeightSpec("w", "logbrownian", d, n, grid, params={"sigma": 0.8}, seed=2))
     w = coarsened(w, level)
     column = (w, *random_symbols(d, n, level, 1)) if symbols == "random" else p2_column(w)
     forward, inverse, size = _probe_operators([column])
@@ -503,8 +503,8 @@ def test_probe_needs_the_p2_family_of_its_own_weight():
 
 def test_lanczos_logs_one_debug_record(caplog):
     weights = [rotating_weight(level=6),
-               make_weight(WeightFamily("logbrownian", 1, 2, 6,
-                                        params={"sigma": 0.4}, seed=5))]
+               make_weight(WeightSpec("w", "logbrownian", 1, 2, 6,
+                                      params={"sigma": 0.4}, seed=5))]
     forward, _, size = _probe_operators([p2_column(w) for w in weights])
     with caplog.at_level(logging.DEBUG, logger="haarweight"):
         tops = analysis._largest_eigenvalues(forward, size, len(weights))
@@ -531,7 +531,7 @@ def test_lanczos_logs_one_debug_record(caplog):
 @pytest.mark.parametrize("weights", [
     lambda: [power_weight(a, 8) for a in (0.5, -0.9, -0.99)],
     lambda: [rotating_weight(level=6),
-             make_weight(WeightFamily("rotating", 1, 2, 6, params={"alpha": 0.9}))],
+             make_weight(WeightSpec("w", "rotating", 1, 2, 6, params={"alpha": 0.9}))],
 ], ids=["power", "rotating"])
 def test_grouped_probes_match_single_pair_probes_in_input_order(weights):
     families = [build_reducing_family(w, 2.0) for w in weights()]
@@ -554,7 +554,7 @@ def test_a_scalar_d2_probe_reads_the_same_alone_and_in_a_group():
     # three-column batch give the same bits (a folded value axis of length
     # one once took another einsum summation path: 1.1652408079523253 alone
     # against ...255 in the group for alpha = 0.9)
-    weights = [make_weight(WeightFamily("power", 2, 1, 5, params={"alpha": a}, seed=1))
+    weights = [make_weight(WeightSpec("w", "power", 2, 1, 5, params={"alpha": a}, seed=1))
                for a in (0.5, -0.5, 0.9)]
     families = [build_reducing_family(w, 2.0) for w in weights]
     for fam, probe in zip(families, sharpness_probes(families)):

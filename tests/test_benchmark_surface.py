@@ -108,8 +108,8 @@ def test_traced_mode_runs_in_process(tmp_path, monkeypatch):
         haarweight.run_experiments(cfg)
         haarweight.run_all(haarweight.AcceptanceContext(cfg), printer=lambda line: None)
         # the probe's attribute reader takes the grid from its first argument
-        w = haarweight.make_weight(haarweight.WeightFamily(
-            "power", 1, 1, 4, params={"alpha": 0.3}))
+        w = haarweight.make_weight(haarweight.WeightSpec(
+            "w", "power", 1, 1, 4, params={"alpha": 0.3}))
         haarweight.sharpness_probe(haarweight.build_reducing_family(w, 2.0))
         wall = time.perf_counter() - start
     finally:

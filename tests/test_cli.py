@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from haarweight import ExperimentConfig, WeightFamily, WeightSpec, make_weight, save_weight
+from haarweight import ExperimentConfig, WeightSpec, make_weight, save_weight
 from haarweight.cli import main
 from haarweight.config import config_to_dict
 
@@ -51,7 +51,7 @@ def test_run_single_experiment(tmp_path):
 
 
 def test_run_reports_cell_failures(tmp_path, capsys):
-    w = make_weight(WeightFamily("constant", 1, 2, 2, params={"matrix": np.eye(2)}))
+    w = make_weight(WeightSpec("w", "constant", 1, 2, 2, params={"matrix": np.eye(2)}))
     path = save_weight(w, tmp_path / "w.csv")
     lines = path.read_text().splitlines()
     lines[2] = "-1.0,0.0,-1.0"
@@ -71,7 +71,7 @@ def test_run_reports_cell_failures(tmp_path, capsys):
 
 
 def test_unreadable_weight_file_is_exit_2(tmp_path, capsys):
-    w = make_weight(WeightFamily("power", 1, 1, 2, params={"alpha": 0.3}))
+    w = make_weight(WeightSpec("w", "power", 1, 1, 2, params={"alpha": 0.3}))
     lines = save_weight(w, tmp_path / "w.csv").read_text().splitlines()
     lines[2] = "abc"
     (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")

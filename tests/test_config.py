@@ -9,10 +9,12 @@ import pytest
 from haarweight import (
     ConfigError,
     ExperimentConfig,
+    ParameterError,
     WeightSpec,
     default_config,
     load_config,
     load_weight,
+    make_weight,
     save_weight,
     suite_weight_specs,
 )
@@ -182,6 +184,61 @@ def test_negative_seed_rejected(tmp_path):
     ExperimentConfig(seed=0)
 
 
+def _refused(tmp_path, capsys, payload, match):
+    """load_config refuses the JSON payload with a ConfigError matching
+    match, and `haarweight run --config` exits 2 with that error and writes
+    nothing."""
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=match):
+        load_config(p)
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_nonfinite_sweep_alphas_rejected(tmp_path, capsys):
+    # NaN is no duplicate of NaN, so only this check keeps a NaN point out
+    nan = float("nan")
+    for alphas in ((nan, nan, 0.5), (0.5, float("inf")), (float("-inf"),)):
+        with pytest.raises(ConfigError, match="sweep_alphas must be finite"):
+            ExperimentConfig(sweep_alphas=alphas)
+    payload = config_to_dict(default_config())
+    payload["sweep_alphas"] = [nan, 0.5, -0.5, -0.75]
+    _refused(tmp_path, capsys, payload, "sweep_alphas must be finite")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("count", 2.5), ("count", True), ("sweep_level", 5.5),
+    ("grids", ((1.5, 1, 3),)), ("seed", True), ("schema_version", True),
+])
+def test_constructor_refuses_what_the_loader_refuses_by_type(field, value):
+    # the loader refuses each by its JSON type; a config built in Python
+    # would otherwise fail inside its cells
+    with pytest.raises(ConfigError, match=field if field != "grids" else "triples"):
+        ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("d", 0), ("n", 0), ("level", -1), ("level", 3.5), ("seed", -1), ("seed", True),
+])
+def test_bad_weight_spec_rejected_everywhere(tmp_path, capsys, key, value):
+    """One check (weights._check_spec) serves make_weight and the config:
+    the bad value raises from make_weight, from ExperimentConfig and from
+    load_config, each config error naming the weight."""
+    spec = dataclasses.replace(WeightSpec("bad-w", "power", 1, 1, 3), **{key: value})
+    with pytest.raises(ParameterError, match=rf"^{key} must be an integer >= \d, got"):
+        make_weight(spec)
+    named = rf"weight 'bad-w': {key} must be an integer"
+    with pytest.raises(ConfigError, match=named):
+        ExperimentConfig(weights=(spec,))
+    payload = config_to_dict(ExperimentConfig(weights=(WeightSpec("bad-w", "power", 1, 1, 3),)))
+    payload["weights"][0][key] = value
+    # the loader refuses a non-integer by its JSON type, naming the weight too
+    _refused(tmp_path, capsys, payload, rf"{named}|'{key}' at weights\[0\] \(bad-w\)")
+
+
 def test_duplicate_experiment_ids_rejected():
     with pytest.raises(ConfigError, match="duplicate experiment"):
         ExperimentConfig(experiments=("haar", "reducing", "haar"))
@@ -226,9 +283,7 @@ def test_empty_spectra_rejected():
 
 
 def test_weight_spec_realize_from_file(tmp_path):
-    from haarweight import WeightFamily, make_weight
-
-    w = make_weight(WeightFamily("power", 1, 1, 3, params={"alpha": 0.3}))
+    w = make_weight(WeightSpec("w", "power", 1, 1, 3, params={"alpha": 0.3}))
     path = save_weight(w, tmp_path / "w.csv")
     spec = WeightSpec("fromfile", file=str(path))
     back = spec.realize()
@@ -241,9 +296,7 @@ def test_weight_spec_realize_from_file(tmp_path):
     ("params", {"alpha": 0.3}),
 ])
 def test_file_weight_refuses_generator_keys(tmp_path, capsys, key, value):
-    from haarweight import WeightFamily, make_weight
-
-    path = save_weight(make_weight(WeightFamily("power", 1, 1, 3, params={"alpha": 0.3})),
+    path = save_weight(make_weight(WeightSpec("w", "power", 1, 1, 3, params={"alpha": 0.3})),
                        tmp_path / "w.csv")
     payload = config_to_dict(ExperimentConfig(weights=(WeightSpec("w", file=str(path)),)))
     payload["weights"][0][key] = value  # even a value equal to the default

@@ -18,7 +18,6 @@ from haarweight import (
     ConfigError,
     ExperimentConfig,
     RunContext,
-    WeightFamily,
     WeightSpec,
     alpha_sweep_report,
     make_weight,
@@ -206,7 +205,7 @@ def test_each_run_draws_its_own_test_functions(tmp_path):
     assert [(i.misses, i.hits) for i in infos] == [(1, 1), (1, 1)]
     assert (tmp_path / "a" / "equivalence_ratios.csv").read_bytes() == \
         (tmp_path / "b" / "equivalence_ratios.csv").read_bytes()
-    batch = random_mean_zero_batch(make_weight(WeightFamily("power", 1, 1, 4)), 6, [3])
+    batch = random_mean_zero_batch(make_weight(WeightSpec("w", "power", 1, 1, 4)), 6, [3])
     with pytest.raises(ValueError, match="read-only"):
         batch.rows[...] = 0.0
 
@@ -224,7 +223,7 @@ def test_seed_changes_outputs(tmp_path):
 def broken_weight_file(tmp_path) -> Path:
     """A d=1, n=2 weight file whose second cell is not positive definite, so
     every cell of a weight read from it fails with MatrixDomainError."""
-    w = make_weight(WeightFamily("constant", 1, 2, 2, params={"matrix": np.eye(2)}))
+    w = make_weight(WeightSpec("w", "constant", 1, 2, 2, params={"matrix": np.eye(2)}))
     lines = save_weight(w, tmp_path / "w.csv").read_text().splitlines()
     lines[2] = "-1.0,0.0,-1.0"
     bad = tmp_path / "bad.csv"
@@ -318,7 +317,7 @@ def test_a_cell_that_raises_after_measuring_leaves_no_side_file(tmp_path, monkey
 def test_calibration_groups_by_the_realized_weight(tmp_path):
     # a file spec keeps the default d=1, n=1 whatever the file holds; the
     # power weight's thresholds must not depend on a d=1, n=2 file next to it
-    rot = make_weight(WeightFamily("rotating", 1, 2, 5, params={"alpha": 0.6}))
+    rot = make_weight(WeightSpec("w", "rotating", 1, 2, 5, params={"alpha": 0.6}))
     path = save_weight(rot, tmp_path / "rot.csv")
     power = WeightSpec("pow", family="power", d=1, n=1, level=5,
                        params={"alpha": -0.5})
@@ -351,6 +350,27 @@ def test_failing_rotating_sharpness_point_is_a_cell_failure(tmp_path, monkeypatc
     assert "sharpness,rotating alpha=0.3,RuntimeError" in failures
     rows = (result.out_dir / "sharpness_sweep.csv").read_text().splitlines()
     assert len(rows) == 1 + len(cfg.sweep_alphas)  # the scalar sweep still ran
+
+
+def test_every_weight_the_lab_builds_is_a_weight_spec(tmp_path, monkeypatch):
+    """The config weights, the sharpness sweeps' points and the weights of
+    criteria 9 and 10 all reach the family builders as one recipe type."""
+    from haarweight import acceptance, weights
+
+    recipes = []
+    for family, (build, keys) in list(weights._FAMILIES.items()):
+        def recording(spec, build=build):
+            recipes.append(spec)
+            return build(spec)
+
+        monkeypatch.setitem(weights._FAMILIES, family, (recording, keys))
+    cfg = tiny_config(tmp_path / "out", experiments=("haar", "reducing", "sharpness"))
+    assert run_experiments(cfg).ok
+    acceptance.run_all(acceptance.AcceptanceContext(cfg), printer=lambda line: None)
+    assert all(type(spec) is WeightSpec for spec in recipes)
+    names = {spec.name for spec in recipes}
+    assert {"wa", "wb", "power alpha=-0.8", "rotating alpha=0.9", "a0.3",
+            "identity"} <= names
 
 
 def test_experiment_selection(tmp_path):
@@ -405,7 +425,7 @@ def test_run_starts_no_thread(tmp_path, monkeypatch):
 
 _RUN_WITHOUT_MASKED_ARRAYS = """
 import sys
-from haarweight import (ExperimentConfig, StoppingConfig, WeightFamily, WeightSpec,
+from haarweight import (ExperimentConfig, StoppingConfig, WeightSpec,
                         build_generations, build_reducing_family, cross_term_rate,
                         make_weight, run_experiments)
 cfg = ExperimentConfig(
@@ -416,7 +436,7 @@ cfg = ExperimentConfig(
                         params={"alpha": 0.4}, seed=2)),
     out_dir=sys.argv[1])
 assert run_experiments(cfg).ok
-w = make_weight(WeightFamily("power", d=1, n=1, level=8, params={"alpha": 0.6}))
+w = make_weight(WeightSpec("w", "power", d=1, n=1, level=8, params={"alpha": 0.6}))
 family = build_reducing_family(w, 2.0)
 tree = build_generations(family, StoppingConfig(lambda1=1.2, lambda2=1.2))
 cross_term_rate(tree, count=6, seed=0)

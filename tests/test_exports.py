@@ -26,7 +26,7 @@ import haarweight
 from haarweight.dyadic import HaarCoefficients, _cube_count
 from haarweight.reducing import ReducingFamily, build_reducing_family
 from haarweight.stopping import GenerationTree, StoppingConfig, build_generations
-from haarweight.weights import WeightFamily, make_weight
+from haarweight.weights import WeightSpec, make_weight
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(haarweight.__path__))
 
@@ -91,8 +91,8 @@ def test_per_cube_data_lives_on_the_level_row_axis():
     codes' views are the one exception; perfbench/layers.py, their only
     reader, sums them level by level."""
     d, level = 2, 3
-    weight = make_weight(WeightFamily("rotating", d=d, n=2, level=level,
-                                      params={"alpha": 0.5}, seed=1))
+    weight = make_weight(WeightSpec("w", "rotating", d=d, n=2, level=level,
+                                    params={"alpha": 0.5}, seed=1))
     fam = build_reducing_family(weight, 3.0)
     tree = build_generations(fam, StoppingConfig(lambda1=1.5, lambda2=1.5))
     coeffs = HaarCoefficients.zeros(d, 2, level)

@@ -13,7 +13,7 @@ from haarweight import (
     MatrixWeight,
     ParameterError,
     StoppingConfig,
-    WeightFamily,
+    WeightSpec,
     build_generations,
     build_reducing_family,
     lp_norm,
@@ -37,15 +37,15 @@ def random_mean_zero(d, n, level, seed):
 
 
 def identity_setup(level=4, n=2, p=3.0):
-    fam = WeightFamily("constant", d=1, n=n, level=level, params={"matrix": np.eye(n)})
-    w = make_weight(fam)
+    spec = WeightSpec("w", "constant", d=1, n=n, level=level, params={"matrix": np.eye(n)})
+    w = make_weight(spec)
     return w, build_reducing_family(w, p)
 
 
 def rotating_setup(level=4, p=3.0):
-    fam = WeightFamily("rotating", d=1, n=2, level=level,
-                       params={"alpha": 0.6}, seed=3)
-    w = make_weight(fam)
+    spec = WeightSpec("w", "rotating", d=1, n=2, level=level,
+                      params={"alpha": 0.6}, seed=3)
+    w = make_weight(spec)
     return w, build_reducing_family(w, p)
 
 

@@ -23,7 +23,7 @@ from haarweight import (
     EllipsoidFitError,
     MatrixWeight,
     ParameterError,
-    WeightFamily,
+    WeightSpec,
     build_reducing_family,
     conjugate_exponent,
     duality_check,
@@ -113,9 +113,9 @@ def two_cell_weight(a=1.0, b=4.0):
 
 
 def rotating_weight(level=4, seed=3):
-    fam = WeightFamily("rotating", d=1, n=2, level=level,
-                       params={"alpha": 0.6}, seed=seed)
-    return make_weight(fam)
+    spec = WeightSpec("w", "rotating", d=1, n=2, level=level,
+                      params={"alpha": 0.6}, seed=seed)
+    return make_weight(spec)
 
 
 def frame_cascade(m, phi, k, level):
@@ -171,8 +171,8 @@ def test_ap_characteristic_two_cell_frozen():
 
 
 def test_scalar_route_matches_matrix_route():
-    fam = WeightFamily("power", d=1, n=1, level=6, params={"alpha": 0.6}, seed=0)
-    w = make_weight(fam)
+    spec = WeightSpec("w", "power", d=1, n=1, level=6, params={"alpha": 0.6}, seed=0)
+    w = make_weight(spec)
     redfam = build_reducing_family(w, 3.0)
     assert method_at(redfam.methods[0], Cube(2, (1,))) == "exact-scalar"
     char = redfam.characteristic()
@@ -182,8 +182,8 @@ def test_scalar_route_matches_matrix_route():
 
 
 def test_identity_weight_fixed_point():
-    fam = WeightFamily("constant", d=1, n=2, level=4, params={"matrix": np.eye(2)})
-    w = make_weight(fam)
+    spec = WeightSpec("w", "constant", d=1, n=2, level=4, params={"matrix": np.eye(2)})
+    w = make_weight(spec)
     for p in (2.0, 3.0, 1.5):
         redfam = build_reducing_family(w, p)
         assert redfam.operators.shape == (2, 31, 2, 2)  # both sides, levels 0..4
@@ -195,8 +195,8 @@ def test_identity_weight_fixed_point():
 
 def test_scalar_times_matrix_weight_is_exact_everywhere():
     # power weight |x - x0|^alpha I_3: W = s(x) A on every cube
-    fam = WeightFamily("power", d=1, n=3, level=4, params={"alpha": 0.6}, seed=0)
-    w = make_weight(fam)
+    spec = WeightSpec("w", "power", d=1, n=3, level=4, params={"alpha": 0.6}, seed=0)
+    w = make_weight(spec)
     redfam = build_reducing_family(w, 3.0)
     assert (redfam.methods == METHOD_NAMES.index("exact-scalar")).all()
     assert redfam.max_kappa() == 1.0
@@ -226,7 +226,7 @@ def test_proportionality_pyramid_shape_change():
 
 
 def test_proportionality_pyramid_rotating_finest_only():
-    w = make_weight(WeightFamily("rotating", 1, 2, 4, {"alpha": 0.6}, seed=3))
+    w = make_weight(WeightSpec("w", "rotating", 1, 2, 4, params={"alpha": 0.6}, seed=3))
     flags, _ = _proportionality(w)
     levels = _levels(flags, 1)
     assert len(levels) == 5 and levels[4].all()
@@ -235,7 +235,7 @@ def test_proportionality_pyramid_rotating_finest_only():
 
 def test_proportionality_pyramid_constant_family():
     m = [[2.0, 0.5], [0.5, 1.0]]
-    w = make_weight(WeightFamily("constant", 1, 2, 3, {"matrix": m}))
+    w = make_weight(WeightSpec("w", "constant", 1, 2, 3, params={"matrix": m}))
     flags, reps = _proportionality(w)
     assert flags.all()
     np.testing.assert_array_equal(reps[0], np.asarray(m) / m[0][0])
@@ -262,8 +262,8 @@ def test_family_builds_leave_only_cell_powers_on_the_weight(monkeypatch):
 
 
 def test_closed_form_matches_fit_on_power_weight():
-    fam = WeightFamily("power", d=1, n=2, level=4, params={"alpha": 0.6}, seed=0)
-    w = make_weight(fam)
+    spec = WeightSpec("w", "power", d=1, n=2, level=4, params={"alpha": 0.6}, seed=0)
+    w = make_weight(spec)
     p = 3.0
     redfam = build_reducing_family(w, p)
     m_fit, dirs_fit, dirs_all = fit_directions(2)
@@ -359,8 +359,8 @@ def fit_inputs(n, level, m=60):
     if n == 2:
         w = rotating_weight(level=3)
     else:
-        w = make_weight(WeightFamily("logbrownian", d=1, n=3, level=3,
-                                     params={"sigma": 0.4}, seed=5))
+        w = make_weight(WeightSpec("w", "logbrownian", d=1, n=3, level=3,
+                                   params={"sigma": 0.4}, seed=5))
     dirs = quasi_uniform_directions(n, m)
     if level is None:
         todo = level_rows(1, 2, range(3))
@@ -628,7 +628,7 @@ def test_rotating_cube_fit_below_p_two(monkeypatch, caplog):
     # with every stage started cold at the last centre, the t ~ 1.6e5 stage
     # hit the 80-step cap at decrement 2.19 and the build raised
     # EllipsoidFitError
-    w = make_weight(WeightFamily("rotating", 2, 2, 4, params={"alpha": 0.9}))
+    w = make_weight(WeightSpec("w", "rotating", 2, 2, 4, params={"alpha": 0.9}))
     fits = record_fits(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="haarweight"):
         build_reducing_family(w, 1.5)
@@ -683,7 +683,7 @@ def test_rotating_fit_below_p_two_ends_certified(caplog, alpha):
     # 1e-4 bound. From the least-squares start, one t_0 = t_final / 100 for
     # the whole batch raises EllipsoidFitError at p = 1.25 and 1.5 for both
     # alphas
-    w = make_weight(WeightFamily("rotating", 1, 2, 7, params={"alpha": alpha}))
+    w = make_weight(WeightSpec("w", "rotating", 1, 2, 7, params={"alpha": alpha}))
     for p in (1.25, 1.5, 4.0, 6.0):
         ((*_, gap, _, _),) = _family_fit_records(caplog, w, p)
         assert gap <= 2e-6
@@ -711,7 +711,7 @@ def test_rotating_fit_sweep_ends_certified(caplog, d, level):
     # the robustness sweep behind the fit's start and barrier schedule: 25
     # rotating fits per grid, each returning with its gap within n _TOL
     for alpha in (0.3, 0.6, 0.8, 0.9, 0.95):
-        w = make_weight(WeightFamily("rotating", d, 2, level, params={"alpha": alpha}))
+        w = make_weight(WeightSpec("w", "rotating", d, 2, level, params={"alpha": alpha}))
         for p in (1.25, 1.5, 3.0, 4.0, 6.0):
             records = _family_fit_records(caplog, w, p)
             assert records
@@ -784,7 +784,7 @@ def test_family_build_memory_is_bounded():
     # directions stream in blocks: traced peak 16.2 MiB, most of it the
     # ellipsoid fit. With rho held on all 2,500 directions at once, and its
     # integrand and pyramid over every cell, the same build peaked at 50.7 MiB
-    w = make_weight(WeightFamily("rotating", 2, 2, 5, params={"alpha": 0.5}, seed=1))
+    w = make_weight(WeightSpec("w", "rotating", 2, 2, 5, params={"alpha": 0.5}, seed=1))
     tracemalloc.start()
     try:
         build_reducing_family(w, 3.0)
@@ -799,7 +799,7 @@ def test_family_build_fit_memory_is_blocked():
     # peak 5.6 MiB, of which 1.1 MiB above what the fit starts with. With all
     # rows in one batch the same build peaked at 16.3 MiB, 13.4 MiB of it in
     # the fit
-    w = make_weight(WeightFamily("rotating", 2, 2, 5, params={"alpha": 0.5}, seed=1))
+    w = make_weight(WeightSpec("w", "rotating", 2, 2, 5, params={"alpha": 0.5}, seed=1))
     tracemalloc.start()
     try:
         build_reducing_family(w, 3.0)
@@ -814,7 +814,7 @@ def test_rho_rows_memory_is_the_result_and_one_block():
     # side's pyramid is freed before the next side's integrand: traced peak
     # 1.54x the 2.6 MiB result (682 rows x 500 directions, 7 blocks). Joining
     # a list of blocks with np.concatenate held both: 2.03x
-    w = make_weight(WeightFamily("rotating", 2, 2, 5, params={"alpha": 0.5}, seed=1))
+    w = make_weight(WeightSpec("w", "rotating", 2, 2, 5, params={"alpha": 0.5}, seed=1))
     dirs = quasi_uniform_directions(2, fit_count(2))
     tracemalloc.start()
     try:
@@ -855,17 +855,17 @@ def test_singular_least_squares_start_raises_ellipsoid_fit_error():
 _FAMILY_ARRAYS = """
 import sys
 import numpy as np
-from haarweight import WeightFamily, build_reducing_family, make_weight
+from haarweight import WeightSpec, build_reducing_family, make_weight
 from haarweight.dyadic import _levels
 arrays = {}
-for fam in (WeightFamily("rotating", 1, 2, 7, {"alpha": 0.6}, 3),
-            WeightFamily("logbrownian", 1, 3, 6, {"sigma": 0.4}, 5)):
-    family = build_reducing_family(make_weight(fam), 3.0)
+for spec in (WeightSpec("w", "rotating", 1, 2, 7, seed=3, params={"alpha": 0.6}),
+             WeightSpec("w", "logbrownian", 1, 3, 6, seed=5, params={"sigma": 0.4})):
+    family = build_reducing_family(make_weight(spec), 3.0)
     sides = {"v": family.operators[0], "v_dual": family.operators[1],
              "kappa": family.kappas[0]}
     for side, rows in sides.items():
         for lvl, a in enumerate(_levels(rows, 1)):
-            arrays[f"{fam.family}/{side}/{lvl}"] = a
+            arrays[f"{spec.family}/{side}/{lvl}"] = a
 np.savez(sys.argv[1], **arrays)
 """
 
@@ -915,8 +915,8 @@ def test_coverage_error_beyond_depth():
 def test_shallow_family_keeps_the_exact_rows(d, level):
     # W = s(x) A on the first half (d=1) or quadrant (d=2) of a rotating
     # weight: exact-scalar and ellipsoid cubes side by side on one level
-    w = make_weight(WeightFamily("rotating", d=d, n=2, level=level,
-                                 params={"alpha": 0.6}, seed=3))
+    w = make_weight(WeightSpec("w", "rotating", d=d, n=2, level=level,
+                               params={"alpha": 0.6}, seed=3))
     cells = np.array(w.cells)
     half = (slice(0, 1 << (level - 1)),) * d
     s = 1.0 + np.arange(2 ** (d * (level - 1))).reshape(cells[half].shape[:-2])
@@ -944,8 +944,8 @@ def test_family_levels_are_views_of_its_rows(d, level):
     # family holds exactly the rows of its levels; _levels cuts them into
     # per-level views, and the per-level method views are views of the
     # method rows of their side
-    w = make_weight(WeightFamily("rotating", d=d, n=2, level=level,
-                                 params={"alpha": 0.6}, seed=3))
+    w = make_weight(WeightSpec("w", "rotating", d=d, n=2, level=level,
+                               params={"alpha": 0.6}, seed=3))
     for depth in (level, level - 2):
         fam = build_reducing_family(w, 3.0, max_depth=depth)
         cubes = sum(1 << (l * d) for l in range(depth + 1))

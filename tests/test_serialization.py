@@ -12,7 +12,7 @@ from haarweight import (
     MatrixWeight,
     SerializationError,
     StoppingConfig,
-    WeightFamily,
+    WeightSpec,
     build_generations,
     build_reducing_family,
     load_weight,
@@ -33,7 +33,7 @@ from haarweight.serialization import (
 
 @pytest.mark.parametrize("suffix", [".csv"])
 def test_weight_roundtrip(tmp_path, suffix):
-    w = make_weight(WeightFamily("rotating", 1, 2, 4, params={"alpha": 0.6}, seed=3))
+    w = make_weight(WeightSpec("w", "rotating", 1, 2, 4, params={"alpha": 0.6}, seed=3))
     path = save_weight(w, tmp_path / f"w{suffix}")
     back = load_weight(path)
     assert (back.d, back.n, back.level) == (w.d, w.n, w.level)
@@ -42,14 +42,14 @@ def test_weight_roundtrip(tmp_path, suffix):
 
 
 def test_weight_meta_survives(tmp_path):
-    w = make_weight(WeightFamily("power", 1, 1, 3, params={"alpha": 0.3}))
+    w = make_weight(WeightSpec("w", "power", 1, 1, 3, seed=0, params={"alpha": 0.3}))
     back = load_weight(save_weight(w, tmp_path / "w.csv"))
     assert back.meta["params"] == {"alpha": 0.3}
     assert back.meta["seed"] == 0
 
 
 def test_non_pd_weight_file_rejected(tmp_path):
-    w = make_weight(WeightFamily("constant", 1, 2, 2, params={"matrix": np.eye(2)}))
+    w = make_weight(WeightSpec("w", "constant", 1, 2, 2, params={"matrix": np.eye(2)}))
     path = save_weight(w, tmp_path / "w.csv")
     lines = path.read_text().splitlines()
     lines[2] = "-1.0,0.0,-1.0"  # first cell now negative definite
@@ -66,7 +66,7 @@ def test_bad_headers(tmp_path):
         load_weight(p)
     # the retired binary format: magic, four int64 fields, meta JSON, float64
     # body; it is no longer readable, and says so
-    w = make_weight(WeightFamily("power", 1, 1, 2, params={"alpha": 0.3}))
+    w = make_weight(WeightSpec("w", "power", 1, 1, 2, params={"alpha": 0.3}))
     meta = json.dumps(w.meta, sort_keys=True).encode()
     b = tmp_path / "old.bin"
     b.write_bytes(b"HWMW\x01" + struct.pack("<4q", 1, 1, 2, len(meta)) + meta
@@ -95,7 +95,7 @@ def test_unreadable_weight_file_names_its_path(tmp_path, case):
 
 
 def test_body_shape_checked(tmp_path):
-    w = make_weight(WeightFamily("power", 1, 1, 2, params={"alpha": 0.3}))
+    w = make_weight(WeightSpec("w", "power", 1, 1, 2, params={"alpha": 0.3}))
     path = save_weight(w, tmp_path / "w.csv")
     lines = path.read_text().splitlines()
     (tmp_path / "short.csv").write_text("\n".join(lines[:-1]) + "\n")
@@ -104,7 +104,7 @@ def test_body_shape_checked(tmp_path):
 
 
 def test_tree_json(tmp_path):
-    w = make_weight(WeightFamily("power", 1, 1, 5, params={"alpha": -0.8}))
+    w = make_weight(WeightSpec("w", "power", 1, 1, 5, params={"alpha": -0.8}))
     fam = build_reducing_family(w, 2.0)
     tree = build_generations(fam, StoppingConfig(lambda1=1.2, lambda2=1.2))
     d = tree_to_dict(tree)
@@ -154,7 +154,7 @@ def test_two_cell_tree_json_pinned():
 def test_equivalence_report_serialization():
     from haarweight import equivalence_ratios
 
-    w = make_weight(WeightFamily("power", 1, 1, 4, params={"alpha": 0.3}))
+    w = make_weight(WeightSpec("w", "power", 1, 1, 4, params={"alpha": 0.3}))
     fam = build_reducing_family(w, 2.0)
     rep = equivalence_ratios(fam, count=6, seed=1)
     d = equivalence_to_dict(rep)

@@ -19,7 +19,7 @@ from haarweight import (
     RunContext,
     ShapeError,
     StoppingConfig,
-    WeightFamily,
+    WeightSpec,
     build_generations,
     build_reducing_family,
     calibrate_lambdas,
@@ -58,9 +58,9 @@ def two_cell_weight():
 
 
 def rotating_setup(level=4, p=3.0):
-    fam = WeightFamily("rotating", d=1, n=2, level=level,
-                       params={"alpha": 0.6}, seed=3)
-    w = make_weight(fam)
+    spec = WeightSpec("w", "rotating", d=1, n=2, level=level,
+                      params={"alpha": 0.6}, seed=3)
+    w = make_weight(spec)
     return w, build_reducing_family(w, p)
 
 
@@ -105,8 +105,8 @@ def test_two_cell_tree_hand_checked():
 
 
 def test_constant_weight_single_generation():
-    fam = WeightFamily("constant", d=1, n=2, level=4, params={"matrix": np.eye(2)})
-    w = make_weight(fam)
+    spec = WeightSpec("w", "constant", d=1, n=2, level=4, params={"matrix": np.eye(2)})
+    w = make_weight(spec)
     red = build_reducing_family(w, 3.0)
     tree = build_generations(red, StoppingConfig(lambda1=1.5, lambda2=1.5))
     assert tree.generation_count() == 1

@@ -10,7 +10,7 @@ from haarweight import GridFunction, MatrixDomainError, ParameterError, ShapeErr
 from haarweight.weights import (
     EIGEN_FLOOR,
     MatrixWeight,
-    WeightFamily,
+    WeightSpec,
     _SERIAL_GEMM,
     _SERIAL_GEMV,
     _serial_matmul,
@@ -202,13 +202,13 @@ def test_weighted_lp_norm_checks_the_exponent_first(p):
 
 
 def test_power_family_exact_averages_1d():
-    fam = WeightFamily("power", 1, 1, 6, {"alpha": 1.0})
-    w = make_weight(fam)
+    spec = WeightSpec("w", "power", 1, 1, 6, params={"alpha": 1.0})
+    w = make_weight(spec)
     mids = (np.arange(64) + 0.5) / 64
     npt.assert_allclose(w.cells[:, 0, 0], mids, rtol=1e-13)
 
-    fam = WeightFamily("power", 1, 1, 4, {"alpha": 0.6})
-    w = make_weight(fam)
+    spec = WeightSpec("w", "power", 1, 1, 4, params={"alpha": 0.6})
+    w = make_weight(spec)
     for k in (0, 7, 15):
         val, _ = scipy.integrate.quad(
             lambda x: x**0.6, k / 16.0, (k + 1) / 16.0, epsabs=1e-14
@@ -217,34 +217,34 @@ def test_power_family_exact_averages_1d():
 
 
 def test_power_family_negative_alpha_integrable():
-    w = make_weight(WeightFamily("power", 1, 1, 5, {"alpha": -0.5}))
+    w = make_weight(WeightSpec("w", "power", 1, 1, 5, params={"alpha": -0.5}))
     val, _ = scipy.integrate.quad(lambda x: x**-0.5, 0.0, 1 / 32.0)
     npt.assert_allclose(w.cells[0, 0, 0], val * 32.0, rtol=1e-9)
     assert w.meta["warning"] is None
 
 
 def test_power_family_warning_flag():
-    w = make_weight(WeightFamily("power", 1, 1, 4, {"alpha": 1.4}))
+    w = make_weight(WeightSpec("w", "power", 1, 1, 4, params={"alpha": 1.4}))
     assert "outside the documented range" in w.meta["warning"]
-    w = make_weight(WeightFamily("power", 1, 1, 4, {"alpha": 1.4, "p_range": 3.0}))
+    w = make_weight(WeightSpec("w", "power", 1, 1, 4, params={"alpha": 1.4, "p_range": 3.0}))
     assert w.meta["warning"] is None
     with pytest.raises(ParameterError):
-        make_weight(WeightFamily("power", 1, 1, 4, {"alpha": -1.0}))
+        make_weight(WeightSpec("w", "power", 1, 1, 4, params={"alpha": -1.0}))
 
 
 def test_default_alpha_is_the_one_the_cells_use():
     # p_range 1.25 documents alpha in (-1, 0.25): the rotating default 0.5 is
     # outside it and the power default 0.0 inside
-    w = make_weight(WeightFamily("rotating", 1, 2, 3, {"p_range": 1.25}))
+    w = make_weight(WeightSpec("w", "rotating", 1, 2, 3, params={"p_range": 1.25}))
     assert "alpha=0.5 outside" in w.meta["warning"]
     assert w.cells.tobytes() == make_weight(
-        WeightFamily("rotating", 1, 2, 3, {"alpha": 0.5})).cells.tobytes()
-    w = make_weight(WeightFamily("power", 1, 1, 3, {"p_range": 1.25}))
+        WeightSpec("w", "rotating", 1, 2, 3, params={"alpha": 0.5})).cells.tobytes()
+    w = make_weight(WeightSpec("w", "power", 1, 1, 3, params={"p_range": 1.25}))
     assert w.meta["warning"] is None
 
 
 def test_power_family_2d_matches_radial_average():
-    w = make_weight(WeightFamily("power", 2, 2, 3, {"alpha": 0.5}))
+    w = make_weight(WeightSpec("w", "power", 2, 2, 3, params={"alpha": 0.5}))
     # oversampled reference for one off-corner cell
     q = 64
     xs = (3 * q + np.arange(q) + 0.5) / (8 * q)
@@ -262,7 +262,7 @@ def test_power_family_row_blocks_match_the_dense_grid(monkeypatch, d, level):
     # meshgrid byte for byte
     monkeypatch.setattr(dyadic, "_BLOCK_ENTRIES", 1)
     alpha, x0 = -0.5, (0.3,) * d
-    w = make_weight(WeightFamily("power", d, 1, level, {"alpha": alpha, "x0": x0}))
+    w = make_weight(WeightSpec("w", "power", d, 1, level, params={"alpha": alpha, "x0": x0}))
     h, q = 1 << level, 16
     mids = (np.arange(h * q) + 0.5) / (h * q)
     grids = np.meshgrid(*[mids - c for c in x0], indexing="ij")
@@ -274,8 +274,8 @@ def test_power_family_row_blocks_match_the_dense_grid(monkeypatch, d, level):
 
 
 def test_rotating_family_structure():
-    fam = WeightFamily("rotating", 1, 2, 4, {"alpha": 0.6, "omega": np.pi})
-    w = make_weight(fam)
+    spec = WeightSpec("w", "rotating", 1, 2, 4, params={"alpha": 0.6, "omega": np.pi})
+    w = make_weight(spec)
     x0 = 0.31
     k = 9
     x = (k + 0.5) / 16
@@ -287,7 +287,7 @@ def test_rotating_family_structure():
     vals = np.linalg.eigvalsh(w.cells)
     npt.assert_allclose(vals[:, 1], 1.0, atol=1e-12)  # larger eigenvalue is 1
     with pytest.raises(ParameterError):
-        make_weight(WeightFamily("rotating", 1, 3, 2))
+        make_weight(WeightSpec("w", "rotating", 1, 3, 2))
 
 
 @pytest.mark.parametrize("family, n", [("power", 1), ("rotating", 2)])
@@ -295,23 +295,23 @@ def test_rotating_family_structure():
 def test_x0_must_have_shape_d(family, n, d, x0):
     # a short x0 used to raise a raw IndexError and a long one was truncated
     with pytest.raises(ShapeError, match=r"x0 shape"):
-        make_weight(WeightFamily(family, d, n, 2, {"x0": x0}))
+        make_weight(WeightSpec("w", family, d, n, 2, params={"x0": x0}))
 
 
 def test_rotating_family_needs_x0_from_d3():
     with pytest.raises(ParameterError, match="needs x0"):
-        make_weight(WeightFamily("rotating", 3, 2, 2, {"alpha": 0.5}))
-    w = make_weight(WeightFamily("rotating", 3, 2, 2, {"x0": [0.3, 0.2, 0.1]}))
+        make_weight(WeightSpec("w", "rotating", 3, 2, 2, params={"alpha": 0.5}))
+    w = make_weight(WeightSpec("w", "rotating", 3, 2, 2, params={"x0": [0.3, 0.2, 0.1]}))
     assert w.cells.shape == (4, 4, 4, 2, 2)
     assert np.linalg.eigvalsh(w.cells).min() > 0.0
 
 
 def test_logbrownian_family_spd_and_deterministic():
-    fam = WeightFamily("logbrownian", 1, 3, 5, {"sigma": 0.4}, seed=21)
-    w1 = make_weight(fam)
-    w2 = make_weight(WeightFamily("logbrownian", 1, 3, 5, {"sigma": 0.4}, seed=21))
+    spec = WeightSpec("w", "logbrownian", 1, 3, 5, params={"sigma": 0.4}, seed=21)
+    w1 = make_weight(spec)
+    w2 = make_weight(WeightSpec("w", "logbrownian", 1, 3, 5, params={"sigma": 0.4}, seed=21))
     npt.assert_array_equal(w1.cells, w2.cells)
-    w3 = make_weight(WeightFamily("logbrownian", 1, 3, 5, {"sigma": 0.4}, seed=22))
+    w3 = make_weight(WeightSpec("w", "logbrownian", 1, 3, 5, params={"sigma": 0.4}, seed=22))
     assert np.max(np.abs(w1.cells - w3.cells)) > 1e-3
     vals = np.linalg.eigvalsh(w1.cells)
     assert vals.min() > EIGEN_FLOOR and np.isfinite(vals).all()
@@ -319,20 +319,27 @@ def test_logbrownian_family_spd_and_deterministic():
 
 def test_weight_seeds_do_not_wrap_at_32_bits():
     def cells(seed):
-        fam = WeightFamily("logbrownian", 1, 3, 6, {"sigma": 0.4}, seed=seed)
-        return make_weight(fam).cells
+        spec = WeightSpec("w", "logbrownian", 1, 3, 6, params={"sigma": 0.4}, seed=seed)
+        return make_weight(spec).cells
 
     assert np.max(np.abs(cells(7) - cells(2**32 + 7))) > 1e-3
     with pytest.raises(ParameterError):
         cells(-1)
 
 
+def test_make_weight_refuses_a_file_spec():
+    # a spec with a file is loaded by realize(); make_weight would otherwise
+    # generate the default family in its place
+    with pytest.raises(ParameterError, match="realize"):
+        make_weight(WeightSpec("w", file="w.csv"))
+
+
 def test_constant_family():
     m = [[2.0, 0.5], [0.5, 1.0]]
-    w = make_weight(WeightFamily("constant", 1, 2, 3, {"matrix": m}))
+    w = make_weight(WeightSpec("w", "constant", 1, 2, 3, params={"matrix": m}))
     npt.assert_allclose(w.cells[4], m)
     with pytest.raises(ParameterError):
-        make_weight(WeightFamily("nosuch", 1, 1, 2))
+        make_weight(WeightSpec("w", "nosuch", 1, 1, 2))
 
 
 @pytest.mark.parametrize("family, n", [
@@ -341,4 +348,4 @@ def test_constant_family():
 def test_unknown_family_param_rejected(family, n):
     # a misspelt key used to be ignored: the cells came out as for the default
     with pytest.raises(ParameterError, match="alpah"):
-        make_weight(WeightFamily(family, 1, n, 3, params={"alpah": 0.3}))
+        make_weight(WeightSpec("w", family, 1, n, 3, params={"alpah": 0.3}))
