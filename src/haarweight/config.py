@@ -1,10 +1,18 @@
 """Experiment configuration: versioned JSON schema, desk-scale defaults.
 
 A config fully determines a run: weight grid, exponents, function counts,
-seeds, calibration target, and output directory. Unknown keys are rejected
-with the offending path so typos cannot silently change an experiment.
-The constructor checks the values with the loader's own type tests, and
-each weight with weights._check_spec, as a ConfigError that names it.
+seeds, calibration target, and output directory. Each rule is checked in one
+place, so a config built in Python is held to what a JSON config is held to:
+- the constructors check types and values: ExperimentConfig each field
+  against _CONFIG_TYPES before any value is converted, its exponents with
+  dyadic.check_exponent and its threshold overrides with
+  stopping.StoppingConfig; weights._check_spec each weight's fields and
+  parameters against _WEIGHT_TYPES and _PARAM_TYPES and its family's rules.
+  Every error is a ConfigError, a weight's naming the weight;
+- load_config checks only the JSON shape: an object at the top, no unknown
+  key (named by its JSON path, so typos cannot silently change an
+  experiment), and no generator key next to a weight's 'file', even at its
+  default. It turns lists into tuples and weight objects into WeightSpecs.
 """
 
 from __future__ import annotations
@@ -15,8 +23,21 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .analysis import SPECTRA
-from .errors import ConfigError, ParameterError
-from .weights import _FAMILIES, WeightSpec, _check_spec, _int, _num
+from .dyadic import check_exponent
+from .errors import ConfigError, HaarweightError
+from .stopping import StoppingConfig
+from .weights import (
+    _WEIGHT_TYPES,
+    WeightSpec,
+    _at_least,
+    _check_spec,
+    _check_types,
+    _int,
+    _list_of,
+    _num,
+    _or_null,
+    _str,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -63,13 +84,14 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        _check_types(vars(self), _CONFIG_TYPES, ConfigError)
         # 2 and 2.0 are one config: the same CSV columns and config hash
         for key in ("ps", "sweep_alphas", "stopping_lambda1", "stopping_lambda2"):
             v = getattr(self, key)
             if v is not None:
                 v = tuple(map(float, v)) if isinstance(v, (tuple, list)) else float(v)
                 object.__setattr__(self, key, v)
-        if not _int(self.schema_version) or self.schema_version != SCHEMA_VERSION:
+        if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(
                 f"schema_version {self.schema_version} unsupported "
                 f"(this library reads version {SCHEMA_VERSION})"
@@ -80,11 +102,8 @@ class ExperimentConfig:
                 f"unknown experiment ids {sorted(unknown)}; known: {EXPERIMENT_IDS}"
             )
         _check_unique("experiment ids", self.experiments)
-        if not _int(self.seed) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         for p in self.ps:
-            if not 1.0 < p < math.inf:
-                raise ConfigError(f"exponents must exceed 1 and be finite, got {p}")
+            _config_error("ps", check_exponent, p)
         _check_unique("ps", self.ps)
         spelled = {}
         for p in self.ps:
@@ -97,40 +116,31 @@ class ExperimentConfig:
         bad = set(self.spectra) - set(SPECTRA)
         if bad:
             raise ConfigError(f"unknown spectra {sorted(bad)}; known: {SPECTRA}")
-        if not _int(self.count) or self.count < 1:
-            raise ConfigError(f"count must be an integer >= 1, got {self.count!r}")
-        if not 0.0 < self.calibration_target < 1.0:
-            raise ConfigError(
-                f"calibration_target must lie in (0, 1), got {self.calibration_target}"
-            )
-        for g in self.grids:
-            if len(g) != 3 or not all(map(_int, g)) or g[0] < 1 or g[1] < 1 or g[2] < 0:
-                raise ConfigError(f"grids entries are (d, n, L) triples, got {g!r}")
         _check_unique("grids", self.grids)
-        _check_unique("weight names", [w.name for w in self.weights])
-        for a in self.sweep_alphas:
-            if not math.isfinite(a):
-                raise ConfigError(f"sweep_alphas must be finite, got {a}")
-        _check_unique("sweep_alphas", self.sweep_alphas)
-        # a level-0 grid has no detail coefficient to probe
-        if not _int(self.sweep_level) or self.sweep_level < 1:
-            raise ConfigError(f"sweep_level must be an integer >= 1, got {self.sweep_level!r}")
         for w in self.weights:
             if w.file is not None:
                 blank = WeightSpec(w.name, file=w.file)
                 _check_file_spec(w.name, [k for k in _FILE_FIXED
                                           if getattr(w, k) != getattr(blank, k)])
-                continue
-            try:
-                _check_spec(w)
-            except ParameterError as exc:
-                raise ConfigError(f"weight {w.name!r}: {exc}") from exc
+            _config_error(f"weight {w.name!r}", _check_spec, w)
+        _check_unique("weight names", [w.name for w in self.weights])
+        for a in self.sweep_alphas:
+            if not math.isfinite(a):
+                raise ConfigError(f"sweep_alphas must be finite, got {a}")
+        _check_unique("sweep_alphas", self.sweep_alphas)
         lams = (self.stopping_lambda1, self.stopping_lambda2)
         if (lams[0] is None) != (lams[1] is None):
             raise ConfigError("stopping_lambda1 and stopping_lambda2 come as a pair")
-        # written so that NaN fails, and infinity (a test that never fires) passes
-        if lams[0] is not None and not (lams[0] > 1.0 and lams[1] > 1.0):
-            raise ConfigError(f"stopping threshold overrides must exceed 1, got {lams}")
+        if lams[0] is not None:
+            _config_error("stopping threshold overrides", StoppingConfig, *lams)
+
+
+def _config_error(what: str, check, *args) -> None:
+    """check(*args), its HaarweightError raised as a ConfigError about what."""
+    try:
+        check(*args)
+    except HaarweightError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _check_unique(what: str, values) -> None:
@@ -166,110 +176,62 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _str(v) -> bool:
-    return isinstance(v, str)
-
-
-def _obj(v) -> bool:
-    return isinstance(v, dict)
-
-
-def _list_of(check):
-    return lambda v: isinstance(v, list) and all(check(x) for x in v)
-
-
-def _or_null(check):
-    return lambda v: v is None or check(v)
-
-
-def _matrix(v) -> bool:
-    return _list_of(_list_of(_num))(v) and len({len(row) for row in v}) <= 1
-
-
-# the JSON type of every field, checked before any value is converted or
-# compared: (test, what the error says the value must be)
+# the type of every field, checked before any value is converted or compared:
+# (test, what the value must be); a sequence may be a list or a tuple
 _CONFIG_TYPES = {
     "schema_version": (_int, "an integer"),
     "experiments": (_list_of(_str), "a list of strings"),
-    "seed": (_int, "an integer"),
+    "seed": (_at_least(0), "an integer >= 0"),
     "ps": (_list_of(_num), "a list of numbers"),
     "spectra": (_list_of(_str), "a list of strings"),
-    "count": (_int, "an integer"),
-    "calibration_target": (_num, "a number"),
-    "grids": (_list_of(_list_of(_int)), "a list of integer lists"),
-    "weights": (_list_of(_obj), "a list of objects"),
+    "count": (_at_least(1), "an integer >= 1"),
+    "calibration_target": (lambda v: _num(v) and 0.0 < v < 1.0, "a number in (0, 1)"),
+    "grids": (_list_of(lambda g: _list_of(_int)(g) and len(g) == 3
+                       and g[0] >= 1 and g[1] >= 1 and g[2] >= 0),
+              "a list of (d, n, L) integer triples, d >= 1, n >= 1 and L >= 0"),
+    "weights": (_list_of(lambda w: isinstance(w, WeightSpec)), "a list of weights"),
     "sweep_alphas": (_list_of(_num), "a list of numbers"),
-    "sweep_level": (_int, "an integer"),
+    # a level-0 grid has no detail coefficient to probe
+    "sweep_level": (_at_least(1), "an integer >= 1"),
     "stopping_lambda1": (_or_null(_num), "a number or null"),
     "stopping_lambda2": (_or_null(_num), "a number or null"),
     "out_dir": (_str, "a string"),
 }
-_WEIGHT_TYPES = {
-    "name": (_str, "a string"),
-    "family": (_str, "a string"),
-    "d": (_int, "an integer"),
-    "n": (_int, "an integer"),
-    "level": (_int, "an integer"),
-    "seed": (_int, "an integer"),
-    "params": (_obj, "an object"),
-    "file": (_or_null(_str), "a string or null"),
-}
-# the JSON type of every family parameter; which keys a family reads is
-# checked by weights._check_spec
-_PARAM_TYPES = {
-    "alpha": (_num, "a number"),
-    "omega": (_num, "a number"),
-    "phase": (_num, "a number"),
-    "p_range": (_num, "a number"),
-    "sigma": (_num, "a number"),
-    "cond": (_num, "a number"),
-    "x0": (_list_of(_num), "a list of numbers"),
-    "matrix": (_matrix, "a list of equal-length number lists"),
-}
 
 assert list(_CONFIG_TYPES) == [f.name for f in fields(ExperimentConfig)]
-assert list(_WEIGHT_TYPES) == [f.name for f in fields(WeightSpec)]
-assert set(_PARAM_TYPES) == set().union(*(keys for _, keys in _FAMILIES.values()))
 
 
-def _check_keys(given: dict, types: dict, where: str):
-    """Reject unknown keys and values of the wrong JSON type."""
-    unknown = set(given) - set(types)
+def _check_keys(given: dict, known, where: str) -> None:
+    """Reject the keys of given that known does not list."""
+    unknown = set(given) - set(known)
     if unknown:
         raise ConfigError(
             f"unknown config key(s) {sorted(unknown)} at {where}; "
-            f"allowed: {sorted(types)}"
+            f"allowed: {sorted(known)}"
         )
-    for key, value in given.items():
-        check, want = types[key]
-        if not check(value):
-            raise ConfigError(
-                f"config key {key!r} at {where} must be {want}, got {value!r}"
-            )
+
+
+def _tuples(v):
+    """v with each list in it a tuple; objects are left as they are."""
+    return tuple(map(_tuples, v)) if isinstance(v, list) else v
+
+
+def _spec_from_dict(w: dict, i: int) -> WeightSpec:
+    if "name" not in w:
+        raise ConfigError(f"weights[{i}] must be an object with a 'name'")
+    _check_keys(w, _WEIGHT_TYPES, f"weights[{i}] ({w['name']})")
+    if w.get("file") is not None:  # even a key at its default is refused
+        _check_file_spec(w["name"], [k for k in _FILE_FIXED if k in w])
+    return WeightSpec(**w)
 
 
 def _config_from_dict(raw: dict) -> ExperimentConfig:
+    """The config of a parsed JSON object; the constructor checks its values."""
     _check_keys(raw, _CONFIG_TYPES, "top level")
-    kw = dict(raw)
-    if "weights" in kw:
-        specs = []
-        for i, w in enumerate(kw["weights"]):
-            if "name" not in w:
-                raise ConfigError(f"weights[{i}] must be an object with a 'name'")
-            where = f"weights[{i}] ({w['name']})"
-            _check_keys(w, _WEIGHT_TYPES, where)
-            if w.get("file") is not None:  # even a key at its default is refused
-                _check_file_spec(w["name"], [k for k in _FILE_FIXED if k in w])
-            # a key no family reads is left to _check_spec, which names it
-            typed = {k: v for k, v in w.get("params", {}).items() if k in _PARAM_TYPES}
-            _check_keys(typed, _PARAM_TYPES, f"{where} params")
-            specs.append(WeightSpec(**w))
-        kw["weights"] = tuple(specs)
-    for key in ("experiments", "spectra"):
-        if key in kw:
-            kw[key] = tuple(kw[key])
-    if "grids" in kw:
-        kw["grids"] = tuple(tuple(g) for g in kw["grids"])
+    kw = {k: _tuples(v) for k, v in raw.items()}
+    if isinstance(kw.get("weights"), tuple):
+        kw["weights"] = tuple(_spec_from_dict(w, i) if isinstance(w, dict) else w
+                              for i, w in enumerate(kw["weights"]))
     return ExperimentConfig(**kw)
 
 

@@ -9,12 +9,14 @@ symmetry to 1e-12 (relative to the largest entry) and eigenvalues >=
 EIGEN_FLOOR, else MatrixDomainError; nothing is clamped or repaired.
 
 Every weight the lab builds comes from one recipe, a WeightSpec; make_weight
-checks it (_check_spec, which a config's weights pass too) and builds it.
+checks it (_check_spec, which a config's weights pass too: the types of its
+fields and parameters, and its family's rules) and builds it, so the cell
+builders raise no recipe error of their own.
 """
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -163,16 +165,47 @@ def weighted_lp_norm(f: GridFunction, weight: MatrixWeight, p: float):
 # weight families
 
 
-def _int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)  # true is not 1
+def _is(*types):
+    """The test isinstance(v, types), which a bool fails: true is not 1."""
+    return lambda v: isinstance(v, types) and not isinstance(v, bool)
 
 
-def _num(v) -> bool:
-    return _int(v) or isinstance(v, float)
+_int, _num, _str, _obj = _is(int), _is(int, float), _is(str), _is(dict)
+
+
+def _at_least(low: int):
+    return lambda v: _int(v) and v >= low
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, (list, tuple)) and all(check(x) for x in v)
+
+
+def _or_null(check):
+    return lambda v: v is None or check(v)
+
+
+def _array(v) -> bool:
+    """A list of numbers, or a list of equal-length number lists; its shape
+    is the family's to check."""
+    return _list_of(_num)(v) or (_list_of(_list_of(_num))(v)
+                                 and len({len(row) for row in v}) <= 1)
+
+
+def _check_types(values: dict, types: dict, error) -> None:
+    """error naming the first key of values whose value fails its test in
+    types, a dict key -> (test, what the value must be)."""
+    for key, value in values.items():
+        check, want = types[key]
+        if not check(value):
+            raise error(f"{key!r} must be {want}, got {value!r}")
 
 
 def _floats(v):
-    """v with each number in it a float, lists and tuples entry by entry."""
+    """v with each number in it a float, lists and tuples entry by entry,
+    and an array as the nested list of its entries."""
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
     if isinstance(v, (list, tuple)):
         return type(v)(map(_floats, v))
     return float(v) if _num(v) else v
@@ -194,8 +227,10 @@ class WeightSpec:
     file: str | None = None
 
     def __post_init__(self):
-        # 9 and 9.0 are one parameter: the same weight meta and config hash
-        object.__setattr__(self, "params", {k: _floats(v) for k, v in self.params.items()})
+        # 9, 9.0 and array(9.0) are one parameter: the same weight meta and
+        # config hash
+        if _obj(self.params):
+            object.__setattr__(self, "params", {k: _floats(v) for k, v in self.params.items()})
 
     def realize(self) -> MatrixWeight:
         if self.file is None:
@@ -220,17 +255,11 @@ def _alpha(spec: WeightSpec) -> float:
     return float(spec.params.get("alpha", 0.5 if spec.family == "rotating" else 0.0))
 
 
-def _x0(spec: WeightSpec, default) -> np.ndarray:
-    """The centre x0 of a power-type family, default when its params leave it
-    out; ShapeError unless it has shape (d,), ParameterError if it is
-    required (default None) and missing."""
-    if "x0" not in spec.params and default is None:
-        raise ParameterError(
-            f"{spec.family} family at d={spec.d} needs x0 of shape ({spec.d},)")
-    x0 = np.asarray(spec.params.get("x0", default), dtype=float)
-    if x0.shape != (spec.d,):
-        raise ShapeError(f"x0 shape {x0.shape}, expected ({spec.d},)")
-    return x0
+def _x0(spec: WeightSpec) -> np.ndarray:
+    """The centre x0 of a power-type family: the origin (power), or (0.31,)
+    and (0.31, 0.17) at d = 1 and 2 (rotating), unless its params set it."""
+    default = (0.0,) * spec.d if spec.family == "power" else (0.31, 0.17)[: spec.d]
+    return np.asarray(spec.params.get("x0", default), dtype=float)
 
 
 def _power_cells(spec: WeightSpec) -> np.ndarray:
@@ -246,9 +275,7 @@ def _power_cells(spec: WeightSpec) -> np.ndarray:
     on the whole grid.
     """
     alpha = _alpha(spec)
-    if alpha <= -1.0:
-        raise ParameterError(f"power exponent alpha must exceed -1, got {alpha}")
-    x0 = _x0(spec, (0.0,) * spec.d)
+    x0 = _x0(spec)
     h = 1 << spec.level
     if spec.d == 1:
         # exact cell averages from the antiderivative of |x - x0|^alpha
@@ -275,12 +302,10 @@ def _power_cells(spec: WeightSpec) -> np.ndarray:
 
 
 def _rotating_cells(spec: WeightSpec) -> np.ndarray:
-    if spec.n != 2:
-        raise ParameterError("rotating family requires n = 2")
     alpha = _alpha(spec)
     omega = float(spec.params.get("omega", np.pi))
     phase = float(spec.params.get("phase", 0.0))
-    x0 = _x0(spec, {1: (0.31,), 2: (0.31, 0.17)}.get(spec.d))
+    x0 = _x0(spec)
     mids = _axis_midpoints(spec.level)
     grids = np.meshgrid(*([mids] * spec.d), indexing="ij")
     r = np.sqrt(sum((g - x0[i]) ** 2 for i, g in enumerate(grids)))
@@ -317,8 +342,6 @@ def _logbrownian_cells(spec: WeightSpec) -> np.ndarray:
 def _constant_cells(spec: WeightSpec) -> np.ndarray:
     if "matrix" in spec.params:
         m = np.asarray(spec.params["matrix"], dtype=float)
-        if m.shape != (spec.n, spec.n):
-            raise ShapeError(f"constant matrix shape {m.shape}, expected square n={spec.n}")
     else:
         # random SPD with controlled condition number
         cond = float(spec.params.get("cond", 10.0))
@@ -337,15 +360,38 @@ _FAMILIES = {
     "logbrownian": (_logbrownian_cells, {"sigma"}),
     "constant": (_constant_cells, {"matrix", "cond"}),
 }
+# the type of every WeightSpec field, and of every family parameter: (test,
+# what the value must be); a JSON config is held to these by the constructor
+_WEIGHT_TYPES = {
+    "name": (_str, "a string"),
+    "family": (_str, "a string"),
+    "d": (_at_least(1), "an integer >= 1"),
+    "n": (_at_least(1), "an integer >= 1"),
+    "level": (_at_least(0), "an integer >= 0"),
+    "seed": (_at_least(0), "an integer >= 0"),
+    "params": (_obj, "an object"),
+    "file": (_or_null(_str), "a string or null"),
+}
+_PARAM_TYPES = {
+    **dict.fromkeys(("alpha", "omega", "phase", "p_range", "sigma", "cond"),
+                    (_num, "a number")),
+    **dict.fromkeys(("x0", "matrix"),
+                    (_array, "a list of numbers or of equal-length number lists")),
+}
+
+assert list(_WEIGHT_TYPES) == [f.name for f in fields(WeightSpec)]
+assert set(_PARAM_TYPES) == set().union(*(keys for _, keys in _FAMILIES.values()))
 
 
 def _check_spec(spec: WeightSpec) -> None:
-    """ParameterError unless spec generates a weight: a known family, only
-    parameters it reads, and integer (not bool) d >= 1, n >= 1, level >= 0
-    and seed >= 0."""
-    if spec.file is not None:
-        raise ParameterError(f"weight {spec.name!r} is read from {spec.file!r}; "
-                             "realize() loads it")
+    """ParameterError, or ShapeError for an x0 or matrix of the wrong shape,
+    unless spec is a recipe its family can generate: every field and
+    parameter of its type in _WEIGHT_TYPES and _PARAM_TYPES (integers not
+    bool, d >= 1, n >= 1, level >= 0, seed >= 0), a known family, only
+    parameters it reads, and the family rules: rotating needs n = 2 and, at
+    d >= 3, an x0; power needs alpha > -1; x0 has shape (d,) and a constant
+    matrix shape (n, n). A file spec keeps the defaults, which pass."""
+    _check_types(vars(spec), _WEIGHT_TYPES, ParameterError)
     if spec.family not in _FAMILIES:
         raise ParameterError(f"unknown family {spec.family!r}; known: {sorted(_FAMILIES)}")
     known = _FAMILIES[spec.family][1]
@@ -354,10 +400,17 @@ def _check_spec(spec: WeightSpec) -> None:
         raise ParameterError(
             f"unknown {spec.family} parameter(s) {sorted(unknown)}; known: {sorted(known)}"
         )
-    for key, low in (("d", 1), ("n", 1), ("level", 0), ("seed", 0)):
-        value = getattr(spec, key)
-        if not _int(value) or value < low:
-            raise ParameterError(f"{key} must be an integer >= {low}, got {value!r}")
+    _check_types(spec.params, _PARAM_TYPES, ParameterError)
+    if spec.family == "rotating" and spec.n != 2:
+        raise ParameterError("rotating family requires n = 2")
+    if spec.family == "power" and _alpha(spec) <= -1.0:
+        raise ParameterError(f"power exponent alpha must exceed -1, got {_alpha(spec)}")
+    for key, shape in (("x0", (spec.d,)), ("matrix", (spec.n, spec.n))):
+        if key in spec.params and np.shape(spec.params[key]) != shape:
+            raise ShapeError(f"{key} shape {np.shape(spec.params[key])}, expected {shape}")
+    if spec.family == "rotating" and spec.d >= 3 and "x0" not in spec.params:
+        raise ParameterError(
+            f"rotating family at d={spec.d} needs x0 of shape ({spec.d},)")
 
 
 def make_weight(spec: WeightSpec) -> MatrixWeight:
@@ -367,6 +420,9 @@ def make_weight(spec: WeightSpec) -> MatrixWeight:
     realization is still SPD) but flagged in meta["warning"]: continuum
     guarantees tied to the documented exponent range no longer apply.
     """
+    if spec.file is not None:
+        raise ParameterError(f"weight {spec.name!r} is read from {spec.file!r}; "
+                             "realize() loads it")
     _check_spec(spec)
     cells = _FAMILIES[spec.family][0](spec)
     warning = None

@@ -10,6 +10,7 @@ from haarweight import (
     ConfigError,
     ExperimentConfig,
     ParameterError,
+    ShapeError,
     WeightSpec,
     default_config,
     load_config,
@@ -112,7 +113,7 @@ def test_wrongly_typed_param_names_weight_and_key(tmp_path, capsys, family,
     p = tmp_path / "c.json"
     p.write_text(json.dumps(
         {"weights": [{"name": "w", "family": family, "params": params}]}))
-    with pytest.raises(ConfigError, match=rf"'{key}' at weights\[0\] \(w\)"):
+    with pytest.raises(ConfigError, match=rf"^weight 'w': '{key}' must be"):
         load_config(p)
     assert main(["calibrate", "--config", str(p)]) == 2
     assert f"'{key}'" in capsys.readouterr().err
@@ -126,7 +127,7 @@ def test_schema_version_checked():
 def test_field_validation():
     with pytest.raises(ConfigError, match="unknown experiment"):
         ExperimentConfig(experiments=("haar", "mystery"))
-    with pytest.raises(ConfigError, match="exceed 1"):
+    with pytest.raises(ConfigError, match=r"ps: exponent must satisfy 1 < p < inf"):
         ExperimentConfig(ps=(1.0,))
     with pytest.raises(ConfigError, match="spectra"):
         ExperimentConfig(spectra=("flat", "violet"))
@@ -186,15 +187,15 @@ def test_negative_seed_rejected(tmp_path):
 
 def _refused(tmp_path, capsys, payload, match):
     """load_config refuses the JSON payload with a ConfigError matching
-    match, and `haarweight run --config` exits 2 with that error and writes
-    nothing."""
+    match, and `haarweight run --config` exits 2 with that error as its one
+    line and writes nothing."""
     p = tmp_path / "c.json"
     p.write_text(json.dumps(payload))
     with pytest.raises(ConfigError, match=match):
         load_config(p)
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "error:" in err
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -228,15 +229,86 @@ def test_bad_weight_spec_rejected_everywhere(tmp_path, capsys, key, value):
     the bad value raises from make_weight, from ExperimentConfig and from
     load_config, each config error naming the weight."""
     spec = dataclasses.replace(WeightSpec("bad-w", "power", 1, 1, 3), **{key: value})
-    with pytest.raises(ParameterError, match=rf"^{key} must be an integer >= \d, got"):
+    with pytest.raises(ParameterError, match=rf"^'{key}' must be an integer >= \d, got"):
         make_weight(spec)
-    named = rf"weight 'bad-w': {key} must be an integer"
+    named = rf"^weight 'bad-w': '{key}' must be an integer"
     with pytest.raises(ConfigError, match=named):
         ExperimentConfig(weights=(spec,))
     payload = config_to_dict(ExperimentConfig(weights=(WeightSpec("bad-w", "power", 1, 1, 3),)))
     payload["weights"][0][key] = value
-    # the loader refuses a non-integer by its JSON type, naming the weight too
-    _refused(tmp_path, capsys, payload, rf"{named}|'{key}' at weights\[0\] \(bad-w\)")
+    _refused(tmp_path, capsys, payload, named)
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("config", "schema_version", True),
+    ("config", "experiments", "haar"),
+    ("config", "seed", True),
+    ("config", "ps", (2.0, "3")),
+    ("config", "spectra", ("flat", 1)),
+    ("config", "count", 2.5),
+    ("config", "calibration_target", "0.5"),
+    ("config", "grids", (5,)),
+    ("config", "weights", ({"name": "x"},)),
+    ("config", "sweep_alphas", (True, 0.5)),
+    ("config", "sweep_level", 5.5),
+    ("config", "stopping_lambda1", "2"),
+    ("config", "stopping_lambda2", True),
+    ("config", "out_dir", 5),
+    ("weight", "name", 5),
+    ("weight", "family", 1),
+    ("weight", "d", 1.0),
+    ("weight", "n", "2"),
+    ("weight", "level", 3.5),
+    ("weight", "seed", True),
+    ("weight", "params", 5),
+    ("weight", "file", 3),
+    ("power", "alpha", True),
+    ("power", "alpha", "0.3"),
+    ("rotating", "omega", "1"),
+    ("rotating", "phase", None),
+    ("power", "p_range", "2"),
+    ("logbrownian", "sigma", True),
+    ("constant", "cond", "10"),
+    ("power", "x0", ["a"]),
+    ("constant", "matrix", [[1.0, "0"], [0.0, 1.0]]),
+])
+def test_constructor_checks_every_type(where, key, value):
+    # a config built in Python is held to what a JSON config is held to:
+    # each value of the wrong type is refused by name, never converted,
+    # accepted or left to crash later
+    if where == "config":
+        kw = {key: value}
+    elif where == "weight":
+        kw = {"weights": (dataclasses.replace(WeightSpec("w"), **{key: value}),)}
+    else:
+        n = {"rotating": 2, "constant": 2}.get(where, 1)
+        kw = {"weights": (WeightSpec("w", where, 1, n, 3, params={key: value}),)}
+    with pytest.raises(ConfigError, match=f"'{key}' must be") as exc:
+        ExperimentConfig(**kw)
+    assert where == "config" or str(exc.value).startswith("weight ")
+
+
+@pytest.mark.parametrize("spec, error, rule", [
+    (WeightSpec("r", "rotating", 1, 3, 3), ParameterError, "rotating family requires n = 2"),
+    (WeightSpec("p", "power", 1, 1, 3, params={"alpha": -1.5}), ParameterError,
+     "power exponent alpha must exceed -1, got -1.5"),
+    (WeightSpec("m", "constant", 1, 2, 3, params={"matrix": [[1.0]]}), ShapeError,
+     r"matrix shape \(1, 1\), expected \(2, 2\)"),
+    (WeightSpec("x", "power", 2, 1, 3, params={"x0": [0.5]}), ShapeError,
+     r"x0 shape \(1,\), expected \(2,\)"),
+    (WeightSpec("r3", "rotating", 3, 2, 2), ParameterError,
+     r"rotating family at d=3 needs x0 of shape \(3,\)"),
+])
+def test_family_rules_are_config_errors(tmp_path, capsys, spec, error, rule):
+    """The family rules live in weights._check_spec: make_weight raises
+    them with their own error types, and the config refuses the weight by
+    name before any cell runs."""
+    with pytest.raises(error, match=rule):
+        make_weight(spec)
+    named = rf"^weight {spec.name!r}: {rule}"
+    with pytest.raises(ConfigError, match=named):
+        ExperimentConfig(weights=(spec,))
+    _refused(tmp_path, capsys, {"weights": [dataclasses.asdict(spec)]}, named)
 
 
 def test_duplicate_experiment_ids_rejected():
@@ -266,14 +338,14 @@ def test_exponents_sharing_a_file_name_rejected():
 
 
 def test_infinite_exponent_rejected(tmp_path):
-    with pytest.raises(ConfigError, match="finite"):
+    with pytest.raises(ConfigError, match="p < inf, got inf"):
         ExperimentConfig(ps=(2.0, float("inf")))
     payload = config_to_dict(default_config())
     payload["ps"] = [float("inf")]
     p = tmp_path / "c.json"
     p.write_text(json.dumps(payload))  # written as the JSON token Infinity
     assert "Infinity" in p.read_text()
-    with pytest.raises(ConfigError, match="finite"):
+    with pytest.raises(ConfigError, match="p < inf, got inf"):
         load_config(p)
 
 

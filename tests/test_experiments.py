@@ -178,7 +178,7 @@ def test_real_numbers_spelled_as_integers_give_the_same_run(tmp_path):
     # every parameter the config reads is spelled with integers somewhere
     spelled = {k for w in integers["weights"] for k, v in w["params"].items()
                if "." not in json.dumps(v)}
-    assert spelled == set(haarweight.config._PARAM_TYPES)
+    assert spelled == set(haarweight.weights._PARAM_TYPES)
     runs = []
     for raw in (reals, integers):
         path = tmp_path / "config.json"
