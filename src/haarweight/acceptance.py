@@ -1,8 +1,12 @@
 """The thirteen acceptance checks, one function per criterion.
 
-Each check returns a CriterionResult with the measured quantities in its
-details string; run_all prints one pass/fail line per criterion, followed by
-the seconds the check took. Empirical caps are frozen here with the
+A criterion is a function cNN_<name>(ctx) -> (passed, details), its details
+the measured quantities; its number NN and the name it prints (the
+underscores as hyphens) are spelled only in its function name. run_all is
+the one place that makes a CriterionResult: it runs CRITERIA in order, times
+each call, turns a criterion that raises a HaarweightError into a FAIL line
+under its own number and name, and prints one pass/fail line per criterion,
+followed by the seconds it took. Empirical caps are frozen here with the
 measurements that motivated them; they are reported, never tuned per weight.
 """
 
@@ -61,7 +65,7 @@ class CriterionResult:
     name: str
     passed: bool
     details: str
-    seconds: float = 0.0  # wall time of the check; run_all measures it
+    seconds: float  # wall time of the check
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -80,7 +84,7 @@ class AcceptanceContext(RunContext):
 # criteria
 
 
-def c01_haar_exactness(ctx: AcceptanceContext) -> CriterionResult:
+def c01_haar_exactness(ctx: AcceptanceContext) -> tuple[bool, str]:
     """Round-trip and Parseval errors <= 1e-10, 100 functions per (d, L);
     the functions of one (d, n, L) are drawn and checked in blocks of columns
     (dyadic._random_exactness_errors), each column as it is alone."""
@@ -92,15 +96,13 @@ def c01_haar_exactness(ctx: AcceptanceContext) -> CriterionResult:
                                                             for i in range(n - 1, 100, 3)])
             worst_rt = max(worst_rt, float(rt.max()))
             worst_pv = max(worst_pv, float(pv.max()))
-    passed = worst_rt <= 1e-10 and worst_pv <= 1e-10
-    return CriterionResult(
-        1, "haar-exactness", passed,
+    return worst_rt <= 1e-10 and worst_pv <= 1e-10, (
         f"max roundtrip {worst_rt:.2e}, max parseval {worst_pv:.2e}, "
-        f"{len(grids)} (d,L) cells x 100 fn",
+        f"{len(grids)} (d,L) cells x 100 fn"
     )
 
 
-def c02_p2_oracle(ctx: AcceptanceContext) -> CriterionResult:
+def c02_p2_reducing_oracle(ctx: AcceptanceContext) -> tuple[bool, str]:
     """p=2 operators equal exact square roots of cube averages everywhere, the
     averages taken over each cube's cells (_cube_blocks), laid out as rows."""
     worst = 0.0
@@ -112,24 +114,15 @@ def c02_p2_oracle(ctx: AcceptanceContext) -> CriterionResult:
             avg = np.concatenate([_cube_blocks(cells, weight.d, l).mean(axis=1)
                                   for l in range(fam.max_depth + 1)])
             worst = max(worst, float(np.abs(got - spd_power_stack(avg, 0.5)).max()))
-    return CriterionResult(
-        2, "p2-reducing-oracle", worst <= 1e-10,
-        f"max |V - (m_I W)^(1/2)| = {worst:.2e} over every cube, both sides",
-    )
+    return worst <= 1e-10, f"max |V - (m_I W)^(1/2)| = {worst:.2e} over every cube, both sides"
 
 
 def _unit_outer_products(rng, m: int, n: int) -> np.ndarray:
     """e e^T of m fresh unit directions, flattened to (n^2, m): e = g / |g|
-    for one (m, n) standard normal draw g. The components of g are copied
-    into contiguous rows, and |g| is the square root of their
-    left-associated sum of squares, which is np.linalg.norm(g, axis=-1) bit
-    for bit."""
-    comps = rng.standard_normal((m, n)).T.copy()
-    norm = comps[0] ** 2
-    for c in comps[1:]:
-        norm += c**2
-    comps /= np.sqrt(norm)
-    return (comps[:, None] * comps).reshape(n * n, m)
+    for one (m, n) standard normal draw g."""
+    e = rng.standard_normal((m, n))
+    e /= np.linalg.norm(e, axis=-1, keepdims=True)
+    return (e.T[:, None] * e.T).reshape(n * n, m)
 
 
 def _sandwich_norms(quad: np.ndarray, v: np.ndarray, ee: np.ndarray, q: float) -> tuple:
@@ -153,7 +146,7 @@ def _sandwich_norms(quad: np.ndarray, v: np.ndarray, ee: np.ndarray, q: float) -
     return rho, np.sqrt(ve, out=ve)
 
 
-def c03_john_sandwich(ctx: AcceptanceContext) -> CriterionResult:
+def c03_john_sandwich_p3(ctx: AcceptanceContext) -> tuple[bool, str]:
     """The John sandwich rho_I(e) <= |V_I e| <= sqrt(n) rho_I(e) at p=3 and
     rho'_I(e) <= |V'_I e| <= sqrt(n) rho'_I(e) at p'=3/2, slack 1 + 1e-3,
     on every cube; rho from the W^{1/p} integrand and rho' from the W^{-1/p}
@@ -184,22 +177,20 @@ def c03_john_sandwich(ctx: AcceptanceContext) -> CriterionResult:
                     (rho / (ve * slack)).max(),
                     (ve / (math.sqrt(n) * rho * slack)).max()))
     (lo, hi), (lo_dual, hi_dual) = worst
-    return CriterionResult(
-        3, "john-sandwich-p3", bool((worst <= 1.0).all()),
+    return bool((worst <= 1.0).all()), (
         f"max rho/(|Ve|(1+1e-3)) = {lo:.6f}, "
         f"max |Ve|/(sqrt(n) rho (1+1e-3)) = {hi:.6f}; dual at p'=1.5: "
         f"max rho'/(|V'e|(1+1e-3)) = {lo_dual:.6f}, "
-        f"max |V'e|/(sqrt(n) rho' (1+1e-3)) = {hi_dual:.6f}",
+        f"max |V'e|/(sqrt(n) rho' (1+1e-3)) = {hi_dual:.6f}"
     )
 
 
-def c04_pair_lower_bound(ctx: AcceptanceContext) -> CriterionResult:
+def c04_pair_lower_bound(ctx: AcceptanceContext) -> tuple[bool, str]:
     worst = math.inf
     for name, p in ctx.cells():
         worst = min(worst, ctx.family(name, p).min_pair_norm())
-    return CriterionResult(
-        4, "pair-lower-bound", worst >= 1.0 - 1e-8,
-        f"min ||V_I V'_I|| = {worst:.12f} over all cubes, weights, exponents",
+    return worst >= 1.0 - 1e-8, (
+        f"min ||V_I V'_I|| = {worst:.12f} over all cubes, weights, exponents"
     )
 
 
@@ -214,7 +205,7 @@ def _dual_weight(weight: MatrixWeight, p: float) -> MatrixWeight:
     )
 
 
-def c05_duality(ctx: AcceptanceContext) -> CriterionResult:
+def c05_characteristic_duality(ctx: AcceptanceContext) -> tuple[bool, str]:
     """||W^{1-p'}||_{A_p'} = ||W||_{A_p}^{p'/p} by an independent refit.
 
     Per cell, W^{1-p'} is fitted afresh at p' on m+1 quasi-uniform directions
@@ -242,15 +233,14 @@ def c05_duality(ctx: AcceptanceContext) -> CriterionResult:
         ok = ok and gap <= bound + 1e-9
         worst = max(worst, (gap, f"{name} p={p:g}", bound))
         worst_margin = max(worst_margin, gap - bound)
-    return CriterionResult(
-        5, "characteristic-duality", ok,
+    return ok, (
         f"refit of W^(1-p') on disjoint directions: max |log gap| = "
         f"{worst[0]:.2e} ({worst[1]}, log(kappa^4) = {worst[2]:.2e}), "
-        f"max excess over log(kappa^4) = {worst_margin:.2e}",
+        f"max excess over log(kappa^4) = {worst_margin:.2e}"
     )
 
 
-def c06_stopping_decay(ctx: AcceptanceContext) -> CriterionResult:
+def c06_stopping_decay(ctx: AcceptanceContext) -> tuple[bool, str]:
     worst = ("", 0, 0.0)
     ok = True
     for name, p in ctx.cells():
@@ -271,15 +261,14 @@ def c06_stopping_decay(ctx: AcceptanceContext) -> CriterionResult:
         ):
             violated = True
             break
-    return CriterionResult(
-        6, "stopping-decay", ok and violated,
+    return ok and violated, (
         f"worst decay {worst[2]:.4f} at j={worst[1]} ({worst[0]}), "
         f"bound {2.0 ** -max(worst[1], 1) * 1.05:.4f}; negative control "
-        f"violates: {violated}",
+        f"violates: {violated}"
     )
 
 
-def c07_block_partition(ctx: AcceptanceContext) -> CriterionResult:
+def c07_block_partition_bound(ctx: AcceptanceContext) -> tuple[bool, str]:
     """Block partition constants C = sum_j ||Delta_j f||_p^p / ||f||_p^p of
     100 random f per (weight, p) cell, under two seeds. At p = 2 the
     Delta_j f split the Haar coefficients of f, so C = 1 by Parseval and
@@ -304,13 +293,10 @@ def c07_block_partition(ctx: AcceptanceContext) -> CriterionResult:
         drift = abs(b - a) / a
         ok = ok and a <= _C7_CAP and drift <= 0.20
         parts.append(f"p={p:g}: C_emp={a:.4f} (reseed {b:.4f}, drift {drift:.2%})")
-    return CriterionResult(
-        7, "block-partition-bound", ok,
-        "; ".join(parts) + f"; cap {_C7_CAP}",
-    )
+    return ok, "; ".join(parts) + f"; cap {_C7_CAP}"
 
 
-def c08_block_identities(ctx: AcceptanceContext) -> CriterionResult:
+def c08_block_identities(ctx: AcceptanceContext) -> tuple[bool, str]:
     worst = 0.0
     for name, p in ctx.cells():
         tree = ctx.tree(name, p)
@@ -318,13 +304,10 @@ def c08_block_identities(ctx: AcceptanceContext) -> CriterionResult:
         total = t_blocks(tree, f).values.sum(axis=-1)
         tf = t_operator(tree.family, f)
         worst = max(worst, float(np.abs(total - tf.values).max()))
-    return CriterionResult(
-        8, "block-identities", worst <= 1e-9,
-        f"max |sum T_j f - Tf| = {worst:.2e}",
-    )
+    return worst <= 1e-9, f"max |sum T_j f - Tf| = {worst:.2e}"
 
 
-def c09_cross_term_decay(ctx: AcceptanceContext) -> CriterionResult:
+def c09_cross_term_decay(ctx: AcceptanceContext) -> tuple[bool, str]:
     ok = True
     parts = []
     for alpha in (0.3, 0.6):
@@ -347,12 +330,10 @@ def c09_cross_term_decay(ctx: AcceptanceContext) -> CriterionResult:
             parts.append(
                 f"alpha={alpha} p={p:g}: rate {rep.rate:.3f} ci95 {rep.rate_ci95:.3f}"
             )
-    return CriterionResult(
-        9, "cross-term-decay", ok, "; ".join(parts),
-    )
+    return ok, "; ".join(parts)
 
 
-def c10_equivalence_uniform(ctx: AcceptanceContext) -> CriterionResult:
+def c10_equivalence_uniform(ctx: AcceptanceContext) -> tuple[bool, str]:
     # the exponents inside the weights, so each weight's batch of test
     # functions is drawn once and reused at every p
     c1 = dict.fromkeys(ctx.config.ps, 0.0)
@@ -375,13 +356,10 @@ def c10_equivalence_uniform(ctx: AcceptanceContext) -> CriterionResult:
                                seed=ctx.config.seed)
     parseval = float(np.abs(idrep.ratios - 1.0).max())
     ok = ok and parseval <= 1e-10
-    return CriterionResult(
-        10, "equivalence-uniform", ok,
-        "; ".join(parts) + f"; cap {_C10_CAP}; Id p=2 max|r-1| = {parseval:.2e}",
-    )
+    return ok, "; ".join(parts) + f"; cap {_C10_CAP}; Id p=2 max|r-1| = {parseval:.2e}"
 
 
-def c11_slopes_and_sharpness(ctx: AcceptanceContext) -> CriterionResult:
+def c11_slope_and_sharpness(ctx: AcceptanceContext) -> tuple[bool, str]:
     """Sweep slope upper bounds, then the scalar sharpness windows.
 
     The probe solves the extremal problem exactly, so the measured slopes
@@ -418,13 +396,10 @@ def c11_slopes_and_sharpness(ctx: AcceptanceContext) -> CriterionResult:
             "cascade family miss both windows too (tables in the README, "
             "Acceptance status)"
         )
-    return CriterionResult(
-        11, "slope-and-sharpness",
-        span_ok and upper_ok and sharp1 and sharp2, details,
-    )
+    return span_ok and upper_ok and sharp1 and sharp2, details
 
 
-def c12_dual_square_bound(ctx: AcceptanceContext) -> CriterionResult:
+def c12_dual_square_bound(ctx: AcceptanceContext) -> tuple[bool, str]:
     # the exponents inside the weights: one batch and one synthesis per weight
     caps = dict.fromkeys(ctx.config.ps, 0.0)
     for w in ctx.config.weights:
@@ -440,12 +415,10 @@ def c12_dual_square_bound(ctx: AcceptanceContext) -> CriterionResult:
     for p in ctx.config.ps:
         ok = ok and caps[p] <= _C12_CAP
         parts.append(f"p={p:g}: C_emp={caps[p]:.4f}")
-    return CriterionResult(
-        12, "dual-square-bound", ok, "; ".join(parts) + f"; cap {_C12_CAP}",
-    )
+    return ok, "; ".join(parts) + f"; cap {_C12_CAP}"
 
 
-def c13_determinism(ctx: AcceptanceContext) -> CriterionResult:
+def c13_determinism(ctx: AcceptanceContext) -> tuple[bool, str]:
     # the first two weights in (d, level) order; on the default suite these are
     # logb3-s04 and const-diag19, so the rerun also covers the costliest fit
     chosen = sorted(ctx.config.weights, key=lambda w: (w.d, w.level))[:2]
@@ -464,45 +437,43 @@ def c13_determinism(ctx: AcceptanceContext) -> CriterionResult:
     same = set(bodies[0]) == set(bodies[1]) and all(
         bodies[0][k] == bodies[1][k] for k in bodies[0]
     )
-    return CriterionResult(
-        13, "determinism", same,
+    return same, (
         f"{len(bodies[0])} CSV bodies compared byte for byte: "
-        + ("identical" if same else "MISMATCH"),
+        + ("identical" if same else "MISMATCH")
     )
 
 
 CRITERIA = (
     c01_haar_exactness,
-    c02_p2_oracle,
-    c03_john_sandwich,
+    c02_p2_reducing_oracle,
+    c03_john_sandwich_p3,
     c04_pair_lower_bound,
-    c05_duality,
+    c05_characteristic_duality,
     c06_stopping_decay,
-    c07_block_partition,
+    c07_block_partition_bound,
     c08_block_identities,
     c09_cross_term_decay,
     c10_equivalence_uniform,
-    c11_slopes_and_sharpness,
+    c11_slope_and_sharpness,
     c12_dual_square_bound,
     c13_determinism,
 )
 
 
 def run_all(ctx: AcceptanceContext | None = None, printer=print) -> list:
+    """The CriterionResult of each of CRITERIA, in order, each printed as
+    its line and seconds; number and name come from the function name."""
     ctx = ctx or AcceptanceContext()
     results = []
     for crit in CRITERIA:
         start = time.perf_counter()
         try:
-            res = crit(ctx)
+            passed, details = crit(ctx)
         except HaarweightError as exc:  # a criterion crash is a failure, not an abort
-            res = CriterionResult(
-                len(results) + 1,
-                crit.__name__[4:].replace("_", "-"),
-                False,
-                f"raised {exc!r}",
-            )
-        res = replace(res, seconds=time.perf_counter() - start)
+            passed, details = False, f"raised {exc!r}"
+        name = crit.__name__  # cNN_<name>
+        res = CriterionResult(int(name[1:3]), name[4:].replace("_", "-"), passed, details,
+                              time.perf_counter() - start)
         results.append(res)
         printer(f"{res.line()} [{res.seconds:.2f} s]")
     return results

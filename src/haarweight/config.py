@@ -7,8 +7,10 @@ place, so a config built in Python is held to what a JSON config is held to:
   against _CONFIG_TYPES before any value is converted, its exponents with
   dyadic.check_exponent and its threshold overrides with
   stopping.StoppingConfig; weights._check_spec each weight's fields and
-  parameters against _WEIGHT_TYPES and _PARAM_TYPES and its family's rules.
-  Every error is a ConfigError, a weight's naming the weight;
+  parameters against _WEIGHT_TYPES and _PARAM_TYPES and its family's rules,
+  and so each sweep point's spec (_sweeps, which the sharpness experiment
+  and criterion 11 run). Every error is a ConfigError, a weight's naming the
+  weight and a sweep point's the point;
 - load_config checks only the JSON shape: an object at the top, no unknown
   key (named by its JSON path, so typos cannot silently change an
   experiment), and no generator key next to a weight's 'file', even at its
@@ -18,8 +20,7 @@ place, so a config built in Python is held to what a JSON config is held to:
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .analysis import SPECTRA
@@ -124,15 +125,42 @@ class ExperimentConfig:
                                           if getattr(w, k) != getattr(blank, k)])
             _config_error(f"weight {w.name!r}", _check_spec, w)
         _check_unique("weight names", [w.name for w in self.weights])
-        for a in self.sweep_alphas:
-            if not math.isfinite(a):
-                raise ConfigError(f"sweep_alphas must be finite, got {a}")
+        for sweep in _sweeps(self):
+            for spec in sweep.points:
+                _config_error(f"sweep point {spec.name!r}", _check_spec, spec)
         _check_unique("sweep_alphas", self.sweep_alphas)
         lams = (self.stopping_lambda1, self.stopping_lambda2)
         if (lams[0] is None) != (lams[1] is None):
             raise ConfigError("stopping_lambda1 and stopping_lambda2 come as a pair")
         if lams[0] is not None:
             _config_error("stopping threshold overrides", StoppingConfig, *lams)
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """The p=2 points of one characteristic sweep, one WeightSpec per point.
+    Every point records its characteristic and probe extremes; `equivalence`
+    adds the sampled equivalence maxima, else they read nan."""
+
+    points: tuple
+    equivalence: bool
+
+
+def _sweeps(config: ExperimentConfig) -> tuple:
+    """The power sweep over sweep_alphas at sweep_level, and the exploratory
+    n=2 rotating points (reported, never asserted) at level 7 or below: each
+    point the sweep's base spec at one alpha, named like `power alpha=0.5`."""
+
+    def points(base: WeightSpec, alphas) -> tuple:
+        return tuple(replace(base, name=f"{base.name} alpha={a}", params={"alpha": a})
+                     for a in alphas)
+
+    return (
+        _Sweep(points(WeightSpec("power", "power", 1, 1, config.sweep_level, seed=config.seed),
+                      config.sweep_alphas), equivalence=True),
+        _Sweep(points(WeightSpec("rotating", "rotating", 1, 2, min(7, config.sweep_level),
+                                 seed=config.seed), (0.3, 0.6, 0.9)), equivalence=False),
+    )
 
 
 def _config_error(what: str, check, *args) -> None:

@@ -13,15 +13,15 @@ stopping tree) as its last step, so a cell that raises leaves neither rows
 nor side files.
 
 The characteristic sweeps of the sharpness experiment (the scalar power
-sweep, which criterion 11 shares, and the rotating points) are data built
-from the config (`_sweeps`: a base WeightSpec and its alphas) run by one
-runner, `_run_sweep`: one spec and build per point, named like `power
-alpha=0.5`, one `sharpness_probes` call per sweep, rows in char order.
+sweep, which criterion 11 shares, and the rotating points) are data that the
+config builds and checks (`config._sweeps`: one WeightSpec per point, named
+like `power alpha=0.5`), run by one runner, `_run_sweep`: one build per
+point, one `sharpness_probes` call per sweep, rows in char order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,14 @@ from .analysis import (
     random_mean_zero_batch,
     sharpness_probes,
 )
-from .config import EXPERIMENT_IDS, ExperimentConfig, _exponent_tag, config_to_dict
+from .config import (
+    EXPERIMENT_IDS,
+    ExperimentConfig,
+    _exponent_tag,
+    _Sweep,
+    _sweeps,
+    config_to_dict,
+)
 from .dyadic import HaarCoefficients, _column_blocks, _lp_integrals, _random_exactness_errors
 from .errors import ConfigError, HaarweightError, ParameterError
 from .multipliers import t_blocks, t_operator
@@ -300,28 +307,6 @@ def _run_equivalence(ctx: RunContext, result: RunResult):
 # the characteristic sweeps (the power sweep is shared with criterion 11)
 
 
-@dataclass(frozen=True)
-class _Sweep:
-    """One p=2 point per alpha, the base spec at that alpha. Every point
-    records its characteristic and probe extremes; `equivalence` adds the
-    sampled equivalence maxima, else they read nan."""
-
-    base: WeightSpec
-    alphas: tuple
-    equivalence: bool
-
-
-def _sweeps(config: ExperimentConfig) -> tuple:
-    """The power sweep over sweep_alphas at sweep_level, and the exploratory
-    n=2 rotating points (reported, never asserted) at level 7 or below."""
-    return (
-        _Sweep(WeightSpec("power", "power", 1, 1, config.sweep_level, seed=config.seed),
-               config.sweep_alphas, equivalence=True),
-        _Sweep(WeightSpec("rotating", "rotating", 1, 2, min(7, config.sweep_level),
-                          seed=config.seed), (0.3, 0.6, 0.9), equivalence=False),
-    )
-
-
 _SWEEP_COLUMNS = ["alpha", "char", "eq_max_ratio", "eq_max_inverse_ratio",
                   "probe_max_ratio", "probe_max_inverse_ratio"]
 
@@ -335,9 +320,7 @@ def _run_sweep(sweep: _Sweep, config: ExperimentConfig):
     Returns the rows (dicts keyed by _SWEEP_COLUMNS) of the points that
     survived both steps, sorted by char, and (spec, error) for each point
     whose build or probe raised, in sweep order."""
-    base = sweep.base
-    specs = [replace(base, name=f"{base.name} alpha={a}", params={"alpha": a})
-             for a in sweep.alphas]
+    specs = sweep.points
 
     def build(i):
         fam = build_reducing_family(make_weight(specs[i]), 2.0)
@@ -345,7 +328,7 @@ def _run_sweep(sweep: _Sweep, config: ExperimentConfig):
         if sweep.equivalence:
             rep = equivalence_ratios(fam, config.count, seed=config.seed)
             eq = (rep.max_ratio, rep.max_inverse_ratio)
-        return i, fam, (sweep.alphas[i], fam.characteristic(), *eq)
+        return i, fam, (specs[i].params["alpha"], fam.characteristic(), *eq)
 
     built, failed = _isolate(build, range(len(specs)))
     rows = []

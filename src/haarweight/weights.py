@@ -15,6 +15,7 @@ builders raise no recipe error of their own.
 """
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field, fields
 
@@ -185,11 +186,15 @@ def _or_null(check):
     return lambda v: v is None or check(v)
 
 
+def _finite(v) -> bool:
+    return _num(v) and math.isfinite(v)
+
+
 def _array(v) -> bool:
-    """A list of numbers, or a list of equal-length number lists; its shape
-    is the family's to check."""
-    return _list_of(_num)(v) or (_list_of(_list_of(_num))(v)
-                                 and len({len(row) for row in v}) <= 1)
+    """A list of finite numbers, or a list of equal-length lists of them;
+    its shape is the family's to check."""
+    return _list_of(_finite)(v) or (_list_of(_list_of(_finite))(v)
+                                    and len({len(row) for row in v}) <= 1)
 
 
 def _check_types(values: dict, types: dict, error) -> None:
@@ -374,9 +379,9 @@ _WEIGHT_TYPES = {
 }
 _PARAM_TYPES = {
     **dict.fromkeys(("alpha", "omega", "phase", "p_range", "sigma", "cond"),
-                    (_num, "a number")),
+                    (_finite, "a finite number")),
     **dict.fromkeys(("x0", "matrix"),
-                    (_array, "a list of numbers or of equal-length number lists")),
+                    (_array, "a list of finite numbers or of equal-length lists of them")),
 }
 
 assert list(_WEIGHT_TYPES) == [f.name for f in fields(WeightSpec)]
@@ -387,10 +392,11 @@ def _check_spec(spec: WeightSpec) -> None:
     """ParameterError, or ShapeError for an x0 or matrix of the wrong shape,
     unless spec is a recipe its family can generate: every field and
     parameter of its type in _WEIGHT_TYPES and _PARAM_TYPES (integers not
-    bool, d >= 1, n >= 1, level >= 0, seed >= 0), a known family, only
-    parameters it reads, and the family rules: rotating needs n = 2 and, at
-    d >= 3, an x0; power needs alpha > -1; x0 has shape (d,) and a constant
-    matrix shape (n, n). A file spec keeps the defaults, which pass."""
+    bool, d >= 1, n >= 1, level >= 0, seed >= 0, every number in a parameter
+    finite), a known family, only parameters it reads, and the family rules:
+    rotating needs n = 2 and, at d >= 3, an x0; power needs alpha > -1; x0
+    has shape (d,) and a constant matrix shape (n, n). A file spec keeps the
+    defaults, which pass."""
     _check_types(vars(spec), _WEIGHT_TYPES, ParameterError)
     if spec.family not in _FAMILIES:
         raise ParameterError(f"unknown family {spec.family!r}; known: {sorted(_FAMILIES)}")

@@ -1,6 +1,6 @@
 """Acceptance gate: the thirteen criteria on the canonical weight suite.
 
-One test per criterion; each prints the measured line and asserts the
+One test per criterion; each prints the measured details and asserts the
 criterion's verdict. Criterion 11 asserts the scalar sharpness windows,
 which are structurally out of reach at truncation depth 10 (the max-ratio
 direction is capped at sqrt(levels) for every scalar weight, and the power
@@ -11,6 +11,8 @@ is added. The measured slopes stay recorded in the failure message.
 
 import csv
 import dataclasses
+import functools
+import re
 import time
 
 import numpy as np
@@ -20,7 +22,7 @@ import haarweight.acceptance as acc
 import haarweight.analysis as analysis
 import haarweight.dyadic as dyadic
 import haarweight.experiments as experiments
-from haarweight import ExperimentConfig, HaarCoefficients, WeightSpec
+from haarweight import ExperimentConfig, HaarCoefficients, ParameterError, WeightSpec
 from haarweight.dyadic import _cube_blocks, _levels
 
 
@@ -30,10 +32,9 @@ def ctx():
 
 
 def check(fn, ctx):
-    res = fn(ctx)
-    print(res.line())
-    assert res.passed, res.line()
-    return res
+    passed, details = fn(ctx)
+    print(f"{fn.__name__}: {details}")
+    assert passed, details
 
 
 def test_criterion_01_haar_exactness(ctx):
@@ -41,11 +42,11 @@ def test_criterion_01_haar_exactness(ctx):
 
 
 def test_criterion_02_p2_reducing_oracle(ctx):
-    check(acc.c02_p2_oracle, ctx)
+    check(acc.c02_p2_reducing_oracle, ctx)
 
 
 def test_criterion_03_john_sandwich_p3(ctx):
-    check(acc.c03_john_sandwich, ctx)
+    check(acc.c03_john_sandwich_p3, ctx)
 
 
 def test_criterion_04_pair_lower_bound(ctx):
@@ -53,7 +54,7 @@ def test_criterion_04_pair_lower_bound(ctx):
 
 
 def test_criterion_05_characteristic_duality(ctx):
-    check(acc.c05_duality, ctx)
+    check(acc.c05_characteristic_duality, ctx)
 
 
 def test_criterion_06_stopping_decay(ctx):
@@ -61,7 +62,7 @@ def test_criterion_06_stopping_decay(ctx):
 
 
 def test_criterion_07_block_partition_bound(ctx):
-    check(acc.c07_block_partition, ctx)
+    check(acc.c07_block_partition_bound, ctx)
 
 
 def test_criterion_08_block_identities(ctx):
@@ -77,7 +78,7 @@ def test_criterion_10_equivalence_uniform(ctx):
 
 
 def test_criterion_11_slope_and_sharpness(ctx):
-    check(acc.c11_slopes_and_sharpness, ctx)
+    check(acc.c11_slope_and_sharpness, ctx)
 
 
 def test_criterion_12_dual_square_bound(ctx):
@@ -111,8 +112,18 @@ def tiny_context():
     return acc.AcceptanceContext(cfg)
 
 
+# the names that verify prints, in criterion order
+NAMES = ("haar-exactness", "p2-reducing-oracle", "john-sandwich-p3", "pair-lower-bound",
+         "characteristic-duality", "stopping-decay", "block-partition-bound",
+         "block-identities", "cross-term-decay", "equivalence-uniform",
+         "slope-and-sharpness", "dual-square-bound", "determinism")
+
+
 def test_registry_shape():
     assert len(acc.CRITERIA) == 13
+    # each criterion is named cNN_<name>, NN its position
+    for i, fn in enumerate(acc.CRITERIA, start=1):
+        assert re.fullmatch(rf"c{i:02d}_[a-z0-9_]+", fn.__name__), fn.__name__
 
 
 def test_run_all_emits_one_line_per_criterion():
@@ -120,6 +131,7 @@ def test_run_all_emits_one_line_per_criterion():
     results = acc.run_all(tiny_context(), printer=lines.append)
     assert len(results) == len(lines) == 13
     assert [r.cid for r in results] == list(range(1, 14))
+    assert [r.name for r in results] == list(NAMES)
     for i, line in enumerate(lines, start=1):
         assert line.startswith(f"criterion {i:02d} ")
         assert ": PASS (" in line or ": FAIL (" in line
@@ -127,11 +139,11 @@ def test_run_all_emits_one_line_per_criterion():
 
 def test_run_all_times_each_criterion(monkeypatch):
     def c01_quick(ctx):
-        return acc.CriterionResult(1, "quick", True, "x=1")
+        return True, "x=1"
 
     def c02_slow(ctx):
         time.sleep(0.05)
-        return acc.CriterionResult(2, "slow", False, "x=2")
+        return False, "x=2"
 
     monkeypatch.setattr(acc, "CRITERIA", (c01_quick, c02_slow))
     lines = []
@@ -141,6 +153,24 @@ def test_run_all_times_each_criterion(monkeypatch):
     assert 0.0 <= results[0].seconds < 0.05 <= results[1].seconds
     for res, line in zip(results, lines):
         assert line == f"{res.line()} [{res.seconds:.2f} s]"
+
+
+def test_a_raising_criterion_prints_its_own_number_and_name(monkeypatch):
+    # the FAIL line of a criterion that raises carries the number and name
+    # that its normal line prints
+    def raising(fn):
+        @functools.wraps(fn)
+        def crit(ctx):
+            raise ParameterError("patched")
+        return crit
+
+    monkeypatch.setattr(acc, "CRITERIA", tuple(map(raising, acc.CRITERIA)))
+    lines = []
+    results = acc.run_all(ctx=object(), printer=lines.append)
+    assert [(r.cid, r.name, r.passed) for r in results] == [
+        (i, name, False) for i, name in enumerate(NAMES, start=1)]
+    for line, name in zip(lines, NAMES):
+        assert f" {name}: FAIL (raised ParameterError('patched')) [" in line
 
 
 def test_duality_criterion_fails_on_a_perturbed_family():
@@ -153,16 +183,16 @@ def test_duality_criterion_fails_on_a_perturbed_family():
         ),
     )
     ctx = acc.AcceptanceContext(cfg)
-    assert acc.c05_duality(ctx).passed
+    assert acc.c05_characteristic_duality(ctx)[0]
     fam = ctx.family("rot", 3.0)
     operators = fam.operators.copy()
     operators[1] *= 1.05  # every V'_I
     bad = dataclasses.replace(fam, operators=operators)
     ctx = acc.AcceptanceContext(cfg)
     ctx._families["rot", 3.0] = bad
-    res = acc.c05_duality(ctx)
-    print(res.line())
-    assert not res.passed
+    passed, details = acc.c05_characteristic_duality(ctx)
+    print(details)
+    assert not passed
 
 
 def _rot_p3_config():
@@ -179,31 +209,31 @@ def _rot_p3_config():
 def test_john_sandwich_fails_on_a_shrunk_operator():
     cfg = _rot_p3_config()
     ctx = acc.AcceptanceContext(cfg)
-    assert acc.c03_john_sandwich(ctx).passed
+    assert acc.c03_john_sandwich_p3(ctx)[0]
     fam = ctx.family("rot", 3.0)
     bad = dataclasses.replace(fam, operators=fam.operators.copy())
     # a level view of the copied rows: a write through it changes the copy
     dyadic._levels(bad.operators[0], 1)[2][1] *= 0.99  # |V_I e| < rho_I(e) on one cube
     ctx = acc.AcceptanceContext(cfg)
     ctx._families["rot", 3.0] = bad
-    res = acc.c03_john_sandwich(ctx)
-    print(res.line())
-    assert not res.passed
+    passed, details = acc.c03_john_sandwich_p3(ctx)
+    print(details)
+    assert not passed
 
 
 def test_john_sandwich_fails_on_a_shrunk_dual_operator():
     # the dual side rho'_I(e) <= |V'_I e| at p' = 3/2 is checked too
     cfg = _rot_p3_config()
     ctx = acc.AcceptanceContext(cfg)
-    assert acc.c03_john_sandwich(ctx).passed
+    assert acc.c03_john_sandwich_p3(ctx)[0]
     fam = ctx.family("rot", 3.0)
     bad = dataclasses.replace(fam, operators=fam.operators.copy())
     dyadic._levels(bad.operators[1], 1)[2][1] *= 0.99  # |V'_I e| < rho'_I(e) on one cube
     ctx = acc.AcceptanceContext(cfg)
     ctx._families["rot", 3.0] = bad
-    res = acc.c03_john_sandwich(ctx)
-    print(res.line())
-    assert not res.passed
+    passed, details = acc.c03_john_sandwich_p3(ctx)
+    print(details)
+    assert not passed
 
 
 def test_john_sandwich_fails_on_a_shrunk_finest_cube_in_2d():
@@ -216,34 +246,22 @@ def test_john_sandwich_fails_on_a_shrunk_finest_cube_in_2d():
         ),
     )
     ctx = acc.AcceptanceContext(cfg)
-    assert acc.c03_john_sandwich(ctx).passed
+    assert acc.c03_john_sandwich_p3(ctx)[0]
     fam = ctx.family("rot", 3.0)
     bad = dataclasses.replace(fam, operators=fam.operators.copy())
     dyadic._levels(bad.operators[0], 2)[3][5, 2] *= 0.99  # one cube of the finest level
     ctx = acc.AcceptanceContext(cfg)
     ctx._families["rot", 3.0] = bad
-    res = acc.c03_john_sandwich(ctx)
-    print(res.line())
-    assert not res.passed
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_unit_outer_products_match_the_norm_reference(n):
-    # c03's directions, bit for bit, against normalising the draw with
-    # np.linalg.norm and taking the outer products on the swapped axes
-    got = acc._unit_outer_products(np.random.default_rng(5), 1000, n)
-    dirs = np.random.default_rng(5).standard_normal((1000, n))
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    cols = dirs.T
-    want = (cols[:, None] * cols[None]).reshape(n * n, 1000)
-    assert got.tobytes() == want.tobytes()
+    passed, details = acc.c03_john_sandwich_p3(ctx)
+    print(details)
+    assert not passed
 
 
 def test_john_sandwich_line_does_not_depend_on_the_direction_blocks(monkeypatch):
     ctx = tiny_context()
-    want = acc.c03_john_sandwich(ctx).line()
+    want = acc.c03_john_sandwich_p3(ctx)
     monkeypatch.setattr(dyadic, "_BLOCK_ENTRIES", 1)  # one direction per block
-    assert acc.c03_john_sandwich(ctx).line() == want
+    assert acc.c03_john_sandwich_p3(ctx) == want
 
 
 def _power_p3_config():
@@ -261,15 +279,15 @@ def test_john_sandwich_fails_on_a_shrunk_scalar_operator():
     # an R^1 weight is checked on its one unit direction; that check can fail
     cfg = _power_p3_config()
     ctx = acc.AcceptanceContext(cfg)
-    assert acc.c03_john_sandwich(ctx).passed
+    assert acc.c03_john_sandwich_p3(ctx)[0]
     fam = ctx.family("pow", 3.0)
     bad = dataclasses.replace(fam, operators=fam.operators.copy())
     dyadic._levels(bad.operators[0], 1)[3][5] *= 0.99  # |V_I e| < rho_I(e) on one cube
     ctx = acc.AcceptanceContext(cfg)
     ctx._families["pow", 3.0] = bad
-    res = acc.c03_john_sandwich(ctx)
-    print(res.line())
-    assert not res.passed
+    passed, details = acc.c03_john_sandwich_p3(ctx)
+    print(details)
+    assert not passed
 
 
 def test_one_direction_sandwich_matches_random_directions():
@@ -302,7 +320,7 @@ def test_block_sum_identity_fails_on_a_mislabelled_tree(tmp_path):
         ),
     )
     ctx = acc.AcceptanceContext(cfg)
-    assert acc.c08_block_identities(ctx).passed
+    assert acc.c08_block_identities(ctx)[0]
     tree = ctx.tree("rot", 3.0)
     labels = tree.labels.copy()
     _levels(labels, tree.d)[1][1] = 0  # one detail cube now belongs to no generation
@@ -310,9 +328,9 @@ def test_block_sum_identity_fails_on_a_mislabelled_tree(tmp_path):
 
     ctx = acc.AcceptanceContext(cfg)
     ctx._trees["rot", 3.0] = bad
-    res = acc.c08_block_identities(ctx)
-    print(res.line())
-    assert not res.passed
+    passed, details = acc.c08_block_identities(ctx)
+    print(details)
+    assert not passed
 
     result = experiments.RunResult(out_dir=tmp_path)
     experiments._run_multiplier(ctx, result)
@@ -324,7 +342,7 @@ def test_block_sum_identity_fails_on_a_mislabelled_tree(tmp_path):
 
 def test_block_partition_fails_at_p2_on_a_duplicated_piece(monkeypatch):
     ctx = tiny_context()  # p = 2 only
-    assert acc.c07_block_partition(ctx).passed
+    assert acc.c07_block_partition_bound(ctx)[0]
     split = analysis.split_generations
 
     def duplicated(coeffs, tree):
@@ -337,9 +355,9 @@ def test_block_partition_fails_at_p2_on_a_duplicated_piece(monkeypatch):
         )
 
     monkeypatch.setattr(analysis, "split_generations", duplicated)
-    res = acc.c07_block_partition(tiny_context())
-    print(res.line())
-    assert not res.passed  # a one-generation tree reads C = 2, which _C7_CAP admits
+    passed, details = acc.c07_block_partition_bound(tiny_context())
+    print(details)
+    assert not passed  # a one-generation tree reads C = 2, which _C7_CAP admits
 
 
 def test_block_reshape_helper():

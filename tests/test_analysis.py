@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 
 from cubes import Cube, stack_levels
+from sample_weights import rotating_weight, two_cell_weight
 from haarweight import (
     CoverageError,
     EigenConvergenceError,
@@ -56,18 +57,8 @@ def random_mean_zero_coefficients(d, n, level, rng, spectrum="flat"):
     return c
 
 
-def two_cell_weight():
-    return MatrixWeight(d=1, n=1, level=1, cells=np.array([[[1.0]], [[4.0]]]))
-
-
 def identity_weight(level=4, n=2):
     spec = WeightSpec("w", "constant", d=1, n=n, level=level, params={"matrix": np.eye(n)})
-    return make_weight(spec)
-
-
-def rotating_weight(level=4, seed=3):
-    spec = WeightSpec("w", "rotating", d=1, n=2, level=level,
-                      params={"alpha": 0.6}, seed=3)
     return make_weight(spec)
 
 

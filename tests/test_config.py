@@ -200,25 +200,46 @@ def _refused(tmp_path, capsys, payload, match):
 
 
 def test_nonfinite_sweep_alphas_rejected(tmp_path, capsys):
-    # NaN is no duplicate of NaN, so only this check keeps a NaN point out
+    # NaN is no duplicate of NaN, so only the check of each sweep point's
+    # spec keeps a NaN point out
     nan = float("nan")
+    refused = r"^sweep point 'power alpha=-?(nan|inf)': 'alpha' must be a finite number"
     for alphas in ((nan, nan, 0.5), (0.5, float("inf")), (float("-inf"),)):
-        with pytest.raises(ConfigError, match="sweep_alphas must be finite"):
+        with pytest.raises(ConfigError, match=refused):
             ExperimentConfig(sweep_alphas=alphas)
     payload = config_to_dict(default_config())
     payload["sweep_alphas"] = [nan, 0.5, -0.5, -0.75]
-    _refused(tmp_path, capsys, payload, "sweep_alphas must be finite")
+    _refused(tmp_path, capsys, payload, refused)
+
+
+def test_sweep_points_are_checked_by_the_config(tmp_path, capsys):
+    # a sweep point is a weight spec, held to its family's rules before any
+    # cell runs, so a power alpha <= -1 is a config error
+    alphas = (-1.5, 0.5, -0.5, -0.75)
+    refused = r"^sweep point 'power alpha=-1\.5': power exponent alpha must exceed -1"
+    with pytest.raises(ConfigError, match=refused):
+        ExperimentConfig(sweep_alphas=alphas)
+    payload = config_to_dict(default_config())
+    payload.update(sweep_alphas=list(alphas), experiments=["sharpness"])
+    _refused(tmp_path, capsys, payload, refused)
 
 
 @pytest.mark.parametrize("field, value", [
     ("count", 2.5), ("count", True), ("sweep_level", 5.5),
     ("grids", ((1.5, 1, 3),)), ("seed", True), ("schema_version", True),
 ])
-def test_constructor_refuses_what_the_loader_refuses_by_type(field, value):
-    # the loader refuses each by its JSON type; a config built in Python
-    # would otherwise fail inside its cells
-    with pytest.raises(ConfigError, match=field if field != "grids" else "triples"):
+def test_constructor_refuses_what_the_loader_refuses_by_type(tmp_path, field, value):
+    # one check serves both paths: the JSON value and the Python value are
+    # refused with the same message, naming the field
+    with pytest.raises(ConfigError, match=f"'{field}' must be") as built:
         ExperimentConfig(**{field: value})
+    payload = config_to_dict(default_config())
+    payload[field] = value
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError) as loaded:
+        load_config(p)
+    assert str(loaded.value) == str(built.value)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -271,6 +292,13 @@ def test_bad_weight_spec_rejected_everywhere(tmp_path, capsys, key, value):
     ("constant", "cond", "10"),
     ("power", "x0", ["a"]),
     ("constant", "matrix", [[1.0, "0"], [0.0, 1.0]]),
+    ("config", "count", True),
+    ("config", "grids", ((1.5, 1, 3),)),
+    # a family parameter is a finite number, or a list of them
+    ("power", "alpha", float("nan")),
+    ("power", "x0", [float("inf")]),
+    ("rotating", "omega", float("-inf")),
+    ("constant", "matrix", [[1.0, float("nan")], [float("nan"), 1.0]]),
 ])
 def test_constructor_checks_every_type(where, key, value):
     # a config built in Python is held to what a JSON config is held to:
@@ -298,6 +326,10 @@ def test_constructor_checks_every_type(where, key, value):
      r"x0 shape \(1,\), expected \(2,\)"),
     (WeightSpec("r3", "rotating", 3, 2, 2), ParameterError,
      r"rotating family at d=3 needs x0 of shape \(3,\)"),
+    (WeightSpec("p", "power", 1, 1, 3, params={"alpha": float("nan")}), ParameterError,
+     "'alpha' must be a finite number, got nan"),
+    (WeightSpec("q", "power", 1, 1, 3, params={"x0": [float("inf")]}), ParameterError,
+     r"'x0' must be a list of finite numbers .*, got \[inf\]"),
 ])
 def test_family_rules_are_config_errors(tmp_path, capsys, spec, error, rule):
     """The family rules live in weights._check_spec: make_weight raises

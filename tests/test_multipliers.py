@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from cubes import Cube, stack_levels
+from sample_weights import rotating_setup, two_cell_weight
 from haarweight import (
     CoverageError,
     HaarCoefficients,
-    MatrixWeight,
     ParameterError,
     StoppingConfig,
     WeightSpec,
@@ -42,13 +42,6 @@ def identity_setup(level=4, n=2, p=3.0):
     return w, build_reducing_family(w, p)
 
 
-def rotating_setup(level=4, p=3.0):
-    spec = WeightSpec("w", "rotating", d=1, n=2, level=level,
-                      params={"alpha": 0.6}, seed=3)
-    w = make_weight(spec)
-    return w, build_reducing_family(w, p)
-
-
 def test_identity_weight_is_reconstruction():
     w, fam = identity_setup()
     f = random_mean_zero(1, 2, 4, seed=0)
@@ -67,7 +60,7 @@ def test_forward_inverse_roundtrip():
 
 
 def test_scalar_symbol_oracle():
-    w = MatrixWeight(d=1, n=1, level=1, cells=np.array([[[1.0]], [[4.0]]]))
+    w = two_cell_weight()
     fam = build_reducing_family(w, 2.0)
     f = HaarCoefficients.zeros(1, 1, 1)
     f.rows[0, 0] = 1.0

@@ -17,6 +17,7 @@ import scipy.linalg
 import scipy.optimize
 
 from cubes import Cube, stack_levels
+from sample_weights import rotating_weight, two_cell_weight
 import haarweight
 from haarweight import (
     CoverageError,
@@ -105,17 +106,6 @@ def fit_directions(n):
     dirs_fit = quasi_uniform_directions(n, m_fit)
     extra = quasi_uniform_directions(n, m_fit * _CAL_FACTOR, offset=_CAL_OFFSET)
     return m_fit, dirs_fit, np.concatenate([dirs_fit, extra], axis=0)
-
-
-def two_cell_weight(a=1.0, b=4.0):
-    cells = np.array([[[a]], [[b]]])
-    return MatrixWeight(d=1, n=1, level=1, cells=cells)
-
-
-def rotating_weight(level=4, seed=3):
-    spec = WeightSpec("w", "rotating", d=1, n=2, level=level,
-                      params={"alpha": 0.6}, seed=seed)
-    return make_weight(spec)
 
 
 def frame_cascade(m, phi, k, level):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cubes import Cube, stack_levels
+from sample_weights import rotating_setup, two_cell_weight
 from haarweight import (
     CoverageError,
     MatrixWeight,
@@ -51,17 +52,6 @@ from haarweight.stopping import (
 def _pair_table(fam, test, li, lj):
     """Test 1 or 2 of every level-lj cube against its level-li ancestor."""
     return _pair_tables(fam, lj)[test - 1, ..., li]
-
-
-def two_cell_weight():
-    return MatrixWeight(d=1, n=1, level=1, cells=np.array([[[1.0]], [[4.0]]]))
-
-
-def rotating_setup(level=4, p=3.0):
-    spec = WeightSpec("w", "rotating", d=1, n=2, level=level,
-                      params={"alpha": 0.6}, seed=3)
-    w = make_weight(spec)
-    return w, build_reducing_family(w, p)
 
 
 def test_two_cell_tree_hand_checked():
